@@ -1,0 +1,600 @@
+"""Central-extension data and the extended affine Weyl group with exact actions.
+
+The split case only: the extended cocharacter lattice is Z K_c + X_* with a
+fixed splitting, an element t^lam.w acts by
+
+    (a, v) |-> (a + S(lam, w v), w v)
+
+on cocharacters and contragrediently on character points and on the level-one
+slice of the dual extended Cartan.  S is the weight form of the extension.
+
+Affine coroots are pairs (alpha, n) standing for alpha + n Q(alpha) K_c with
+Q(alpha) = S(alpha, alpha)/2.  The reflection attached to (alpha, n) is the
+element t^{n alpha} s_alpha; it fixes the slice wall {x(alpha) = -n Q(alpha)}
+and negates the coroot.  Display labels use the opposite, positive-direction
+parametrization s[alpha, m] = t^{-m alpha} s_alpha (alpha positive) so that
+simple systems read off the walls of the dominant alcove.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
+
+from weylkit.exact import (
+    Mat,
+    QMODZ_ZERO,
+    QmodZ,
+    Vec,
+    dot,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    solve_integer_affine,
+    transpose,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
+from weylkit.rootdata import RootDatum, mat_inv_int, root_height, weyl_elements
+
+
+class NotPositiveDefinite(ValueError):
+    pass
+
+
+class NotWInvariant(ValueError):
+    pass
+
+
+class OddOnCoroot(ValueError):
+    pass
+
+
+class InfiniteOmega(RuntimeError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# Gram forms
+
+
+@dataclass(frozen=True)
+class GramForm:
+    matrix: Tuple[Tuple[int, ...], ...]
+
+    def pair(self, v: Vec, w: Vec) -> int:
+        return dot(mat_vec(self.matrix, w), v)
+
+    def q(self, coroot: Vec) -> int:
+        return self.pair(coroot, coroot) // 2
+
+    def covector(self, v: Vec) -> Vec:
+        """S(v, -) as a value tuple on the cocharacter basis."""
+        return mat_vec(self.matrix, v)
+
+
+def gram_from_weights(rd: RootDatum, weights: Sequence[Vec]) -> GramForm:
+    """S(lam, mu) = sum over the weight multiset of w(lam) w(mu)."""
+    n = rd.rank
+    s = [[0] * n for _ in range(n)]
+    for w in weights:
+        for i in range(n):
+            if w[i]:
+                for j in range(n):
+                    s[i][j] += w[i] * w[j]
+    form = GramForm(tuple(map(tuple, s)))
+    _validate_gram(rd, form)
+    return form
+
+
+def gram_from_matrix(rd: RootDatum, matrix) -> GramForm:
+    form = GramForm(tuple(tuple(int(x) for x in row) for row in matrix))
+    _validate_gram(rd, form)
+    return form
+
+
+def gram_from_ambient(rd: RootDatum, ambient_matrix) -> GramForm:
+    """Transport a symmetric form given in ambient coordinates to the lattice."""
+    b = rd.ambient_basis
+    s = mat_mul(mat_mul(transpose(b), tuple(tuple(Fraction(x) for x in r) for r in ambient_matrix)), b)
+    if any(x.denominator != 1 for row in s for x in row):
+        raise ValueError("ambient form is not integral on the cocharacter lattice")
+    return gram_from_matrix(rd, tuple(tuple(int(x) for x in row) for row in s))
+
+
+def _validate_gram(rd: RootDatum, form: GramForm):
+    n = rd.rank
+    s = form.matrix
+    if any(s[i][j] != s[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("form is not symmetric")
+    # leading principal minors, exact
+    from weylkit.exact import det
+
+    for k in range(1, n + 1):
+        minor = tuple(tuple(s[i][j] for j in range(k)) for i in range(k))
+        if det(minor) <= 0:
+            raise NotPositiveDefinite(f"leading {k}x{k} minor is not positive")
+    for w in rd.simple_reflections():
+        if mat_mul(mat_mul(transpose(w), s), w) != s:
+            raise NotWInvariant("form is not Weyl invariant")
+    for cv in rd.coroots:
+        val = form.pair(cv, cv)
+        if val <= 0 or val % 2:
+            raise OddOnCoroot(f"S(a,a) = {val} on coroot {cv} is not even positive")
+
+
+# ---------------------------------------------------------------------------
+# extended Weyl elements
+
+
+@dataclass(frozen=True)
+class ExtendedWeylElement:
+    """t^trans . w acting on Z K_c + X_*."""
+
+    trans: Vec
+    w: Mat
+
+    @staticmethod
+    def translation(v: Vec) -> "ExtendedWeylElement":
+        return ExtendedWeylElement(tuple(v), identity(len(v)))
+
+    @staticmethod
+    def from_weyl(w: Mat) -> "ExtendedWeylElement":
+        return ExtendedWeylElement(tuple(0 for _ in w), tuple(map(tuple, w)))
+
+    @staticmethod
+    def unit(n: int) -> "ExtendedWeylElement":
+        return ExtendedWeylElement((0,) * n, identity(n))
+
+    def __mul__(self, other: "ExtendedWeylElement") -> "ExtendedWeylElement":
+        return ExtendedWeylElement(
+            vec_add(self.trans, mat_vec(self.w, other.trans)),
+            mat_mul(self.w, other.w),
+        )
+
+    def inverse(self) -> "ExtendedWeylElement":
+        winv = mat_inv_int(self.w)
+        return ExtendedWeylElement(tuple(-x for x in mat_vec(winv, self.trans)), winv)
+
+    def is_identity(self) -> bool:
+        return not any(self.trans) and self.w == identity(len(self.trans))
+
+    def w_inv(self) -> Mat:
+        return mat_inv_int(self.w)
+
+
+@dataclass(frozen=True)
+class CharacterPoint:
+    """Torsion character of the extended torus: value on K_c plus finite part."""
+
+    central: QmodZ
+    finite: Tuple[QmodZ, ...]
+
+    def value_on(self, v: Vec) -> QmodZ:
+        acc = Fraction(0)
+        for c, x in zip(self.finite, v, strict=True):
+            acc += c.as_fraction() * x
+        return QmodZ.from_fraction(acc)
+
+    def value_on_affine(self, a_central: int, v: Vec) -> QmodZ:
+        return QmodZ.from_fraction(
+            self.central.as_fraction() * a_central + self.value_on(v).as_fraction()
+        )
+
+    @staticmethod
+    def trivial(n: int) -> "CharacterPoint":
+        return CharacterPoint(QMODZ_ZERO, (QMODZ_ZERO,) * n)
+
+
+def character_from_config(rd: RootDatum, central: str, finite, basis: str = "cochar") -> CharacterPoint:
+    c = QmodZ.parse(central)
+    vals = [QmodZ.parse(str(x)) for x in finite]
+    if basis == "cochar":
+        if len(vals) != rd.rank:
+            raise ValueError("finite part length must equal the rank")
+        return CharacterPoint(c, tuple(vals))
+    if basis == "simple_roots":
+        if len(vals) != len(rd.simple_indices):
+            raise ValueError("need one value per simple root")
+        acc = [Fraction(0)] * rd.rank
+        for theta, a in zip(vals, rd.simple_roots):
+            for i in range(rd.rank):
+                acc[i] += theta.as_fraction() * a[i]
+        return CharacterPoint(c, tuple(QmodZ.from_fraction(x) for x in acc))
+    raise ValueError(f"unknown character basis {basis!r}")
+
+
+# actions ------------------------------------------------------------------
+
+
+def extended_act_cochar(g: ExtendedWeylElement, form: GramForm, v: Tuple[int, Vec]) -> Tuple[int, Vec]:
+    """(a, lam) |-> (a + S(trans, w lam), w lam)."""
+    a, lam = v
+    wl = mat_vec(g.w, lam)
+    return a + form.pair(g.trans, wl), tuple(wl)
+
+
+def extended_matrix(g: ExtendedWeylElement, form: GramForm) -> Mat:
+    """Faithful (n+1)x(n+1) integer matrix of the action on Z K_c + X_*."""
+    n = len(g.trans)
+    srow = mat_vec(transpose(mat_mul(form.matrix, g.w)), g.trans)  # (trans^T S w)_j
+    top = (1,) + tuple(srow)
+    rows = [top]
+    for i in range(n):
+        rows.append((0,) + tuple(g.w[i]))
+    return tuple(rows)
+
+
+def extended_act_character(g: ExtendedWeylElement, form: GramForm, chi: CharacterPoint) -> CharacterPoint:
+    """Left action (g . chi)(x) = chi(g^{-1} x); the central value is fixed."""
+    winv = g.w_inv()
+    c = chi.central.as_fraction()
+    scov = form.covector(g.trans)
+    out = []
+    for i in range(len(g.trans)):
+        col = tuple(winv[j][i] for j in range(len(winv)))
+        val = Fraction(0)
+        for f, x in zip(chi.finite, col):
+            val += f.as_fraction() * x
+        val -= c * scov[i]
+        out.append(QmodZ.from_fraction(val))
+    return CharacterPoint(chi.central, tuple(out))
+
+
+def slice_act(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    """Action on the level-one slice: x |-> x o w^{-1} - S(trans, -)."""
+    winv = g.w_inv()
+    scov = form.covector(g.trans)
+    n = len(x)
+    out = []
+    for i in range(n):
+        col = tuple(winv[j][i] for j in range(n))
+        out.append(sum((Fraction(xx) * cc for xx, cc in zip(x, col)), Fraction(0)) - scov[i])
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# affine coroots
+
+
+@dataclass(frozen=True)
+class AffineCoroot:
+    """alpha + n Q(alpha) K_c as (direction, level)."""
+
+    coroot: Vec
+    n: int
+
+    def pair_form(self, form: GramForm) -> Tuple[int, Vec]:
+        return self.n * form.q(self.coroot), self.coroot
+
+
+def affine_coroot_positive(rd: RootDatum, ac: AffineCoroot) -> bool:
+    if ac.n > 0:
+        return True
+    if ac.n < 0:
+        return False
+    return rd.is_positive_coroot(ac.coroot)
+
+
+def affine_coroot_reflection(rd: RootDatum, ac: AffineCoroot) -> ExtendedWeylElement:
+    """t^{n alpha} s_alpha; negates the coroot and fixes its vanishing wall."""
+    i = rd.coroots.index(tuple(ac.coroot))
+    return ExtendedWeylElement(vec_scale(ac.coroot, ac.n), rd.reflection(i))
+
+
+def affine_coroot_label(rd: RootDatum, ac: AffineCoroot) -> Tuple[Vec, int]:
+    """(positive direction, m) with the reflection equal to t^{-m dir} s_dir."""
+    if rd.is_positive_coroot(ac.coroot):
+        return tuple(ac.coroot), -ac.n
+    return tuple(-x for x in ac.coroot), ac.n
+
+
+def eval_affine_coroot(form: GramForm, ac: AffineCoroot, x: Tuple[Fraction, ...]) -> Fraction:
+    return sum((Fraction(c) * v for c, v in zip(x, ac.coroot)), Fraction(0)) + ac.n * form.q(ac.coroot)
+
+
+def act_affine_coroot(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, ac: AffineCoroot) -> AffineCoroot:
+    a, v = extended_act_cochar(g, form, ac.pair_form(form))
+    q = form.q(v)
+    if a % q:
+        raise ArithmeticError("affine coroot image has a non-integral level")
+    return AffineCoroot(tuple(v), a // q)
+
+
+# ---------------------------------------------------------------------------
+# progressions: integral levels per coroot direction
+#
+# A progression is None (no integral level), or (i, d) with d > 0 for the set
+# i + dZ, or (i, 0) for the singleton {i}.
+
+Progression = Optional[Tuple[int, int]]
+
+
+def progression_min_at_least(p: Progression, lo: int) -> Optional[int]:
+    if p is None:
+        return None
+    i, d = p
+    if d == 0:
+        return i if i >= lo else None
+    return i + math.ceil(Fraction(lo - i, d)) * d
+
+
+def progression_contains(p: Progression, n: int) -> bool:
+    if p is None:
+        return False
+    i, d = p
+    if d == 0:
+        return n == i
+    return (n - i) % d == 0
+
+
+def progression_count_in(p: Progression, a: int, b: int) -> int:
+    """|{n in progression : a <= n <= b}| for finite a <= b."""
+    if p is None or b < a:
+        return 0
+    i, d = p
+    if d == 0:
+        return int(a <= i <= b)
+    first = i + math.ceil(Fraction(a - i, d)) * d
+    if first > b:
+        return 0
+    return (b - first) // d + 1
+
+
+def trivial_progressions(rd: RootDatum) -> Dict[Vec, Progression]:
+    return {tuple(cv): (0, 1) for cv in rd.coroots}
+
+
+# ---------------------------------------------------------------------------
+# lengths
+
+
+def _direction_shift(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, coroot: Vec) -> Tuple[Vec, int]:
+    """Image direction w(alpha) and the level shift of t^lam w on direction alpha."""
+    img = tuple(mat_vec(g.w, coroot))
+    q = form.q(img)
+    s = form.pair(g.trans, img)
+    if s % q:
+        raise ArithmeticError("level shift is not integral")
+    return img, s // q
+
+
+def element_length(
+    g: ExtendedWeylElement,
+    rd: RootDatum,
+    form: GramForm,
+    progressions: Optional[Dict[Vec, Progression]] = None,
+) -> int:
+    """Number of positive (integral) affine coroots sent to negative ones."""
+    if progressions is None:
+        progressions = trivial_progressions(rd)
+    total = 0
+    for cv in rd.coroots:
+        p = progressions.get(tuple(cv))
+        if p is None:
+            continue
+        lo = 0 if rd.is_positive_coroot(cv) else 1
+        img, shift = _direction_shift(g, rd, form, cv)
+        lo_img = 0 if rd.is_positive_coroot(img) else 1
+        # count n in progression with n >= lo and n + shift <= lo_img - 1
+        lo_n = progression_min_at_least(p, lo)
+        if lo_n is None:
+            continue
+        total += progression_count_in(p, lo_n, lo_img - shift - 1)
+    return total
+
+
+def element_order(g: ExtendedWeylElement):
+    """Exact order, or the string "infinite" for fixed-point-free elements."""
+    n = len(g.trans)
+    ident = identity(n)
+    k = 1
+    m = g.w
+    while m != ident:
+        m = mat_mul(m, g.w)
+        k += 1
+        if k > 10_000:
+            raise RuntimeError("Weyl part order exceeded sanity bound")
+    acc = tuple(0 for _ in range(n))
+    p = ident
+    for _ in range(k):
+        acc = vec_add(acc, mat_vec(p, g.trans))
+        p = mat_mul(p, g.w)
+    return k if not any(acc) else "infinite"
+
+
+# ---------------------------------------------------------------------------
+# simple systems by bounded indecomposability
+
+
+def simple_system_from_progressions(
+    rd: RootDatum, form: GramForm, progressions: Dict[Vec, Progression]
+) -> Tuple[AffineCoroot, ...]:
+    """Indecomposable positive integral affine coroots.
+
+    Decomposability is tested against sums of two positive integral affine
+    coroots plus positive integral imaginary classes; subtracting an imaginary
+    class lowers the level, so only the minimal admissible level per direction
+    can be indecomposable, and the remaining search over real pairs
+    (beta_m, gamma_l) with beta + gamma = alpha is bounded by positivity of
+    the levels through m Q(beta) + l Q(gamma) = n Q(alpha).
+    """
+    coroot_set = set(map(tuple, rd.coroots))
+    candidates = []
+    for cv in rd.coroots:
+        p = progressions.get(tuple(cv))
+        if p is None:
+            continue
+        lo = 0 if rd.is_positive_coroot(cv) else 1
+        n0 = progression_min_at_least(p, lo)
+        if n0 is not None:
+            candidates.append(AffineCoroot(tuple(cv), n0))
+    simples = []
+    for ac in candidates:
+        if not _decomposable(rd, form, progressions, coroot_set, ac):
+            simples.append(ac)
+    return tuple(sorted(simples, key=lambda a: (a.n, a.coroot)))
+
+
+def _decomposable(rd, form, progressions, coroot_set, ac: AffineCoroot) -> bool:
+    qa = form.q(ac.coroot)
+    target = ac.n * qa
+    for beta in coroot_set:
+        gamma = vec_sub(ac.coroot, beta)
+        if tuple(gamma) not in coroot_set:
+            continue
+        pb = progressions.get(tuple(beta))
+        pg = progressions.get(tuple(gamma))
+        if pb is None or pg is None:
+            continue
+        qb, qg = form.q(beta), form.q(gamma)
+        lo_b = 0 if rd.is_positive_coroot(beta) else 1
+        lo_g = 0 if rd.is_positive_coroot(gamma) else 1
+        m = progression_min_at_least(pb, lo_b)
+        if m is None:
+            continue
+        while m * qb <= target - lo_g * qg:
+            rem = target - m * qb
+            if rem % qg == 0:
+                l = rem // qg
+                if l >= lo_g and progression_contains(pg, l):
+                    return True
+            if pb[1] == 0:
+                break
+            m += pb[1]
+    return False
+
+
+def coxeter_order(
+    r1: ExtendedWeylElement, r2: ExtendedWeylElement, cap: int = 48
+):
+    """Order of r1 r2 as an affine transformation, or "infinite"."""
+    prod = r1 * r2
+    order = element_order(prod)
+    if order == "infinite":
+        return "infinite"
+    if order > cap:
+        raise RuntimeError("unexpectedly large Coxeter order")
+    return order
+
+
+_MAX_FINITE_ORDER = {1: 2, 2: 12, 3: 48, 4: 1152, 5: 3840, 6: 51840, 7: 2903040, 8: 696729600}
+
+
+def _finite_bound(nodes: int) -> int:
+    if nodes in _MAX_FINITE_ORDER:
+        return _MAX_FINITE_ORDER[nodes]
+    return (2**nodes) * math.factorial(nodes)
+
+
+def component_is_finite(reflections: Sequence[ExtendedWeylElement], coxeter) -> bool:
+    """Finite iff the generated reflection group closes under the type bound."""
+    k = len(reflections)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if coxeter[(i, j)] == "infinite":
+                return False
+    bound = _finite_bound(k)
+    seen = {ExtendedWeylElement.unit(len(reflections[0].trans))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g in frontier:
+            for r in reflections:
+                x = g * r
+                if x not in seen:
+                    if len(seen) >= bound:
+                        return False
+                    seen.add(x)
+                    new.append(x)
+        frontier = new
+    return True
+
+
+# ---------------------------------------------------------------------------
+# affine simple data: S_aff, alcove, Omega
+
+
+@dataclass(frozen=True)
+class AffineData:
+    simples: Tuple[AffineCoroot, ...]
+    coxeter: Tuple[Tuple[object, ...], ...]
+    base_point: Tuple[Fraction, ...]
+    omega: Tuple[ExtendedWeylElement, ...]
+    omega_lattice: Tuple[Vec, ...]
+
+
+def dominant_base_point(rd: RootDatum, form: GramForm) -> Tuple[Fraction, ...]:
+    """Rational interior point of {0 < x(a) < Q(a), a positive}, deterministic."""
+    n = rd.rank
+    pos = [rd.coroots[i] for i in rd.positive_root_indices()]
+    if not pos:
+        return tuple(Fraction(0) for _ in range(n))
+    from weylkit.exact import solve_linear
+
+    rows = [rd.coroots[i] for i in rd.simple_indices]
+    target = [Fraction(1)] * len(rows)
+    u = solve_linear(rows, target)
+    if u is None:
+        raise RuntimeError("could not solve for a dominant covector")
+    heights = []
+    for cv in pos:
+        h = sum(Fraction(u[i]) * cv[i] for i in range(n))
+        heights.append(Fraction(form.q(cv)) / h)
+    eps = min(heights) / 2
+    return tuple(x * eps for x in u)
+
+
+def affine_simple_data(rd: RootDatum, form: GramForm) -> AffineData:
+    progs = trivial_progressions(rd)
+    simples = simple_system_from_progressions(rd, form, progs)
+    refl = [affine_coroot_reflection(rd, ac) for ac in simples]
+    cox = {}
+    k = len(simples)
+    for i in range(k):
+        for j in range(i + 1, k):
+            cox[(i, j)] = coxeter_order(refl[i], refl[j])
+    matrix = tuple(
+        tuple(1 if i == j else cox[(min(i, j), max(i, j))] for j in range(k)) for i in range(k)
+    )
+    omega, lattice = _omega_elements(rd, form)
+    return AffineData(simples, matrix, dominant_base_point(rd, form), omega, lattice)
+
+
+def _omega_elements(rd: RootDatum, form: GramForm):
+    """Length-zero elements: per finite Weyl part, solve the wall constraints.
+
+    t^lam w has length zero iff <w(alpha), lam> equals 0 or 1 according to the
+    sign of w(alpha-check), for every positive root alpha; the solution set per
+    w is a coset of the lattice annihilated by all roots (trivial when the
+    datum is semisimple).
+    """
+    n = rd.rank
+    if not rd.roots:
+        basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return (ExtendedWeylElement.unit(n),), basis
+    pos_idx = rd.positive_root_indices()
+    elements = []
+    lattice: Tuple[Vec, ...] = ()
+    for w in weyl_elements(rd):
+        winv_t = transpose(mat_inv_int(w))
+        rows, rhs = [], []
+        for i in pos_idx:
+            a, cv = rd.roots[i], rd.coroots[i]
+            wa = tuple(mat_vec(winv_t, a))
+            wcv = tuple(mat_vec(w, cv))
+            rows.append([Fraction(x) for x in wa])
+            rhs.append(Fraction(0) if rd.is_positive_coroot(wcv) else Fraction(1))
+        sol = solve_integer_affine(rows, rhs, [Fraction(0)] * len(rows))
+        if sol is None:
+            continue
+        g = ExtendedWeylElement(sol.particular, w)
+        assert element_length(g, rd, form) == 0
+        elements.append(g)
+        lattice = sol.basis
+    return tuple(sorted(elements, key=lambda g: (g.trans, g.w))), lattice

@@ -1,0 +1,842 @@
+"""Quantum-Langlands level duality: integral Weyl groups at a level, the
+iota conjugation, alcove matching, the finite-longest group, and the
+parahoric bijection.
+
+Slice picture: a point of the level-one slice is a rational covector x on the
+cocharacter lattice; t^lam w sends x to x o w^{-1} - kappa(lam, -).  The wall
+of the integral reflection t^{n a} s_a is {x : <x, a> = -n kappa(a,a)/2}, and
+the admissible n per direction form an arithmetic progression determined by
+theta.  Everything is computed with exact rationals; an "irrational" flag on
+a component forces the level-zero-only progression there.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from weylkit.exact import (
+    Mat,
+    Vec,
+    det,
+    dot,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    solve_integer_affine,
+    solve_linear,
+    transpose,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
+from weylkit.affine import (
+    ExtendedWeylElement,
+    Progression,
+    component_is_finite,
+    element_order,
+    progression_contains,
+    progression_min_at_least,
+)
+from weylkit.rootdata import (
+    RootDatum,
+    langlands_dual,
+    longest_element,
+    mat_inv_int,
+    weyl_elements,
+)
+
+
+class Degenerate(ValueError):
+    pass
+
+
+class IrrationalSquareLength(ValueError):
+    pass
+
+
+class VerificationFailed(RuntimeError):
+    pass
+
+
+class NoAlcove(RuntimeError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# levels
+
+
+@dataclass(frozen=True)
+class Level:
+    """Nondegenerate W-invariant rational form on the cocharacter space;
+    components listed in `irrational` behave as irrational multiples of the
+    stored rational block (only the n = 0 wall survives there)."""
+
+    gram: Tuple[Tuple[Fraction, ...], ...]
+    irrational: frozenset = frozenset()
+
+    def q(self, coroot: Vec) -> Fraction:
+        return Fraction(dot(mat_vec(self.gram, coroot), coroot), 2)
+
+    def apply(self, v) -> Tuple[Fraction, ...]:
+        return mat_vec(self.gram, v)
+
+
+def level_from_config(rd: RootDatum, gram, irrational=()) -> Level:
+    g = tuple(tuple(Fraction(x) for x in row) for row in gram)
+    lvl = Level(g, frozenset(irrational))
+    validate_level(rd, lvl)
+    return lvl
+
+
+def validate_level(rd: RootDatum, lvl: Level):
+    n = rd.rank
+    g = lvl.gram
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
+        raise Degenerate("level must be symmetric")
+    if det(g) == 0:
+        raise Degenerate("level must be nondegenerate")
+    for w in rd.simple_reflections():
+        if mat_mul(mat_mul(transpose(w), g), w) != tuple(tuple(Fraction(x) for x in r) for r in g):
+            raise Degenerate("level must be Weyl invariant")
+    for i in lvl.irrational:
+        if i >= len(finite_components(rd)):
+            raise ValueError("irrational component index out of range")
+
+
+def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
+    """Connected components of the finite diagram as tuples of simple indices."""
+    s = rd.simple_indices
+    k = len(s)
+    adj = {i: set() for i in range(k)}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if dot(rd.coroots[s[i]], rd.roots[s[j]]) != 0:
+                adj[i].add(j)
+                adj[j].add(i)
+    seen, comps = set(), []
+    for i in range(k):
+        if i in seen:
+            continue
+        comp, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def component_of_coroot(rd: RootDatum, coroot: Vec) -> int:
+    comps = finite_components(rd)
+    idx = rd.coroots.index(tuple(coroot))
+    a = rd.roots[idx]
+    from weylkit.rootdata import _simple_coeffs
+
+    coeffs = _simple_coeffs(rd.simple_roots, a)
+    support = {i for i, c in enumerate(coeffs) if c}
+    for ci, comp in enumerate(comps):
+        if support <= set(comp):
+            return ci
+    raise ValueError("coroot does not lie in a single component")
+
+
+def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
+    """Dual datum with the transported inverse form; exact involution."""
+    try:
+        inv = mat_inv(lvl.gram)
+    except ValueError:
+        raise Degenerate("level must be nondegenerate")
+    return langlands_dual(rd), Level(tuple(tuple(Fraction(x) for x in r) for r in inv), lvl.irrational)
+
+
+# ---------------------------------------------------------------------------
+# integral structure at a level
+
+
+def level_progression(rd: RootDatum, lvl: Level, theta, coroot: Vec) -> Progression:
+    """{n : <theta, alpha> + n kappa(alpha,alpha)/2 in Z} as a progression."""
+    tval = sum((Fraction(t) * c for t, c in zip(theta, coroot)), Fraction(0))
+    if component_of_coroot(rd, coroot) in lvl.irrational:
+        return (0, 0) if tval.denominator == 1 else None
+    q = lvl.q(coroot)
+    sol = solve_integer_affine([[q]], [-tval], [Fraction(1)])
+    if sol is None:
+        return None
+    d = sol.basis[0][0] if sol.basis else 0
+    i = sol.particular[0]
+    return (i % d if d else i, d)
+
+
+def level_progressions(rd: RootDatum, lvl: Level, theta) -> Dict[Vec, Progression]:
+    return {tuple(cv): level_progression(rd, lvl, theta, cv) for cv in rd.coroots}
+
+
+def level_stabilizer(rd: RootDatum, lvl: Level, theta):
+    """Per finite Weyl part, the coset {lam : w(theta) - theta - kappa(lam)
+    is a character}; irrational components force their lam-projection to 0."""
+    n = rd.rank
+    rows: List[List[Fraction]] = []
+    moduli: List[Fraction] = []
+    rhs_templates: List[int] = []  # indices into the w-dependent rhs
+    # rational congruence rows: kappa_eff lam = w theta - theta (mod 1)
+    irr_coroots = [
+        cv for cv in rd.coroots if component_of_coroot(rd, cv) in lvl.irrational
+    ]
+    proj = _kappa_projector(rd, lvl, irr_coroots)
+    kappa_eff = _zero_block(lvl.gram, proj)
+    out = {}
+    for w in weyl_elements(rd):
+        winv_t = transpose(mat_inv_int(w))
+        wtheta = mat_vec(winv_t, tuple(Fraction(x) for x in theta))
+        diff = vec_sub(wtheta, tuple(Fraction(x) for x in theta))
+        rws, rh, md = [], [], []
+        for i in range(n):
+            rws.append([kappa_eff[i][j] for j in range(n)])
+            rh.append(diff[i])
+            md.append(Fraction(1))
+        if irr_coroots and proj is not None:
+            for row in proj:
+                rws.append(list(row))
+                rh.append(Fraction(0))
+                md.append(Fraction(0))
+            # the irrational part of w(theta) - theta must itself be integral:
+            # it is zero exactly when theta's irrational part is W-compatible;
+            # the rational rows above already encode the rest
+        sol = solve_integer_affine(rws, rh, md)
+        out[w] = sol
+    return out
+
+
+def _kappa_projector(rd, lvl, irr_coroots):
+    """Rows spanning the kappa-orthogonal projection onto the flagged span."""
+    if not irr_coroots:
+        return None
+    basis = []
+    for cv in irr_coroots:
+        cand = tuple(Fraction(x) for x in cv)
+        trial = basis + [cand]
+        from weylkit.exact import rank as mat_rank
+
+        if mat_rank(trial) == len(trial):
+            basis.append(cand)
+    b = tuple(zip(*basis))  # columns
+    bt_k = mat_mul(tuple(map(tuple, basis)), lvl.gram)  # rows b_i^T kappa
+    gram_small = mat_mul(tuple(map(tuple, basis)), transpose(bt_k))
+    inv_small = mat_inv(gram_small)
+    # P = B (B^T K B)^{-1} B^T K ; rows of (B^T K) give the constraints
+    p = mat_mul(mat_mul(b, inv_small), bt_k)
+    return p
+
+
+def _zero_block(gram, proj):
+    if proj is None:
+        return gram
+    n = len(gram)
+    ident = identity(n)
+    comp = tuple(
+        tuple(Fraction(ident[i][j]) - proj[i][j] for j in range(n)) for i in range(n)
+    )
+    return mat_mul(gram, comp)
+
+
+def level_slice_act(g: ExtendedWeylElement, lvl: Level, x):
+    """x |-> x o w^{-1} - kappa(trans, -) on the slice."""
+    winv = mat_inv_int(g.w)
+    n = len(x)
+    kcov = lvl.apply(g.trans)
+    out = []
+    for i in range(n):
+        col = tuple(winv[j][i] for j in range(n))
+        out.append(sum((Fraction(xx) * cc for xx, cc in zip(x, col)), Fraction(0)) - kcov[i])
+    return tuple(out)
+
+
+def level_reflection(rd: RootDatum, coroot: Vec, n_level: int) -> ExtendedWeylElement:
+    i = rd.coroots.index(tuple(coroot))
+    return ExtendedWeylElement(vec_scale(coroot, n_level), rd.reflection(i))
+
+
+# ---------------------------------------------------------------------------
+# walls, alcoves, and the simple system at a level
+
+
+@dataclass(frozen=True)
+class Wall:
+    coroot: Vec
+    n: int  # reflection t^{n a} s_a; the wall is <x, a> = -n q(a)
+
+    def offset(self, lvl: Level) -> Fraction:
+        return -self.n * lvl.q(self.coroot)
+
+
+def _pair(x, coroot) -> Fraction:
+    return sum((Fraction(xx) * c for xx, c in zip(x, coroot)), Fraction(0))
+
+
+def wall_interval(lvl: Level, prog: Progression, coroot: Vec, value: Fraction):
+    """The consecutive wall offsets bracketing value in this direction,
+    as (lower, upper) with None for an absent side; value must avoid walls."""
+    if prog is None:
+        return (None, None)
+    q = lvl.q(coroot)
+    i, d = prog
+    if d == 0:
+        o = -i * q
+        if value == o:
+            raise NoAlcove("point lies on a wall")
+        return (o, None) if value > o else (None, o)
+    # offsets are an arithmetic progression with step |d q|
+    step = abs(d * q)
+    base = -i * q
+    # find k with base + k*step <= value < base + (k+1)*step
+    k = (value - base) / step
+    import math
+
+    kf = math.floor(k)
+    lo = base + kf * step
+    hi = lo + step
+    if value == lo:
+        raise NoAlcove("point lies on a wall")
+    return (lo, hi)
+
+
+def same_alcove(rd, lvl, progs, p, q_point) -> bool:
+    for cv in rd.coroots:
+        if not rd.is_positive_coroot(cv):
+            continue
+        prog = progs[tuple(cv)]
+        if prog is None:
+            continue
+        if wall_interval(lvl, prog, cv, _pair(p, cv)) != wall_interval(
+            lvl, prog, cv, _pair(q_point, cv)
+        ):
+            return False
+    return True
+
+
+def generic_base_point(rd: RootDatum, lvl: Level, progs, denom: int = 0):
+    """Deterministic rational interior point of the dominant-side alcove at 0.
+
+    The point eps * u with <u, a_i> = 1 on the simple coroots; eps is shrunk
+    by successive powers of a prime so the point clears every wall.
+    """
+    n = rd.rank
+    if not rd.roots:
+        return tuple(Fraction(0) for _ in range(n))
+    rows = [rd.coroots[i] for i in rd.simple_indices]
+    u = solve_linear(rows, [Fraction(1)] * len(rows))
+    if u is None:
+        raise NoAlcove("no dominant covector")
+    eps = Fraction(1, 97 * (97**denom))
+    for _ in range(64):
+        x = tuple(eps * Fraction(v) for v in u)
+        ok = True
+        for cv in rd.coroots:
+            prog = progs[tuple(cv)]
+            if prog is None:
+                continue
+            try:
+                wall_interval(lvl, prog, cv, _pair(x, cv))
+            except NoAlcove:
+                ok = False
+                break
+        if ok:
+            return x
+        eps /= 97
+    raise NoAlcove("could not find a clear base point")
+
+
+def alcove_walls(rd: RootDatum, lvl: Level, progs, x) -> Tuple[Wall, ...]:
+    """Facet walls of the alcove containing x: per direction the bracketing
+    walls, kept when the mirror midpoint is clear of every other wall."""
+    candidates = []
+    for cv in rd.coroots:
+        if not rd.is_positive_coroot(cv):
+            continue
+        prog = progs[tuple(cv)]
+        if prog is None:
+            continue
+        val = _pair(x, cv)
+        q = lvl.q(cv)
+        lo, hi = wall_interval(lvl, prog, cv, val)
+        for o in (lo, hi):
+            if o is None:
+                continue
+            n_level = -o / q
+            assert n_level.denominator == 1
+            candidates.append(Wall(tuple(cv), int(n_level)))
+    facets = []
+    for wall in candidates:
+        r = level_reflection(rd, wall.coroot, wall.n)
+        rx = level_slice_act(r, lvl, x)
+        mid = tuple((a + b) / 2 for a, b in zip(x, rx))
+        ok = True
+        for other in candidates:
+            if other == wall:
+                continue
+            off = other.offset(lvl)
+            v_mid = _pair(mid, other.coroot)
+            if v_mid == off:
+                ok = False  # degenerate midpoint; conservatively not a facet
+                break
+            va, vb = _pair(x, other.coroot), _pair(rx, other.coroot)
+            if (va - off) * (vb - off) < 0:
+                ok = False
+                break
+        if ok:
+            facets.append(wall)
+    return tuple(sorted(facets, key=lambda w: (w.coroot, w.n)))
+
+
+@dataclass(frozen=True)
+class LevelSystem:
+    progressions: Tuple[Tuple[Vec, Progression], ...]
+    base_point: Tuple[Fraction, ...]
+    simples: Tuple[Wall, ...]
+    coxeter: Tuple[Tuple[object, ...], ...]
+    components: Tuple[Tuple[Tuple[int, ...], str], ...]
+    stabilizer: Tuple
+
+    def reflections(self, rd: RootDatum) -> Tuple[ExtendedWeylElement, ...]:
+        return tuple(level_reflection(rd, w.coroot, w.n) for w in self.simples)
+
+
+def level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> LevelSystem:
+    progs = level_progressions(rd, lvl, theta)
+    base = generic_base_point(rd, lvl, progs)
+    simples = alcove_walls(rd, lvl, progs, base)
+    refl = [level_reflection(rd, w.coroot, w.n) for w in simples]
+    k = len(simples)
+    cox = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            o = element_order(refl[i] * refl[j])
+            cox[(i, j)] = o if o != "infinite" else "infinite"
+    matrix = tuple(
+        tuple(1 if i == j else cox[(min(i, j), max(i, j))] for j in range(k)) for i in range(k)
+    )
+    comps = []
+    seen = set()
+    for i in range(k):
+        if i in seen:
+            continue
+        comp, frontier = {i}, [i]
+        while frontier:
+            y = frontier.pop()
+            for j in range(k):
+                if j not in comp and matrix[y][j] not in (1, 2):
+                    comp.add(j)
+                    frontier.append(j)
+        seen |= comp
+        idx = tuple(sorted(comp))
+        sub = {(a, b): matrix[idx[a]][idx[b]] for a in range(len(idx)) for b in range(len(idx)) if a < b}
+        kind = "finite" if component_is_finite([refl[i] for i in idx], sub) else "affine"
+        comps.append((idx, kind))
+    stab = level_stabilizer(rd, lvl, theta)
+    return LevelSystem(
+        tuple(sorted(progs.items())),
+        base,
+        simples,
+        matrix,
+        tuple(comps),
+        tuple(sorted(stab.items())),
+    )
+
+
+def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -> bool:
+    """t^lam w integral iff w(theta) - theta - kappa(lam) is a character."""
+    winv_t = transpose(mat_inv_int(g.w))
+    wtheta = mat_vec(winv_t, tuple(Fraction(x) for x in theta))
+    diff = vec_sub(wtheta, tuple(Fraction(x) for x in theta))
+    kl = lvl.apply(g.trans)
+    irr_coroots = [cv for cv in rd.coroots if component_of_coroot(rd, cv) in lvl.irrational]
+    if irr_coroots:
+        proj = _kappa_projector(rd, lvl, irr_coroots)
+        pl = mat_vec(proj, tuple(Fraction(x) for x in g.trans))
+        if any(pl):
+            return False
+        kl = mat_vec(_zero_block(lvl.gram, proj), tuple(Fraction(x) for x in g.trans))
+    return all((a - b).denominator == 1 for a, b in zip(diff, kl))
+
+
+# ---------------------------------------------------------------------------
+# iota
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    linear: Tuple[Tuple[Fraction, ...], ...]
+    offset: Tuple[Fraction, ...]
+
+    def __call__(self, x):
+        return tuple(v + o for v, o in zip(mat_vec(self.linear, x), self.offset))
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        return AffineMap(
+            mat_mul(self.linear, other.linear),
+            tuple(v + o for v, o in zip(mat_vec(self.linear, other.offset), self.offset)),
+        )
+
+    def inverse(self) -> "AffineMap":
+        inv = mat_inv(self.linear)
+        return AffineMap(inv, tuple(-x for x in mat_vec(inv, self.offset)))
+
+
+def element_slice_map(rd: RootDatum, lvl: Level, g: ExtendedWeylElement) -> AffineMap:
+    winv_t = transpose(tuple(tuple(Fraction(x) for x in row) for row in mat_inv_int(g.w)))
+    return AffineMap(winv_t, tuple(-x for x in lvl.apply(g.trans)))
+
+
+def iota_map(rd: RootDatum, lvl: Level, theta) -> AffineMap:
+    _, lvl_dual = dual_level(rd, lvl)
+    kcheck = lvl_dual.gram
+    theta_check = mat_vec(kcheck, tuple(Fraction(x) for x in theta))
+    neg = tuple(tuple(-x for x in row) for row in kcheck)
+    return AffineMap(neg, theta_check)
+
+
+def iota_conjugation(rd: RootDatum, lvl: Level, theta, ball_radius: int = 2) -> dict:
+    """Build iota and verify the exchange identities on explicit elements."""
+    if lvl.irrational:
+        raise IrrationalSquareLength("iota requires a rational level")
+    rd_dual, lvl_dual = dual_level(rd, lvl)
+    lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
+    iota = iota_map(rd, lvl, theta)
+    iota_inv = iota.inverse()
+    theta_f = tuple(Fraction(x) for x in theta)
+    theta_check = mat_vec(lvl_dual.gram, theta_f)
+
+    # translations: iota o tau^lam = tau^{+lam-check...} o iota as slice maps
+    ok_trans = True
+    for lam in _lattice_box(rd.rank, 2):
+        g = ExtendedWeylElement.translation(lam)
+        lam_img = lvl.apply(lam)  # kappa(lam) lies in the dual slice space
+        if not all(x.denominator == 1 for x in lam_img):
+            continue
+        h = ExtendedWeylElement.translation(tuple(int(x) for x in lam_img))
+        lhs = iota.compose(element_slice_map(rd, lvl, g))
+        rhs = element_slice_map(rd_dual, lvl_dual_neg, h).compose(iota)
+        if lhs != rhs:
+            ok_trans = False
+
+    # paired elements: (lam, w) with fulllattice solvable maps to (lambda, w)
+    pairs_checked = 0
+    ok_pairs = True
+    ws = weyl_elements(rd)
+    for w in ws:
+        winv_t = transpose(mat_inv_int(w))
+        for lam in _lattice_box(rd.rank, ball_radius):
+            g = ExtendedWeylElement(lam, w)
+            if not level_membership(rd, lvl, theta, g):
+                continue
+            wtheta = mat_vec(winv_t, theta_f)
+            lam_dual_f = tuple(
+                t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.apply(lam))
+            )  # lambda = theta - w(theta) + kappa(lam)
+            assert all(x.denominator == 1 for x in lam_dual_f)
+            h = ExtendedWeylElement(tuple(int(x) for x in lam_dual_f), w)
+            assert level_membership(rd_dual, lvl_dual_neg, theta_check, h)
+            lhs = iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv)
+            rhs = element_slice_map(rd_dual, lvl_dual_neg, h)
+            if lhs != rhs:
+                ok_pairs = False
+            pairs_checked += 1
+
+    # reflections map to reflections with the rodentdream exponents
+    ok_refl = True
+    progs = level_progressions(rd, lvl, theta)
+    for cv in rd.coroots:
+        prog = progs[tuple(cv)]
+        if prog is None:
+            continue
+        q = lvl.q(cv)
+        idx = rd.coroots.index(tuple(cv))
+        alpha = rd.roots[idx]
+        for j in (0, 1, -1):
+            n = progression_min_at_least(prog, 0)
+            if n is None:
+                continue
+            if prog[1]:
+                n += j * prog[1]
+            elif j:
+                continue
+            tval = _pair(theta_f, cv)
+            m = tval + n * q
+            if m.denominator != 1:
+                ok_refl = False
+                continue
+            g = level_reflection(rd, cv, n)
+            h = level_reflection(rd_dual, alpha, int(m))
+            lhs = iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv)
+            rhs = element_slice_map(rd_dual, lvl_dual_neg, h)
+            if lhs != rhs:
+                ok_refl = False
+    result = {
+        "iota": iota,
+        "translations": ok_trans,
+        "pairs": ok_pairs,
+        "pairs_checked": pairs_checked,
+        "reflections": ok_refl,
+        "verified": ok_trans and ok_pairs and ok_refl,
+    }
+    if not result["verified"]:
+        raise VerificationFailed(str(result))
+    return result
+
+
+def _lattice_box(n, radius):
+    from itertools import product
+
+    return [tuple(p) for p in product(range(-radius, radius + 1), repeat=n)]
+
+
+# ---------------------------------------------------------------------------
+# alcove matching
+
+
+@dataclass(frozen=True)
+class AlcoveMatch:
+    y: ExtendedWeylElement
+    g_system: LevelSystem
+    h_system: LevelSystem
+    simple_bijection: Tuple[Tuple[Wall, Wall], ...]
+    omega_pairs: Tuple[Tuple[ExtendedWeylElement, ExtendedWeylElement], ...]
+
+
+def alcove_match(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3) -> AlcoveMatch:
+    iota = iota_map(rd, lvl, theta)
+    rd_dual, lvl_dual = dual_level(rd, lvl)
+    lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
+    theta_check = tuple(mat_vec(lvl_dual.gram, tuple(Fraction(x) for x in theta)))
+
+    g_sys = level_integral_weyl(rd, lvl, theta)
+    h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
+    h_progs = dict(h_sys.progressions)
+
+    target = h_sys.base_point
+    p = iota(g_sys.base_point)
+    y = ExtendedWeylElement.unit(rd.rank)
+    guard = 0
+    while not same_alcove(rd_dual, lvl_dual_neg, h_progs, p, target):
+        guard += 1
+        if guard > 10_000:
+            raise NoAlcove("alcove walk did not terminate")
+        wall = _first_crossing(rd_dual, lvl_dual_neg, h_progs, p, target)
+        r = level_reflection(rd_dual, wall.coroot, wall.n)
+        p = level_slice_act(r, lvl_dual_neg, p)
+        y = r * y
+    assert level_slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) == p
+
+    # j = y o iota matches the simple systems
+    jmap = element_slice_map(rd_dual, lvl_dual_neg, y).compose(iota)
+    jinv = jmap.inverse()
+    h_wall_index = {}
+    for wall in h_sys.simples:
+        r = level_reflection(rd_dual, wall.coroot, wall.n)
+        h_wall_index[_map_key(element_slice_map(rd_dual, lvl_dual_neg, r))] = wall
+    bij = []
+    for wall in g_sys.simples:
+        r = level_reflection(rd, wall.coroot, wall.n)
+        conj = jmap.compose(element_slice_map(rd, lvl, r)).compose(jinv)
+        key = _map_key(conj)
+        if key not in h_wall_index:
+            raise VerificationFailed(f"conjugated simple {wall} is not a dual simple")
+        bij.append((wall, h_wall_index[key]))
+    if len({b for _, b in bij}) != len(h_sys.simples):
+        raise VerificationFailed("simple systems do not biject")
+
+    # Coxeter matrices agree through the bijection
+    gperm = {i: h_sys.simples.index(b) for i, (_, b) in enumerate(bij)}
+    for i in range(len(bij)):
+        for j in range(len(bij)):
+            if g_sys.coxeter[i][j] != h_sys.coxeter[gperm[i]][gperm[j]]:
+                raise VerificationFailed("Coxeter matrices differ after matching")
+
+    # length-zero elements correspond
+    g_omega = _alcove_stabilizer(rd, lvl, theta, g_sys, omega_radius)
+    h_omega = _alcove_stabilizer(rd_dual, lvl_dual_neg, theta_check, h_sys, omega_radius)
+    h_keys = {_map_key(element_slice_map(rd_dual, lvl_dual_neg, o)): o for o in h_omega}
+    pairs = []
+    for o in g_omega:
+        conj = jmap.compose(element_slice_map(rd, lvl, o)).compose(jinv)
+        key = _map_key(conj)
+        if key not in h_keys:
+            raise VerificationFailed("length-zero element has no dual partner")
+        pairs.append((o, h_keys[key]))
+    if len(pairs) != len(h_omega):
+        raise VerificationFailed("length-zero groups have different sizes")
+
+    return AlcoveMatch(y, g_sys, h_sys, tuple(bij), tuple(pairs))
+
+
+def _map_key(m: AffineMap):
+    return (tuple(map(tuple, m.linear)), tuple(m.offset))
+
+
+def _first_crossing(rd, lvl, progs, p, target) -> Wall:
+    best = None
+    for cv in rd.coroots:
+        if not rd.is_positive_coroot(cv):
+            continue
+        prog = progs[tuple(cv)]
+        if prog is None:
+            continue
+        a = _pair(p, cv)
+        b = _pair(target, cv)
+        if a == b:
+            continue
+        q = lvl.q(cv)
+        i, d = prog
+        offsets = []
+        if d == 0:
+            offsets = [-i * q]
+        else:
+            step = abs(d * q)
+            lo, hi = min(a, b), max(a, b)
+            base = -i * q
+            import math
+
+            k0 = math.ceil((lo - base) / step)
+            o = base + k0 * step
+            while o <= hi:
+                offsets.append(o)
+                o += step
+        for off in offsets:
+            if (a - off) * (b - off) < 0:
+                t = (off - a) / (b - a)
+                n_level = -off / q
+                assert n_level.denominator == 1
+                cand = (t, tuple(cv), int(n_level))
+                if best is None or cand[0] < best[0]:
+                    best = cand
+                elif cand[0] == best[0]:
+                    raise NoAlcove("degenerate crossing; perturb the base point")
+    if best is None:
+        raise NoAlcove("no separating wall found")
+    return Wall(best[1], best[2])
+
+
+def _alcove_stabilizer(rd, lvl, theta, sys: LevelSystem, radius: int):
+    progs = dict(sys.progressions)
+    out = []
+    for w, coset in sys.stabilizer:
+        if coset is None:
+            continue
+        from weylkit.integral import _coset_points_in_box
+
+        for lam in _coset_points_in_box(coset, rd.rank, radius):
+            g = ExtendedWeylElement(lam, w)
+            img = level_slice_act(g, lvl, sys.base_point)
+            try:
+                if same_alcove(rd, lvl, progs, img, sys.base_point):
+                    out.append(g)
+            except NoAlcove:
+                continue
+    return tuple(sorted(out, key=lambda g: (g.trans, g.w)))
+
+
+# ---------------------------------------------------------------------------
+# parahoric matching and the finite-longest group
+
+
+def kappa_parabolic_match(rd: RootDatum, lvl: Level) -> Tuple[Tuple[int, int], ...]:
+    """i_kappa on simple indices: Chevalley involution on the kappa-positive
+    part composed with the standard duality (identity on indices)."""
+    if lvl.irrational:
+        raise IrrationalSquareLength("parahoric matching needs rational square lengths")
+    for cv in rd.coroots:
+        if lvl.q(cv) == 0:
+            raise IrrationalSquareLength("kappa(alpha, alpha) must be nonzero")
+    w0 = longest_element(rd)
+    out = []
+    for pos, i in enumerate(rd.simple_indices):
+        cv = rd.coroots[i]
+        if lvl.q(cv) > 0:
+            img = tuple(-x for x in mat_vec(w0, cv))
+            target = rd.coroots.index(img)
+            out.append((pos, rd.simple_indices.index(target)))
+        else:
+            out.append((pos, pos))
+    return tuple(out)
+
+
+def finite_longest_group(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3) -> Tuple[ExtendedWeylElement, ...]:
+    """Generators of the group of extended-Coxeter automorphisms realized by
+    conjugation: one commuting involution per length-zero-stable orbit of
+    finite-type components (trivial when every component is affine)."""
+    sys = level_integral_weyl(rd, lvl, theta)
+    refl = list(sys.reflections(rd))
+    omega = _alcove_stabilizer(rd, lvl, theta, sys, omega_radius)
+    comp_of = {}
+    for ci, (idx, kind) in enumerate(sys.components):
+        for i in idx:
+            comp_of[i] = ci
+    # orbit of components under conjugation by length-zero elements
+    refl_index = {r: i for i, r in enumerate(refl)}
+    parent = list(range(len(sys.components)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for o in omega:
+        oinv = o.inverse()
+        for i, r in enumerate(refl):
+            conj = o * r * oinv
+            if conj in refl_index:
+                union(comp_of[i], comp_of[refl_index[conj]])
+    orbits: Dict[int, List[int]] = {}
+    for ci in range(len(sys.components)):
+        orbits.setdefault(find(ci), []).append(ci)
+    gens = []
+    for orbit in orbits.values():
+        if any(sys.components[ci][1] != "finite" for ci in orbit):
+            continue
+        z = ExtendedWeylElement.unit(rd.rank)
+        for ci in orbit:
+            idx = sys.components[ci][0]
+            z = z * _longest_in_component(rd, [refl[i] for i in idx])
+        # z must normalize the simple system
+        conj_set = {z * r * z.inverse() for r in refl}
+        if conj_set != set(refl):
+            continue
+        gens.append(z)
+    for z in gens:
+        assert (z * z).is_identity()
+        for z2 in gens:
+            assert z * z2 == z2 * z
+    return tuple(gens)
+
+
+def _longest_in_component(rd, reflections) -> ExtendedWeylElement:
+    """Longest element of a finite component: the unique farthest element in
+    the Cayley graph on the given generators."""
+    unit = ExtendedWeylElement.unit(rd.rank)
+    dist = {unit: 0}
+    frontier = [unit]
+    while frontier:
+        new = []
+        for g in frontier:
+            for r in reflections:
+                x = g * r
+                if x not in dist:
+                    dist[x] = dist[g] + 1
+                    new.append(x)
+        frontier = new
+    maxd = max(dist.values())
+    far = [g for g, d in dist.items() if d == maxd]
+    assert len(far) == 1
+    return far[0]

@@ -1,0 +1,439 @@
+"""Exact integer/rational linear algebra and residue arithmetic.
+
+Conventions used across the package:
+
+* vectors are tuples, matrices are tuples of row tuples;
+* matrices act on column vectors, ``mat_vec(m, v)[i] = sum_j m[i][j] v[j]``;
+* Hermite form is row-style with positive pivots;
+* Smith form ``(u, d, v)`` satisfies ``u @ m @ v = d`` with ``u, v`` unimodular
+  and the diagonal divisibility chain ``d1 | d2 | ...``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence, Tuple
+
+Vec = Tuple[int, ...]
+Mat = Tuple[Tuple[int, ...], ...]
+
+
+class DimensionMismatch(ValueError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# Q/Z values
+
+
+@dataclass(frozen=True)
+class QmodZ:
+    """A rational number modulo 1, stored reduced with 0 <= num < den."""
+
+    num: int
+    den: int
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
+        g = math.gcd(self.num, self.den)
+        num = (self.num // g) % (self.den // g)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", self.den // g if num or True else 1)
+        if self.num == 0:
+            object.__setattr__(self, "den", 1)
+
+    @staticmethod
+    def from_fraction(x: Fraction) -> "QmodZ":
+        x = Fraction(x)
+        return QmodZ(x.numerator % x.denominator, x.denominator)
+
+    @staticmethod
+    def parse(s: str) -> "QmodZ":
+        return QmodZ.from_fraction(Fraction(s))
+
+    def as_fraction(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __add__(self, other: "QmodZ") -> "QmodZ":
+        return QmodZ.from_fraction(self.as_fraction() + other.as_fraction())
+
+    def __sub__(self, other: "QmodZ") -> "QmodZ":
+        return QmodZ.from_fraction(self.as_fraction() - other.as_fraction())
+
+    def __neg__(self) -> "QmodZ":
+        return QmodZ.from_fraction(-self.as_fraction())
+
+    def scale(self, k) -> "QmodZ":
+        return QmodZ.from_fraction(self.as_fraction() * Fraction(k))
+
+    def is_zero(self) -> bool:
+        return self.num == 0
+
+    def order(self) -> int:
+        """Exact order as an element of Q/Z (1 for the zero class)."""
+        return self.den
+
+    def __str__(self):
+        return f"{self.num}/{self.den}"
+
+
+QMODZ_ZERO = QmodZ(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# matrix / vector helpers (entries: int or Fraction)
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(a, k):
+    return tuple(k * x for x in a)
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b, strict=True))
+
+
+def mat_vec(m, v):
+    if m and len(m[0]) != len(v):
+        raise DimensionMismatch(f"{len(m[0])}-column matrix applied to length-{len(v)} vector")
+    return tuple(dot(row, v) for row in m)
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def identity(n: int) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_eq(a, b) -> bool:
+    return [list(r) for r in a] == [list(r) for r in b]
+
+
+def mat_neg(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def det(m) -> Fraction:
+    """Determinant by fraction-free-ish Gaussian elimination, exact."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        d *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return sign * d
+
+
+def mat_inv(m):
+    """Exact inverse over Q; raises ValueError if singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def solve_linear(m, b):
+    """One exact solution x of m x = b over Q, or None if inconsistent.
+
+    Underdetermined systems return the solution with free variables set to 0.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[Fraction(x) for x in m[i]] + [Fraction(b[i])] for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if a[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = a[i][cols]
+    return tuple(x)
+
+
+def rank(m) -> int:
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[Fraction(x) for x in row] for row in m]
+    rk = 0
+    for c in range(cols):
+        piv = next((i for i in range(rk, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rk], a[piv] = a[piv], a[rk]
+        inv = 1 / a[rk][c]
+        a[rk] = [x * inv for x in a[rk]]
+        for i in range(rows):
+            if i != rk and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rk])]
+        rk += 1
+    return rk
+
+
+# ---------------------------------------------------------------------------
+# Hermite and Smith normal forms
+
+
+def hermite_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat]:
+    """Row HNF with positive pivots. Returns (h, u) with u @ m = h, det u = ±1."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(map(int, row)) for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        u[r], u[piv] = u[piv], u[r]
+        # clear below by gcd steps
+        for i in range(r + 1, rows):
+            while a[i][c] != 0:
+                q = a[r][c] // a[i][c]
+                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
+                a[r], a[i] = a[i], a[r]
+                u[r], u[i] = u[i], u[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+        if r == rows:
+            break
+    return tuple(map(tuple, a)), tuple(map(tuple, u))
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:
+    """Returns (u, d, v) with u @ m @ v = d, u and v unimodular, d1 | d2 | ..."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(map(int, row)) for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, q):
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        entries = [(i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not entries:
+            break
+        # minimal |entry| to the pivot; reduce; repeat until the block splits
+        i0, j0 = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
+        swap_rows(t, i0)
+        swap_cols(t, j0)
+        dirty = False
+        for i in range(t + 1, rows):
+            q = a[i][t] // a[t][t]
+            if q:
+                addmul_row(i, t, -q)
+            if a[i][t]:
+                dirty = True
+        for j in range(t + 1, cols):
+            q = a[t][j] // a[t][t]
+            if q:
+                addmul_col(j, t, -q)
+            if a[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        bad = next(
+            (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]),
+            None,
+        )
+        if bad is not None:
+            addmul_row(t, bad, 1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
+
+
+def normal_forms(m: Sequence[Sequence[int]]):
+    """(hermite, (u, d, v)) per the package-wide conventions."""
+    if not m or not m[0]:
+        raise ValueError("matrix must be nonempty")
+    h, _ = hermite_normal_form(m)
+    return h, smith_normal_form(m)
+
+
+def lattice_basis_from_generators(gens: Sequence[Vec]) -> Tuple[Vec, ...]:
+    """Basis (HNF rows, pivots positive) of the lattice generated by gens."""
+    if not gens:
+        return ()
+    h, _ = hermite_normal_form(gens)
+    return tuple(row for row in h if any(row))
+
+
+def lattice_index(ambient_rank: int, basis: Sequence[Vec]) -> Optional[int]:
+    """Index of the lattice spanned by basis inside Z^n, or None if infinite."""
+    if len(basis) < ambient_rank:
+        return None
+    d = det(basis)
+    return abs(int(d)) if d != 0 else None
+
+
+def lattice_contains(basis: Sequence[Vec], v: Vec) -> bool:
+    """Membership of an integer vector in the lattice spanned by basis rows."""
+    if not any(v):
+        return True
+    if not basis:
+        return False
+    sol = solve_integer_affine([list(col) for col in zip(*basis)], v, [Fraction(0)] * len(v))
+    return sol is not None
+
+
+# ---------------------------------------------------------------------------
+# affine congruence systems
+
+
+@dataclass(frozen=True)
+class CosetZn:
+    """Affine sublattice {particular + sum c_i basis_i : c_i in Z} of Z^n."""
+
+    particular: Vec
+    basis: Tuple[Vec, ...]
+
+    def contains(self, x: Vec) -> bool:
+        diff = vec_sub(x, self.particular)
+        return lattice_contains(self.basis, diff)
+
+
+def solve_integer_affine(a, b, moduli) -> Optional[CosetZn]:
+    """Solve {x in Z^n : a x = b (mod moduli)} exactly.
+
+    a has rational entries, b rational, moduli per-row rationals; modulus 0
+    means an exact equation over Z.  Returns the full solution coset or None.
+    """
+    rows = len(a)
+    n = len(a[0]) if rows else 0
+    if len(b) != rows or len(moduli) != rows:
+        raise DimensionMismatch("rows of a, b, moduli must agree")
+    # scale each row to integers
+    int_rows, int_b, int_mod = [], [], []
+    for i in range(rows):
+        entries = [Fraction(x) for x in a[i]] + [Fraction(b[i]), Fraction(moduli[i])]
+        if entries[-1] < 0:
+            raise ValueError("moduli must be nonnegative")
+        scale = math.lcm(*(e.denominator for e in entries))
+        int_rows.append([int(Fraction(x) * scale) for x in a[i]])
+        int_b.append(int(Fraction(b[i]) * scale))
+        int_mod.append(int(Fraction(moduli[i]) * scale))
+    # assemble [A | M] (x, t) = b with M = diag of moduli (drop zero-modulus columns)
+    mod_cols = [i for i in range(rows) if int_mod[i] != 0]
+    width = n + len(mod_cols)
+    big = []
+    for i in range(rows):
+        row = list(int_rows[i]) + [0] * len(mod_cols)
+        if int_mod[i] != 0:
+            row[n + mod_cols.index(i)] = int_mod[i]
+        big.append(row)
+    u, d, v = smith_normal_form(big)
+    c = mat_vec(u, int_b)
+    y = [0] * width
+    r = min(rows, width)
+    for i in range(r):
+        dii = d[i][i]
+        if dii == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % dii != 0:
+                return None
+            y[i] = c[i] // dii
+    for i in range(r, rows):
+        if c[i] != 0:
+            return None
+    z = mat_vec(v, y)
+    particular = tuple(z[:n])
+    free = [i for i in range(width) if i >= r or d[i][i] == 0]
+    gens = []
+    for i in free:
+        col = tuple(v[j][i] for j in range(width))[:n]
+        if any(col):
+            gens.append(col)
+    return CosetZn(particular, lattice_basis_from_generators(gens))

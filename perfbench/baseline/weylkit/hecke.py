@@ -1,0 +1,357 @@
+"""Decategorified monodromic Hecke algebroid on the standard basis T_w.
+
+Elements are finitely supported Z[v, 1/v]-combinations of group elements
+lying in a fixed character bimodule {chi} W~ {chi'}.  The normalization is
+
+    T_r^2 = (1/v - v) T_r + T_e,      b_r = T_r + v,
+
+so Bott-Samelson coefficients have nonnegative integer coefficients and the
+ungraded statements are recovered at v = 1.  Products with mismatched middle
+characters are zero.  Group-element equality is matrix equality, so the word
+problem is exact.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from weylkit.affine import (
+    AffineCoroot,
+    CharacterPoint,
+    ExtendedWeylElement,
+    GramForm,
+    affine_coroot_reflection,
+    extended_act_character,
+)
+from weylkit.integral import (
+    CharacterMismatch,
+    integral_length,
+    integral_simple_system,
+    is_minimal,
+    minimal_rep,
+)
+from weylkit.rootdata import RootDatum
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in v
+
+
+class LaurentPoly:
+    """Finitely supported integer Laurent polynomial; zero coefficients are
+    never stored."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Optional[Dict[int, int]] = None):
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+
+    @staticmethod
+    def zero() -> "LaurentPoly":
+        return LaurentPoly()
+
+    @staticmethod
+    def one() -> "LaurentPoly":
+        return LaurentPoly({0: 1})
+
+    @staticmethod
+    def v(exp: int = 1, coeff: int = 1) -> "LaurentPoly":
+        return LaurentPoly({exp: coeff})
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) - c
+        return LaurentPoly(out)
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        out: Dict[int, int] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return LaurentPoly(out)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def nonnegative(self) -> bool:
+        return all(c >= 0 for c in self.coeffs.values())
+
+    def at_one(self) -> int:
+        return sum(self.coeffs.values())
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        bits = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            if e == 0:
+                bits.append(str(c))
+            else:
+                head = "" if c == 1 else "-" if c == -1 else str(c)
+                bits.append(f"{head}v^{e}" if e != 1 else f"{head}v")
+        return "+".join(bits).replace("+-", "-")
+
+
+V = LaurentPoly.v()
+V_INV = LaurentPoly.v(-1)
+ONE = LaurentPoly.one()
+
+
+# ---------------------------------------------------------------------------
+# Hecke elements
+
+
+@dataclass
+class HeckeElement:
+    left_char: CharacterPoint
+    right_char: CharacterPoint
+    support: Dict[ExtendedWeylElement, LaurentPoly]
+
+    def __post_init__(self):
+        self.support = {g: c for g, c in self.support.items() if not c.is_zero()}
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, HeckeElement)
+            and self.left_char == other.left_char
+            and self.right_char == other.right_char
+            and self.support == other.support
+        )
+
+    def is_zero(self) -> bool:
+        return not self.support
+
+    def coefficient(self, g: ExtendedWeylElement) -> LaurentPoly:
+        return self.support.get(g, LaurentPoly.zero())
+
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        if (self.left_char, self.right_char) != (other.left_char, other.right_char):
+            raise CharacterMismatch("cannot add elements with different characters")
+        out = dict(self.support)
+        for g, c in other.support.items():
+            out[g] = out.get(g, LaurentPoly.zero()) + c
+        return HeckeElement(self.left_char, self.right_char, out)
+
+    def scale(self, p: LaurentPoly) -> "HeckeElement":
+        return HeckeElement(self.left_char, self.right_char, {g: c * p for g, c in self.support.items()})
+
+    def specialize_v1(self) -> Dict[ExtendedWeylElement, int]:
+        return {g: c.at_one() for g, c in self.support.items() if c.at_one()}
+
+
+def t_element(
+    rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement
+) -> HeckeElement:
+    left = extended_act_character(g, form, chi_right)
+    return HeckeElement(left, chi_right, {g: LaurentPoly.one()})
+
+
+def unit_element(rd: RootDatum, chi: CharacterPoint) -> HeckeElement:
+    return HeckeElement(chi, chi, {ExtendedWeylElement.unit(rd.rank): LaurentPoly.one()})
+
+
+def zero_element(chi_left: CharacterPoint, chi_right: CharacterPoint) -> HeckeElement:
+    return HeckeElement(chi_left, chi_right, {})
+
+
+# ---------------------------------------------------------------------------
+# multiplication
+
+
+def _mult_by_simple(
+    rd: RootDatum, form: GramForm, elt: HeckeElement, r: ExtendedWeylElement
+) -> HeckeElement:
+    """Right multiplication by T_r, r a simple integral reflection of the
+    right character (which it stabilizes)."""
+    chi = elt.right_char
+    out: Dict[ExtendedWeylElement, LaurentPoly] = {}
+
+    def add(g, c):
+        if g in out:
+            out[g] = out[g] + c
+        else:
+            out[g] = c
+
+    vdiff = V_INV - V
+    for g, c in elt.support.items():
+        gr = g * r
+        if integral_length(rd, form, chi, gr) > integral_length(rd, form, chi, g):
+            add(gr, c)
+        else:
+            add(gr, c)
+            add(g, c * vdiff)
+    return HeckeElement(elt.left_char, chi, out)
+
+
+def _mult_by_minimal(
+    rd: RootDatum, form: GramForm, elt: HeckeElement, m: ExtendedWeylElement, chi_right: CharacterPoint
+) -> HeckeElement:
+    """Right multiplication by a clean T_m: support shifts by m."""
+    out = {g * m: c for g, c in elt.support.items()}
+    return HeckeElement(elt.left_char, chi_right, out)
+
+
+def _left_descent_word(
+    rd: RootDatum, form: GramForm, chi: CharacterPoint, z: ExtendedWeylElement
+) -> List[ExtendedWeylElement]:
+    """Reduced word z = r_1 ... r_k over the simple reflections of S_chi."""
+    system = integral_simple_system(rd, form, chi)
+    refl = system.simple_reflections(rd)
+    word: List[ExtendedWeylElement] = []
+    length = integral_length(rd, form, chi, z)
+    guard = 0
+    while length:
+        guard += 1
+        if guard > 10_000:
+            raise RuntimeError("descent did not terminate")
+        for r in refl:
+            cand = r * z
+            lc = integral_length(rd, form, chi, cand)
+            if lc < length:
+                word.append(r)
+                z = cand
+                length = lc
+                break
+        else:
+            raise RuntimeError("no left descent found; element not in the Coxeter part")
+    if not z.is_identity():
+        raise RuntimeError("word does not close at the identity")
+    return word
+
+
+def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """Bilinear product; mismatched middle characters give the zero element."""
+    if a.right_char != b.left_char:
+        return zero_element(a.left_char, b.right_char)
+    if a.is_zero() or b.is_zero():
+        return zero_element(a.left_char, b.right_char)
+    out = zero_element(a.left_char, b.right_char)
+    for y, c in b.support.items():
+        m = minimal_rep(rd, form, b.right_char, y)
+        z = y * m.inverse()
+        word = _left_descent_word(rd, form, b.left_char, z)
+        elt = a.scale(c)
+        for r in word:
+            elt = _mult_by_simple(rd, form, elt, r)
+        elt = _mult_by_minimal(rd, form, elt, m, b.right_char)
+        out = out + elt
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Bott-Samelson words
+
+
+def b_element(rd: RootDatum, form: GramForm, chi: CharacterPoint, r: ExtendedWeylElement) -> HeckeElement:
+    """b_r = T_r + v, the decategorified Bott-Samelson generator."""
+    unit = unit_element(rd, chi)
+    return t_element(rd, form, chi, r) + unit.scale(V)
+
+
+def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, word: Sequence):
+    """Expand a word of simple reflections and minimal elements in the
+    T-basis; returns (element, multiplicity table keyed by group element).
+
+    Tokens are ("r", reflection) with the reflection simple for the current
+    right character, or ("omega", minimal element).
+    """
+    elt = unit_element(rd, chi)
+    cur = chi
+    for kind, g in word:
+        if kind == "r":
+            system = integral_simple_system(rd, form, cur)
+            if g not in set(system.simple_reflections(rd)):
+                raise CharacterMismatch("reflection is not simple for the running character")
+            elt = t_multiply(rd, form, elt, b_element(rd, form, cur, g))
+        elif kind == "omega":
+            nxt = extended_act_character(g.inverse(), form, cur)
+            if extended_act_character(g, form, nxt) != cur:
+                raise CharacterMismatch("omega token does not match the running character")
+            if not is_minimal(rd, form, nxt, g):
+                raise CharacterMismatch("omega token is not a minimal element")
+            elt = t_multiply(rd, form, elt, t_element(rd, form, nxt, g))
+            cur = nxt
+        else:
+            raise ValueError(f"unknown token kind {kind!r}")
+    table = {g: c for g, c in elt.support.items()}
+    for c in table.values():
+        assert c.nonnegative(), "Bott-Samelson multiplicities must be nonnegative"
+    return elt, table
+
+
+# ---------------------------------------------------------------------------
+# relation checking
+
+
+def check_relations(
+    rd: RootDatum,
+    form: GramForm,
+    chi: CharacterPoint,
+    omegas: Sequence[ExtendedWeylElement] = (),
+    braid_cap: int = 6,
+) -> dict:
+    """Verify quadratic, braid (finite order <= cap), and omega-conjugation
+    relations on the integral system of chi; returns a report of failures."""
+    system = integral_simple_system(rd, form, chi)
+    refl = system.simple_reflections(rd)
+    failures = []
+    unit = unit_element(rd, chi)
+    vdiff = V_INV - V
+    for r in refl:
+        tr = t_element(rd, form, chi, r)
+        lhs = t_multiply(rd, form, tr, tr)
+        rhs = tr.scale(vdiff) + unit
+        if lhs != rhs:
+            failures.append(("quadratic", r))
+    skipped_infinite = []
+    for i in range(len(refl)):
+        for j in range(i + 1, len(refl)):
+            m = system.coxeter[i][j]
+            if m == "infinite":
+                skipped_infinite.append((i, j))
+                continue
+            if m > braid_cap:
+                failures.append(("braid order too large", (i, j, m)))
+                continue
+            lhs = unit
+            rhs = unit
+            for k in range(m):
+                lhs = t_multiply(rd, form, lhs, t_element(rd, form, chi, refl[i] if k % 2 == 0 else refl[j]))
+                rhs = t_multiply(rd, form, rhs, t_element(rd, form, chi, refl[j] if k % 2 == 0 else refl[i]))
+            if lhs != rhs:
+                failures.append(("braid", (i, j, m)))
+    for om in omegas:
+        t_om = t_element(rd, form, chi, om)
+        t_om_inv = t_element(rd, form, chi, om.inverse())
+        for r in refl:
+            conj = om * r * om.inverse()
+            if conj not in set(refl):
+                failures.append(("omega does not normalize S", (om, r)))
+                continue
+            lhs = t_multiply(rd, form, t_multiply(rd, form, t_om, t_element(rd, form, chi, r)), t_om_inv)
+            rhs = t_element(rd, form, chi, conj)
+            if lhs != rhs:
+                failures.append(("omega conjugation", (om, r)))
+    return {
+        "failures": failures,
+        "infinite_pairs": skipped_infinite,
+        "ok": not failures,
+    }

@@ -1,0 +1,413 @@
+"""Everything attached to a character point: integral coroots, the Coxeter
+subgroup, the stabilizer, blocks and their minimal representatives.
+
+A character point chi = (c, chi_f) selects the affine coroots alpha_n with
+chi_f(alpha) + n Q(alpha) c in Z; the admissible levels per finite direction
+form an arithmetic progression, and all hyperplane arithmetic happens on the
+progressions, never on enumerated coroots.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
+
+from weylkit.exact import (
+    CosetZn,
+    Mat,
+    QmodZ,
+    Vec,
+    mat_vec,
+    solve_integer_affine,
+    transpose,
+    vec_scale,
+)
+from weylkit.affine import (
+    AffineCoroot,
+    CharacterPoint,
+    ExtendedWeylElement,
+    GramForm,
+    Progression,
+    act_affine_coroot,
+    affine_coroot_reflection,
+    affine_simple_data,
+    component_is_finite,
+    coxeter_order,
+    element_length,
+    element_order,
+    extended_act_character,
+    simple_system_from_progressions,
+)
+from weylkit.rootdata import RootDatum, mat_inv_int, weyl_elements
+
+__all__ = [
+    "CharacterMismatch",
+    "NotInStabilizerOrbit",
+    "IntegralSystem",
+    "integral_progression",
+    "integral_progressions",
+    "weyl_stabilizer",
+    "integral_simple_system",
+    "integral_length",
+    "is_minimal",
+    "minimal_rep",
+    "omega_compose",
+    "element_order",
+    "conjugate_to_simple",
+    "stabilizer_ball",
+    "omega_chi_sample",
+]
+
+
+class CharacterMismatch(ValueError):
+    pass
+
+
+class NotInStabilizerOrbit(ValueError):
+    pass
+
+
+def integral_progression(rd: RootDatum, form: GramForm, chi: CharacterPoint, coroot: Vec) -> Progression:
+    """Exact solution set {n : chi(alpha_n) trivial} as (offset, step) or None."""
+    a = chi.value_on(coroot).as_fraction()
+    step = Fraction(form.q(coroot)) * chi.central.as_fraction()
+    sol = solve_integer_affine([[step]], [-a], [Fraction(1)])
+    if sol is None:
+        return None
+    d = sol.basis[0][0] if sol.basis else 0
+    i = sol.particular[0]
+    return (i % d if d else i, d)
+
+
+@lru_cache(maxsize=None)
+def _progressions_cached(rd: RootDatum, form: GramForm, chi: CharacterPoint):
+    return tuple((tuple(cv), integral_progression(rd, form, chi, cv)) for cv in rd.coroots)
+
+
+def integral_progressions(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> Dict[Vec, Progression]:
+    return dict(_progressions_cached(rd, form, chi))
+
+
+def integral_length(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> int:
+    """l_beta(g): positive chi_right-integral affine coroots sent negative."""
+    return element_length(g, rd, form, integral_progressions(rd, form, chi_right))
+
+
+def is_minimal(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> bool:
+    return integral_length(rd, form, chi_right, g) == 0
+
+
+# ---------------------------------------------------------------------------
+# stabilizer
+
+
+def weyl_stabilizer(rd: RootDatum, form: GramForm, chi: CharacterPoint):
+    """Per finite Weyl element w: the coset of translations lam with
+    t^lam w chi = chi, or None; plus the common translation lattice L_chi."""
+    n = rd.rank
+    c = chi.central.as_fraction()
+    s = form.matrix
+    rows = [[c * s[i][j] for j in range(n)] for i in range(n)]
+    out: Dict[Mat, Optional[CosetZn]] = {}
+    lattice: Tuple[Vec, ...] = ()
+    for w in weyl_elements(rd):
+        winv = mat_inv_int(w)
+        rhs = []
+        for i in range(n):
+            col = tuple(winv[j][i] for j in range(n))
+            val = sum((f.as_fraction() * x for f, x in zip(chi.finite, col)), Fraction(0))
+            rhs.append(val - chi.finite[i].as_fraction())
+        sol = solve_integer_affine(rows, rhs, [Fraction(1)] * n)
+        out[w] = sol
+        if sol is not None:
+            lattice = sol.basis
+    return out, lattice
+
+
+def in_stabilizer_orbit(
+    rd: RootDatum, form: GramForm, g: ExtendedWeylElement, chi_right: CharacterPoint, chi_left: CharacterPoint
+) -> bool:
+    return extended_act_character(g, form, chi_right) == chi_left
+
+
+# ---------------------------------------------------------------------------
+# the integral system
+
+
+@dataclass(frozen=True)
+class IntegralSystem:
+    progressions: Tuple[Tuple[Vec, Progression], ...]
+    simples: Tuple[AffineCoroot, ...]
+    coxeter: Tuple[Tuple[object, ...], ...]
+    components: Tuple[Tuple[Tuple[int, ...], str], ...]
+    stabilizer: Tuple[Tuple[Mat, Optional[CosetZn]], ...]
+    translation_lattice: Tuple[Vec, ...]
+
+    def progression_of(self, coroot: Vec) -> Progression:
+        for cv, p in self.progressions:
+            if cv == tuple(coroot):
+                return p
+        raise KeyError(coroot)
+
+    def simple_reflections(self, rd: RootDatum) -> Tuple[ExtendedWeylElement, ...]:
+        return tuple(affine_coroot_reflection(rd, ac) for ac in self.simples)
+
+
+@lru_cache(maxsize=None)
+def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> IntegralSystem:
+    progs = integral_progressions(rd, form, chi)
+    simples = simple_system_from_progressions(rd, form, progs)
+    refl = [affine_coroot_reflection(rd, ac) for ac in simples]
+    k = len(simples)
+    cox: Dict[Tuple[int, int], object] = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            cox[(i, j)] = coxeter_order(refl[i], refl[j])
+    matrix = tuple(
+        tuple(1 if i == j else cox[(min(i, j), max(i, j))] for j in range(k)) for i in range(k)
+    )
+    components = []
+    seen = set()
+    for i in range(k):
+        if i in seen:
+            continue
+        comp = {i}
+        frontier = [i]
+        while frontier:
+            x = frontier.pop()
+            for j in range(k):
+                if j not in comp and matrix[x][j] not in (1, 2):
+                    comp.add(j)
+                    frontier.append(j)
+        seen |= comp
+        idx = tuple(sorted(comp))
+        sub = {(a, b): matrix[idx[a]][idx[b]] for a in range(len(idx)) for b in range(len(idx)) if a < b}
+        kind = "finite" if component_is_finite([refl[i] for i in idx], sub) else "affine"
+        components.append((idx, kind))
+    stab, lattice = weyl_stabilizer(rd, form, chi)
+    return IntegralSystem(
+        tuple(sorted(progs.items())),
+        simples,
+        matrix,
+        tuple(components),
+        tuple(sorted(stab.items())),
+        lattice,
+    )
+
+
+# ---------------------------------------------------------------------------
+# minimal (length-zero) representatives and block machinery
+
+
+def minimal_rep(
+    rd: RootDatum, form: GramForm, chi_right: CharacterPoint, x: ExtendedWeylElement
+) -> ExtendedWeylElement:
+    """Minimal element of the block of x, by the descent walk on S_{chi_right}."""
+    from weylkit.affine import affine_coroot_positive
+
+    chi_left = extended_act_character(x, form, chi_right)
+    system = integral_simple_system(rd, form, chi_right)
+    progs = dict(system.progressions)
+    while True:
+        for ac in system.simples:
+            img = act_affine_coroot(x, rd, form, ac)
+            if not affine_coroot_positive(rd, img):
+                x = x * affine_coroot_reflection(rd, ac)
+                break
+        else:
+            break
+    assert element_length(x, rd, form, progs) == 0
+    assert extended_act_character(x, form, chi_right) == chi_left
+    return x
+
+
+def omega_compose(
+    rd: RootDatum,
+    form: GramForm,
+    a: ExtendedWeylElement,
+    chi_mid: CharacterPoint,
+    b: ExtendedWeylElement,
+    chi_right: CharacterPoint,
+) -> ExtendedWeylElement:
+    """Product of minimal elements; the result is again minimal (l:minmult)."""
+    if extended_act_character(b, form, chi_right) != chi_mid:
+        raise CharacterMismatch("right character of a must equal left character of b")
+    if not is_minimal(rd, form, chi_mid, a) or not is_minimal(rd, form, chi_right, b):
+        raise NotInStabilizerOrbit("omega_compose expects minimal elements")
+    out = a * b
+    assert is_minimal(rd, form, chi_right, out)
+    return out
+
+
+def _ambient_height(rd: RootDatum, form: GramForm, simples, ac: AffineCoroot) -> int:
+    """Height of a positive affine coroot in the ambient simple affine basis."""
+    from weylkit.exact import solve_linear
+
+    target = (ac.n * form.q(ac.coroot),) + tuple(ac.coroot)
+    # group ambient simples by the finite component containing the direction
+    by_comp = _component_split(rd, simples)
+    for group in by_comp:
+        cols = []
+        for s in group:
+            cols.append((s.n * form.q(s.coroot),) + tuple(s.coroot))
+        sol = solve_linear(tuple(zip(*cols)), target)
+        if sol is None:
+            continue
+        if all(x.denominator == 1 and x >= 0 for x in sol):
+            return int(sum(sol))
+    raise ValueError(f"affine coroot {ac} is not a nonnegative combination of the simples")
+
+
+def _component_split(rd: RootDatum, simples):
+    """Groups of ambient simple affine coroots to try expansions against:
+    the connected components of the affine diagram, then everything."""
+    out = [tuple(simples[i] for i in g) for g in _connected_groups(rd, simples)]
+    out.append(tuple(simples))
+    return out
+
+
+def _connected_groups(rd: RootDatum, simples):
+    k = len(simples)
+    adj = {i: set() for i in range(k)}
+    refl = [affine_coroot_reflection(rd, s) for s in simples]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if refl[i] * refl[j] != refl[j] * refl[i]:
+                adj[i].add(j)
+                adj[j].add(i)
+    seen, groups = set(), []
+    for i in range(k):
+        if i in seen:
+            continue
+        comp, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        groups.append(sorted(comp))
+    return groups
+
+
+def conjugate_to_simple(
+    rd: RootDatum, form: GramForm, chi: CharacterPoint, r: AffineCoroot
+) -> ExtendedWeylElement:
+    """Minimal u with u r u^{-1} simple in the ambient affine system and in
+    the integral system of u chi; found by strict height descent."""
+    from weylkit.affine import affine_coroot_positive
+
+    ambient = affine_simple_data(rd, form).simples
+    ambient_set = set(ambient)
+    u = ExtendedWeylElement.unit(rd.rank)
+    cur = r
+    cur_chi = chi
+    heights = [_ambient_height(rd, form, ambient, cur)]
+    while cur not in ambient_set:
+        h = heights[-1]
+        progress = False
+        for s in ambient:
+            t_refl = affine_coroot_reflection(rd, s)
+            img = act_affine_coroot(t_refl, rd, form, cur)
+            if not affine_coroot_positive(rd, img):
+                continue
+            h_img = _ambient_height(rd, form, ambient, img)
+            if h_img < h:
+                # the conjugating ambient simple cannot be integral, else r
+                # would not have been simple in the integral system
+                p = integral_progression(rd, form, cur_chi, s.coroot)
+                assert not (p is not None and _prog_contains(p, s.n)), "descent hit an integral wall"
+                u = t_refl * u
+                cur = img
+                cur_chi = extended_act_character(t_refl, form, cur_chi)
+                heights.append(h_img)
+                progress = True
+                break
+        if not progress:
+            raise RuntimeError("height descent stalled")
+    assert heights == sorted(heights, reverse=True) and len(set(heights)) == len(heights)
+    assert is_minimal(rd, form, chi, u)
+    conj = u * affine_coroot_reflection(rd, r) * u.inverse()
+    assert conj == affine_coroot_reflection(rd, cur)
+    sys_new = integral_simple_system(rd, form, cur_chi)
+    assert cur in set(sys_new.simples), "conjugate is not simple in the new integral system"
+    return u
+
+
+def _prog_contains(p: Progression, n: int) -> bool:
+    from weylkit.affine import progression_contains
+
+    return progression_contains(p, n)
+
+
+# ---------------------------------------------------------------------------
+# enumeration helpers
+
+
+def stabilizer_ball(
+    rd: RootDatum, form: GramForm, chi: CharacterPoint, radius: int,
+    chi_right: Optional[CharacterPoint] = None,
+) -> Tuple[ExtendedWeylElement, ...]:
+    """Elements t^lam w with chi_right sent to chi and |lam|_inf <= radius."""
+    if chi_right is None:
+        chi_right = chi
+    n = rd.rank
+    c = chi.central.as_fraction()
+    if chi.central != chi_right.central:
+        return ()
+    s = form.matrix
+    rows = [[c * s[i][j] for j in range(n)] for i in range(n)]
+    out = []
+    for w in weyl_elements(rd):
+        winv = mat_inv_int(w)
+        rhs = []
+        for i in range(n):
+            col = tuple(winv[j][i] for j in range(n))
+            val = sum((f.as_fraction() * x for f, x in zip(chi_right.finite, col)), Fraction(0))
+            rhs.append(val - chi.finite[i].as_fraction())
+        sol = solve_integer_affine(rows, rhs, [Fraction(1)] * n)
+        if sol is None:
+            continue
+        for lam in _coset_points_in_box(sol, n, radius):
+            g = ExtendedWeylElement(lam, w)
+            assert extended_act_character(g, form, chi_right) == chi
+            out.append(g)
+    return tuple(sorted(out, key=lambda g: (g.trans, g.w)))
+
+
+def _coset_points_in_box(sol: CosetZn, n: int, radius: int):
+    from itertools import product
+
+    if not sol.basis:
+        if all(abs(x) <= radius for x in sol.particular):
+            yield sol.particular
+        return
+    # bound coefficients: basis rows are in HNF, so iterate a safe coefficient box
+    maxentry = max(max(abs(x) for x in row) for row in sol.basis)
+    maxpart = max((abs(x) for x in sol.particular), default=0)
+    cbound = radius + maxpart + maxentry * len(sol.basis)
+    for coeffs in product(range(-cbound, cbound + 1), repeat=len(sol.basis)):
+        pt = list(sol.particular)
+        for c, row in zip(coeffs, sol.basis):
+            for i in range(n):
+                pt[i] += c * row[i]
+        if all(abs(x) <= radius for x in pt):
+            yield tuple(pt)
+
+
+def omega_chi_sample(
+    rd: RootDatum, form: GramForm, chi: CharacterPoint, radius: int
+) -> Tuple[ExtendedWeylElement, ...]:
+    """Minimal representatives of distinct blocks of the stabilizer, within a
+    translation ball (Omega_chi is infinite in general)."""
+    out = []
+    seen = set()
+    for g in stabilizer_ball(rd, form, chi, radius):
+        m = minimal_rep(rd, form, chi, g)
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
+    return tuple(sorted(out, key=lambda g: (g.trans, g.w)))

@@ -1,0 +1,324 @@
+"""Metaplectic endoscopic group and dual from a central character order.
+
+Given (root datum, weight form S, central value c), the endoscopic torus has
+cocharacter lattice {lam : c S(lam, -) integral}, coroots are rescaled by the
+minimal level N making each affine coroot integral, and roots are divided
+correspondingly.  The bullet comparison realizes the conjugation by tau^mu
+between the two integral affine Weyl groups inside the affine transformations
+of the rational cocharacter space, where translations act tautologically.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Optional, Tuple
+
+from weylkit.exact import (
+    Mat,
+    QmodZ,
+    Vec,
+    dot,
+    identity,
+    lattice_basis_from_generators,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    solve_integer_affine,
+    solve_linear,
+    transpose,
+    vec_scale,
+)
+from weylkit.affine import (
+    AffineCoroot,
+    CharacterPoint,
+    ExtendedWeylElement,
+    GramForm,
+    affine_coroot_reflection,
+    progression_min_at_least,
+)
+from weylkit.integral import integral_progression, integral_progressions, weyl_stabilizer
+from weylkit.rootdata import (
+    RootDatum,
+    is_isomorphic,
+    langlands_dual,
+    mat_inv_int,
+    validate_root_datum,
+    weyl_elements,
+)
+
+
+class ValidationFailed(RuntimeError):
+    pass
+
+
+class NoCommonFrame(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class EndoscopicData:
+    cochar_basis: Tuple[Vec, ...]  # rows, in the source lattice coordinates
+    rescale: Tuple[Tuple[Vec, int], ...]  # coroot -> N
+    rd_h: RootDatum
+    rd_h_dual: RootDatum
+
+    def rescale_of(self, coroot: Vec) -> int:
+        for cv, n in self.rescale:
+            if cv == tuple(coroot):
+                return n
+        raise KeyError(coroot)
+
+
+def endoscopic_lattice(rd: RootDatum, form: GramForm, c: QmodZ) -> Tuple[Vec, ...]:
+    """Basis rows of {lam : c S(lam, mu) in Z for all mu}."""
+    n = rd.rank
+    cf = c.as_fraction()
+    rows = [[cf * form.matrix[i][j] for j in range(n)] for i in range(n)]
+    sol = solve_integer_affine(rows, [Fraction(0)] * n, [Fraction(1)] * n)
+    assert sol is not None and not any(sol.particular)
+    basis = sol.basis
+    if len(basis) != n:
+        raise ValidationFailed("endoscopic lattice is not of finite index")
+    return basis
+
+
+def rescale_factor(rd: RootDatum, form: GramForm, c: QmodZ, coroot: Vec) -> int:
+    """Minimal positive N with the affine coroot (alpha, N) central-integral."""
+    chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
+    p = integral_progression(rd, form, chi, coroot)
+    assert p is not None and p[0] == 0
+    return p[1] if p[1] else 1
+
+
+def closed_form_rescale(rd: RootDatum, form: GramForm, c: QmodZ) -> Dict[Vec, int]:
+    """The two-case closed form for almost simple types (epsilon from the
+    squared-length ratio, N the order of c^{Q(short)})."""
+    qs = {form.pair(cv, cv) for cv in rd.coroots}
+    if not qs:
+        return {}
+    eps = max(qs) // min(qs)
+    if eps not in (1, 2, 3):
+        raise ValueError("not an almost simple length pattern")
+    short_q = min(qs) // 2
+    n_ord = c.scale(short_q).order()
+    out = {}
+    for cv in rd.coroots:
+        is_short = form.pair(cv, cv) == min(qs)
+        if n_ord % eps != 0 or eps == 1:
+            out[tuple(cv)] = n_ord
+        else:
+            out[tuple(cv)] = n_ord if is_short else n_ord // eps
+    return out
+
+
+def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> EndoscopicData:
+    n = rd.rank
+    basis = endoscopic_lattice(rd, form, c)
+    bt = transpose(basis)  # columns are the new basis vectors
+    bt_inv = mat_inv(bt)
+    rescale = tuple((tuple(cv), rescale_factor(rd, form, c, cv)) for cv in rd.coroots)
+    coroots_h, roots_h = [], []
+    for cv, nfac in rescale:
+        target = vec_scale(cv, nfac)
+        new_cv = mat_vec(bt_inv, target)
+        if any(Fraction(x).denominator != 1 for x in new_cv):
+            raise ValidationFailed(f"rescaled coroot {target} is not in the endoscopic lattice")
+        coroots_h.append(tuple(int(x) for x in new_cv))
+        i = rd.coroots.index(tuple(cv))
+        a = rd.roots[i]
+        new_rt = []
+        for brow in basis:
+            val = Fraction(dot(a, brow), nfac)
+            if val.denominator != 1:
+                raise ValidationFailed(f"rescaled root for {cv} is not integral on the lattice")
+            new_rt.append(int(val))
+        roots_h.append(tuple(new_rt))
+    # simple system of H: indecomposable positives, positives taken from rd
+    pos = set(rd.positive_root_indices())
+    pos_roots_h = [roots_h[i] for i in range(len(roots_h)) if i in pos]
+    simple_idx = []
+    pos_set = set(pos_roots_h)
+    for i in range(len(roots_h)):
+        if i not in pos:
+            continue
+        a = roots_h[i]
+        decomposable = any(
+            tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos_set if b != tuple(a)
+        )
+        if not decomposable:
+            simple_idx.append(i)
+    ambient_h = mat_mul(rd.ambient_basis, tuple(tuple(Fraction(x) for x in row) for row in bt))
+    rd_h = RootDatum(
+        n,
+        tuple(roots_h),
+        tuple(coroots_h),
+        tuple(simple_idx),
+        tuple(tuple(Fraction(x) for x in row) for row in ambient_h),
+        name=f"H({rd.name},c={c})",
+    )
+    bad = validate_root_datum(rd_h)
+    if bad:
+        raise ValidationFailed("; ".join(bad))
+    return EndoscopicData(basis, rescale, rd_h, langlands_dual(rd_h))
+
+
+# ---------------------------------------------------------------------------
+# bullet comparison inside Aff(X_{*,Q})
+#
+# Affine maps are (w, t) pairs acting tautologically: v |-> w(v) + t, with
+# rational translations; ExtendedWeylElement's group law matches this action.
+
+
+def _finite_integral_directions(rd, progs) -> Tuple[Vec, ...]:
+    return tuple(cv for cv in rd.coroots if progs[tuple(cv)] is not None)
+
+
+def _finite_simples(rd: RootDatum, directions) -> Tuple[Vec, ...]:
+    """Simple system of a finite coroot subsystem: indecomposable positives."""
+    pos = [cv for cv in directions if rd.is_positive_coroot(cv)]
+    pos_set = set(map(tuple, pos))
+    simples = []
+    for cv in pos:
+        if not any(tuple(a - b for a, b in zip(cv, other)) in pos_set for other in pos_set if other != tuple(cv)):
+            simples.append(tuple(cv))
+    return tuple(sorted(simples))
+
+
+def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> dict:
+    """Conjugate the bullet integral group by tau^mu and compare with the
+    endoscopic side; also report whether bullet = full on each side."""
+    n = rd.rank
+    if len(chi.finite) != n:
+        raise NoCommonFrame("character has the wrong rank")
+    endo = endoscopic_root_datum(rd, form, chi.central)
+    progs = integral_progressions(rd, form, chi)
+    directions = _finite_integral_directions(rd, progs)
+    simples = _finite_simples(rd, directions)
+
+    # i_alpha: minimal nonnegative integral level per simple integral direction
+    i_of: Dict[Vec, int] = {}
+    d_of: Dict[Vec, int] = {}
+    for cv in simples:
+        p = progs[tuple(cv)]
+        i_of[cv] = progression_min_at_least(p, 0)
+        d_of[cv] = p[1] if p[1] else 0
+        assert d_of[cv] == endo.rescale_of(cv)
+
+    # mu solved over Q in the span of the simple integral coroots
+    if simples:
+        roots_of = {}
+        for cv in simples:
+            roots_of[cv] = rd.roots[rd.coroots.index(cv)]
+        k = len(simples)
+        gram = tuple(
+            tuple(Fraction(dot(roots_of[simples[i]], simples[j])) for j in range(k)) for i in range(k)
+        )
+        rhs = tuple(Fraction(-i_of[cv]) for cv in simples)
+        coeffs = solve_linear(gram, rhs)
+        if coeffs is None:
+            raise NoCommonFrame("could not solve for the conjugating translation")
+        mu = tuple(
+            sum((coeffs[j] * Fraction(simples[j][i]) for j in range(k)), Fraction(0)) for i in range(n)
+        )
+    else:
+        mu = tuple(Fraction(0) for _ in range(n))
+    tau = ExtendedWeylElement(mu, identity(n))
+    tau_inv = tau.inverse()
+
+    # termwise conjugation identity on the generator families
+    termwise = True
+    for cv in simples:
+        nfac = endo.rescale_of(cv)
+        i0 = i_of[cv]
+        step = d_of[cv]
+        refl_dir = rd.reflection(rd.coroots.index(cv))
+        for j in (-2, -1, 0, 1, 2):
+            g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl_dir)
+            lhs = tau * g * tau_inv
+            rhs_el = ExtendedWeylElement(vec_scale(cv, j * nfac), refl_dir)
+            if lhs != rhs_el:
+                termwise = False
+
+    # lattice parts agree: stabilizer translations = endoscopic lattice
+    stab, lattice = weyl_stabilizer(rd, form, chi)
+    lat_match = lattice_basis_from_generators(lattice) == lattice_basis_from_generators(endo.cochar_basis)
+
+    # direction matching: chi-integral directions = chi_f-integral directions of H
+    h_integral = []
+    for cv, nfac in endo.rescale:
+        val = chi.value_on(vec_scale(cv, nfac))
+        if val.is_zero():
+            h_integral.append(tuple(cv))
+    dir_match = set(map(tuple, directions)) == set(h_integral)
+
+    # bullet = full tests via the reflection-generation criterion
+    g_side_full = _bullet_is_full(rd, form, chi, stab, directions)
+    h_side_full = _h_reflection_criterion(rd, endo, chi)
+
+    return {
+        "endoscopic": endo,
+        "mu": mu,
+        "termwise_conjugation": termwise,
+        "lattice_match": lat_match,
+        "direction_match": dir_match,
+        "g_bullet_is_full": g_side_full,
+        "h_bullet_is_full": h_side_full,
+        "verified": termwise and lat_match and dir_match,
+    }
+
+
+def _bullet_is_full(rd, form, chi, stab, directions) -> bool:
+    """W~_chi equals its bullet subgroup iff every admitting finite Weyl part
+    lies in the subgroup generated by the integral reflection directions."""
+    gens = [rd.reflection(rd.coroots.index(cv)) for cv in directions]
+    generated = {identity(rd.rank)}
+    frontier = list(generated)
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = mat_mul(w, g)
+                if x not in generated:
+                    generated.add(x)
+                    new.append(x)
+        frontier = new
+    admitting = {w for w, coset in stab.items() if coset is not None}
+    return admitting <= generated
+
+
+def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterPoint) -> bool:
+    """Remark criterion: the stabilizer of chi_f in W(H) is generated by the
+    reflections it contains."""
+    rd_h = endo.rd_h
+    chif_on_h = tuple(chi.value_on(tuple(int(x) for x in row)) for row in endo.cochar_basis)
+    chi_h = CharacterPoint(QmodZ(0, 1), chif_on_h)
+    stabilizing = []
+    for w in weyl_elements(rd_h):
+        winv = mat_inv_int(w)
+        ok = True
+        for i in range(rd_h.rank):
+            col = tuple(winv[j][i] for j in range(rd_h.rank))
+            val = sum((f.as_fraction() * x for f, x in zip(chi_h.finite, col)), Fraction(0))
+            if QmodZ.from_fraction(val) != chi_h.finite[i]:
+                ok = False
+                break
+        if ok:
+            stabilizing.append(w)
+    refl_in_stab = []
+    for i in range(len(rd_h.roots)):
+        m = rd_h.reflection(i)
+        if m in stabilizing:
+            refl_in_stab.append(m)
+    generated = {identity(rd_h.rank)}
+    frontier = list(generated)
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in refl_in_stab:
+                x = mat_mul(w, g)
+                if x not in generated:
+                    generated.add(x)
+                    new.append(x)
+        frontier = new
+    return set(stabilizing) == generated

@@ -1,0 +1,491 @@
+"""Finite root data, Weyl groups, presets, validation, and Langlands duality.
+
+Both lattices are identified with Z^n via fixed dual bases, so the pairing is
+the dot product: coroots are column vectors in cocharacter coordinates and
+roots are covectors (value tuples on the cocharacter basis).  Presets built
+from classical ambient coordinates carry the change of basis in
+``ambient_basis`` (columns are the lattice basis written in the ambient
+e-coordinates).
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from typing import Optional, Tuple
+
+from weylkit.exact import (
+    Mat,
+    Vec,
+    det,
+    dot,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    rank as mat_rank,
+    transpose,
+    vec_scale,
+    vec_sub,
+)
+
+
+class UnknownPreset(ValueError):
+    pass
+
+
+class InvalidParams(ValueError):
+    pass
+
+
+class GroupTooLarge(RuntimeError):
+    pass
+
+
+def _group_bound() -> int:
+    return int(os.environ.get("ENGINE_MAX_GROUP_SIZE", "200000"))
+
+
+@dataclass(frozen=True)
+class RootDatum:
+    rank: int
+    roots: Tuple[Vec, ...]
+    coroots: Tuple[Vec, ...]
+    simple_indices: Tuple[int, ...]
+    # lattice basis in ambient coordinates, identity when abstract
+    ambient_basis: Tuple[Tuple[Fraction, ...], ...] = None
+    name: str = ""
+
+    def __post_init__(self):
+        if self.ambient_basis is None:
+            object.__setattr__(
+                self,
+                "ambient_basis",
+                tuple(tuple(Fraction(int(i == j)) for j in range(self.rank)) for i in range(self.rank)),
+            )
+
+    @property
+    def simple_roots(self) -> Tuple[Vec, ...]:
+        return tuple(self.roots[i] for i in self.simple_indices)
+
+    @property
+    def simple_coroots(self) -> Tuple[Vec, ...]:
+        return tuple(self.coroots[i] for i in self.simple_indices)
+
+    def positive_root_indices(self) -> Tuple[int, ...]:
+        """Indices of roots that are nonnegative combinations of the simples."""
+        out = []
+        for i, a in enumerate(self.roots):
+            c = _simple_coeffs(self.simple_roots, a)
+            if c is not None and all(x >= 0 for x in c):
+                out.append(i)
+        return tuple(out)
+
+    def is_positive_coroot(self, cv: Vec) -> bool:
+        try:
+            i = self.coroots.index(tuple(cv))
+        except ValueError:
+            raise ValueError(f"{cv} is not a coroot")
+        return i in set(self.positive_root_indices())
+
+    def reflection(self, i: int) -> Mat:
+        """Matrix of s_{alpha_i} on the cocharacter lattice."""
+        a, cv = self.roots[i], self.coroots[i]
+        n = self.rank
+        return tuple(
+            tuple((1 if r == c else 0) - cv[r] * a[c] for c in range(n)) for r in range(n)
+        )
+
+    def simple_reflections(self) -> Tuple[Mat, ...]:
+        return tuple(self.reflection(i) for i in self.simple_indices)
+
+    def ambient_to_lattice(self, v_ambient) -> Vec:
+        b_inv = mat_inv(self.ambient_basis)
+        w = mat_vec(b_inv, tuple(Fraction(x) for x in v_ambient))
+        if any(x.denominator != 1 for x in w):
+            raise ValueError(f"{v_ambient} is not in the cocharacter lattice")
+        return tuple(int(x) for x in w)
+
+    def lattice_to_ambient(self, v) -> Tuple[Fraction, ...]:
+        return mat_vec(self.ambient_basis, v)
+
+    def covector_ambient_to_lattice(self, phi_ambient) -> Vec:
+        w = mat_vec(transpose(self.ambient_basis), tuple(Fraction(x) for x in phi_ambient))
+        if any(x.denominator != 1 for x in w):
+            raise ValueError(f"{phi_ambient} is not in the character lattice")
+        return tuple(int(x) for x in w)
+
+
+def _simple_coeffs(simples, target):
+    """Rational coefficients of target over the simple system, or None."""
+    if not simples:
+        return None
+    from weylkit.exact import solve_linear
+
+    cols = tuple(zip(*simples))
+    sol = solve_linear(cols, target)
+    if sol is None:
+        return None
+    if vec_sub(tuple(sum(Fraction(simples[k][j]) * sol[k] for k in range(len(simples))) for j in range(len(target))), tuple(Fraction(x) for x in target)) != tuple(Fraction(0) for _ in target):
+        return None
+    return sol
+
+
+def root_height(rd: RootDatum, root: Vec) -> Fraction:
+    c = _simple_coeffs(rd.simple_roots, root)
+    if c is None:
+        raise ValueError("root is not in the span of the simple roots")
+    return sum(c)
+
+
+# ---------------------------------------------------------------------------
+# construction by reflection closure
+
+
+def _closure(simple_roots, simple_coroots, rank, bound=2000):
+    """Orbit closure of the simple pairs under all simple reflections."""
+    pairs = {(tuple(a), tuple(cv)) for a, cv in zip(simple_roots, simple_coroots)}
+    refls = []
+    for a, cv in zip(simple_roots, simple_coroots):
+        m = tuple(tuple((1 if r == c else 0) - cv[r] * a[c] for c in range(rank)) for r in range(rank))
+        mt = transpose(m)
+        refls.append((m, mt))
+    frontier = set(pairs)
+    while frontier:
+        new = set()
+        for a, cv in frontier:
+            for m, mt in refls:
+                # roots transform as covectors through the inverse-transpose;
+                # reflections are involutions so m^{-T} = m^T
+                na = mat_vec(mt, a)
+                ncv = mat_vec(m, cv)
+                p = (tuple(na), tuple(ncv))
+                if p not in pairs:
+                    pairs.add(p)
+                    new.add(p)
+        if len(pairs) > bound:
+            raise GroupTooLarge("root system closure exceeded bound")
+        frontier = new
+    both = sorted(pairs)
+    roots = tuple(p[0] for p in both)
+    coroots = tuple(p[1] for p in both)
+    return roots, coroots
+
+
+def _build(simple_roots, simple_coroots, rank, ambient=None, name=""):
+    roots, coroots = _closure(simple_roots, simple_coroots, rank)
+    simple_idx = tuple(roots.index(tuple(a)) for a in simple_roots)
+    return RootDatum(rank, roots, coroots, simple_idx, ambient, name)
+
+
+def _cartan_build(cartan, name):
+    """Abstract datum on the coroot lattice: simple coroots are unit vectors."""
+    n = len(cartan)
+    simples_cv = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    simples_rt = [tuple(cartan[i][j] for i in range(n)) for j in range(n)]
+    return _build(simples_rt, simples_cv, n, name=name)
+
+
+def _frac_mat(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+# classical ambient constructions ------------------------------------------
+
+
+def _type_a_cartan(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def preset(name: str, n: Optional[int] = None, factors=None) -> RootDatum:
+    """Named root datum in the conventions the source constructions use."""
+    key = name.upper() if name not in ("torus", "product") else name
+    if key == "torus":
+        if n is None or n < 0:
+            raise InvalidParams("torus preset needs a nonnegative rank")
+        return RootDatum(n, (), (), (), None, f"torus{n}")
+    if key == "product":
+        if not factors:
+            raise InvalidParams("product preset needs factors")
+        return product_datum(factors)
+    if n is None:
+        raise InvalidParams(f"preset {name} needs a parameter")
+
+    if key == "SL":
+        if n < 2:
+            raise InvalidParams("SL needs n >= 2")
+        return _cartan_build(_type_a_cartan(n - 1), f"SL{n}")
+    if key == "PGL":
+        if n < 2:
+            raise InvalidParams("PGL needs n >= 2")
+        a = _type_a_cartan(n - 1)
+        m = n - 1
+        simples_cv = [tuple(a[i][j] for i in range(m)) for j in range(m)]
+        simples_rt = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        return _build(simples_rt, simples_cv, m, name=f"PGL{n}")
+    if key == "GL":
+        if n < 1:
+            raise InvalidParams("GL needs n >= 1")
+        if n == 1:
+            return RootDatum(1, (), (), (), None, "GL1")
+        e = lambda i: tuple(int(k == i) for k in range(n))
+        simples = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)]
+        return _build(simples, simples, n, name=f"GL{n}")
+    if key == "SP":
+        if n < 1 or n % 2:
+            raise InvalidParams("Sp needs an even parameter 2n")
+        return _sp(n // 2)
+    if key == "PSP":
+        if n < 1 or n % 2:
+            raise InvalidParams("PSp needs an even parameter 2n")
+        return _psp(n // 2)
+    if key == "SO_ODD":
+        if n < 3 or n % 2 == 0:
+            raise InvalidParams("SO_odd needs an odd parameter 2n+1")
+        return _so_odd((n - 1) // 2)
+    if key == "SPIN_ODD":
+        if n < 3 or n % 2 == 0:
+            raise InvalidParams("Spin_odd needs an odd parameter 2n+1")
+        return _spin_odd((n - 1) // 2)
+    if key == "SO_EVEN":
+        if n < 4 or n % 2:
+            raise InvalidParams("SO_even needs an even parameter 2n >= 4")
+        return _so_even(n // 2)
+    if key == "G2":
+        return _cartan_build([[2, -1], [-3, 2]], "G2")
+    raise UnknownPreset(name)
+
+
+def _amb(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+def _sp(n):
+    # roots ±L_i±L_j, ±2L_i; coroots ±e_i±e_j, ±e_i; X_* = Z^n
+    e = lambda i: _amb(n, i)
+    if n == 1:
+        return _build([(2,)], [(1,)], 1, name="Sp2")
+    srt = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [vec_scale(e(n - 1), 2)]
+    scv = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
+    return _build(srt, scv, n, name=f"Sp{2*n}")
+
+
+def _psp(n):
+    # X_* = Z^n + Z*(sum e_i)/2 via the basis (mu, e_2, ..., e_n)
+    half = Fraction(1, 2)
+    cols = [[half] * n] + [[Fraction(int(k == i)) for k in range(n)] for i in range(1, n)]
+    basis = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))  # columns -> matrix
+    dummy = RootDatum(n, (), (), (), _frac_mat(basis), "tmp")
+    e_amb = lambda i: tuple(Fraction(int(k == i)) for k in range(n))
+    srt_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [vec_scale(e_amb(n - 1), 2)]
+    scv_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [e_amb(n - 1)]
+    srt = [dummy.covector_ambient_to_lattice(a) for a in srt_amb]
+    scv = [dummy.ambient_to_lattice(cv) for cv in scv_amb]
+    return _build(srt, scv, n, ambient=_frac_mat(basis), name=f"PSp{2*n}")
+
+
+def _so_odd(n):
+    # roots ±L_i±L_j, ±L_i; coroots ±e_i±e_j, ±2e_i; X_* = Z^n
+    e = lambda i: _amb(n, i)
+    srt = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
+    scv = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [vec_scale(e(n - 1), 2)]
+    return _build(srt, scv, n, name=f"SO{2*n+1}")
+
+
+def _spin_odd(n):
+    # X_* = coroot lattice of B_n (even coordinate sum), basis e_i - e_{i+1}, 2e_n
+    cols = [[Fraction(int(k == i)) - Fraction(int(k == i + 1)) for k in range(n)] for i in range(n - 1)]
+    cols.append([Fraction(2) * Fraction(int(k == n - 1)) for k in range(n)])
+    basis = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    dummy = RootDatum(n, (), (), (), _frac_mat(basis), "tmp")
+    e_amb = lambda i: tuple(Fraction(int(k == i)) for k in range(n))
+    srt_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [e_amb(n - 1)]
+    scv_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [vec_scale(e_amb(n - 1), 2)]
+    srt = [dummy.covector_ambient_to_lattice(a) for a in srt_amb]
+    scv = [dummy.ambient_to_lattice(cv) for cv in scv_amb]
+    return _build(srt, scv, n, ambient=_frac_mat(basis), name=f"Spin{2*n+1}")
+
+
+def _so_even(n):
+    e = lambda i: _amb(n, i)
+    srt = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [tuple(map(sum, zip(e(n - 2), e(n - 1))))]
+    return _build(srt, srt, n, name=f"SO{2*n}")
+
+
+def product_datum(factors) -> RootDatum:
+    ranks = [f.rank for f in factors]
+    n = sum(ranks)
+    roots, coroots, simples = [], [], []
+    off = 0
+    for f in factors:
+        pad = lambda v, o=off: tuple([0] * o + list(v) + [0] * (n - o - len(v)))
+        base = len(roots)
+        roots.extend(pad(a) for a in f.roots)
+        coroots.extend(pad(cv) for cv in f.coroots)
+        simples.extend(base + i for i in f.simple_indices)
+        off += f.rank
+    name = "x".join(f.name for f in factors)
+    return RootDatum(n, tuple(roots), tuple(coroots), tuple(simples), None, name)
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def validate_root_datum(rd: RootDatum):
+    """Returns a list of violation strings; empty means the datum is valid."""
+    bad = []
+    n = rd.rank
+    if len(rd.roots) != len(rd.coroots):
+        return ["roots and coroots must be in bijection"]
+    for a, cv in zip(rd.roots, rd.coroots):
+        if len(a) != n or len(cv) != n:
+            return ["vector length differs from rank"]
+        if dot(cv, a) != 2:
+            bad.append(f"<coroot,root> != 2 for pair ({cv},{a})")
+    if len(set(rd.roots)) != len(rd.roots):
+        bad.append("duplicate roots")
+    root_set, coroot_set = set(rd.roots), set(rd.coroots)
+    for i in range(len(rd.roots)):
+        m = rd.reflection(i)
+        mt = transpose(m)
+        for cv in rd.coroots:
+            if tuple(mat_vec(m, cv)) not in coroot_set:
+                bad.append(f"reflection {i} does not permute the coroots")
+                break
+        for a in rd.roots:
+            if tuple(mat_vec(mt, a)) not in root_set:
+                bad.append(f"dual reflection {i} does not permute the roots")
+                break
+    # simple roots form a base: every root is a signed nonnegative combination
+    for a in rd.roots:
+        c = _simple_coeffs(rd.simple_roots, a)
+        if c is None:
+            bad.append(f"root {a} outside the span of the simple roots")
+            continue
+        if any(x.denominator != 1 for x in c):
+            bad.append(f"root {a} has non-integral simple coordinates")
+        elif not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+            bad.append(f"root {a} has mixed-sign simple coordinates")
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# Weyl group enumeration
+
+
+@lru_cache(maxsize=None)
+def weyl_elements(rd: RootDatum) -> Tuple[Mat, ...]:
+    """The full finite Weyl group as matrices on the cocharacter lattice."""
+    gens = rd.simple_reflections()
+    if not gens:
+        return (identity(rd.rank),)
+    bound = _group_bound()
+    seen = {identity(rd.rank)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = mat_mul(g, w)
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+                    if len(seen) > bound:
+                        raise GroupTooLarge(f"Weyl group exceeds bound {bound}")
+        frontier = new
+    return tuple(sorted(seen))
+
+
+def longest_element(rd: RootDatum) -> Mat:
+    """w0: the unique element sending every positive root to a negative one."""
+    w = identity(rd.rank)
+    while True:
+        wt = transpose(mat_inv_int(w))  # covectors transform through w^{-T}
+        for i in rd.simple_indices:
+            img = tuple(mat_vec(wt, rd.roots[i]))
+            c = _simple_coeffs(rd.simple_roots, img)
+            if c is not None and all(x >= 0 for x in c):
+                w = mat_mul(w, rd.reflection(i))
+                break
+        else:
+            return w
+
+
+def mat_inv_int(m):
+    inv = mat_inv(m)
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+# ---------------------------------------------------------------------------
+# duality and isomorphism
+
+
+def langlands_dual(rd: RootDatum) -> RootDatum:
+    return RootDatum(
+        rd.rank,
+        rd.coroots,
+        rd.roots,
+        rd.simple_indices,
+        None,
+        f"dual({rd.name})" if rd.name else "",
+    )
+
+
+def _cartan_matrix(rd: RootDatum):
+    s = rd.simple_indices
+    return tuple(tuple(dot(rd.coroots[i], rd.roots[j]) for j in s) for i in s)
+
+
+def _diagram_bijections(c1, c2):
+    """Permutations sigma with c2[sigma(i)][sigma(j)] == c1[i][j]."""
+    n = len(c1)
+    if len(c2) != n:
+        return
+    from itertools import permutations
+
+    for perm in permutations(range(n)):
+        if all(c2[perm[i]][perm[j]] == c1[i][j] for i in range(n) for j in range(n)):
+            yield perm
+
+
+def is_isomorphic(rd1: RootDatum, rd2: RootDatum) -> bool:
+    """Root-datum isomorphism over Z (lattice change + simple relabeling)."""
+    if rd1.rank != rd2.rank or len(rd1.roots) != len(rd2.roots):
+        return False
+    if not rd1.roots:
+        return True
+    n = rd1.rank
+    semisimple = mat_rank(tuple(zip(*rd1.simple_coroots))) == n
+    if not semisimple:
+        # reductive fallback: identical data up to simple relabeling
+        return sorted(rd1.roots) == sorted(rd2.roots) and sorted(rd1.coroots) == sorted(rd2.coroots)
+    m1 = tuple(zip(*rd1.simple_coroots))  # columns are simple coroots
+    c1, c2 = _cartan_matrix(rd1), _cartan_matrix(rd2)
+    for perm in _diagram_bijections(c1, c2):
+        cols2 = tuple(zip(*(rd2.simple_coroots[p] for p in perm)))
+        try:
+            p_mat = mat_mul(cols2, mat_inv(m1))
+        except ValueError:
+            continue
+        if any(x.denominator != 1 for row in p_mat for x in row):
+            continue
+        p_int = tuple(tuple(int(x) for x in row) for row in p_mat)
+        if abs(det(p_int)) != 1:
+            continue
+        if {tuple(mat_vec(p_int, cv)) for cv in rd1.coroots} != set(rd2.coroots):
+            continue
+        p_inv_t = transpose(mat_inv(p_int))
+        imgs = set()
+        ok = True
+        for a in rd1.roots:
+            img = tuple(mat_vec(p_inv_t, a))
+            if any(Fraction(x).denominator != 1 for x in img):
+                ok = False
+                break
+            imgs.add(tuple(int(x) for x in img))
+        if ok and imgs == set(rd2.roots):
+            return True
+    return False

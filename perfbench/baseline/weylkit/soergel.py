@@ -1,0 +1,795 @@
+"""Toy polynomial model of Soergel bimodules over exact rationals.
+
+R is a polynomial ring on the reflection representation; B_r = R (x)_{R^r} R
+is free of rank two as a left module with basis (1(x)1, 1(x)alpha_r).  Words
+of reflections give tensor bimodules, whose standard-graph multiplicities are
+read off by a support filtration computed degreewise, cross-checked by the
+rank of the fiber of the graph-twisted quotient over a deterministic generic
+rational point.  The grading convention is pinned to the Hecke normalization
+through  v-exponent = (word length) + l(w) - 2 (flag generator degree).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product as iproduct
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from weylkit.exact import Mat, identity, mat_mul, mat_vec, rank as mat_rank, transpose
+from weylkit.hecke import LaurentPoly
+
+
+class NotAReflection(ValueError):
+    pass
+
+
+class GenericPointCollision(RuntimeError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+
+
+class Poly:
+    """Multivariate polynomial over Fraction: {exponent tuple: coefficient}."""
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: Optional[Dict[Tuple[int, ...], Fraction]] = None):
+        self.n = n
+        self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
+
+    @staticmethod
+    def zero(n: int) -> "Poly":
+        return Poly(n)
+
+    @staticmethod
+    def const(n: int, c) -> "Poly":
+        return Poly(n, {(0,) * n: Fraction(c)})
+
+    @staticmethod
+    def variable(n: int, i: int) -> "Poly":
+        e = tuple(int(k == i) for k in range(n))
+        return Poly(n, {e: Fraction(1)})
+
+    @staticmethod
+    def linear(coeffs) -> "Poly":
+        n = len(coeffs)
+        return Poly(
+            n,
+            {tuple(int(k == i) for k in range(n)): Fraction(c) for i, c in enumerate(coeffs) if c},
+        )
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return Poly(self.n, out)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) - c
+        return Poly(self.n, out)
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return Poly(self.n, out)
+
+    def scale(self, c) -> "Poly":
+        return Poly(self.n, {e: Fraction(c) * v for e, v in self.coeffs.items()})
+
+    def __neg__(self) -> "Poly":
+        return self.scale(-1)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.n, tuple(sorted(self.coeffs.items()))))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        return max((sum(e) for e in self.coeffs), default=0)
+
+    def is_homogeneous(self) -> bool:
+        degs = {sum(e) for e in self.coeffs}
+        return len(degs) <= 1
+
+    def substitute_linear(self, m: Mat) -> "Poly":
+        """f(v) |-> f(M v): substitute x_i by the i-th row of M."""
+        rows = [Poly.linear(row) for row in m]
+        out = Poly.zero(self.n)
+        cache: Dict[Tuple[int, ...], Poly] = {}
+        for e, c in self.coeffs.items():
+            if e not in cache:
+                acc = Poly.const(self.n, 1)
+                for i, k in enumerate(e):
+                    for _ in range(k):
+                        acc = acc * rows[i]
+                cache[e] = acc
+            out = out + cache[e].scale(c)
+        return out
+
+    def evaluate(self, point) -> Fraction:
+        total = Fraction(0)
+        for e, c in self.coeffs.items():
+            val = c
+            for x, k in zip(point, e):
+                for _ in range(k):
+                    val *= x
+            total += val
+        return total
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        bits = []
+        for e in sorted(self.coeffs):
+            mono = "*".join(f"z{i}^{k}" if k > 1 else f"z{i}" for i, k in enumerate(e) if k)
+            c = self.coeffs[e]
+            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+        return " + ".join(bits)
+
+
+def reflection_action(m: Mat, f: Poly) -> Poly:
+    """(r . f)(v) = f(r^{-1} v) = f(r v) for an involution."""
+    return f.substitute_linear(m)
+
+
+def reflection_equation(m: Mat) -> Poly:
+    """Canonical linear equation of the fixed hyperplane: content one, first
+    nonzero coefficient positive."""
+    n = len(m)
+    ident = identity(n)
+    diff = tuple(tuple(Fraction(ident[i][j]) - Fraction(m[i][j]) for j in range(n)) for i in range(n))
+    if mat_rank(diff) != 1:
+        raise NotAReflection("fixed space is not a hyperplane")
+    if mat_mul(m, m) != ident:
+        raise NotAReflection("matrix is not an involution")
+    row = next(r for r in diff if any(r))
+    from math import gcd, lcm
+
+    den = lcm(*(x.denominator for x in row))
+    ints = [int(x * den) for x in row]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x)
+    if first < 0:
+        ints = [-x for x in ints]
+    return Poly.linear(ints)
+
+
+def _divide_by_linear(f: Poly, alpha: Poly) -> Poly:
+    """Exact division f / alpha for a linear form alpha; remainder must vanish."""
+    n = f.n
+    pivot = min(i for e in alpha.coeffs for i, k in enumerate(e) if k)
+    c_piv = alpha.coeffs[tuple(int(k == pivot) for k in range(n))]
+    beta = alpha - Poly(n, {tuple(int(k == pivot) for k in range(n)): c_piv})
+    quotient = Poly.zero(n)
+    rem = f
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 100_000:
+            raise RuntimeError("division did not terminate")
+        terms = [(e, c) for e, c in rem.coeffs.items() if e[pivot] > 0]
+        if not terms:
+            break
+        e, c = max(terms, key=lambda t: (t[0][pivot], t[0]))
+        e_quot = tuple(k - int(i == pivot) for i, k in enumerate(e))
+        t = Poly(n, {e_quot: c / c_piv})
+        quotient = quotient + t
+        rem = rem - t * alpha
+    if not rem.is_zero():
+        raise ValueError("polynomial is not divisible by the linear form")
+    return quotient
+
+
+def demazure(m: Mat, f: Poly, alpha: Optional[Poly] = None) -> Poly:
+    """Divided difference (f - r.f)/alpha_r with the canonical alpha."""
+    if alpha is None:
+        alpha = reflection_equation(m)
+    return _divide_by_linear(f - reflection_action(m, f), alpha)
+
+
+# ---------------------------------------------------------------------------
+# bimodules presented by a free left basis and right-action matrices
+
+
+@dataclass(frozen=True)
+class Bimodule:
+    n: int
+    basis_degrees: Tuple[int, ...]
+    # right_action[j][l][i] = coefficient (Poly in the left variables) of
+    # e_l in e_i . x_j
+    right_action: Tuple[Tuple[Tuple[Poly, ...], ...], ...]
+
+    def rank(self) -> int:
+        return len(self.basis_degrees)
+
+    def right_matrix_of_poly(self, f: Poly):
+        """Evaluate f on the commuting right-action matrices."""
+        n_b = self.rank()
+        out = [[Poly.zero(self.n) for _ in range(n_b)] for _ in range(n_b)]
+        powers: Dict[Tuple[int, ...], list] = {}
+
+        def mat_of_monomial(e):
+            acc = [[Poly.const(self.n, int(i == j)) for j in range(n_b)] for i in range(n_b)]
+            for j, k in enumerate(e):
+                for _ in range(k):
+                    acc = _poly_mat_mul(self.right_action[j], acc)
+            return acc
+
+        for e, c in f.coeffs.items():
+            if e not in powers:
+                powers[e] = mat_of_monomial(e)
+            me = powers[e]
+            for a in range(n_b):
+                for b in range(n_b):
+                    out[a][b] = out[a][b] + me[a][b].scale(c)
+        return out
+
+
+def _poly_mat_mul(a, b):
+    size = len(a)
+    n = a[0][0].n
+    out = [[Poly.zero(n) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            acc = Poly.zero(n)
+            for k in range(size):
+                acc = acc + a[i][k] * b[k][j]
+            out[i][j] = acc
+    return out
+
+
+def free_module(n: int) -> Bimodule:
+    """R itself: rank one, right action = left action."""
+    return Bimodule(n, (0,), tuple(((Poly.variable(n, j),),) for j in range(n)))
+
+
+def twisted_module(n: int, w: Mat) -> Bimodule:
+    """Fun(Gamma^w): rank one with the right action twisted through w."""
+    action = []
+    for j in range(n):
+        lin = Poly.linear([Fraction(w[j][l]) for l in range(n)])
+        action.append((((lin,),)))
+    return Bimodule(n, (0,), tuple(action))
+
+
+def bott_samelson_bimodule(m: Mat) -> Bimodule:
+    """B_r with left basis (1(x)1, 1(x)alpha), degrees (0, 1)."""
+    alpha = reflection_equation(m)
+    n = len(m)
+    alpha_sq = alpha * alpha
+    action = []
+    for j in range(n):
+        xj = Poly.variable(n, j)
+        inv = (xj + reflection_action(m, xj)).scale(Fraction(1, 2))
+        dem = demazure(m, xj, alpha).scale(Fraction(1, 2))
+        # e_0 . x_j = inv e_0 + dem e_1 ; e_1 . x_j = alpha^2 dem e_0 + inv e_1
+        col0 = (inv, dem)
+        col1 = (alpha_sq * dem, inv)
+        action.append(((col0[0], col1[0]), (col0[1], col1[1])))
+    return Bimodule(n, (0, 1), tuple(action))
+
+
+def graph_quotients(m: Mat):
+    """The two quotient maps of B_r onto Fun(Gamma^1) and Fun(Gamma^r):
+    (p, q) |-> p + q alpha and p + q r(alpha) = p - q alpha."""
+    alpha = reflection_equation(m)
+
+    def gamma1(p: Poly, q: Poly) -> Poly:
+        return p + q * alpha
+
+    def gamma_r(p: Poly, q: Poly) -> Poly:
+        return p - q * alpha
+
+    return gamma1, gamma_r
+
+
+def tensor(a: Bimodule, b: Bimodule) -> Bimodule:
+    """a (x)_R b with basis pairs (p, q) -> index p * rank(b) + q."""
+    assert a.n == b.n
+    n = a.n
+    ra, rb = a.rank(), b.rank()
+    degs = tuple(a.basis_degrees[p] + b.basis_degrees[q] for p in range(ra) for q in range(rb))
+    action = []
+    for j in range(n):
+        big = [[Poly.zero(n) for _ in range(ra * rb)] for _ in range(ra * rb)]
+        coeff_mats = {}
+        for l in range(rb):
+            for q in range(rb):
+                c = b.right_action[j][l][q]
+                if c.is_zero():
+                    continue
+                if c not in coeff_mats:
+                    coeff_mats[c] = a.right_matrix_of_poly(c)
+                ca = coeff_mats[c]
+                for mrow in range(ra):
+                    for p in range(ra):
+                        if ca[mrow][p].is_zero():
+                            continue
+                        big[mrow * rb + l][p * rb + q] = big[mrow * rb + l][p * rb + q] + ca[mrow][p]
+        action.append(tuple(tuple(row) for row in big))
+    return Bimodule(n, degs, tuple(action))
+
+
+def word_bimodule(reflections: Sequence[Mat]) -> Bimodule:
+    n = len(reflections[0])
+    out = free_module(n)
+    for m in reflections:
+        out = tensor(out, bott_samelson_bimodule(m))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# truncated graded modules
+
+
+def _monomials(n: int, d: int):
+    if n == 0:
+        return [()] if d == 0 else []
+    out = []
+    for first in range(d + 1):
+        for rest in _monomials(n - 1, d - first):
+            out.append((first,) + rest)
+    return out
+
+
+def _poly_to_vec(f: Poly, n: int, d: int):
+    """Coefficient vector of a homogeneous degree-d polynomial in the
+    _monomials(n, d) basis; a term of any other degree raises ValueError."""
+    index = {mono: pos for pos, mono in enumerate(_monomials(n, d))}
+    vec = [Fraction(0)] * len(index)
+    for e, c in f.coeffs.items():
+        if e not in index:
+            raise ValueError(f"term {e} is not a degree-{d} monomial in {n} variables")
+        vec[index[e]] = c
+    return vec
+
+
+class TruncModule:
+    """Degreewise model of a graded bimodule up to degree D: vector spaces
+    with commuting left and right multiplication maps by the variables."""
+
+    def __init__(self, n, dims, left, right):
+        self.n = n
+        self.dims = dims  # list over degrees
+        self.left = left  # left[j][d]: matrix dims[d+1] x dims[d]
+        self.right = right
+
+    @staticmethod
+    def from_bimodule(bm: Bimodule, depth: int) -> "TruncModule":
+        n = bm.n
+        basis_by_deg = []
+        index = []
+        for d in range(depth + 1):
+            layer = []
+            for i, bd in enumerate(bm.basis_degrees):
+                rem = d - bd
+                if rem < 0:
+                    continue
+                for mono in _monomials(n, rem):
+                    layer.append((i, mono))
+            basis_by_deg.append(layer)
+            index.append({key: pos for pos, key in enumerate(layer)})
+        dims = [len(layer) for layer in basis_by_deg]
+        left = [[None] * depth for _ in range(n)]
+        right = [[None] * depth for _ in range(n)]
+        for j in range(n):
+            for d in range(depth):
+                lm = [[Fraction(0)] * dims[d] for _ in range(dims[d + 1])]
+                rm = [[Fraction(0)] * dims[d] for _ in range(dims[d + 1])]
+                for pos, (i, mono) in enumerate(basis_by_deg[d]):
+                    up = tuple(k + int(t == j) for t, k in enumerate(mono))
+                    lm[index[d + 1][(i, up)]][pos] += 1
+                    for l in range(bm.rank()):
+                        c = bm.right_action[j][l][i]
+                        for e, cf in c.coeffs.items():
+                            tgt = tuple(a + b for a, b in zip(mono, e))
+                            rm[index[d + 1][(l, tgt)]][pos] += cf
+                left[j][d] = tuple(map(tuple, lm))
+                right[j][d] = tuple(map(tuple, rm))
+        return TruncModule(n, dims, left, right)
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form over Fraction: (pivot columns, nonzero rows)."""
+    a = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, a[:r]
+
+
+def _kernel_basis(rows, ncols):
+    """Basis of the kernel of the stacked matrix (rows over Fraction)."""
+    pivots, reduced = _rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for c, row in zip(pivots, reduced):
+            v[c] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _row_space_dim(vectors) -> int:
+    if not vectors:
+        return 0
+    return mat_rank(tuple(map(tuple, vectors)))
+
+
+def graph_sections(mod: TruncModule, w: Mat):
+    """Per degree, a basis of the sections supported on Gamma^w = {x = w(y)}:
+    the right action of y_j equals the left action of (w^{-1} x)_j.
+
+    Below the top degree D this is the kernel of right-minus-twisted-left
+    into the next degree.  Degree D has no next degree to test against, so
+    its layer is the left span R_1 * (degree D-1 sections).  That is exact
+    when the section module is generated as a left R-module in degrees
+    < D.  For the support filtration of a Bott-Samelson bimodule of a word
+    of length k this holds once D > k: by the standard filtration each
+    subquotient is a sum of shifted standard bimodules, free as left
+    R-modules on generators of degree #D0 + #U1 <= k, counted over the
+    subexpressions of the word (the same count as the Hecke-side formula
+    v-exponent = k + l(w) - 2 (generator degree))."""
+    from weylkit.exact import mat_inv
+
+    winv = mat_inv(w)
+    n = mod.n
+    depth = len(mod.dims) - 1
+    if depth < 1:
+        raise ValueError("graph_sections needs a module truncated at degree >= 1")
+    out = []
+    for d in range(depth):
+        rows = []
+        for j in range(n):
+            lw = None
+            for l in range(n):
+                c = Fraction(winv[j][l])
+                if not c:
+                    continue
+                block = [[c * x for x in row] for row in mod.left[l][d]]
+                lw = block if lw is None else [
+                    [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(lw, block)
+                ]
+            if lw is None:
+                lw = [[Fraction(0)] * mod.dims[d] for _ in range(mod.dims[d + 1])]
+            diff = [
+                [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(mod.right[j][d], lw)
+            ]
+            rows.extend(diff)
+        out.append(_kernel_basis(rows, mod.dims[d]))
+    _, top = _rref(_left_span_images(mod, out[-1], depth), mod.dims[depth])
+    out.append([tuple(row) for row in top])
+    return out
+
+
+def quotient_module(mod: TruncModule, sub_bases) -> TruncModule:
+    """Quotient by a degreewise subspace closed under both actions."""
+    n = mod.n
+    depth = len(mod.dims) - 1
+    projections = []
+    newdims = []
+    for d in range(depth + 1):
+        sub = sub_bases[d] if d < len(sub_bases) else []
+        pivots, reduce_rows = _rref(sub, mod.dims[d])
+        comp = [c for c in range(mod.dims[d]) if c not in pivots]
+        newdims.append(len(comp))
+        projections.append((pivots, reduce_rows, comp))
+
+    def project(d, vec):
+        pivots, reduce_rows, comp = projections[d]
+        v = list(vec)
+        for row, pc in zip(reduce_rows, pivots):
+            if v[pc]:
+                f = v[pc]
+                v = [x - f * y for x, y in zip(v, row)]
+        return [v[c] for c in comp]
+
+    left = [[None] * depth for _ in range(n)]
+    right = [[None] * depth for _ in range(n)]
+    for j in range(n):
+        for d in range(depth):
+            _, _, comp = projections[d]
+            cols_l, cols_r = [], []
+            for c in comp:
+                src = [Fraction(int(k == c)) for k in range(mod.dims[d])]
+                img_l = mat_vec(mod.left[j][d], src)
+                img_r = mat_vec(mod.right[j][d], src)
+                cols_l.append(project(d + 1, img_l))
+                cols_r.append(project(d + 1, img_r))
+            left[j][d] = tuple(tuple(col[i] for col in cols_l) for i in range(newdims[d + 1]))
+            right[j][d] = tuple(tuple(col[i] for col in cols_r) for i in range(newdims[d + 1]))
+    return TruncModule(n, newdims, left, right)
+
+
+def _left_span_images(mod: TruncModule, basis_prev, d):
+    out = []
+    for j in range(mod.n):
+        for v in basis_prev:
+            out.append(tuple(mat_vec(mod.left[j][d - 1], v)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# graph characters
+
+
+def _group_closure(gens):
+    n = len(gens[0])
+    seen = {identity(n): 0}
+    frontier = [identity(n)]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                x = mat_mul(g, s)
+                if x not in seen:
+                    seen[x] = seen[g] + 1
+                    new.append(x)
+        frontier = new
+    return seen
+
+
+def _generic_point(n: int, seed: int):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    return tuple(Fraction(1, primes[(seed + i) % len(primes)] ** (1 + (seed + i) // len(primes))) for i in range(n))
+
+
+def graph_character(
+    reflections: Sequence[Mat], w: Mat, depth: Optional[int] = None, seed: int = 0
+) -> LaurentPoly:
+    """Graded multiplicity of the standard graph Gamma^w in the tensor of the
+    Bott-Samelson bimodules of the word."""
+    table = graph_character_table(reflections, depth=depth, seed=seed)
+    return table.get(tuple(map(tuple, w)), LaurentPoly.zero())
+
+
+def graph_character_table(
+    reflections: Sequence[Mat], depth: Optional[int] = None, seed: int = 0
+) -> Dict[Mat, LaurentPoly]:
+    """Graded multiplicity of every standard graph Gamma^w in the tensor of
+    the Bott-Samelson bimodules of a nonempty word, keyed by w.
+
+    `depth` is the top polynomial degree D of the truncated degreewise model.
+    It must exceed the word length k, because all generators of the support
+    filtration lie in degrees <= k and the top layer is derived from degree
+    D-1 (see graph_sections); the default is k + 2.  After the filtration
+    the remaining quotient must be zero in every degree up to D, and the
+    ungraded counts are cross-checked against fiber ranks at a generic point.
+    """
+    k = len(reflections)
+    if k == 0:
+        raise ValueError("graph_character_table needs a nonempty word")
+    if depth is None:
+        depth = k + 2
+    elif depth <= k:
+        raise ValueError(f"depth {depth} must exceed the word length {k}")
+    n = len(reflections[0])
+    gens = []
+    for m in reflections:
+        t = tuple(map(tuple, m))
+        if t not in gens:
+            gens.append(t)
+    lengths = _group_closure(gens)
+    # support: products of all subwords
+    supp = set()
+    for mask in range(2**k):
+        acc = identity(n)
+        for i in range(k):
+            if mask & (1 << i):
+                acc = mat_mul(acc, reflections[i])
+        supp.add(acc)
+    bm = word_bimodule(reflections)
+    mod = TruncModule.from_bimodule(bm, depth)
+    order = sorted(supp, key=lambda g: (-lengths[g], g))
+    out: Dict[Mat, LaurentPoly] = {}
+    for g in order:
+        secs = graph_sections(mod, g)
+        coeffs: Dict[int, int] = {}
+        prev_basis = []
+        gen_degrees = []
+        for d in range(len(mod.dims) - 1):
+            span_prev = _left_span_images(mod, prev_basis, d) if d else []
+            new = len(secs[d]) - _row_space_dim(span_prev)
+            if new:
+                gen_degrees.extend([d] * new)
+            prev_basis = secs[d]
+        for gdeg in gen_degrees:
+            exp = k + lengths[g] - 2 * gdeg
+            coeffs[exp] = coeffs.get(exp, 0) + 1
+        out[g] = LaurentPoly(coeffs)
+        mod = quotient_module(mod, secs)
+    if any(mod.dims):
+        raise GenericPointCollision("support filtration did not exhaust the module")
+    # cross-check: generic-point fiber ranks reproduce the ungraded counts
+    for attempt in range(6):
+        point = _generic_point(n, seed + attempt)
+        images = {}
+        collision = False
+        for g in supp:
+            img = tuple(mat_vec(tuple(tuple(Fraction(x) for x in row) for row in g), point))
+            if img in images.values():
+                collision = True
+                break
+            images[g] = img
+        if collision:
+            continue
+        ok = True
+        for g in supp:
+            if _fiber_rank_at(bm, g, point) != out[g].at_one():
+                ok = False
+                break
+        if ok:
+            return out
+    raise GenericPointCollision("fiber ranks disagree with the filtration")
+
+
+def _fiber_rank_at(bm: Bimodule, w, point) -> int:
+    """Fiber dimension of the graph-twisted quotient of T along Gamma^w at
+    the point with right coordinate p (left coordinate w(p)): rank(T) minus
+    the rank of the stacked evaluated relations A_j(w(p)) - p_j."""
+    n = bm.n
+    nb = bm.rank()
+    wmat = tuple(tuple(Fraction(x) for x in row) for row in w)
+    left_pt = tuple(sum(wmat[i][l] * point[l] for l in range(n)) for i in range(n))
+    rows = []
+    for j in range(n):
+        block = [
+            [bm.right_action[j][l][i].evaluate(left_pt) for i in range(nb)] for l in range(nb)
+        ]
+        for l in range(nb):
+            row = list(block[l])
+            row[l] -= point[j]
+            rows.append(tuple(row))
+    r = mat_rank(tuple(rows)) if rows else 0
+    return nb - r
+
+
+# ---------------------------------------------------------------------------
+# End(B_r) Hilbert-series identity
+
+
+def hilbert_end_bs(m: Mat, depth: int) -> dict:
+    """Exact degreewise check of H_End = H_{Gamma^1} + H_{Gamma^r} - H_{hyp}."""
+    n = len(m)
+    bm = bott_samelson_bimodule(m)
+    mod = TruncModule.from_bimodule(bm, depth)
+    alpha = reflection_equation(m)
+
+    # End(B_r) = annihilator of the defining ideal acting by left-minus-right
+    # on B_r; generators: invariant linear forms and alpha^2
+    invariant_linear = _invariant_linear_forms(m)
+    gens = [Poly.linear(v) for v in invariant_linear] + [alpha * alpha]
+    end_dims = []
+    for d in range(depth):
+        rows = []
+        for g in gens:
+            op = _left_minus_right(mod, bm, g, d)
+            if op is not None:
+                rows.extend(op)
+        if rows:
+            end_dims.append(len(_kernel_basis(rows, mod.dims[d])))
+        else:
+            end_dims.append(mod.dims[d])
+
+    # graph quotient dimensions: images of B_r in R through gamma maps
+    r_dims = [len(_monomials(n, d)) for d in range(depth)]
+    gamma1, gamma_r = graph_quotients(m)
+    g1_dims, gr_dims = [], []
+    for d in range(depth):
+        imgs1, imgsr = [], []
+        for p_deg, base in ((d, 0), (d - 1, 1)):
+            if p_deg < 0:
+                continue
+            for mono in _monomials(n, p_deg):
+                p = Poly(n, {mono: Fraction(1)})
+                z = Poly.zero(n)
+                pq = (p, z) if base == 0 else (z, p)
+                imgs1.append(_poly_to_vec(gamma1(*pq), n, d))
+                imgsr.append(_poly_to_vec(gamma_r(*pq), n, d))
+        g1_dims.append(_row_space_dim(imgs1))
+        gr_dims.append(_row_space_dim(imgsr))
+
+    # hyperplane ring R/(alpha)
+    hyp_dims = []
+    for d in range(depth):
+        if d == 0:
+            hyp_dims.append(1)
+            continue
+        imgs = []
+        for mono in _monomials(n, d - 1):
+            imgs.append(_poly_to_vec(Poly(n, {mono: Fraction(1)}) * alpha, n, d))
+        hyp_dims.append(r_dims[d] - _row_space_dim(imgs))
+
+    identity_holds = all(
+        end_dims[d] == g1_dims[d] + gr_dims[d] - hyp_dims[d] for d in range(depth)
+    )
+    return {
+        "end": end_dims,
+        "gamma1": g1_dims,
+        "gamma_r": gr_dims,
+        "hyperplane": hyp_dims,
+        "identity": identity_holds,
+    }
+
+
+def _invariant_linear_forms(m: Mat):
+    """Basis of covectors fixed by the reflection (the hyperplane equations'
+    complement): kernel of (m^T - 1)."""
+    n = len(m)
+    rows = []
+    mt = transpose(m)
+    ident = identity(n)
+    for i in range(n):
+        rows.append(tuple(Fraction(mt[i][j]) - Fraction(ident[i][j]) for j in range(n)))
+    return _kernel_basis(rows, n)
+
+
+def _left_minus_right(mod: TruncModule, bm: Bimodule, g: Poly, d: int):
+    """Matrix of (left mult by g) - (right mult by g) from degree d."""
+    deg = g.degree()
+    if d + deg >= len(mod.dims):
+        return None
+    dim_src = mod.dims[d]
+    dim_tgt = mod.dims[d + deg]
+    rows = [[Fraction(0)] * dim_src for _ in range(dim_tgt)]
+    for c in range(dim_src):
+        src = [Fraction(int(k == c)) for k in range(dim_src)]
+        img = _apply_poly(mod, g, d, src, side="left")
+        img2 = _apply_poly(mod, g, d, src, side="right")
+        for i in range(dim_tgt):
+            rows[i][c] = img[i] - img2[i]
+    return rows
+
+
+def _apply_poly(mod: TruncModule, g: Poly, d: int, vec, side: str):
+    total = [Fraction(0)] * mod.dims[d + g.degree()]
+    for e, cf in g.coeffs.items():
+        cur = list(vec)
+        cur_d = d
+        for j, k in enumerate(e):
+            for _ in range(k):
+                mats = mod.left if side == "left" else mod.right
+                cur = list(mat_vec(mats[j][cur_d], cur))
+                cur_d += 1
+        scale_deg = d + g.degree()
+        if cur_d != scale_deg:
+            # monomial of lower degree than g.degree(): pad through left mult
+            # by nothing; homogeneous generators only, so this cannot happen
+            raise ValueError("inhomogeneous generator")
+        for i in range(len(total)):
+            total[i] += cf * cur[i]
+    return total
