@@ -21,17 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import (
+    CosetZn,
     Mat,
     QMODZ_ZERO,
     QmodZ,
     Vec,
     dot,
     identity,
-    mat_inv,
+    lattice_basis_from_generators,
     mat_mul,
     mat_vec,
     solve_integer_affine,
@@ -40,7 +40,7 @@ from weylkit.exact import (
     vec_scale,
     vec_sub,
 )
-from weylkit.rootdata import RootDatum, mat_inv_int, root_height, weyl_elements
+from weylkit.rootdata import RootDatum, mat_inv_int, weyl_elements
 
 
 class NotPositiveDefinite(ValueError):
@@ -52,10 +52,6 @@ class NotWInvariant(ValueError):
 
 
 class OddOnCoroot(ValueError):
-    pass
-
-
-class InfiniteOmega(RuntimeError):
     pass
 
 
@@ -492,6 +488,38 @@ def _finite_bound(nodes: int) -> int:
     return (2**nodes) * math.factorial(nodes)
 
 
+def connected_components(k: int, linked) -> Tuple[Tuple[int, ...], ...]:
+    """Components of the graph on 0..k-1 with an edge wherever linked(i, j)."""
+    seen, comps = set(), []
+    for i in range(k):
+        if i in seen:
+            continue
+        comp, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for y in range(k):
+                if y not in comp and linked(x, y):
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def coxeter_system(reflections: Sequence[ExtendedWeylElement]):
+    """Coxeter matrix of the reflections, and the components of its diagram
+    as (indices, "finite" or "affine")."""
+    k = len(reflections)
+    cox = {(i, j): coxeter_order(reflections[i], reflections[j]) for i in range(k) for j in range(i + 1, k)}
+    matrix = tuple(tuple(1 if i == j else cox[min(i, j), max(i, j)] for j in range(k)) for i in range(k))
+    components = []
+    for idx in connected_components(k, lambda i, j: matrix[i][j] not in (1, 2)):
+        sub = {(a, b): matrix[idx[a]][idx[b]] for a in range(len(idx)) for b in range(a + 1, len(idx))}
+        finite = component_is_finite([reflections[i] for i in idx], sub)
+        components.append((idx, "finite" if finite else "affine"))
+    return matrix, tuple(components)
+
+
 def component_is_finite(reflections: Sequence[ExtendedWeylElement], coxeter) -> bool:
     """Finite iff the generated reflection group closes under the type bound."""
     k = len(reflections)
@@ -551,50 +579,55 @@ def dominant_base_point(rd: RootDatum, form: GramForm) -> Tuple[Fraction, ...]:
 
 
 def affine_simple_data(rd: RootDatum, form: GramForm) -> AffineData:
-    progs = trivial_progressions(rd)
-    simples = simple_system_from_progressions(rd, form, progs)
-    refl = [affine_coroot_reflection(rd, ac) for ac in simples]
-    cox = {}
-    k = len(simples)
-    for i in range(k):
-        for j in range(i + 1, k):
-            cox[(i, j)] = coxeter_order(refl[i], refl[j])
-    matrix = tuple(
-        tuple(1 if i == j else cox[(min(i, j), max(i, j))] for j in range(k)) for i in range(k)
-    )
-    omega, lattice = _omega_elements(rd, form)
-    return AffineData(simples, matrix, dominant_base_point(rd, form), omega, lattice)
+    simples = simple_system_from_progressions(rd, form, trivial_progressions(rd))
+    matrix, _ = coxeter_system([affine_coroot_reflection(rd, ac) for ac in simples])
+    base = dominant_base_point(rd, form)
+    walls = [(ac.coroot, -ac.n * form.q(ac.coroot)) for ac in simples]
+    every_lam = CosetZn((0,) * rd.rank, identity(rd.rank))
+    omega, lattice = length_zero_group(rd, form.matrix, base, walls, {w: every_lam for w in weyl_elements(rd)})
+    return AffineData(simples, matrix, base, omega, lattice)
 
 
-def _omega_elements(rd: RootDatum, form: GramForm):
-    """Length-zero elements: per finite Weyl part, solve the wall constraints.
+def length_zero_group(rd: RootDatum, gram, base_point, walls, cosets):
+    """Omega: the elements t^lam w with lam in cosets[w] that fix the alcove of
+    base_point, as representatives (one per admissible w) and their common
+    translation lattice.
 
-    t^lam w has length zero iff <w(alpha), lam> equals 0 or 1 according to the
-    sign of w(alpha-check), for every positive root alpha; the solution set per
-    w is a coset of the lattice annihilated by all roots (trivial when the
-    datum is semisimple).
+    walls lists the facets of that alcove as (coroot, offset), the wall being
+    {x : <x, coroot> = offset}; the slice action is x |-> x o w^{-1} - gram(lam, -).
+    An element fixes the alcove iff it sends every oriented facet to an
+    oriented facet.  It sends f(x) = <x, c> + b to <x, w c> + b + gram(lam, w c),
+    so w alone decides the target facet of each facet, and lam solves one exact
+    linear system on the coset.
     """
-    n = rd.rank
-    if not rd.roots:
-        basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return (ExtendedWeylElement.unit(n),), basis
-    pos_idx = rd.positive_root_indices()
-    elements = []
-    lattice: Tuple[Vec, ...] = ()
-    for w in weyl_elements(rd):
-        winv_t = transpose(mat_inv_int(w))
-        rows, rhs = [], []
-        for i in pos_idx:
-            a, cv = rd.roots[i], rd.coroots[i]
-            wa = tuple(mat_vec(winv_t, a))
-            wcv = tuple(mat_vec(w, cv))
-            rows.append([Fraction(x) for x in wa])
-            rhs.append(Fraction(0) if rd.is_positive_coroot(wcv) else Fraction(1))
-        sol = solve_integer_affine(rows, rhs, [Fraction(0)] * len(rows))
-        if sol is None:
+    facets = {}
+    for coroot, offset in walls:
+        sign = 1 if dot(base_point, coroot) > offset else -1
+        facets[tuple(sign * x for x in coroot)] = -sign * offset
+    elements, lattice = [], ()
+    for w, coset in cosets.items():
+        if coset is None:
             continue
-        g = ExtendedWeylElement(sol.particular, w)
-        assert element_length(g, rd, form) == 0
-        elements.append(g)
-        lattice = sol.basis
+        rows, rhs = [], []
+        for c, b in facets.items():
+            wc = tuple(mat_vec(w, c))
+            if wc not in facets:
+                break
+            row = mat_vec(gram, wc)
+            rows.append([dot(row, e) for e in coset.basis])
+            rhs.append(facets[wc] - b - dot(row, coset.particular))
+        else:
+            if rows:
+                sol = solve_integer_affine(rows, rhs, [0] * len(rows))
+            else:  # no walls: the whole coset fixes the alcove
+                sol = CosetZn((0,) * len(coset.basis), identity(len(coset.basis)))
+            if sol is None:
+                continue
+            lam = coset.particular
+            for k, e in zip(sol.particular, coset.basis):
+                lam = vec_add(lam, vec_scale(e, k))
+            elements.append(ExtendedWeylElement(tuple(lam), w))
+            lattice = lattice_basis_from_generators(
+                [tuple(dot(ks, col) for col in zip(*coset.basis)) for ks in sol.basis]
+            )
     return tuple(sorted(elements, key=lambda g: (g.trans, g.w))), lattice

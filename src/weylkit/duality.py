@@ -12,32 +12,32 @@ a component forces the level-zero-only progression there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from weylkit.exact import (
-    Mat,
     Vec,
     det,
     dot,
     identity,
+    lattice_basis_from_generators,
+    lattice_contains,
     mat_inv,
     mat_mul,
     mat_vec,
     solve_integer_affine,
     solve_linear,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
 )
 from weylkit.affine import (
     ExtendedWeylElement,
     Progression,
-    component_is_finite,
-    element_order,
-    progression_contains,
+    connected_components,
+    coxeter_system,
+    length_zero_group,
     progression_min_at_least,
 )
 from weylkit.rootdata import (
@@ -110,27 +110,7 @@ def validate_level(rd: RootDatum, lvl: Level):
 def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
     """Connected components of the finite diagram as tuples of simple indices."""
     s = rd.simple_indices
-    k = len(s)
-    adj = {i: set() for i in range(k)}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if dot(rd.coroots[s[i]], rd.roots[s[j]]) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen, comps = set(), []
-    for i in range(k):
-        if i in seen:
-            continue
-        comp, frontier = {i}, [i]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return connected_components(len(s), lambda i, j: dot(rd.coroots[s[i]], rd.roots[s[j]]) != 0)
 
 
 def component_of_coroot(rd: RootDatum, coroot: Vec) -> int:
@@ -370,7 +350,8 @@ def alcove_walls(rd: RootDatum, lvl: Level, progs, x) -> Tuple[Wall, ...]:
             if o is None:
                 continue
             n_level = -o / q
-            assert n_level.denominator == 1
+            if n_level.denominator != 1:
+                raise VerificationFailed(f"wall {o} in direction {cv} is not at an integral level")
             candidates.append(Wall(tuple(cv), int(n_level)))
     facets = []
     for wall in candidates:
@@ -412,42 +393,9 @@ def level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> LevelSystem:
     progs = level_progressions(rd, lvl, theta)
     base = generic_base_point(rd, lvl, progs)
     simples = alcove_walls(rd, lvl, progs, base)
-    refl = [level_reflection(rd, w.coroot, w.n) for w in simples]
-    k = len(simples)
-    cox = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            o = element_order(refl[i] * refl[j])
-            cox[(i, j)] = o if o != "infinite" else "infinite"
-    matrix = tuple(
-        tuple(1 if i == j else cox[(min(i, j), max(i, j))] for j in range(k)) for i in range(k)
-    )
-    comps = []
-    seen = set()
-    for i in range(k):
-        if i in seen:
-            continue
-        comp, frontier = {i}, [i]
-        while frontier:
-            y = frontier.pop()
-            for j in range(k):
-                if j not in comp and matrix[y][j] not in (1, 2):
-                    comp.add(j)
-                    frontier.append(j)
-        seen |= comp
-        idx = tuple(sorted(comp))
-        sub = {(a, b): matrix[idx[a]][idx[b]] for a in range(len(idx)) for b in range(len(idx)) if a < b}
-        kind = "finite" if component_is_finite([refl[i] for i in idx], sub) else "affine"
-        comps.append((idx, kind))
+    matrix, comps = coxeter_system([level_reflection(rd, w.coroot, w.n) for w in simples])
     stab = level_stabilizer(rd, lvl, theta)
-    return LevelSystem(
-        tuple(sorted(progs.items())),
-        base,
-        simples,
-        matrix,
-        tuple(comps),
-        tuple(sorted(stab.items())),
-    )
+    return LevelSystem(tuple(sorted(progs.items())), base, simples, matrix, comps, tuple(sorted(stab.items())))
 
 
 def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -> bool:
@@ -502,7 +450,11 @@ def iota_map(rd: RootDatum, lvl: Level, theta) -> AffineMap:
     return AffineMap(neg, theta_check)
 
 
-def iota_conjugation(rd: RootDatum, lvl: Level, theta, ball_radius: int = 2) -> dict:
+# translations |lam|_inf <= this radius are paired by iota_conjugation
+IOTA_BALL_RADIUS = 2
+
+
+def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     """Build iota and verify the exchange identities on explicit elements."""
     if lvl.irrational:
         raise IrrationalSquareLength("iota requires a rational level")
@@ -515,7 +467,7 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta, ball_radius: int = 2) -> 
 
     # translations: iota o tau^lam = tau^{+lam-check...} o iota as slice maps
     ok_trans = True
-    for lam in _lattice_box(rd.rank, 2):
+    for lam in _lattice_box(rd.rank, IOTA_BALL_RADIUS):
         g = ExtendedWeylElement.translation(lam)
         lam_img = lvl.apply(lam)  # kappa(lam) lies in the dual slice space
         if not all(x.denominator == 1 for x in lam_img):
@@ -526,13 +478,13 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta, ball_radius: int = 2) -> 
         if lhs != rhs:
             ok_trans = False
 
-    # paired elements: (lam, w) with fulllattice solvable maps to (lambda, w)
+    # paired elements: t^lam w maps to t^lambda w^{-T} on the dual side
     pairs_checked = 0
     ok_pairs = True
     ws = weyl_elements(rd)
     for w in ws:
         winv_t = transpose(mat_inv_int(w))
-        for lam in _lattice_box(rd.rank, ball_radius):
+        for lam in _lattice_box(rd.rank, IOTA_BALL_RADIUS):
             g = ExtendedWeylElement(lam, w)
             if not level_membership(rd, lvl, theta, g):
                 continue
@@ -540,9 +492,11 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta, ball_radius: int = 2) -> 
             lam_dual_f = tuple(
                 t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.apply(lam))
             )  # lambda = theta - w(theta) + kappa(lam)
-            assert all(x.denominator == 1 for x in lam_dual_f)
-            h = ExtendedWeylElement(tuple(int(x) for x in lam_dual_f), w)
-            assert level_membership(rd_dual, lvl_dual_neg, theta_check, h)
+            if any(x.denominator != 1 for x in lam_dual_f):
+                raise VerificationFailed(f"dual translation {lam_dual_f} of integral {g} is not integral")
+            h = ExtendedWeylElement(tuple(int(x) for x in lam_dual_f), winv_t)
+            if not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
+                raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
             lhs = iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv)
             rhs = element_slice_map(rd_dual, lvl_dual_neg, h)
             if lhs != rhs:
@@ -607,10 +561,13 @@ class AlcoveMatch:
     g_system: LevelSystem
     h_system: LevelSystem
     simple_bijection: Tuple[Tuple[Wall, Wall], ...]
+    # length-zero representatives, paired; each side's Omega is its
+    # representatives times its translation lattice in omega_lattices
     omega_pairs: Tuple[Tuple[ExtendedWeylElement, ExtendedWeylElement], ...]
+    omega_lattices: Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]
 
 
-def alcove_match(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3) -> AlcoveMatch:
+def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     iota = iota_map(rd, lvl, theta)
     rd_dual, lvl_dual = dual_level(rd, lvl)
     lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
@@ -620,32 +577,32 @@ def alcove_match(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3) -> Alc
     h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
     h_progs = dict(h_sys.progressions)
 
+    # gallery walk: each step crosses one wall separating p from the target
     target = h_sys.base_point
     p = iota(g_sys.base_point)
     y = ExtendedWeylElement.unit(rd.rank)
-    guard = 0
     while not same_alcove(rd_dual, lvl_dual_neg, h_progs, p, target):
-        guard += 1
-        if guard > 10_000:
-            raise NoAlcove("alcove walk did not terminate")
-        wall = _first_crossing(rd_dual, lvl_dual_neg, h_progs, p, target)
+        wall = _separating_facet(rd_dual, lvl_dual_neg, h_progs, p, target)
         r = level_reflection(rd_dual, wall.coroot, wall.n)
         p = level_slice_act(r, lvl_dual_neg, p)
         y = r * y
-    assert level_slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) == p
+    if level_slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) != p:
+        raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 
     # j = y o iota matches the simple systems
     jmap = element_slice_map(rd_dual, lvl_dual_neg, y).compose(iota)
     jinv = jmap.inverse()
+
+    def conjugate(g):
+        return jmap.compose(element_slice_map(rd, lvl, g)).compose(jinv)
+
     h_wall_index = {}
     for wall in h_sys.simples:
         r = level_reflection(rd_dual, wall.coroot, wall.n)
         h_wall_index[_map_key(element_slice_map(rd_dual, lvl_dual_neg, r))] = wall
     bij = []
     for wall in g_sys.simples:
-        r = level_reflection(rd, wall.coroot, wall.n)
-        conj = jmap.compose(element_slice_map(rd, lvl, r)).compose(jinv)
-        key = _map_key(conj)
+        key = _map_key(conjugate(level_reflection(rd, wall.coroot, wall.n)))
         if key not in h_wall_index:
             raise VerificationFailed(f"conjugated simple {wall} is not a dual simple")
         bij.append((wall, h_wall_index[key]))
@@ -659,87 +616,56 @@ def alcove_match(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3) -> Alc
             if g_sys.coxeter[i][j] != h_sys.coxeter[gperm[i]][gperm[j]]:
                 raise VerificationFailed("Coxeter matrices differ after matching")
 
-    # length-zero elements correspond
-    g_omega = _alcove_stabilizer(rd, lvl, theta, g_sys, omega_radius)
-    h_omega = _alcove_stabilizer(rd_dual, lvl_dual_neg, theta_check, h_sys, omega_radius)
-    h_keys = {_map_key(element_slice_map(rd_dual, lvl_dual_neg, o)): o for o in h_omega}
+    # length-zero groups correspond: representatives up to the translation
+    # lattices, and the lattices themselves
+    g_omega, g_lattice = _alcove_omega(rd, lvl, g_sys)
+    h_omega, h_lattice = _alcove_omega(rd_dual, lvl_dual_neg, h_sys)
+    h_by_linear = {element_slice_map(rd_dual, lvl_dual_neg, o).linear: o for o in h_omega}
     pairs = []
     for o in g_omega:
-        conj = jmap.compose(element_slice_map(rd, lvl, o)).compose(jinv)
-        key = _map_key(conj)
-        if key not in h_keys:
-            raise VerificationFailed("length-zero element has no dual partner")
-        pairs.append((o, h_keys[key]))
+        conj = conjugate(o)
+        partner = h_by_linear.get(conj.linear)
+        if partner is None:
+            raise VerificationFailed(f"length-zero element {o} has no dual partner")
+        offset = element_slice_map(rd_dual, lvl_dual_neg, partner).offset
+        shift = _dual_translation(lvl_dual_neg, vec_sub(conj.offset, offset))
+        if shift is None or not lattice_contains(h_lattice, shift):
+            raise VerificationFailed(f"length-zero element {o} has no dual partner")
+        pairs.append((o, partner))
     if len(pairs) != len(h_omega):
         raise VerificationFailed("length-zero groups have different sizes")
+    images = [
+        _dual_translation(lvl_dual_neg, conjugate(ExtendedWeylElement.translation(lam)).offset) for lam in g_lattice
+    ]
+    if None in images or lattice_basis_from_generators(images) != lattice_basis_from_generators(h_lattice):
+        raise VerificationFailed("length-zero translation lattices do not correspond")
 
-    return AlcoveMatch(y, g_sys, h_sys, tuple(bij), tuple(pairs))
+    return AlcoveMatch(y, g_sys, h_sys, tuple(bij), tuple(pairs), (g_lattice, h_lattice))
 
 
 def _map_key(m: AffineMap):
     return (tuple(map(tuple, m.linear)), tuple(m.offset))
 
 
-def _first_crossing(rd, lvl, progs, p, target) -> Wall:
-    best = None
-    for cv in rd.coroots:
-        if not rd.is_positive_coroot(cv):
-            continue
-        prog = progs[tuple(cv)]
-        if prog is None:
-            continue
-        a = _pair(p, cv)
-        b = _pair(target, cv)
-        if a == b:
-            continue
-        q = lvl.q(cv)
-        i, d = prog
-        offsets = []
-        if d == 0:
-            offsets = [-i * q]
-        else:
-            step = abs(d * q)
-            lo, hi = min(a, b), max(a, b)
-            base = -i * q
-            import math
-
-            k0 = math.ceil((lo - base) / step)
-            o = base + k0 * step
-            while o <= hi:
-                offsets.append(o)
-                o += step
-        for off in offsets:
-            if (a - off) * (b - off) < 0:
-                t = (off - a) / (b - a)
-                n_level = -off / q
-                assert n_level.denominator == 1
-                cand = (t, tuple(cv), int(n_level))
-                if best is None or cand[0] < best[0]:
-                    best = cand
-                elif cand[0] == best[0]:
-                    raise NoAlcove("degenerate crossing; perturb the base point")
-    if best is None:
-        raise NoAlcove("no separating wall found")
-    return Wall(best[1], best[2])
+def _dual_translation(lvl: Level, offset):
+    """The integral mu whose translation moves the slice by offset, or None."""
+    mu = mat_vec(mat_inv(lvl.gram), tuple(-x for x in offset))
+    return tuple(int(x) for x in mu) if all(x.denominator == 1 for x in mu) else None
 
 
-def _alcove_stabilizer(rd, lvl, theta, sys: LevelSystem, radius: int):
-    progs = dict(sys.progressions)
-    out = []
-    for w, coset in sys.stabilizer:
-        if coset is None:
-            continue
-        from weylkit.integral import _coset_points_in_box
+def _separating_facet(rd, lvl, progs, p, target) -> Wall:
+    """A facet wall of the alcove of p that separates p from target."""
+    for wall in alcove_walls(rd, lvl, progs, p):
+        off = wall.offset(lvl)
+        if (_pair(p, wall.coroot) - off) * (_pair(target, wall.coroot) - off) < 0:
+            return wall
+    raise NoAlcove("no facet of the alcove separates the point from the target")
 
-        for lam in _coset_points_in_box(coset, rd.rank, radius):
-            g = ExtendedWeylElement(lam, w)
-            img = level_slice_act(g, lvl, sys.base_point)
-            try:
-                if same_alcove(rd, lvl, progs, img, sys.base_point):
-                    out.append(g)
-            except NoAlcove:
-                continue
-    return tuple(sorted(out, key=lambda g: (g.trans, g.w)))
+
+def _alcove_omega(rd, lvl, sys: LevelSystem):
+    """Length-zero elements of the integral group: those fixing the base alcove."""
+    walls = [(w.coroot, w.offset(lvl)) for w in sys.simples]
+    return length_zero_group(rd, lvl.gram, sys.base_point, walls, dict(sys.stabilizer))
 
 
 # ---------------------------------------------------------------------------
@@ -767,13 +693,13 @@ def kappa_parabolic_match(rd: RootDatum, lvl: Level) -> Tuple[Tuple[int, int], .
     return tuple(out)
 
 
-def finite_longest_group(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3) -> Tuple[ExtendedWeylElement, ...]:
+def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeylElement, ...]:
     """Generators of the group of extended-Coxeter automorphisms realized by
     conjugation: one commuting involution per length-zero-stable orbit of
     finite-type components (trivial when every component is affine)."""
     sys = level_integral_weyl(rd, lvl, theta)
     refl = list(sys.reflections(rd))
-    omega = _alcove_stabilizer(rd, lvl, theta, sys, omega_radius)
+    omega, _ = _alcove_omega(rd, lvl, sys)
     comp_of = {}
     for ci, (idx, kind) in enumerate(sys.components):
         for i in idx:
@@ -815,9 +741,11 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta, omega_radius: int = 3
             continue
         gens.append(z)
     for z in gens:
-        assert (z * z).is_identity()
+        if not (z * z).is_identity():
+            raise VerificationFailed(f"finite-longest generator {z} is not an involution")
         for z2 in gens:
-            assert z * z2 == z2 * z
+            if z * z2 != z2 * z:
+                raise VerificationFailed(f"finite-longest generators {z} and {z2} do not commute")
     return tuple(gens)
 
 
@@ -838,5 +766,6 @@ def _longest_in_component(rd, reflections) -> ExtendedWeylElement:
         frontier = new
     maxd = max(dist.values())
     far = [g for g, d in dist.items() if d == maxd]
-    assert len(far) == 1
+    if len(far) != 1:
+        raise VerificationFailed(f"finite component has {len(far)} longest elements")
     return far[0]

@@ -122,14 +122,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_eq(a, b) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
-def mat_neg(m):
-    return tuple(tuple(-x for x in row) for row in m)
-
-
 def det(m) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination, exact."""
     n = len(m)
@@ -347,14 +339,6 @@ def lattice_basis_from_generators(gens: Sequence[Vec]) -> Tuple[Vec, ...]:
         return ()
     h, _ = hermite_normal_form(gens)
     return tuple(row for row in h if any(row))
-
-
-def lattice_index(ambient_rank: int, basis: Sequence[Vec]) -> Optional[int]:
-    """Index of the lattice spanned by basis inside Z^n, or None if infinite."""
-    if len(basis) < ambient_rank:
-        return None
-    d = det(basis)
-    return abs(int(d)) if d != 0 else None
 
 
 def lattice_contains(basis: Sequence[Vec], v: Vec) -> bool:

@@ -14,16 +14,9 @@ problem is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from weylkit.affine import (
-    AffineCoroot,
-    CharacterPoint,
-    ExtendedWeylElement,
-    GramForm,
-    affine_coroot_reflection,
-    extended_act_character,
-)
+from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, extended_act_character
 from weylkit.integral import (
     CharacterMismatch,
     integral_length,
@@ -292,8 +285,9 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
         else:
             raise ValueError(f"unknown token kind {kind!r}")
     table = {g: c for g, c in elt.support.items()}
-    for c in table.values():
-        assert c.nonnegative(), "Bott-Samelson multiplicities must be nonnegative"
+    for g, c in table.items():
+        if not c.nonnegative():
+            raise RuntimeError(f"Bott-Samelson multiplicity {c} of {g} is negative")
     return elt, table
 
 

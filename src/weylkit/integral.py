@@ -14,16 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from weylkit.exact import (
-    CosetZn,
-    Mat,
-    QmodZ,
-    Vec,
-    mat_vec,
-    solve_integer_affine,
-    transpose,
-    vec_scale,
-)
+from weylkit.exact import CosetZn, Mat, Vec, solve_integer_affine
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -31,13 +22,15 @@ from weylkit.affine import (
     GramForm,
     Progression,
     act_affine_coroot,
+    affine_coroot_positive,
     affine_coroot_reflection,
     affine_simple_data,
-    component_is_finite,
-    coxeter_order,
+    connected_components,
+    coxeter_system,
     element_length,
     element_order,
     extended_act_character,
+    progression_contains,
     simple_system_from_progressions,
 )
 from weylkit.rootdata import RootDatum, mat_inv_int, weyl_elements
@@ -126,12 +119,6 @@ def weyl_stabilizer(rd: RootDatum, form: GramForm, chi: CharacterPoint):
     return out, lattice
 
 
-def in_stabilizer_orbit(
-    rd: RootDatum, form: GramForm, g: ExtendedWeylElement, chi_right: CharacterPoint, chi_left: CharacterPoint
-) -> bool:
-    return extended_act_character(g, form, chi_right) == chi_left
-
-
 # ---------------------------------------------------------------------------
 # the integral system
 
@@ -159,39 +146,13 @@ class IntegralSystem:
 def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> IntegralSystem:
     progs = integral_progressions(rd, form, chi)
     simples = simple_system_from_progressions(rd, form, progs)
-    refl = [affine_coroot_reflection(rd, ac) for ac in simples]
-    k = len(simples)
-    cox: Dict[Tuple[int, int], object] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            cox[(i, j)] = coxeter_order(refl[i], refl[j])
-    matrix = tuple(
-        tuple(1 if i == j else cox[(min(i, j), max(i, j))] for j in range(k)) for i in range(k)
-    )
-    components = []
-    seen = set()
-    for i in range(k):
-        if i in seen:
-            continue
-        comp = {i}
-        frontier = [i]
-        while frontier:
-            x = frontier.pop()
-            for j in range(k):
-                if j not in comp and matrix[x][j] not in (1, 2):
-                    comp.add(j)
-                    frontier.append(j)
-        seen |= comp
-        idx = tuple(sorted(comp))
-        sub = {(a, b): matrix[idx[a]][idx[b]] for a in range(len(idx)) for b in range(len(idx)) if a < b}
-        kind = "finite" if component_is_finite([refl[i] for i in idx], sub) else "affine"
-        components.append((idx, kind))
+    matrix, components = coxeter_system([affine_coroot_reflection(rd, ac) for ac in simples])
     stab, lattice = weyl_stabilizer(rd, form, chi)
     return IntegralSystem(
         tuple(sorted(progs.items())),
         simples,
         matrix,
-        tuple(components),
+        components,
         tuple(sorted(stab.items())),
         lattice,
     )
@@ -205,8 +166,7 @@ def minimal_rep(
     rd: RootDatum, form: GramForm, chi_right: CharacterPoint, x: ExtendedWeylElement
 ) -> ExtendedWeylElement:
     """Minimal element of the block of x, by the descent walk on S_{chi_right}."""
-    from weylkit.affine import affine_coroot_positive
-
+    start = x
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
     progs = dict(system.progressions)
@@ -218,8 +178,10 @@ def minimal_rep(
                 break
         else:
             break
-    assert element_length(x, rd, form, progs) == 0
-    assert extended_act_character(x, form, chi_right) == chi_left
+    if element_length(x, rd, form, progs) != 0:
+        raise NotInStabilizerOrbit(f"descent from {start} ended at {x}, which is not minimal")
+    if extended_act_character(x, form, chi_right) != chi_left:
+        raise CharacterMismatch(f"descent from {start} changed the left character {chi_left}")
     return x
 
 
@@ -237,7 +199,8 @@ def omega_compose(
     if not is_minimal(rd, form, chi_mid, a) or not is_minimal(rd, form, chi_right, b):
         raise NotInStabilizerOrbit("omega_compose expects minimal elements")
     out = a * b
-    assert is_minimal(rd, form, chi_right, out)
+    if not is_minimal(rd, form, chi_right, out):
+        raise NotInStabilizerOrbit(f"product of the minimal elements {a} and {b} is not minimal")
     return out
 
 
@@ -269,28 +232,8 @@ def _component_split(rd: RootDatum, simples):
 
 
 def _connected_groups(rd: RootDatum, simples):
-    k = len(simples)
-    adj = {i: set() for i in range(k)}
     refl = [affine_coroot_reflection(rd, s) for s in simples]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if refl[i] * refl[j] != refl[j] * refl[i]:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen, groups = set(), []
-    for i in range(k):
-        if i in seen:
-            continue
-        comp, frontier = {i}, [i]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        groups.append(sorted(comp))
-    return groups
+    return connected_components(len(simples), lambda i, j: refl[i] * refl[j] != refl[j] * refl[i])
 
 
 def conjugate_to_simple(
@@ -298,16 +241,13 @@ def conjugate_to_simple(
 ) -> ExtendedWeylElement:
     """Minimal u with u r u^{-1} simple in the ambient affine system and in
     the integral system of u chi; found by strict height descent."""
-    from weylkit.affine import affine_coroot_positive
-
     ambient = affine_simple_data(rd, form).simples
     ambient_set = set(ambient)
     u = ExtendedWeylElement.unit(rd.rank)
     cur = r
     cur_chi = chi
-    heights = [_ambient_height(rd, form, ambient, cur)]
+    h = _ambient_height(rd, form, ambient, cur)
     while cur not in ambient_set:
-        h = heights[-1]
         progress = False
         for s in ambient:
             t_refl = affine_coroot_reflection(rd, s)
@@ -318,29 +258,23 @@ def conjugate_to_simple(
             if h_img < h:
                 # the conjugating ambient simple cannot be integral, else r
                 # would not have been simple in the integral system
-                p = integral_progression(rd, form, cur_chi, s.coroot)
-                assert not (p is not None and _prog_contains(p, s.n)), "descent hit an integral wall"
+                if progression_contains(integral_progression(rd, form, cur_chi, s.coroot), s.n):
+                    raise NotInStabilizerOrbit(f"descent from {r} crosses the integral wall {s}; {r} is not simple")
                 u = t_refl * u
                 cur = img
                 cur_chi = extended_act_character(t_refl, form, cur_chi)
-                heights.append(h_img)
+                h = h_img
                 progress = True
                 break
         if not progress:
             raise RuntimeError("height descent stalled")
-    assert heights == sorted(heights, reverse=True) and len(set(heights)) == len(heights)
-    assert is_minimal(rd, form, chi, u)
-    conj = u * affine_coroot_reflection(rd, r) * u.inverse()
-    assert conj == affine_coroot_reflection(rd, cur)
-    sys_new = integral_simple_system(rd, form, cur_chi)
-    assert cur in set(sys_new.simples), "conjugate is not simple in the new integral system"
+    if not is_minimal(rd, form, chi, u):
+        raise NotInStabilizerOrbit(f"conjugator {u} of {r} is not minimal")
+    if u * affine_coroot_reflection(rd, r) * u.inverse() != affine_coroot_reflection(rd, cur):
+        raise NotInStabilizerOrbit(f"conjugator {u} does not send the reflection of {r} to that of {cur}")
+    if cur not in integral_simple_system(rd, form, cur_chi).simples:
+        raise NotInStabilizerOrbit(f"conjugate {cur} of {r} is not simple in the new integral system")
     return u
-
-
-def _prog_contains(p: Progression, n: int) -> bool:
-    from weylkit.affine import progression_contains
-
-    return progression_contains(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +307,8 @@ def stabilizer_ball(
             continue
         for lam in _coset_points_in_box(sol, n, radius):
             g = ExtendedWeylElement(lam, w)
-            assert extended_act_character(g, form, chi_right) == chi
+            if extended_act_character(g, form, chi_right) != chi:
+                raise CharacterMismatch(f"{g} does not send {chi_right} to {chi}")
             out.append(g)
     return tuple(sorted(out, key=lambda g: (g.trans, g.w)))
 

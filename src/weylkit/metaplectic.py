@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from weylkit.exact import (
-    Mat,
     QmodZ,
     Vec,
     dot,
@@ -29,18 +28,10 @@ from weylkit.exact import (
     transpose,
     vec_scale,
 )
-from weylkit.affine import (
-    AffineCoroot,
-    CharacterPoint,
-    ExtendedWeylElement,
-    GramForm,
-    affine_coroot_reflection,
-    progression_min_at_least,
-)
+from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progression_min_at_least
 from weylkit.integral import integral_progression, integral_progressions, weyl_stabilizer
 from weylkit.rootdata import (
     RootDatum,
-    is_isomorphic,
     langlands_dual,
     mat_inv_int,
     validate_root_datum,
@@ -76,7 +67,8 @@ def endoscopic_lattice(rd: RootDatum, form: GramForm, c: QmodZ) -> Tuple[Vec, ..
     cf = c.as_fraction()
     rows = [[cf * form.matrix[i][j] for j in range(n)] for i in range(n)]
     sol = solve_integer_affine(rows, [Fraction(0)] * n, [Fraction(1)] * n)
-    assert sol is not None and not any(sol.particular)
+    if sol is None or any(sol.particular):
+        raise ValidationFailed(f"c S(lam, -) integral at c = {c} has no lattice through 0: {sol}")
     basis = sol.basis
     if len(basis) != n:
         raise ValidationFailed("endoscopic lattice is not of finite index")
@@ -87,7 +79,8 @@ def rescale_factor(rd: RootDatum, form: GramForm, c: QmodZ, coroot: Vec) -> int:
     """Minimal positive N with the affine coroot (alpha, N) central-integral."""
     chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
     p = integral_progression(rd, form, chi, coroot)
-    assert p is not None and p[0] == 0
+    if p is None or p[0] != 0:
+        raise ValidationFailed(f"central levels of {coroot} at c = {c} are {p}, not a progression through 0")
     return p[1] if p[1] else 1
 
 
@@ -203,7 +196,8 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
         p = progs[tuple(cv)]
         i_of[cv] = progression_min_at_least(p, 0)
         d_of[cv] = p[1] if p[1] else 0
-        assert d_of[cv] == endo.rescale_of(cv)
+        if d_of[cv] != endo.rescale_of(cv):
+            raise ValidationFailed(f"level step {d_of[cv]} of {cv} differs from its rescale {endo.rescale_of(cv)}")
 
     # mu solved over Q in the span of the simple integral coroots
     if simples:

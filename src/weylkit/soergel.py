@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import Mat, identity, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
@@ -175,7 +174,6 @@ def _divide_by_linear(f: Poly, alpha: Poly) -> Poly:
     n = f.n
     pivot = min(i for e in alpha.coeffs for i, k in enumerate(e) if k)
     c_piv = alpha.coeffs[tuple(int(k == pivot) for k in range(n))]
-    beta = alpha - Poly(n, {tuple(int(k == pivot) for k in range(n)): c_piv})
     quotient = Poly.zero(n)
     rem = f
     guard = 0
@@ -259,15 +257,6 @@ def free_module(n: int) -> Bimodule:
     return Bimodule(n, (0,), tuple(((Poly.variable(n, j),),) for j in range(n)))
 
 
-def twisted_module(n: int, w: Mat) -> Bimodule:
-    """Fun(Gamma^w): rank one with the right action twisted through w."""
-    action = []
-    for j in range(n):
-        lin = Poly.linear([Fraction(w[j][l]) for l in range(n)])
-        action.append((((lin,),)))
-    return Bimodule(n, (0,), tuple(action))
-
-
 def bott_samelson_bimodule(m: Mat) -> Bimodule:
     """B_r with left basis (1(x)1, 1(x)alpha), degrees (0, 1)."""
     alpha = reflection_equation(m)
@@ -301,7 +290,8 @@ def graph_quotients(m: Mat):
 
 def tensor(a: Bimodule, b: Bimodule) -> Bimodule:
     """a (x)_R b with basis pairs (p, q) -> index p * rank(b) + q."""
-    assert a.n == b.n
+    if a.n != b.n:
+        raise ValueError(f"tensor of bimodules over {a.n} and {b.n} variables")
     n = a.n
     ra, rb = a.rank(), b.rank()
     degs = tuple(a.basis_degrees[p] + b.basis_degrees[q] for p in range(ra) for q in range(rb))
@@ -523,13 +513,8 @@ def quotient_module(mod: TruncModule, sub_bases) -> TruncModule:
     for j in range(n):
         for d in range(depth):
             _, _, comp = projections[d]
-            cols_l, cols_r = [], []
-            for c in comp:
-                src = [Fraction(int(k == c)) for k in range(mod.dims[d])]
-                img_l = mat_vec(mod.left[j][d], src)
-                img_r = mat_vec(mod.right[j][d], src)
-                cols_l.append(project(d + 1, img_l))
-                cols_r.append(project(d + 1, img_r))
+            cols_l = [project(d + 1, [row[c] for row in mod.left[j][d]]) for c in comp]
+            cols_r = [project(d + 1, [row[c] for row in mod.right[j][d]]) for c in comp]
             left[j][d] = tuple(tuple(col[i] for col in cols_l) for i in range(newdims[d + 1]))
             right[j][d] = tuple(tuple(col[i] for col in cols_r) for i in range(newdims[d + 1]))
     return TruncModule(n, newdims, left, right)

@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit.affine import ExtendedWeylElement
+from weylkit.affine import ExtendedWeylElement, gram_from_weights
 from weylkit.duality import (
     AlcoveMatch,
     Degenerate,
@@ -20,8 +22,8 @@ from weylkit.duality import (
     level_progression,
     level_progressions,
 )
-from weylkit.exact import identity, mat_vec
-from weylkit.rootdata import preset, weyl_elements
+from weylkit.exact import identity, lattice_contains, mat_inv, mat_vec
+from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
 
 
 def sl2():
@@ -116,7 +118,7 @@ def test_iota_pair_equivalence_random_levels():
         scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         lvl = level_from_config(rd, [[scale, 0], [0, scale]])
         theta = (Fraction(rng.randint(-2, 2), 3), Fraction(rng.randint(-2, 2), 3))
-        report = iota_conjugation(rd, lvl, theta, ball_radius=2)
+        report = iota_conjugation(rd, lvl, theta)
         assert report["verified"]
 
 
@@ -178,3 +180,134 @@ def test_finite_longest_group():
     rd4 = sp4()
     lvl4 = level_from_config(rd4, [[1, 0], [0, 1]])
     assert finite_longest_group(rd4, lvl4, (Fraction(0), Fraction(0))) == ()
+
+
+# ---------------------------------------------------------------------------
+# levels c * (Killing form), and alcoves checked without the package's walls
+
+RANK_TWO = [("SL", 2), ("SL", 3), ("PGL", 3), ("Sp", 4), ("PSp", 4), ("G2", 2), ("SO_odd", 5)]
+
+
+def killing_level(rd, c):
+    killing = gram_from_weights(rd, rd.roots).matrix
+    return level_from_config(rd, [[c * x for x in row] for row in killing])
+
+
+def _pair(x, v):
+    return sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0))
+
+
+def _act(lam, w, gram, x):
+    """t^lam w on the slice: x |-> w^{-T} x - gram lam."""
+    winv = mat_inv_int(w)
+    n = len(x)
+    return tuple(_pair(x, [winv[j][i] for j in range(n)]) - _pair(gram[i], lam) for i in range(n))
+
+
+def _separated(coroots, gram, theta, u, v):
+    """Some integral wall <x, a> = -n q(a), <theta, a> + n q(a) in Z, separates
+    u from v or holds one of them."""
+    for cv in coroots:
+        q = _pair(mat_vec(gram, cv), cv) / 2
+        t = _pair(theta, cv)
+        lo, hi = sorted((-_pair(u, cv) / q, -_pair(v, cv) / q))
+        if any((t + n * q).denominator == 1 for n in range(math.ceil(lo), math.floor(hi) + 1)):
+            return True
+    return False
+
+
+def _sides(rd, lvl, theta, match):
+    """(coroots, gram, theta, base point) of the level and of its dual side."""
+    kinv = mat_inv(lvl.gram)
+    dual_gram = tuple(tuple(-x for x in row) for row in kinv)
+    theta_dual = mat_vec(kinv, theta)
+    return (
+        (rd, rd.coroots, lvl.gram, theta, match.g_system.base_point),
+        (langlands_dual(rd), rd.roots, dual_gram, theta_dual, match.h_system.base_point),
+    )
+
+
+def _check_walk(rd, lvl, theta, match):
+    """y moves iota(base point) into the dual base alcove."""
+    kinv = mat_inv(lvl.gram)
+    _, (_, coroots, dual_gram, theta_dual, h_base) = _sides(rd, lvl, theta, match)
+    iota_base = tuple(-a + b for a, b in zip(mat_vec(kinv, match.g_system.base_point), theta_dual))
+    moved = _act(match.y.trans, match.y.w, dual_gram, iota_base)
+    assert not _separated(coroots, dual_gram, theta_dual, moved, h_base)
+
+
+@pytest.mark.parametrize("name,param", [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5)])
+def test_iota_conjugation_killing_levels(name, param):
+    rd = preset(name, param)
+    for c in (1, -1, Fraction(1, 3)):
+        report = iota_conjugation(rd, killing_level(rd, c), (Fraction(0),) * rd.rank)
+        assert report["verified"] and report["pairs"]
+        assert report["pairs_checked"] > 0
+
+
+def test_alcove_match_random_levels():
+    rng = random.Random(2507)
+    cases = [(name, param, 3) for name, param in RANK_TWO] + [("SL", 4, 1), ("Sp", 6, 1)]
+    for name, param, count in cases:
+        rd = preset(name, param)
+        for _ in range(count):
+            c = rng.choice((1, -1)) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            lvl = killing_level(rd, c)
+            theta = (Fraction(0),) * rd.rank
+            _check_walk(rd, lvl, theta, alcove_match(rd, lvl, theta))
+
+
+@pytest.mark.parametrize(
+    "name,param,c", [("SL", 3, 1), ("PGL", 3, 1), ("PGL", 3, -1), ("SO_odd", 5, 1), ("SO_odd", 5, -1)]
+)
+def test_alcove_match_former_failures(name, param, c):
+    # a straight-line walk met a codimension-2 crossing at SL3 and PGL3 at K,
+    # and a radius-3 box missed dual length-zero elements of PGL3 at -K and SO5
+    rd = preset(name, param)
+    lvl = killing_level(rd, c)
+    theta = (Fraction(0),) * rd.rank
+    match = alcove_match(rd, lvl, theta)
+    _check_walk(rd, lvl, theta, match)
+    assert len(match.omega_pairs) == {"SL3": 1, "PGL3": 3, "SO5": 2}[rd.name]
+
+
+def _in_omega(reps, lattice, lam, w):
+    return any(r.w == w and lattice_contains(lattice, tuple(a - b for a, b in zip(lam, r.trans))) for r in reps)
+
+
+@pytest.mark.parametrize("name,param", RANK_TWO)
+def test_length_zero_group_against_box(name, param):
+    rng = random.Random(f"{name}{param}")
+    rd = preset(name, param)
+    for c in (1, -1, Fraction(1, 2), Fraction(-1, 3)):
+        lvl = killing_level(rd, c)
+        theta = tuple(Fraction(rng.randint(-2, 2), 6) for _ in range(rd.rank))
+        match = alcove_match(rd, lvl, theta)
+        sides = _sides(rd, lvl, theta, match)
+        for (side_rd, coroots, gram, side_theta, base), reps, lattice in zip(
+            sides, zip(*match.omega_pairs), match.omega_lattices
+        ):
+            # the brute-force box: integral elements t^lam w that fix the base alcove
+            for w in weyl_elements(side_rd):
+                winv_t = tuple(zip(*mat_inv_int(w)))
+                shift = [a - b for a, b in zip(mat_vec(winv_t, side_theta), side_theta)]
+                for lam in itertools.product(range(-2, 3), repeat=rd.rank):
+                    integral = all((s - _pair(row, lam)).denominator == 1 for s, row in zip(shift, gram))
+                    if integral and not _separated(coroots, gram, side_theta, base, _act(lam, w, gram, base)):
+                        assert _in_omega(reps, lattice, lam, w), (rd.name, c, lam, w)
+            for r in reps:
+                assert not _separated(coroots, gram, side_theta, base, _act(r.trans, r.w, gram, base))
+            for lam in lattice:
+                assert not _separated(coroots, gram, side_theta, base, _act(lam, identity(rd.rank), gram, base))
+
+
+def test_alcove_match_omega_lattice_without_integral_walls():
+    # kappa = 2, theta = 1/3: no level of the one direction is integral
+    rd = sl2()
+    lvl = level_from_config(rd, [[2]])
+    match = alcove_match(rd, lvl, (Fraction(1, 3),))
+    assert match.simple_bijection == ()
+    assert match.y.is_identity()
+    g_lattice, h_lattice = match.omega_lattices
+    assert g_lattice == ((1,),) and h_lattice == ((2,),)
+    assert finite_longest_group(rd, lvl, (Fraction(1, 3),)) == ()
