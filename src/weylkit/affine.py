@@ -1,4 +1,5 @@
-"""Central-extension data and the extended affine Weyl group with exact actions.
+"""Central-extension data, the extended affine Weyl group with exact actions,
+and the one core that computes integral Weyl groups.
 
 The split case only: the extended cocharacter lattice is Z K_c + X_* with a
 fixed splitting, an element t^lam.w acts by
@@ -14,6 +15,19 @@ element t^{n alpha} s_alpha; it fixes the slice wall {x(alpha) = -n Q(alpha)}
 and negates the coroot.  Display labels use the opposite, positive-direction
 parametrization s[alpha, m] = t^{-m alpha} s_alpha (alpha positive) so that
 simple systems read off the walls of the dominant alcove.
+
+The core.  An integral Weyl group is given by a geometry form (a GramForm S,
+or a level kappa of any signature: anything with q and covector) and by its
+progressions, the integral levels n of each coroot direction.  Its walls are
+the slice hyperplanes {<x, alpha> = -n q(alpha)} with n integral, and
+everything is read off one count: separating_walls, the number of integral
+walls strictly between two slice points.  The length of g is the count
+between the base point x0 and g^{-1} x0, and a reflection is simple iff its
+length is 1 (Dyer, "Reflection subgroups of Coxeter systems", J. Algebra
+1990), so the simple system is the set of walls of the alcove of x0.
+integral_system assembles the simple system, its Coxeter data and the
+stabilizer cosets; the character and level front-ends only supply the form,
+the progressions and the stabilizer congruences.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import (
@@ -34,11 +49,12 @@ from weylkit.exact import (
     lattice_basis_from_generators,
     mat_mul,
     mat_vec,
+    rank as mat_rank,
     solve_integer_affine,
+    solve_linear,
     transpose,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from weylkit.rootdata import RootDatum, mat_inv_int, weyl_elements
 
@@ -311,6 +327,20 @@ def act_affine_coroot(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, ac:
 Progression = Optional[Tuple[int, int]]
 
 
+def progression(step, value) -> Progression:
+    """{n : value + n step in Z} for rationals step and value."""
+    step, value = Fraction(step), Fraction(value)
+    den = math.lcm(step.denominator, value.denominator)
+    a = step.numerator * (den // step.denominator)
+    b = -value.numerator * (den // value.denominator)
+    # a n = b (mod den)
+    g = math.gcd(a, den)
+    if b % g:
+        return None
+    d = den // g
+    return (b // g * pow(a // g, -1, d) % d, d)
+
+
 def progression_min_at_least(p: Progression, lo: int) -> Optional[int]:
     if p is None:
         return None
@@ -347,42 +377,65 @@ def trivial_progressions(rd: RootDatum) -> Dict[Vec, Progression]:
 
 
 # ---------------------------------------------------------------------------
-# lengths
+# walls: lengths and simple systems
 
 
-def _direction_shift(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, coroot: Vec) -> Tuple[Vec, int]:
-    """Image direction w(alpha) and the level shift of t^lam w on direction alpha."""
-    img = tuple(mat_vec(g.w, coroot))
-    q = form.q(img)
-    s = form.pair(g.trans, img)
-    if s % q:
-        raise ArithmeticError("level shift is not integral")
-    return img, s // q
+@lru_cache(maxsize=None)
+def dominant_base_point(rd: RootDatum, form) -> Tuple[Fraction, ...]:
+    """eps u with <u, a> = 1 on the simple coroots and eps = min |q(a)| / 2<u, a>
+    over the positive coroots: a point of {0 < <x, a> < |q(a)|, a positive},
+    which no wall of any integral level meets."""
+    n = rd.rank
+    if not rd.roots:
+        return tuple(Fraction(0) for _ in range(n))
+    u = solve_linear([rd.coroots[i] for i in rd.simple_indices], [Fraction(1)] * len(rd.simple_indices))
+    if u is None:
+        raise RuntimeError("could not solve for a dominant covector")
+    eps = min(abs(Fraction(form.q(cv))) / dot(u, cv) for cv in rd.coroots if dot(u, cv) > 0) / 2
+    return tuple(x * eps for x in u)
+
+
+def _walls_between(rd: RootDatum, form, progressions, x, y):
+    """Per coroot pair, (alpha, lowest level, count) of the integral walls
+    strictly between the slice points x and y, where there are any."""
+    for cv in rd.coroots:
+        if cv < tuple(-v for v in cv):  # one coroot of each pair
+            continue
+        p = progressions.get(cv)
+        if p is None:
+            continue
+        q = form.q(cv)
+        a, b = sorted((-Fraction(dot(x, cv)) / q, -Fraction(dot(y, cv)) / q))
+        lo, hi = math.floor(a) + 1, math.ceil(b) - 1
+        count = progression_count_in(p, lo, hi)
+        if count:
+            yield cv, progression_min_at_least(p, lo), count
+
+
+def separating_walls(rd: RootDatum, form, progressions, x, y) -> int:
+    """Number of integral walls strictly between the slice points x and y."""
+    return sum(count for _, _, count in _walls_between(rd, form, progressions, x, y))
+
+
+def separating_wall(rd: RootDatum, form, progressions, x, y) -> Optional[AffineCoroot]:
+    """One integral wall strictly between x and y, or None."""
+    for cv, n, _ in _walls_between(rd, form, progressions, x, y):
+        return AffineCoroot(cv, n)
+    return None
 
 
 def element_length(
     g: ExtendedWeylElement,
     rd: RootDatum,
-    form: GramForm,
+    form,
     progressions: Optional[Dict[Vec, Progression]] = None,
 ) -> int:
-    """Number of positive (integral) affine coroots sent to negative ones."""
+    """Number of positive (integral) affine coroots sent to negative ones: the
+    integral walls between the base point and its image under g^{-1}."""
     if progressions is None:
         progressions = trivial_progressions(rd)
-    total = 0
-    for cv in rd.coroots:
-        p = progressions.get(tuple(cv))
-        if p is None:
-            continue
-        lo = 0 if rd.is_positive_coroot(cv) else 1
-        img, shift = _direction_shift(g, rd, form, cv)
-        lo_img = 0 if rd.is_positive_coroot(img) else 1
-        # count n in progression with n >= lo and n + shift <= lo_img - 1
-        lo_n = progression_min_at_least(p, lo)
-        if lo_n is None:
-            continue
-        total += progression_count_in(p, lo_n, lo_img - shift - 1)
-    return total
+    x0 = dominant_base_point(rd, form)
+    return separating_walls(rd, form, progressions, x0, slice_act(g.inverse(), form, x0))
 
 
 def element_order(g: ExtendedWeylElement):
@@ -404,66 +457,33 @@ def element_order(g: ExtendedWeylElement):
     return k if not any(acc) else "infinite"
 
 
-# ---------------------------------------------------------------------------
-# simple systems by bounded indecomposability
+def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec, Progression]) -> Tuple[AffineCoroot, ...]:
+    """The walls of the alcove of the base point, as affine coroots positive
+    there, sorted by (n, coroot).
 
-
-def simple_system_from_progressions(
-    rd: RootDatum, form: GramForm, progressions: Dict[Vec, Progression]
-) -> Tuple[AffineCoroot, ...]:
-    """Indecomposable positive integral affine coroots.
-
-    Decomposability is tested against sums of two positive integral affine
-    coroots plus positive integral imaginary classes; subtracting an imaginary
-    class lowers the level, so only the minimal admissible level per direction
-    can be indecomposable, and the remaining search over real pairs
-    (beta_m, gamma_l) with beta + gamma = alpha is bounded by positivity of
-    the levels through m Q(beta) + l Q(gamma) = n Q(alpha).
+    Only the two integral levels of a direction that bracket the base point
+    can bound its alcove; such a wall is a facet iff its reflection r has
+    length 1, i.e. it is the only wall between x0 and r x0.
     """
-    coroot_set = set(map(tuple, rd.coroots))
-    candidates = []
+    x0 = dominant_base_point(rd, form)
+    simples = []
     for cv in rd.coroots:
-        p = progressions.get(tuple(cv))
+        if cv < tuple(-v for v in cv):
+            continue
+        p = progressions.get(cv)
         if p is None:
             continue
-        lo = 0 if rd.is_positive_coroot(cv) else 1
-        n0 = progression_min_at_least(p, lo)
-        if n0 is not None:
-            candidates.append(AffineCoroot(tuple(cv), n0))
-    simples = []
-    for ac in candidates:
-        if not _decomposable(rd, form, progressions, coroot_set, ac):
-            simples.append(ac)
+        q = form.q(cv)
+        v = math.floor(-Fraction(dot(x0, cv)) / q)
+        below = progression_min_at_least((-p[0], p[1]), -v)  # -(largest level <= v)
+        for n in (progression_min_at_least(p, v + 1), None if below is None else -below):
+            if n is None:
+                continue
+            r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
+            if separating_walls(rd, form, progressions, x0, slice_act(r, form, x0)) == 1:
+                sign = 1 if dot(x0, cv) + n * q > 0 else -1
+                simples.append(AffineCoroot(tuple(sign * c for c in cv), sign * n))
     return tuple(sorted(simples, key=lambda a: (a.n, a.coroot)))
-
-
-def _decomposable(rd, form, progressions, coroot_set, ac: AffineCoroot) -> bool:
-    qa = form.q(ac.coroot)
-    target = ac.n * qa
-    for beta in coroot_set:
-        gamma = vec_sub(ac.coroot, beta)
-        if tuple(gamma) not in coroot_set:
-            continue
-        pb = progressions.get(tuple(beta))
-        pg = progressions.get(tuple(gamma))
-        if pb is None or pg is None:
-            continue
-        qb, qg = form.q(beta), form.q(gamma)
-        lo_b = 0 if rd.is_positive_coroot(beta) else 1
-        lo_g = 0 if rd.is_positive_coroot(gamma) else 1
-        m = progression_min_at_least(pb, lo_b)
-        if m is None:
-            continue
-        while m * qb <= target - lo_g * qg:
-            rem = target - m * qb
-            if rem % qg == 0:
-                l = rem // qg
-                if l >= lo_g and progression_contains(pg, l):
-                    return True
-            if pb[1] == 0:
-                break
-            m += pb[1]
-    return False
 
 
 def coxeter_order(
@@ -477,15 +497,6 @@ def coxeter_order(
     if order > cap:
         raise RuntimeError("unexpectedly large Coxeter order")
     return order
-
-
-_MAX_FINITE_ORDER = {1: 2, 2: 12, 3: 48, 4: 1152, 5: 3840, 6: 51840, 7: 2903040, 8: 696729600}
-
-
-def _finite_bound(nodes: int) -> int:
-    if nodes in _MAX_FINITE_ORDER:
-        return _MAX_FINITE_ORDER[nodes]
-    return (2**nodes) * math.factorial(nodes)
 
 
 def connected_components(k: int, linked) -> Tuple[Tuple[int, ...], ...]:
@@ -506,42 +517,83 @@ def connected_components(k: int, linked) -> Tuple[Tuple[int, ...], ...]:
     return tuple(comps)
 
 
-def coxeter_system(reflections: Sequence[ExtendedWeylElement]):
-    """Coxeter matrix of the reflections, and the components of its diagram
-    as (indices, "finite" or "affine")."""
+def coxeter_system(rd: RootDatum, simples: Sequence[AffineCoroot]):
+    """Coxeter matrix of the simple reflections, and the components of its
+    diagram as (indices, "finite" or "affine").  A component is finite iff
+    its coroots are linearly independent; an affine one has one relation."""
+    reflections = [affine_coroot_reflection(rd, ac) for ac in simples]
     k = len(reflections)
     cox = {(i, j): coxeter_order(reflections[i], reflections[j]) for i in range(k) for j in range(i + 1, k)}
     matrix = tuple(tuple(1 if i == j else cox[min(i, j), max(i, j)] for j in range(k)) for i in range(k))
     components = []
     for idx in connected_components(k, lambda i, j: matrix[i][j] not in (1, 2)):
-        sub = {(a, b): matrix[idx[a]][idx[b]] for a in range(len(idx)) for b in range(a + 1, len(idx))}
-        finite = component_is_finite([reflections[i] for i in idx], sub)
+        finite = mat_rank([simples[i].coroot for i in idx]) == len(idx)
         components.append((idx, "finite" if finite else "affine"))
     return matrix, tuple(components)
 
 
-def component_is_finite(reflections: Sequence[ExtendedWeylElement], coxeter) -> bool:
-    """Finite iff the generated reflection group closes under the type bound."""
-    k = len(reflections)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if coxeter[(i, j)] == "infinite":
-                return False
-    bound = _finite_bound(k)
-    seen = {ExtendedWeylElement.unit(len(reflections[0].trans))}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for g in frontier:
-            for r in reflections:
-                x = g * r
-                if x not in seen:
-                    if len(seen) >= bound:
-                        return False
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return True
+# ---------------------------------------------------------------------------
+# the integral system: simple system, Coxeter data and stabilizer
+
+
+def weyl_shift(w: Mat, right, left) -> Tuple[Fraction, ...]:
+    """right o w^{-1} - left, for rational covectors right and left."""
+    winv = mat_inv_int(w)
+    n = len(w)
+    return tuple(sum((Fraction(right[j]) * winv[j][i] for j in range(n)), Fraction(0)) - Fraction(left[i]) for i in range(n))
+
+
+def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
+    """Per finite Weyl element w, the coset of lam with
+    rows lam = weyl_shift(w, right, left) (mod 1) and exact_rows lam = 0, or
+    None; plus the translation lattice of the last coset found."""
+    cosets: Dict[Mat, Optional[CosetZn]] = {}
+    lattice: Tuple[Vec, ...] = ()
+    for w in weyl_elements(rd):
+        rhs = list(weyl_shift(w, right, left)) + [Fraction(0)] * len(exact_rows)
+        moduli = [Fraction(1)] * len(rows) + [Fraction(0)] * len(exact_rows)
+        sol = solve_integer_affine(list(rows) + list(exact_rows), rhs, moduli)
+        cosets[w] = sol
+        if sol is not None:
+            lattice = sol.basis
+    return cosets, lattice
+
+
+@dataclass(frozen=True)
+class IntegralSystem:
+    progressions: Tuple[Tuple[Vec, Progression], ...]
+    simples: Tuple[AffineCoroot, ...]
+    coxeter: Tuple[Tuple[object, ...], ...]
+    components: Tuple[Tuple[Tuple[int, ...], str], ...]
+    stabilizer: Tuple[Tuple[Mat, Optional[CosetZn]], ...]
+    translation_lattice: Tuple[Vec, ...]
+    base_point: Tuple[Fraction, ...]
+
+    def progression_of(self, coroot: Vec) -> Progression:
+        for cv, p in self.progressions:
+            if cv == tuple(coroot):
+                return p
+        raise KeyError(coroot)
+
+    def simple_reflections(self, rd: RootDatum) -> Tuple[ExtendedWeylElement, ...]:
+        return tuple(affine_coroot_reflection(rd, ac) for ac in self.simples)
+
+
+def integral_system(rd: RootDatum, form, progressions, rows, theta, exact_rows=()) -> IntegralSystem:
+    """The integral Weyl group of the geometry form and the progressions; its
+    stabilizer solves rows lam = w(theta) - theta (mod 1), exact_rows lam = 0."""
+    simples = simple_system_from_progressions(rd, form, progressions)
+    matrix, components = coxeter_system(rd, simples)
+    stab, lattice = stabilizer_cosets(rd, rows, theta, theta, exact_rows)
+    return IntegralSystem(
+        tuple(sorted(progressions.items())),
+        simples,
+        matrix,
+        components,
+        tuple(sorted(stab.items())),
+        lattice,
+        dominant_base_point(rd, form),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -557,53 +609,33 @@ class AffineData:
     omega_lattice: Tuple[Vec, ...]
 
 
-def dominant_base_point(rd: RootDatum, form: GramForm) -> Tuple[Fraction, ...]:
-    """Rational interior point of {0 < x(a) < Q(a), a positive}, deterministic."""
-    n = rd.rank
-    pos = [rd.coroots[i] for i in rd.positive_root_indices()]
-    if not pos:
-        return tuple(Fraction(0) for _ in range(n))
-    from weylkit.exact import solve_linear
-
-    rows = [rd.coroots[i] for i in rd.simple_indices]
-    target = [Fraction(1)] * len(rows)
-    u = solve_linear(rows, target)
-    if u is None:
-        raise RuntimeError("could not solve for a dominant covector")
-    heights = []
-    for cv in pos:
-        h = sum(Fraction(u[i]) * cv[i] for i in range(n))
-        heights.append(Fraction(form.q(cv)) / h)
-    eps = min(heights) / 2
-    return tuple(x * eps for x in u)
-
-
 def affine_simple_data(rd: RootDatum, form: GramForm) -> AffineData:
     simples = simple_system_from_progressions(rd, form, trivial_progressions(rd))
-    matrix, _ = coxeter_system([affine_coroot_reflection(rd, ac) for ac in simples])
+    matrix, _ = coxeter_system(rd, simples)
     base = dominant_base_point(rd, form)
-    walls = [(ac.coroot, -ac.n * form.q(ac.coroot)) for ac in simples]
     every_lam = CosetZn((0,) * rd.rank, identity(rd.rank))
-    omega, lattice = length_zero_group(rd, form.matrix, base, walls, {w: every_lam for w in weyl_elements(rd)})
+    omega, lattice = length_zero_group(rd, form, base, simples, {w: every_lam for w in weyl_elements(rd)})
     return AffineData(simples, matrix, base, omega, lattice)
 
 
-def length_zero_group(rd: RootDatum, gram, base_point, walls, cosets):
+def length_zero_group(rd: RootDatum, form, base_point, simples, cosets):
     """Omega: the elements t^lam w with lam in cosets[w] that fix the alcove of
     base_point, as representatives (one per admissible w) and their common
     translation lattice.
 
-    walls lists the facets of that alcove as (coroot, offset), the wall being
-    {x : <x, coroot> = offset}; the slice action is x |-> x o w^{-1} - gram(lam, -).
-    An element fixes the alcove iff it sends every oriented facet to an
-    oriented facet.  It sends f(x) = <x, c> + b to <x, w c> + b + gram(lam, w c),
-    so w alone decides the target facet of each facet, and lam solves one exact
-    linear system on the coset.
+    simples are the walls of that alcove as affine coroots, the wall of
+    (alpha, n) being {x : <x, alpha> = -n q(alpha)}; the slice action is
+    x |-> x o w^{-1} - form.covector(lam).  An element fixes the alcove iff it
+    sends every oriented facet to an oriented facet.  It sends
+    f(x) = <x, c> + b to <x, w c> + b + <form.covector(lam), w c>, so w alone
+    decides the target facet of each facet, and lam solves one exact linear
+    system on the coset.
     """
     facets = {}
-    for coroot, offset in walls:
-        sign = 1 if dot(base_point, coroot) > offset else -1
-        facets[tuple(sign * x for x in coroot)] = -sign * offset
+    for ac in simples:
+        offset = -ac.n * form.q(ac.coroot)
+        sign = 1 if dot(base_point, ac.coroot) > offset else -1
+        facets[tuple(sign * x for x in ac.coroot)] = -sign * offset
     elements, lattice = [], ()
     for w, coset in cosets.items():
         if coset is None:
@@ -613,7 +645,7 @@ def length_zero_group(rd: RootDatum, gram, base_point, walls, cosets):
             wc = tuple(mat_vec(w, c))
             if wc not in facets:
                 break
-            row = mat_vec(gram, wc)
+            row = form.covector(wc)
             rows.append([dot(row, e) for e in coset.basis])
             rhs.append(facets[wc] - b - dot(row, coset.particular))
         else:

@@ -1,44 +1,53 @@
-"""Quantum-Langlands level duality: integral Weyl groups at a level, the
-iota conjugation, alcove matching, the finite-longest group, and the
-parahoric bijection.
+"""The level front-end of the integral-Weyl-group core, and quantum-Langlands
+level duality: the iota conjugation, alcove matching, the finite-longest
+group, and the parahoric bijection.
 
 Slice picture: a point of the level-one slice is a rational covector x on the
 cocharacter lattice; t^lam w sends x to x o w^{-1} - kappa(lam, -).  The wall
 of the integral reflection t^{n a} s_a is {x : <x, a> = -n kappa(a,a)/2}, and
 the admissible n per direction form an arithmetic progression determined by
-theta.  Everything is computed with exact rationals; an "irrational" flag on
-a component forces the level-zero-only progression there.
+theta.  A level is a geometry form for affine.integral_system like a weight
+form, of any signature; it supplies these progressions and the stabilizer
+congruences kappa(lam, -) = w(theta) - theta (mod 1).  Everything is computed
+with exact rationals; an "irrational" flag on a component forces the
+level-zero-only progression there, and adds exact rows that pin lam's
+projection onto that component to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from weylkit.exact import (
     Vec,
     det,
     dot,
-    identity,
     lattice_basis_from_generators,
     lattice_contains,
     mat_inv,
     mat_mul,
     mat_vec,
-    solve_integer_affine,
-    solve_linear,
+    rank as mat_rank,
     transpose,
-    vec_scale,
     vec_sub,
 )
 from weylkit.affine import (
+    AffineCoroot,
     ExtendedWeylElement,
+    IntegralSystem,
     Progression,
+    affine_coroot_reflection,
     connected_components,
-    coxeter_system,
+    integral_system,
     length_zero_group,
+    progression,
     progression_min_at_least,
+    separating_wall,
+    slice_act,
+    weyl_shift,
 )
 from weylkit.rootdata import (
     RootDatum,
@@ -61,10 +70,6 @@ class VerificationFailed(RuntimeError):
     pass
 
 
-class NoAlcove(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # levels
 
@@ -81,7 +86,8 @@ class Level:
     def q(self, coroot: Vec) -> Fraction:
         return Fraction(dot(mat_vec(self.gram, coroot), coroot), 2)
 
-    def apply(self, v) -> Tuple[Fraction, ...]:
+    def covector(self, v) -> Tuple[Fraction, ...]:
+        """kappa(v, -) as a value tuple on the cocharacter basis."""
         return mat_vec(self.gram, v)
 
 
@@ -102,9 +108,10 @@ def validate_level(rd: RootDatum, lvl: Level):
     for w in rd.simple_reflections():
         if mat_mul(mat_mul(transpose(w), g), w) != tuple(tuple(Fraction(x) for x in r) for r in g):
             raise Degenerate("level must be Weyl invariant")
+    count = len(finite_components(rd))
     for i in lvl.irrational:
-        if i >= len(finite_components(rd)):
-            raise ValueError("irrational component index out of range")
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < count:
+            raise ValueError(f"irrational component index {i!r} is not in range({count})")
 
 
 def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
@@ -137,281 +144,54 @@ def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
 
 
 # ---------------------------------------------------------------------------
-# integral structure at a level
+# the integral Weyl group at a level
 
 
 def level_progression(rd: RootDatum, lvl: Level, theta, coroot: Vec) -> Progression:
     """{n : <theta, alpha> + n kappa(alpha,alpha)/2 in Z} as a progression."""
-    tval = sum((Fraction(t) * c for t, c in zip(theta, coroot)), Fraction(0))
+    tval = dot(tuple(Fraction(t) for t in theta), coroot)
     if component_of_coroot(rd, coroot) in lvl.irrational:
         return (0, 0) if tval.denominator == 1 else None
-    q = lvl.q(coroot)
-    sol = solve_integer_affine([[q]], [-tval], [Fraction(1)])
-    if sol is None:
-        return None
-    d = sol.basis[0][0] if sol.basis else 0
-    i = sol.particular[0]
-    return (i % d if d else i, d)
+    return progression(lvl.q(coroot), tval)
 
 
 def level_progressions(rd: RootDatum, lvl: Level, theta) -> Dict[Vec, Progression]:
     return {tuple(cv): level_progression(rd, lvl, theta, cv) for cv in rd.coroots}
 
 
-def level_stabilizer(rd: RootDatum, lvl: Level, theta):
-    """Per finite Weyl part, the coset {lam : w(theta) - theta - kappa(lam)
-    is a character}; irrational components force their lam-projection to 0."""
-    n = rd.rank
-    rows: List[List[Fraction]] = []
-    moduli: List[Fraction] = []
-    rhs_templates: List[int] = []  # indices into the w-dependent rhs
-    # rational congruence rows: kappa_eff lam = w theta - theta (mod 1)
-    irr_coroots = [
-        cv for cv in rd.coroots if component_of_coroot(rd, cv) in lvl.irrational
-    ]
-    proj = _kappa_projector(rd, lvl, irr_coroots)
-    kappa_eff = _zero_block(lvl.gram, proj)
-    out = {}
-    for w in weyl_elements(rd):
-        winv_t = transpose(mat_inv_int(w))
-        wtheta = mat_vec(winv_t, tuple(Fraction(x) for x in theta))
-        diff = vec_sub(wtheta, tuple(Fraction(x) for x in theta))
-        rws, rh, md = [], [], []
-        for i in range(n):
-            rws.append([kappa_eff[i][j] for j in range(n)])
-            rh.append(diff[i])
-            md.append(Fraction(1))
-        if irr_coroots and proj is not None:
-            for row in proj:
-                rws.append(list(row))
-                rh.append(Fraction(0))
-                md.append(Fraction(0))
-            # the irrational part of w(theta) - theta must itself be integral:
-            # it is zero exactly when theta's irrational part is W-compatible;
-            # the rational rows above already encode the rest
-        sol = solve_integer_affine(rws, rh, md)
-        out[w] = sol
-    return out
-
-
-def _kappa_projector(rd, lvl, irr_coroots):
-    """Rows spanning the kappa-orthogonal projection onto the flagged span."""
-    if not irr_coroots:
-        return None
+@lru_cache(maxsize=None)
+def _stabilizer_rows(rd: RootDatum, lvl: Level):
+    """Rows of the congruences kappa_eff lam = w(theta) - theta (mod 1), and
+    the exact rows P lam = 0.  P = B (B^T K B)^{-1} B^T K is the
+    kappa-orthogonal projector onto the span B of the flagged coroots, and
+    kappa_eff = K (1 - P) drops that span."""
     basis = []
-    for cv in irr_coroots:
-        cand = tuple(Fraction(x) for x in cv)
-        trial = basis + [cand]
-        from weylkit.exact import rank as mat_rank
-
-        if mat_rank(trial) == len(trial):
-            basis.append(cand)
-    b = tuple(zip(*basis))  # columns
-    bt_k = mat_mul(tuple(map(tuple, basis)), lvl.gram)  # rows b_i^T kappa
-    gram_small = mat_mul(tuple(map(tuple, basis)), transpose(bt_k))
-    inv_small = mat_inv(gram_small)
-    # P = B (B^T K B)^{-1} B^T K ; rows of (B^T K) give the constraints
-    p = mat_mul(mat_mul(b, inv_small), bt_k)
-    return p
-
-
-def _zero_block(gram, proj):
-    if proj is None:
-        return gram
-    n = len(gram)
-    ident = identity(n)
-    comp = tuple(
-        tuple(Fraction(ident[i][j]) - proj[i][j] for j in range(n)) for i in range(n)
-    )
-    return mat_mul(gram, comp)
-
-
-def level_slice_act(g: ExtendedWeylElement, lvl: Level, x):
-    """x |-> x o w^{-1} - kappa(trans, -) on the slice."""
-    winv = mat_inv_int(g.w)
-    n = len(x)
-    kcov = lvl.apply(g.trans)
-    out = []
-    for i in range(n):
-        col = tuple(winv[j][i] for j in range(n))
-        out.append(sum((Fraction(xx) * cc for xx, cc in zip(x, col)), Fraction(0)) - kcov[i])
-    return tuple(out)
-
-
-def level_reflection(rd: RootDatum, coroot: Vec, n_level: int) -> ExtendedWeylElement:
-    i = rd.coroots.index(tuple(coroot))
-    return ExtendedWeylElement(vec_scale(coroot, n_level), rd.reflection(i))
-
-
-# ---------------------------------------------------------------------------
-# walls, alcoves, and the simple system at a level
-
-
-@dataclass(frozen=True)
-class Wall:
-    coroot: Vec
-    n: int  # reflection t^{n a} s_a; the wall is <x, a> = -n q(a)
-
-    def offset(self, lvl: Level) -> Fraction:
-        return -self.n * lvl.q(self.coroot)
-
-
-def _pair(x, coroot) -> Fraction:
-    return sum((Fraction(xx) * c for xx, c in zip(x, coroot)), Fraction(0))
-
-
-def wall_interval(lvl: Level, prog: Progression, coroot: Vec, value: Fraction):
-    """The consecutive wall offsets bracketing value in this direction,
-    as (lower, upper) with None for an absent side; value must avoid walls."""
-    if prog is None:
-        return (None, None)
-    q = lvl.q(coroot)
-    i, d = prog
-    if d == 0:
-        o = -i * q
-        if value == o:
-            raise NoAlcove("point lies on a wall")
-        return (o, None) if value > o else (None, o)
-    # offsets are an arithmetic progression with step |d q|
-    step = abs(d * q)
-    base = -i * q
-    # find k with base + k*step <= value < base + (k+1)*step
-    k = (value - base) / step
-    import math
-
-    kf = math.floor(k)
-    lo = base + kf * step
-    hi = lo + step
-    if value == lo:
-        raise NoAlcove("point lies on a wall")
-    return (lo, hi)
-
-
-def same_alcove(rd, lvl, progs, p, q_point) -> bool:
     for cv in rd.coroots:
-        if not rd.is_positive_coroot(cv):
-            continue
-        prog = progs[tuple(cv)]
-        if prog is None:
-            continue
-        if wall_interval(lvl, prog, cv, _pair(p, cv)) != wall_interval(
-            lvl, prog, cv, _pair(q_point, cv)
-        ):
-            return False
-    return True
-
-
-def generic_base_point(rd: RootDatum, lvl: Level, progs, denom: int = 0):
-    """Deterministic rational interior point of the dominant-side alcove at 0.
-
-    The point eps * u with <u, a_i> = 1 on the simple coroots; eps is shrunk
-    by successive powers of a prime so the point clears every wall.
-    """
+        if component_of_coroot(rd, cv) in lvl.irrational and mat_rank(basis + [cv]) == len(basis) + 1:
+            basis.append(cv)
+    if not basis:
+        return lvl.gram, ()
+    bt_k = mat_mul(basis, lvl.gram)  # rows b_i^T kappa
+    proj = mat_mul(mat_mul(transpose(basis), mat_inv(mat_mul(basis, transpose(bt_k)))), bt_k)
     n = rd.rank
-    if not rd.roots:
-        return tuple(Fraction(0) for _ in range(n))
-    rows = [rd.coroots[i] for i in rd.simple_indices]
-    u = solve_linear(rows, [Fraction(1)] * len(rows))
-    if u is None:
-        raise NoAlcove("no dominant covector")
-    eps = Fraction(1, 97 * (97**denom))
-    for _ in range(64):
-        x = tuple(eps * Fraction(v) for v in u)
-        ok = True
-        for cv in rd.coroots:
-            prog = progs[tuple(cv)]
-            if prog is None:
-                continue
-            try:
-                wall_interval(lvl, prog, cv, _pair(x, cv))
-            except NoAlcove:
-                ok = False
-                break
-        if ok:
-            return x
-        eps /= 97
-    raise NoAlcove("could not find a clear base point")
+    return mat_mul(lvl.gram, tuple(tuple(int(i == j) - proj[i][j] for j in range(n)) for i in range(n))), proj
 
 
-def alcove_walls(rd: RootDatum, lvl: Level, progs, x) -> Tuple[Wall, ...]:
-    """Facet walls of the alcove containing x: per direction the bracketing
-    walls, kept when the mirror midpoint is clear of every other wall."""
-    candidates = []
-    for cv in rd.coroots:
-        if not rd.is_positive_coroot(cv):
-            continue
-        prog = progs[tuple(cv)]
-        if prog is None:
-            continue
-        val = _pair(x, cv)
-        q = lvl.q(cv)
-        lo, hi = wall_interval(lvl, prog, cv, val)
-        for o in (lo, hi):
-            if o is None:
-                continue
-            n_level = -o / q
-            if n_level.denominator != 1:
-                raise VerificationFailed(f"wall {o} in direction {cv} is not at an integral level")
-            candidates.append(Wall(tuple(cv), int(n_level)))
-    facets = []
-    for wall in candidates:
-        r = level_reflection(rd, wall.coroot, wall.n)
-        rx = level_slice_act(r, lvl, x)
-        mid = tuple((a + b) / 2 for a, b in zip(x, rx))
-        ok = True
-        for other in candidates:
-            if other == wall:
-                continue
-            off = other.offset(lvl)
-            v_mid = _pair(mid, other.coroot)
-            if v_mid == off:
-                ok = False  # degenerate midpoint; conservatively not a facet
-                break
-            va, vb = _pair(x, other.coroot), _pair(rx, other.coroot)
-            if (va - off) * (vb - off) < 0:
-                ok = False
-                break
-        if ok:
-            facets.append(wall)
-    return tuple(sorted(facets, key=lambda w: (w.coroot, w.n)))
-
-
-@dataclass(frozen=True)
-class LevelSystem:
-    progressions: Tuple[Tuple[Vec, Progression], ...]
-    base_point: Tuple[Fraction, ...]
-    simples: Tuple[Wall, ...]
-    coxeter: Tuple[Tuple[object, ...], ...]
-    components: Tuple[Tuple[Tuple[int, ...], str], ...]
-    stabilizer: Tuple
-
-    def reflections(self, rd: RootDatum) -> Tuple[ExtendedWeylElement, ...]:
-        return tuple(level_reflection(rd, w.coroot, w.n) for w in self.simples)
-
-
-def level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> LevelSystem:
-    progs = level_progressions(rd, lvl, theta)
-    base = generic_base_point(rd, lvl, progs)
-    simples = alcove_walls(rd, lvl, progs, base)
-    matrix, comps = coxeter_system([level_reflection(rd, w.coroot, w.n) for w in simples])
-    stab = level_stabilizer(rd, lvl, theta)
-    return LevelSystem(tuple(sorted(progs.items())), base, simples, matrix, comps, tuple(sorted(stab.items())))
+def level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> IntegralSystem:
+    """The integral Weyl group at the level and theta."""
+    theta = tuple(Fraction(x) for x in theta)
+    rows, exact_rows = _stabilizer_rows(rd, lvl)
+    return integral_system(rd, lvl, level_progressions(rd, lvl, theta), rows, theta, exact_rows)
 
 
 def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -> bool:
-    """t^lam w integral iff w(theta) - theta - kappa(lam) is a character."""
-    winv_t = transpose(mat_inv_int(g.w))
-    wtheta = mat_vec(winv_t, tuple(Fraction(x) for x in theta))
-    diff = vec_sub(wtheta, tuple(Fraction(x) for x in theta))
-    kl = lvl.apply(g.trans)
-    irr_coroots = [cv for cv in rd.coroots if component_of_coroot(rd, cv) in lvl.irrational]
-    if irr_coroots:
-        proj = _kappa_projector(rd, lvl, irr_coroots)
-        pl = mat_vec(proj, tuple(Fraction(x) for x in g.trans))
-        if any(pl):
-            return False
-        kl = mat_vec(_zero_block(lvl.gram, proj), tuple(Fraction(x) for x in g.trans))
-    return all((a - b).denominator == 1 for a, b in zip(diff, kl))
+    """t^lam w integral iff lam satisfies the stabilizer rows of w."""
+    theta = tuple(Fraction(x) for x in theta)
+    rows, exact_rows = _stabilizer_rows(rd, lvl)
+    shift = weyl_shift(g.w, theta, theta)
+    return not any(dot(row, g.trans) for row in exact_rows) and all(
+        (s - dot(row, g.trans)).denominator == 1 for s, row in zip(shift, rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +219,7 @@ class AffineMap:
 
 def element_slice_map(rd: RootDatum, lvl: Level, g: ExtendedWeylElement) -> AffineMap:
     winv_t = transpose(tuple(tuple(Fraction(x) for x in row) for row in mat_inv_int(g.w)))
-    return AffineMap(winv_t, tuple(-x for x in lvl.apply(g.trans)))
+    return AffineMap(winv_t, tuple(-x for x in lvl.covector(g.trans)))
 
 
 def iota_map(rd: RootDatum, lvl: Level, theta) -> AffineMap:
@@ -469,7 +249,7 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     ok_trans = True
     for lam in _lattice_box(rd.rank, IOTA_BALL_RADIUS):
         g = ExtendedWeylElement.translation(lam)
-        lam_img = lvl.apply(lam)  # kappa(lam) lies in the dual slice space
+        lam_img = lvl.covector(lam)  # kappa(lam) lies in the dual slice space
         if not all(x.denominator == 1 for x in lam_img):
             continue
         h = ExtendedWeylElement.translation(tuple(int(x) for x in lam_img))
@@ -490,7 +270,7 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
                 continue
             wtheta = mat_vec(winv_t, theta_f)
             lam_dual_f = tuple(
-                t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.apply(lam))
+                t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.covector(lam))
             )  # lambda = theta - w(theta) + kappa(lam)
             if any(x.denominator != 1 for x in lam_dual_f):
                 raise VerificationFailed(f"dual translation {lam_dual_f} of integral {g} is not integral")
@@ -521,13 +301,12 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
                 n += j * prog[1]
             elif j:
                 continue
-            tval = _pair(theta_f, cv)
-            m = tval + n * q
+            m = dot(theta_f, cv) + n * q
             if m.denominator != 1:
                 ok_refl = False
                 continue
-            g = level_reflection(rd, cv, n)
-            h = level_reflection(rd_dual, alpha, int(m))
+            g = affine_coroot_reflection(rd, AffineCoroot(tuple(cv), n))
+            h = affine_coroot_reflection(rd_dual, AffineCoroot(alpha, int(m)))
             lhs = iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv)
             rhs = element_slice_map(rd_dual, lvl_dual_neg, h)
             if lhs != rhs:
@@ -558,9 +337,9 @@ def _lattice_box(n, radius):
 @dataclass(frozen=True)
 class AlcoveMatch:
     y: ExtendedWeylElement
-    g_system: LevelSystem
-    h_system: LevelSystem
-    simple_bijection: Tuple[Tuple[Wall, Wall], ...]
+    g_system: IntegralSystem
+    h_system: IntegralSystem
+    simple_bijection: Tuple[Tuple[AffineCoroot, AffineCoroot], ...]
     # length-zero representatives, paired; each side's Omega is its
     # representatives times its translation lattice in omega_lattices
     omega_pairs: Tuple[Tuple[ExtendedWeylElement, ExtendedWeylElement], ...]
@@ -577,16 +356,18 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
     h_progs = dict(h_sys.progressions)
 
-    # gallery walk: each step crosses one wall separating p from the target
+    # gallery walk: reflecting in any integral wall that separates p from the
+    # target lowers the number of separating walls (exchange property)
     target = h_sys.base_point
     p = iota(g_sys.base_point)
     y = ExtendedWeylElement.unit(rd.rank)
-    while not same_alcove(rd_dual, lvl_dual_neg, h_progs, p, target):
-        wall = _separating_facet(rd_dual, lvl_dual_neg, h_progs, p, target)
-        r = level_reflection(rd_dual, wall.coroot, wall.n)
-        p = level_slice_act(r, lvl_dual_neg, p)
+    wall = separating_wall(rd_dual, lvl_dual_neg, h_progs, p, target)
+    while wall is not None:
+        r = affine_coroot_reflection(rd_dual, wall)
+        p = slice_act(r, lvl_dual_neg, p)
         y = r * y
-    if level_slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) != p:
+        wall = separating_wall(rd_dual, lvl_dual_neg, h_progs, p, target)
+    if slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) != p:
         raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 
     # j = y o iota matches the simple systems
@@ -597,15 +378,15 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
         return jmap.compose(element_slice_map(rd, lvl, g)).compose(jinv)
 
     h_wall_index = {}
-    for wall in h_sys.simples:
-        r = level_reflection(rd_dual, wall.coroot, wall.n)
-        h_wall_index[_map_key(element_slice_map(rd_dual, lvl_dual_neg, r))] = wall
+    for ac in h_sys.simples:
+        r = affine_coroot_reflection(rd_dual, ac)
+        h_wall_index[_map_key(element_slice_map(rd_dual, lvl_dual_neg, r))] = ac
     bij = []
-    for wall in g_sys.simples:
-        key = _map_key(conjugate(level_reflection(rd, wall.coroot, wall.n)))
+    for ac in g_sys.simples:
+        key = _map_key(conjugate(affine_coroot_reflection(rd, ac)))
         if key not in h_wall_index:
-            raise VerificationFailed(f"conjugated simple {wall} is not a dual simple")
-        bij.append((wall, h_wall_index[key]))
+            raise VerificationFailed(f"conjugated simple {ac} is not a dual simple")
+        bij.append((ac, h_wall_index[key]))
     if len({b for _, b in bij}) != len(h_sys.simples):
         raise VerificationFailed("simple systems do not biject")
 
@@ -653,19 +434,9 @@ def _dual_translation(lvl: Level, offset):
     return tuple(int(x) for x in mu) if all(x.denominator == 1 for x in mu) else None
 
 
-def _separating_facet(rd, lvl, progs, p, target) -> Wall:
-    """A facet wall of the alcove of p that separates p from target."""
-    for wall in alcove_walls(rd, lvl, progs, p):
-        off = wall.offset(lvl)
-        if (_pair(p, wall.coroot) - off) * (_pair(target, wall.coroot) - off) < 0:
-            return wall
-    raise NoAlcove("no facet of the alcove separates the point from the target")
-
-
-def _alcove_omega(rd, lvl, sys: LevelSystem):
+def _alcove_omega(rd, lvl, sys: IntegralSystem):
     """Length-zero elements of the integral group: those fixing the base alcove."""
-    walls = [(w.coroot, w.offset(lvl)) for w in sys.simples]
-    return length_zero_group(rd, lvl.gram, sys.base_point, walls, dict(sys.stabilizer))
+    return length_zero_group(rd, lvl, sys.base_point, sys.simples, dict(sys.stabilizer))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +469,7 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     conjugation: one commuting involution per length-zero-stable orbit of
     finite-type components (trivial when every component is affine)."""
     sys = level_integral_weyl(rd, lvl, theta)
-    refl = list(sys.reflections(rd))
+    refl = list(sys.simple_reflections(rd))
     omega, _ = _alcove_omega(rd, lvl, sys)
     comp_of = {}
     for ci, (idx, kind) in enumerate(sys.components):

@@ -1,39 +1,42 @@
-"""Everything attached to a character point: integral coroots, the Coxeter
-subgroup, the stabilizer, blocks and their minimal representatives.
+"""The character front-end of the integral-Weyl-group core: integral
+coroots, the Coxeter subgroup, the stabilizer, blocks and their minimal
+representatives at a character point.
 
 A character point chi = (c, chi_f) selects the affine coroots alpha_n with
 chi_f(alpha) + n Q(alpha) c in Z; the admissible levels per finite direction
 form an arithmetic progression, and all hyperplane arithmetic happens on the
-progressions, never on enumerated coroots.
+progressions, never on enumerated coroots.  The core (affine.integral_system)
+gets the form S, these progressions and the stabilizer congruences
+c S(lam, -) = w(chi_f) - chi_f (mod 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from weylkit.exact import CosetZn, Mat, Vec, solve_integer_affine
+from weylkit.exact import CosetZn, Vec
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
     ExtendedWeylElement,
     GramForm,
+    IntegralSystem,
     Progression,
     act_affine_coroot,
     affine_coroot_positive,
     affine_coroot_reflection,
     affine_simple_data,
     connected_components,
-    coxeter_system,
     element_length,
     element_order,
     extended_act_character,
+    integral_system,
+    progression,
     progression_contains,
-    simple_system_from_progressions,
+    stabilizer_cosets,
 )
-from weylkit.rootdata import RootDatum, mat_inv_int, weyl_elements
+from weylkit.rootdata import RootDatum
 
 __all__ = [
     "CharacterMismatch",
@@ -64,14 +67,7 @@ class NotInStabilizerOrbit(ValueError):
 
 def integral_progression(rd: RootDatum, form: GramForm, chi: CharacterPoint, coroot: Vec) -> Progression:
     """Exact solution set {n : chi(alpha_n) trivial} as (offset, step) or None."""
-    a = chi.value_on(coroot).as_fraction()
-    step = Fraction(form.q(coroot)) * chi.central.as_fraction()
-    sol = solve_integer_affine([[step]], [-a], [Fraction(1)])
-    if sol is None:
-        return None
-    d = sol.basis[0][0] if sol.basis else 0
-    i = sol.particular[0]
-    return (i % d if d else i, d)
+    return progression(form.q(coroot) * chi.central.as_fraction(), chi.value_on(coroot).as_fraction())
 
 
 @lru_cache(maxsize=None)
@@ -93,69 +89,28 @@ def is_minimal(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: Exte
 
 
 # ---------------------------------------------------------------------------
-# stabilizer
+# stabilizer and the integral system
+
+
+def _stabilizer_rows(form: GramForm, chi: CharacterPoint):
+    c = chi.central.as_fraction()
+    return [[c * x for x in row] for row in form.matrix]
+
+
+def _finite_values(chi: CharacterPoint) -> Tuple:
+    return tuple(f.as_fraction() for f in chi.finite)
 
 
 def weyl_stabilizer(rd: RootDatum, form: GramForm, chi: CharacterPoint):
     """Per finite Weyl element w: the coset of translations lam with
     t^lam w chi = chi, or None; plus the common translation lattice L_chi."""
-    n = rd.rank
-    c = chi.central.as_fraction()
-    s = form.matrix
-    rows = [[c * s[i][j] for j in range(n)] for i in range(n)]
-    out: Dict[Mat, Optional[CosetZn]] = {}
-    lattice: Tuple[Vec, ...] = ()
-    for w in weyl_elements(rd):
-        winv = mat_inv_int(w)
-        rhs = []
-        for i in range(n):
-            col = tuple(winv[j][i] for j in range(n))
-            val = sum((f.as_fraction() * x for f, x in zip(chi.finite, col)), Fraction(0))
-            rhs.append(val - chi.finite[i].as_fraction())
-        sol = solve_integer_affine(rows, rhs, [Fraction(1)] * n)
-        out[w] = sol
-        if sol is not None:
-            lattice = sol.basis
-    return out, lattice
-
-
-# ---------------------------------------------------------------------------
-# the integral system
-
-
-@dataclass(frozen=True)
-class IntegralSystem:
-    progressions: Tuple[Tuple[Vec, Progression], ...]
-    simples: Tuple[AffineCoroot, ...]
-    coxeter: Tuple[Tuple[object, ...], ...]
-    components: Tuple[Tuple[Tuple[int, ...], str], ...]
-    stabilizer: Tuple[Tuple[Mat, Optional[CosetZn]], ...]
-    translation_lattice: Tuple[Vec, ...]
-
-    def progression_of(self, coroot: Vec) -> Progression:
-        for cv, p in self.progressions:
-            if cv == tuple(coroot):
-                return p
-        raise KeyError(coroot)
-
-    def simple_reflections(self, rd: RootDatum) -> Tuple[ExtendedWeylElement, ...]:
-        return tuple(affine_coroot_reflection(rd, ac) for ac in self.simples)
+    return stabilizer_cosets(rd, _stabilizer_rows(form, chi), _finite_values(chi), _finite_values(chi))
 
 
 @lru_cache(maxsize=None)
 def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> IntegralSystem:
     progs = integral_progressions(rd, form, chi)
-    simples = simple_system_from_progressions(rd, form, progs)
-    matrix, components = coxeter_system([affine_coroot_reflection(rd, ac) for ac in simples])
-    stab, lattice = weyl_stabilizer(rd, form, chi)
-    return IntegralSystem(
-        tuple(sorted(progs.items())),
-        simples,
-        matrix,
-        components,
-        tuple(sorted(stab.items())),
-        lattice,
-    )
+    return integral_system(rd, form, progs, _stabilizer_rows(form, chi), _finite_values(chi))
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +244,11 @@ def stabilizer_ball(
     if chi_right is None:
         chi_right = chi
     n = rd.rank
-    c = chi.central.as_fraction()
     if chi.central != chi_right.central:
         return ()
-    s = form.matrix
-    rows = [[c * s[i][j] for j in range(n)] for i in range(n)]
+    cosets, _ = stabilizer_cosets(rd, _stabilizer_rows(form, chi), _finite_values(chi_right), _finite_values(chi))
     out = []
-    for w in weyl_elements(rd):
-        winv = mat_inv_int(w)
-        rhs = []
-        for i in range(n):
-            col = tuple(winv[j][i] for j in range(n))
-            val = sum((f.as_fraction() * x for f, x in zip(chi_right.finite, col)), Fraction(0))
-            rhs.append(val - chi.finite[i].as_fraction())
-        sol = solve_integer_affine(rows, rhs, [Fraction(1)] * n)
+    for w, sol in cosets.items():
         if sol is None:
             continue
         for lam in _coset_points_in_box(sol, n, radius):

@@ -28,12 +28,12 @@ from weylkit.exact import (
     transpose,
     vec_scale,
 )
-from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progression_min_at_least
+from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progression_min_at_least, weyl_shift
 from weylkit.integral import integral_progression, integral_progressions, weyl_stabilizer
 from weylkit.rootdata import (
     RootDatum,
+    group_closure,
     langlands_dual,
-    mat_inv_int,
     validate_root_datum,
     weyl_elements,
 )
@@ -265,54 +265,16 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
 def _bullet_is_full(rd, form, chi, stab, directions) -> bool:
     """W~_chi equals its bullet subgroup iff every admitting finite Weyl part
     lies in the subgroup generated by the integral reflection directions."""
-    gens = [rd.reflection(rd.coroots.index(cv)) for cv in directions]
-    generated = {identity(rd.rank)}
-    frontier = list(generated)
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                x = mat_mul(w, g)
-                if x not in generated:
-                    generated.add(x)
-                    new.append(x)
-        frontier = new
+    generated = group_closure([rd.reflection(rd.coroots.index(cv)) for cv in directions], rd.rank)
     admitting = {w for w, coset in stab.items() if coset is not None}
-    return admitting <= generated
+    return admitting <= set(generated)
 
 
 def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterPoint) -> bool:
     """Remark criterion: the stabilizer of chi_f in W(H) is generated by the
     reflections it contains."""
     rd_h = endo.rd_h
-    chif_on_h = tuple(chi.value_on(tuple(int(x) for x in row)) for row in endo.cochar_basis)
-    chi_h = CharacterPoint(QmodZ(0, 1), chif_on_h)
-    stabilizing = []
-    for w in weyl_elements(rd_h):
-        winv = mat_inv_int(w)
-        ok = True
-        for i in range(rd_h.rank):
-            col = tuple(winv[j][i] for j in range(rd_h.rank))
-            val = sum((f.as_fraction() * x for f, x in zip(chi_h.finite, col)), Fraction(0))
-            if QmodZ.from_fraction(val) != chi_h.finite[i]:
-                ok = False
-                break
-        if ok:
-            stabilizing.append(w)
-    refl_in_stab = []
-    for i in range(len(rd_h.roots)):
-        m = rd_h.reflection(i)
-        if m in stabilizing:
-            refl_in_stab.append(m)
-    generated = {identity(rd_h.rank)}
-    frontier = list(generated)
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in refl_in_stab:
-                x = mat_mul(w, g)
-                if x not in generated:
-                    generated.add(x)
-                    new.append(x)
-        frontier = new
-    return set(stabilizing) == generated
+    theta = tuple(chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis)
+    stabilizing = {w for w in weyl_elements(rd_h) if all(x.denominator == 1 for x in weyl_shift(w, theta, theta))}
+    refl_in_stab = [m for m in map(rd_h.reflection, range(len(rd_h.roots))) if m in stabilizing]
+    return stabilizing == set(group_closure(refl_in_stab, rd_h.rank))

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from weylkit.exact import (
     Mat,
@@ -376,27 +376,31 @@ def validate_root_datum(rd: RootDatum):
 # Weyl group enumeration
 
 
+def group_closure(gens, n: int) -> Dict[Mat, int]:
+    """Every element of the group generated by the n x n matrices gens, with
+    its Cayley length (breadth-first search); GroupTooLarge past the bound."""
+    bound = _group_bound()
+    unit = identity(n)
+    lengths = {unit: 0}
+    frontier = [unit]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                x = mat_mul(g, s)
+                if x not in lengths:
+                    lengths[x] = lengths[g] + 1
+                    new.append(x)
+                    if len(lengths) > bound:
+                        raise GroupTooLarge(f"group exceeds bound {bound}")
+        frontier = new
+    return lengths
+
+
 @lru_cache(maxsize=None)
 def weyl_elements(rd: RootDatum) -> Tuple[Mat, ...]:
     """The full finite Weyl group as matrices on the cocharacter lattice."""
-    gens = rd.simple_reflections()
-    if not gens:
-        return (identity(rd.rank),)
-    bound = _group_bound()
-    seen = {identity(rd.rank)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                x = mat_mul(g, w)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-                    if len(seen) > bound:
-                        raise GroupTooLarge(f"Weyl group exceeds bound {bound}")
-        frontier = new
-    return tuple(sorted(seen))
+    return tuple(sorted(group_closure(rd.simple_reflections(), rd.rank)))
 
 
 def longest_element(rd: RootDatum) -> Mat:

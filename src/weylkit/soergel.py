@@ -17,6 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import Mat, identity, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
+from weylkit.rootdata import group_closure
 
 
 class NotAReflection(ValueError):
@@ -532,22 +533,6 @@ def _left_span_images(mod: TruncModule, basis_prev, d):
 # graph characters
 
 
-def _group_closure(gens):
-    n = len(gens[0])
-    seen = {identity(n): 0}
-    frontier = [identity(n)]
-    while frontier:
-        new = []
-        for g in frontier:
-            for s in gens:
-                x = mat_mul(g, s)
-                if x not in seen:
-                    seen[x] = seen[g] + 1
-                    new.append(x)
-        frontier = new
-    return seen
-
-
 def _generic_point(n: int, seed: int):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     return tuple(Fraction(1, primes[(seed + i) % len(primes)] ** (1 + (seed + i) // len(primes))) for i in range(n))
@@ -588,7 +573,7 @@ def graph_character_table(
         t = tuple(map(tuple, m))
         if t not in gens:
             gens.append(t)
-    lengths = _group_closure(gens)
+    lengths = group_closure(gens, n)
     # support: products of all subwords
     supp = set()
     for mask in range(2**k):

@@ -1,0 +1,267 @@
+"""The integral-Weyl-group core against its two front-ends and brute force.
+
+The character front-end (form S, character chi) and the level front-end
+(level kappa, theta) compute the same group when kappa = c S and theta =
+chi_f.  The brute-force references below share no code with the core: they
+enumerate affine coroots over a window of levels and act on them through
+the extended matrix.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from weylkit.affine import (
+    CharacterPoint,
+    ExtendedWeylElement,
+    element_length,
+    extended_act_character,
+    gram_from_weights,
+)
+from weylkit.duality import level_from_config, level_integral_weyl, level_membership, level_progressions
+from weylkit.exact import QmodZ
+from weylkit.integral import integral_progressions, integral_simple_system, weyl_stabilizer
+from weylkit.rootdata import longest_element, mat_inv_int, preset, weyl_elements
+
+FRONT_END_PRESETS = [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5)]
+
+
+def _reflection(rd, coroot, n):
+    """t^{n alpha} s_alpha."""
+    return ExtendedWeylElement(tuple(n * x for x in coroot), rd.reflection(rd.coroots.index(tuple(coroot))))
+
+
+def _same_coset(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.basis == b.basis and a.contains(b.particular)
+
+
+def test_front_ends_agree():
+    # kappa = c S, theta = chi_f.  Scaling the slice by c carries the level's
+    # arrangement to the character's; for c < 0 it carries the level's base
+    # alcove to the alcove of -x0, which w0 carries to the base alcove of w0 chi.
+    rng = random.Random(2507)
+    cases = 0
+    for name, param in FRONT_END_PRESETS:
+        rd = preset(name, param)
+        form = gram_from_weights(rd, rd.roots)
+        w0 = ExtendedWeylElement.from_weyl(longest_element(rd))
+        for _ in range(20):
+            c = rng.choice((1, -1)) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            theta = tuple(Fraction(rng.randint(0, 5), 6) for _ in range(rd.rank))
+            chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ.from_fraction(t) for t in theta))
+            lvl = level_from_config(rd, [[c * x for x in row] for row in form.matrix])
+            level_sys = level_integral_weyl(rd, lvl, theta)
+            char_sys = integral_simple_system(rd, form, chi if c > 0 else extended_act_character(w0, form, chi))
+            assert integral_progressions(rd, form, chi) == level_progressions(rd, lvl, theta)
+
+            level_refl = [_reflection(rd, s.coroot, s.n) for s in level_sys.simples]
+            char_refl = [_reflection(rd, s.coroot, s.n) for s in char_sys.simples]
+            if c < 0:
+                char_refl = [w0 * r * w0 for r in char_refl]
+            assert sorted(level_refl, key=repr) == sorted(char_refl, key=repr), (name, c, theta)
+            perm = [char_refl.index(r) for r in level_refl]
+            k = len(perm)
+            for i in range(k):
+                for j in range(k):
+                    assert level_sys.coxeter[i][j] == char_sys.coxeter[perm[i]][perm[j]]
+
+            stab, _ = weyl_stabilizer(rd, form, chi)
+            level_stab = dict(level_sys.stabilizer)
+            assert set(stab) == set(level_stab)
+            assert all(_same_coset(stab[w], level_stab[w]) for w in stab), (name, c, theta)
+            cases += 1
+    assert cases == 120
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: affine coroots over a window of levels
+#
+# A case is (root datum, form matrix, integrality test (alpha, n) -> bool,
+# base point).  q(alpha) = form(alpha, alpha)/2; the affine coroot (alpha, n)
+# is the functional x |-> <x, alpha> + n q(alpha) on the slice, and t^lam w
+# sends it to x |-> <x, w alpha> + n q(alpha) + form(lam, w alpha).
+
+
+def _pair(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _q(gram, cv):
+    return _pair([_pair(row, cv) for row in gram], cv) / 2
+
+
+def _weyl_image(w, v):
+    return tuple(sum(w[i][j] * v[j] for j in range(len(v))) for i in range(len(w)))
+
+
+def _brute_length(rd, gram, integral, x0, lam, w):
+    """Integral affine coroots positive at x0 that t^lam w makes negative there."""
+    klam = [_pair(row, lam) for row in gram]
+    total = 0
+    for cv in rd.coroots:
+        q = _q(gram, cv)
+        wcv = _weyl_image(w, cv)
+        before, after = _pair(x0, cv), _pair(x0, wcv) + _pair(klam, wcv)
+        bound = int((abs(before) + abs(after)) / abs(q)) + 2
+        for n in range(-bound, bound + 1):
+            if before + n * q > 0 and after + n * q < 0 and integral(cv, n):
+                total += 1
+    return total
+
+
+def _compose(g, h):
+    (lam, w), (mu, u) = g, h
+    return (
+        tuple(a + b for a, b in zip(lam, _weyl_image(w, mu))),
+        tuple(tuple(sum(w[i][k] * u[k][j] for k in range(len(u))) for j in range(len(u))) for i in range(len(w))),
+    )
+
+
+def _closure_is_finite(gens, cap=300):
+    n = len(gens[0][0])
+    seen = {((0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                x = _compose(g, s)
+                if x not in seen:
+                    if len(seen) >= cap:
+                        return False
+                    seen.add(x)
+                    new.append(x)
+        frontier = new
+    return True
+
+
+def _check_case(rd, form, gram, integral, system, progressions, rng, elements=6, window=8):
+    x0 = system.base_point
+    # x0 lies on no integral wall
+    for cv in rd.coroots:
+        q = _q(gram, cv)
+        level = -_pair(x0, cv) / q
+        assert level.denominator != 1 or not integral(cv, int(level))
+    ws = weyl_elements(rd)
+    for _ in range(elements):
+        lam = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+        w = rng.choice(ws)
+        expected = _brute_length(rd, gram, integral, x0, lam, w)
+        assert element_length(ExtendedWeylElement(lam, w), rd, form, progressions) == expected
+    # the simple reflections are the integral reflections of length 1
+    length_one = set()
+    for cv in rd.coroots:
+        for n in range(-window, window + 1):
+            if integral(cv, n) and _pair(x0, cv) + n * _q(gram, cv) > 0:
+                r = _reflection(rd, cv, n)
+                if _brute_length(rd, gram, integral, x0, r.trans, r.w) == 1:
+                    length_one.add(r)
+    assert set(system.simple_reflections(rd)) == length_one
+    assert len(system.simples) == len(length_one)
+    for ac in system.simples:
+        assert _pair(x0, ac.coroot) + ac.n * _q(gram, ac.coroot) > 0
+    assert list(system.simples) == sorted(system.simples, key=lambda a: (a.n, a.coroot))
+    # component kinds against a capped closure
+    refl = system.simple_reflections(rd)
+    for idx, kind in system.components:
+        gens = [(r.trans, r.w) for r in (refl[i] for i in idx)]
+        assert kind == ("finite" if _closure_is_finite(gens) else "affine"), (rd.name, idx)
+
+
+def test_character_systems_against_brute_force():
+    rng = random.Random(16667)
+    for name, param in [("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5), ("PSp", 4)]:
+        rd = preset(name, param)
+        form = gram_from_weights(rd, rd.roots)
+        positive = {rd.coroots[i] for i in rd.positive_root_indices()}
+        for _ in range(3):
+            c = Fraction(rng.randint(0, 5), 6)
+            chi_f = tuple(Fraction(rng.randint(0, 3), 4) for _ in range(rd.rank))
+            chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ.from_fraction(x) for x in chi_f))
+            system = integral_simple_system(rd, form, chi)
+            # the base point lies in the fundamental alcove 0 < x(a) < Q(a)
+            for cv in positive:
+                assert 0 < _pair(system.base_point, cv) < form.q(cv)
+
+            def integral(cv, n, chi_f=chi_f, c=c):
+                return (_pair(chi_f, cv) + n * form.q(cv) * c).denominator == 1
+
+            _check_case(rd, form, form.matrix, integral, system, integral_progressions(rd, form, chi), rng)
+
+
+def _level_integrality(rd, lvl, theta, factor_of):
+    values = {cv: (_pair(theta, cv), _q(lvl.gram, cv), factor_of(cv) in lvl.irrational) for cv in rd.coroots}
+
+    def integral(cv, n):
+        t, q, flagged = values[cv]
+        if flagged:
+            return n == 0 and t.denominator == 1
+        return (t + n * q).denominator == 1
+
+    return integral
+
+
+def _check_stabilizer(rd, lvl, theta, system, factor_of):
+    """t^lam w over a box of lam: integral iff lam vanishes on the flagged
+    factors (kappa is block-diagonal there) and w(theta) - theta - kappa(lam)
+    is integral, the flagged blocks of kappa counting as zero."""
+    n = rd.rank
+    flagged = [factor_of(tuple(int(i == j) for j in range(n))) in lvl.irrational for i in range(n)]
+    for w, coset in system.stabilizer:
+        winv = mat_inv_int(w)
+        shift = [_pair(theta, [winv[j][i] for j in range(n)]) - theta[i] for i in range(n)]
+        for lam in itertools.product(range(-1, 2), repeat=n):
+            expected = all(
+                (shift[i] - (0 if flagged[i] else _pair(lvl.gram[i], lam))).denominator == 1 for i in range(n)
+            ) and not any(x for x, f in zip(lam, flagged) if f)
+            assert (coset is not None and coset.contains(lam)) == expected, (rd.name, w, lam)
+            assert level_membership(rd, lvl, theta, ExtendedWeylElement(lam, w)) == expected
+
+
+def _check_level(rd, lvl, theta, rng, factor_of=lambda cv: 0):
+    system = level_integral_weyl(rd, lvl, theta)
+    integral = _level_integrality(rd, lvl, theta, factor_of)
+    _check_case(rd, lvl, lvl.gram, integral, system, dict(system.progressions), rng)
+    _check_stabilizer(rd, lvl, theta, system, factor_of)
+
+
+def test_killing_levels_against_brute_force():
+    rng = random.Random(7166)
+    for name, param in [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3)]:
+        rd = preset(name, param)
+        killing = gram_from_weights(rd, rd.roots).matrix
+        for sign in (1, -1):
+            c = sign * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            lvl = level_from_config(rd, [[c * x for x in row] for row in killing])
+            theta = tuple(Fraction(rng.randint(-2, 2), 6) for _ in range(rd.rank))
+            _check_level(rd, lvl, theta, rng)
+
+
+def _block(a, b):
+    n, m = len(a), len(b)
+    return [list(a[i]) + [0] * m for i in range(n)] + [[0] * n + list(b[j]) for j in range(m)]
+
+
+def test_mixed_levels_against_brute_force():
+    # block-diagonal levels with one positive and one negative block, and
+    # irrational flags on either factor
+    rng = random.Random(2507166)
+    for left, right in [(("SL", 2), ("SL", 2)), (("SL", 2), ("SL", 3)), (("Sp", 4), ("SL", 2))]:
+        a, b = preset(*left), preset(*right)
+        rd = preset("product", factors=[a, b])
+        ka, kb = gram_from_weights(a, a.roots).matrix, gram_from_weights(b, b.roots).matrix
+
+        def factor_of(cv, split=a.rank):
+            return 0 if any(cv[:split]) else 1
+
+        for irrational in ((), (0,), (1,)):
+            ca = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            cb = -Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                ca, cb = -ca, -cb
+            gram = _block([[ca * x for x in row] for row in ka], [[cb * x for x in row] for row in kb])
+            lvl = level_from_config(rd, gram, irrational=irrational)
+            for theta in ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randint(-1, 1), 2) for _ in range(rd.rank))):
+                _check_level(rd, lvl, theta, rng, factor_of)

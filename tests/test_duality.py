@@ -43,6 +43,18 @@ def test_level_validation():
     level_from_config(rd, [[1, 0], [0, 1]])
 
 
+def test_level_validation_irrational_indices():
+    rd = sl2()
+    for bad in (-1, 1, "0", 0.0, True):
+        with pytest.raises(ValueError, match="irrational component index"):
+            level_from_config(rd, [[1]], irrational=[bad])
+    assert level_from_config(rd, [[1]], irrational=[0]).irrational == frozenset({0})
+    rd2 = preset("product", factors=[sl2(), preset("SL", 3)])
+    lvl = level_from_config(rd2, [[2, 0, 0], [0, -2, 1], [0, 1, -2]], irrational=[1])
+    with pytest.raises(ValueError, match="irrational component index 2"):
+        level_from_config(rd2, lvl.gram, irrational=[2])
+
+
 def test_dual_level_involution():
     rd = sl2()
     lvl = level_from_config(rd, [[1]])

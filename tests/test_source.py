@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import weylkit
@@ -15,3 +16,22 @@ def test_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(SOURCES) > 1
     assert found == []
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_perfbench_contract(monkeypatch):
+    # perfbench wraps weylkit names from outside; a refactor that drops one
+    # breaks the benchmark, so it fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    trace_layers = importlib.import_module("trace_layers")
+    workloads = importlib.import_module("workloads")
+    for layer, name in trace_layers._CACHES:
+        assert hasattr(getattr(importlib.import_module(f"weylkit.{layer}"), name), "cache_info"), (layer, name)
+    for layer, cls, method in trace_layers._METHODS:
+        assert callable(getattr(getattr(importlib.import_module(f"weylkit.{layer}"), cls), method)), (cls, method)
+    for layer, name in trace_layers._COUNTED:
+        assert callable(getattr(importlib.import_module(f"weylkit.{layer}"), name)), (layer, name)
+    for workload in ("blocks", "levels", "soergel"):
+        assert workloads.build(workload, 1)
