@@ -546,7 +546,8 @@ def weyl_shift(w: Mat, right, left) -> Tuple[Fraction, ...]:
 def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
     """Per finite Weyl element w, the coset of lam with
     rows lam = weyl_shift(w, right, left) (mod 1) and exact_rows lam = 0, or
-    None; plus the translation lattice of the last coset found."""
+    None; plus the translation lattice {rows lam = 0 (mod 1), exact_rows lam
+    = 0}, which every coset shares: only the right-hand side depends on w."""
     cosets: Dict[Mat, Optional[CosetZn]] = {}
     lattice: Tuple[Vec, ...] = ()
     for w in weyl_elements(rd):
@@ -568,12 +569,6 @@ class IntegralSystem:
     stabilizer: Tuple[Tuple[Mat, Optional[CosetZn]], ...]
     translation_lattice: Tuple[Vec, ...]
     base_point: Tuple[Fraction, ...]
-
-    def progression_of(self, coroot: Vec) -> Progression:
-        for cv, p in self.progressions:
-            if cv == tuple(coroot):
-                return p
-        raise KeyError(coroot)
 
     def simple_reflections(self, rd: RootDatum) -> Tuple[ExtendedWeylElement, ...]:
         return tuple(affine_coroot_reflection(rd, ac) for ac in self.simples)

@@ -1,5 +1,6 @@
 """The level front-end of the integral-Weyl-group core, and quantum-Langlands
-level duality: the iota conjugation, alcove matching, the finite-longest
+level duality: the iota conjugation (verified exactly, on generators of both
+integral groups and in both directions), alcove matching, the finite-longest
 group, and the parahoric bijection.
 
 Slice picture: a point of the level-one slice is a rational covector x on the
@@ -47,6 +48,7 @@ from weylkit.affine import (
     progression_min_at_least,
     separating_wall,
     slice_act,
+    stabilizer_cosets,
     weyl_shift,
 )
 from weylkit.rootdata import (
@@ -54,6 +56,7 @@ from weylkit.rootdata import (
     langlands_dual,
     longest_element,
     mat_inv_int,
+    _simple_coeffs,
     weyl_elements,
 )
 
@@ -121,17 +124,21 @@ def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
 
 
 def component_of_coroot(rd: RootDatum, coroot: Vec) -> int:
-    comps = finite_components(rd)
-    idx = rd.coroots.index(tuple(coroot))
-    a = rd.roots[idx]
-    from weylkit.rootdata import _simple_coeffs
+    comp = _coroot_components(rd).get(tuple(coroot))
+    if comp is None:
+        raise ValueError(f"{coroot} is not a coroot lying in a single component")
+    return comp
 
-    coeffs = _simple_coeffs(rd.simple_roots, a)
-    support = {i for i, c in enumerate(coeffs) if c}
-    for ci, comp in enumerate(comps):
-        if support <= set(comp):
-            return ci
-    raise ValueError("coroot does not lie in a single component")
+
+@lru_cache(maxsize=None)
+def _coroot_components(rd: RootDatum) -> Dict[Vec, int]:
+    """Each coroot's component: the one holding the support of its root."""
+    comps = [set(comp) for comp in finite_components(rd)]
+    out = {}
+    for cv, a in zip(rd.coroots, rd.roots):
+        support = {i for i, c in enumerate(_simple_coeffs(rd.simple_roots, a)) if c}
+        out[cv] = next((ci for ci, comp in enumerate(comps) if support <= comp), None)
+    return out
 
 
 def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
@@ -230,12 +237,19 @@ def iota_map(rd: RootDatum, lvl: Level, theta) -> AffineMap:
     return AffineMap(neg, theta_check)
 
 
-# translations |lam|_inf <= this radius are paired by iota_conjugation
-IOTA_BALL_RADIUS = 2
-
-
 def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
-    """Build iota and verify the exchange identities on explicit elements."""
+    """Build iota and verify that conjugation by it maps the integral group G
+    at (kappa, theta) onto G' at (-kappa^{-1}, kappa^{-1} theta).
+
+    Each group is generated by one t^{p_w} w per non-empty stabilizer coset
+    p_w + L and by t^b for a basis b of the lattice L all cosets share.
+    Conjugation is a homomorphism, so checking generators is exact.  Into:
+    each generator t^lam w of G goes to t^{theta - w^{-T} theta + kappa lam} w^{-T},
+    an element of G' (on t^b: iota o tau^b = tau^{kappa b} o iota).  Onto:
+    each generator of G' comes from an element of G.  pairs_checked counts
+    the generators of both sides.  Reflections: s_(alpha-check, n) goes to
+    s_(alpha, m) with the integer m = <theta, alpha-check> + n q(alpha-check).
+    """
     if lvl.irrational:
         raise IrrationalSquareLength("iota requires a rational level")
     rd_dual, lvl_dual = dual_level(rd, lvl)
@@ -244,46 +258,35 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     iota_inv = iota.inverse()
     theta_f = tuple(Fraction(x) for x in theta)
     theta_check = mat_vec(lvl_dual.gram, theta_f)
+    reps, shifts = _integral_generators(rd, lvl, theta_f)
+    dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
 
-    # translations: iota o tau^lam = tau^{+lam-check...} o iota as slice maps
-    ok_trans = True
-    for lam in _lattice_box(rd.rank, IOTA_BALL_RADIUS):
-        g = ExtendedWeylElement.translation(lam)
-        lam_img = lvl.covector(lam)  # kappa(lam) lies in the dual slice space
-        if not all(x.denominator == 1 for x in lam_img):
-            continue
-        h = ExtendedWeylElement.translation(tuple(int(x) for x in lam_img))
-        lhs = iota.compose(element_slice_map(rd, lvl, g))
-        rhs = element_slice_map(rd_dual, lvl_dual_neg, h).compose(iota)
-        if lhs != rhs:
-            ok_trans = False
+    # into: t^lam w goes to t^{theta - w^{-T} theta + kappa lam} w^{-T}; t^b to t^{kappa b}
+    ok, checked = {"pairs": True, "translations": True}, 0
+    for key, g in [("pairs", g) for g in reps] + [("translations", g) for g in shifts]:
+        winv_t = transpose(mat_inv_int(g.w))
+        wtheta = mat_vec(winv_t, theta_f)
+        lam_dual_f = tuple(t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.covector(g.trans)))
+        if any(x.denominator != 1 for x in lam_dual_f):
+            raise VerificationFailed(f"dual translation {lam_dual_f} of integral {g} is not integral")
+        h = ExtendedWeylElement(tuple(int(x) for x in lam_dual_f), winv_t)
+        if not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
+            raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
+        if iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv) != element_slice_map(rd_dual, lvl_dual_neg, h):
+            ok[key] = False
+        checked += 1
 
-    # paired elements: t^lam w maps to t^lambda w^{-T} on the dual side
-    pairs_checked = 0
-    ok_pairs = True
-    ws = weyl_elements(rd)
-    for w in ws:
-        winv_t = transpose(mat_inv_int(w))
-        for lam in _lattice_box(rd.rank, IOTA_BALL_RADIUS):
-            g = ExtendedWeylElement(lam, w)
-            if not level_membership(rd, lvl, theta, g):
-                continue
-            wtheta = mat_vec(winv_t, theta_f)
-            lam_dual_f = tuple(
-                t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.covector(lam))
-            )  # lambda = theta - w(theta) + kappa(lam)
-            if any(x.denominator != 1 for x in lam_dual_f):
-                raise VerificationFailed(f"dual translation {lam_dual_f} of integral {g} is not integral")
-            h = ExtendedWeylElement(tuple(int(x) for x in lam_dual_f), winv_t)
-            if not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
-                raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
-            lhs = iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv)
-            rhs = element_slice_map(rd_dual, lvl_dual_neg, h)
-            if lhs != rhs:
-                ok_pairs = False
-            pairs_checked += 1
+    # onto: each generator of G' comes from an integral t^lam w of G
+    weyl = set(weyl_elements(rd))
+    for h in dual_reps + dual_shifts:
+        conj = iota_inv.compose(element_slice_map(rd_dual, lvl_dual_neg, h)).compose(iota)
+        lam, w = _dual_translation(lvl, conj.offset), transpose(mat_inv_int(h.w))
+        g = None if lam is None else ExtendedWeylElement(lam, w)
+        if g is None or w not in weyl or element_slice_map(rd, lvl, g) != conj or not level_membership(rd, lvl, theta_f, g):
+            raise VerificationFailed(f"dual generator {h} does not come from an integral element")
+        checked += 1
 
-    # reflections map to reflections with the rodentdream exponents
+    # reflections: s_(alpha-check, n) goes to s_(alpha, m), m = <theta, alpha-check> + n q(alpha-check)
     ok_refl = True
     progs = level_progressions(rd, lvl, theta)
     for cv in rd.coroots:
@@ -313,21 +316,23 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
                 ok_refl = False
     result = {
         "iota": iota,
-        "translations": ok_trans,
-        "pairs": ok_pairs,
-        "pairs_checked": pairs_checked,
+        "translations": ok["translations"],
+        "pairs": ok["pairs"],
+        "pairs_checked": checked,
         "reflections": ok_refl,
-        "verified": ok_trans and ok_pairs and ok_refl,
+        "verified": all(ok.values()) and ok_refl,
     }
     if not result["verified"]:
         raise VerificationFailed(str(result))
     return result
 
 
-def _lattice_box(n, radius):
-    from itertools import product
-
-    return [tuple(p) for p in product(range(-radius, radius + 1), repeat=n)]
+def _integral_generators(rd: RootDatum, lvl: Level, theta):
+    """t^{p_w} w per non-empty stabilizer coset p_w + L, and t^b per basis vector b of L."""
+    rows, exact_rows = _stabilizer_rows(rd, lvl)
+    cosets, lattice = stabilizer_cosets(rd, rows, theta, theta, exact_rows)
+    reps = [ExtendedWeylElement(c.particular, w) for w, c in cosets.items() if c is not None]
+    return reps, [ExtendedWeylElement.translation(b) for b in lattice]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from weylkit import duality
 from weylkit.affine import ExtendedWeylElement, gram_from_weights
 from weylkit.duality import (
+    AffineMap,
     AlcoveMatch,
     Degenerate,
     IrrationalSquareLength,
     Level,
+    VerificationFailed,
     alcove_match,
     dual_level,
     finite_longest_group,
@@ -123,15 +126,35 @@ def test_iota_conjugation_sp4_half_basic():
 
 
 def test_iota_pair_equivalence_random_levels():
-    # Step-2 shadow: fulllattice pairs transport to fulllatticedual pairs
+    # iota conjugates every integral element of the radius-2 box to its dual
+    # partner, at random levels of both signs and theta != 0
     rng = random.Random(17)
     rd = sp4()
-    for _ in range(3):
-        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    for sign in (1, -1, 1):
+        scale = sign * Fraction(rng.randint(1, 5), rng.randint(1, 5))
         lvl = level_from_config(rd, [[scale, 0], [0, scale]])
-        theta = (Fraction(rng.randint(-2, 2), 3), Fraction(rng.randint(-2, 2), 3))
-        report = iota_conjugation(rd, lvl, theta)
-        assert report["verified"]
+        _check_iota_box(rd, lvl, _nonzero_theta(rng, rd.rank))
+    for name, param in RANK_TWO:
+        for sign in (1, -1):
+            rd = preset(name, param)
+            c = sign * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            _check_iota_box(rd, killing_level(rd, c), _nonzero_theta(rng, rd.rank))
+
+
+def test_iota_conjugation_rejects_a_wrong_iota(monkeypatch):
+    # iota moved by a non-integral translation no longer conjugates
+    # t^lam w to its partner when w moves the shift
+    rd = sp4()
+    lvl = level_from_config(rd, [[1, 0], [0, 1]])
+    right = duality.iota_map
+
+    def shifted(*args):
+        m = right(*args)
+        return AffineMap(m.linear, (m.offset[0] + Fraction(1, 3), m.offset[1]))
+
+    monkeypatch.setattr(duality, "iota_map", shifted)
+    with pytest.raises(VerificationFailed):
+        iota_conjugation(rd, lvl, (Fraction(0), Fraction(0)))
 
 
 def test_alcove_match_sl2_negative_level_trivial_y():
@@ -248,13 +271,68 @@ def _check_walk(rd, lvl, theta, match):
     assert not _separated(coroots, dual_gram, theta_dual, moved, h_base)
 
 
-@pytest.mark.parametrize("name,param", [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5)])
+def _nonzero_theta(rng, rank):
+    theta = (Fraction(0),) * rank
+    while not any(theta):
+        theta = tuple(Fraction(rng.randint(-2, 2), 6) for _ in range(rank))
+    return theta
+
+
+def _check_iota_box(rd, lvl, theta):
+    """Every t^lam w with |lam|_inf <= 2 that is integral, kappa lam = w(theta)
+    - theta (mod 1), conjugates under iota to its partner
+    t^{theta - w^{-T} theta + kappa lam} w^{-T}, and the partner is integral
+    at the dual level -kappa^{-1} and theta' = kappa^{-1} theta."""
+    report = iota_conjugation(rd, lvl, theta)
+    assert report["verified"]
+    n = rd.rank
+    kinv = mat_inv(lvl.gram)
+    dual_gram = tuple(tuple(-x for x in row) for row in kinv)
+    theta_dual = mat_vec(kinv, theta)
+    assert report["iota"].linear == dual_gram and report["iota"].offset == theta_dual
+
+    def iota(x):
+        return tuple(a + b for a, b in zip(mat_vec(dual_gram, x), theta_dual))
+
+    def iota_inv(y):
+        return tuple(b - a for a, b in zip(mat_vec(lvl.gram, y), theta))
+
+    # an affine map is fixed by its values at 0 and the unit vectors
+    points = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)] + [(Fraction(0),) * n]
+    integral = 0
+    for w in weyl_elements(rd):
+        winv_t = tuple(zip(*mat_inv_int(w)))
+        w_theta, w_theta_dual = mat_vec(winv_t, theta), mat_vec(w, theta_dual)
+        for lam in itertools.product(range(-2, 3), repeat=n):
+            mu = tuple(t - wt + k for t, wt, k in zip(theta, w_theta, mat_vec(lvl.gram, lam)))
+            if any(x.denominator != 1 for x in mu):
+                continue
+            integral += 1
+            mu = tuple(int(x) for x in mu)
+            # the partner t^mu w^{-T}: (-kappa^{-1}) mu = w theta' - theta' (mod 1)
+            shift = zip(mat_vec(dual_gram, mu), w_theta_dual, theta_dual)
+            assert all((a - b + c).denominator == 1 for a, b, c in shift), (rd.name, lam, w)
+            for p in points:
+                assert iota(_act(lam, w, lvl.gram, iota_inv(p))) == _act(mu, winv_t, dual_gram, p), (rd.name, lam, w)
+    assert integral > 0
+    return report
+
+
+LARGE = [("SL", 4), ("Sp", 6), ("PSp", 4), ("SO_odd", 7)]
+
+
+@pytest.mark.parametrize("name,param", [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5)] + LARGE)
 def test_iota_conjugation_killing_levels(name, param):
     rd = preset(name, param)
-    for c in (1, -1, Fraction(1, 3)):
-        report = iota_conjugation(rd, killing_level(rd, c), (Fraction(0),) * rd.rank)
+    large = (name, param) in LARGE
+    for c in (1, -1) if large else (1, -1, Fraction(1, 3)):
+        theta = (Fraction(0),) * rd.rank
+        lvl = killing_level(rd, c)
+        report = iota_conjugation(rd, lvl, theta) if large else _check_iota_box(rd, lvl, theta)
         assert report["verified"] and report["pairs"]
-        assert report["pairs_checked"] > 0
+        # at theta = 0 every stabilizer coset is non-empty, and L has full rank,
+        # so each side contributes |W| + rank generators
+        assert report["pairs_checked"] == 2 * (len(weyl_elements(rd)) + rd.rank)
 
 
 def test_alcove_match_random_levels():

@@ -229,8 +229,8 @@ def test_stabilizer_ball_and_blocks():
 
 
 def test_minimal_length_transport():
-    # Prop p:conjmin shadow: left multiplication by a minimal element
-    # preserves the integral length
+    # left multiplication by a minimal element of Omega_chi (integral
+    # length 0) leaves the integral length of every element unchanged
     rd, form, chi = sl2_setup()
     mins = omega_chi_sample(rd, form, chi, radius=2)
     ball = stabilizer_ball(rd, form, chi, radius=2)

@@ -1,8 +1,12 @@
 import ast
 import importlib
 import pathlib
+from fractions import Fraction
 
 import weylkit
+from weylkit.affine import gram_from_weights
+from weylkit.duality import iota_conjugation, level_from_config
+from weylkit.rootdata import preset
 
 SOURCES = sorted(pathlib.Path(weylkit.__file__).parent.glob("*.py"))
 
@@ -35,3 +39,12 @@ def test_perfbench_contract(monkeypatch):
         assert callable(getattr(importlib.import_module(f"weylkit.{layer}"), name)), (layer, name)
     for workload in ("blocks", "levels", "soergel"):
         assert workloads.build(workload, 1)
+    # checks.iota_problems reads these report fields, and the frozen baseline
+    # copy returns them too
+    checks = importlib.import_module("checks")
+    rd = preset("SL", 2)
+    lvl = level_from_config(rd, gram_from_weights(rd, rd.roots).matrix)  # K
+    report = iota_conjugation(rd, lvl, (Fraction(0),))
+    assert report["pairs_checked"] >= 1
+    plain = dict(report, linear=report["iota"].linear, offset=report["iota"].offset)
+    assert checks.iota_problems(lvl.gram, (Fraction(0),), plain) == []
