@@ -418,8 +418,18 @@ def longest_element(rd: RootDatum) -> Mat:
             return w
 
 
-def mat_inv_int(m):
+# Weyl parts repeat across the elements a computation inverts; each inverse
+# is a Gauss-Jordan elimination over Fraction
+MAT_INV_INT_CACHE = 4096
+
+
+@lru_cache(maxsize=MAT_INV_INT_CACHE)
+def mat_inv_int(m: Mat) -> Mat:
+    """Inverse of a hashable integer matrix whose inverse is integral;
+    ValueError if it is singular or its inverse is not integral."""
     inv = mat_inv(m)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError(f"matrix {m} has no integral inverse")
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 

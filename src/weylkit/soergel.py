@@ -7,6 +7,11 @@ read off by a support filtration computed degreewise, cross-checked by the
 rank of the fiber of the graph-twisted quotient over a deterministic generic
 rational point.  The grading convention is pinned to the Hecke normalization
 through  v-exponent = (word length) + l(w) - 2 (flag generator degree).
+
+The degreewise model (TruncModule) keeps each multiplication map by a
+variable as sparse columns with exact int or Fraction entries.  The map of
+a polynomial is built by composing these maps, and every kernel, span and
+quotient is taken on sparse rows by one reduced-echelon routine, _rref.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from weylkit.exact import Mat, identity, mat_mul, mat_vec, rank as mat_rank, transpose
+from weylkit.exact import Mat, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
 from weylkit.rootdata import group_closure
 
@@ -340,10 +345,11 @@ def _monomials(n: int, d: int):
 
 
 def _poly_to_vec(f: Poly, n: int, d: int):
-    """Coefficient vector of a homogeneous degree-d polynomial in the
-    _monomials(n, d) basis; a term of any other degree raises ValueError."""
+    """Sparse coefficient vector {position: coefficient} of a homogeneous
+    degree-d polynomial in the _monomials(n, d) basis; a term of any other
+    degree raises ValueError."""
     index = {mono: pos for pos, mono in enumerate(_monomials(n, d))}
-    vec = [Fraction(0)] * len(index)
+    vec = {}
     for e, c in f.coeffs.items():
         if e not in index:
             raise ValueError(f"term {e} is not a degree-{d} monomial in {n} variables")
@@ -351,14 +357,115 @@ def _poly_to_vec(f: Poly, n: int, d: int):
     return vec
 
 
+# Sparse linear algebra.  A vector is a dict {position: nonzero coefficient};
+# a map is a tuple of its columns, column c being the (target position,
+# nonzero coefficient) pairs of the image of basis vector c.  Coefficients
+# are ints where they are integers and Fractions otherwise.
+
+
+def _exact(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def _apply(cols, vec):
+    """Image of vec, given as (position, coefficient) pairs, under the map
+    with columns cols."""
+    out = {}
+    for c, x in vec:
+        for r, a in cols[c]:
+            out[r] = out.get(r, 0) + a * x
+    return {r: _exact(y) for r, y in out.items() if y}
+
+
+def _compose(outer, inner):
+    """The map outer o inner."""
+    return tuple(tuple(_apply(outer, col).items()) for col in inner)
+
+
+def _combination(coeffs, maps):
+    """The map sum_t coeffs[t] * maps[t]: its column c is the vector coeffs
+    pushed through the columns c of the maps."""
+    return tuple(tuple(_apply(cols, enumerate(coeffs)).items()) for cols in zip(*maps))
+
+
+def _stacked_rows(maps):
+    """The nonzero rows {column: coefficient} of the maps stacked vertically."""
+    rows = {}
+    for t, cols in enumerate(maps):
+        for c, col in enumerate(cols):
+            for r, x in col:
+                rows.setdefault((t, r), {})[c] = x
+    return list(rows.values())
+
+
+def _subtract(v, f, row):
+    """v -= f * row, in place, keeping v free of zeros."""
+    for k, y in row.items():
+        x = v.get(k, 0) - f * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+
+
+def _rref(rows):
+    """Reduced row echelon form of sparse rows: (pivot columns in increasing
+    order, the reduced rows in the same order, each with pivot entry 1).
+
+    Each row is reduced by the pivot rows found so far; its leading column
+    becomes a new pivot and is cleared from the earlier pivot rows.  Every
+    pivot row then leads at its pivot and is zero at the other pivots, so
+    the result is the reduced echelon form of the row space."""
+    done = {}
+    for row in rows:
+        v = dict(row)
+        for p in [c for c in v if c in done]:
+            _subtract(v, v[p], done[p])
+        if not v:
+            continue
+        c = min(v)
+        if v[c] != 1:
+            inv = Fraction(1, v[c]) if type(v[c]) is int else 1 / v[c]
+            v = {k: _exact(y * inv) for k, y in v.items()}
+        for prow in done.values():
+            if c in prow:
+                _subtract(prow, prow[c], v)
+        done[c] = v
+    pivots = sorted(done)
+    return pivots, [done[c] for c in pivots]
+
+
+def _kernel_basis(rows, ncols):
+    """Basis of the kernel of the sparse rows as maps on ncols coordinates:
+    one vector per non-pivot column."""
+    pivots, reduced = _rref(rows)
+    pivot_set = set(pivots)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
+    for p, row in zip(pivots, reduced):
+        for k, y in row.items():
+            if k != p:
+                basis[k][p] = -y
+    return list(basis.values())
+
+
+def _row_space_dim(vectors) -> int:
+    return len(_rref(vectors)[0])
+
+
 class TruncModule:
     """Degreewise model of a graded bimodule up to degree D: vector spaces
-    with commuting left and right multiplication maps by the variables."""
+    with commuting left and right multiplication maps by the variables.
+
+    dims[d] is the dimension in degree d.  left[j][d] and right[j][d] are
+    the maps from degree d to degree d + 1, stored as sparse columns: for
+    each source basis position, the (target position, nonzero coefficient)
+    pairs of its image, coefficients exact (int, or Fraction where the
+    right action has a denominator)."""
 
     def __init__(self, n, dims, left, right):
         self.n = n
-        self.dims = dims  # list over degrees
-        self.left = left  # left[j][d]: matrix dims[d+1] x dims[d]
+        self.dims = dims
+        self.left = left
         self.right = right
 
     @staticmethod
@@ -381,64 +488,19 @@ class TruncModule:
         right = [[None] * depth for _ in range(n)]
         for j in range(n):
             for d in range(depth):
-                lm = [[Fraction(0)] * dims[d] for _ in range(dims[d + 1])]
-                rm = [[Fraction(0)] * dims[d] for _ in range(dims[d + 1])]
-                for pos, (i, mono) in enumerate(basis_by_deg[d]):
+                lcols, rcols = [], []
+                for i, mono in basis_by_deg[d]:
                     up = tuple(k + int(t == j) for t, k in enumerate(mono))
-                    lm[index[d + 1][(i, up)]][pos] += 1
+                    lcols.append(((index[d + 1][(i, up)], 1),))
+                    col = {}
                     for l in range(bm.rank()):
-                        c = bm.right_action[j][l][i]
-                        for e, cf in c.coeffs.items():
-                            tgt = tuple(a + b for a, b in zip(mono, e))
-                            rm[index[d + 1][(l, tgt)]][pos] += cf
-                left[j][d] = tuple(map(tuple, lm))
-                right[j][d] = tuple(map(tuple, rm))
+                        for e, cf in bm.right_action[j][l][i].coeffs.items():
+                            pos = index[d + 1][(l, tuple(a + b for a, b in zip(mono, e)))]
+                            col[pos] = col.get(pos, 0) + cf
+                    rcols.append(tuple((pos, _exact(c)) for pos, c in col.items() if c))
+                left[j][d] = tuple(lcols)
+                right[j][d] = tuple(rcols)
         return TruncModule(n, dims, left, right)
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Fraction: (pivot columns, nonzero rows)."""
-    a = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, a[:r]
-
-
-def _kernel_basis(rows, ncols):
-    """Basis of the kernel of the stacked matrix (rows over Fraction)."""
-    pivots, reduced = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, row in zip(pivots, reduced):
-            v[c] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def _row_space_dim(vectors) -> int:
-    if not vectors:
-        return 0
-    return mat_rank(tuple(map(tuple, vectors)))
 
 
 def graph_sections(mod: TruncModule, w: Mat):
@@ -455,78 +517,57 @@ def graph_sections(mod: TruncModule, w: Mat):
     R-modules on generators of degree #D0 + #U1 <= k, counted over the
     subexpressions of the word (the same count as the Hecke-side formula
     v-exponent = k + l(w) - 2 (generator degree))."""
-    from weylkit.exact import mat_inv
-
-    winv = mat_inv(w)
+    winv = [[_exact(x) for x in row] for row in mat_inv(w)]
     n = mod.n
     depth = len(mod.dims) - 1
     if depth < 1:
         raise ValueError("graph_sections needs a module truncated at degree >= 1")
     out = []
     for d in range(depth):
-        rows = []
+        ops = []
         for j in range(n):
-            lw = None
-            for l in range(n):
-                c = Fraction(winv[j][l])
-                if not c:
-                    continue
-                block = [[c * x for x in row] for row in mod.left[l][d]]
-                lw = block if lw is None else [
-                    [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(lw, block)
-                ]
-            if lw is None:
-                lw = [[Fraction(0)] * mod.dims[d] for _ in range(mod.dims[d + 1])]
-            diff = [
-                [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(mod.right[j][d], lw)
-            ]
-            rows.extend(diff)
-        out.append(_kernel_basis(rows, mod.dims[d]))
-    _, top = _rref(_left_span_images(mod, out[-1], depth), mod.dims[depth])
-    out.append([tuple(row) for row in top])
+            twist = [l for l in range(n) if winv[j][l]]
+            ops.append(
+                _combination([1] + [-winv[j][l] for l in twist], [mod.right[j][d]] + [mod.left[l][d] for l in twist])
+            )
+        out.append(_kernel_basis(_stacked_rows(ops), mod.dims[d]))
+    out.append(_rref(_left_span_images(mod, out[-1], depth))[1])
     return out
 
 
 def quotient_module(mod: TruncModule, sub_bases) -> TruncModule:
-    """Quotient by a degreewise subspace closed under both actions."""
+    """Quotient by a degreewise subspace closed under both actions.
+
+    The quotient keeps the non-pivot positions of the subspace's reduced
+    echelon form; projecting onto them sends a pivot position p to minus
+    the rest of the pivot row of p.  The quotient's maps are the
+    projections composed with the maps restricted to the kept positions."""
     n = mod.n
     depth = len(mod.dims) - 1
-    projections = []
-    newdims = []
+    kept, projections = [], []
     for d in range(depth + 1):
-        sub = sub_bases[d] if d < len(sub_bases) else []
-        pivots, reduce_rows = _rref(sub, mod.dims[d])
-        comp = [c for c in range(mod.dims[d]) if c not in pivots]
-        newdims.append(len(comp))
-        projections.append((pivots, reduce_rows, comp))
-
-    def project(d, vec):
-        pivots, reduce_rows, comp = projections[d]
-        v = list(vec)
-        for row, pc in zip(reduce_rows, pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, row)]
-        return [v[c] for c in comp]
-
+        pivots, reduced = _rref(sub_bases[d] if d < len(sub_bases) else [])
+        rows = dict(zip(pivots, reduced))
+        keep = [c for c in range(mod.dims[d]) if c not in rows]
+        new = {c: pos for pos, c in enumerate(keep)}
+        projections.append(
+            tuple(
+                tuple((new[k], -y) for k, y in rows[c].items() if k != c) if c in rows else ((new[c], 1),)
+                for c in range(mod.dims[d])
+            )
+        )
+        kept.append(keep)
     left = [[None] * depth for _ in range(n)]
     right = [[None] * depth for _ in range(n)]
     for j in range(n):
         for d in range(depth):
-            _, _, comp = projections[d]
-            cols_l = [project(d + 1, [row[c] for row in mod.left[j][d]]) for c in comp]
-            cols_r = [project(d + 1, [row[c] for row in mod.right[j][d]]) for c in comp]
-            left[j][d] = tuple(tuple(col[i] for col in cols_l) for i in range(newdims[d + 1]))
-            right[j][d] = tuple(tuple(col[i] for col in cols_r) for i in range(newdims[d + 1]))
-    return TruncModule(n, newdims, left, right)
+            left[j][d] = _compose(projections[d + 1], [mod.left[j][d][c] for c in kept[d]])
+            right[j][d] = _compose(projections[d + 1], [mod.right[j][d][c] for c in kept[d]])
+    return TruncModule(n, [len(keep) for keep in kept], left, right)
 
 
 def _left_span_images(mod: TruncModule, basis_prev, d):
-    out = []
-    for j in range(mod.n):
-        for v in basis_prev:
-            out.append(tuple(mat_vec(mod.left[j][d - 1], v)))
-    return out
+    return [_apply(mod.left[j][d - 1], v.items()) for j in range(mod.n) for v in basis_prev]
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +630,11 @@ def graph_character_table(
     for g in order:
         secs = graph_sections(mod, g)
         coeffs: Dict[int, int] = {}
-        prev_basis = []
-        gen_degrees = []
         for d in range(len(mod.dims) - 1):
-            span_prev = _left_span_images(mod, prev_basis, d) if d else []
-            new = len(secs[d]) - _row_space_dim(span_prev)
+            # generators in degree d: sections not in the left span of degree d-1
+            new = len(secs[d]) - (_row_space_dim(_left_span_images(mod, secs[d - 1], d)) if d else 0)
             if new:
-                gen_degrees.extend([d] * new)
-            prev_basis = secs[d]
-        for gdeg in gen_degrees:
-            exp = k + lengths[g] - 2 * gdeg
-            coeffs[exp] = coeffs.get(exp, 0) + 1
+                coeffs[k + lengths[g] - 2 * d] = new
         out[g] = LaurentPoly(coeffs)
         mod = quotient_module(mod, secs)
     if any(mod.dims):
@@ -607,22 +642,9 @@ def graph_character_table(
     # cross-check: generic-point fiber ranks reproduce the ungraded counts
     for attempt in range(6):
         point = _generic_point(n, seed + attempt)
-        images = {}
-        collision = False
-        for g in supp:
-            img = tuple(mat_vec(tuple(tuple(Fraction(x) for x in row) for row in g), point))
-            if img in images.values():
-                collision = True
-                break
-            images[g] = img
-        if collision:
+        if len({mat_vec(g, point) for g in supp}) < len(supp):
             continue
-        ok = True
-        for g in supp:
-            if _fiber_rank_at(bm, g, point) != out[g].at_one():
-                ok = False
-                break
-        if ok:
+        if all(_fiber_rank_at(bm, g, point) == out[g].at_one() for g in supp):
             return out
     raise GenericPointCollision("fiber ranks disagree with the filtration")
 
@@ -662,47 +684,27 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
     # End(B_r) = annihilator of the defining ideal acting by left-minus-right
     # on B_r; generators: invariant linear forms and alpha^2
     invariant_linear = _invariant_linear_forms(m)
-    gens = [Poly.linear(v) for v in invariant_linear] + [alpha * alpha]
+    gens = [Poly.linear([v.get(i, 0) for i in range(n)]) for v in invariant_linear] + [alpha * alpha]
     end_dims = []
     for d in range(depth):
-        rows = []
-        for g in gens:
-            op = _left_minus_right(mod, bm, g, d)
-            if op is not None:
-                rows.extend(op)
-        if rows:
-            end_dims.append(len(_kernel_basis(rows, mod.dims[d])))
-        else:
-            end_dims.append(mod.dims[d])
+        ops = [op for op in (_left_minus_right(mod, g, d) for g in gens) if op is not None]
+        end_dims.append(len(_kernel_basis(_stacked_rows(ops), mod.dims[d])))
 
-    # graph quotient dimensions: images of B_r in R through gamma maps
-    r_dims = [len(_monomials(n, d)) for d in range(depth)]
+    # graph quotient dimensions: images of the basis p(x)1, p(x)alpha of B_r
+    # in R through the gamma maps
     gamma1, gamma_r = graph_quotients(m)
+    z = Poly.zero(n)
     g1_dims, gr_dims = [], []
     for d in range(depth):
-        imgs1, imgsr = [], []
-        for p_deg, base in ((d, 0), (d - 1, 1)):
-            if p_deg < 0:
-                continue
-            for mono in _monomials(n, p_deg):
-                p = Poly(n, {mono: Fraction(1)})
-                z = Poly.zero(n)
-                pq = (p, z) if base == 0 else (z, p)
-                imgs1.append(_poly_to_vec(gamma1(*pq), n, d))
-                imgsr.append(_poly_to_vec(gamma_r(*pq), n, d))
-        g1_dims.append(_row_space_dim(imgs1))
-        gr_dims.append(_row_space_dim(imgsr))
+        pairs = [(Poly(n, {e: 1}), z) for e in _monomials(n, d)] + [(z, Poly(n, {e: 1})) for e in _monomials(n, d - 1)]
+        g1_dims.append(_row_space_dim([_poly_to_vec(gamma1(*pq), n, d) for pq in pairs]))
+        gr_dims.append(_row_space_dim([_poly_to_vec(gamma_r(*pq), n, d) for pq in pairs]))
 
     # hyperplane ring R/(alpha)
-    hyp_dims = []
-    for d in range(depth):
-        if d == 0:
-            hyp_dims.append(1)
-            continue
-        imgs = []
-        for mono in _monomials(n, d - 1):
-            imgs.append(_poly_to_vec(Poly(n, {mono: Fraction(1)}) * alpha, n, d))
-        hyp_dims.append(r_dims[d] - _row_space_dim(imgs))
+    hyp_dims = [
+        len(_monomials(n, d)) - _row_space_dim([_poly_to_vec(Poly(n, {e: 1}) * alpha, n, d) for e in _monomials(n, d - 1)])
+        for d in range(depth)
+    ]
 
     identity_holds = all(
         end_dims[d] == g1_dims[d] + gr_dims[d] - hyp_dims[d] for d in range(depth)
@@ -719,47 +721,25 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
 def _invariant_linear_forms(m: Mat):
     """Basis of covectors fixed by the reflection (the hyperplane equations'
     complement): kernel of (m^T - 1)."""
-    n = len(m)
-    rows = []
-    mt = transpose(m)
-    ident = identity(n)
-    for i in range(n):
-        rows.append(tuple(Fraction(mt[i][j]) - Fraction(ident[i][j]) for j in range(n)))
-    return _kernel_basis(rows, n)
+    rows = [{j: x - int(i == j) for j, x in enumerate(row) if x != int(i == j)} for i, row in enumerate(transpose(m))]
+    return _kernel_basis(rows, len(m))
 
 
-def _left_minus_right(mod: TruncModule, bm: Bimodule, g: Poly, d: int):
-    """Matrix of (left mult by g) - (right mult by g) from degree d."""
+def _left_minus_right(mod: TruncModule, g: Poly, d: int):
+    """Map (left mult by g) - (right mult by g) from degree d, or None when
+    its target lies above the truncation.  Each monomial's map on a side is
+    the composite of that side's maps by its variables."""
+    if not g.is_homogeneous():
+        raise ValueError(f"left-minus-right needs a homogeneous polynomial, not {g}")
     deg = g.degree()
     if d + deg >= len(mod.dims):
         return None
-    dim_src = mod.dims[d]
-    dim_tgt = mod.dims[d + deg]
-    rows = [[Fraction(0)] * dim_src for _ in range(dim_tgt)]
-    for c in range(dim_src):
-        src = [Fraction(int(k == c)) for k in range(dim_src)]
-        img = _apply_poly(mod, g, d, src, side="left")
-        img2 = _apply_poly(mod, g, d, src, side="right")
-        for i in range(dim_tgt):
-            rows[i][c] = img[i] - img2[i]
-    return rows
-
-
-def _apply_poly(mod: TruncModule, g: Poly, d: int, vec, side: str):
-    total = [Fraction(0)] * mod.dims[d + g.degree()]
+    coeffs, maps = [], []
     for e, cf in g.coeffs.items():
-        cur = list(vec)
-        cur_d = d
-        for j, k in enumerate(e):
-            for _ in range(k):
-                mats = mod.left if side == "left" else mod.right
-                cur = list(mat_vec(mats[j][cur_d], cur))
-                cur_d += 1
-        scale_deg = d + g.degree()
-        if cur_d != scale_deg:
-            # monomial of lower degree than g.degree(): pad through left mult
-            # by nothing; homogeneous generators only, so this cannot happen
-            raise ValueError("inhomogeneous generator")
-        for i in range(len(total)):
-            total[i] += cf * cur[i]
-    return total
+        for sign, side in ((1, mod.left), (-1, mod.right)):
+            composite = tuple(((c, 1),) for c in range(mod.dims[d]))
+            for step, j in enumerate(j for j, k in enumerate(e) for _ in range(k)):
+                composite = _compose(side[j][d + step], composite)
+            coeffs.append(sign * _exact(cf))
+            maps.append(composite)
+    return _combination(coeffs, maps)

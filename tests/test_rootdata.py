@@ -144,3 +144,21 @@ def test_product_and_height():
     sl3 = preset("SL", 3)
     hi = max(root_height(sl3, a) for a in sl3.roots)
     assert hi == 2
+
+
+def test_mat_inv_int_is_the_exact_inverse_and_rejects_non_integral():
+    from weylkit.exact import mat_inv
+    from weylkit.rootdata import MAT_INV_INT_CACHE, mat_inv_int
+
+    presets = [("SL", 3), ("SL", 4), ("PGL", 3), ("GL", 2), ("Sp", 4), ("Sp", 6), ("PSp", 4),
+               ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 4), ("SO_even", 6), ("G2", 2)]
+    for name, n in presets:
+        for w in weyl_elements(preset(name, n)):
+            assert mat_inv_int(w) == mat_inv(w), (name, n, w)
+    assert mat_inv_int.cache_info().maxsize == MAT_INV_INT_CACHE
+    # a non-integral inverse used to be truncated to ((0,),)
+    with pytest.raises(ValueError, match=r"matrix \(\(2,\),\) has no integral inverse"):
+        mat_inv_int(((2,),))
+    with pytest.raises(ValueError, match="singular"):
+        mat_inv_int(((1, 2), (2, 4)))
+

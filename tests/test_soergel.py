@@ -32,6 +32,8 @@ A2_S = ((-1, 1), (0, 1))  # Cartan realization s1 for A2
 A2_T = ((1, 0), (1, -1))
 B2C_S = ((-1, 2), (0, 1))  # C2 Cartan realization
 B2C_T = ((1, 0), (1, -1))
+G2_S = ((-1, 1), (0, 1))  # G2 Cartan realization
+G2_T = ((1, 0), (3, -1))
 
 
 def rand_poly(rng, n, deg):
@@ -158,12 +160,12 @@ def test_graph_character_a2_sts():
 
 def test_graph_character_matches_hecke_rank2():
     # the cross-module oracle on words of length <= 3 here (length 4 in the
-    # acceptance suite): A2 and C2 realizations
+    # acceptance suite): A2, C2 and G2 realizations
     from weylkit.affine import CharacterPoint, affine_coroot_reflection, affine_simple_data, gram_from_weights
     from weylkit.hecke import bott_samelson_product
     from weylkit.rootdata import preset
 
-    for name, n, mats in (("SL", 3, (A2_S, A2_T)), ("Sp", 4, (B2C_S, B2C_T))):
+    for name, n, mats in (("SL", 3, (A2_S, A2_T)), ("Sp", 4, (B2C_S, B2C_T)), ("G2", 2, (G2_S, G2_T))):
         rd = preset(name, n)
         form = gram_from_weights(rd, rd.roots)
         chi = CharacterPoint.trivial(rd.rank)
@@ -208,12 +210,22 @@ def _map_group_element(rd, refl, mats, g):
         seen.update(new)
 
 
+def test_graph_character_table_of_sign_conjugated_word():
+    # conjugating every letter by a diagonal sign matrix D conjugates the
+    # table's keys by D and keeps every character
+    for word, signs in (([A2_S, A2_T, A2_S], (1, -1)), ([G2_T, G2_S], (-1, 1)), ([B2C_S, B2C_T, B2C_S], (-1, 1))):
+        conj = [tuple(tuple(signs[i] * m[i][j] * signs[j] for j in range(2)) for i in range(2)) for m in word]
+        table, conj_table = graph_character_table(word), graph_character_table(conj)
+        moved = {tuple(tuple(signs[i] * g[i][j] * signs[j] for j in range(2)) for i in range(2)): c for g, c in table.items()}
+        assert conj_table == moved, word
+
+
 def test_poly_to_vec_rejects_other_degrees():
     from weylkit.soergel import _poly_to_vec
 
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    # basis of _monomials(2, 2): y^2, x y, x^2
-    assert _poly_to_vec(x * x - y.scale(3) * y, 2, 2) == [-3, 0, 1]
+    # basis of _monomials(2, 2): y^2, x y, x^2; the vector is sparse
+    assert _poly_to_vec(x * x - y.scale(3) * y, 2, 2) == {0: -3, 2: 1}
     with pytest.raises(ValueError):
         _poly_to_vec(x * x + y, 2, 2)
 
@@ -243,3 +255,74 @@ def test_end_bs_identity_battery_rank_le_3():
             ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
     for m in mats:
         assert hilbert_end_bs(m, depth=5)["identity"], m
+
+
+def test_left_minus_right_rejects_inhomogeneous_polynomial():
+    from weylkit.soergel import _left_minus_right
+
+    mod = TruncModule.from_bimodule(bott_samelson_bimodule(SWAP), 4)
+    x = Poly.variable(2, 0)
+    assert _left_minus_right(mod, x * x, 3) is None  # target above the truncation
+    with pytest.raises(ValueError, match="homogeneous"):
+        _left_minus_right(mod, x + x * x, 0)
+
+
+def test_end_bs_identity_sl4_and_g2_at_benchmark_depths():
+    # every simple reflection of SL4 at depth 4 and of G2 at depth 6: the
+    # identity holds and both graph quotients are all of R, dim R_d = C(n+d-1, d)
+    from math import comb
+
+    from weylkit.rootdata import preset
+
+    for name, param, depth in (("SL", 4, 4), ("G2", 2, 6)):
+        rd = preset(name, param)
+        for m in rd.simple_reflections():
+            report = hilbert_end_bs(m, depth)
+            r_dims = [comb(rd.rank + d - 1, d) for d in range(depth)]
+            assert report["identity"], (name, m)
+            assert report["gamma1"] == report["gamma_r"] == r_dims, (name, m)
+
+
+def _dense_pivots(rows, ncols):
+    """Pivot columns of the reduced row echelon form, by dense elimination."""
+    a = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def test_sparse_elimination_against_dense():
+    from weylkit.exact import rank
+    from weylkit.soergel import _kernel_basis, _rref
+
+    rng = random.Random(11)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = []
+        for _ in range(nrows):
+            row = {c: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for c in range(ncols) if rng.random() < 0.35}
+            rows.append({c: x for c, x in row.items() if x})
+        if rng.random() < 0.3 and nrows > 1:  # a dependent row
+            rows.append({c: rows[0].get(c, 0) - 2 * rows[1].get(c, 0) for c in range(ncols)})
+            rows[-1] = {c: x for c, x in rows[-1].items() if x}
+        dense = tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in rows)
+        pivots, reduced = _rref(rows)
+        assert pivots == _dense_pivots(rows, ncols)
+        assert all(row[p] == 1 and all(q == p or q not in row for q in pivots) for p, row in zip(pivots, reduced))
+        kernel = _kernel_basis(rows, ncols)
+        assert len(kernel) == ncols - rank(dense)
+        as_dense = tuple(tuple(v.get(c, 0) for c in range(ncols)) for v in kernel)
+        assert not kernel or rank(as_dense) == len(kernel)
+        for v in as_dense:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in dense)
+

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 from fractions import Fraction
 
@@ -37,6 +38,12 @@ def test_perfbench_contract(monkeypatch):
         assert callable(getattr(getattr(importlib.import_module(f"weylkit.{layer}"), cls), method)), (cls, method)
     for layer, name in trace_layers._COUNTED:
         assert callable(getattr(importlib.import_module(f"weylkit.{layer}"), name)), (layer, name)
+    # the tracer rebinds TruncModule.from_bimodule as a staticmethod and adds
+    # up the .dims list of every module it returns
+    soergel = importlib.import_module("weylkit.soergel")
+    assert isinstance(inspect.getattr_static(soergel.TruncModule, "from_bimodule"), staticmethod)
+    mod = soergel.TruncModule.from_bimodule(soergel.bott_samelson_bimodule(((-1,),)), 3)
+    assert isinstance(mod.dims, list) and sum(mod.dims) == 7
     for workload in ("blocks", "levels", "soergel"):
         assert workloads.build(workload, 1)
     # checks.iota_problems reads these report fields, and the frozen baseline
