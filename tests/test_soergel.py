@@ -313,8 +313,8 @@ def test_sparse_elimination_against_dense():
             row = {c: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for c in range(ncols) if rng.random() < 0.35}
             rows.append({c: x for c, x in row.items() if x})
         if rng.random() < 0.3 and nrows > 1:  # a dependent row
-            rows.append({c: rows[0].get(c, 0) - 2 * rows[1].get(c, 0) for c in range(ncols)})
-            rows[-1] = {c: x for c, x in rows[-1].items() if x}
+            dependent = {c: rows[0].get(c, 0) - 2 * rows[1].get(c, 0) for c in range(ncols)}
+            rows.append({c: x for c, x in dependent.items() if x})
         dense = tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in rows)
         pivots, reduced = _rref(rows)
         assert pivots == _dense_pivots(rows, ncols)
