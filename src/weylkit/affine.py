@@ -44,6 +44,7 @@ from weylkit.exact import (
     QMODZ_ZERO,
     QmodZ,
     Vec,
+    congruence_solver,
     dot,
     identity,
     lattice_basis_from_generators,
@@ -547,17 +548,12 @@ def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
     """Per finite Weyl element w, the coset of lam with
     rows lam = weyl_shift(w, right, left) (mod 1) and exact_rows lam = 0, or
     None; plus the translation lattice {rows lam = 0 (mod 1), exact_rows lam
-    = 0}, which every coset shares: only the right-hand side depends on w."""
-    cosets: Dict[Mat, Optional[CosetZn]] = {}
-    lattice: Tuple[Vec, ...] = ()
-    for w in weyl_elements(rd):
-        rhs = list(weyl_shift(w, right, left)) + [Fraction(0)] * len(exact_rows)
-        moduli = [Fraction(1)] * len(rows) + [Fraction(0)] * len(exact_rows)
-        sol = solve_integer_affine(list(rows) + list(exact_rows), rhs, moduli)
-        cosets[w] = sol
-        if sol is not None:
-            lattice = sol.basis
-    return cosets, lattice
+    = 0}, which every coset shares.  Only the right-hand side depends on w,
+    so one congruence_solver (one Smith form) serves every w."""
+    solve = congruence_solver(list(rows) + list(exact_rows), [1] * len(rows) + [0] * len(exact_rows))
+    zeros = (0,) * len(exact_rows)
+    cosets: Dict[Mat, Optional[CosetZn]] = {w: solve(weyl_shift(w, right, left) + zeros) for w in weyl_elements(rd)}
+    return cosets, solve((0,) * (len(rows) + len(exact_rows))).basis
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from weylkit.affine import (
     Progression,
     affine_coroot_reflection,
     connected_components,
+    element_length,
     integral_system,
     length_zero_group,
     progression,
@@ -474,6 +475,7 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     conjugation: one commuting involution per length-zero-stable orbit of
     finite-type components (trivial when every component is affine)."""
     sys = level_integral_weyl(rd, lvl, theta)
+    progs = dict(sys.progressions)
     refl = list(sys.simple_reflections(rd))
     omega, _ = _alcove_omega(rd, lvl, sys)
     comp_of = {}
@@ -510,7 +512,7 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
         z = ExtendedWeylElement.unit(rd.rank)
         for ci in orbit:
             idx = sys.components[ci][0]
-            z = z * _longest_in_component(rd, [refl[i] for i in idx])
+            z = z * _longest_in_component(rd, lvl, progs, [refl[i] for i in idx])
         # z must normalize the simple system
         conj_set = {z * r * z.inverse() for r in refl}
         if conj_set != set(refl):
@@ -525,23 +527,19 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     return tuple(gens)
 
 
-def _longest_in_component(rd, reflections) -> ExtendedWeylElement:
-    """Longest element of a finite component: the unique farthest element in
-    the Cayley graph on the given generators."""
-    unit = ExtendedWeylElement.unit(rd.rank)
-    dist = {unit: 0}
-    frontier = [unit]
-    while frontier:
-        new = []
-        for g in frontier:
-            for r in reflections:
-                x = g * r
-                if x not in dist:
-                    dist[x] = dist[g] + 1
-                    new.append(x)
-        frontier = new
-    maxd = max(dist.values())
-    far = [g for g, d in dist.items() if d == maxd]
-    if len(far) != 1:
-        raise VerificationFailed(f"finite component has {len(far)} longest elements")
-    return far[0]
+def _longest_in_component(rd, lvl, progressions, reflections) -> ExtendedWeylElement:
+    """Longest element of a finite component: from the unit, ascend while
+    some generator s gives l(g s) > l(g).  The length is the integral
+    system's, which on a parabolic subgroup is its own length, and the only
+    element of a finite Coxeter group with no ascent is the longest one."""
+    g = ExtendedWeylElement.unit(rd.rank)
+    length = 0
+    while True:
+        for r in reflections:
+            h = g * r
+            h_length = element_length(h, rd, lvl, progressions)
+            if h_length > length:
+                g, length = h, h_length
+                break
+        else:
+            return g

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 Vec = Tuple[int, ...]
 Mat = Tuple[Tuple[int, ...], ...]
@@ -373,20 +373,32 @@ def solve_integer_affine(a, b, moduli) -> Optional[CosetZn]:
     a has rational entries, b rational, moduli per-row rationals; modulus 0
     means an exact equation over Z.  Returns the full solution coset or None.
     """
+    return congruence_solver(a, moduli)(b)
+
+
+def congruence_solver(a, moduli) -> Callable[[Sequence], Optional[CosetZn]]:
+    """The map b |-> {x in Z^n : a x = b (mod moduli)} (a CosetZn, or None)
+    for fixed a and moduli, as in solve_integer_affine.
+
+    Row i is scaled by the lcm s_i of the denominators of a[i] and moduli[i],
+    and the Smith form of [A | M] (M the diagonal of the nonzero scaled
+    moduli) and the solution lattice are computed once; only the particular
+    solution depends on b.  If some s_i b[i] is not an integer, a[i] x lies
+    in (1/s_i) Z + b[i] for no integral x, so there is no solution.
+    """
     rows = len(a)
     n = len(a[0]) if rows else 0
-    if len(b) != rows or len(moduli) != rows:
-        raise DimensionMismatch("rows of a, b, moduli must agree")
-    # scale each row to integers
-    int_rows, int_b, int_mod = [], [], []
-    for i in range(rows):
-        entries = [Fraction(x) for x in a[i]] + [Fraction(b[i]), Fraction(moduli[i])]
+    if len(moduli) != rows:
+        raise DimensionMismatch("rows of a and moduli must agree")
+    scales, int_rows, int_mod = [], [], []
+    for row, modulus in zip(a, moduli):
+        entries = [Fraction(x) for x in row] + [Fraction(modulus)]
         if entries[-1] < 0:
             raise ValueError("moduli must be nonnegative")
         scale = math.lcm(*(e.denominator for e in entries))
-        int_rows.append([int(Fraction(x) * scale) for x in a[i]])
-        int_b.append(int(Fraction(b[i]) * scale))
-        int_mod.append(int(Fraction(moduli[i]) * scale))
+        scales.append(scale)
+        int_rows.append([int(x * scale) for x in entries[:-1]])
+        int_mod.append(int(entries[-1] * scale))
     # assemble [A | M] (x, t) = b with M = diag of moduli (drop zero-modulus columns)
     mod_cols = [i for i in range(rows) if int_mod[i] != 0]
     width = n + len(mod_cols)
@@ -397,27 +409,38 @@ def solve_integer_affine(a, b, moduli) -> Optional[CosetZn]:
             row[n + mod_cols.index(i)] = int_mod[i]
         big.append(row)
     u, d, v = smith_normal_form(big)
-    c = mat_vec(u, int_b)
-    y = [0] * width
     r = min(rows, width)
-    for i in range(r):
-        dii = d[i][i]
-        if dii == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % dii != 0:
-                return None
-            y[i] = c[i] // dii
-    for i in range(r, rows):
-        if c[i] != 0:
-            return None
-    z = mat_vec(v, y)
-    particular = tuple(z[:n])
     free = [i for i in range(width) if i >= r or d[i][i] == 0]
     gens = []
     for i in free:
         col = tuple(v[j][i] for j in range(width))[:n]
         if any(col):
             gens.append(col)
-    return CosetZn(particular, lattice_basis_from_generators(gens))
+    lattice = lattice_basis_from_generators(gens)
+
+    def solve(b) -> Optional[CosetZn]:
+        if len(b) != rows:
+            raise DimensionMismatch("rows of a, b, moduli must agree")
+        int_b = []
+        for x, scale in zip(b, scales):
+            x = Fraction(x) * scale
+            if x.denominator != 1:
+                return None
+            int_b.append(int(x))
+        c = mat_vec(u, int_b)
+        y = [0] * width
+        for i in range(r):
+            dii = d[i][i]
+            if dii == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % dii != 0:
+                    return None
+                y[i] = c[i] // dii
+        for i in range(r, rows):
+            if c[i] != 0:
+                return None
+        return CosetZn(tuple(mat_vec(v, y)[:n]), lattice)
+
+    return solve

@@ -24,16 +24,16 @@ from weylkit.affine import (
     IntegralSystem,
     Progression,
     act_affine_coroot,
-    affine_coroot_positive,
     affine_coroot_reflection,
     affine_simple_data,
-    connected_components,
     element_length,
     element_order,
     extended_act_character,
     integral_system,
     progression,
     progression_contains,
+    separating_wall,
+    slice_act,
     stabilizer_cosets,
 )
 from weylkit.rootdata import RootDatum
@@ -103,8 +103,10 @@ def _finite_values(chi: CharacterPoint) -> Tuple:
 
 def weyl_stabilizer(rd: RootDatum, form: GramForm, chi: CharacterPoint):
     """Per finite Weyl element w: the coset of translations lam with
-    t^lam w chi = chi, or None; plus the common translation lattice L_chi."""
-    return stabilizer_cosets(rd, _stabilizer_rows(form, chi), _finite_values(chi), _finite_values(chi))
+    t^lam w chi = chi, or None; plus the common translation lattice L_chi.
+    Read from the integral system, which solves the same congruences."""
+    system = integral_simple_system(rd, form, chi)
+    return dict(system.stabilizer), system.translation_lattice
 
 
 @lru_cache(maxsize=None)
@@ -120,23 +122,26 @@ def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -
 def minimal_rep(
     rd: RootDatum, form: GramForm, chi_right: CharacterPoint, x: ExtendedWeylElement
 ) -> ExtendedWeylElement:
-    """Minimal element of the block of x, by the descent walk on S_{chi_right}."""
+    """Minimal element of the block of x, by a wall walk in the integral
+    system of chi_right: the length of x counts the integral walls between
+    the base point x0 and p = x^{-1} x0, and while a wall with reflection r
+    separates them, x becomes x r and p becomes r p, one wall fewer (exchange
+    property).  The walk ends at the unique length-zero element of x W_chi."""
     start = x
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
     progs = dict(system.progressions)
-    while True:
-        for ac in system.simples:
-            img = act_affine_coroot(x, rd, form, ac)
-            if not affine_coroot_positive(rd, img):
-                x = x * affine_coroot_reflection(rd, ac)
-                break
-        else:
-            break
+    x0 = system.base_point
+    p = slice_act(x.inverse(), form, x0)
+    wall = separating_wall(rd, form, progs, x0, p)
+    while wall is not None:
+        r = affine_coroot_reflection(rd, wall)
+        x, p = x * r, slice_act(r, form, p)
+        wall = separating_wall(rd, form, progs, x0, p)
     if element_length(x, rd, form, progs) != 0:
-        raise NotInStabilizerOrbit(f"descent from {start} ended at {x}, which is not minimal")
+        raise NotInStabilizerOrbit(f"walk from {start} ended at {x}, which is not minimal")
     if extended_act_character(x, form, chi_right) != chi_left:
-        raise CharacterMismatch(f"descent from {start} changed the left character {chi_left}")
+        raise CharacterMismatch(f"walk from {start} changed the left character {chi_left}")
     return x
 
 
@@ -159,70 +164,36 @@ def omega_compose(
     return out
 
 
-def _ambient_height(rd: RootDatum, form: GramForm, simples, ac: AffineCoroot) -> int:
-    """Height of a positive affine coroot in the ambient simple affine basis."""
-    from weylkit.exact import solve_linear
-
-    target = (ac.n * form.q(ac.coroot),) + tuple(ac.coroot)
-    # group ambient simples by the finite component containing the direction
-    by_comp = _component_split(rd, simples)
-    for group in by_comp:
-        cols = []
-        for s in group:
-            cols.append((s.n * form.q(s.coroot),) + tuple(s.coroot))
-        sol = solve_linear(tuple(zip(*cols)), target)
-        if sol is None:
-            continue
-        if all(x.denominator == 1 and x >= 0 for x in sol):
-            return int(sum(sol))
-    raise ValueError(f"affine coroot {ac} is not a nonnegative combination of the simples")
-
-
-def _component_split(rd: RootDatum, simples):
-    """Groups of ambient simple affine coroots to try expansions against:
-    the connected components of the affine diagram, then everything."""
-    out = [tuple(simples[i] for i in g) for g in _connected_groups(rd, simples)]
-    out.append(tuple(simples))
-    return out
-
-
-def _connected_groups(rd: RootDatum, simples):
-    refl = [affine_coroot_reflection(rd, s) for s in simples]
-    return connected_components(len(simples), lambda i, j: refl[i] * refl[j] != refl[j] * refl[i])
-
-
 def conjugate_to_simple(
     rd: RootDatum, form: GramForm, chi: CharacterPoint, r: AffineCoroot
 ) -> ExtendedWeylElement:
     """Minimal u with u r u^{-1} simple in the ambient affine system and in
-    the integral system of u chi; found by strict height descent."""
+    the integral system of u chi, by a length descent: a reflection of
+    ambient length 1 is simple (Dyer), and for any other one some ambient
+    simple s is a left descent, so that s r s has length l(r) - 2; the first
+    such s in the ambient order conjugates r, u and chi."""
     ambient = affine_simple_data(rd, form).simples
-    ambient_set = set(ambient)
     u = ExtendedWeylElement.unit(rd.rank)
     cur = r
     cur_chi = chi
-    h = _ambient_height(rd, form, ambient, cur)
-    while cur not in ambient_set:
-        progress = False
+    length = element_length(affine_coroot_reflection(rd, cur), rd, form)
+    while length > 1:
         for s in ambient:
             t_refl = affine_coroot_reflection(rd, s)
             img = act_affine_coroot(t_refl, rd, form, cur)
-            if not affine_coroot_positive(rd, img):
-                continue
-            h_img = _ambient_height(rd, form, ambient, img)
-            if h_img < h:
-                # the conjugating ambient simple cannot be integral, else r
-                # would not have been simple in the integral system
-                if progression_contains(integral_progression(rd, form, cur_chi, s.coroot), s.n):
-                    raise NotInStabilizerOrbit(f"descent from {r} crosses the integral wall {s}; {r} is not simple")
-                u = t_refl * u
-                cur = img
-                cur_chi = extended_act_character(t_refl, form, cur_chi)
-                h = h_img
-                progress = True
+            img_length = element_length(affine_coroot_reflection(rd, img), rd, form)
+            if img_length < length:
                 break
-        if not progress:
-            raise RuntimeError("height descent stalled")
+        else:
+            raise RuntimeError(f"length descent from {r} stalled at {cur}")
+        # the conjugating ambient simple cannot be integral, else r would
+        # not have been simple in the integral system
+        if progression_contains(integral_progression(rd, form, cur_chi, s.coroot), s.n):
+            raise NotInStabilizerOrbit(f"descent from {r} crosses the integral wall {s}; {r} is not simple")
+        u = t_refl * u
+        cur = img
+        cur_chi = extended_act_character(t_refl, form, cur_chi)
+        length = img_length
     if not is_minimal(rd, form, chi, u):
         raise NotInStabilizerOrbit(f"conjugator {u} of {r} is not minimal")
     if u * affine_coroot_reflection(rd, r) * u.inverse() != affine_coroot_reflection(rd, cur):

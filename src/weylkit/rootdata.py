@@ -76,19 +76,14 @@ class RootDatum:
 
     def positive_root_indices(self) -> Tuple[int, ...]:
         """Indices of roots that are nonnegative combinations of the simples."""
-        out = []
-        for i, a in enumerate(self.roots):
-            c = _simple_coeffs(self.simple_roots, a)
-            if c is not None and all(x >= 0 for x in c):
-                out.append(i)
-        return tuple(out)
+        positive = _coroot_positivity(self)
+        return tuple(i for i, cv in enumerate(self.coroots) if positive[cv])
 
     def is_positive_coroot(self, cv: Vec) -> bool:
-        try:
-            i = self.coroots.index(tuple(cv))
-        except ValueError:
+        positive = _coroot_positivity(self).get(tuple(cv))
+        if positive is None:
             raise ValueError(f"{cv} is not a coroot")
-        return i in set(self.positive_root_indices())
+        return positive
 
     def reflection(self, i: int) -> Mat:
         """Matrix of s_{alpha_i} on the cocharacter lattice."""
@@ -131,6 +126,17 @@ def _simple_coeffs(simples, target):
     if vec_sub(tuple(sum(Fraction(simples[k][j]) * sol[k] for k in range(len(simples))) for j in range(len(target))), tuple(Fraction(x) for x in target)) != tuple(Fraction(0) for _ in target):
         return None
     return sol
+
+
+@lru_cache(maxsize=None)
+def _coroot_positivity(rd: RootDatum) -> Dict[Vec, bool]:
+    """Each coroot's sign, fixed by the datum: whether its root is a
+    nonnegative combination of the simple roots."""
+    out = {}
+    for a, cv in zip(rd.roots, rd.coroots):
+        c = _simple_coeffs(rd.simple_roots, a)
+        out[cv] = c is not None and all(x >= 0 for x in c)
+    return out
 
 
 def root_height(rd: RootDatum, root: Vec) -> Fraction:
@@ -404,14 +410,13 @@ def weyl_elements(rd: RootDatum) -> Tuple[Mat, ...]:
 
 
 def longest_element(rd: RootDatum) -> Mat:
-    """w0: the unique element sending every positive root to a negative one."""
+    """w0: the unique element sending every positive root to a negative one.
+    w sends the coroot of a to the coroot of w(a), so it reads the signs of
+    coroot images."""
     w = identity(rd.rank)
     while True:
-        wt = transpose(mat_inv_int(w))  # covectors transform through w^{-T}
         for i in rd.simple_indices:
-            img = tuple(mat_vec(wt, rd.roots[i]))
-            c = _simple_coeffs(rd.simple_roots, img)
-            if c is not None and all(x >= 0 for x in c):
+            if rd.is_positive_coroot(mat_vec(w, rd.coroots[i])):
                 w = mat_mul(w, rd.reflection(i))
                 break
         else:

@@ -344,11 +344,17 @@ def _monomials(n: int, d: int):
     return out
 
 
-def _poly_to_vec(f: Poly, n: int, d: int):
+def _monomial_index(n: int, d: int):
+    return {mono: pos for pos, mono in enumerate(_monomials(n, d))}
+
+
+def _poly_to_vec(f: Poly, n: int, d: int, index=None):
     """Sparse coefficient vector {position: coefficient} of a homogeneous
     degree-d polynomial in the _monomials(n, d) basis; a term of any other
-    degree raises ValueError."""
-    index = {mono: pos for pos, mono in enumerate(_monomials(n, d))}
+    degree raises ValueError.  A caller converting many polynomials of one
+    degree passes index = _monomial_index(n, d), built once."""
+    if index is None:
+        index = _monomial_index(n, d)
     vec = {}
     for e, c in f.coeffs.items():
         if e not in index:
@@ -694,17 +700,15 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
     # in R through the gamma maps
     gamma1, gamma_r = graph_quotients(m)
     z = Poly.zero(n)
-    g1_dims, gr_dims = [], []
+    g1_dims, gr_dims, hyp_dims = [], [], []
     for d in range(depth):
-        pairs = [(Poly(n, {e: 1}), z) for e in _monomials(n, d)] + [(z, Poly(n, {e: 1})) for e in _monomials(n, d - 1)]
-        g1_dims.append(_row_space_dim([_poly_to_vec(gamma1(*pq), n, d) for pq in pairs]))
-        gr_dims.append(_row_space_dim([_poly_to_vec(gamma_r(*pq), n, d) for pq in pairs]))
-
-    # hyperplane ring R/(alpha)
-    hyp_dims = [
-        len(_monomials(n, d)) - _row_space_dim([_poly_to_vec(Poly(n, {e: 1}) * alpha, n, d) for e in _monomials(n, d - 1)])
-        for d in range(depth)
-    ]
+        index = _monomial_index(n, d)
+        pairs = [(Poly(n, {e: 1}), z) for e in index] + [(z, Poly(n, {e: 1})) for e in _monomials(n, d - 1)]
+        g1_dims.append(_row_space_dim([_poly_to_vec(gamma1(*pq), n, d, index) for pq in pairs]))
+        gr_dims.append(_row_space_dim([_poly_to_vec(gamma_r(*pq), n, d, index) for pq in pairs]))
+        # hyperplane ring R/(alpha)
+        alpha_multiples = [_poly_to_vec(Poly(n, {e: 1}) * alpha, n, d, index) for e in _monomials(n, d - 1)]
+        hyp_dims.append(len(index) - _row_space_dim(alpha_multiples))
 
     identity_holds = all(
         end_dims[d] == g1_dims[d] + gr_dims[d] - hyp_dims[d] for d in range(depth)

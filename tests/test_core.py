@@ -18,8 +18,15 @@ from weylkit.affine import (
     extended_act_character,
     gram_from_weights,
 )
-from weylkit.duality import level_from_config, level_integral_weyl, level_membership, level_progressions
-from weylkit.exact import QmodZ
+from weylkit import duality
+from weylkit.duality import (
+    finite_components,
+    level_from_config,
+    level_integral_weyl,
+    level_membership,
+    level_progressions,
+)
+from weylkit.exact import QmodZ, identity, mat_inv, solve_integer_affine
 from weylkit.integral import integral_progressions, integral_simple_system, weyl_stabilizer
 from weylkit.rootdata import longest_element, mat_inv_int, preset, weyl_elements
 
@@ -265,3 +272,49 @@ def test_mixed_levels_against_brute_force():
             lvl = level_from_config(rd, gram, irrational=irrational)
             for theta in ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randint(-1, 1), 2) for _ in range(rd.rank))):
                 _check_level(rd, lvl, theta, rng, factor_of)
+
+
+# ---------------------------------------------------------------------------
+# one factorization for every Weyl element against one solve per element
+
+STABILIZER_PRESETS = FRONT_END_PRESETS + [("PSp", 4), ("Spin_odd", 5), ("SO_even", 4), ("SL", 5), ("SO_even", 8)]
+
+
+def _solve_per_element(rd, rows, theta, exact_rows):
+    """Cosets of rows lam = theta o w^{-1} - theta (mod 1), exact_rows lam = 0,
+    each w with its own solve_integer_affine."""
+    n = rd.rank
+    moduli = [1] * len(rows) + [0] * len(exact_rows)
+    out = {}
+    for w in weyl_elements(rd):
+        winv = mat_inv(w)
+        shift = [_pair(theta, [winv[j][i] for j in range(n)]) - theta[i] for i in range(n)]
+        out[w] = solve_integer_affine(list(rows) + list(exact_rows), shift + [0] * len(exact_rows), moduli)
+    return out
+
+
+def test_stabilizer_cosets_against_per_element_solves():
+    rng = random.Random(2507171)
+    for name, param in STABILIZER_PRESETS:
+        rd = preset(name, param)
+        form = gram_from_weights(rd, rd.roots)
+        components = range(len(finite_components(rd)))
+        for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(rng.randint(1, 5), 6)):
+            theta = tuple(Fraction(rng.randint(0, 11), 12) for _ in range(rd.rank))
+            chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ.from_fraction(t) for t in theta))
+            cosets, lattice = weyl_stabilizer(rd, form, chi)
+            expected = _solve_per_element(rd, [[c * x for x in row] for row in form.matrix], theta, ())
+            assert cosets == expected, (name, c, theta)
+            assert lattice == expected[identity(rd.rank)].basis
+            if c == 0:
+                continue
+            for irrational in [()] + [(i,) for i in components]:
+                sign = rng.choice((1, -1))
+                kappa = [[sign * c * x for x in row] for row in form.matrix]
+                lvl = level_from_config(rd, kappa, irrational=irrational)
+                system = level_integral_weyl(rd, lvl, theta)
+                rows, exact_rows = duality._stabilizer_rows(rd, lvl)
+                assert bool(exact_rows) == bool(irrational)
+                expected = _solve_per_element(rd, rows, theta, exact_rows)
+                assert dict(system.stabilizer) == expected, (name, kappa, irrational, theta)
+                assert system.translation_lattice == expected[identity(rd.rank)].basis

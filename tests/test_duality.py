@@ -401,3 +401,49 @@ def test_alcove_match_omega_lattice_without_integral_walls():
     g_lattice, h_lattice = match.omega_lattices
     assert g_lattice == ((1,),) and h_lattice == ((2,),)
     assert finite_longest_group(rd, lvl, (Fraction(1, 3),)) == ()
+
+
+def _cayley_farthest(rd, reflections):
+    """The farthest elements from the unit in the Cayley graph of the group
+    the reflections generate (breadth-first search)."""
+    unit = ExtendedWeylElement.unit(rd.rank)
+    dist, frontier = {unit: 0}, [unit]
+    while frontier:
+        new = []
+        for g in frontier:
+            for r in reflections:
+                if g * r not in dist:
+                    dist[g * r] = dist[g] + 1
+                    new.append(g * r)
+        frontier = new
+    top = max(dist.values())
+    return [g for g, d in dist.items() if d == top]
+
+
+def test_longest_in_component_against_cayley_bfs(monkeypatch):
+    # every finite component finite_longest_group meets on the rank <= 2
+    # presets at +-K: rational levels give affine components only, so every
+    # subset of the components is also flagged irrational, at theta = 0 and
+    # at seeded theta
+    rng = random.Random(2507169)
+    ascend = duality._longest_in_component
+    met = []
+
+    def checked(rd, lvl, progressions, reflections):
+        longest = ascend(rd, lvl, progressions, reflections)
+        assert _cayley_farthest(rd, reflections) == [longest], (rd.name, lvl, reflections)
+        met.append(len(reflections))
+        return longest
+
+    monkeypatch.setattr(duality, "_longest_in_component", checked)
+    for name, param in RANK_TWO + [("Spin_odd", 5), ("SO_even", 4)]:
+        rd = preset(name, param)
+        count = len(duality.finite_components(rd))
+        flags = [s for k in range(count + 1) for s in itertools.combinations(range(count), k)]
+        for c in (1, -1):
+            killing = killing_level(rd, c).gram
+            for irrational in flags:
+                lvl = level_from_config(rd, killing, irrational=irrational)
+                for theta in [(Fraction(0),) * rd.rank] + [_nonzero_theta(rng, rd.rank) for _ in range(2)]:
+                    finite_longest_group(rd, lvl, theta)
+    assert len(met) >= 30 and set(met) == {1, 2}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from weylkit import exact
 from weylkit.exact import (
     CosetZn,
     QmodZ,
+    congruence_solver,
     det,
     hermite_normal_form,
     mat_mul,
@@ -196,3 +198,52 @@ def test_coset_membership_roundtrip():
     # 2x = 0 mod 4 -> x even; y free
     assert sol.contains((2, 5))
     assert not sol.contains((1, 0))
+
+
+def _solves(a, b, moduli, x):
+    for row, bb, mm in zip(a, b, moduli):
+        val = sum(Fraction(c) * xi for c, xi in zip(row, x)) - Fraction(bb)
+        if (val != 0) if mm == 0 else (val / Fraction(mm)).denominator != 1:
+            return False
+    return True
+
+
+def test_congruence_solver_with_new_denominators_in_b():
+    # b's denominators (up to 7) occur in neither a (1, 2, 3) nor the moduli;
+    # with positive moduli the solution set is periodic by the lcm of the
+    # scaled moduli in every coordinate, so the box of one period holds a
+    # solution iff there is one.  Exact rows only check the coset.
+    from itertools import product
+
+    rng = random.Random(2507170)
+    found = missing = 0
+    for trial in range(80):
+        n, rows = rng.randint(1, 2), rng.randint(1, 3)
+        exact_rows = trial % 4 == 3
+        a = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(rows)]
+        moduli = [Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))) for _ in range(rows)]
+        if exact_rows:
+            moduli[0] = Fraction(0)
+        solve = congruence_solver(a, moduli)
+        scaled = []
+        for row, mm in zip(a, moduli):
+            scale = math.lcm(*(x.denominator for x in row), mm.denominator)
+            scaled.append(int(mm * scale))
+        period = math.lcm(*(m for m in scaled if m))
+        for _ in range(6):
+            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(rows)]
+            sol = solve(b)
+            box = [x for x in product(range(period), repeat=n) if _solves(a, b, moduli, x)]
+            if sol is None:
+                assert box == [], (a, b, moduli)
+                missing += 1
+                continue
+            found += 1
+            assert all(sol.contains(x) for x in box), (a, b, moduli)
+            assert _solves(a, b, moduli, sol.particular)
+            for vec in sol.basis:
+                assert _solves(a, [0] * rows, moduli, vec)
+            if not exact_rows:
+                assert box, (a, b, moduli)
+            assert sol.basis == solve_integer_affine(a, [0] * rows, moduli).basis
+    assert found >= 50 and missing >= 50

@@ -241,3 +241,103 @@ def test_minimal_length_transport():
             lhs = integral_length(rd, form, chi, m * z)
             rhs = integral_length(rd, form, chi, z)
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the wall walk and the length descent against the descents they replaced,
+# written here: minimal_rep descended one integral simple reflection at a
+# time, and conjugate_to_simple descended on the height of the affine coroot
+# in the ambient simple affine coroots
+
+WALK_PRESETS = [
+    ("SL", 2), ("SL", 3), ("PGL", 3), ("Sp", 4), ("PSp", 4), ("G2", 2),
+    ("SO_odd", 5), ("Spin_odd", 5), ("SO_even", 4), ("SL", 5), ("SO_even", 8),
+]
+CENTRAL_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+
+
+def _random_character(rng, rd, c):
+    finite = tuple(QmodZ.from_fraction(Fraction(rng.randint(0, 11), 12)) for _ in range(rd.rank))
+    return CharacterPoint(QmodZ.from_fraction(c), finite)
+
+
+def _descent_minimal_rep(rd, form, chi, x):
+    """Right-multiply by an integral simple reflection s while x sends the
+    simple affine coroot of s to a negative one."""
+    simples = integral_simple_system(rd, form, chi).simples
+    while True:
+        for ac in simples:
+            if not affine_coroot_positive(rd, act_affine_coroot(x, rd, form, ac)):
+                x = x * affine_coroot_reflection(rd, ac)
+                break
+        else:
+            return x
+
+
+def _ambient_height(rd, form, ambient, ac):
+    """Height of a positive affine coroot over the ambient simples: first
+    over each connected component of the affine diagram, then over all."""
+    from weylkit.affine import connected_components
+    from weylkit.exact import solve_linear
+
+    refl = [affine_coroot_reflection(rd, s) for s in ambient]
+    comps = connected_components(len(ambient), lambda i, j: refl[i] * refl[j] != refl[j] * refl[i])
+    target = (ac.n * form.q(ac.coroot),) + tuple(ac.coroot)
+    for group in [[ambient[i] for i in comp] for comp in comps] + [list(ambient)]:
+        cols = [(s.n * form.q(s.coroot),) + tuple(s.coroot) for s in group]
+        sol = solve_linear(tuple(zip(*cols)), target)
+        if sol is not None and all(x.denominator == 1 and x >= 0 for x in sol):
+            return int(sum(sol))
+    raise ValueError(f"{ac} is not a nonnegative combination of the ambient simples")
+
+
+def _height_descent_conjugator(rd, form, r):
+    """Conjugate r by the first ambient simple that keeps it positive and
+    lowers its height, until it is an ambient simple."""
+    ambient = affine_simple_data(rd, form).simples
+    u, cur = ExtendedWeylElement.unit(rd.rank), r
+    height = _ambient_height(rd, form, ambient, cur)
+    while cur not in ambient:
+        for s in ambient:
+            t = affine_coroot_reflection(rd, s)
+            img = act_affine_coroot(t, rd, form, cur)
+            if affine_coroot_positive(rd, img) and _ambient_height(rd, form, ambient, img) < height:
+                u, cur, height = t * u, img, _ambient_height(rd, form, ambient, img)
+                break
+        else:
+            raise AssertionError(f"height descent from {r} stalled at {cur}")
+    return u
+
+
+def test_minimal_rep_walk_equals_simple_descent():
+    rng = random.Random(2507167)
+    checked = 0
+    for name, param in WALK_PRESETS:
+        rd = preset(name, param)
+        form = gram_from_weights(rd, rd.roots)
+        weyl = weyl_elements(rd)
+        for c in CENTRAL_VALUES:
+            chi = _random_character(rng, rd, c)
+            for _ in range(3):
+                lam = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+                x = ExtendedWeylElement(lam, rng.choice(weyl))
+                m = minimal_rep(rd, form, chi, x)
+                assert m == _descent_minimal_rep(rd, form, chi, x), (name, c, chi, x)
+                assert integral_length(rd, form, chi, m) == 0
+                checked += 1
+    assert checked == len(WALK_PRESETS) * len(CENTRAL_VALUES) * 3
+
+
+def test_conjugate_to_simple_length_descent_equals_height_descent():
+    rng = random.Random(2507168)
+    checked = 0
+    for name, param in WALK_PRESETS:
+        rd = preset(name, param)
+        form = gram_from_weights(rd, rd.roots)
+        for c in CENTRAL_VALUES:
+            for chi in (_random_character(rng, rd, c), _random_character(rng, rd, c)):
+                for r in integral_simple_system(rd, form, chi).simples:
+                    u = conjugate_to_simple(rd, form, chi, r)
+                    assert u == _height_descent_conjugator(rd, form, r), (name, c, chi, r)
+                    checked += 1
+    assert checked >= 70

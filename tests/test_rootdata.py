@@ -162,3 +162,40 @@ def test_mat_inv_int_is_the_exact_inverse_and_rejects_non_integral():
     with pytest.raises(ValueError, match="singular"):
         mat_inv_int(((1, 2), (2, 4)))
 
+
+
+def test_positivity_solved_once_per_datum(monkeypatch):
+    # a fresh datum (its own name, so no cache holds it): twenty minimal_rep
+    # calls and one bullet_weyl_compare solve each root's simple coordinates
+    # for positivity at most once
+    import dataclasses
+    import random
+
+    from weylkit import rootdata
+    from weylkit.affine import CharacterPoint, ExtendedWeylElement, gram_from_weights
+    from weylkit.exact import QmodZ
+    from weylkit.integral import minimal_rep
+    from weylkit.metaplectic import bullet_weyl_compare
+
+    rd = dataclasses.replace(preset("Sp", 4), name="Sp4, positivity once")
+    form = gram_from_weights(rd, rd.roots)
+    chi = CharacterPoint(QmodZ(1, 2), (QmodZ(1, 3), QmodZ(0, 1)))
+    solves = []
+    original = rootdata._simple_coeffs
+
+    def counted(simples, target):
+        if simples == rd.simple_roots:
+            solves.append(target)
+        return original(simples, target)
+
+    monkeypatch.setattr(rootdata, "_simple_coeffs", counted)
+    rng = random.Random(2507172)
+    weyl = weyl_elements(rd)
+    for _ in range(20):
+        x = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), rng.choice(weyl))
+        minimal_rep(rd, form, chi, x)
+    bullet_weyl_compare(rd, form, chi)
+    assert rd.is_positive_coroot(rd.simple_coroots[0])
+    assert 0 < len(solves) <= len(rd.roots)
+    with pytest.raises(ValueError):
+        rd.is_positive_coroot((5, 5))
