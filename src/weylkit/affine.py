@@ -418,11 +418,18 @@ def separating_walls(rd: RootDatum, form, progressions, x, y) -> int:
     return sum(count for _, _, count in _walls_between(rd, form, progressions, x, y))
 
 
-def separating_wall(rd: RootDatum, form, progressions, x, y) -> Optional[AffineCoroot]:
-    """One integral wall strictly between x and y, or None."""
-    for cv, n, _ in _walls_between(rd, form, progressions, x, y):
-        return AffineCoroot(cv, n)
-    return None
+def gallery_walk(rd: RootDatum, form, progressions, p, target):
+    """Walk the slice point p into the alcove of target.  Reflecting in any
+    integral wall between them lowers the number of separating walls (the
+    reflection is an inversion), so the walk ends.  Returns the reflections
+    taken, in order, and the end point."""
+    steps = []
+    wall = next(_walls_between(rd, form, progressions, p, target), None)
+    while wall is not None:
+        steps.append(affine_coroot_reflection(rd, AffineCoroot(wall[0], wall[1])))
+        p = slice_act(steps[-1], form, p)
+        wall = next(_walls_between(rd, form, progressions, p, target), None)
+    return tuple(steps), p
 
 
 def element_length(

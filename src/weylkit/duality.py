@@ -43,11 +43,11 @@ from weylkit.affine import (
     affine_coroot_reflection,
     connected_components,
     element_length,
+    gallery_walk,
     integral_system,
     length_zero_group,
     progression,
     progression_min_at_least,
-    separating_wall,
     slice_act,
     stabilizer_cosets,
     weyl_shift,
@@ -360,19 +360,11 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
 
     g_sys = level_integral_weyl(rd, lvl, theta)
     h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
-    h_progs = dict(h_sys.progressions)
 
-    # gallery walk: reflecting in any integral wall that separates p from the
-    # target lowers the number of separating walls (exchange property)
-    target = h_sys.base_point
-    p = iota(g_sys.base_point)
+    steps, p = gallery_walk(rd_dual, lvl_dual_neg, dict(h_sys.progressions), iota(g_sys.base_point), h_sys.base_point)
     y = ExtendedWeylElement.unit(rd.rank)
-    wall = separating_wall(rd_dual, lvl_dual_neg, h_progs, p, target)
-    while wall is not None:
-        r = affine_coroot_reflection(rd_dual, wall)
-        p = slice_act(r, lvl_dual_neg, p)
+    for r in steps:
         y = r * y
-        wall = separating_wall(rd_dual, lvl_dual_neg, h_progs, p, target)
     if slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) != p:
         raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 

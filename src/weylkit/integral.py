@@ -29,10 +29,10 @@ from weylkit.affine import (
     element_length,
     element_order,
     extended_act_character,
+    gallery_walk,
     integral_system,
     progression,
     progression_contains,
-    separating_wall,
     slice_act,
     stabilizer_cosets,
 )
@@ -124,20 +124,17 @@ def minimal_rep(
 ) -> ExtendedWeylElement:
     """Minimal element of the block of x, by a wall walk in the integral
     system of chi_right: the length of x counts the integral walls between
-    the base point x0 and p = x^{-1} x0, and while a wall with reflection r
-    separates them, x becomes x r and p becomes r p, one wall fewer (exchange
-    property).  The walk ends at the unique length-zero element of x W_chi."""
+    the base point x0 and p = x^{-1} x0, and each reflection r of the gallery
+    walk from p to x0 gives x r and r p, which lowers the number of
+    separating walls (r is an inversion, so l(x r) < l(x)).  The walk ends
+    at the unique length-zero element of x W_chi."""
     start = x
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
-    progs = dict(system.progressions)
-    x0 = system.base_point
-    p = slice_act(x.inverse(), form, x0)
-    wall = separating_wall(rd, form, progs, x0, p)
-    while wall is not None:
-        r = affine_coroot_reflection(rd, wall)
-        x, p = x * r, slice_act(r, form, p)
-        wall = separating_wall(rd, form, progs, x0, p)
+    progs, x0 = dict(system.progressions), system.base_point
+    steps, _ = gallery_walk(rd, form, progs, slice_act(x.inverse(), form, x0), x0)
+    for r in steps:
+        x = x * r
     if element_length(x, rd, form, progs) != 0:
         raise NotInStabilizerOrbit(f"walk from {start} ended at {x}, which is not minimal")
     if extended_act_character(x, form, chi_right) != chi_left:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import Mat, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
@@ -344,17 +345,17 @@ def _monomials(n: int, d: int):
     return out
 
 
+@lru_cache(maxsize=None)
 def _monomial_index(n: int, d: int):
+    """Position of each monomial in the _monomials(n, d) basis (shared: do not mutate)."""
     return {mono: pos for pos, mono in enumerate(_monomials(n, d))}
 
 
-def _poly_to_vec(f: Poly, n: int, d: int, index=None):
+def _poly_to_vec(f: Poly, n: int, d: int):
     """Sparse coefficient vector {position: coefficient} of a homogeneous
     degree-d polynomial in the _monomials(n, d) basis; a term of any other
-    degree raises ValueError.  A caller converting many polynomials of one
-    degree passes index = _monomial_index(n, d), built once."""
-    if index is None:
-        index = _monomial_index(n, d)
+    degree raises ValueError."""
+    index = _monomial_index(n, d)
     vec = {}
     for e, c in f.coeffs.items():
         if e not in index:
@@ -704,10 +705,10 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
     for d in range(depth):
         index = _monomial_index(n, d)
         pairs = [(Poly(n, {e: 1}), z) for e in index] + [(z, Poly(n, {e: 1})) for e in _monomials(n, d - 1)]
-        g1_dims.append(_row_space_dim([_poly_to_vec(gamma1(*pq), n, d, index) for pq in pairs]))
-        gr_dims.append(_row_space_dim([_poly_to_vec(gamma_r(*pq), n, d, index) for pq in pairs]))
+        g1_dims.append(_row_space_dim([_poly_to_vec(gamma1(*pq), n, d) for pq in pairs]))
+        gr_dims.append(_row_space_dim([_poly_to_vec(gamma_r(*pq), n, d) for pq in pairs]))
         # hyperplane ring R/(alpha)
-        alpha_multiples = [_poly_to_vec(Poly(n, {e: 1}) * alpha, n, d, index) for e in _monomials(n, d - 1)]
+        alpha_multiples = [_poly_to_vec(Poly(n, {e: 1}) * alpha, n, d) for e in _monomials(n, d - 1)]
         hyp_dims.append(len(index) - _row_space_dim(alpha_multiples))
 
     identity_holds = all(
