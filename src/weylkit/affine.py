@@ -45,6 +45,7 @@ from weylkit.exact import (
     QmodZ,
     Vec,
     congruence_solver,
+    det,
     dot,
     identity,
     lattice_basis_from_generators,
@@ -126,8 +127,6 @@ def _validate_gram(rd: RootDatum, form: GramForm):
     if any(s[i][j] != s[j][i] for i in range(n) for j in range(n)):
         raise ValueError("form is not symmetric")
     # leading principal minors, exact
-    from weylkit.exact import det
-
     for k in range(1, n + 1):
         minor = tuple(tuple(s[i][j] for j in range(k)) for i in range(k))
         if det(minor) <= 0:

@@ -4,6 +4,9 @@ Conventions used across the package:
 
 * vectors are tuples, matrices are tuples of row tuples;
 * matrices act on column vectors, ``mat_vec(m, v)[i] = sum_j m[i][j] v[j]``;
+* det, mat_inv, solve_linear and rank over Q are wrappers over one sparse
+  reduced-echelon routine, ``_rref``, the package's only elimination loop
+  (``soergel`` uses it directly);
 * Hermite form is row-style with positive pivots;
 * Smith form ``(u, d, v)`` satisfies ``u @ m @ v = d`` with ``u, v`` unimodular
   and the diagonal divisibility chain ``d1 | d2 | ...``.
@@ -39,11 +42,9 @@ class QmodZ:
         if self.den <= 0:
             raise ValueError("denominator must be positive")
         g = math.gcd(self.num, self.den)
-        num = (self.num // g) % (self.den // g)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", self.den // g if num or True else 1)
-        if self.num == 0:
-            object.__setattr__(self, "den", 1)
+        # num // g and den // g are coprime, so a zero class has den 1
+        object.__setattr__(self, "num", (self.num // g) % (self.den // g))
+        object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_fraction(x: Fraction) -> "QmodZ":
@@ -122,98 +123,94 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _exact(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def _subtract(v, f, row):
+    """v -= f * row, in place, keeping v free of zeros."""
+    for k, y in row.items():
+        x = v.get(k, 0) - f * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+
+
+def _rref(rows):
+    """Reduced row echelon form of sparse rows {column: coefficient}: (pivot
+    columns in increasing order, the reduced rows in the same order, each with
+    pivot entry 1, and {pivot column: the entry divided by} in the order the
+    rows became pivots).  This is the package's one elimination loop.
+
+    Each row is reduced by the pivot rows found so far; its leading column
+    becomes a new pivot and is cleared from the earlier pivot rows.  Every
+    pivot row then leads at its pivot and is zero at the other pivots, so
+    the result is the reduced echelon form of the row space.  Integral
+    entries stay int."""
+    done, divided = {}, {}
+    for row in rows:
+        v = dict(row)
+        for p in [c for c in v if c in done]:
+            _subtract(v, v[p], done[p])
+        if not v:
+            continue
+        c = min(v)
+        divided[c] = v[c]
+        if v[c] != 1:
+            inv = Fraction(1, v[c]) if type(v[c]) is int else 1 / v[c]
+            v = {k: _exact(y * inv) for k, y in v.items()}
+        for prow in done.values():
+            if c in prow:
+                _subtract(prow, prow[c], v)
+        done[c] = v
+    pivots = sorted(done)
+    return pivots, [done[c] for c in pivots], divided
+
+
+def _sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def det(m) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination, exact."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        d *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * d
+    """Determinant: the product of the entries _rref divides by, signed by the
+    permutation taking each row to its pivot column; 0 below full rank."""
+    divided = _rref(_sparse(m))[2]
+    if len(divided) < len(m):
+        return Fraction(0)
+    cols = list(divided)
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+    return Fraction((-1) ** inversions * math.prod(divided.values()))
 
 
 def mat_inv(m):
-    """Exact inverse over Q; raises ValueError if singular."""
+    """Exact inverse over Q, read off the reduced form [I | m^-1] of [m | I];
+    raises ValueError if singular."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    pivots, reduced, _ = _rref({**row, n + i: 1} for i, row in enumerate(_sparse(m)))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(row.get(n + j, 0)) for j in range(n)) for row in reduced)
 
 
 def solve_linear(m, b):
-    """One exact solution x of m x = b over Q, or None if inconsistent.
+    """One exact solution x of m x = b over Q, or None if inconsistent (the
+    reduced form of [m | b] has a pivot in the b column).
 
     Underdetermined systems return the solution with free variables set to 0.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in m[i]] + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    cols = len(m[0]) if m else 0
+    pivots, reduced, _ = _rref(_sparse(tuple(row) + (y,) for row, y in zip(m, b, strict=True)))
+    if cols in pivots:
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
+    for c, row in zip(pivots, reduced):
+        x[c] = Fraction(row.get(cols, 0))
     return tuple(x)
 
 
 def rank(m) -> int:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rk = 0
-    for c in range(cols):
-        piv = next((i for i in range(rk, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        inv = 1 / a[rk][c]
-        a[rk] = [x * inv for x in a[rk]]
-        for i in range(rows):
-            if i != rk and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rk])]
-        rk += 1
-    return rk
+    return len(_rref(_sparse(m))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +320,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:
             u[t] = [-x for x in u[t]]
         t += 1
     return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
-
-
-def normal_forms(m: Sequence[Sequence[int]]):
-    """(hermite, (u, d, v)) per the package-wide conventions."""
-    if not m or not m[0]:
-        raise ValueError("matrix must be nonempty")
-    h, _ = hermite_normal_form(m)
-    return h, smith_normal_form(m)
 
 
 def lattice_basis_from_generators(gens: Sequence[Vec]) -> Tuple[Vec, ...]:

@@ -26,6 +26,7 @@ from weylkit.exact import (
     mat_mul,
     mat_vec,
     rank as mat_rank,
+    solve_linear,
     transpose,
     vec_scale,
     vec_sub,
@@ -117,8 +118,6 @@ def _simple_coeffs(simples, target):
     """Rational coefficients of target over the simple system, or None."""
     if not simples:
         return None
-    from weylkit.exact import solve_linear
-
     cols = tuple(zip(*simples))
     sol = solve_linear(cols, target)
     if sol is None:
@@ -423,8 +422,8 @@ def longest_element(rd: RootDatum) -> Mat:
             return w
 
 
-# Weyl parts repeat across the elements a computation inverts; each inverse
-# is a Gauss-Jordan elimination over Fraction
+# Weyl parts repeat across the elements a computation inverts; each miss
+# reduces [m | I] with exact._rref
 MAT_INV_INT_CACHE = 4096
 
 

@@ -11,7 +11,8 @@ through  v-exponent = (word length) + l(w) - 2 (flag generator degree).
 The degreewise model (TruncModule) keeps each multiplication map by a
 variable as sparse columns with exact int or Fraction entries.  The map of
 a polynomial is built by composing these maps, and every kernel, span and
-quotient is taken on sparse rows by one reduced-echelon routine, _rref.
+quotient is taken on sparse rows by exact._rref, the package's one
+reduced-echelon routine.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from weylkit.exact import Mat, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
+from weylkit.exact import Mat, _exact, _rref, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
 from weylkit.rootdata import group_closure
 
@@ -370,10 +371,6 @@ def _poly_to_vec(f: Poly, n: int, d: int):
 # are ints where they are integers and Fractions otherwise.
 
 
-def _exact(x):
-    return x.numerator if x.denominator == 1 else x
-
-
 def _apply(cols, vec):
     """Image of vec, given as (position, coefficient) pairs, under the map
     with columns cols."""
@@ -405,47 +402,10 @@ def _stacked_rows(maps):
     return list(rows.values())
 
 
-def _subtract(v, f, row):
-    """v -= f * row, in place, keeping v free of zeros."""
-    for k, y in row.items():
-        x = v.get(k, 0) - f * y
-        if x:
-            v[k] = x
-        else:
-            del v[k]
-
-
-def _rref(rows):
-    """Reduced row echelon form of sparse rows: (pivot columns in increasing
-    order, the reduced rows in the same order, each with pivot entry 1).
-
-    Each row is reduced by the pivot rows found so far; its leading column
-    becomes a new pivot and is cleared from the earlier pivot rows.  Every
-    pivot row then leads at its pivot and is zero at the other pivots, so
-    the result is the reduced echelon form of the row space."""
-    done = {}
-    for row in rows:
-        v = dict(row)
-        for p in [c for c in v if c in done]:
-            _subtract(v, v[p], done[p])
-        if not v:
-            continue
-        c = min(v)
-        if v[c] != 1:
-            inv = Fraction(1, v[c]) if type(v[c]) is int else 1 / v[c]
-            v = {k: _exact(y * inv) for k, y in v.items()}
-        for prow in done.values():
-            if c in prow:
-                _subtract(prow, prow[c], v)
-        done[c] = v
-    pivots = sorted(done)
-    return pivots, [done[c] for c in pivots]
-
-
 def _kernel_basis(rows, ncols):
     """Basis of the kernel of the sparse rows as maps on ncols coordinates:
     one vector per non-pivot column."""
-    pivots, reduced = _rref(rows)
+    pivots, reduced, _ = _rref(rows)
     pivot_set = set(pivots)
     basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
     for p, row in zip(pivots, reduced):
@@ -553,7 +513,7 @@ def quotient_module(mod: TruncModule, sub_bases) -> TruncModule:
     depth = len(mod.dims) - 1
     kept, projections = [], []
     for d in range(depth + 1):
-        pivots, reduced = _rref(sub_bases[d] if d < len(sub_bases) else [])
+        pivots, reduced, _ = _rref(sub_bases[d] if d < len(sub_bases) else [])
         rows = dict(zip(pivots, reduced))
         keep = [c for c in range(mod.dims[d]) if c not in rows]
         new = {c: pos for pos, c in enumerate(keep)}

@@ -13,10 +13,13 @@ from weylkit.exact import (
     congruence_solver,
     det,
     hermite_normal_form,
+    identity,
+    mat_inv,
     mat_mul,
     mat_vec,
-    normal_forms,
+    rank,
     smith_normal_form,
+    solve_linear,
     solve_integer_affine,
 )
 
@@ -70,6 +73,8 @@ def test_qmodz_normalization():
     assert QmodZ(5, 3) == QmodZ(2, 3)
     assert QmodZ(-1, 4) == QmodZ(3, 4)
     assert QmodZ(4, 2) == QmodZ(0, 1)
+    assert QmodZ(0, 7).den == 1
+    assert QmodZ(-6, 4) == QmodZ(1, 2)
     assert QmodZ.parse("7/6").as_fraction() == Fraction(1, 6)
     assert QmodZ(1, 6).order() == 6
     assert (QmodZ(1, 2) + QmodZ(1, 2)).is_zero()
@@ -77,12 +82,90 @@ def test_qmodz_normalization():
 
 
 def test_normal_forms_examples():
-    _, (_, d, _) = normal_forms([[2, 0], [0, 2]])
+    _, d, _ = smith_normal_form([[2, 0], [0, 2]])
     assert [d[0][0], d[1][1]] == [2, 2]
-    _, (_, d, _) = normal_forms([[1, 0], [0, 1]])
+    _, d, _ = smith_normal_form([[1, 0], [0, 1]])
     assert [d[0][0], d[1][1]] == [1, 1]
-    _, (_, d, _) = normal_forms([[2, 4], [6, 8]])
+    _, d, _ = smith_normal_form([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]
+
+
+def dense_gauss_jordan(m):
+    """Oracle: dense column-by-column Gauss-Jordan over Fraction with row
+    swaps.  Returns (reduced rows, pivot columns, determinant as if square)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots, d = [], Fraction(1)
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            d = -d
+        d *= a[r][c]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, d if len(pivots) == rows else Fraction(0)
+
+
+def _random_entry(rng, fractions):
+    if fractions and rng.random() < 0.5:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    return rng.randint(-3, 3)
+
+
+def test_elimination_wrappers_against_dense_gauss_jordan():
+    rng = random.Random(2507)
+    cases = []
+    for trial in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[_random_entry(rng, trial % 2) for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 0 and rows > 1:  # singular: a row that depends on the others
+            k = rng.randint(-2, 2)
+            m[-1] = [x + k * y for x, y in zip(m[0], m[1 % (rows - 1)])]
+        cases.append(m)
+    for n in range(1, 6):  # permutation matrices: det is the sign
+        for _ in range(4):
+            perm = rng.sample(range(n), n)
+            cases.append([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    singular = inconsistent = 0
+    for m in cases:
+        rows, cols = len(m), len(m[0])
+        reduced, pivots, d = dense_gauss_jordan(m)
+        assert rank(m) == len(pivots), m
+        b = [_random_entry(rng, True) for _ in range(rows)]
+        aug, aug_pivots, _ = dense_gauss_jordan([row + [y] for row, y in zip(m, b)])
+        x = solve_linear(m, b)
+        if cols in aug_pivots:
+            assert x is None, (m, b)
+            inconsistent += 1
+        else:
+            truth = [Fraction(0)] * cols
+            for r, c in enumerate(aug_pivots):
+                truth[c] = aug[r][cols]
+            assert x == tuple(truth) and all(type(y) is Fraction for y in x), (m, b)
+        if rows != cols:
+            continue
+        assert det(m) == d and type(det(m)) is Fraction, m
+        if len(pivots) < rows:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                mat_inv(m)
+            continue
+        inv, _, _ = dense_gauss_jordan([row + list(e) for row, e in zip(m, identity(rows))])
+        got = mat_inv(m)
+        assert got == tuple(tuple(row[rows:]) for row in inv), m
+        assert all(type(y) is Fraction for row in got for y in row), m
+        assert mat_mul(tuple(map(tuple, m)), got) == identity(rows), m
+    assert singular >= 10 and inconsistent >= 50, (singular, inconsistent)
+    for n in range(1, 6):
+        assert det(identity(n)) == 1 and det(identity(n)[::-1]) == (-1) ** (n * (n - 1) // 2)
 
 
 @settings(max_examples=150, deadline=None)

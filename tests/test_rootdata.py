@@ -155,6 +155,7 @@ def test_mat_inv_int_is_the_exact_inverse_and_rejects_non_integral():
     for name, n in presets:
         for w in weyl_elements(preset(name, n)):
             assert mat_inv_int(w) == mat_inv(w), (name, n, w)
+            assert mat_mul(w, mat_inv_int(w)) == identity(len(w)), (name, n, w)
     assert mat_inv_int.cache_info().maxsize == MAT_INV_INT_CACHE
     # a non-integral inverse used to be truncated to ((0,),)
     with pytest.raises(ValueError, match=r"matrix \(\(2,\),\) has no integral inverse"):
