@@ -73,6 +73,14 @@ class OddOnCoroot(ValueError):
     pass
 
 
+class NoDominantCovector(RuntimeError):
+    pass
+
+
+class OrderTooLarge(RuntimeError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Gram forms
 
@@ -244,30 +252,21 @@ def extended_matrix(g: ExtendedWeylElement, form: GramForm) -> Mat:
 
 def extended_act_character(g: ExtendedWeylElement, form: GramForm, chi: CharacterPoint) -> CharacterPoint:
     """Left action (g . chi)(x) = chi(g^{-1} x); the central value is fixed."""
-    winv = g.w_inv()
     c = chi.central.as_fraction()
-    scov = form.covector(g.trans)
-    out = []
-    for i in range(len(g.trans)):
-        col = tuple(winv[j][i] for j in range(len(winv)))
-        val = Fraction(0)
-        for f, x in zip(chi.finite, col):
-            val += f.as_fraction() * x
-        val -= c * scov[i]
-        out.append(QmodZ.from_fraction(val))
-    return CharacterPoint(chi.central, tuple(out))
+    finite = weyl_shift(g.w_inv(), [f.as_fraction() for f in chi.finite], [c * v for v in form.covector(g.trans)])
+    return CharacterPoint(chi.central, tuple(map(QmodZ.from_fraction, finite)))
 
 
 def slice_act(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     """Action on the level-one slice: x |-> x o w^{-1} - S(trans, -)."""
-    winv = g.w_inv()
-    scov = form.covector(g.trans)
-    n = len(x)
-    out = []
-    for i in range(n):
-        col = tuple(winv[j][i] for j in range(n))
-        out.append(sum((Fraction(xx) * cc for xx, cc in zip(x, col)), Fraction(0)) - scov[i])
-    return tuple(out)
+    return weyl_shift(g.w_inv(), x, form.covector(g.trans))
+
+
+def _over_common_denominator(*vecs):
+    """Rational vectors (int or Fraction entries) as integer numerators over
+    their least common denominator d: (the numerator vectors, d)."""
+    d = math.lcm(*(v.denominator for vec in vecs for v in vec))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in vec) for vec in vecs), d
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,7 @@ def progression_min_at_least(p: Progression, lo: int) -> Optional[int]:
     i, d = p
     if d == 0:
         return i if i >= lo else None
-    return i + math.ceil(Fraction(lo - i, d)) * d
+    return i - (i - lo) // d * d
 
 
 def progression_contains(p: Progression, n: int) -> bool:
@@ -366,7 +365,7 @@ def progression_count_in(p: Progression, a: int, b: int) -> int:
     i, d = p
     if d == 0:
         return int(a <= i <= b)
-    first = i + math.ceil(Fraction(a - i, d)) * d
+    first = i - (i - a) // d * d
     if first > b:
         return 0
     return (b - first) // d + 1
@@ -390,23 +389,28 @@ def dominant_base_point(rd: RootDatum, form) -> Tuple[Fraction, ...]:
         return tuple(Fraction(0) for _ in range(n))
     u = solve_linear([rd.coroots[i] for i in rd.simple_indices], [Fraction(1)] * len(rd.simple_indices))
     if u is None:
-        raise RuntimeError("could not solve for a dominant covector")
+        raise NoDominantCovector(f"no covector is 1 on every simple coroot of {rd.name or rd}")
     eps = min(abs(Fraction(form.q(cv))) / dot(u, cv) for cv in rd.coroots if dot(u, cv) > 0) / 2
     return tuple(x * eps for x in u)
 
 
 def _walls_between(rd: RootDatum, form, progressions, x, y):
     """Per coroot pair, (alpha, lowest level, count) of the integral walls
-    strictly between the slice points x and y, where there are any."""
+    strictly between the slice points x and y, where there are any.  With x
+    and y over one denominator d, the levels -<x, alpha>/q(alpha) of the walls
+    through them are integers over e > 0, cut by floor and ceiling division."""
+    (xn, yn), d = _over_common_denominator(x, y)
     for cv in rd.coroots:
         if cv < tuple(-v for v in cv):  # one coroot of each pair
             continue
         p = progressions.get(cv)
         if p is None:
             continue
-        q = form.q(cv)
-        a, b = sorted((-Fraction(dot(x, cv)) / q, -Fraction(dot(y, cv)) / q))
-        lo, hi = math.floor(a) + 1, math.ceil(b) - 1
+        q = form.q(cv)  # an int or a Fraction
+        sign = 1 if q.numerator > 0 else -1
+        s, e = -sign * q.denominator, sign * d * q.numerator
+        a, b = sorted((dot(xn, cv) * s, dot(yn, cv) * s))
+        lo, hi = a // e + 1, -(-b // e) - 1
         count = progression_count_in(p, lo, hi)
         if count:
             yield cv, progression_min_at_least(p, lo), count
@@ -455,7 +459,7 @@ def element_order(g: ExtendedWeylElement):
         m = mat_mul(m, g.w)
         k += 1
         if k > 10_000:
-            raise RuntimeError("Weyl part order exceeded sanity bound")
+            raise OrderTooLarge(f"Weyl part {g.w} of {g} has order above 10000")
     acc = tuple(0 for _ in range(n))
     p = ident
     for _ in range(k):
@@ -502,7 +506,7 @@ def coxeter_order(
     if order == "infinite":
         return "infinite"
     if order > cap:
-        raise RuntimeError("unexpectedly large Coxeter order")
+        raise OrderTooLarge(f"{r1} and {r2} have Coxeter order {order} above {cap}")
     return order
 
 
@@ -543,22 +547,24 @@ def coxeter_system(rd: RootDatum, simples: Sequence[AffineCoroot]):
 # the integral system: simple system, Coxeter data and stabilizer
 
 
-def weyl_shift(w: Mat, right, left) -> Tuple[Fraction, ...]:
-    """right o w^{-1} - left, for rational covectors right and left."""
-    winv = mat_inv_int(w)
-    n = len(w)
-    return tuple(sum((Fraction(right[j]) * winv[j][i] for j in range(n)), Fraction(0)) - Fraction(left[i]) for i in range(n))
+def weyl_shift(w_inv: Mat, right, left) -> Tuple[Fraction, ...]:
+    """right o w^{-1} - left for rational covectors, given w^{-1}: integer
+    numerators over one denominator times its columns, one Fraction each."""
+    (rn, ln), d = _over_common_denominator(right, left)
+    return tuple(Fraction(dot(rn, col) - b, d) for col, b in zip(zip(*w_inv), ln, strict=True))
 
 
 def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
     """Per finite Weyl element w, the coset of lam with
-    rows lam = weyl_shift(w, right, left) (mod 1) and exact_rows lam = 0, or
+    rows lam = right o w^{-1} - left (mod 1) and exact_rows lam = 0, or
     None; plus the translation lattice {rows lam = 0 (mod 1), exact_rows lam
     = 0}, which every coset shares.  Only the right-hand side depends on w,
-    so one congruence_solver (one Smith form) serves every w."""
+    so one congruence_solver (one Smith form) serves every w, and the
+    closure that lists W gives each w^{-1}."""
     solve = congruence_solver(list(rows) + list(exact_rows), [1] * len(rows) + [0] * len(exact_rows))
     zeros = (0,) * len(exact_rows)
-    cosets: Dict[Mat, Optional[CosetZn]] = {w: solve(weyl_shift(w, right, left) + zeros) for w in weyl_elements(rd)}
+    group = weyl_elements(rd)
+    cosets: Dict[Mat, Optional[CosetZn]] = {w: solve(weyl_shift(group.inverse[w], right, left) + zeros) for w in group}
     return cosets, solve((0,) * (len(rows) + len(exact_rows))).basis
 
 

@@ -87,6 +87,7 @@ class Level:
     gram: Tuple[Tuple[Fraction, ...], ...]
     irrational: frozenset = frozenset()
 
+    @lru_cache(maxsize=None)  # once per level and coroot
     def q(self, coroot: Vec) -> Fraction:
         return Fraction(dot(mat_vec(self.gram, coroot), coroot), 2)
 
@@ -196,7 +197,7 @@ def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -
     """t^lam w integral iff lam satisfies the stabilizer rows of w."""
     theta = tuple(Fraction(x) for x in theta)
     rows, exact_rows = _stabilizer_rows(rd, lvl)
-    shift = weyl_shift(g.w, theta, theta)
+    shift = weyl_shift(g.w_inv(), theta, theta)
     return not any(dot(row, g.trans) for row in exact_rows) and all(
         (s - dot(row, g.trans)).denominator == 1 for s, row in zip(shift, rows)
     )

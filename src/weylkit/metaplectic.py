@@ -275,6 +275,7 @@ def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterP
     reflections it contains."""
     rd_h = endo.rd_h
     theta = tuple(chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis)
-    stabilizing = {w for w in weyl_elements(rd_h) if all(x.denominator == 1 for x in weyl_shift(w, theta, theta))}
+    group = weyl_elements(rd_h)
+    stabilizing = {w for w in group if all(x.denominator == 1 for x in weyl_shift(group.inverse[w], theta, theta))}
     refl_in_stab = [m for m in map(rd_h.reflection, range(len(rd_h.roots))) if m in stabilizing]
     return stabilizing == set(group_closure(refl_in_stab, rd_h.rank))

@@ -14,7 +14,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from operator import mul
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from weylkit.exact import (
     Mat,
@@ -118,13 +120,7 @@ def _simple_coeffs(simples, target):
     """Rational coefficients of target over the simple system, or None."""
     if not simples:
         return None
-    cols = tuple(zip(*simples))
-    sol = solve_linear(cols, target)
-    if sol is None:
-        return None
-    if vec_sub(tuple(sum(Fraction(simples[k][j]) * sol[k] for k in range(len(simples))) for j in range(len(target))), tuple(Fraction(x) for x in target)) != tuple(Fraction(0) for _ in target):
-        return None
-    return sol
+    return solve_linear(tuple(zip(*simples)), target)
 
 
 @lru_cache(maxsize=None)
@@ -381,31 +377,51 @@ def validate_root_datum(rd: RootDatum):
 # Weyl group enumeration
 
 
-def group_closure(gens, n: int) -> Dict[Mat, int]:
-    """Every element of the group generated by the n x n matrices gens, with
-    its Cayley length (breadth-first search); GroupTooLarge past the bound."""
+def group_closure(gens, n: int) -> Dict[Mat, Tuple[int, Mat]]:
+    """Every element of the group generated by the n x n involutions gens
+    (reflections), with its Cayley length and its inverse, by breadth-first
+    search: x = g s gives x^{-1} = s g^{-1}.  GroupTooLarge past the bound."""
     bound = _group_bound()
     unit = identity(n)
-    lengths = {unit: 0}
+
+    def times(a, b_cols):  # square n x n products, so no shape checks
+        return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
+
+    gens = [(s, transpose(s)) for s in gens]
+    for s, cols in gens:
+        if times(s, cols) != unit:
+            raise ValueError(f"generator {s} is not an involution")
+    closure = {unit: (0, unit)}
     frontier = [unit]
     while frontier:
         new = []
         for g in frontier:
-            for s in gens:
-                x = mat_mul(g, s)
-                if x not in lengths:
-                    lengths[x] = lengths[g] + 1
+            length, g_inv = closure[g]
+            for s, cols in gens:
+                x = times(g, cols)
+                if x not in closure:
+                    closure[x] = (length + 1, times(s, transpose(g_inv)))
                     new.append(x)
-                    if len(lengths) > bound:
+                    if len(closure) > bound:
                         raise GroupTooLarge(f"group exceeds bound {bound}")
         frontier = new
-    return lengths
+    return closure
+
+
+class WeylGroup(tuple):
+    """The finite Weyl group as a sorted tuple of matrices on the cocharacter
+    lattice; inverse[w] is w^{-1}, recorded by the closure that lists it."""
+
+    inverse: Mapping[Mat, Mat]
 
 
 @lru_cache(maxsize=None)
-def weyl_elements(rd: RootDatum) -> Tuple[Mat, ...]:
+def weyl_elements(rd: RootDatum) -> WeylGroup:
     """The full finite Weyl group as matrices on the cocharacter lattice."""
-    return tuple(sorted(group_closure(rd.simple_reflections(), rd.rank)))
+    closure = group_closure(rd.simple_reflections(), rd.rank)
+    group = WeylGroup(sorted(closure))
+    group.inverse = MappingProxyType({w: w_inv for w, (_, w_inv) in closure.items()})
+    return group
 
 
 def longest_element(rd: RootDatum) -> Mat:
@@ -422,8 +438,9 @@ def longest_element(rd: RootDatum) -> Mat:
             return w
 
 
-# Weyl parts repeat across the elements a computation inverts; each miss
-# reduces [m | I] with exact._rref
+# Weyl parts repeat across the elements the slice action inverts (it takes
+# integer numerators times columns of w^{-1}); each miss reduces [m | I] with
+# exact._rref.  Stabilizer cosets read weyl_elements(rd).inverse instead
 MAT_INV_INT_CACHE = 4096
 
 

@@ -581,7 +581,8 @@ def graph_character_table(
         t = tuple(map(tuple, m))
         if t not in gens:
             gens.append(t)
-    lengths = group_closure(gens, n)
+    bm = word_bimodule(reflections)
+    lengths = {g: length for g, (length, _) in group_closure(gens, n).items()}
     # support: products of all subwords
     supp = set()
     for mask in range(2**k):
@@ -590,7 +591,6 @@ def graph_character_table(
             if mask & (1 << i):
                 acc = mat_mul(acc, reflections[i])
         supp.add(acc)
-    bm = word_bimodule(reflections)
     mod = TruncModule.from_bimodule(bm, depth)
     order = sorted(supp, key=lambda g: (-lengths[g], g))
     out: Dict[Mat, LaurentPoly] = {}

@@ -1,22 +1,27 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit.exact import QmodZ, identity, mat_vec
+from weylkit.exact import QmodZ, dot, identity, mat_inv, mat_vec
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
     ExtendedWeylElement,
     GramForm,
+    NoDominantCovector,
     NotPositiveDefinite,
+    OrderTooLarge,
+    _walls_between,
     act_affine_coroot,
     affine_coroot_label,
     affine_coroot_positive,
     affine_coroot_reflection,
     affine_simple_data,
     character_from_config,
+    coxeter_order,
     dominant_base_point,
     element_length,
     element_order,
@@ -24,12 +29,21 @@ from weylkit.affine import (
     extended_act_character,
     extended_act_cochar,
     extended_matrix,
+    gallery_walk,
     gram_from_ambient,
     gram_from_matrix,
     gram_from_weights,
+    progression_contains,
+    progression_count_in,
+    progression_min_at_least,
+    separating_walls,
     slice_act,
+    trivial_progressions,
+    weyl_shift,
 )
-from weylkit.rootdata import preset, weyl_elements
+from weylkit.duality import finite_components, level_from_config, level_progressions
+from weylkit.integral import integral_progressions
+from weylkit.rootdata import RootDatum, preset, weyl_elements
 
 
 def sl2():
@@ -247,3 +261,151 @@ def test_character_from_config_bases():
     assert chi.value_on(e1) == QmodZ(1, 3)
     e3 = psp6.ambient_to_lattice([0, 0, 1])
     assert chi.value_on(e3) == QmodZ(3, 10)
+
+
+def test_typed_errors_name_the_datum_and_the_elements():
+    # dependent simple coroots (1) and (-1): no covector is 1 on both
+    bad = RootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0, 1), name="dependent simples")
+    with pytest.raises(NoDominantCovector, match="dependent simples"):
+        dominant_base_point(bad, GramForm(((2,),)))
+    shear = ExtendedWeylElement((0, 0), ((1, 1), (0, 1)))
+    with pytest.raises(OrderTooLarge, match=r"Weyl part \(\(1, 1\), \(0, 1\)\)"):
+        element_order(shear)
+    s1, s2 = (ExtendedWeylElement.from_weyl(w) for w in preset("SL", 3).simple_reflections())
+    with pytest.raises(OrderTooLarge, match="Coxeter order 3 above 2"):
+        coxeter_order(s1, s2, cap=2)
+    assert coxeter_order(s1, s2) == 3
+
+
+def test_progression_helpers_against_enumeration():
+    progressions = [None, (0, 0), (3, 0), (-5, 0)] + [(i, d) for d in (1, 2, 3, 7) for i in range(-8, 9, 3)]
+    for p in progressions:
+        if p is None:
+            members = []
+        elif p[1] == 0:
+            members = [p[0]]
+        else:
+            members = [n for n in range(-200, 201) if (n - p[0]) % p[1] == 0]
+        for n in range(-30, 31):
+            assert progression_contains(p, n) == (n in members), (p, n)
+        for lo in range(-40, 41):
+            assert progression_min_at_least(p, lo) == min((n for n in members if n >= lo), default=None), (p, lo)
+        for a in range(-20, 21, 3):
+            for b in range(a - 3, 25, 2):  # b < a gives the empty range
+                assert progression_count_in(p, a, b) == sum(a <= n <= b for n in members), (p, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the integer slice kernel against the Fraction formulas it replaced
+
+KERNEL_PRESETS = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 3), ("GL", 2), ("Sp", 4), ("Sp", 6), ("PSp", 4),
+                  ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 4), ("SO_even", 6), ("SO_even", 8), ("G2", 2)]
+
+
+def _fraction_walls_between(rd, form, progressions, x, y):
+    out = []
+    for cv in rd.coroots:
+        if cv < tuple(-v for v in cv):
+            continue
+        p = progressions.get(cv)
+        if p is None:
+            continue
+        q = form.q(cv)
+        a, b = sorted((-Fraction(dot(x, cv)) / q, -Fraction(dot(y, cv)) / q))
+        lo, hi = math.floor(a) + 1, math.ceil(b) - 1
+        i, d = p
+        first = (i if i >= lo else None) if d == 0 else i + math.ceil(Fraction(lo - i, d)) * d
+        if first is not None and first <= hi:
+            out.append((cv, first, 1 if d == 0 else (hi - first) // d + 1))
+    return out
+
+
+def _fraction_weyl_shift(w, right, left):
+    winv = mat_inv(w)
+    n = len(w)
+    return tuple(sum((Fraction(right[j]) * winv[j][i] for j in range(n)), Fraction(0)) - Fraction(left[i]) for i in range(n))
+
+
+def _fraction_slice_act(g, form, x):
+    winv = mat_inv(g.w)
+    scov = form.covector(g.trans)
+    n = len(x)
+    return tuple(sum((Fraction(x[j]) * winv[j][i] for j in range(n)), Fraction(0)) - scov[i] for i in range(n))
+
+
+def _fraction_gallery_walk(rd, form, progressions, p, target):
+    steps = []
+    walls = _fraction_walls_between(rd, form, progressions, p, target)
+    while walls:
+        steps.append(affine_coroot_reflection(rd, AffineCoroot(walls[0][0], walls[0][1])))
+        p = _fraction_slice_act(steps[-1], form, p)
+        walls = _fraction_walls_between(rd, form, progressions, p, target)
+    return tuple(steps), p
+
+
+def _kernel_forms(rd, rng):
+    """(form, progressions): S with trivial and character progressions, and
+    levels c S of both signs at a random theta, one with a component flagged
+    irrational."""
+    try:
+        form = gram_from_weights(rd, rd.roots)
+    except NotPositiveDefinite:  # GL: the roots do not span
+        form = gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+    c = Fraction(rng.randint(1, 5), rng.choice((2, 3, 4, 6)))
+    chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randint(0, 11), 12) for _ in range(rd.rank)))
+    out = [(form, trivial_progressions(rd)), (form, integral_progressions(rd, form, chi))]
+    for sign, irrational in ((1, ()), (-1, ()), (rng.choice((1, -1)), (rng.randrange(len(finite_components(rd))),))):
+        c = sign * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        lvl = level_from_config(rd, [[c * v for v in row] for row in form.matrix], irrational)
+        out.append((lvl, level_progressions(rd, lvl, tuple(Fraction(rng.randint(0, 11), 12) for _ in range(rd.rank)))))
+    return out
+
+
+def _onto_wall(rd, form, progressions, x, rng):
+    """x moved along one coordinate onto a random integral wall
+    {<x, alpha> = -n q(alpha)}, or None if there is none."""
+    walls = [(cv, p) for cv, p in progressions.items() if p is not None]
+    if not walls:
+        return None
+    cv, (i, d) = rng.choice(walls)
+    n = i + d * rng.randint(-2, 2)
+    k = next(k for k, c in enumerate(cv) if c)
+    y = list(x)
+    y[k] += (-n * form.q(cv) - dot(x, cv)) / Fraction(cv[k])
+    assert dot(y, cv) == -n * form.q(cv)
+    return tuple(y)
+
+
+def test_integer_slice_kernel_against_fraction_formulas():
+    # the walls between two points, the gallery walk, the slice action and the
+    # Weyl shift, each against the Fraction formula it replaced; one point of
+    # most pairs lies exactly on an integral wall, where the open interval of
+    # levels matters
+    rng = random.Random(2507166)
+    on_wall = negative_q = 0
+    for name, param in KERNEL_PRESETS:
+        rd = preset(name, param)
+        group = weyl_elements(rd)
+        for form, progs in _kernel_forms(rd, rng):
+            x0 = dominant_base_point(rd, form)
+            negative_q += form.q(rd.coroots[0]) < 0
+            for _ in range(3):
+                x = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rd.rank))
+                y = _onto_wall(rd, form, progs, x, rng)
+                on_wall += y is not None
+                y = x if y is None else y
+                lattice_point = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+                for a, b in ((x, y), (y, x), (y, y), (x0, y), (y, x0), (lattice_point, y), (x, x0)):
+                    expected = _fraction_walls_between(rd, form, progs, a, b)
+                    assert list(_walls_between(rd, form, progs, a, b)) == expected, (name, form, a, b)
+                    assert separating_walls(rd, form, progs, a, b) == sum(count for _, _, count in expected)
+                assert gallery_walk(rd, form, progs, y, x0) == _fraction_gallery_walk(rd, form, progs, y, x0), (name, y)
+                w = rng.choice(group)
+                g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), w)
+                for p in (x, y, lattice_point):
+                    got = slice_act(g, form, p)
+                    assert got == _fraction_slice_act(g, form, p) and all(type(v) is Fraction for v in got), (name, g, p)
+                for right, left in ((x, y), (y, lattice_point), (lattice_point, lattice_point)):
+                    got = weyl_shift(group.inverse[w], right, left)
+                    assert got == _fraction_weyl_shift(w, right, left) and all(type(v) is Fraction for v in got)
+    assert on_wall >= 100 and negative_q >= 16, (on_wall, negative_q)

@@ -200,3 +200,45 @@ def test_positivity_solved_once_per_datum(monkeypatch):
     assert 0 < len(solves) <= len(rd.roots)
     with pytest.raises(ValueError):
         rd.is_positive_coroot((5, 5))
+
+
+CLOSURE_PRESETS = [("SL", 3), ("SL", 4), ("PGL", 3), ("GL", 2), ("Sp", 4), ("Sp", 6), ("PSp", 4),
+                   ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 4), ("SO_even", 6), ("G2", 2)]
+
+
+def test_closure_records_exact_inverses():
+    from weylkit.exact import mat_inv
+
+    for name, n in CLOSURE_PRESETS:
+        group = weyl_elements(preset(name, n))
+        assert set(group.inverse) == set(group), (name, n)
+        for w in group:
+            assert mat_mul(w, group.inverse[w]) == identity(len(w)), (name, n, w)
+            assert group.inverse[w] == mat_inv(w), (name, n, w)
+
+
+def test_stabilizer_cosets_invert_nothing(monkeypatch):
+    # a fresh SL5 (its own name, so no cache holds its Weyl group), with the
+    # integral-inverse cache emptied: the closure records every inverse, and
+    # simple reflections are their own inverses, so no matrix is inverted
+    import dataclasses
+
+    from weylkit import exact, rootdata
+    from weylkit.affine import gram_from_weights, stabilizer_cosets
+
+    rd = dataclasses.replace(preset("SL", 5), name="SL5, inverses from the closure")
+    form = gram_from_weights(rd, rd.roots)
+    theta = tuple(Fraction(k, 6) for k in range(1, rd.rank + 1))
+    inverted = []
+    original = exact.mat_inv
+
+    def counted(m):
+        inverted.append(m)
+        return original(m)
+
+    for module in (exact, rootdata):
+        monkeypatch.setattr(module, "mat_inv", counted)
+    rootdata.mat_inv_int.cache_clear()
+    cosets, _ = stabilizer_cosets(rd, [[Fraction(1, 2) * x for x in row] for row in form.matrix], theta, theta)
+    assert len(cosets) == 120
+    assert inverted == []
