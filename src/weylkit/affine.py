@@ -27,7 +27,9 @@ length is 1 (Dyer, "Reflection subgroups of Coxeter systems", J. Algebra
 1990), so the simple system is the set of walls of the alcove of x0.
 integral_system assembles the simple system, its Coxeter data and the
 stabilizer cosets; the character and level front-ends only supply the form,
-the progressions and the stabilizer congruences.
+the progressions and the stabilizer congruences.  length_zero_group reads the
+length-zero group Omega off an integral system, for every front; the ambient
+extended affine Weyl group is the integral system of the trivial character.
 """
 
 from __future__ import annotations
@@ -200,11 +202,6 @@ class CharacterPoint:
         for c, x in zip(self.finite, v, strict=True):
             acc += c.as_fraction() * x
         return QmodZ.from_fraction(acc)
-
-    def value_on_affine(self, a_central: int, v: Vec) -> QmodZ:
-        return QmodZ.from_fraction(
-            self.central.as_fraction() * a_central + self.value_on(v).as_fraction()
-        )
 
     @staticmethod
     def trivial(n: int) -> "CharacterPoint":
@@ -599,34 +596,16 @@ def integral_system(rd: RootDatum, form, progressions, rows, theta, exact_rows=(
     )
 
 
-# ---------------------------------------------------------------------------
-# affine simple data: S_aff, alcove, Omega
+def length_zero_group(rd: RootDatum, form, system: IntegralSystem):
+    """Omega, the length-zero part of the integral group of system: the
+    elements t^lam w of its stabilizer (lam in the coset of w) that fix the
+    alcove of its base point, as representatives (one per admissible w) and
+    their common translation lattice.  Every front reads Omega here: the
+    character side from integral_simple_system, the ambient group as the
+    integral system of the trivial character, the level side from
+    level_integral_weyl.
 
-
-@dataclass(frozen=True)
-class AffineData:
-    simples: Tuple[AffineCoroot, ...]
-    coxeter: Tuple[Tuple[object, ...], ...]
-    base_point: Tuple[Fraction, ...]
-    omega: Tuple[ExtendedWeylElement, ...]
-    omega_lattice: Tuple[Vec, ...]
-
-
-def affine_simple_data(rd: RootDatum, form: GramForm) -> AffineData:
-    simples = simple_system_from_progressions(rd, form, trivial_progressions(rd))
-    matrix, _ = coxeter_system(rd, simples)
-    base = dominant_base_point(rd, form)
-    every_lam = CosetZn((0,) * rd.rank, identity(rd.rank))
-    omega, lattice = length_zero_group(rd, form, base, simples, {w: every_lam for w in weyl_elements(rd)})
-    return AffineData(simples, matrix, base, omega, lattice)
-
-
-def length_zero_group(rd: RootDatum, form, base_point, simples, cosets):
-    """Omega: the elements t^lam w with lam in cosets[w] that fix the alcove of
-    base_point, as representatives (one per admissible w) and their common
-    translation lattice.
-
-    simples are the walls of that alcove as affine coroots, the wall of
+    The simples are the walls of that alcove as affine coroots, the wall of
     (alpha, n) being {x : <x, alpha> = -n q(alpha)}; the slice action is
     x |-> x o w^{-1} - form.covector(lam).  An element fixes the alcove iff it
     sends every oriented facet to an oriented facet.  It sends
@@ -635,12 +614,12 @@ def length_zero_group(rd: RootDatum, form, base_point, simples, cosets):
     system on the coset.
     """
     facets = {}
-    for ac in simples:
+    for ac in system.simples:
         offset = -ac.n * form.q(ac.coroot)
-        sign = 1 if dot(base_point, ac.coroot) > offset else -1
+        sign = 1 if dot(system.base_point, ac.coroot) > offset else -1
         facets[tuple(sign * x for x in ac.coroot)] = -sign * offset
     elements, lattice = [], ()
-    for w, coset in cosets.items():
+    for w, coset in system.stabilizer:
         if coset is None:
             continue
         rows, rhs = [], []

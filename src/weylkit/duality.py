@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from weylkit.exact import (
     Vec,
@@ -398,8 +398,8 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
 
     # length-zero groups correspond: representatives up to the translation
     # lattices, and the lattices themselves
-    g_omega, g_lattice = _alcove_omega(rd, lvl, g_sys)
-    h_omega, h_lattice = _alcove_omega(rd_dual, lvl_dual_neg, h_sys)
+    g_omega, g_lattice = length_zero_group(rd, lvl, g_sys)
+    h_omega, h_lattice = length_zero_group(rd_dual, lvl_dual_neg, h_sys)
     h_by_linear = {element_slice_map(rd_dual, lvl_dual_neg, o).linear: o for o in h_omega}
     pairs = []
     for o in g_omega:
@@ -431,11 +431,6 @@ def _dual_translation(lvl: Level, offset):
     """The integral mu whose translation moves the slice by offset, or None."""
     mu = mat_vec(mat_inv(lvl.gram), tuple(-x for x in offset))
     return tuple(int(x) for x in mu) if all(x.denominator == 1 for x in mu) else None
-
-
-def _alcove_omega(rd, lvl, sys: IntegralSystem):
-    """Length-zero elements of the integral group: those fixing the base alcove."""
-    return length_zero_group(rd, lvl, sys.base_point, sys.simples, dict(sys.stabilizer))
 
 
 # ---------------------------------------------------------------------------
@@ -470,36 +465,21 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     sys = level_integral_weyl(rd, lvl, theta)
     progs = dict(sys.progressions)
     refl = list(sys.simple_reflections(rd))
-    omega, _ = _alcove_omega(rd, lvl, sys)
-    comp_of = {}
-    for ci, (idx, kind) in enumerate(sys.components):
-        for i in idx:
-            comp_of[i] = ci
-    # orbit of components under conjugation by length-zero elements
+    omega, _ = length_zero_group(rd, lvl, sys)
+    comp_of = {i: ci for ci, (idx, _) in enumerate(sys.components) for i in idx}
+    # components linked when a length-zero element conjugates a simple
+    # reflection of one to a simple reflection of the other
     refl_index = {r: i for i, r in enumerate(refl)}
-    parent = list(range(len(sys.components)))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    links = set()
     for o in omega:
         oinv = o.inverse()
         for i, r in enumerate(refl):
-            conj = o * r * oinv
-            if conj in refl_index:
-                union(comp_of[i], comp_of[refl_index[conj]])
-    orbits: Dict[int, List[int]] = {}
-    for ci in range(len(sys.components)):
-        orbits.setdefault(find(ci), []).append(ci)
+            j = refl_index.get(o * r * oinv)
+            if j is not None:
+                links.add((comp_of[i], comp_of[j]))
+    orbits = connected_components(len(sys.components), lambda a, b: (a, b) in links or (b, a) in links)
     gens = []
-    for orbit in orbits.values():
+    for orbit in orbits:
         if any(sys.components[ci][1] != "finite" for ci in orbit):
             continue
         z = ExtendedWeylElement.unit(rd.rank)

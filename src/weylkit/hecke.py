@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, extended_act_character
 from weylkit.integral import (
     CharacterMismatch,
+    DescentStalled,
     integral_length,
     integral_simple_system,
     is_minimal,
@@ -132,9 +133,6 @@ class HeckeElement:
     def is_zero(self) -> bool:
         return not self.support
 
-    def coefficient(self, g: ExtendedWeylElement) -> LaurentPoly:
-        return self.support.get(g, LaurentPoly.zero())
-
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if (self.left_char, self.right_char) != (other.left_char, other.right_char):
             raise CharacterMismatch("cannot add elements with different characters")
@@ -186,20 +184,10 @@ def _mult_by_simple(
     vdiff = V_INV - V
     for g, c in elt.support.items():
         gr = g * r
-        if integral_length(rd, form, chi, gr) > integral_length(rd, form, chi, g):
-            add(gr, c)
-        else:
-            add(gr, c)
+        add(gr, c)
+        if integral_length(rd, form, chi, gr) < integral_length(rd, form, chi, g):
             add(g, c * vdiff)
     return HeckeElement(elt.left_char, chi, out)
-
-
-def _mult_by_minimal(
-    rd: RootDatum, form: GramForm, elt: HeckeElement, m: ExtendedWeylElement, chi_right: CharacterPoint
-) -> HeckeElement:
-    """Right multiplication by a clean T_m: support shifts by m."""
-    out = {g * m: c for g, c in elt.support.items()}
-    return HeckeElement(elt.left_char, chi_right, out)
 
 
 def _left_descent_word(
@@ -209,12 +197,9 @@ def _left_descent_word(
     system = integral_simple_system(rd, form, chi)
     refl = system.simple_reflections(rd)
     word: List[ExtendedWeylElement] = []
+    start = z
     length = integral_length(rd, form, chi, z)
-    guard = 0
     while length:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("descent did not terminate")
         for r in refl:
             cand = r * z
             lc = integral_length(rd, form, chi, cand)
@@ -224,9 +209,9 @@ def _left_descent_word(
                 length = lc
                 break
         else:
-            raise RuntimeError("no left descent found; element not in the Coxeter part")
+            raise DescentStalled(f"no left descent of {z} (from {start}): not in the Coxeter part at {chi}")
     if not z.is_identity():
-        raise RuntimeError("word does not close at the identity")
+        raise DescentStalled(f"{start} descends to the length-zero {z} != e: not in the Coxeter part at {chi}")
     return word
 
 
@@ -244,7 +229,8 @@ def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) 
         elt = a.scale(c)
         for r in word:
             elt = _mult_by_simple(rd, form, elt, r)
-        elt = _mult_by_minimal(rd, form, elt, m, b.right_char)
+        # right multiplication by the clean T_m shifts the support by m
+        elt = HeckeElement(elt.left_char, b.right_char, {g * m: p for g, p in elt.support.items()})
         out = out + elt
     return out
 

@@ -7,15 +7,17 @@ chi_f(alpha) + n Q(alpha) c in Z; the admissible levels per finite direction
 form an arithmetic progression, and all hyperplane arithmetic happens on the
 progressions, never on enumerated coroots.  The core (affine.integral_system)
 gets the form S, these progressions and the stabilizer congruences
-c S(lam, -) = w(chi_f) - chi_f (mod 1).
+c S(lam, -) = w(chi_f) - chi_f (mod 1).  The length-zero group Omega_chi is
+affine.length_zero_group of integral_simple_system(rd, form, chi), exactly,
+with no enumeration; the ambient group is the system of the trivial character.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from weylkit.exact import CosetZn, Vec
+from weylkit.exact import Vec
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -25,7 +27,6 @@ from weylkit.affine import (
     Progression,
     act_affine_coroot,
     affine_coroot_reflection,
-    affine_simple_data,
     element_length,
     element_order,
     extended_act_character,
@@ -34,13 +35,13 @@ from weylkit.affine import (
     progression,
     progression_contains,
     slice_act,
-    stabilizer_cosets,
 )
 from weylkit.rootdata import RootDatum
 
 __all__ = [
     "CharacterMismatch",
     "NotInStabilizerOrbit",
+    "DescentStalled",
     "IntegralSystem",
     "integral_progression",
     "integral_progressions",
@@ -52,8 +53,6 @@ __all__ = [
     "omega_compose",
     "element_order",
     "conjugate_to_simple",
-    "stabilizer_ball",
-    "omega_chi_sample",
 ]
 
 
@@ -63,6 +62,11 @@ class CharacterMismatch(ValueError):
 
 class NotInStabilizerOrbit(ValueError):
     pass
+
+
+class DescentStalled(RuntimeError):
+    """A length descent found no descent: the element named in the message
+    is not in the Coxeter part it was expected in."""
 
 
 def integral_progression(rd: RootDatum, form: GramForm, chi: CharacterPoint, coroot: Vec) -> Progression:
@@ -169,7 +173,7 @@ def conjugate_to_simple(
     ambient length 1 is simple (Dyer), and for any other one some ambient
     simple s is a left descent, so that s r s has length l(r) - 2; the first
     such s in the ambient order conjugates r, u and chi."""
-    ambient = affine_simple_data(rd, form).simples
+    ambient = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank)).simples
     u = ExtendedWeylElement.unit(rd.rank)
     cur = r
     cur_chi = chi
@@ -182,7 +186,7 @@ def conjugate_to_simple(
             if img_length < length:
                 break
         else:
-            raise RuntimeError(f"length descent from {r} stalled at {cur}")
+            raise DescentStalled(f"length descent from {r} stalled at {cur} of ambient length {length}")
         # the conjugating ambient simple cannot be integral, else r would
         # not have been simple in the integral system
         if progression_contains(integral_progression(rd, form, cur_chi, s.coroot), s.n):
@@ -198,65 +202,3 @@ def conjugate_to_simple(
     if cur not in integral_simple_system(rd, form, cur_chi).simples:
         raise NotInStabilizerOrbit(f"conjugate {cur} of {r} is not simple in the new integral system")
     return u
-
-
-# ---------------------------------------------------------------------------
-# enumeration helpers
-
-
-def stabilizer_ball(
-    rd: RootDatum, form: GramForm, chi: CharacterPoint, radius: int,
-    chi_right: Optional[CharacterPoint] = None,
-) -> Tuple[ExtendedWeylElement, ...]:
-    """Elements t^lam w with chi_right sent to chi and |lam|_inf <= radius."""
-    if chi_right is None:
-        chi_right = chi
-    n = rd.rank
-    if chi.central != chi_right.central:
-        return ()
-    cosets, _ = stabilizer_cosets(rd, _stabilizer_rows(form, chi), _finite_values(chi_right), _finite_values(chi))
-    out = []
-    for w, sol in cosets.items():
-        if sol is None:
-            continue
-        for lam in _coset_points_in_box(sol, n, radius):
-            g = ExtendedWeylElement(lam, w)
-            if extended_act_character(g, form, chi_right) != chi:
-                raise CharacterMismatch(f"{g} does not send {chi_right} to {chi}")
-            out.append(g)
-    return tuple(sorted(out, key=lambda g: (g.trans, g.w)))
-
-
-def _coset_points_in_box(sol: CosetZn, n: int, radius: int):
-    from itertools import product
-
-    if not sol.basis:
-        if all(abs(x) <= radius for x in sol.particular):
-            yield sol.particular
-        return
-    # bound coefficients: basis rows are in HNF, so iterate a safe coefficient box
-    maxentry = max(max(abs(x) for x in row) for row in sol.basis)
-    maxpart = max((abs(x) for x in sol.particular), default=0)
-    cbound = radius + maxpart + maxentry * len(sol.basis)
-    for coeffs in product(range(-cbound, cbound + 1), repeat=len(sol.basis)):
-        pt = list(sol.particular)
-        for c, row in zip(coeffs, sol.basis):
-            for i in range(n):
-                pt[i] += c * row[i]
-        if all(abs(x) <= radius for x in pt):
-            yield tuple(pt)
-
-
-def omega_chi_sample(
-    rd: RootDatum, form: GramForm, chi: CharacterPoint, radius: int
-) -> Tuple[ExtendedWeylElement, ...]:
-    """Minimal representatives of distinct blocks of the stabilizer, within a
-    translation ball (Omega_chi is infinite in general)."""
-    out = []
-    seen = set()
-    for g in stabilizer_ball(rd, form, chi, radius):
-        m = minimal_rep(rd, form, chi, g)
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return tuple(sorted(out, key=lambda g: (g.trans, g.w)))

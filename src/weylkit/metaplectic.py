@@ -105,6 +105,13 @@ def closed_form_rescale(rd: RootDatum, form: GramForm, c: QmodZ) -> Dict[Vec, in
     return out
 
 
+def _indecomposable(positives) -> set:
+    """The simple system of a set of positive (co)roots: those that are not
+    the difference of two others in it."""
+    pos = set(map(tuple, positives))
+    return {a for a in pos if not any(tuple(x - y for x, y in zip(a, b)) in pos for b in pos if b != a)}
+
+
 def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> EndoscopicData:
     n = rd.rank
     basis = endoscopic_lattice(rd, form, c)
@@ -129,18 +136,8 @@ def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> Endoscopic
         roots_h.append(tuple(new_rt))
     # simple system of H: indecomposable positives, positives taken from rd
     pos = set(rd.positive_root_indices())
-    pos_roots_h = [roots_h[i] for i in range(len(roots_h)) if i in pos]
-    simple_idx = []
-    pos_set = set(pos_roots_h)
-    for i in range(len(roots_h)):
-        if i not in pos:
-            continue
-        a = roots_h[i]
-        decomposable = any(
-            tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos_set if b != tuple(a)
-        )
-        if not decomposable:
-            simple_idx.append(i)
+    simple_set = _indecomposable(roots_h[i] for i in pos)
+    simple_idx = [i for i in sorted(pos) if roots_h[i] in simple_set]
     ambient_h = mat_mul(rd.ambient_basis, tuple(tuple(Fraction(x) for x in row) for row in bt))
     rd_h = RootDatum(
         n,
@@ -167,17 +164,6 @@ def _finite_integral_directions(rd, progs) -> Tuple[Vec, ...]:
     return tuple(cv for cv in rd.coroots if progs[tuple(cv)] is not None)
 
 
-def _finite_simples(rd: RootDatum, directions) -> Tuple[Vec, ...]:
-    """Simple system of a finite coroot subsystem: indecomposable positives."""
-    pos = [cv for cv in directions if rd.is_positive_coroot(cv)]
-    pos_set = set(map(tuple, pos))
-    simples = []
-    for cv in pos:
-        if not any(tuple(a - b for a, b in zip(cv, other)) in pos_set for other in pos_set if other != tuple(cv)):
-            simples.append(tuple(cv))
-    return tuple(sorted(simples))
-
-
 def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> dict:
     """Conjugate the bullet integral group by tau^mu and compare with the
     endoscopic side; also report whether bullet = full on each side."""
@@ -187,7 +173,7 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     endo = endoscopic_root_datum(rd, form, chi.central)
     progs = integral_progressions(rd, form, chi)
     directions = _finite_integral_directions(rd, progs)
-    simples = _finite_simples(rd, directions)
+    simples = tuple(sorted(_indecomposable(cv for cv in directions if rd.is_positive_coroot(cv))))
 
     # i_alpha: minimal nonnegative integral level per simple integral direction
     i_of: Dict[Vec, int] = {}

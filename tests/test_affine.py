@@ -19,7 +19,6 @@ from weylkit.affine import (
     affine_coroot_label,
     affine_coroot_positive,
     affine_coroot_reflection,
-    affine_simple_data,
     character_from_config,
     coxeter_order,
     dominant_base_point,
@@ -33,6 +32,7 @@ from weylkit.affine import (
     gram_from_ambient,
     gram_from_matrix,
     gram_from_weights,
+    length_zero_group,
     progression_contains,
     progression_count_in,
     progression_min_at_least,
@@ -42,7 +42,7 @@ from weylkit.affine import (
     weyl_shift,
 )
 from weylkit.duality import finite_components, level_from_config, level_progressions
-from weylkit.integral import integral_progressions
+from weylkit.integral import integral_progressions, integral_simple_system
 from weylkit.rootdata import RootDatum, preset, weyl_elements
 
 
@@ -146,22 +146,29 @@ def test_affine_coroot_slice_intertwining():
         assert lhs == eval_affine_coroot(form, ac, x)
 
 
+def ambient(rd, form):
+    """The ambient affine system (the integral system of the trivial
+    character) and its length-zero group."""
+    system = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank))
+    return system, length_zero_group(rd, form, system)
+
+
 def test_affine_simple_data_sl2():
     rd, form = sl2(), sl2_form()
-    data = affine_simple_data(rd, form)
+    data, (omega, _) = ambient(rd, form)
     labels = sorted(affine_coroot_label(rd, ac) for ac in data.simples)
     assert labels == [((1,), 0), ((1,), 1)]
-    assert len(data.omega) == 1  # SL2 is simply connected
+    assert len(omega) == 1  # SL2 is simply connected
     assert data.coxeter[0][1] == "infinite"
 
 
 def test_affine_simple_data_pgl2():
     rd = preset("PGL", 2)
     form = gram_from_matrix(rd, [[2]])
-    data = affine_simple_data(rd, form)
+    data, (omega, _) = ambient(rd, form)
     assert len(data.simples) == 2
-    assert len(data.omega) == 2
-    nontrivial = [g for g in data.omega if not g.is_identity()]
+    assert len(omega) == 2
+    nontrivial = [g for g in omega if not g.is_identity()]
     assert len(nontrivial) == 1
     assert element_length(nontrivial[0], rd, form) == 0
     assert element_order(nontrivial[0]) in (2, "infinite")
@@ -170,15 +177,15 @@ def test_affine_simple_data_pgl2():
 def test_affine_simple_data_torus():
     rd = preset("torus", 2)
     form = gram_from_matrix(rd, [[1, 0], [0, 1]])
-    data = affine_simple_data(rd, form)
+    data, (_, omega_lattice) = ambient(rd, form)
     assert data.simples == ()
-    assert len(data.omega_lattice) == 2  # translations form the lattice part
+    assert len(omega_lattice) == 2  # translations form the lattice part
 
 
 def test_affine_simple_data_sp4():
     rd = preset("Sp", 4)
     form = gram_from_weights(rd, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    data = affine_simple_data(rd, form)
+    data, _ = ambient(rd, form)
     assert len(data.simples) == 3
     labels = sorted(affine_coroot_label(rd, ac) for ac in data.simples)
     assert ((1, 0), 1) in labels  # the wall x(e1) = Q(e1)
@@ -202,7 +209,7 @@ def test_lengths_sl2():
 def test_length_steps_by_one():
     rd = preset("Sp", 4)
     form = gram_from_weights(rd, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    data = affine_simple_data(rd, form)
+    data, _ = ambient(rd, form)
     refl = [affine_coroot_reflection(rd, ac) for ac in data.simples]
     rng = random.Random(2)
     ws = weyl_elements(rd)
@@ -215,7 +222,7 @@ def test_length_steps_by_one():
 
 def test_length_additive_on_reduced_words():
     rd, form = sl2(), sl2_form()
-    data = affine_simple_data(rd, form)
+    data, _ = ambient(rd, form)
     refl = [affine_coroot_reflection(rd, ac) for ac in data.simples]
     g = ExtendedWeylElement.unit(1)
     expected = 0
@@ -228,8 +235,8 @@ def test_length_additive_on_reduced_words():
 
 def test_faithfulness_short_words():
     rd, form = sl2(), sl2_form()
-    data = affine_simple_data(rd, form)
-    gens = [affine_coroot_reflection(rd, ac) for ac in data.simples] + list(data.omega)
+    data, (omega, _) = ambient(rd, form)
+    gens = [affine_coroot_reflection(rd, ac) for ac in data.simples] + list(omega)
     seen = {}
     frontier = {ExtendedWeylElement.unit(1)}
     for _ in range(6):

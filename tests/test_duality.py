@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylkit import duality
-from weylkit.affine import ExtendedWeylElement, gram_from_weights
+from weylkit.affine import ExtendedWeylElement, gram_from_weights, length_zero_group
 from weylkit.duality import (
     AffineMap,
     AlcoveMatch,
@@ -401,6 +401,24 @@ def test_alcove_match_omega_lattice_without_integral_walls():
     g_lattice, h_lattice = match.omega_lattices
     assert g_lattice == ((1,),) and h_lattice == ((2,),)
     assert finite_longest_group(rd, lvl, (Fraction(1, 3),)) == ()
+
+
+def test_finite_longest_group_joins_components_that_omega_swaps():
+    # Sp4 flagged irrational at theta = (1/2, 1/2): the integral roots are
+    # +-e1 +- e2, two finite A1 components, and the length-zero s_{2 e2}
+    # swaps them, so their longest elements make one generator, -1.  In SO4
+    # at theta = 0 no length-zero element joins the two A1 components.
+    rd = sp4()
+    lvl = level_from_config(rd, killing_level(rd, 1).gram, irrational=[0])
+    theta = (Fraction(1, 2), Fraction(1, 2))
+    system = level_integral_weyl(rd, lvl, theta)
+    assert [kind for _, kind in system.components] == ["finite", "finite"]
+    assert len(length_zero_group(rd, lvl, system)[0]) == 2
+    assert finite_longest_group(rd, lvl, theta) == (ExtendedWeylElement((0, 0), ((-1, 0), (0, -1))),)
+    rd = preset("SO_even", 4)
+    lvl = level_from_config(rd, killing_level(rd, 1).gram, irrational=[0, 1])
+    gens = finite_longest_group(rd, lvl, (Fraction(0), Fraction(0)))
+    assert gens == (ExtendedWeylElement((0, 0), ((0, 1), (1, 0))), ExtendedWeylElement((0, 0), ((0, -1), (-1, 0))))
 
 
 def _cayley_farthest(rd, reflections):

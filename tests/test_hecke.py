@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,11 +7,10 @@ from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
     affine_coroot_reflection,
-    affine_simple_data,
     character_from_config,
-    extended_act_character,
     gram_from_matrix,
     gram_from_weights,
+    length_zero_group,
 )
 from weylkit.hecke import (
     ONE,
@@ -18,6 +18,7 @@ from weylkit.hecke import (
     V_INV,
     HeckeElement,
     LaurentPoly,
+    _left_descent_word,
     b_element,
     bott_samelson_product,
     check_relations,
@@ -26,7 +27,7 @@ from weylkit.hecke import (
     unit_element,
     zero_element,
 )
-from weylkit.integral import integral_simple_system, is_minimal, minimal_rep, omega_chi_sample
+from weylkit.integral import DescentStalled, integral_simple_system
 from weylkit.rootdata import preset
 
 
@@ -68,9 +69,9 @@ def test_quadratic_relation():
         assert sq == expected
 
 
-def test_minimal_inverse_is_unit():
+def test_minimal_inverse_is_unit(omega_against_box):
     rd, form, chi = sl2_half()
-    mins = omega_chi_sample(rd, form, chi, radius=2)
+    mins, _, _ = omega_against_box(rd, form, chi, radius=2)
     for m in mins:
         tm = t_element(rd, form, chi, m)
         tminv = t_element(rd, form, chi, m.inverse())
@@ -89,7 +90,7 @@ def test_cross_character_product_vanishes():
 
 def test_braid_relation_a2():
     rd, form, chi = sl3_trivial()
-    data = affine_simple_data(rd, form)
+    data = integral_simple_system(rd, form, chi)
     finite = [ac for ac in data.simples if ac.n == 0]
     assert len(finite) == 2
     s = affine_coroot_reflection(rd, finite[0])
@@ -151,7 +152,7 @@ def regular_oracle(rd, form, chi, gens):
 
 def test_rank2_products_match_regular_representation_oracle():
     rd, form, chi = sl3_trivial()
-    data = affine_simple_data(rd, form)
+    data = integral_simple_system(rd, form, chi)
     finite = [ac for ac in data.simples if ac.n == 0]
     gens = [affine_coroot_reflection(rd, ac) for ac in finite]
     dist, oracle_product = regular_oracle(rd, form, chi, gens)
@@ -164,12 +165,10 @@ def test_rank2_products_match_regular_representation_oracle():
             assert mine.support == truth, (x, y)
 
 
-def test_associativity_randomized():
+def test_associativity_randomized(stabilizer_box):
     rd, form, chi = sl2_half()
     rng = random.Random(23)
-    from weylkit.integral import stabilizer_ball
-
-    ball = stabilizer_ball(rd, form, chi, radius=2)
+    ball = stabilizer_box(rd, form, chi, radius=2)
     for _ in range(60):
         x, y, z = (rng.choice(ball) for _ in range(3))
         tx = t_element(rd, form, chi, x)
@@ -180,9 +179,9 @@ def test_associativity_randomized():
         assert lhs == rhs
 
 
-def test_specialization_v1_group_algebra():
+def test_specialization_v1_group_algebra(omega_against_box):
     rd, form, chi = sl2_half()
-    mins = omega_chi_sample(rd, form, chi, radius=2)
+    mins, _, _ = omega_against_box(rd, form, chi, radius=2)
     for a in mins:
         for b in mins:
             prod = t_multiply(rd, form, t_element(rd, form, chi, a), t_element(rd, form, chi, b))
@@ -198,9 +197,10 @@ def test_bott_samelson_single_letter():
     assert table[ExtendedWeylElement.unit(1)] == V
 
 
-def test_bott_samelson_minimal_letter():
+def test_bott_samelson_minimal_letter(omega_against_box):
     rd, form, chi = sl2_half()
-    mins = [m for m in omega_chi_sample(rd, form, chi, radius=2) if not m.is_identity()]
+    omega, _, _ = omega_against_box(rd, form, chi, radius=2)
+    mins = [m for m in omega if not m.is_identity()]
     m = mins[0]
     elt, table = bott_samelson_product(rd, form, chi, [("omega", m)])
     assert table == {m: ONE}
@@ -208,7 +208,7 @@ def test_bott_samelson_minimal_letter():
 
 def test_bott_samelson_a2_top_multiplicity():
     rd, form, chi = sl3_trivial()
-    data = affine_simple_data(rd, form)
+    data = integral_simple_system(rd, form, chi)
     finite = [ac for ac in data.simples if ac.n == 0]
     s = affine_coroot_reflection(rd, finite[0])
     t = affine_coroot_reflection(rd, finite[1])
@@ -225,16 +225,16 @@ def test_check_relations_reports():
     assert report["ok"]
     assert report["infinite_pairs"] == [(0, 1)]
     rdp, formp, chip = pgl2_trivial()
-    data = affine_simple_data(rdp, formp)
-    omegas = [g for g in data.omega if not g.is_identity()]
+    omega, _ = length_zero_group(rdp, formp, integral_simple_system(rdp, formp, chip))
+    omegas = [g for g in omega if not g.is_identity()]
     report = check_relations(rdp, formp, chip, omegas=omegas)
     assert report["ok"]
 
 
 def test_omega_conjugation_swaps_walls_pgl2():
     rd, form, chi = pgl2_trivial()
-    data = affine_simple_data(rd, form)
-    omega = [g for g in data.omega if not g.is_identity()][0]
+    data = integral_simple_system(rd, form, chi)
+    omega = [g for g in length_zero_group(rd, form, data)[0] if not g.is_identity()][0]
     s0, s1 = [affine_coroot_reflection(rd, ac) for ac in data.simples]
     t_om = t_element(rd, form, chi, omega)
     t_om_inv = t_element(rd, form, chi, omega.inverse())
@@ -242,3 +242,12 @@ def test_omega_conjugation_swaps_walls_pgl2():
     assert lhs == t_element(rd, form, chi, s1) or lhs == t_element(rd, form, chi, s0)
     # omega is nontrivial so it must actually swap the two walls
     assert lhs == t_element(rd, form, chi, s1)
+
+
+def test_descent_word_names_a_length_zero_element_outside_the_coxeter_part():
+    # the nontrivial PGL2 omega has length 0 but is not the identity
+    rd, form, chi = pgl2_trivial()
+    omega = [g for g in length_zero_group(rd, form, integral_simple_system(rd, form, chi))[0] if not g.is_identity()]
+    assert len(omega) == 1
+    with pytest.raises(DescentStalled, match=re.escape(str(omega[0]))):
+        _left_descent_word(rd, form, chi, omega[0])

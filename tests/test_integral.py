@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit.exact import QmodZ
+from weylkit.exact import CosetZn, QmodZ, identity
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -12,13 +13,16 @@ from weylkit.affine import (
     affine_coroot_label,
     affine_coroot_positive,
     affine_coroot_reflection,
-    affine_simple_data,
     character_from_config,
+    coxeter_system,
+    dominant_base_point,
     element_order,
-    extended_act_character,
     gram_from_matrix,
     gram_from_weights,
+    length_zero_group,
     progression_contains,
+    simple_system_from_progressions,
+    trivial_progressions,
 )
 from weylkit.integral import (
     CharacterMismatch,
@@ -28,9 +32,7 @@ from weylkit.integral import (
     integral_simple_system,
     is_minimal,
     minimal_rep,
-    omega_chi_sample,
     omega_compose,
-    stabilizer_ball,
     weyl_stabilizer,
 )
 from weylkit.rootdata import preset, weyl_elements
@@ -70,19 +72,44 @@ def test_progressions_psp6_all_empty():
         assert integral_progression(rd, form, chi, cv) is None
 
 
+def _unit_weights(rank):
+    weights = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    return weights + [tuple(-x for x in w) for w in weights]
+
+
+# every preset, under its root form, and the forms the ambient-group tests use
+PRESET_FORMS = [
+    (name, param, "roots")
+    for name, param in [
+        ("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("Sp", 4), ("Sp", 6), ("PSp", 4),
+        ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("G2", 2), ("SO_even", 4), ("SO_even", 8),
+    ]
+] + [("SL", 2, "units"), ("Sp", 4, "units"), ("GL", 2, "units"), ("torus", 2, "units"), ("PGL", 2, [[2]])]
+
+
+def _preset_form(name, param, form):
+    rd = preset(name, param)
+    if form == "roots":
+        return rd, gram_from_weights(rd, rd.roots)
+    if form == "units":
+        return rd, gram_from_weights(rd, _unit_weights(rd.rank))
+    return rd, gram_from_matrix(rd, form)
+
+
 def test_simple_system_trivial_char_is_affine_system():
-    for name, n in [("SL", 2), ("Sp", 4), ("PGL", 2)]:
-        rd = preset(name, n)
-        if name == "PGL":
-            form = gram_from_matrix(rd, [[2]])
-        else:
-            weights = [tuple(int(k == i) for k in range(rd.rank)) for i in range(rd.rank)]
-            weights += [tuple(-x for x in w) for w in weights]
-            form = gram_from_weights(rd, weights)
+    # the trivial character's integral system is the ambient affine system:
+    # its walls, Coxeter matrix and base point from the trivial progressions,
+    # and its Omega equal to the length-zero group over the full lattice t^lam w
+    for name, param, form_kind in PRESET_FORMS:
+        rd, form = _preset_form(name, param, form_kind)
         sys = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank))
-        amb = affine_simple_data(rd, form)
-        assert set(sys.simples) == set(amb.simples)
-        assert sys.coxeter == amb.coxeter
+        simples = simple_system_from_progressions(rd, form, trivial_progressions(rd))
+        assert sys.simples == simples
+        assert sys.coxeter == coxeter_system(rd, simples)[0]
+        assert sys.base_point == dominant_base_point(rd, form)
+        every_lam = CosetZn((0,) * rd.rank, identity(rd.rank))
+        full = dataclasses.replace(sys, stabilizer=tuple((w, every_lam) for w in weyl_elements(rd)))
+        assert length_zero_group(rd, form, sys) == length_zero_group(rd, form, full), (name, param, form_kind)
 
 
 def test_sl2_halfcentral_system():
@@ -216,27 +243,23 @@ def test_reflection_closure_property():
                 assert progression_contains(progs[img.coroot], img.n)
 
 
-def test_stabilizer_ball_and_blocks():
+def test_stabilizer_ball_and_blocks(omega_against_box):
     rd, form, chi = sl2_setup()
-    ball = stabilizer_ball(rd, form, chi, radius=3)
+    omega, lattice, ball = omega_against_box(rd, form, chi, radius=3)
     assert len(ball) == 14  # translations -3..3 paired with two Weyl parts
-    mins = omega_chi_sample(rd, form, chi, radius=3)
-    assert len(mins) == 2  # Omega_chi = Z/2
-    # block map x -> w^beta is constant on W-degree-0 cosets: spot check
-    for g in ball:
-        m = minimal_rep(rd, form, chi, g)
-        assert m in mins
+    assert len(omega) == 2 and lattice == ()  # Omega_chi = Z/2
+    # the block map x -> its minimal element reaches every element of Omega_chi
+    assert {minimal_rep(rd, form, chi, g) for g in ball} == set(omega)
 
 
-def test_minimal_length_transport():
+def test_minimal_length_transport(omega_against_box):
     # left multiplication by a minimal element of Omega_chi (integral
     # length 0) leaves the integral length of every element unchanged
     rd, form, chi = sl2_setup()
-    mins = omega_chi_sample(rd, form, chi, radius=2)
-    ball = stabilizer_ball(rd, form, chi, radius=2)
+    omega, lattice, ball = omega_against_box(rd, form, chi, radius=2)
+    mins = [m for m in omega if not m.is_identity()] + [ExtendedWeylElement.translation(lam) for lam in lattice]
+    assert mins
     for m in mins:
-        if m.is_identity():
-            continue
         for z in ball:
             lhs = integral_length(rd, form, chi, m * z)
             rhs = integral_length(rd, form, chi, z)
@@ -294,7 +317,7 @@ def _ambient_height(rd, form, ambient, ac):
 def _height_descent_conjugator(rd, form, r):
     """Conjugate r by the first ambient simple that keeps it positive and
     lowers its height, until it is an ambient simple."""
-    ambient = affine_simple_data(rd, form).simples
+    ambient = simple_system_from_progressions(rd, form, trivial_progressions(rd))
     u, cur = ExtendedWeylElement.unit(rd.rank), r
     height = _ambient_height(rd, form, ambient, cur)
     while cur not in ambient:
@@ -341,3 +364,22 @@ def test_conjugate_to_simple_length_descent_equals_height_descent():
                     assert u == _height_descent_conjugator(rd, form, r), (name, c, chi, r)
                     checked += 1
     assert checked >= 70
+
+
+RANK_TWO_FORMS = [(name, param, kind) for name, param, kind in PRESET_FORMS if preset(name, param).rank <= 2]
+
+
+def test_length_zero_group_against_box_on_presets(omega_against_box):
+    # exact Omega_chi against the radius-2 box at seeded characters: finite
+    # parts in twelfths, and in halves, where the stabilizer is larger
+    rng = random.Random(2507170)
+    nontrivial = 0
+    for name, param, form_kind in RANK_TWO_FORMS:
+        rd, form = _preset_form(name, param, form_kind)
+        for c in CENTRAL_VALUES + (Fraction(2, 3),):
+            for den in (12, 2):
+                finite = tuple(QmodZ.from_fraction(Fraction(rng.randrange(den), den)) for _ in range(rd.rank))
+                chi = CharacterPoint(QmodZ.from_fraction(c), finite)
+                omega, _, _ = omega_against_box(rd, form, chi, radius=2)
+                nontrivial += len(omega) > 1
+    assert len(RANK_TWO_FORMS) == 15 and nontrivial >= 60

@@ -161,15 +161,16 @@ def test_graph_character_a2_sts():
 def test_graph_character_matches_hecke_rank2():
     # the cross-module oracle on words of length <= 3 here (length 4 in the
     # acceptance suite): A2, C2 and G2 realizations
-    from weylkit.affine import CharacterPoint, affine_coroot_reflection, affine_simple_data, gram_from_weights
+    from weylkit.affine import CharacterPoint, affine_coroot_reflection, gram_from_weights
     from weylkit.hecke import bott_samelson_product
+    from weylkit.integral import integral_simple_system
     from weylkit.rootdata import preset
 
     for name, n, mats in (("SL", 3, (A2_S, A2_T)), ("Sp", 4, (B2C_S, B2C_T)), ("G2", 2, (G2_S, G2_T))):
         rd = preset(name, n)
         form = gram_from_weights(rd, rd.roots)
         chi = CharacterPoint.trivial(rd.rank)
-        data = affine_simple_data(rd, form)
+        data = integral_simple_system(rd, form, chi)
         finite = [ac for ac in data.simples if ac.n == 0]
         refl = [affine_coroot_reflection(rd, ac) for ac in finite]
         # identify the two finite walls with the coordinate realizations
