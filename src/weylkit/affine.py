@@ -259,6 +259,11 @@ def slice_act(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -
     return weyl_shift(g.w_inv(), x, form.covector(g.trans))
 
 
+def slice_act_inverse(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    """g^{-1} on the slice, x |-> (x + S(trans, -)) o w: nothing is inverted."""
+    return weyl_shift(g.w, vec_add(x, form.covector(g.trans)), (0,) * len(x))
+
+
 def _over_common_denominator(*vecs):
     """Rational vectors (int or Fraction entries) as integer numerators over
     their least common denominator d: (the numerator vectors, d)."""
@@ -427,7 +432,7 @@ def gallery_walk(rd: RootDatum, form, progressions, p, target):
     wall = next(_walls_between(rd, form, progressions, p, target), None)
     while wall is not None:
         steps.append(affine_coroot_reflection(rd, AffineCoroot(wall[0], wall[1])))
-        p = slice_act(steps[-1], form, p)
+        p = slice_act_inverse(steps[-1], form, p)  # a reflection is its own inverse
         wall = next(_walls_between(rd, form, progressions, p, target), None)
     return tuple(steps), p
 
@@ -443,7 +448,7 @@ def element_length(
     if progressions is None:
         progressions = trivial_progressions(rd)
     x0 = dominant_base_point(rd, form)
-    return separating_walls(rd, form, progressions, x0, slice_act(g.inverse(), form, x0))
+    return separating_walls(rd, form, progressions, x0, slice_act_inverse(g, form, x0))
 
 
 def element_order(g: ExtendedWeylElement):
@@ -488,7 +493,7 @@ def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec,
             if n is None:
                 continue
             r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
-            if separating_walls(rd, form, progressions, x0, slice_act(r, form, x0)) == 1:
+            if separating_walls(rd, form, progressions, x0, slice_act_inverse(r, form, x0)) == 1:  # r = r^{-1}
                 sign = 1 if dot(x0, cv) + n * q > 0 else -1
                 simples.append(AffineCoroot(tuple(sign * c for c in cv), sign * n))
     return tuple(sorted(simples, key=lambda a: (a.n, a.coroot)))

@@ -1,7 +1,7 @@
 """The level front-end of the integral-Weyl-group core, and quantum-Langlands
-level duality: the iota conjugation (verified exactly, on generators of both
-integral groups and in both directions), alcove matching, the finite-longest
-group, and the parahoric bijection.
+level duality: the iota conjugation (verified exactly on generators of both
+integral groups, both ways, by one integer test per generator), alcove
+matching, the finite-longest group, and the parahoric bijection.
 
 Slice picture: a point of the level-one slice is a rational covector x on the
 cocharacter lattice; t^lam w sends x to x o w^{-1} - kappa(lam, -).  The wall
@@ -46,6 +46,7 @@ from weylkit.affine import (
     gallery_walk,
     integral_system,
     length_zero_group,
+    _over_common_denominator,
     progression,
     progression_min_at_least,
     slice_act,
@@ -86,6 +87,12 @@ class Level:
 
     gram: Tuple[Tuple[Fraction, ...], ...]
     irrational: frozenset = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.gram, self.irrational)))
+
+    def __hash__(self):  # levels key caches: hash the Fraction gram once
+        return self._hash
 
     @lru_cache(maxsize=None)  # once per level and coroot
     def q(self, coroot: Vec) -> Fraction:
@@ -143,13 +150,18 @@ def _coroot_components(rd: RootDatum) -> Dict[Vec, int]:
     return out
 
 
-def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
-    """Dual datum with the transported inverse form; exact involution."""
+@lru_cache(maxsize=None)
+def _inverse_gram(lvl: Level) -> Tuple[Tuple[Fraction, ...], ...]:
+    """kappa^{-1}, once per level."""
     try:
-        inv = mat_inv(lvl.gram)
+        return tuple(tuple(Fraction(x) for x in r) for r in mat_inv(lvl.gram))
     except ValueError:
         raise Degenerate("level must be nondegenerate")
-    return langlands_dual(rd), Level(tuple(tuple(Fraction(x) for x in r) for r in inv), lvl.irrational)
+
+
+def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
+    """Dual datum with the transported inverse form; exact involution."""
+    return langlands_dual(rd), Level(_inverse_gram(lvl), lvl.irrational)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +199,12 @@ def _stabilizer_rows(rd: RootDatum, lvl: Level):
 
 
 def level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> IntegralSystem:
-    """The integral Weyl group at the level and theta."""
-    theta = tuple(Fraction(x) for x in theta)
+    """The integral Weyl group at the level and theta, once per (rd, lvl, theta)."""
+    return _level_integral_weyl(rd, lvl, tuple(Fraction(x) for x in theta))
+
+
+@lru_cache(maxsize=None)
+def _level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> IntegralSystem:
     rows, exact_rows = _stabilizer_rows(rd, lvl)
     return integral_system(rd, lvl, level_progressions(rd, lvl, theta), rows, theta, exact_rows)
 
@@ -246,11 +262,13 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     Each group is generated by one t^{p_w} w per non-empty stabilizer coset
     p_w + L and by t^b for a basis b of the lattice L all cosets share.
     Conjugation is a homomorphism, so checking generators is exact.  Into:
-    each generator t^lam w of G goes to t^{theta - w^{-T} theta + kappa lam} w^{-T},
-    an element of G' (on t^b: iota o tau^b = tau^{kappa b} o iota).  Onto:
-    each generator of G' comes from an element of G.  pairs_checked counts
-    the generators of both sides.  Reflections: s_(alpha-check, n) goes to
-    s_(alpha, m) with the integer m = <theta, alpha-check> + n q(alpha-check).
+    each generator t^lam w of G goes to t^{theta - w^{-T} theta + kappa lam} w^{-T}
+    in G'; onto: each generator of G' comes from one of G, read off iota^{-1}.
+    Each pair is one closed-form test on integer numerators, _conjugation_test:
+    for iota(x) = L x + c and linear parts a, b, iota o g o iota^{-1} = h iff
+    L a = b L and c - b c + L g(0) = h(0).  pairs_checked counts the generators
+    of both sides.  Reflections: s_(alpha-check, n) goes to s_(alpha, m) with
+    the integer m = <theta, alpha-check> + n q(alpha-check).
     """
     if lvl.irrational:
         raise IrrationalSquareLength("iota requires a rational level")
@@ -258,64 +276,51 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
     iota = iota_map(rd, lvl, theta)
     iota_inv = iota.inverse()
+    conjugates = _conjugation_test(iota, lvl, lvl_dual_neg)
     theta_f = tuple(Fraction(x) for x in theta)
     theta_check = mat_vec(lvl_dual.gram, theta_f)
     reps, shifts = _integral_generators(rd, lvl, theta_f)
     dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
+    weyl, dual_weyl = weyl_elements(rd).inverse, weyl_elements(rd_dual).inverse
 
-    # into: t^lam w goes to t^{theta - w^{-T} theta + kappa lam} w^{-T}; t^b to t^{kappa b}
+    # into: t^lam w goes to t^{theta - w^{-T} theta + kappa lam} w^{-T}; theta, kappa over s
+    (tn, *kn), s = _over_common_denominator(theta_f, *lvl.gram)
     ok, checked = {"pairs": True, "translations": True}, 0
     for key, g in [("pairs", g) for g in reps] + [("translations", g) for g in shifts]:
-        winv_t = transpose(mat_inv_int(g.w))
-        wtheta = mat_vec(winv_t, theta_f)
-        lam_dual_f = tuple(t - wt + k for t, wt, k in zip(theta_f, wtheta, lvl.covector(g.trans)))
-        if any(x.denominator != 1 for x in lam_dual_f):
-            raise VerificationFailed(f"dual translation {lam_dual_f} of integral {g} is not integral")
-        h = ExtendedWeylElement(tuple(int(x) for x in lam_dual_f), winv_t)
+        winv_t = transpose(weyl[g.w])
+        mu = [t - wt + k for t, wt, k in zip(tn, mat_vec(winv_t, tn), mat_vec(kn, g.trans))]
+        if any(x % s for x in mu):
+            raise VerificationFailed(f"dual translation {[Fraction(x, s) for x in mu]} of integral {g} is not integral")
+        h = ExtendedWeylElement(tuple(x // s for x in mu), winv_t)
         if not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
             raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
-        if iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv) != element_slice_map(rd_dual, lvl_dual_neg, h):
-            ok[key] = False
+        ok[key] &= conjugates(winv_t, g.trans, g.w, h.trans)
         checked += 1
 
-    # onto: each generator of G' comes from an integral t^lam w of G
-    weyl = set(weyl_elements(rd))
+    # onto: each generator t^mu v of G' comes from an integral t^lam v^{-T} of
+    # G, whose slice offset -kappa lam is that of iota^{-1} o h o iota
     for h in dual_reps + dual_shifts:
-        conj = iota_inv.compose(element_slice_map(rd_dual, lvl_dual_neg, h)).compose(iota)
-        lam, w = _dual_translation(lvl, conj.offset), transpose(mat_inv_int(h.w))
+        w = transpose(dual_weyl[h.w])
+        lam = _dual_translation(lvl, iota_inv(vec_sub(mat_vec(w, iota.offset), lvl_dual_neg.covector(h.trans))))
         g = None if lam is None else ExtendedWeylElement(lam, w)
-        if g is None or w not in weyl or element_slice_map(rd, lvl, g) != conj or not level_membership(rd, lvl, theta_f, g):
+        if g is None or w not in weyl or not conjugates(h.w, lam, w, h.trans) or not level_membership(rd, lvl, theta_f, g):
             raise VerificationFailed(f"dual generator {h} does not come from an integral element")
         checked += 1
 
     # reflections: s_(alpha-check, n) goes to s_(alpha, m), m = <theta, alpha-check> + n q(alpha-check)
     ok_refl = True
     progs = level_progressions(rd, lvl, theta)
-    for cv in rd.coroots:
-        prog = progs[tuple(cv)]
-        if prog is None:
-            continue
-        q = lvl.q(cv)
-        idx = rd.coroots.index(tuple(cv))
-        alpha = rd.roots[idx]
-        for j in (0, 1, -1):
-            n = progression_min_at_least(prog, 0)
-            if n is None:
-                continue
-            if prog[1]:
-                n += j * prog[1]
-            elif j:
-                continue
-            m = dot(theta_f, cv) + n * q
+    for cv, alpha in zip(rd.coroots, rd.roots):
+        n0 = progression_min_at_least(progs[cv], 0)
+        for n in () if n0 is None else {n0, n0 + progs[cv][1], n0 - progs[cv][1]}:
+            m = dot(theta_f, cv) + n * lvl.q(cv)
             if m.denominator != 1:
                 ok_refl = False
                 continue
-            g = affine_coroot_reflection(rd, AffineCoroot(tuple(cv), n))
+            g = affine_coroot_reflection(rd, AffineCoroot(cv, n))
             h = affine_coroot_reflection(rd_dual, AffineCoroot(alpha, int(m)))
-            lhs = iota.compose(element_slice_map(rd, lvl, g)).compose(iota_inv)
-            rhs = element_slice_map(rd_dual, lvl_dual_neg, h)
-            if lhs != rhs:
-                ok_refl = False
+            # reflections are involutions: each slice linear part is w^T
+            ok_refl &= conjugates(transpose(g.w), g.trans, transpose(h.w), h.trans)
     result = {
         "iota": iota,
         "translations": ok["translations"],
@@ -327,6 +332,25 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     if not result["verified"]:
         raise VerificationFailed(str(result))
     return result
+
+
+def _conjugation_test(iota: AffineMap, lvl: Level, lvl_dual: Level):
+    """conjugates(a, lam, b, mu): iota o g o iota^{-1} = h for g = t^lam w at
+    lvl and h = t^mu v at lvl_dual, given a = w^{-T} and b = v^{-T}.  With
+    iota(x) = L x + c, g(x) = a x - kappa lam and h(y) = b y - kappa' mu, that
+    holds iff L a = b L and c - b c - L kappa lam = -kappa' mu.  Over one
+    denominator d for L and c, kappa = K/e and kappa' = K'/f, both are integer
+    identities: L_n a = b L_n and e f (c_n - b c_n) - f L_n K lam + d e K' mu = 0."""
+    (*ln, cn), d = _over_common_denominator(*iota.linear, iota.offset)
+    k, e = _over_common_denominator(*lvl.gram)
+    k_dual, f = _over_common_denominator(*lvl_dual.gram)
+    lk = mat_mul(ln, k)
+
+    def conjugates(a, lam, b, mu) -> bool:
+        rows = zip(cn, mat_vec(b, cn), mat_vec(lk, lam), mat_vec(k_dual, mu))
+        return mat_mul(ln, a) == mat_mul(b, ln) and not any(e * f * (c - bc) - f * x + d * e * y for c, bc, x, y in rows)
+
+    return conjugates
 
 
 def _integral_generators(rd: RootDatum, lvl: Level, theta):
@@ -429,7 +453,7 @@ def _map_key(m: AffineMap):
 
 def _dual_translation(lvl: Level, offset):
     """The integral mu whose translation moves the slice by offset, or None."""
-    mu = mat_vec(mat_inv(lvl.gram), tuple(-x for x in offset))
+    mu = mat_vec(_inverse_gram(lvl), tuple(-x for x in offset))
     return tuple(int(x) for x in mu) if all(x.denominator == 1 for x in mu) else None
 
 

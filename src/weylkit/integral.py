@@ -34,7 +34,7 @@ from weylkit.affine import (
     integral_system,
     progression,
     progression_contains,
-    slice_act,
+    slice_act_inverse,
 )
 from weylkit.rootdata import RootDatum
 
@@ -136,7 +136,7 @@ def minimal_rep(
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
     progs, x0 = dict(system.progressions), system.base_point
-    steps, _ = gallery_walk(rd, form, progs, slice_act(x.inverse(), form, x0), x0)
+    steps, _ = gallery_walk(rd, form, progs, slice_act_inverse(x, form, x0), x0)
     for r in steps:
         x = x * r
     if element_length(x, rd, form, progs) != 0:

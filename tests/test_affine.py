@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -37,7 +38,9 @@ from weylkit.affine import (
     progression_count_in,
     progression_min_at_least,
     separating_walls,
+    simple_system_from_progressions,
     slice_act,
+    slice_act_inverse,
     trivial_progressions,
     weyl_shift,
 )
@@ -416,3 +419,61 @@ def test_integer_slice_kernel_against_fraction_formulas():
                     got = weyl_shift(group.inverse[w], right, left)
                     assert got == _fraction_weyl_shift(w, right, left) and all(type(v) is Fraction for v in got)
     assert on_wall >= 100 and negative_q >= 16, (on_wall, negative_q)
+
+
+def test_slice_act_inverse_against_the_inverse_element():
+    # g^{-1} read through w equals the action of g.inverse(), undoes g, and on
+    # a reflection equals the reflection's own action
+    rng = random.Random(1566)
+    for name, param in KERNEL_PRESETS:
+        rd = preset(name, param)
+        group = weyl_elements(rd)
+        for form, _ in _kernel_forms(rd, rng):
+            for _ in range(3):
+                x = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rd.rank))
+                g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), rng.choice(group))
+                got = slice_act_inverse(g, form, x)
+                assert got == slice_act(g.inverse(), form, x) and all(type(v) is Fraction for v in got), (name, g, x)
+                assert slice_act_inverse(g, form, slice_act(g, form, x)) == x, (name, g, x)
+                r = affine_coroot_reflection(rd, AffineCoroot(rng.choice(rd.coroots), rng.randint(-3, 3)))
+                assert slice_act_inverse(r, form, x) == slice_act(r, form, x), (name, r, x)
+
+
+def test_lengths_simples_and_walks_invert_nothing(monkeypatch):
+    # a fresh SL4 (its own name, so no cache holds its Weyl group or base
+    # point), with the integral-inverse cache emptied: element_length acts by
+    # g^{-1} through w, and reflections are their own inverses, so simple
+    # systems, lengths and gallery walks invert no matrix; the outputs are
+    # those of the definitions through g.inverse() and slice_act
+    from weylkit import exact, rootdata
+
+    rng = random.Random(4)
+    rd = dataclasses.replace(preset("SL", 4), name="SL4, no inverses")
+    form = gram_from_weights(rd, rd.roots)
+    chi = CharacterPoint(QmodZ(1, 2), tuple(QmodZ(k, 6) for k in range(rd.rank)))
+    progs = integral_progressions(rd, form, chi)
+    elements = [ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(rd.rank)), w) for w in weyl_elements(rd)[::3]]
+    inverted = []
+    original = exact.mat_inv
+
+    def counted(m):
+        inverted.append(m)
+        return original(m)
+
+    for module in (exact, rootdata):
+        monkeypatch.setattr(module, "mat_inv", counted)
+    rootdata.mat_inv_int.cache_clear()
+    simples = [simple_system_from_progressions(rd, form, p) for p in (progs, trivial_progressions(rd))]
+    x0 = dominant_base_point(rd, form)
+    lengths = [element_length(g, rd, form, progs) for g in elements]
+    walks = [gallery_walk(rd, form, progs, slice_act_inverse(g, form, x0), x0) for g in elements]
+    assert inverted == []
+    monkeypatch.undo()
+    assert lengths == [separating_walls(rd, form, progs, x0, slice_act(g.inverse(), form, x0)) for g in elements]
+    assert any(lengths)
+    for (steps, end), n in zip(walks, lengths):
+        assert len(steps) <= n and separating_walls(rd, form, progs, end, x0) == 0
+    for system, p in zip(simples, (progs, trivial_progressions(rd))):
+        reflections = [affine_coroot_reflection(rd, ac) for ac in system]
+        assert all(separating_walls(rd, form, p, x0, slice_act(r, form, x0)) == 1 for r in reflections)
+    assert len(simples[1]) == 4  # the affine A3 diagram

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from weylkit import duality
-from weylkit.affine import ExtendedWeylElement, gram_from_weights, length_zero_group
+from weylkit.affine import (
+    AffineCoroot,
+    ExtendedWeylElement,
+    NotPositiveDefinite,
+    affine_coroot_reflection,
+    gram_from_weights,
+    length_zero_group,
+)
 from weylkit.duality import (
     AffineMap,
     AlcoveMatch,
@@ -25,7 +33,7 @@ from weylkit.duality import (
     level_progression,
     level_progressions,
 )
-from weylkit.exact import identity, lattice_contains, mat_inv, mat_vec
+from weylkit.exact import dot, identity, lattice_contains, mat_inv, mat_mul, mat_vec
 from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
 
 
@@ -465,3 +473,145 @@ def test_longest_in_component_against_cayley_bfs(monkeypatch):
                 for theta in [(Fraction(0),) * rd.rank] + [_nonzero_theta(rng, rd.rank) for _ in range(2)]:
                     finite_longest_group(rd, lvl, theta)
     assert len(met) >= 30 and set(met) == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the integer conjugation test against composed Fraction maps
+
+RANK_AT_MOST_TWO = [("SL", 2), ("SL", 3), ("PGL", 2), ("PGL", 3), ("GL", 1), ("GL", 2), ("Sp", 2), ("Sp", 4), ("PSp", 2),
+                    ("PSp", 4), ("SO_odd", 3), ("SO_odd", 5), ("Spin_odd", 3), ("Spin_odd", 5), ("SO_even", 4),
+                    ("G2", 2), ("torus", 2)]
+
+
+def _scaled_level(rd, c):
+    """c K, or c I where the roots do not span (GL, tori)."""
+    try:
+        return killing_level(rd, c)
+    except NotPositiveDefinite:
+        return level_from_config(rd, [[c * int(i == j) for j in range(rd.rank)] for i in range(rd.rank)])
+
+
+def _slice_map(lam, w, gram):
+    """t^lam w on the slice as an AffineMap, x |-> w^{-T} x - gram lam."""
+    return AffineMap(tuple(zip(*mat_inv(w))), tuple(-x for x in mat_vec(gram, lam)))
+
+
+def test_conjugation_test_against_composed_maps():
+    # every generator pair iota_conjugation checks, and wrong partners (the
+    # translation perturbed, the Weyl part replaced, the sign of kappa lam
+    # flipped, a reflection's level moved), decided by the integer test and
+    # by iota o g o iota^{-1} composed as Fraction maps
+    rng = random.Random(2507)
+    verdicts = {True: 0, False: 0}
+    for name, param in RANK_AT_MOST_TWO + [("SL", 4), ("Sp", 6)]:
+        rd = preset(name, param)
+        rd_dual = langlands_dual(rd)
+        dual_group = weyl_elements(rd_dual)
+        for c in (Fraction(rng.randint(1, 4), rng.randint(1, 4)), -Fraction(rng.randint(1, 4), rng.randint(1, 4))):
+            lvl = _scaled_level(rd, c)
+            for theta in ((Fraction(0),) * rd.rank, _nonzero_theta(rng, rd.rank)):
+                # iota, and iota with its linear part doubled, which the test
+                # must read from the map rather than from the level
+                iota = duality.iota_map(rd, lvl, theta)
+                doubled = AffineMap(tuple(tuple(2 * x for x in row) for row in iota.linear), iota.offset)
+                dual_gram = tuple(tuple(-x for x in row) for row in mat_inv(lvl.gram))
+                maps = [(m, m.inverse(), duality._conjugation_test(m, lvl, Level(dual_gram))) for m in (iota, doubled)]
+
+                def agree(lam, w, mu, v, expected=None):
+                    for m, m_inv, conjugates in maps:
+                        ref = m.compose(_slice_map(lam, w, lvl.gram)).compose(m_inv) == _slice_map(mu, v, dual_gram)
+                        got = conjugates(tuple(zip(*mat_inv_int(w))), lam, tuple(zip(*mat_inv_int(v))), mu)
+                        assert got == ref, (rd.name, lvl.gram, theta, m, lam, w, mu, v)
+                        assert expected is None or m is doubled or got == expected, (rd.name, lvl.gram, theta, lam, w)
+                        verdicts[got] += 1
+
+                reps, shifts = duality._integral_generators(rd, lvl, theta)
+                for g in reps + shifts:
+                    winv_t = tuple(zip(*mat_inv_int(g.w)))
+                    kappa_lam = mat_vec(lvl.gram, g.trans)
+                    base = [t - wt for t, wt in zip(theta, mat_vec(winv_t, theta))]
+                    mu = tuple(int(b + k) for b, k in zip(base, kappa_lam))
+                    agree(g.trans, g.w, mu, winv_t, expected=True)
+                    agree(g.trans, g.w, (mu[0] + 1,) + mu[1:], winv_t)
+                    agree(g.trans, g.w, mu, rng.choice([v for v in dual_group if v != winv_t] or [winv_t]))
+                    agree(g.trans, g.w, tuple(b - k for b, k in zip(base, kappa_lam)), winv_t)
+                for cv, alpha in zip(rd.coroots, rd.roots):
+                    p = level_progression(rd, lvl, theta, cv)
+                    if p is None:
+                        continue
+                    r = affine_coroot_reflection(rd, AffineCoroot(cv, p[0]))
+                    m = dot(theta, cv) + p[0] * lvl.q(cv)
+                    assert m.denominator == 1, (rd.name, lvl.gram, theta, cv)
+                    for shift in (0, 1):
+                        h = affine_coroot_reflection(rd_dual, AffineCoroot(alpha, int(m) + shift))
+                        agree(r.trans, r.w, h.trans, h.w, expected=True if shift == 0 else None)
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+
+
+@pytest.mark.parametrize("wrong", ["scaled", "sheared"])
+def test_iota_conjugation_rejects_a_wrong_linear_part(monkeypatch, wrong):
+    # kappa^{-1} is symmetric, so transposing iota's linear part changes
+    # nothing; doubling it, or shearing it, breaks the conjugation of the
+    # generators and their partners, at theta = 0 and theta != 0
+    right = duality.iota_map
+
+    def changed(*args):
+        m = right(*args)
+        if wrong == "scaled":
+            return AffineMap(tuple(tuple(2 * x for x in row) for row in m.linear), m.offset)
+        shear = tuple(tuple(int(i == j or j == i + 1) for j in range(len(m.offset))) for i in range(len(m.offset)))
+        return AffineMap(mat_mul(m.linear, shear), m.offset)
+
+    cases = [(sp4(), [[1, 0], [0, 1]], (Fraction(0), Fraction(0))), (sp4(), [[-2, 0], [0, -2]], (Fraction(1, 2), Fraction(0)))]
+    rd3 = preset("SL", 3)
+    cases.append((rd3, killing_level(rd3, -1).gram, (Fraction(1, 3), Fraction(0))))
+    if wrong == "scaled":
+        cases.append((sl2(), [[Fraction(2, 3)]], (Fraction(0),)))
+    for rd, gram, theta in cases:
+        lvl = level_from_config(rd, gram)
+        assert iota_conjugation(rd, lvl, theta)["verified"]
+        monkeypatch.setattr(duality, "iota_map", changed)
+        with pytest.raises(VerificationFailed):
+            iota_conjugation(rd, lvl, theta)
+        monkeypatch.setattr(duality, "iota_map", right)
+
+
+def test_level_hash_computed_once_and_equal_levels_share_cache_entries(monkeypatch):
+    rd = sp4()
+    a = level_from_config(rd, [[1, 0], [0, 1]])
+    b = Level(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+    c = dataclasses.replace(a)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a != Level(a.gram, frozenset({0})) and a != level_from_config(rd, [[2, 0], [0, 2]])
+    # hashing a level hashes no Fraction: the value was computed at construction
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    assert {a: 1}[b] == 1 and hash(c) == hash(a)
+    assert hashed == []
+    hash(Fraction(1, 3))
+    assert hashed == [Fraction(1, 3)]  # the count would see a Fraction hashed
+    monkeypatch.undo()
+    # an equal level built anew hits the entries the first one made
+    duality._inverse_gram.cache_clear()
+    duality._inverse_gram(a)
+    duality._inverse_gram(b)
+    assert duality._inverse_gram.cache_info()[:2] == (1, 1)  # hits, misses
+    theta = (Fraction(1, 4), Fraction(0))
+    assert level_integral_weyl(rd, a, theta) is level_integral_weyl(rd, b, theta)
+
+
+def test_level_integral_weyl_once_per_level_and_theta(monkeypatch):
+    rd = sp4()
+    lvl = killing_level(rd, Fraction(-1, 2))
+    duality._level_integral_weyl.cache_clear()
+    system = level_integral_weyl(rd, lvl, (0, 0))
+    assert level_integral_weyl(rd, lvl, (Fraction(0), Fraction(0))) is system
+    assert level_integral_weyl(rd, lvl, [Fraction(0), 0]) is system
+    # alcove_match reads the system just built, and builds only the dual one
+    built = []
+    core = duality.integral_system
+    monkeypatch.setattr(duality, "integral_system", lambda rd, *args: built.append(rd) or core(rd, *args))
+    match = alcove_match(rd, lvl, (0, 0))
+    assert match.g_system is system and built == [langlands_dual(rd)]
+    assert alcove_match(rd, lvl, (0, 0)).h_system is match.h_system and len(built) == 1
