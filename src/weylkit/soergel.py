@@ -1,18 +1,19 @@
-"""Toy polynomial model of Soergel bimodules over exact rationals.
+"""Toy polynomial model of Soergel bimodules with integral structure constants.
 
 R is a polynomial ring on the reflection representation; B_r = R (x)_{R^r} R
-is free of rank two as a left module with basis (1(x)1, 1(x)alpha_r).  Words
-of reflections give tensor bimodules, whose standard-graph multiplicities are
+is free of rank two as a left module with basis (1(x)1, 1(x)delta_r), delta_r
+an integral linear form with nonzero divided difference.  Words of
+reflections give tensor bimodules, whose standard-graph multiplicities are
 read off by a support filtration computed degreewise, cross-checked by the
 rank of the fiber of the graph-twisted quotient over a deterministic generic
-rational point.  The grading convention is pinned to the Hecke normalization
+integer point.  The grading convention is pinned to the Hecke normalization
 through  v-exponent = (word length) + l(w) - 2 (flag generator degree).
 
 The degreewise model (TruncModule) keeps each multiplication map by a
-variable as sparse columns with exact int or Fraction entries.  The map of
-a polynomial is built by composing these maps, and every kernel, span and
-quotient is taken on sparse rows by exact._rref, the package's one
-reduced-echelon routine.
+variable as sparse columns with int entries; a Fraction enters only where an
+elimination divides by a pivot other than 1.  The map of a polynomial is
+built by composing these maps, and every kernel, span and quotient is taken
+on sparse rows by exact._rref, the package's one reduced-echelon routine.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
-from weylkit.exact import Mat, _exact, _rref, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
+from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
 from weylkit.rootdata import group_closure
 
@@ -40,13 +42,14 @@ class GenericPointCollision(RuntimeError):
 
 
 class Poly:
-    """Multivariate polynomial over Fraction: {exponent tuple: coefficient}."""
+    """Multivariate polynomial over Q: {exponent tuple: coefficient}, each
+    coefficient an int where it is an integer and a Fraction otherwise."""
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: Optional[Dict[Tuple[int, ...], Fraction]] = None):
+    def __init__(self, n: int, coeffs: Optional[Dict[Tuple[int, ...], object]] = None):
         self.n = n
-        self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
+        self.coeffs = {e: c if type(c) is int else _exact(Fraction(c)) for e, c in (coeffs or {}).items() if c}
 
     @staticmethod
     def zero(n: int) -> "Poly":
@@ -54,43 +57,40 @@ class Poly:
 
     @staticmethod
     def const(n: int, c) -> "Poly":
-        return Poly(n, {(0,) * n: Fraction(c)})
+        return Poly(n, {(0,) * n: c})
 
     @staticmethod
     def variable(n: int, i: int) -> "Poly":
         e = tuple(int(k == i) for k in range(n))
-        return Poly(n, {e: Fraction(1)})
+        return Poly(n, {e: 1})
 
     @staticmethod
     def linear(coeffs) -> "Poly":
         n = len(coeffs)
-        return Poly(
-            n,
-            {tuple(int(k == i) for k in range(n)): Fraction(c) for i, c in enumerate(coeffs) if c},
-        )
+        return Poly(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Poly(self.n, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return Poly(self.n, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: Dict[Tuple[int, ...], Fraction] = {}
+        out: Dict[Tuple[int, ...], object] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.n, out)
 
     def scale(self, c) -> "Poly":
-        return Poly(self.n, {e: Fraction(c) * v for e, v in self.coeffs.items()})
+        return Poly(self.n, {e: c * v for e, v in self.coeffs.items()})
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)
@@ -126,8 +126,8 @@ class Poly:
             out = out + cache[e].scale(c)
         return out
 
-    def evaluate(self, point) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point):
+        total = 0
         for e, c in self.coeffs.items():
             val = c
             for x, k in zip(point, e):
@@ -155,26 +155,30 @@ def reflection_action(m: Mat, f: Poly) -> Poly:
 def reflection_equation(m: Mat) -> Poly:
     """Canonical linear equation of the fixed hyperplane: content one, first
     nonzero coefficient positive."""
+    return Poly.linear(_rank_one_factors(m)[0])
+
+
+def _rank_one_factors(m: Mat):
+    """(alpha, c): integer vectors of content one with I - m = g c alpha^T
+    for a rational g > 0.  alpha holds the canonical equation's coefficients
+    and g c_j is the divided difference of x_j."""
     n = len(m)
-    ident = identity(n)
-    diff = tuple(tuple(Fraction(ident[i][j]) - Fraction(m[i][j]) for j in range(n)) for i in range(n))
+    diff = tuple(tuple(int(i == j) - Fraction(m[i][j]) for j in range(n)) for i in range(n))
     if mat_rank(diff) != 1:
         raise NotAReflection("fixed space is not a hyperplane")
-    if mat_mul(m, m) != ident:
+    if mat_mul(m, m) != identity(n):
         raise NotAReflection("matrix is not an involution")
-    row = next(r for r in diff if any(r))
-    from math import gcd, lcm
+    alpha = _content_one(next(r for r in diff if any(r)))
+    k = next(i for i, x in enumerate(alpha) if x)
+    if alpha[k] < 0:
+        alpha = [-x for x in alpha]
+    return alpha, _content_one([r[k] for r in diff])
 
-    den = lcm(*(x.denominator for x in row))
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return Poly.linear(ints)
+
+def _content_one(vec):
+    """The integer vector of content one along a nonzero rational vector."""
+    ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
+    return [x // gcd(*ints) for x in ints]
 
 
 def _divide_by_linear(f: Poly, alpha: Poly) -> Poly:
@@ -266,24 +270,32 @@ def free_module(n: int) -> Bimodule:
 
 
 def bott_samelson_bimodule(m: Mat) -> Bimodule:
-    """B_r with left basis (1(x)1, 1(x)alpha), degrees (0, 1)."""
-    alpha = reflection_equation(m)
+    """B_r with left basis (1(x)1, 1(x)delta), degrees (0, 1).
+
+    With v = g c the divided differences of the variables, delta = sum b_j
+    x_j for the Bezout vector b of c in the Hermite form of the column c, so
+    delta has divided difference sum b_j v_j = g = gcd(v): (1, delta) is a
+    basis once g is invertible.  inv_j = x_j - c_j delta is r-invariant, and
+    delta^2 = (delta + r delta) delta - delta r(delta), so every right-action
+    coefficient is in Z[x].  The basis (1(x)1, 1(x)alpha) divides by
+    d(alpha) = 2 instead; a model over F_l needs only l not dividing g."""
+    c = _rank_one_factors(m)[1]
     n = len(m)
-    alpha_sq = alpha * alpha
+    delta = Poly.linear(hermite_normal_form([(x,) for x in c])[1][0])
+    r_delta = reflection_action(m, delta)
+    norm, trace = delta * r_delta, delta + r_delta
     action = []
-    for j in range(n):
-        xj = Poly.variable(n, j)
-        inv = (xj + reflection_action(m, xj)).scale(Fraction(1, 2))
-        dem = demazure(m, xj, alpha).scale(Fraction(1, 2))
-        # e_0 . x_j = inv e_0 + dem e_1 ; e_1 . x_j = alpha^2 dem e_0 + inv e_1
-        col0 = (inv, dem)
-        col1 = (alpha_sq * dem, inv)
-        action.append(((col0[0], col1[0]), (col0[1], col1[1])))
+    for j, cj in enumerate(c):
+        inv = Poly.variable(n, j) - delta.scale(cj)
+        # e_0 . x_j = inv e_0 + c_j e_1 ; e_1 . x_j = -c_j norm e_0 + (inv + c_j trace) e_1
+        action.append(((inv, norm.scale(-cj)), (Poly.const(n, cj), inv + trace.scale(cj))))
     return Bimodule(n, (0, 1), tuple(action))
 
 
 def graph_quotients(m: Mat):
-    """The two quotient maps of B_r onto Fun(Gamma^1) and Fun(Gamma^r):
+    """The two quotient maps of B_r onto Fun(Gamma^1) and Fun(Gamma^r),
+    written in their own left basis (1(x)1, 1(x)alpha), not the one of
+    bott_samelson_bimodule; only hilbert_end_bs uses them:
     (p, q) |-> p + q alpha and p + q r(alpha) = p - q alpha."""
     alpha = reflection_equation(m)
 
@@ -426,8 +438,8 @@ class TruncModule:
     dims[d] is the dimension in degree d.  left[j][d] and right[j][d] are
     the maps from degree d to degree d + 1, stored as sparse columns: for
     each source basis position, the (target position, nonzero coefficient)
-    pairs of its image, coefficients exact (int, or Fraction where the
-    right action has a denominator)."""
+    pairs of its image, coefficients int, or Fraction where a quotient
+    divided by a pivot other than 1."""
 
     def __init__(self, n, dims, left, right):
         self.n = n
@@ -542,8 +554,14 @@ def _left_span_images(mod: TruncModule, basis_prev, d):
 
 
 def _generic_point(n: int, seed: int):
+    """The point (1/p_0^k_0, ..., 1/p_{n-1}^k_{n-1}) scaled by the lcm of its
+    denominators to integers.  Every right-action entry (l, i) is homogeneous
+    of degree 1 + deg e_i - deg e_l, so at lambda p each stacked fiber matrix
+    is lambda D^-1 M(p) D with D = diag(lambda^deg) and keeps its rank; and
+    {g p} is distinct exactly when {g lambda p} is."""
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    return tuple(Fraction(1, primes[(seed + i) % len(primes)] ** (1 + (seed + i) // len(primes))) for i in range(n))
+    dens = [primes[(seed + i) % len(primes)] ** (1 + (seed + i) // len(primes)) for i in range(n)]
+    return tuple(lcm(*dens) // d for d in dens)
 
 
 def graph_character(
@@ -576,11 +594,7 @@ def graph_character_table(
     elif depth <= k:
         raise ValueError(f"depth {depth} must exceed the word length {k}")
     n = len(reflections[0])
-    gens = []
-    for m in reflections:
-        t = tuple(map(tuple, m))
-        if t not in gens:
-            gens.append(t)
+    gens = list(dict.fromkeys(tuple(map(tuple, m)) for m in reflections))
     bm = word_bimodule(reflections)
     lengths = {g: length for g, (length, _) in group_closure(gens, n).items()}
     # support: products of all subwords
@@ -622,19 +636,13 @@ def _fiber_rank_at(bm: Bimodule, w, point) -> int:
     the rank of the stacked evaluated relations A_j(w(p)) - p_j."""
     n = bm.n
     nb = bm.rank()
-    wmat = tuple(tuple(Fraction(x) for x in row) for row in w)
-    left_pt = tuple(sum(wmat[i][l] * point[l] for l in range(n)) for i in range(n))
-    rows = []
-    for j in range(n):
-        block = [
-            [bm.right_action[j][l][i].evaluate(left_pt) for i in range(nb)] for l in range(nb)
-        ]
-        for l in range(nb):
-            row = list(block[l])
-            row[l] -= point[j]
-            rows.append(tuple(row))
-    r = mat_rank(tuple(rows)) if rows else 0
-    return nb - r
+    left_pt = tuple(sum(w[i][l] * point[l] for l in range(n)) for i in range(n))
+    rows = [
+        tuple(bm.right_action[j][l][i].evaluate(left_pt) - (point[j] if i == l else 0) for i in range(nb))
+        for j in range(n)
+        for l in range(nb)
+    ]
+    return nb - mat_rank(rows)
 
 
 # ---------------------------------------------------------------------------

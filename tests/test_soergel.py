@@ -326,3 +326,91 @@ def test_sparse_elimination_against_dense():
         for v in as_dense:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in dense)
 
+
+
+# every simple reflection of every preset, each also conjugated by a seeded
+# diagonal sign matrix; the gcd g of the divided differences of the variables
+# is 2 for SL2 and for one simple reflection each of Sp4, PSp4, Spin5 and SO5
+PRESET_PARAMS = (
+    ("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("GL", 2), ("Sp", 4), ("PSp", 4),
+    ("Spin_odd", 5), ("SO_odd", 5), ("SO_even", 4), ("SO_even", 8), ("G2", 2),
+)
+
+
+def _sign_conjugate(rng, m):
+    d = [rng.choice((1, -1)) for _ in m]
+    return tuple(tuple(d[i] * x * d[j] for j, x in enumerate(row)) for i, row in enumerate(m))
+
+
+def _preset_reflections():
+    from weylkit.rootdata import preset
+
+    rng = random.Random(16)
+    out = []
+    for name, param in PRESET_PARAMS:
+        for m in preset(name, param).simple_reflections():
+            out += [m, _sign_conjugate(rng, m)]
+    return out
+
+
+def test_bott_samelson_integral_basis_satisfies_the_bimodule_relations():
+    from weylkit.soergel import _poly_mat_mul
+
+    for m in _preset_reflections():
+        b = bott_samelson_bimodule(m)
+        n = len(m)
+        assert b.basis_degrees == (0, 1), m
+        assert all(type(c) is int for a in b.right_action for row in a for f in row for c in f.coeffs.values()), m
+        for j in range(n):
+            for k in range(j):
+                a_j, a_k = b.right_action[j], b.right_action[k]
+                assert _poly_mat_mul(a_j, a_k) == _poly_mat_mul(a_k, a_j), (m, j, k)
+        # e_0 . x_j = (x_j - c_j delta) e_0 + c_j e_1 reads delta off any j with c_j != 0
+        j = next(j for j in range(n) if b.right_action[j][1][0].coeffs)
+        cj = b.right_action[j][1][0].coeffs[(0,) * n]
+        delta = (Poly.variable(n, j) - b.right_action[j][0][0]).scale(Fraction(1, cj))
+        assert b.right_matrix_of_poly(delta)[1][0] == Poly.const(n, 1), m  # e_0 . delta = e_1
+        alpha = reflection_equation(m)
+        invariant = [Poly.variable(n, i) + reflection_action(m, Poly.variable(n, i)) for i in range(n)]
+        for f in invariant + [alpha * alpha, delta * reflection_action(m, delta)]:
+            # an r-invariant f passes through the tensor sign: e_i . f = f e_i
+            assert b.right_matrix_of_poly(f) == [[f, Poly.zero(n)], [Poly.zero(n), f]], (m, f)
+
+
+def _alpha_basis_bimodule(m):
+    """B_r on the left basis (1(x)1, 1(x)alpha), as first written: every
+    right-action coefficient carries a 1/2."""
+    alpha = reflection_equation(m)
+    n = len(m)
+    action = []
+    for j in range(n):
+        xj = Poly.variable(n, j)
+        inv = (xj + reflection_action(m, xj)).scale(Fraction(1, 2))
+        dem = demazure(m, xj, alpha).scale(Fraction(1, 2))
+        # e_0 . x_j = inv e_0 + dem e_1 ; e_1 . x_j = alpha^2 dem e_0 + inv e_1
+        action.append(((inv, alpha * alpha * dem), (dem, inv)))
+    return Bimodule(n, (0, 1), tuple(action))
+
+
+# (preset, parameter, simple-reflection index, depth) of the End(B_s) benchmark
+END_BS_CASES = (("SL", 2, 0, 6), ("SL", 2, 0, 8), ("SL", 3, 0, 5), ("SL", 3, 0, 7), ("Sp", 4, 1, 6), ("G2", 2, 0, 6), ("SL", 4, 0, 4))
+
+
+def test_integral_basis_against_alpha_basis(monkeypatch):
+    # dimensions do not depend on the left basis, so every graph character
+    # and End(B_s) Hilbert function matches the alpha-basis reference
+    from weylkit import soergel
+    from weylkit.rootdata import preset
+
+    rng = random.Random(1616)
+    words = [[NEG1] * k for k in (1, 2, 3)] + [[B2_S] * k for k in (1, 2)]
+    for letters in ((A2_S, A2_T), (B2C_S, B2C_T), (G2_S, G2_T)):
+        words += [[rng.choice(letters) for _ in range(k)] for k in (1, 2, 2, 3, 3)]
+    end_cases = [
+        (_sign_conjugate(rng, preset(name, p).simple_reflections()[i]), depth) for name, p, i, depth in END_BS_CASES
+    ]
+    ours = [graph_character_table(word) for word in words], [hilbert_end_bs(m, depth) for m, depth in end_cases]
+    monkeypatch.setattr(soergel, "bott_samelson_bimodule", _alpha_basis_bimodule)
+    assert any(type(c) is Fraction for f in soergel.word_bimodule([A2_S]).right_action[0][0] for c in f.coeffs.values())
+    reference = [graph_character_table(word) for word in words], [hilbert_end_bs(m, depth) for m, depth in end_cases]
+    assert ours == reference
