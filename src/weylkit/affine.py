@@ -122,15 +122,6 @@ def gram_from_matrix(rd: RootDatum, matrix) -> GramForm:
     return form
 
 
-def gram_from_ambient(rd: RootDatum, ambient_matrix) -> GramForm:
-    """Transport a symmetric form given in ambient coordinates to the lattice."""
-    b = rd.ambient_basis
-    s = mat_mul(mat_mul(transpose(b), tuple(tuple(Fraction(x) for x in r) for r in ambient_matrix)), b)
-    if any(x.denominator != 1 for row in s for x in row):
-        raise ValueError("ambient form is not integral on the cocharacter lattice")
-    return gram_from_matrix(rd, tuple(tuple(int(x) for x in row) for row in s))
-
-
 def _validate_gram(rd: RootDatum, form: GramForm):
     n = rd.rank
     s = form.matrix
@@ -286,29 +277,10 @@ class AffineCoroot:
         return self.n * form.q(self.coroot), self.coroot
 
 
-def affine_coroot_positive(rd: RootDatum, ac: AffineCoroot) -> bool:
-    if ac.n > 0:
-        return True
-    if ac.n < 0:
-        return False
-    return rd.is_positive_coroot(ac.coroot)
-
-
 def affine_coroot_reflection(rd: RootDatum, ac: AffineCoroot) -> ExtendedWeylElement:
     """t^{n alpha} s_alpha; negates the coroot and fixes its vanishing wall."""
     i = rd.coroots.index(tuple(ac.coroot))
     return ExtendedWeylElement(vec_scale(ac.coroot, ac.n), rd.reflection(i))
-
-
-def affine_coroot_label(rd: RootDatum, ac: AffineCoroot) -> Tuple[Vec, int]:
-    """(positive direction, m) with the reflection equal to t^{-m dir} s_dir."""
-    if rd.is_positive_coroot(ac.coroot):
-        return tuple(ac.coroot), -ac.n
-    return tuple(-x for x in ac.coroot), ac.n
-
-
-def eval_affine_coroot(form: GramForm, ac: AffineCoroot, x: Tuple[Fraction, ...]) -> Fraction:
-    return sum((Fraction(c) * v for c, v in zip(x, ac.coroot)), Fraction(0)) + ac.n * form.q(ac.coroot)
 
 
 def act_affine_coroot(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, ac: AffineCoroot) -> AffineCoroot:

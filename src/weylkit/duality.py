@@ -9,10 +9,10 @@ of the integral reflection t^{n a} s_a is {x : <x, a> = -n kappa(a,a)/2}, and
 the admissible n per direction form an arithmetic progression determined by
 theta.  A level is a geometry form for affine.integral_system like a weight
 form, of any signature; it supplies these progressions and the stabilizer
-congruences kappa(lam, -) = w(theta) - theta (mod 1).  Everything is computed
-with exact rationals; an "irrational" flag on a component forces the
-level-zero-only progression there, and adds exact rows that pin lam's
-projection onto that component to 0.
+congruences kappa(lam, -) = w(theta) - theta (mod 1).  Group elements are
+integer; only slice points, levels and theta are rational.  An "irrational"
+flag on a component forces the level-zero-only progression there, and adds
+exact rows that pin lam's projection onto that component to 0.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from weylkit.rootdata import (
     RootDatum,
     langlands_dual,
     longest_element,
-    mat_inv_int,
     _simple_coeffs,
     weyl_elements,
 )
@@ -213,7 +212,10 @@ def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -
     """t^lam w integral iff lam satisfies the stabilizer rows of w."""
     theta = tuple(Fraction(x) for x in theta)
     rows, exact_rows = _stabilizer_rows(rd, lvl)
-    shift = weyl_shift(g.w_inv(), theta, theta)
+    w_inv = weyl_elements(rd).inverse.get(g.w)
+    if w_inv is None:
+        raise ValueError(f"the Weyl part of {g} is not in the Weyl group")
+    shift = weyl_shift(w_inv, theta, theta)
     return not any(dot(row, g.trans) for row in exact_rows) and all(
         (s - dot(row, g.trans)).denominator == 1 for s, row in zip(shift, rows)
     )
@@ -225,34 +227,36 @@ def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -
 
 @dataclass(frozen=True)
 class AffineMap:
+    """iota in the iota_conjugation report, x |-> linear x + offset: a value
+    with no algebra (group elements are conjugated by _iota_partner)."""
+
     linear: Tuple[Tuple[Fraction, ...], ...]
     offset: Tuple[Fraction, ...]
 
     def __call__(self, x):
         return tuple(v + o for v, o in zip(mat_vec(self.linear, x), self.offset))
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        return AffineMap(
-            mat_mul(self.linear, other.linear),
-            tuple(v + o for v, o in zip(mat_vec(self.linear, other.offset), self.offset)),
-        )
-
-    def inverse(self) -> "AffineMap":
-        inv = mat_inv(self.linear)
-        return AffineMap(inv, tuple(-x for x in mat_vec(inv, self.offset)))
-
-
-def element_slice_map(rd: RootDatum, lvl: Level, g: ExtendedWeylElement) -> AffineMap:
-    winv_t = transpose(tuple(tuple(Fraction(x) for x in row) for row in mat_inv_int(g.w)))
-    return AffineMap(winv_t, tuple(-x for x in lvl.covector(g.trans)))
-
 
 def iota_map(rd: RootDatum, lvl: Level, theta) -> AffineMap:
-    _, lvl_dual = dual_level(rd, lvl)
-    kcheck = lvl_dual.gram
-    theta_check = mat_vec(kcheck, tuple(Fraction(x) for x in theta))
-    neg = tuple(tuple(-x for x in row) for row in kcheck)
-    return AffineMap(neg, theta_check)
+    """iota(x) = -kappa^{-1} x + kappa^{-1} theta."""
+    kcheck = _inverse_gram(lvl)
+    return AffineMap(tuple(tuple(-x for x in row) for row in kcheck), mat_vec(kcheck, tuple(Fraction(x) for x in theta)))
+
+
+def _iota_partner(rd: RootDatum, lvl: Level, theta):
+    """partner(g) = iota o g o iota^{-1} for g = t^lam w at (kappa, theta): the
+    element t^{theta - w^{-T} theta + kappa lam} w^{-T} of the dual extended
+    affine Weyl group at -kappa^{-1}, or None when that translation is not
+    integral.  theta and kappa are taken over one denominator s."""
+    weyl = weyl_elements(rd).inverse
+    (tn, *kn), s = _over_common_denominator(tuple(Fraction(x) for x in theta), *lvl.gram)
+
+    def partner(g: ExtendedWeylElement):
+        winv_t = transpose(weyl[g.w])
+        mu = [t - wt + k for t, wt, k in zip(tn, mat_vec(winv_t, tn), mat_vec(kn, g.trans))]
+        return None if any(x % s for x in mu) else ExtendedWeylElement(tuple(x // s for x in mu), winv_t)
+
+    return partner
 
 
 def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
@@ -262,8 +266,10 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     Each group is generated by one t^{p_w} w per non-empty stabilizer coset
     p_w + L and by t^b for a basis b of the lattice L all cosets share.
     Conjugation is a homomorphism, so checking generators is exact.  Into:
-    each generator t^lam w of G goes to t^{theta - w^{-T} theta + kappa lam} w^{-T}
-    in G'; onto: each generator of G' comes from one of G, read off iota^{-1}.
+    each generator of G goes to its partner in G' (_iota_partner).  Onto: the
+    iota' of the dual side is y |-> kappa y - theta = -iota^{-1}(y), and
+    negation conjugates t^mu v to t^{-mu} v, so each generator of G' comes
+    from its iota'-partner with the translation negated.
     Each pair is one closed-form test on integer numerators, _conjugation_test:
     for iota(x) = L x + c and linear parts a, b, iota o g o iota^{-1} = h iff
     L a = b L and c - b c + L g(0) = h(0).  pairs_checked counts the generators
@@ -275,35 +281,26 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     rd_dual, lvl_dual = dual_level(rd, lvl)
     lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
     iota = iota_map(rd, lvl, theta)
-    iota_inv = iota.inverse()
     conjugates = _conjugation_test(iota, lvl, lvl_dual_neg)
     theta_f = tuple(Fraction(x) for x in theta)
     theta_check = mat_vec(lvl_dual.gram, theta_f)
     reps, shifts = _integral_generators(rd, lvl, theta_f)
     dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
-    weyl, dual_weyl = weyl_elements(rd).inverse, weyl_elements(rd_dual).inverse
 
-    # into: t^lam w goes to t^{theta - w^{-T} theta + kappa lam} w^{-T}; theta, kappa over s
-    (tn, *kn), s = _over_common_denominator(theta_f, *lvl.gram)
+    partner = _iota_partner(rd, lvl, theta_f)
     ok, checked = {"pairs": True, "translations": True}, 0
     for key, g in [("pairs", g) for g in reps] + [("translations", g) for g in shifts]:
-        winv_t = transpose(weyl[g.w])
-        mu = [t - wt + k for t, wt, k in zip(tn, mat_vec(winv_t, tn), mat_vec(kn, g.trans))]
-        if any(x % s for x in mu):
-            raise VerificationFailed(f"dual translation {[Fraction(x, s) for x in mu]} of integral {g} is not integral")
-        h = ExtendedWeylElement(tuple(x // s for x in mu), winv_t)
-        if not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
+        h = partner(g)
+        if h is None or not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
             raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
-        ok[key] &= conjugates(winv_t, g.trans, g.w, h.trans)
+        ok[key] &= conjugates(h.w, g.trans, g.w, h.trans)
         checked += 1
 
-    # onto: each generator t^mu v of G' comes from an integral t^lam v^{-T} of
-    # G, whose slice offset -kappa lam is that of iota^{-1} o h o iota
+    dual_partner = _iota_partner(rd_dual, lvl_dual_neg, theta_check)
     for h in dual_reps + dual_shifts:
-        w = transpose(dual_weyl[h.w])
-        lam = _dual_translation(lvl, iota_inv(vec_sub(mat_vec(w, iota.offset), lvl_dual_neg.covector(h.trans))))
-        g = None if lam is None else ExtendedWeylElement(lam, w)
-        if g is None or w not in weyl or not conjugates(h.w, lam, w, h.trans) or not level_membership(rd, lvl, theta_f, g):
+        p = dual_partner(h)
+        g = None if p is None else ExtendedWeylElement(tuple(-x for x in p.trans), p.w)
+        if g is None or not conjugates(h.w, g.trans, g.w, h.trans) or not level_membership(rd, lvl, theta_f, g):
             raise VerificationFailed(f"dual generator {h} does not come from an integral element")
         checked += 1
 
@@ -378,6 +375,10 @@ class AlcoveMatch:
 
 
 def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
+    """Match the integral systems at (kappa, theta) and at the dual side
+    through j = y o iota, where y moves iota(base point) into the dual base
+    alcove.  j g j^{-1} = y partner(g) y^{-1} (_iota_partner) is an integer
+    product in the dual extended affine Weyl group."""
     iota = iota_map(rd, lvl, theta)
     rd_dual, lvl_dual = dual_level(rd, lvl)
     lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
@@ -393,68 +394,46 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     if slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) != p:
         raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 
-    # j = y o iota matches the simple systems
-    jmap = element_slice_map(rd_dual, lvl_dual_neg, y).compose(iota)
-    jinv = jmap.inverse()
+    partner, y_inv = _iota_partner(rd, lvl, theta), y.inverse()
 
     def conjugate(g):
-        return jmap.compose(element_slice_map(rd, lvl, g)).compose(jinv)
+        h = partner(g)
+        return None if h is None else y * h * y_inv
 
-    h_wall_index = {}
-    for ac in h_sys.simples:
-        r = affine_coroot_reflection(rd_dual, ac)
-        h_wall_index[_map_key(element_slice_map(rd_dual, lvl_dual_neg, r))] = ac
+    h_simples = {affine_coroot_reflection(rd_dual, ac): ac for ac in h_sys.simples}
     bij = []
     for ac in g_sys.simples:
-        key = _map_key(conjugate(affine_coroot_reflection(rd, ac)))
-        if key not in h_wall_index:
+        image = h_simples.get(conjugate(affine_coroot_reflection(rd, ac)))
+        if image is None:
             raise VerificationFailed(f"conjugated simple {ac} is not a dual simple")
-        bij.append((ac, h_wall_index[key]))
+        bij.append((ac, image))
     if len({b for _, b in bij}) != len(h_sys.simples):
         raise VerificationFailed("simple systems do not biject")
 
     # Coxeter matrices agree through the bijection
-    gperm = {i: h_sys.simples.index(b) for i, (_, b) in enumerate(bij)}
-    for i in range(len(bij)):
-        for j in range(len(bij)):
-            if g_sys.coxeter[i][j] != h_sys.coxeter[gperm[i]][gperm[j]]:
-                raise VerificationFailed("Coxeter matrices differ after matching")
+    gperm = [h_sys.simples.index(b) for _, b in bij]
+    if any(g_sys.coxeter[i][j] != h_sys.coxeter[gi][gj] for i, gi in enumerate(gperm) for j, gj in enumerate(gperm)):
+        raise VerificationFailed("Coxeter matrices differ after matching")
 
-    # length-zero groups correspond: representatives up to the translation
-    # lattices, and the lattices themselves
+    # length-zero groups correspond: representatives, paired by Weyl part up
+    # to the translation lattices, and the lattices themselves
     g_omega, g_lattice = length_zero_group(rd, lvl, g_sys)
     h_omega, h_lattice = length_zero_group(rd_dual, lvl_dual_neg, h_sys)
-    h_by_linear = {element_slice_map(rd_dual, lvl_dual_neg, o).linear: o for o in h_omega}
+    h_by_weyl = {o.w: o for o in h_omega}
     pairs = []
     for o in g_omega:
         conj = conjugate(o)
-        partner = h_by_linear.get(conj.linear)
-        if partner is None:
+        dual = None if conj is None else h_by_weyl.get(conj.w)
+        if dual is None or not lattice_contains(h_lattice, vec_sub(conj.trans, dual.trans)):
             raise VerificationFailed(f"length-zero element {o} has no dual partner")
-        offset = element_slice_map(rd_dual, lvl_dual_neg, partner).offset
-        shift = _dual_translation(lvl_dual_neg, vec_sub(conj.offset, offset))
-        if shift is None or not lattice_contains(h_lattice, shift):
-            raise VerificationFailed(f"length-zero element {o} has no dual partner")
-        pairs.append((o, partner))
+        pairs.append((o, dual))
     if len(pairs) != len(h_omega):
         raise VerificationFailed("length-zero groups have different sizes")
-    images = [
-        _dual_translation(lvl_dual_neg, conjugate(ExtendedWeylElement.translation(lam)).offset) for lam in g_lattice
-    ]
-    if None in images or lattice_basis_from_generators(images) != lattice_basis_from_generators(h_lattice):
+    images = [conjugate(ExtendedWeylElement.translation(lam)) for lam in g_lattice]
+    if None in images or lattice_basis_from_generators([im.trans for im in images]) != lattice_basis_from_generators(h_lattice):
         raise VerificationFailed("length-zero translation lattices do not correspond")
 
     return AlcoveMatch(y, g_sys, h_sys, tuple(bij), tuple(pairs), (g_lattice, h_lattice))
-
-
-def _map_key(m: AffineMap):
-    return (tuple(map(tuple, m.linear)), tuple(m.offset))
-
-
-def _dual_translation(lvl: Level, offset):
-    """The integral mu whose translation moves the slice by offset, or None."""
-    mu = mat_vec(_inverse_gram(lvl), tuple(-x for x in offset))
-    return tuple(int(x) for x in mu) if all(x.denominator == 1 for x in mu) else None
 
 
 # ---------------------------------------------------------------------------

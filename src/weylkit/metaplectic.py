@@ -84,27 +84,6 @@ def rescale_factor(rd: RootDatum, form: GramForm, c: QmodZ, coroot: Vec) -> int:
     return p[1] if p[1] else 1
 
 
-def closed_form_rescale(rd: RootDatum, form: GramForm, c: QmodZ) -> Dict[Vec, int]:
-    """The two-case closed form for almost simple types (epsilon from the
-    squared-length ratio, N the order of c^{Q(short)})."""
-    qs = {form.pair(cv, cv) for cv in rd.coroots}
-    if not qs:
-        return {}
-    eps = max(qs) // min(qs)
-    if eps not in (1, 2, 3):
-        raise ValueError("not an almost simple length pattern")
-    short_q = min(qs) // 2
-    n_ord = c.scale(short_q).order()
-    out = {}
-    for cv in rd.coroots:
-        is_short = form.pair(cv, cv) == min(qs)
-        if n_ord % eps != 0 or eps == 1:
-            out[tuple(cv)] = n_ord
-        else:
-            out[tuple(cv)] = n_ord if is_short else n_ord // eps
-    return out
-
-
 def _indecomposable(positives) -> set:
     """The simple system of a set of positive (co)roots: those that are not
     the difference of two others in it."""

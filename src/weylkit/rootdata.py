@@ -134,13 +134,6 @@ def _coroot_positivity(rd: RootDatum) -> Dict[Vec, bool]:
     return out
 
 
-def root_height(rd: RootDatum, root: Vec) -> Fraction:
-    c = _simple_coeffs(rd.simple_roots, root)
-    if c is None:
-        raise ValueError("root is not in the span of the simple roots")
-    return sum(c)
-
-
 # ---------------------------------------------------------------------------
 # construction by reflection closure
 

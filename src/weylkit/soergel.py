@@ -564,15 +564,6 @@ def _generic_point(n: int, seed: int):
     return tuple(lcm(*dens) // d for d in dens)
 
 
-def graph_character(
-    reflections: Sequence[Mat], w: Mat, depth: Optional[int] = None, seed: int = 0
-) -> LaurentPoly:
-    """Graded multiplicity of the standard graph Gamma^w in the tensor of the
-    Bott-Samelson bimodules of the word."""
-    table = graph_character_table(reflections, depth=depth, seed=seed)
-    return table.get(tuple(map(tuple, w)), LaurentPoly.zero())
-
-
 def graph_character_table(
     reflections: Sequence[Mat], depth: Optional[int] = None, seed: int = 0
 ) -> Dict[Mat, LaurentPoly]:

@@ -40,6 +40,18 @@ def _omega_against_box(rd, form, chi, radius):
     return omega, lattice, box
 
 
+def _affine_coroot_label(rd, ac):
+    """(positive direction, m) with the reflection of ac equal to t^{-m dir} s_dir."""
+    if rd.is_positive_coroot(ac.coroot):
+        return tuple(ac.coroot), -ac.n
+    return tuple(-x for x in ac.coroot), ac.n
+
+
+@pytest.fixture
+def affine_coroot_label():
+    return _affine_coroot_label
+
+
 @pytest.fixture
 def stabilizer_box():
     return _stabilizer_box

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from weylkit.duality import (
     level_progression,
     level_progressions,
 )
-from weylkit.exact import dot, identity, lattice_contains, mat_inv, mat_mul, mat_vec
+from weylkit.exact import dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec
 from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
 
 
@@ -115,6 +116,9 @@ def test_integral_weyl_irrational_is_finite():
     # only lam = 0 translations are integral
     assert level_membership(rd, lvl, (Fraction(0),), ExtendedWeylElement.translation((1,))) is False
     assert level_membership(rd, lvl, (Fraction(0),), ExtendedWeylElement.translation((0,)))
+    # a Weyl part outside W is named, not looked up into a KeyError
+    with pytest.raises(ValueError, match=re.escape("ExtendedWeylElement(trans=(0,), w=((2,),)) is not in")):
+        level_membership(rd, lvl, (Fraction(0),), ExtendedWeylElement((0,), ((2,),)))
 
 
 def test_iota_conjugation_sl2():
@@ -496,6 +500,16 @@ def _slice_map(lam, w, gram):
     return AffineMap(tuple(zip(*mat_inv(w))), tuple(-x for x in mat_vec(gram, lam)))
 
 
+def _compose(f, g):
+    """f o g for AffineMaps."""
+    return AffineMap(mat_mul(f.linear, g.linear), tuple(v + o for v, o in zip(mat_vec(f.linear, g.offset), f.offset)))
+
+
+def _inverse(f):
+    inv = mat_inv(f.linear)
+    return AffineMap(inv, tuple(-x for x in mat_vec(inv, f.offset)))
+
+
 def test_conjugation_test_against_composed_maps():
     # every generator pair iota_conjugation checks, and wrong partners (the
     # translation perturbed, the Weyl part replaced, the sign of kappa lam
@@ -515,11 +529,11 @@ def test_conjugation_test_against_composed_maps():
                 iota = duality.iota_map(rd, lvl, theta)
                 doubled = AffineMap(tuple(tuple(2 * x for x in row) for row in iota.linear), iota.offset)
                 dual_gram = tuple(tuple(-x for x in row) for row in mat_inv(lvl.gram))
-                maps = [(m, m.inverse(), duality._conjugation_test(m, lvl, Level(dual_gram))) for m in (iota, doubled)]
+                maps = [(m, _inverse(m), duality._conjugation_test(m, lvl, Level(dual_gram))) for m in (iota, doubled)]
 
                 def agree(lam, w, mu, v, expected=None):
                     for m, m_inv, conjugates in maps:
-                        ref = m.compose(_slice_map(lam, w, lvl.gram)).compose(m_inv) == _slice_map(mu, v, dual_gram)
+                        ref = _compose(_compose(m, _slice_map(lam, w, lvl.gram)), m_inv) == _slice_map(mu, v, dual_gram)
                         got = conjugates(tuple(zip(*mat_inv_int(w))), lam, tuple(zip(*mat_inv_int(v))), mu)
                         assert got == ref, (rd.name, lvl.gram, theta, m, lam, w, mu, v)
                         assert expected is None or m is doubled or got == expected, (rd.name, lvl.gram, theta, lam, w)
@@ -546,6 +560,56 @@ def test_conjugation_test_against_composed_maps():
                         h = affine_coroot_reflection(rd_dual, AffineCoroot(alpha, int(m) + shift))
                         agree(r.trans, r.w, h.trans, h.w, expected=True if shift == 0 else None)
     assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+
+
+def test_alcove_match_against_composed_maps():
+    # the simple bijection, the length-zero pairs and the lattices of
+    # alcove_match against j = y o iota composed as Fraction maps: a simple
+    # reflection goes to the dual simple with the same slice map, and a
+    # length-zero representative to the dual one with the same linear part,
+    # up to a translation in the dual lattice
+    rng = random.Random(1707)
+    for name, param in RANK_TWO + [("GL", 2), ("SL", 4), ("Sp", 6)]:
+        rd = preset(name, param)
+        rd_dual = langlands_dual(rd)
+        for c in (1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(-3, 4)):
+            lvl = _scaled_level(rd, c)
+            kinv = mat_inv(lvl.gram)
+            dual_gram = tuple(tuple(-x for x in row) for row in kinv)
+            for theta in ((Fraction(0),) * rd.rank, _nonzero_theta(rng, rd.rank)):
+                match = alcove_match(rd, lvl, theta)
+                jmap = _compose(_slice_map(match.y.trans, match.y.w, dual_gram), AffineMap(dual_gram, mat_vec(kinv, theta)))
+                jinv = _inverse(jmap)
+
+                def conjugate(g):
+                    return _compose(_compose(jmap, _slice_map(g.trans, g.w, lvl.gram)), jinv)
+
+                def translation(offset):
+                    """The mu whose dual slice offset kappa^{-1} mu is offset."""
+                    mu = mat_vec(lvl.gram, offset)
+                    assert all(Fraction(x).denominator == 1 for x in mu), (rd.name, c, theta, offset)
+                    return tuple(int(x) for x in mu)
+
+                walls = {}
+                for ac in match.h_system.simples:
+                    r = affine_coroot_reflection(rd_dual, ac)
+                    walls[_slice_map(r.trans, r.w, dual_gram)] = ac
+                bij = tuple((ac, walls[conjugate(affine_coroot_reflection(rd, ac))]) for ac in match.g_system.simples)
+                g_omega, g_lattice = length_zero_group(rd, lvl, match.g_system)
+                h_omega, h_lattice = length_zero_group(rd_dual, Level(dual_gram), match.h_system)
+                h_by_linear = {_slice_map(o.trans, o.w, dual_gram).linear: o for o in h_omega}
+                pairs = []
+                for o in g_omega:
+                    conj = conjugate(o)
+                    dual = h_by_linear[conj.linear]
+                    offset = _slice_map(dual.trans, dual.w, dual_gram).offset
+                    assert lattice_contains(h_lattice, translation([a - b for a, b in zip(conj.offset, offset)]))
+                    pairs.append((o, dual))
+                images = [translation(conjugate(ExtendedWeylElement.translation(lam)).offset) for lam in g_lattice]
+                assert lattice_basis_from_generators(images) == lattice_basis_from_generators(h_lattice)
+                assert match.simple_bijection == bij, (rd.name, c, theta)
+                assert match.omega_pairs == tuple(pairs), (rd.name, c, theta)
+                assert match.omega_lattices == (g_lattice, h_lattice), (rd.name, c, theta)
 
 
 @pytest.mark.parametrize("wrong", ["scaled", "sheared"])

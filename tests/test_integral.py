@@ -10,8 +10,6 @@ from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
     act_affine_coroot,
-    affine_coroot_label,
-    affine_coroot_positive,
     affine_coroot_reflection,
     character_from_config,
     coxeter_system,
@@ -112,7 +110,7 @@ def test_simple_system_trivial_char_is_affine_system():
         assert length_zero_group(rd, form, sys) == length_zero_group(rd, form, full), (name, param, form_kind)
 
 
-def test_sl2_halfcentral_system():
+def test_sl2_halfcentral_system(affine_coroot_label):
     rd, form, chi = sl2_setup()
     sys = integral_simple_system(rd, form, chi)
     labels = sorted(affine_coroot_label(rd, ac) for ac in sys.simples)
@@ -199,7 +197,7 @@ def test_element_orders():
     assert element_order(ExtendedWeylElement.from_weyl(rd.reflection(0))) == 2
 
 
-def test_conjugate_to_simple_sl2():
+def test_conjugate_to_simple_sl2(affine_coroot_label):
     rd, form, chi = sl2_setup()
     sys = integral_simple_system(rd, form, chi)
     far = [ac for ac in sys.simples if affine_coroot_label(rd, ac) == ((1,), 2)][0]
@@ -284,13 +282,18 @@ def _random_character(rng, rd, c):
     return CharacterPoint(QmodZ.from_fraction(c), finite)
 
 
+def _affine_coroot_positive(rd, ac):
+    """n > 0, or n = 0 and a positive direction."""
+    return ac.n > 0 or (ac.n == 0 and rd.is_positive_coroot(ac.coroot))
+
+
 def _descent_minimal_rep(rd, form, chi, x):
     """Right-multiply by an integral simple reflection s while x sends the
     simple affine coroot of s to a negative one."""
     simples = integral_simple_system(rd, form, chi).simples
     while True:
         for ac in simples:
-            if not affine_coroot_positive(rd, act_affine_coroot(x, rd, form, ac)):
+            if not _affine_coroot_positive(rd, act_affine_coroot(x, rd, form, ac)):
                 x = x * affine_coroot_reflection(rd, ac)
                 break
         else:
@@ -324,7 +327,7 @@ def _height_descent_conjugator(rd, form, r):
         for s in ambient:
             t = affine_coroot_reflection(rd, s)
             img = act_affine_coroot(t, rd, form, cur)
-            if affine_coroot_positive(rd, img) and _ambient_height(rd, form, ambient, img) < height:
+            if _affine_coroot_positive(rd, img) and _ambient_height(rd, form, ambient, img) < height:
                 u, cur, height = t * u, img, _ambient_height(rd, form, ambient, img)
                 break
         else:

@@ -13,9 +13,9 @@ from weylkit.rootdata import (
     longest_element,
     preset,
     product_datum,
-    root_height,
     validate_root_datum,
     weyl_elements,
+    _simple_coeffs,
 )
 
 
@@ -142,7 +142,7 @@ def test_product_and_height():
     assert validate_root_datum(rd) == []
     assert len(rd.roots) == 4
     sl3 = preset("SL", 3)
-    hi = max(root_height(sl3, a) for a in sl3.roots)
+    hi = max(sum(_simple_coeffs(sl3.simple_roots, a)) for a in sl3.roots)
     assert hi == 2
 
 

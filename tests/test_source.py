@@ -23,6 +23,34 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _unused_imports(tree):
+    """Names a module imports and never reads; names in __all__ are exports."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # a quoted annotation reads the names inside the string
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval")) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    # deletions leave imports behind; __init__.py imports only to re-export
+    found = {path.name: _unused_imports(ast.parse(path.read_text())) for path in SOURCES if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+    # the guard sees a plain, an aliased and a from-import left unread, and
+    # not one read in code, in a quoted annotation or listed in __all__
+    sample = "import os\nimport re as r\nfrom a import b, c, d, e\n__all__ = ['d']\ndef f(x: 'e'): return c(x)\n"
+    assert _unused_imports(ast.parse(sample)) == ["b (line 3)", "os (line 1)", "r (line 2)"]
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
