@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import (
@@ -46,6 +47,7 @@ from weylkit.exact import (
     QMODZ_ZERO,
     QmodZ,
     Vec,
+    _over_common_denominator,
     congruence_solver,
     det,
     dot,
@@ -189,10 +191,8 @@ class CharacterPoint:
     finite: Tuple[QmodZ, ...]
 
     def value_on(self, v: Vec) -> QmodZ:
-        acc = Fraction(0)
-        for c, x in zip(self.finite, v, strict=True):
-            acc += c.as_fraction() * x
-        return QmodZ.from_fraction(acc)
+        d = math.lcm(*(c.den for c in self.finite))
+        return QmodZ(dot([c.num * (d // c.den) for c in self.finite], v), d)
 
     @staticmethod
     def trivial(n: int) -> "CharacterPoint":
@@ -251,15 +251,10 @@ def slice_act(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -
 
 
 def slice_act_inverse(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    """g^{-1} on the slice, x |-> (x + S(trans, -)) o w: nothing is inverted."""
-    return weyl_shift(g.w, vec_add(x, form.covector(g.trans)), (0,) * len(x))
-
-
-def _over_common_denominator(*vecs):
-    """Rational vectors (int or Fraction entries) as integer numerators over
-    their least common denominator d: (the numerator vectors, d)."""
-    d = math.lcm(*(v.denominator for vec in vecs for v in vec))
-    return tuple(tuple(v.numerator * (d // v.denominator) for v in vec) for vec in vecs), d
+    """g^{-1} on the slice, x |-> (x + S(trans, -)) o w: nothing is inverted,
+    and the sum is taken on numerators over one denominator d."""
+    (xn, sn), d = _over_common_denominator(x, form.covector(g.trans))
+    return tuple(Fraction(v, d) for v in _shift_numerators(g.w, vec_add(xn, sn), (0,) * len(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +443,7 @@ def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec,
 
     Only the two integral levels of a direction that bracket the base point
     can bound its alcove; such a wall is a facet iff its reflection r has
-    length 1, i.e. it is the only wall between x0 and r x0.
+    length 1, i.e. it is the only wall between x0 and r x0, counted once.
     """
     x0 = dominant_base_point(rd, form)
     simples = []
@@ -465,7 +460,8 @@ def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec,
             if n is None:
                 continue
             r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
-            if separating_walls(rd, form, progressions, x0, slice_act_inverse(r, form, x0)) == 1:  # r = r^{-1}
+            walls = _walls_between(rd, form, progressions, x0, slice_act_inverse(r, form, x0))  # r = r^{-1}
+            if [count for _, _, count in islice(walls, 2)] == [1]:  # stop at a second wall
                 sign = 1 if dot(x0, cv) + n * q > 0 else -1
                 simples.append(AffineCoroot(tuple(sign * c for c in cv), sign * n))
     return tuple(sorted(simples, key=lambda a: (a.n, a.coroot)))
@@ -521,11 +517,16 @@ def coxeter_system(rd: RootDatum, simples: Sequence[AffineCoroot]):
 # the integral system: simple system, Coxeter data and stabilizer
 
 
+def _shift_numerators(w_inv: Mat, rn, ln) -> Vec:
+    """rn o w^{-1} - ln for integer numerator covectors, given w^{-1}."""
+    return tuple([dot(rn, col) - b for col, b in zip(zip(*w_inv), ln, strict=True)])
+
+
 def weyl_shift(w_inv: Mat, right, left) -> Tuple[Fraction, ...]:
     """right o w^{-1} - left for rational covectors, given w^{-1}: integer
     numerators over one denominator times its columns, one Fraction each."""
     (rn, ln), d = _over_common_denominator(right, left)
-    return tuple(Fraction(dot(rn, col) - b, d) for col, b in zip(zip(*w_inv), ln, strict=True))
+    return tuple(Fraction(x, d) for x in _shift_numerators(w_inv, rn, ln))
 
 
 def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
@@ -533,12 +534,14 @@ def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
     rows lam = right o w^{-1} - left (mod 1) and exact_rows lam = 0, or
     None; plus the translation lattice {rows lam = 0 (mod 1), exact_rows lam
     = 0}, which every coset shares.  Only the right-hand side depends on w,
-    so one congruence_solver (one Smith form) serves every w, and the
-    closure that lists W gives each w^{-1}."""
+    so one congruence_solver (one Smith form) serves every w, right and left
+    go over one denominator d once, each shift is its integer numerators
+    over d, and the closure that lists W gives each w^{-1}."""
     solve = congruence_solver(list(rows) + list(exact_rows), [1] * len(rows) + [0] * len(exact_rows))
+    (rn, ln), d = _over_common_denominator(right, left)
     zeros = (0,) * len(exact_rows)
     group = weyl_elements(rd)
-    cosets: Dict[Mat, Optional[CosetZn]] = {w: solve(weyl_shift(group.inverse[w], right, left) + zeros) for w in group}
+    cosets: Dict[Mat, Optional[CosetZn]] = {w: solve(_shift_numerators(group.inverse[w], rn, ln) + zeros, d) for w in group}
     return cosets, solve((0,) * (len(rows) + len(exact_rows))).basis
 
 

@@ -24,6 +24,7 @@ from typing import Dict, Tuple
 
 from weylkit.exact import (
     Vec,
+    _over_common_denominator,
     det,
     dot,
     lattice_basis_from_generators,
@@ -46,7 +47,6 @@ from weylkit.affine import (
     gallery_walk,
     integral_system,
     length_zero_group,
-    _over_common_denominator,
     progression,
     progression_min_at_least,
     slice_act,
@@ -57,7 +57,7 @@ from weylkit.rootdata import (
     RootDatum,
     langlands_dual,
     longest_element,
-    _simple_coeffs,
+    simple_coordinates,
     weyl_elements,
 )
 
@@ -143,8 +143,8 @@ def _coroot_components(rd: RootDatum) -> Dict[Vec, int]:
     """Each coroot's component: the one holding the support of its root."""
     comps = [set(comp) for comp in finite_components(rd)]
     out = {}
-    for cv, a in zip(rd.coroots, rd.roots):
-        support = {i for i, c in enumerate(_simple_coeffs(rd.simple_roots, a)) if c}
+    for cv, coords in zip(rd.coroots, simple_coordinates(rd)):
+        support = {i for i, c in enumerate(coords) if c}
         out[cv] = next((ci for ci, comp in enumerate(comps) if support <= comp), None)
     return out
 
@@ -161,6 +161,13 @@ def _inverse_gram(lvl: Level) -> Tuple[Tuple[Fraction, ...], ...]:
 def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
     """Dual datum with the transported inverse form; exact involution."""
     return langlands_dual(rd), Level(_inverse_gram(lvl), lvl.irrational)
+
+
+def _dual_side(rd: RootDatum, lvl: Level, theta):
+    """The side iota maps to: (rd^vee, -kappa^{-1} as a Level, kappa^{-1} theta)."""
+    kinv = _inverse_gram(lvl)
+    neg = Level(tuple(tuple(-x for x in r) for r in kinv), lvl.irrational)
+    return langlands_dual(rd), neg, mat_vec(kinv, tuple(Fraction(x) for x in theta))
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +285,10 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     """
     if lvl.irrational:
         raise IrrationalSquareLength("iota requires a rational level")
-    rd_dual, lvl_dual = dual_level(rd, lvl)
-    lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
+    rd_dual, lvl_dual_neg, theta_check = _dual_side(rd, lvl, theta)
     iota = iota_map(rd, lvl, theta)
     conjugates = _conjugation_test(iota, lvl, lvl_dual_neg)
     theta_f = tuple(Fraction(x) for x in theta)
-    theta_check = mat_vec(lvl_dual.gram, theta_f)
     reps, shifts = _integral_generators(rd, lvl, theta_f)
     dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
 
@@ -380,18 +385,17 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     alcove.  j g j^{-1} = y partner(g) y^{-1} (_iota_partner) is an integer
     product in the dual extended affine Weyl group."""
     iota = iota_map(rd, lvl, theta)
-    rd_dual, lvl_dual = dual_level(rd, lvl)
-    lvl_dual_neg = Level(tuple(tuple(-x for x in r) for r in lvl_dual.gram), lvl_dual.irrational)
-    theta_check = tuple(mat_vec(lvl_dual.gram, tuple(Fraction(x) for x in theta)))
+    rd_dual, lvl_dual_neg, theta_check = _dual_side(rd, lvl, theta)
 
     g_sys = level_integral_weyl(rd, lvl, theta)
     h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
 
-    steps, p = gallery_walk(rd_dual, lvl_dual_neg, dict(h_sys.progressions), iota(g_sys.base_point), h_sys.base_point)
+    start = iota(g_sys.base_point)
+    steps, p = gallery_walk(rd_dual, lvl_dual_neg, dict(h_sys.progressions), start, h_sys.base_point)
     y = ExtendedWeylElement.unit(rd.rank)
     for r in steps:
         y = r * y
-    if slice_act(y, lvl_dual_neg, iota(g_sys.base_point)) != p:
+    if slice_act(y, lvl_dual_neg, start) != p:
         raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 
     partner, y_inv = _iota_partner(rd, lvl, theta), y.inverse()

@@ -4,9 +4,12 @@ Conventions used across the package:
 
 * vectors are tuples, matrices are tuples of row tuples;
 * matrices act on column vectors, ``mat_vec(m, v)[i] = sum_j m[i][j] v[j]``;
+* dot, mat_vec and mat_mul are ``sum(map(mul, ...))`` kernels: int operands
+  give ints and any Fraction operand gives a Fraction, so nothing is rounded,
+  and a length mismatch raises DimensionMismatch (map alone would truncate);
 * det, mat_inv, solve_linear and rank over Q are wrappers over one sparse
   reduced-echelon routine, ``_rref``, the package's only elimination loop
-  (``soergel`` uses it directly);
+  (``soergel`` and ``rootdata.simple_coordinates`` use it directly);
 * Hermite form is row-style with positive pivots;
 * Smith form ``(u, d, v)`` satisfies ``u @ m @ v = d`` with ``u, v`` unimodular
   and the diagonal divisibility chain ``d1 | d2 | ...``.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 Vec = Tuple[int, ...]
@@ -101,18 +105,26 @@ def vec_scale(a, k):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise DimensionMismatch(f"dot of a length-{len(a)} and a length-{len(b)} vector")
+    return sum(map(mul, a, b))
+
+
+def _check_rows(m, n):
+    for row in m:
+        if len(row) != n:
+            raise DimensionMismatch(f"a matrix row of length {len(row)} against length {n}")
 
 
 def mat_vec(m, v):
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatch(f"{len(m[0])}-column matrix applied to length-{len(v)} vector")
-    return tuple(dot(row, v) for row in m)
+    _check_rows(m, len(v))
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a, b):
+    _check_rows(a, len(b))
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def transpose(m):
@@ -121,6 +133,13 @@ def transpose(m):
 
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _over_common_denominator(*vecs):
+    """Rational vectors (int or Fraction entries) as integer numerators over
+    their least common denominator d: (the numerator vectors, d)."""
+    d = math.lcm(*(v.denominator for vec in vecs for v in vec))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in vec) for vec in vecs), d
 
 
 def _exact(x):
@@ -365,38 +384,31 @@ def solve_integer_affine(a, b, moduli) -> Optional[CosetZn]:
     return congruence_solver(a, moduli)(b)
 
 
-def congruence_solver(a, moduli) -> Callable[[Sequence], Optional[CosetZn]]:
-    """The map b |-> {x in Z^n : a x = b (mod moduli)} (a CosetZn, or None)
-    for fixed a and moduli, as in solve_integer_affine.
+def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
+    """The map (b, den) |-> {x in Z^n : a x = b / den (mod moduli)} (a
+    CosetZn, or None) for fixed a and moduli, as in solve_integer_affine; b
+    holds integer numerators over the denominator den (default 1).  A
+    rational b is first put over one denominator, so every right-hand side
+    takes the one integer path.
 
     Row i is scaled by the lcm s_i of the denominators of a[i] and moduli[i],
     and the Smith form of [A | M] (M the diagonal of the nonzero scaled
     moduli) and the solution lattice are computed once; only the particular
-    solution depends on b.  If some s_i b[i] is not an integer, a[i] x lies
-    in (1/s_i) Z + b[i] for no integral x, so there is no solution.
+    solution depends on b.  If den does not divide b_i s_i, a[i] x lies in
+    (1/s_i) Z + b_i / den for no integral x, so there is no solution.
     """
     rows = len(a)
     n = len(a[0]) if rows else 0
     if len(moduli) != rows:
         raise DimensionMismatch("rows of a and moduli must agree")
-    scales, int_rows, int_mod = [], [], []
-    for row, modulus in zip(a, moduli):
-        entries = [Fraction(x) for x in row] + [Fraction(modulus)]
-        if entries[-1] < 0:
-            raise ValueError("moduli must be nonnegative")
-        scale = math.lcm(*(e.denominator for e in entries))
-        scales.append(scale)
-        int_rows.append([int(x * scale) for x in entries[:-1]])
-        int_mod.append(int(entries[-1] * scale))
+    scaled = [_over_common_denominator(tuple(map(Fraction, row)), (Fraction(m),)) for row, m in zip(a, moduli)]
+    scales, int_mod = [s for _, s in scaled], [m for (_, (m,)), _ in scaled]
+    if any(m < 0 for m in int_mod):
+        raise ValueError("moduli must be nonnegative")
     # assemble [A | M] (x, t) = b with M = diag of moduli (drop zero-modulus columns)
     mod_cols = [i for i in range(rows) if int_mod[i] != 0]
     width = n + len(mod_cols)
-    big = []
-    for i in range(rows):
-        row = list(int_rows[i]) + [0] * len(mod_cols)
-        if int_mod[i] != 0:
-            row[n + mod_cols.index(i)] = int_mod[i]
-        big.append(row)
+    big = [list(row) + [int_mod[i] * (i == j) for j in mod_cols] for i, ((row, _), _) in enumerate(scaled)]
     u, d, v = smith_normal_form(big)
     r = min(rows, width)
     free = [i for i in range(width) if i >= r or d[i][i] == 0]
@@ -407,15 +419,18 @@ def congruence_solver(a, moduli) -> Callable[[Sequence], Optional[CosetZn]]:
             gens.append(col)
     lattice = lattice_basis_from_generators(gens)
 
-    def solve(b) -> Optional[CosetZn]:
+    def solve(b, den=1) -> Optional[CosetZn]:
         if len(b) != rows:
             raise DimensionMismatch("rows of a, b, moduli must agree")
+        if any(type(x) is not int for x in b):
+            (b,), e = _over_common_denominator(b)
+            den *= e
         int_b = []
         for x, scale in zip(b, scales):
-            x = Fraction(x) * scale
-            if x.denominator != 1:
+            x *= scale
+            if x % den:
                 return None
-            int_b.append(int(x))
+            int_b.append(x // den)
         c = mat_vec(u, int_b)
         y = [0] * width
         for i in range(r):
@@ -427,9 +442,8 @@ def congruence_solver(a, moduli) -> Callable[[Sequence], Optional[CosetZn]]:
                 if c[i] % dii != 0:
                     return None
                 y[i] = c[i] // dii
-        for i in range(r, rows):
-            if c[i] != 0:
-                return None
-        return CosetZn(tuple(mat_vec(v, y)[:n]), lattice)
+        if any(c[r:]):
+            return None
+        return CosetZn(mat_vec(v[:n], y), lattice)
 
     return solve

@@ -10,13 +10,15 @@ of the rational cocharacter space, where translations act tautologically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from weylkit.exact import (
     QmodZ,
     Vec,
+    _over_common_denominator,
     dot,
     identity,
     lattice_basis_from_generators,
@@ -28,8 +30,8 @@ from weylkit.exact import (
     transpose,
     vec_scale,
 )
-from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progression_min_at_least, weyl_shift
-from weylkit.integral import integral_progression, integral_progressions, weyl_stabilizer
+from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, _shift_numerators, progression_min_at_least
+from weylkit.integral import integral_progressions, weyl_stabilizer
 from weylkit.rootdata import (
     RootDatum,
     group_closure,
@@ -76,12 +78,10 @@ def endoscopic_lattice(rd: RootDatum, form: GramForm, c: QmodZ) -> Tuple[Vec, ..
 
 
 def rescale_factor(rd: RootDatum, form: GramForm, c: QmodZ, coroot: Vec) -> int:
-    """Minimal positive N with the affine coroot (alpha, N) central-integral."""
-    chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
-    p = integral_progression(rd, form, chi, coroot)
-    if p is None or p[0] != 0:
-        raise ValidationFailed(f"central levels of {coroot} at c = {c} are {p}, not a progression through 0")
-    return p[1] if p[1] else 1
+    """Minimal positive N with the affine coroot (alpha, N) central-integral:
+    the levels n with n q(alpha) c in Z are the multiples of the denominator
+    of q(alpha) c, so N is that denominator."""
+    return c.den // math.gcd(form.q(coroot) * c.num, c.den)
 
 
 def _indecomposable(positives) -> set:
@@ -154,50 +154,22 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     directions = _finite_integral_directions(rd, progs)
     simples = tuple(sorted(_indecomposable(cv for cv in directions if rd.is_positive_coroot(cv))))
 
-    # i_alpha: minimal nonnegative integral level per simple integral direction
-    i_of: Dict[Vec, int] = {}
-    d_of: Dict[Vec, int] = {}
+    # per simple integral direction: (alpha, i_alpha the minimal nonnegative
+    # integral level, the level step, the rescale N), the step being N
+    families = []
     for cv in simples:
-        p = progs[tuple(cv)]
-        i_of[cv] = progression_min_at_least(p, 0)
-        d_of[cv] = p[1] if p[1] else 0
-        if d_of[cv] != endo.rescale_of(cv):
-            raise ValidationFailed(f"level step {d_of[cv]} of {cv} differs from its rescale {endo.rescale_of(cv)}")
+        p, nfac = progs[cv], endo.rescale_of(cv)
+        if p[1] != nfac:
+            raise ValidationFailed(f"level step {p[1]} of {cv} differs from its rescale {nfac}")
+        families.append((cv, progression_min_at_least(p, 0), p[1], nfac))
 
     # mu solved over Q in the span of the simple integral coroots
-    if simples:
-        roots_of = {}
-        for cv in simples:
-            roots_of[cv] = rd.roots[rd.coroots.index(cv)]
-        k = len(simples)
-        gram = tuple(
-            tuple(Fraction(dot(roots_of[simples[i]], simples[j])) for j in range(k)) for i in range(k)
-        )
-        rhs = tuple(Fraction(-i_of[cv]) for cv in simples)
-        coeffs = solve_linear(gram, rhs)
-        if coeffs is None:
-            raise NoCommonFrame("could not solve for the conjugating translation")
-        mu = tuple(
-            sum((coeffs[j] * Fraction(simples[j][i]) for j in range(k)), Fraction(0)) for i in range(n)
-        )
-    else:
-        mu = tuple(Fraction(0) for _ in range(n))
-    tau = ExtendedWeylElement(mu, identity(n))
-    tau_inv = tau.inverse()
-
-    # termwise conjugation identity on the generator families
-    termwise = True
-    for cv in simples:
-        nfac = endo.rescale_of(cv)
-        i0 = i_of[cv]
-        step = d_of[cv]
-        refl_dir = rd.reflection(rd.coroots.index(cv))
-        for j in (-2, -1, 0, 1, 2):
-            g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl_dir)
-            lhs = tau * g * tau_inv
-            rhs_el = ExtendedWeylElement(vec_scale(cv, j * nfac), refl_dir)
-            if lhs != rhs_el:
-                termwise = False
+    gram = [[dot(rd.roots[rd.coroots.index(a)], b) for b in simples] for a in simples]
+    coeffs = solve_linear(gram, [-i0 for _, i0, _, _ in families]) if simples else ()
+    if coeffs is None:
+        raise NoCommonFrame("could not solve for the conjugating translation")
+    mu = tuple(sum((x * cv[i] for x, cv in zip(coeffs, simples)), Fraction(0)) for i in range(n))
+    termwise = _termwise_conjugation(rd, mu, families)
 
     # lattice parts agree: stabilizer translations = endoscopic lattice
     stab, lattice = weyl_stabilizer(rd, form, chi)
@@ -227,6 +199,22 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     }
 
 
+def _termwise_conjugation(rd: RootDatum, mu, families) -> bool:
+    """tau g_j tau^{-1} = h_j for tau = t^mu and each family (alpha, i0, step,
+    N), with g_j = t^{(i0 + j step) alpha} s_alpha and h_j = t^{j N alpha}
+    s_alpha.  The left side is t^{(i0 + j step + <a, mu>) alpha} s_alpha:
+    both translations are affine in j, so j in {0, 1} decides every j."""
+    tau = ExtendedWeylElement(mu, identity(rd.rank))
+    tau_inv = tau.inverse()
+    termwise = True
+    for cv, i0, step, nfac in families:
+        refl_dir = rd.reflection(rd.coroots.index(cv))
+        for j in (0, 1):
+            g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl_dir)
+            termwise &= tau * g * tau_inv == ExtendedWeylElement(vec_scale(cv, j * nfac), refl_dir)
+    return termwise
+
+
 def _bullet_is_full(rd, form, chi, stab, directions) -> bool:
     """W~_chi equals its bullet subgroup iff every admitting finite Weyl part
     lies in the subgroup generated by the integral reflection directions."""
@@ -240,7 +228,8 @@ def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterP
     reflections it contains."""
     rd_h = endo.rd_h
     theta = tuple(chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis)
+    (tn,), d = _over_common_denominator(theta)
     group = weyl_elements(rd_h)
-    stabilizing = {w for w in group if all(x.denominator == 1 for x in weyl_shift(group.inverse[w], theta, theta))}
+    stabilizing = {w for w in group if not any(x % d for x in _shift_numerators(group.inverse[w], tn, tn))}
     refl_in_stab = [m for m in map(rd_h.reflection, range(len(rd_h.roots))) if m in stabilizing]
     return stabilizing == set(group_closure(refl_in_stab, rd_h.rank))

@@ -21,6 +21,8 @@ from typing import Dict, Mapping, Optional, Tuple
 from weylkit.exact import (
     Mat,
     Vec,
+    _over_common_denominator,
+    _rref,
     det,
     dot,
     identity,
@@ -28,7 +30,6 @@ from weylkit.exact import (
     mat_mul,
     mat_vec,
     rank as mat_rank,
-    solve_linear,
     transpose,
     vec_scale,
     vec_sub,
@@ -116,22 +117,36 @@ class RootDatum:
         return tuple(int(x) for x in w)
 
 
-def _simple_coeffs(simples, target):
-    """Rational coefficients of target over the simple system, or None."""
+@lru_cache(maxsize=None)
+def simple_coordinates(rd: RootDatum) -> Tuple[Optional[Tuple], ...]:
+    """Each root's coordinates over the simple roots, aligned with rd.roots,
+    or None outside their span; once per datum, from one reduced form [R | P]
+    of [M | I], M the simple roots as columns.  P M = R with P invertible, so
+    M c = a iff R c = P a: a row of R pivoting at column p < k gives c_p (free
+    coordinates 0, as solve_linear sets them), and a row pivoting past M is
+    a condition (P a)_row = 0.  P is taken over one denominator e, so each
+    coordinate is an integer test; integral coordinates are int."""
+    simples, k = rd.simple_roots, len(rd.simple_indices)
     if not simples:
-        return None
-    return solve_linear(tuple(zip(*simples)), target)
+        return (None,) * len(rd.roots)
+    rows = ({**{j: a[i] for j, a in enumerate(simples) if a[i]}, k + i: 1} for i in range(rd.rank))
+    pivots, reduced, _ = _rref(rows)
+    p_num, e = _over_common_denominator(*([row.get(k + j, 0) for j in range(rd.rank)] for row in reduced))
+    out = []
+    for a in rd.roots:
+        values = dict(zip(pivots, mat_vec(p_num, a)))  # e P a, by pivot column
+        if any(values[c] for c in pivots if c >= k):
+            out.append(None)
+        else:
+            out.append(tuple(x // e if x % e == 0 else Fraction(x, e) for x in (values.get(c, 0) for c in range(k))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _coroot_positivity(rd: RootDatum) -> Dict[Vec, bool]:
     """Each coroot's sign, fixed by the datum: whether its root is a
     nonnegative combination of the simple roots."""
-    out = {}
-    for a, cv in zip(rd.roots, rd.coroots):
-        c = _simple_coeffs(rd.simple_roots, a)
-        out[cv] = c is not None and all(x >= 0 for x in c)
-    return out
+    return {cv: c is not None and all(x >= 0 for x in c) for cv, c in zip(rd.coroots, simple_coordinates(rd))}
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +357,14 @@ def validate_root_datum(rd: RootDatum):
     if len(set(rd.roots)) != len(rd.roots):
         bad.append("duplicate roots")
     root_set, coroot_set = set(rd.roots), set(rd.coroots)
-    for i in range(len(rd.roots)):
-        m = rd.reflection(i)
-        mt = transpose(m)
-        for cv in rd.coroots:
-            if tuple(mat_vec(m, cv)) not in coroot_set:
-                bad.append(f"reflection {i} does not permute the coroots")
-                break
-        for a in rd.roots:
-            if tuple(mat_vec(mt, a)) not in root_set:
-                bad.append(f"dual reflection {i} does not permute the roots")
-                break
+    # s_i(v) = v - <a_i, v> cv_i on coroots and its transpose b - <b, cv_i> a_i on roots
+    for i, (a_i, cv_i) in enumerate(zip(rd.roots, rd.coroots)):
+        if any(tuple(x - dot(a_i, v) * y for x, y in zip(v, cv_i)) not in coroot_set for v in rd.coroots):
+            bad.append(f"reflection {i} does not permute the coroots")
+        if any(tuple(x - dot(b, cv_i) * y for x, y in zip(b, a_i)) not in root_set for b in rd.roots):
+            bad.append(f"dual reflection {i} does not permute the roots")
     # simple roots form a base: every root is a signed nonnegative combination
-    for a in rd.roots:
-        c = _simple_coeffs(rd.simple_roots, a)
+    for a, c in zip(rd.roots, simple_coordinates(rd)):
         if c is None:
             bad.append(f"root {a} outside the span of the simple roots")
             continue
@@ -378,7 +387,7 @@ def group_closure(gens, n: int) -> Dict[Mat, Tuple[int, Mat]]:
     unit = identity(n)
 
     def times(a, b_cols):  # square n x n products, so no shape checks
-        return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
+        return tuple([tuple([sum(map(mul, row, col)) for col in b_cols]) for row in a])
 
     gens = [(s, transpose(s)) for s in gens]
     for s, cols in gens:

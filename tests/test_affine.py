@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit.exact import QmodZ, dot, identity, mat_inv, mat_vec
+from weylkit.exact import QmodZ, dot, identity, mat_inv, mat_vec, solve_integer_affine
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -37,9 +37,11 @@ from weylkit.affine import (
     simple_system_from_progressions,
     slice_act,
     slice_act_inverse,
+    stabilizer_cosets,
     trivial_progressions,
     weyl_shift,
 )
+from weylkit import duality
 from weylkit.duality import finite_components, level_from_config, level_progressions
 from weylkit.integral import integral_progressions, integral_simple_system
 from weylkit.rootdata import RootDatum, preset, weyl_elements
@@ -417,6 +419,52 @@ def test_integer_slice_kernel_against_fraction_formulas():
                     got = weyl_shift(group.inverse[w], right, left)
                     assert got == _fraction_weyl_shift(w, right, left) and all(type(v) is Fraction for v in got)
     assert on_wall >= 100 and negative_q >= 16, (on_wall, negative_q)
+
+
+def _congruence_holds(rows, exact_rows, lam, shift):
+    """rows lam = shift (mod 1) and exact_rows lam = 0, in Fractions."""
+    return all((sum(Fraction(a) * x for a, x in zip(row, lam)) - s).denominator == 1 for row, s in zip(rows, shift)) and not any(
+        sum(Fraction(a) * x for a, x in zip(row, lam)) for row in exact_rows
+    )
+
+
+def test_stabilizer_cosets_against_per_element_rational_solves():
+    # numerators over one denominator against, per w, the Fraction Weyl shift
+    # and its own rational solve; the character rows c S at seeded characters
+    # and the level rows at levels of both signs, one with a flagged
+    # component (exact rows); right and left differ in half the cases.  Each
+    # coset is also checked on its congruences in Fractions
+    rng = random.Random(2507180)
+    empty = found = 0
+    for name, param in KERNEL_PRESETS:
+        rd = preset(name, param)
+        form = _kernel_forms(rd, rng)[0][0]
+        cases = []
+        for _ in range(2):
+            c = Fraction(rng.randint(1, 5), rng.choice((2, 3, 4, 6)))
+            cases.append(([[c * x for x in row] for row in form.matrix], ()))
+        for sign, irrational in ((1, ()), (-1, ()), (rng.choice((1, -1)), (rng.randrange(len(finite_components(rd))),))):
+            c = sign * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+            lvl = level_from_config(rd, [[c * v for v in row] for row in form.matrix], irrational)
+            cases.append(duality._stabilizer_rows(rd, lvl))
+        for rows, exact_rows in cases:
+            right = tuple(Fraction(rng.randint(0, 11), rng.choice((4, 6, 12))) for _ in range(rd.rank))
+            left = right if rng.random() < 0.5 else tuple(Fraction(rng.randint(0, 5), 6) for _ in range(rd.rank))
+            cosets, lattice = stabilizer_cosets(rd, rows, right, left, exact_rows)
+            moduli = [1] * len(rows) + [0] * len(exact_rows)
+            assert set(cosets) == set(weyl_elements(rd))
+            for w, coset in cosets.items():
+                shift = _fraction_weyl_shift(w, right, left)
+                expected = solve_integer_affine(list(rows) + list(exact_rows), list(shift) + [0] * len(exact_rows), moduli)
+                assert coset == expected, (name, rows, right, left, w)
+                if coset is None:
+                    empty += 1
+                    continue
+                found += 1
+                assert coset.basis == lattice
+                assert _congruence_holds(rows, exact_rows, coset.particular, shift), (name, w)
+                assert all(_congruence_holds(rows, exact_rows, b, [0] * len(rows)) for b in lattice)
+    assert empty >= 1000 and found >= 60, (empty, found)
 
 
 def test_slice_act_inverse_against_the_inverse_element():

@@ -292,7 +292,8 @@ def _solves(a, b, moduli, x):
 
 
 def test_congruence_solver_with_new_denominators_in_b():
-    # b's denominators (up to 7) occur in neither a (1, 2, 3) nor the moduli;
+    # b's denominators (up to 7) occur in neither a (1, 2, 3) nor the moduli,
+    # given as Fractions and as integer numerators over one denominator;
     # with positive moduli the solution set is periodic by the lcm of the
     # scaled moduli in every coordinate, so the box of one period holds a
     # solution iff there is one.  Exact rows only check the coset.
@@ -316,6 +317,8 @@ def test_congruence_solver_with_new_denominators_in_b():
         for _ in range(6):
             b = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(rows)]
             sol = solve(b)
+            (numerators,), den = exact._over_common_denominator(b)
+            assert solve(numerators, den) == sol  # the integer path the rational b takes
             box = [x for x in product(range(period), repeat=n) if _solves(a, b, moduli, x)]
             if sol is None:
                 assert box == [], (a, b, moduli)
@@ -330,3 +333,36 @@ def test_congruence_solver_with_new_denominators_in_b():
                 assert box, (a, b, moduli)
             assert sol.basis == solve_integer_affine(a, [0] * rows, moduli).basis
     assert found >= 50 and missing >= 50
+
+
+def test_vector_kernels_keep_exactness_and_raise_on_length_mismatch():
+    # the map-based kernels against zip(strict=True) generator formulas: the
+    # same values and types (int operands give int, a Fraction operand gives
+    # a Fraction), and a length mismatch raises where map would truncate
+    def ref_dot(a, b):
+        return sum(x * y for x, y in zip(a, b, strict=True))
+
+    rng = random.Random(2507181)
+    for _ in range(200):
+        n, m, k = rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4)
+        entry = (lambda: rng.randint(-5, 5)) if rng.random() < 0.5 else (lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        a = tuple(tuple(entry() for _ in range(n)) for _ in range(m))
+        b = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(n))
+        v = tuple(rng.randint(-5, 5) for _ in range(n))
+        expected = [ref_dot(row, v) for row in a]
+        got = mat_vec(a, v)
+        assert got == tuple(expected) and [type(x) for x in got] == [type(x) for x in expected]
+        assert exact.dot(a[0], v) == expected[0] and type(exact.dot(a[0], v)) is type(expected[0])
+        product = tuple(tuple(ref_dot(row, col) for col in zip(*b)) for row in a)
+        got = mat_mul(a, b)
+        assert got == product and [type(x) for r in got for x in r] == [type(x) for r in product for x in r]
+    for call in (
+        lambda: exact.dot((1, 2), (1, 2, 3)),
+        lambda: exact.dot((1, 2, 3), (1, 2)),
+        lambda: mat_vec(((1, 2),), (1, 2, 3)),
+        lambda: mat_vec(((1, 2), (3,)), (1, 1)),
+        lambda: mat_mul(((1, 2),), ((1,), (2,), (3,))),
+        lambda: mat_mul(((1, 2), (1,)), ((1,), (2,))),
+    ):
+        with pytest.raises(exact.DimensionMismatch):
+            call()

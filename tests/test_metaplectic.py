@@ -1,9 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit.exact import QmodZ
-from weylkit.affine import CharacterPoint, character_from_config, gram_from_matrix, gram_from_weights
+from weylkit import metaplectic
+from weylkit.exact import QmodZ, identity, vec_scale
+from weylkit.affine import (
+    CharacterPoint,
+    ExtendedWeylElement,
+    NotPositiveDefinite,
+    character_from_config,
+    gram_from_matrix,
+    gram_from_weights,
+)
 from weylkit.integral import integral_progression
 from weylkit.metaplectic import (
     ValidationFailed,
@@ -171,3 +180,80 @@ def test_bullet_compare_nontrivial_finite_part():
     assert report["termwise_conjugation"]
     assert report["lattice_match"]
     assert report["direction_match"]
+
+
+RANK_AT_MOST_TWO = [("SL", 2), ("SL", 3), ("PGL", 2), ("PGL", 3), ("GL", 2), ("Sp", 2), ("Sp", 4), ("PSp", 4),
+                    ("SO_odd", 5), ("Spin_odd", 5), ("SO_even", 4), ("G2", 2)]
+
+
+def _even_form(rd):
+    try:
+        return gram_from_weights(rd, rd.roots)
+    except NotPositiveDefinite:  # GL: the roots do not span
+        return gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+
+
+def _five_point_termwise(rd, mu, families):
+    """The window j in {-2, ..., 2} of tau g_j tau^{-1} = h_j: the reference."""
+    tau = ExtendedWeylElement(mu, identity(rd.rank))
+    tau_inv = tau.inverse()
+    ok = True
+    for cv, i0, step, nfac in families:
+        refl = rd.reflection(rd.coroots.index(cv))
+        for j in (-2, -1, 0, 1, 2):
+            g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl)
+            ok &= tau * g * tau_inv == ExtendedWeylElement(vec_scale(cv, j * nfac), refl)
+    return ok
+
+
+def test_termwise_check_against_five_point_window(monkeypatch):
+    # the two-point test against the old window, on the families and mu of
+    # every rank <= 2 preset at c in {1/2, 1/3, 1/4}, and on the same inputs
+    # with mu or a family entry perturbed, where the identity can fail
+    rng = random.Random(2507183)
+    calls = []
+    original = metaplectic._termwise_conjugation
+
+    def recorded(rd, mu, families):
+        calls.append((rd, mu, families))
+        return original(rd, mu, families)
+
+    monkeypatch.setattr(metaplectic, "_termwise_conjugation", recorded)
+    for name, n in RANK_AT_MOST_TWO:
+        rd = preset(name, n)
+        form = _even_form(rd)
+        for c in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
+            for _ in range(2):
+                chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randint(0, 11), 12) for _ in range(rd.rank)))
+                report = bullet_weyl_compare(rd, form, chi)
+                assert report["termwise_conjugation"] == _five_point_termwise(*calls[-1]), (name, c, chi)
+    outcomes = []
+    for rd, mu, families in calls:
+        if not families:
+            continue
+        for _ in range(4):
+            moved_mu = tuple(x + Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for x in mu)
+            k, slots = rng.randrange(len(families)), rng.choice(((1,), (2,), (3,), (2, 3)))
+            moved = [list(f) for f in families]
+            shift = rng.choice((-1, 1))
+            for slot in slots:  # step and N moved together keep the identity
+                moved[k][slot] += shift
+            for args in ((rd, moved_mu, families), (rd, mu, [tuple(f) for f in moved])):
+                outcomes.append(original(*args))
+                assert outcomes[-1] == _five_point_termwise(*args), args
+    assert outcomes.count(True) >= 15 and outcomes.count(False) >= 60, (outcomes.count(True), outcomes.count(False))
+
+
+def test_rescale_factor_against_central_progressions():
+    # the closed form against the denominator read off the progression of
+    # central levels, on every rank <= 2 preset and central values of both
+    # signs
+    for name, n in RANK_AT_MOST_TWO:
+        rd = preset(name, n)
+        form = _even_form(rd)
+        for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(-3, 4), Fraction(5, 12)):
+            c = QmodZ.from_fraction(c)
+            chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
+            for cv in rd.coroots:
+                p = integral_progression(rd, form, chi, cv)
+                assert p[0] == 0 and rescale_factor(rd, form, c, cv) == (p[1] or 1), (name, c, cv)

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit.exact import dot, identity, mat_mul, mat_vec, transpose
+from weylkit.exact import dot, identity, mat_mul, mat_vec, solve_linear, transpose
 from weylkit.rootdata import (
     GroupTooLarge,
     InvalidParams,
@@ -13,10 +14,18 @@ from weylkit.rootdata import (
     longest_element,
     preset,
     product_datum,
+    simple_coordinates,
     validate_root_datum,
     weyl_elements,
-    _simple_coeffs,
 )
+
+
+def _simple_coeffs(simples, target):
+    """Rational coefficients of target over the simple system, or None: one
+    solve_linear per root, the reference for simple_coordinates."""
+    if not simples:
+        return None
+    return solve_linear(tuple(zip(*simples)), target)
 
 
 def test_preset_errors():
@@ -131,8 +140,6 @@ def test_longest_element():
     for i in pos:
         img = tuple(mat_vec(w0_inv_t, sl3.roots[i]))
         assert img in sl3.roots
-        from weylkit.rootdata import _simple_coeffs
-
         c = _simple_coeffs(sl3.simple_roots, img)
         assert all(x <= 0 for x in c)
 
@@ -167,8 +174,9 @@ def test_mat_inv_int_is_the_exact_inverse_and_rejects_non_integral():
 
 def test_positivity_solved_once_per_datum(monkeypatch):
     # a fresh datum (its own name, so no cache holds it): twenty minimal_rep
-    # calls and one bullet_weyl_compare solve each root's simple coordinates
-    # for positivity at most once
+    # calls and one bullet_weyl_compare reduce [M | I] for its simple
+    # coordinates exactly once, and every other datum met (the endoscopic H)
+    # exactly once too
     import dataclasses
     import random
 
@@ -181,15 +189,15 @@ def test_positivity_solved_once_per_datum(monkeypatch):
     rd = dataclasses.replace(preset("Sp", 4), name="Sp4, positivity once")
     form = gram_from_weights(rd, rd.roots)
     chi = CharacterPoint(QmodZ(1, 2), (QmodZ(1, 3), QmodZ(0, 1)))
-    solves = []
-    original = rootdata._simple_coeffs
+    eliminations = []
+    original = rootdata._rref
 
-    def counted(simples, target):
-        if simples == rd.simple_roots:
-            solves.append(target)
-        return original(simples, target)
+    def counted(rows):
+        rows = list(rows)
+        eliminations.append(repr(rows))
+        return original(rows)
 
-    monkeypatch.setattr(rootdata, "_simple_coeffs", counted)
+    monkeypatch.setattr(rootdata, "_rref", counted)
     rng = random.Random(2507172)
     weyl = weyl_elements(rd)
     for _ in range(20):
@@ -197,7 +205,10 @@ def test_positivity_solved_once_per_datum(monkeypatch):
         minimal_rep(rd, form, chi, x)
     bullet_weyl_compare(rd, form, chi)
     assert rd.is_positive_coroot(rd.simple_coroots[0])
-    assert 0 < len(solves) <= len(rd.roots)
+    k = len(rd.simple_indices)
+    own = repr([{**{j: a[i] for j, a in enumerate(rd.simple_roots) if a[i]}, k + i: 1} for i in range(rd.rank)])
+    assert eliminations.count(own) == 1
+    assert len(eliminations) == len(set(eliminations)) == 2  # rd and its endoscopic H
     with pytest.raises(ValueError):
         rd.is_positive_coroot((5, 5))
 
@@ -242,3 +253,115 @@ def test_stabilizer_cosets_invert_nothing(monkeypatch):
     cosets, _ = stabilizer_cosets(rd, [[Fraction(1, 2) * x for x in row] for row in form.matrix], theta, theta)
     assert len(cosets) == 120
     assert inverted == []
+
+
+ALL_PRESETS = CLOSURE_PRESETS + [("SL", 2), ("SL", 5), ("PGL", 2), ("GL", 1), ("GL", 3), ("Sp", 2), ("PSp", 6),
+                                 ("SO_odd", 3), ("Spin_odd", 7), ("SO_even", 8)]
+
+
+def _presets():
+    data = [preset(name, n) for name, n in ALL_PRESETS]
+    return data + [preset("torus", n=2), product_datum([preset("SL", 2), preset("G2", 2)])]
+
+
+def _matrix_validate(rd):
+    """validate_root_datum through reflection matrices, their transposes and
+    one solve_linear per root: the reference for the integer checks."""
+    bad = []
+    n = rd.rank
+    if len(rd.roots) != len(rd.coroots):
+        return ["roots and coroots must be in bijection"]
+    for a, cv in zip(rd.roots, rd.coroots):
+        if len(a) != n or len(cv) != n:
+            return ["vector length differs from rank"]
+        if dot(cv, a) != 2:
+            bad.append(f"<coroot,root> != 2 for pair ({cv},{a})")
+    if len(set(rd.roots)) != len(rd.roots):
+        bad.append("duplicate roots")
+    root_set, coroot_set = set(rd.roots), set(rd.coroots)
+    for i in range(len(rd.roots)):
+        m = rd.reflection(i)
+        mt = transpose(m)
+        if any(tuple(mat_vec(m, cv)) not in coroot_set for cv in rd.coroots):
+            bad.append(f"reflection {i} does not permute the coroots")
+        if any(tuple(mat_vec(mt, a)) not in root_set for a in rd.roots):
+            bad.append(f"dual reflection {i} does not permute the roots")
+    for a in rd.roots:
+        c = _simple_coeffs(rd.simple_roots, a)
+        if c is None:
+            bad.append(f"root {a} outside the span of the simple roots")
+            continue
+        if any(x.denominator != 1 for x in c):
+            bad.append(f"root {a} has non-integral simple coordinates")
+        elif not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+            bad.append(f"root {a} has mixed-sign simple coordinates")
+    return bad
+
+
+def _corrupted(rd, rng):
+    """rd with one random defect: an entry of a root or coroot moved, a root
+    scaled or dropped, a duplicate, a simple index swapped, or a vector cut."""
+    roots, coroots, simples = list(rd.roots), list(rd.coroots), list(rd.simple_indices)
+    i, kind = rng.randrange(len(roots)), rng.randrange(7)
+    if kind == 0:
+        k = rng.randrange(rd.rank)
+        roots[i] = tuple(x + (j == k) * rng.choice((-1, 1)) for j, x in enumerate(roots[i]))
+    elif kind == 1:
+        k = rng.randrange(rd.rank)
+        coroots[i] = tuple(x + (j == k) * rng.choice((-1, 1)) for j, x in enumerate(coroots[i]))
+    elif kind == 2:
+        s = rng.choice((2, -1, 3))
+        roots[i], coroots[i] = tuple(s * x for x in roots[i]), tuple(x * (2 if s == -1 else 1) for x in coroots[i])
+    elif kind == 3:
+        del roots[i], coroots[i]
+        simples = [j - (j > i) for j in simples if j != i]
+    elif kind == 4:
+        roots[i] = roots[(i + 1) % len(roots)]
+    elif kind == 5:
+        simples[rng.randrange(len(simples))] = i
+    else:
+        roots[i] = roots[i][:-1]
+    return RootDatum(rd.rank, tuple(roots), tuple(coroots), tuple(simples), None, f"corrupt {rd.name} {i} {kind}")
+
+
+VIOLATIONS = ("length differs", "!= 2", "duplicate", "permute the coroots", "permute the roots", "outside the span",
+              "non-integral", "mixed-sign")
+
+
+def test_validation_against_reflection_matrices():
+    # the rank-one integer reflection checks and the simple coordinates read
+    # from one elimination against reflection matrices and one solve per
+    # root: equal violation lists on every preset, on the endoscopic H of
+    # each blocks stratum, and on corrupted data
+    from weylkit.affine import gram_from_weights
+    from weylkit.exact import QmodZ
+    from weylkit.metaplectic import endoscopic_root_datum
+
+    data = _presets()
+    for name, n, c in [("SL", 3, "1/2"), ("SL", 3, "1/3"), ("Sp", 4, "1/2"), ("Sp", 4, "1/4"), ("G2", 2, "1/3"),
+                       ("G2", 2, "1/4"), ("SO_odd", 5, "1/4"), ("PGL", 3, "1/2"), ("PGL", 3, "0"), ("SL", 4, "1/4"),
+                       ("SL", 5, "0")]:
+        rd = preset(name, n)
+        data.append(endoscopic_root_datum(rd, gram_from_weights(rd, rd.roots), QmodZ.parse(c)).rd_h)
+    for rd in data:
+        assert validate_root_datum(rd) == _matrix_validate(rd) == [], rd.name
+    rng = random.Random(2507182)
+    kinds = set()
+    for rd in data:
+        if not rd.roots:
+            continue
+        for _ in range(12):
+            bad = _corrupted(rd, rng)
+            expected = _matrix_validate(bad)
+            assert validate_root_datum(bad) == expected, bad.name
+            kinds.update(m for v in expected for m in VIOLATIONS if m in v)
+    assert kinds == set(VIOLATIONS), kinds
+
+
+def test_simple_coordinates_against_one_solve_per_root():
+    for rd in _presets() + [langlands_dual(preset("G2", 2)), langlands_dual(preset("PSp", 4))]:
+        coords = simple_coordinates(rd)
+        assert len(coords) == len(rd.roots)
+        for a, c in zip(rd.roots, coords):
+            assert c == _simple_coeffs(rd.simple_roots, a), (rd.name, a)
+            assert all(type(x) is int for x in c), (rd.name, a)
