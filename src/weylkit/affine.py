@@ -534,7 +534,7 @@ def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
     rows lam = right o w^{-1} - left (mod 1) and exact_rows lam = 0, or
     None; plus the translation lattice {rows lam = 0 (mod 1), exact_rows lam
     = 0}, which every coset shares.  Only the right-hand side depends on w,
-    so one congruence_solver (one Smith form) serves every w, right and left
+    so one congruence_solver (one Hermite form) serves every w, right and left
     go over one denominator d once, each shift is its integer numerators
     over d, and the closure that lists W gives each w^{-1}."""
     solve = congruence_solver(list(rows) + list(exact_rows), [1] * len(rows) + [0] * len(exact_rows))

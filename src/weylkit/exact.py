@@ -10,9 +10,11 @@ Conventions used across the package:
 * det, mat_inv, solve_linear and rank over Q are wrappers over one sparse
   reduced-echelon routine, ``_rref``, the package's only elimination loop
   (``soergel`` and ``rootdata.simple_coordinates`` use it directly);
-* Hermite form is row-style with positive pivots;
-* Smith form ``(u, d, v)`` satisfies ``u @ m @ v = d`` with ``u, v`` unimodular
-  and the diagonal divisibility chain ``d1 | d2 | ...``.
+* over Z, ``hermite_normal_form`` is the one elimination loop: ``(h, u)`` with
+  ``u @ m = h``, ``u`` unimodular and ``h`` in row echelon form with positive
+  pivots and the entries above each pivot in ``[0, pivot)``, so the nonzero
+  rows of ``h`` are determined by the row lattice of ``m``; lattice bases,
+  lattice membership and the congruence solver all read it.
 """
 
 from __future__ import annotations
@@ -233,11 +235,12 @@ def rank(m) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# Hermite normal form and lattices
 
 
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat]:
-    """Row HNF with positive pivots. Returns (h, u) with u @ m = h, det u = ±1."""
+    """Row HNF with positive pivots and the entries above each pivot in
+    [0, pivot). Returns (h, u) with u @ m = h, det u = ±1."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(map(int, row)) for row in m]
@@ -275,72 +278,6 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat]:
     return tuple(map(tuple, a)), tuple(map(tuple, u))
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:
-    """Returns (u, d, v) with u @ m @ v = d, u and v unimodular, d1 | d2 | ..."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(map(int, row)) for row in m]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        entries = [(i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
-        if not entries:
-            break
-        # minimal |entry| to the pivot; reduce; repeat until the block splits
-        i0, j0 = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        swap_rows(t, i0)
-        swap_cols(t, j0)
-        dirty = False
-        for i in range(t + 1, rows):
-            q = a[i][t] // a[t][t]
-            if q:
-                addmul_row(i, t, -q)
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, cols):
-            q = a[t][j] // a[t][t]
-            if q:
-                addmul_col(j, t, -q)
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        bad = next(
-            (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]),
-            None,
-        )
-        if bad is not None:
-            addmul_row(t, bad, 1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
-
-
 def lattice_basis_from_generators(gens: Sequence[Vec]) -> Tuple[Vec, ...]:
     """Basis (HNF rows, pivots positive) of the lattice generated by gens."""
     if not gens:
@@ -350,13 +287,10 @@ def lattice_basis_from_generators(gens: Sequence[Vec]) -> Tuple[Vec, ...]:
 
 
 def lattice_contains(basis: Sequence[Vec], v: Vec) -> bool:
-    """Membership of an integer vector in the lattice spanned by basis rows."""
-    if not any(v):
-        return True
-    if not basis:
-        return False
-    sol = solve_integer_affine([list(col) for col in zip(*basis)], v, [Fraction(0)] * len(v))
-    return sol is not None
+    """Membership of an integer vector in the lattice spanned by basis rows:
+    the Hermite form of a lattice is unique, so v is in it iff adding v
+    leaves that form unchanged."""
+    return lattice_basis_from_generators([*basis, v]) == lattice_basis_from_generators(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +325,16 @@ def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
     rational b is first put over one denominator, so every right-hand side
     takes the one integer path.
 
-    Row i is scaled by the lcm s_i of the denominators of a[i] and moduli[i],
-    and the Smith form of [A | M] (M the diagonal of the nonzero scaled
-    moduli) and the solution lattice are computed once; only the particular
-    solution depends on b.  If den does not divide b_i s_i, a[i] x lies in
-    (1/s_i) Z + b_i / den for no integral x, so there is no solution.
+    Row i is scaled by the lcm s_i of the denominators of a[i] and moduli[i];
+    if den does not divide b_i s_i, a[i] x lies in (1/s_i) Z + b_i / den for
+    no integral x, so there is no solution.  Otherwise the solutions are the
+    x parts of the integer (x, t) with B (x, t) = b, B = [A | M] and M the
+    diagonal of the nonzero scaled moduli.  The Hermite form u B^T = h is
+    computed once: with (x, t) = sum_k y_k u_k, the system reads h^T y = b,
+    lower echelon.  The rows of u past the rank span ker B, so their x parts
+    generate the solution lattice.  Per b, equation i gives y_k at the pivot
+    column i of h row k (it must be integral) and is a consistency check at a
+    non-pivot column; only this forward substitution depends on b.
     """
     rows = len(a)
     n = len(a[0]) if rows else 0
@@ -405,19 +344,21 @@ def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
     scales, int_mod = [s for _, s in scaled], [m for (_, (m,)), _ in scaled]
     if any(m < 0 for m in int_mod):
         raise ValueError("moduli must be nonnegative")
-    # assemble [A | M] (x, t) = b with M = diag of moduli (drop zero-modulus columns)
+    # B = [A | M] with M = diag of moduli (drop zero-modulus columns)
     mod_cols = [i for i in range(rows) if int_mod[i] != 0]
-    width = n + len(mod_cols)
     big = [list(row) + [int_mod[i] * (i == j) for j in mod_cols] for i, ((row, _), _) in enumerate(scaled)]
-    u, d, v = smith_normal_form(big)
-    r = min(rows, width)
-    free = [i for i in range(width) if i >= r or d[i][i] == 0]
-    gens = []
-    for i in free:
-        col = tuple(v[j][i] for j in range(width))[:n]
-        if any(col):
-            gens.append(col)
-    lattice = lattice_basis_from_generators(gens)
+    h, u = hermite_normal_form(transpose(big))
+    h = [row for row in h if any(row)]
+    r = len(h)
+    lattice = lattice_basis_from_generators([row[:n] for row in u[r:] if any(row[:n])])
+    lead = {next(i for i, x in enumerate(row) if x): k for k, row in enumerate(h)}
+    # per equation i: the terms (h[k][i], k) of the earlier unknowns, and
+    # the pivot dividing y_k if i is the pivot column of row k, else 0
+    equations = [
+        ([(row[i], k) for k, row in enumerate(h) if row[i] and lead.get(i) != k], h[lead[i]][i] if i in lead else 0)
+        for i in range(rows)
+    ]
+    cols = [tuple(row[j] for row in u[:r]) for j in range(n)]
 
     def solve(b, den=1) -> Optional[CosetZn]:
         if len(b) != rows:
@@ -425,25 +366,18 @@ def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
         if any(type(x) is not int for x in b):
             (b,), e = _over_common_denominator(b)
             den *= e
-        int_b = []
-        for x, scale in zip(b, scales):
+        y = []
+        for x, scale, (terms, pivot) in zip(b, scales, equations):
             x *= scale
             if x % den:
                 return None
-            int_b.append(x // den)
-        c = mat_vec(u, int_b)
-        y = [0] * width
-        for i in range(r):
-            dii = d[i][i]
-            if dii == 0:
-                if c[i] != 0:
+            x = x // den - sum([c * y[k] for c, k in terms])
+            if pivot:
+                if x % pivot:
                     return None
-            else:
-                if c[i] % dii != 0:
-                    return None
-                y[i] = c[i] // dii
-        if any(c[r:]):
-            return None
-        return CosetZn(mat_vec(v[:n], y), lattice)
+                y.append(x // pivot)
+            elif x:
+                return None
+        return CosetZn(mat_vec(cols, y), lattice)
 
     return solve

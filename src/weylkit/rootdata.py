@@ -69,6 +69,13 @@ class RootDatum:
                 "ambient_basis",
                 tuple(tuple(Fraction(int(i == j)) for j in range(self.rank)) for i in range(self.rank)),
             )
+        # name is left out: a str hash varies by process, and a pickled datum
+        # keeps this value
+        fields = (self.rank, self.roots, self.coroots, self.simple_indices, self.ambient_basis)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):  # data key caches: hash the Fraction basis once
+        return self._hash
 
     @property
     def simple_roots(self) -> Tuple[Vec, ...]:

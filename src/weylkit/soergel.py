@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
@@ -292,22 +291,6 @@ def bott_samelson_bimodule(m: Mat) -> Bimodule:
     return Bimodule(n, (0, 1), tuple(action))
 
 
-def graph_quotients(m: Mat):
-    """The two quotient maps of B_r onto Fun(Gamma^1) and Fun(Gamma^r),
-    written in their own left basis (1(x)1, 1(x)alpha), not the one of
-    bott_samelson_bimodule; only hilbert_end_bs uses them:
-    (p, q) |-> p + q alpha and p + q r(alpha) = p - q alpha."""
-    alpha = reflection_equation(m)
-
-    def gamma1(p: Poly, q: Poly) -> Poly:
-        return p + q * alpha
-
-    def gamma_r(p: Poly, q: Poly) -> Poly:
-        return p - q * alpha
-
-    return gamma1, gamma_r
-
-
 def tensor(a: Bimodule, b: Bimodule) -> Bimodule:
     """a (x)_R b with basis pairs (p, q) -> index p * rank(b) + q."""
     if a.n != b.n:
@@ -356,25 +339,6 @@ def _monomials(n: int, d: int):
         for rest in _monomials(n - 1, d - first):
             out.append((first,) + rest)
     return out
-
-
-@lru_cache(maxsize=None)
-def _monomial_index(n: int, d: int):
-    """Position of each monomial in the _monomials(n, d) basis (shared: do not mutate)."""
-    return {mono: pos for pos, mono in enumerate(_monomials(n, d))}
-
-
-def _poly_to_vec(f: Poly, n: int, d: int):
-    """Sparse coefficient vector {position: coefficient} of a homogeneous
-    degree-d polynomial in the _monomials(n, d) basis; a term of any other
-    degree raises ValueError."""
-    index = _monomial_index(n, d)
-    vec = {}
-    for e, c in f.coeffs.items():
-        if e not in index:
-            raise ValueError(f"term {e} is not a degree-{d} monomial in {n} variables")
-        vec[index[e]] = c
-    return vec
 
 
 # Sparse linear algebra.  A vector is a dict {position: nonzero coefficient};
@@ -656,29 +620,17 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
         ops = [op for op in (_left_minus_right(mod, g, d) for g in gens) if op is not None]
         end_dims.append(len(_kernel_basis(_stacked_rows(ops), mod.dims[d])))
 
-    # graph quotient dimensions: images of the basis p(x)1, p(x)alpha of B_r
-    # in R through the gamma maps
-    gamma1, gamma_r = graph_quotients(m)
-    z = Poly.zero(n)
-    g1_dims, gr_dims, hyp_dims = [], [], []
-    for d in range(depth):
-        index = _monomial_index(n, d)
-        pairs = [(Poly(n, {e: 1}), z) for e in index] + [(z, Poly(n, {e: 1})) for e in _monomials(n, d - 1)]
-        g1_dims.append(_row_space_dim([_poly_to_vec(gamma1(*pq), n, d) for pq in pairs]))
-        gr_dims.append(_row_space_dim([_poly_to_vec(gamma_r(*pq), n, d) for pq in pairs]))
-        # hyperplane ring R/(alpha)
-        alpha_multiples = [_poly_to_vec(Poly(n, {e: 1}) * alpha, n, d) for e in _monomials(n, d - 1)]
-        hyp_dims.append(len(index) - _row_space_dim(alpha_multiples))
-
-    identity_holds = all(
-        end_dims[d] == g1_dims[d] + gr_dims[d] - hyp_dims[d] for d in range(depth)
-    )
+    # Gamma^1 and Gamma^r are graphs of linear maps, so each graph quotient
+    # (p, q) |-> p +- q alpha of B_r is onto R, and the hyperplane ring
+    # R/(alpha) has dim R_d - dim R_{d-1} in degree d
+    r_dims = [comb(n + d - 1, d) for d in range(depth)]
+    hyp_dims = [b - a for a, b in zip([0] + r_dims, r_dims)]
     return {
         "end": end_dims,
-        "gamma1": g1_dims,
-        "gamma_r": gr_dims,
+        "gamma1": r_dims,
+        "gamma_r": list(r_dims),
         "hyperplane": hyp_dims,
-        "identity": identity_holds,
+        "identity": all(e == 2 * r - h for e, r, h in zip(end_dims, r_dims, hyp_dims)),
     }
 
 

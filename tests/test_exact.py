@@ -1,4 +1,7 @@
+import importlib
+import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -17,11 +20,141 @@ from weylkit.exact import (
     mat_inv,
     mat_mul,
     mat_vec,
+    lattice_basis_from_generators,
+    lattice_contains,
     rank,
-    smith_normal_form,
     solve_linear,
     solve_integer_affine,
+    transpose,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: the Smith-form congruence solver the package used before it
+# solved congruences on the Hermite form
+
+
+def smith_normal_form(m):
+    """Returns (u, d, v) with u @ m @ v = d, u and v unimodular, d1 | d2 | ..."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(map(int, row)) for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, q):
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        entries = [(i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not entries:
+            break
+        # minimal |entry| to the pivot; reduce; repeat until the block splits
+        i0, j0 = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
+        swap_rows(t, i0)
+        swap_cols(t, j0)
+        dirty = False
+        for i in range(t + 1, rows):
+            q = a[i][t] // a[t][t]
+            if q:
+                addmul_row(i, t, -q)
+            if a[i][t]:
+                dirty = True
+        for j in range(t + 1, cols):
+            q = a[t][j] // a[t][t]
+            if q:
+                addmul_col(j, t, -q)
+            if a[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        bad = next(
+            (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]),
+            None,
+        )
+        if bad is not None:
+            addmul_row(t, bad, 1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
+
+
+def smith_congruence_solver(a, moduli):
+    """congruence_solver through the Smith form u [A | M] v = d: with
+    (x, t) = v y the system reads d y = u b."""
+    rows = len(a)
+    n = len(a[0]) if rows else 0
+    scaled = [exact._over_common_denominator(tuple(map(Fraction, row)), (Fraction(m),)) for row, m in zip(a, moduli)]
+    scales, int_mod = [s for _, s in scaled], [m for (_, (m,)), _ in scaled]
+    mod_cols = [i for i in range(rows) if int_mod[i] != 0]
+    width = n + len(mod_cols)
+    big = [list(row) + [int_mod[i] * (i == j) for j in mod_cols] for i, ((row, _), _) in enumerate(scaled)]
+    u, d, v = smith_normal_form(big)
+    r = min(rows, width)
+    free = [i for i in range(width) if i >= r or d[i][i] == 0]
+    gens = []
+    for i in free:
+        col = tuple(v[j][i] for j in range(width))[:n]
+        if any(col):
+            gens.append(col)
+    lattice = lattice_basis_from_generators(gens)
+
+    def solve(b, den=1):
+        if any(type(x) is not int for x in b):
+            (b,), e = exact._over_common_denominator(b)
+            den *= e
+        int_b = []
+        for x, scale in zip(b, scales):
+            x *= scale
+            if x % den:
+                return None
+            int_b.append(x // den)
+        c = mat_vec(u, int_b)
+        y = [0] * width
+        for i in range(r):
+            dii = d[i][i]
+            if dii == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % dii != 0:
+                    return None
+                y[i] = c[i] // dii
+        if any(c[r:]):
+            return None
+        return CosetZn(mat_vec(v[:n], y), lattice)
+
+    return solve
+
+
+def smith_lattice_contains(basis, v):
+    """Membership as the Smith-form solution of sum c_i basis_i = v."""
+    if not any(v):
+        return True
+    if not basis:
+        return False
+    return smith_congruence_solver(transpose(basis), [0] * len(v))(v) is not None
 
 
 def brute_smith_diagonal(m):
@@ -199,15 +332,32 @@ def test_hermite_properties(rows, cols, data):
     h, u = hermite_normal_form(m)
     assert mat_mul(u, tuple(map(tuple, m))) == h
     assert abs(det(u)) == 1
-    # row-echelon with positive pivots, entries above pivots reduced
+    # row-echelon with positive pivots, entries above pivots reduced; zero
+    # rows come last
     last = -1
-    for row in h:
+    for k, row in enumerate(h):
         nz = next((j for j, x in enumerate(row) if x), None)
         if nz is None:
-            continue
+            assert not any(map(any, h[k:]))
+            break
         assert nz > last
         last = nz
         assert row[nz] > 0
+        assert all(0 <= above[nz] < row[nz] for above in h[:k])
+    # another generating set of the same lattice: a random unimodular mix of
+    # the rows, with integer combinations and a zero row appended, has the
+    # same nonzero Hermite rows
+    mixed = [list(row) for row in m]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, rows - 1))
+        if i != j:
+            k = data.draw(st.integers(-3, 3))
+            mixed[i] = [x + k * y for x, y in zip(mixed[i], mixed[j])]
+    ks = [data.draw(st.integers(-2, 2)) for _ in m]
+    mixed = mixed[::-1] + [[sum(k * row[c] for k, row in zip(ks, m)) for c in range(cols)], [0] * cols]
+    nonzero = [row for row in h if any(row)]
+    assert [row for row in hermite_normal_form(mixed)[0] if any(row)] == nonzero
+    assert lattice_basis_from_generators(mixed) == tuple(nonzero)
 
 
 def test_solve_integer_affine_examples():
@@ -366,3 +516,128 @@ def test_vector_kernels_keep_exactness_and_raise_on_length_mismatch():
     ):
         with pytest.raises(exact.DimensionMismatch):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the Hermite-form solver against the Smith-form reference
+
+
+def _compare_with_smith(a, moduli, rhs):
+    """Solve each (b, den) of rhs with congruence_solver and the Smith
+    reference: both None, or the same lattice basis and particulars that
+    differ by a lattice vector.  Returns the reference solutions."""
+    solve, ref_solve = congruence_solver(a, moduli), smith_congruence_solver(a, moduli)
+    out = []
+    for b, den in rhs:
+        got, ref = solve(b, den), ref_solve(b, den)
+        if ref is None:
+            assert got is None, (a, moduli, b, den, got)
+        else:
+            assert got is not None and got.basis == ref.basis, (a, moduli, b, den, got, ref)
+            assert smith_lattice_contains(ref.basis, exact.vec_sub(got.particular, ref.particular)), (a, moduli, b, den, got, ref)
+        out.append(ref)
+    return out
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_solver_matches_smith_reference_on_harness_systems(monkeypatch):
+    # every congruence system the benchmark's blocks and levels passes of
+    # seeds 1-3 solve (stabilizers, length-zero groups, endoscopic
+    # lattices), recorded with each right-hand side, caches emptied first
+    from weylkit import affine
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    systems = {}
+    core = exact.congruence_solver
+
+    def recording(a, moduli):
+        rhs = systems.setdefault((tuple(map(tuple, a)), tuple(moduli)), [])
+        solve = core(a, moduli)
+        return lambda b, den=1: rhs.append((tuple(b), den)) or solve(b, den)
+
+    monkeypatch.setattr(exact, "congruence_solver", recording)
+    monkeypatch.setattr(affine, "congruence_solver", recording)
+    for workload, seed in itertools.product(("blocks", "levels"), (1, 2, 3)):
+        for name in ("rootdata", "affine", "integral", "duality", "metaplectic", "hecke"):
+            for value in vars(importlib.import_module(f"weylkit.{name}")).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        for scenario in workloads.build(workload, seed):
+            for op in scenario.ops:
+                op.call()
+    monkeypatch.undo()
+    solved = missing = 0
+    for (a, moduli), rhs in systems.items():
+        refs = _compare_with_smith(a, moduli, rhs)
+        solved += sum(ref is not None for ref in refs)
+        missing += sum(ref is None for ref in refs)
+    assert len(systems) >= 50 and solved >= 800 and missing >= 400, (len(systems), solved, missing)
+
+
+def test_solver_matches_smith_reference_on_random_systems():
+    # exact rows, zero moduli and rational moduli; b with denominators that
+    # occur nowhere in a, and b = a x0 that surely solves; rank-deficient
+    # rows, and systems whose lattice is {0} or all of Z^n
+    rng = random.Random(2507190)
+    seen = {"none": 0, "zero lattice": 0, "full lattice": 0, "other lattice": 0, "rank deficient": 0}
+    for trial in range(400):
+        n, rows = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[_random_entry(rng, True) for _ in range(n)] for _ in range(rows)]
+        moduli = [rng.choice((0, 1, 2, 6, Fraction(1, 2), Fraction(3, 2))) for _ in range(rows)]
+        shape = trial % 4
+        if shape == 1 and rows > 1:  # a row that depends on the others
+            k = rng.randint(-2, 2)
+            a[-1] = [x + k * y for x, y in zip(a[0], a[1 % (rows - 1)])]
+        elif shape == 2:  # exact rows of full rank: the lattice {0}
+            a += [list(row) for row in identity(n)][: n - rows] if rows < n else []
+            moduli = [0] * len(a)
+        elif shape == 3:  # integral rows modulo 1 and a zero row: all of Z^n
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rows)] + [[0] * n]
+            moduli = [1] * rows + [rng.choice((0, 1))]
+        seen["rank deficient"] += rank(a) < len(a)
+        x0 = [rng.randint(-5, 5) for _ in range(n)]
+        rhs = [([Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in a], 1) for _ in range(3)]
+        rhs.append((mat_vec(a, x0), 1))
+        (numerators,), den = exact._over_common_denominator(rhs[0][0])
+        rhs.append((numerators, den))  # the integer path a rational b takes
+        for ref in _compare_with_smith(a, moduli, rhs):
+            if ref is None:
+                seen["none"] += 1
+            elif ref.basis == ():
+                seen["zero lattice"] += 1
+            elif ref.basis == identity(n):
+                seen["full lattice"] += 1
+            else:
+                seen["other lattice"] += 1
+    assert min(seen.values()) >= 100, seen
+    # no rows: the one solution set is Z^0
+    assert congruence_solver([], [])(()) == smith_congruence_solver([], [])(()) == CosetZn((), ())
+
+
+def test_lattice_contains_matches_smith_reference():
+    # generators with dependent and zero rows, and vectors in and out of
+    # their lattice
+    rng = random.Random(2507191)
+    counts = [0, 0]
+    for trial in range(300):
+        n, k = rng.randint(1, 4), rng.randint(0, 4)
+        basis = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+        if trial % 3 == 0 and k > 1:
+            basis[-1] = tuple(x - 2 * y for x, y in zip(basis[0], basis[1]))
+        if trial % 5 == 0:
+            basis.append((0,) * n)
+        for _ in range(4):
+            if basis and rng.random() < 0.5:
+                ks = [rng.randint(-3, 3) for _ in basis]
+                v = tuple(sum(c * b[j] for c, b in zip(ks, basis)) for j in range(n))
+            else:
+                v = tuple(rng.randint(-4, 4) for _ in range(n))
+            got = lattice_contains(basis, v)
+            assert got == smith_lattice_contains(basis, v), (basis, v)
+            counts[got] += 1
+    assert min(counts) >= 300, counts
+    assert lattice_contains((), (0, 0)) and not lattice_contains((), (0, 1))
+    assert lattice_contains(((2, 0), (0, 3)), (4, -3)) and not lattice_contains(((2, 0), (0, 3)), (1, 3))

@@ -365,3 +365,53 @@ def test_simple_coordinates_against_one_solve_per_root():
         for a, c in zip(rd.roots, coords):
             assert c == _simple_coeffs(rd.simple_roots, a), (rd.name, a)
             assert all(type(x) is int for x in c), (rd.name, a)
+
+
+def _fresh(rd, name=None):
+    """An equal datum built anew from its fields (no cached hash shared)."""
+    return RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, rd.ambient_basis, rd.name if name is None else name)
+
+
+def test_datum_hash_is_computed_once_and_survives_pickling(monkeypatch):
+    import pickle
+
+    rd = preset("PSp", 4)  # a non-identity Fraction ambient basis
+    assert any(x.denominator != 1 for row in rd.ambient_basis for x in row)
+    copy = pickle.loads(pickle.dumps(rd))
+    assert copy == rd and hash(copy) == hash(rd) == hash(_fresh(rd))
+    # the name takes no part in the hash, and an equal datum hits the
+    # entries the first one made
+    assert hash(_fresh(rd, "renamed")) == hash(rd) and _fresh(rd, "renamed") != rd
+    weyl_elements.cache_clear()
+    group = weyl_elements(rd)
+    assert weyl_elements(copy) is group and weyl_elements.cache_info()[:2] == (1, 1)  # hits, misses
+    # the Fractions of the basis are hashed once, at construction
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    fresh = _fresh(rd)
+    assert len(hashed) == rd.rank**2
+    hashed.clear()
+    assert {rd: 1}[fresh] == 1 and hash(fresh) == hash(copy) and weyl_elements(fresh) is group
+    assert hashed == []
+    hash(Fraction(1, 3))
+    assert hashed == [Fraction(1, 3)]  # the count would see a Fraction hashed
+
+
+def test_datum_hash_does_not_depend_on_the_hash_seed():
+    # str hashes vary with PYTHONHASHSEED; the datum's hash must not
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import weylkit
+
+    src = str(pathlib.Path(weylkit.__file__).resolve().parent.parent)
+    script = "from weylkit.rootdata import preset; print(hash(preset('PSp', 4)), hash(preset('SO_odd', 5)), hash('PSp'))"
+    out = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout.split())
+    assert out[0][:2] == out[1][:2]
+    assert out[0][2] != out[1][2]  # the seeds do change str hashes

@@ -15,7 +15,6 @@ from weylkit.soergel import (
     demazure,
     free_module,
     graph_character_table,
-    graph_quotients,
     graph_sections,
     hilbert_end_bs,
     reflection_action,
@@ -83,17 +82,6 @@ def test_bs_bimodule_rank_and_degrees():
     # Hilbert series of B_r in rank 1: dims 1, 2, 2, 2, ... = (1+q)/(1-q)
     mod = TruncModule.from_bimodule(b, 4)
     assert mod.dims == [1, 2, 2, 2, 2]
-
-
-def test_graph_quotients_unit_image():
-    g1, gr = graph_quotients(SWAP)
-    one = Poly.const(2, 1)
-    zero = Poly.zero(2)
-    assert g1(one, zero) == one
-    assert gr(one, zero) == one
-    alpha = reflection_equation(SWAP)
-    assert g1(zero, one) == alpha
-    assert gr(zero, one) == -alpha
 
 
 def test_tensor_square_splits_by_dimension():
@@ -218,16 +206,6 @@ def test_graph_character_table_of_sign_conjugated_word():
         table, conj_table = graph_character_table(word), graph_character_table(conj)
         moved = {tuple(tuple(signs[i] * g[i][j] * signs[j] for j in range(2)) for i in range(2)): c for g, c in table.items()}
         assert conj_table == moved, word
-
-
-def test_poly_to_vec_rejects_other_degrees():
-    from weylkit.soergel import _poly_to_vec
-
-    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    # basis of _monomials(2, 2): y^2, x y, x^2; the vector is sparse
-    assert _poly_to_vec(x * x - y.scale(3) * y, 2, 2) == {0: -3, 2: 1}
-    with pytest.raises(ValueError):
-        _poly_to_vec(x * x + y, 2, 2)
 
 
 def test_end_bs_identity_rank1():
