@@ -350,7 +350,7 @@ def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
     h, u = hermite_normal_form(transpose(big))
     h = [row for row in h if any(row)]
     r = len(h)
-    lattice = lattice_basis_from_generators([row[:n] for row in u[r:] if any(row[:n])])
+    lattice = lattice_basis_from_generators([row[:n] for row in u[r:]])
     lead = {next(i for i, x in enumerate(row) if x): k for k, row in enumerate(h)}
     # per equation i: the terms (h[k][i], k) of the earlier unknowns, and
     # the pivot dividing y_k if i is the pivot column of row k, else 0
