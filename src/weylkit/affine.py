@@ -19,12 +19,14 @@ simple systems read off the walls of the dominant alcove.
 The core.  An integral Weyl group is given by a geometry form (a GramForm S,
 or a level kappa of any signature: anything with q and covector) and by its
 progressions, the integral levels n of each coroot direction.  Its walls are
-the slice hyperplanes {<x, alpha> = -n q(alpha)} with n integral, and
-everything is read off one count: separating_walls, the number of integral
-walls strictly between two slice points.  The length of g is the count
-between the base point x0 and g^{-1} x0, and a reflection is simple iff its
-length is 1 (Dyer, "Reflection subgroups of Coxeter systems", J. Algebra
-1990), so the simple system is the set of walls of the alcove of x0.
+the slice hyperplanes {<x, alpha> = -n q(alpha)} with n integral.  The
+length of g counts the integral walls between the base point x0 and
+g^{-1} x0 (separating_walls), and a reflection is simple iff its length is 1
+(Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 1990), so the
+simple system is the set of walls of the alcove of x0.  A simple r is a right
+descent of g iff its wall separates x0 and g^{-1} x0 (wall_separates): x0 is
+on no wall of any level, nor is its image under any extended affine element,
+as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.
 integral_system assembles the simple system, its Coxeter data and the
 stabilizer cosets; the character and level front-ends only supply the form,
 the progressions and the stabilizer congruences.  length_zero_group reads the
@@ -383,6 +385,13 @@ def _walls_between(rd: RootDatum, form, progressions, x, y):
         count = progression_count_in(p, lo, hi)
         if count:
             yield cv, progression_min_at_least(p, lo), count
+
+
+def wall_separates(form, ac: AffineCoroot, x, y) -> bool:
+    """Whether the wall {<v, alpha> = -n q(alpha)} of ac = (alpha, n) lies
+    strictly between the slice points x and y, neither of which is on it."""
+    offset = ac.n * form.q(ac.coroot)
+    return (dot(x, ac.coroot) + offset > 0) != (dot(y, ac.coroot) + offset > 0)
 
 
 def separating_walls(rd: RootDatum, form, progressions, x, y) -> int:

@@ -43,14 +43,15 @@ from weylkit.affine import (
     Progression,
     affine_coroot_reflection,
     connected_components,
-    element_length,
     gallery_walk,
     integral_system,
     length_zero_group,
     progression,
     progression_min_at_least,
     slice_act,
+    slice_act_inverse,
     stabilizer_cosets,
+    wall_separates,
     weyl_shift,
 )
 from weylkit.rootdata import (
@@ -470,7 +471,6 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     conjugation: one commuting involution per length-zero-stable orbit of
     finite-type components (trivial when every component is affine)."""
     sys = level_integral_weyl(rd, lvl, theta)
-    progs = dict(sys.progressions)
     refl = list(sys.simple_reflections(rd))
     omega, _ = length_zero_group(rd, lvl, sys)
     comp_of = {i: ci for ci, (idx, _) in enumerate(sys.components) for i in idx}
@@ -492,7 +492,7 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
         z = ExtendedWeylElement.unit(rd.rank)
         for ci in orbit:
             idx = sys.components[ci][0]
-            z = z * _longest_in_component(rd, lvl, progs, [refl[i] for i in idx])
+            z = z * _longest_in_component(rd, lvl, sys.base_point, [sys.simples[i] for i in idx])
         # z must normalize the simple system
         conj_set = {z * r * z.inverse() for r in refl}
         if conj_set != set(refl):
@@ -507,19 +507,15 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     return tuple(gens)
 
 
-def _longest_in_component(rd, lvl, progressions, reflections) -> ExtendedWeylElement:
-    """Longest element of a finite component: from the unit, ascend while
-    some generator s gives l(g s) > l(g).  The length is the integral
-    system's, which on a parabolic subgroup is its own length, and the only
-    element of a finite Coxeter group with no ascent is the longest one."""
-    g = ExtendedWeylElement.unit(rd.rank)
-    length = 0
-    while True:
-        for r in reflections:
-            h = g * r
-            h_length = element_length(h, rd, lvl, progressions)
-            if h_length > length:
-                g, length = h, h_length
-                break
-        else:
-            return g
+def _longest_in_component(rd, lvl, x0, simples) -> ExtendedWeylElement:
+    """Longest element of a finite component with simple walls simples: from
+    the unit, ascend g <- g r while the wall of some simple r does not
+    separate x0 and p = g^{-1} x0 (then l(g r) > l(g)), with p <- r p.  The
+    length is the integral system's, which on a parabolic subgroup is its
+    own, and the only element of a finite Coxeter group with no ascent is
+    the longest one."""
+    g, p = ExtendedWeylElement.unit(rd.rank), x0
+    while (ac := next((s for s in simples if not wall_separates(lvl, s, x0, p)), None)) is not None:
+        r = affine_coroot_reflection(rd, ac)
+        g, p = g * r, slice_act_inverse(r, lvl, p)  # r is its own inverse
+    return g

@@ -8,7 +8,8 @@ lying in a fixed character bimodule {chi} W~ {chi'}.  The normalization is
 so Bott-Samelson coefficients have nonnegative integer coefficients and the
 ungraded statements are recovered at v = 1.  Products with mismatched middle
 characters are zero.  Group-element equality is matrix equality, so the word
-problem is exact.
+problem is exact.  Descents are wall tests (affine.wall_separates), never
+length counts, and the T_m of a minimal m is clean: it shifts the support.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, extended_act_character
-from weylkit.integral import (
-    CharacterMismatch,
-    DescentStalled,
-    integral_length,
-    integral_simple_system,
-    is_minimal,
-    minimal_rep,
+from weylkit.affine import (
+    AffineCoroot,
+    CharacterPoint,
+    ExtendedWeylElement,
+    GramForm,
+    affine_coroot_reflection,
+    dominant_base_point,
+    extended_act_character,
+    slice_act_inverse,
+    wall_separates,
 )
+from weylkit.integral import CharacterMismatch, DescentStalled, integral_simple_system, is_minimal, minimal_rep
 from weylkit.rootdata import RootDatum
 
 
@@ -167,71 +171,53 @@ def zero_element(chi_left: CharacterPoint, chi_right: CharacterPoint) -> HeckeEl
 # multiplication
 
 
-def _mult_by_simple(
-    rd: RootDatum, form: GramForm, elt: HeckeElement, r: ExtendedWeylElement
-) -> HeckeElement:
-    """Right multiplication by T_r, r a simple integral reflection of the
-    right character (which it stabilizes)."""
-    chi = elt.right_char
+def _mult_by_simple(rd: RootDatum, form: GramForm, elt: HeckeElement, ac: AffineCoroot) -> HeckeElement:
+    """Right multiplication by T_r, r the reflection of a simple wall ac of
+    the right character: l(g r) < l(g) iff ac separates x0 and g^{-1} x0."""
+    r = affine_coroot_reflection(rd, ac)
+    x0 = dominant_base_point(rd, form)
     out: Dict[ExtendedWeylElement, LaurentPoly] = {}
-
-    def add(g, c):
-        if g in out:
-            out[g] = out[g] + c
-        else:
-            out[g] = c
-
     vdiff = V_INV - V
     for g, c in elt.support.items():
         gr = g * r
-        add(gr, c)
-        if integral_length(rd, form, chi, gr) < integral_length(rd, form, chi, g):
-            add(g, c * vdiff)
-    return HeckeElement(elt.left_char, chi, out)
+        out[gr] = out.get(gr, LaurentPoly.zero()) + c
+        if wall_separates(form, ac, x0, slice_act_inverse(g, form, x0)):
+            out[g] = out.get(g, LaurentPoly.zero()) + c * vdiff
+    return HeckeElement(elt.left_char, elt.right_char, out)
 
 
-def _left_descent_word(
-    rd: RootDatum, form: GramForm, chi: CharacterPoint, z: ExtendedWeylElement
-) -> List[ExtendedWeylElement]:
-    """Reduced word z = r_1 ... r_k over the simple reflections of S_chi."""
+def _times_minimal(elt: HeckeElement, m: ExtendedWeylElement, right_char: CharacterPoint) -> HeckeElement:
+    """Right multiplication by the clean T_m of a minimal m: a support shift."""
+    return HeckeElement(elt.left_char, right_char, {g * m: p for g, p in elt.support.items()})
+
+
+def _left_descent_word(rd: RootDatum, form: GramForm, chi: CharacterPoint, z: ExtendedWeylElement) -> List[AffineCoroot]:
+    """Reduced word z = r_1 ... r_k over the simple walls of S_chi, read from
+    the right: z <- z r and p <- r p while the wall of some simple r
+    separates x0 and p = z^{-1} x0.  The walk must end at e."""
     system = integral_simple_system(rd, form, chi)
-    refl = system.simple_reflections(rd)
-    word: List[ExtendedWeylElement] = []
-    start = z
-    length = integral_length(rd, form, chi, z)
-    while length:
-        for r in refl:
-            cand = r * z
-            lc = integral_length(rd, form, chi, cand)
-            if lc < length:
-                word.append(r)
-                z = cand
-                length = lc
-                break
-        else:
-            raise DescentStalled(f"no left descent of {z} (from {start}): not in the Coxeter part at {chi}")
+    x0 = system.base_point
+    start, p, word = z, slice_act_inverse(z, form, x0), []
+    while (ac := next((s for s in system.simples if wall_separates(form, s, x0, p)), None)) is not None:
+        r = affine_coroot_reflection(rd, ac)
+        z, p = z * r, slice_act_inverse(r, form, p)  # r is its own inverse
+        word.append(ac)
     if not z.is_identity():
         raise DescentStalled(f"{start} descends to the length-zero {z} != e: not in the Coxeter part at {chi}")
-    return word
+    return word[::-1]
 
 
 def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear product; mismatched middle characters give the zero element."""
-    if a.right_char != b.left_char:
-        return zero_element(a.left_char, b.right_char)
-    if a.is_zero() or b.is_zero():
-        return zero_element(a.left_char, b.right_char)
     out = zero_element(a.left_char, b.right_char)
+    if a.right_char != b.left_char:
+        return out
     for y, c in b.support.items():
         m = minimal_rep(rd, form, b.right_char, y)
-        z = y * m.inverse()
-        word = _left_descent_word(rd, form, b.left_char, z)
         elt = a.scale(c)
-        for r in word:
-            elt = _mult_by_simple(rd, form, elt, r)
-        # right multiplication by the clean T_m shifts the support by m
-        elt = HeckeElement(elt.left_char, b.right_char, {g * m: p for g, p in elt.support.items()})
-        out = out + elt
+        for ac in _left_descent_word(rd, form, b.left_char, y * m.inverse()):
+            elt = _mult_by_simple(rd, form, elt, ac)
+        out = out + _times_minimal(elt, m, b.right_char)
     return out
 
 
@@ -250,23 +236,25 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
     T-basis; returns (element, multiplicity table keyed by group element).
 
     Tokens are ("r", reflection) with the reflection simple for the current
-    right character, or ("omega", minimal element).
+    right character, or ("omega", minimal element).  An "r" letter is
+    elt b_r = elt T_r + v elt; an "omega" letter shifts the support.
     """
     elt = unit_element(rd, chi)
     cur = chi
     for kind, g in word:
         if kind == "r":
             system = integral_simple_system(rd, form, cur)
-            if g not in set(system.simple_reflections(rd)):
+            ac = dict(zip(system.simple_reflections(rd), system.simples)).get(g)
+            if ac is None:
                 raise CharacterMismatch("reflection is not simple for the running character")
-            elt = t_multiply(rd, form, elt, b_element(rd, form, cur, g))
+            elt = _mult_by_simple(rd, form, elt, ac) + elt.scale(V)
         elif kind == "omega":
             nxt = extended_act_character(g.inverse(), form, cur)
             if extended_act_character(g, form, nxt) != cur:
                 raise CharacterMismatch("omega token does not match the running character")
             if not is_minimal(rd, form, nxt, g):
                 raise CharacterMismatch("omega token is not a minimal element")
-            elt = t_multiply(rd, form, elt, t_element(rd, form, nxt, g))
+            elt = _times_minimal(elt, g, nxt)
             cur = nxt
         else:
             raise ValueError(f"unknown token kind {kind!r}")
@@ -281,15 +269,9 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
 # relation checking
 
 
-def check_relations(
-    rd: RootDatum,
-    form: GramForm,
-    chi: CharacterPoint,
-    omegas: Sequence[ExtendedWeylElement] = (),
-    braid_cap: int = 6,
-) -> dict:
-    """Verify quadratic, braid (finite order <= cap), and omega-conjugation
-    relations on the integral system of chi; returns a report of failures."""
+def check_relations(rd: RootDatum, form: GramForm, chi: CharacterPoint, omegas: Sequence[ExtendedWeylElement] = ()) -> dict:
+    """Verify quadratic, braid (every finite order, 2, 3, 4 or 6 here) and
+    omega-conjugation relations on the integral system of chi; a report."""
     system = integral_simple_system(rd, form, chi)
     refl = system.simple_reflections(rd)
     failures = []
@@ -307,9 +289,6 @@ def check_relations(
             m = system.coxeter[i][j]
             if m == "infinite":
                 skipped_infinite.append((i, j))
-                continue
-            if m > braid_cap:
-                failures.append(("braid order too large", (i, j, m)))
                 continue
             lhs = unit
             rhs = unit

@@ -35,6 +35,7 @@ from weylkit.affine import (
     progression,
     progression_contains,
     slice_act_inverse,
+    wall_separates,
 )
 from weylkit.rootdata import RootDatum
 
@@ -65,8 +66,8 @@ class NotInStabilizerOrbit(ValueError):
 
 
 class DescentStalled(RuntimeError):
-    """A length descent found no descent: the element named in the message
-    is not in the Coxeter part it was expected in."""
+    """A descent walk ended at a length-zero element other than e, named in
+    the message: it is not in the Coxeter part it was expected in."""
 
 
 def integral_progression(rd: RootDatum, form: GramForm, chi: CharacterPoint, coroot: Vec) -> Progression:
@@ -169,35 +170,34 @@ def conjugate_to_simple(
     rd: RootDatum, form: GramForm, chi: CharacterPoint, r: AffineCoroot
 ) -> ExtendedWeylElement:
     """Minimal u with u r u^{-1} simple in the ambient affine system and in
-    the integral system of u chi, by a length descent: a reflection of
-    ambient length 1 is simple (Dyer), and for any other one some ambient
-    simple s is a left descent, so that s r s has length l(r) - 2; the first
-    such s in the ambient order conjugates r, u and chi."""
-    ambient = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank)).simples
+    the integral system of u chi, by a descent on the reflection t of r: an
+    ambient simple s is a left descent of t iff its wall separates x0 and
+    t x0.  When the first such wall (in the ambient order) is t's own, t is
+    simple (Dyer); otherwise s != t, so s t s is a reflection of length
+    l(t) - 2, and s conjugates r, u and chi."""
+    ambient = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank))
+    x0 = ambient.base_point
     u = ExtendedWeylElement.unit(rd.rank)
     cur = r
     cur_chi = chi
-    length = element_length(affine_coroot_reflection(rd, cur), rd, form)
-    while length > 1:
-        for s in ambient:
-            t_refl = affine_coroot_reflection(rd, s)
-            img = act_affine_coroot(t_refl, rd, form, cur)
-            img_length = element_length(affine_coroot_reflection(rd, img), rd, form)
-            if img_length < length:
-                break
-        else:
-            raise DescentStalled(f"length descent from {r} stalled at {cur} of ambient length {length}")
+    while True:
+        t = affine_coroot_reflection(rd, cur)
+        tx0 = slice_act_inverse(t, form, x0)  # t is its own inverse
+        # a reflection has length >= 1, so some wall of the alcove of x0 separates
+        s = next(s for s in ambient.simples if wall_separates(form, s, x0, tx0))
+        s_refl = affine_coroot_reflection(rd, s)
+        if s_refl == t:
+            break
         # the conjugating ambient simple cannot be integral, else r would
         # not have been simple in the integral system
         if progression_contains(integral_progression(rd, form, cur_chi, s.coroot), s.n):
             raise NotInStabilizerOrbit(f"descent from {r} crosses the integral wall {s}; {r} is not simple")
-        u = t_refl * u
-        cur = img
-        cur_chi = extended_act_character(t_refl, form, cur_chi)
-        length = img_length
+        u = s_refl * u
+        cur = act_affine_coroot(s_refl, rd, form, cur)
+        cur_chi = extended_act_character(s_refl, form, cur_chi)
     if not is_minimal(rd, form, chi, u):
         raise NotInStabilizerOrbit(f"conjugator {u} of {r} is not minimal")
-    if u * affine_coroot_reflection(rd, r) * u.inverse() != affine_coroot_reflection(rd, cur):
+    if u * affine_coroot_reflection(rd, r) * u.inverse() != t:
         raise NotInStabilizerOrbit(f"conjugator {u} does not send the reflection of {r} to that of {cur}")
     if cur not in integral_simple_system(rd, form, cur_chi).simples:
         raise NotInStabilizerOrbit(f"conjugate {cur} of {r} is not simple in the new integral system")

@@ -34,7 +34,6 @@ from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, _shift
 from weylkit.integral import integral_progressions, weyl_stabilizer
 from weylkit.rootdata import (
     RootDatum,
-    group_closure,
     langlands_dual,
     validate_root_datum,
     weyl_elements,
@@ -139,10 +138,6 @@ def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> Endoscopic
 # rational translations; ExtendedWeylElement's group law matches this action.
 
 
-def _finite_integral_directions(rd, progs) -> Tuple[Vec, ...]:
-    return tuple(cv for cv in rd.coroots if progs[tuple(cv)] is not None)
-
-
 def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> dict:
     """Conjugate the bullet integral group by tau^mu and compare with the
     endoscopic side; also report whether bullet = full on each side."""
@@ -151,7 +146,7 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
         raise NoCommonFrame("character has the wrong rank")
     endo = endoscopic_root_datum(rd, form, chi.central)
     progs = integral_progressions(rd, form, chi)
-    directions = _finite_integral_directions(rd, progs)
+    directions = tuple(cv for cv in rd.coroots if progs[cv] is not None)
     simples = tuple(sorted(_indecomposable(cv for cv in directions if rd.is_positive_coroot(cv))))
 
     # per simple integral direction: (alpha, i_alpha the minimal nonnegative
@@ -183,8 +178,9 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
             h_integral.append(tuple(cv))
     dir_match = set(map(tuple, directions)) == set(h_integral)
 
-    # bullet = full tests via the reflection-generation criterion
-    g_side_full = _bullet_is_full(rd, form, chi, stab, directions)
+    # bullet = full iff the integral reflections generate the admitting Weyl
+    # parts, which contain and permute them
+    g_side_full = _reflections_generate(rd, [w for w, coset in stab.items() if coset is not None], directions)
     h_side_full = _h_reflection_criterion(rd, endo, chi)
 
     return {
@@ -215,21 +211,23 @@ def _termwise_conjugation(rd: RootDatum, mu, families) -> bool:
     return termwise
 
 
-def _bullet_is_full(rd, form, chi, stab, directions) -> bool:
-    """W~_chi equals its bullet subgroup iff every admitting finite Weyl part
-    lies in the subgroup generated by the integral reflection directions."""
-    generated = group_closure([rd.reflection(rd.coroots.index(cv)) for cv in directions], rd.rank)
-    admitting = {w for w, coset in stab.items() if coset is not None}
-    return admitting <= set(generated)
+def _reflections_generate(rd: RootDatum, group, directions) -> bool:
+    """Whether the reflections of the coroots D = directions generate the
+    finite group, which contains them and permutes D: group = W_D x| Stab(D+)
+    for D+ the positive members of D, as W_D acts simply transitively on the
+    positive systems of D, so they generate it iff only e keeps D+ positive."""
+    positive = [cv for cv in directions if rd.is_positive_coroot(cv)]
+    ident = identity(rd.rank)
+    return all(w == ident or not all(rd.is_positive_coroot(mat_vec(w, cv)) for cv in positive) for w in group)
 
 
 def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterPoint) -> bool:
     """Remark criterion: the stabilizer of chi_f in W(H) is generated by the
-    reflections it contains."""
+    reflections it contains, whose coroots it permutes."""
     rd_h = endo.rd_h
     theta = tuple(chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis)
     (tn,), d = _over_common_denominator(theta)
     group = weyl_elements(rd_h)
     stabilizing = {w for w in group if not any(x % d for x in _shift_numerators(group.inverse[w], tn, tn))}
-    refl_in_stab = [m for m in map(rd_h.reflection, range(len(rd_h.roots))) if m in stabilizing]
-    return stabilizing == set(group_closure(refl_in_stab, rd_h.rank))
+    directions = [cv for i, cv in enumerate(rd_h.coroots) if rd_h.reflection(i) in stabilizing]
+    return _reflections_generate(rd_h, stabilizing, directions)

@@ -39,6 +39,7 @@ from weylkit.affine import (
     slice_act_inverse,
     stabilizer_cosets,
     trivial_progressions,
+    wall_separates,
     weyl_shift,
 )
 from weylkit import duality
@@ -419,6 +420,49 @@ def test_integer_slice_kernel_against_fraction_formulas():
                     got = weyl_shift(group.inverse[w], right, left)
                     assert got == _fraction_weyl_shift(w, right, left) and all(type(v) is Fraction for v in got)
     assert on_wall >= 100 and negative_q >= 16, (on_wall, negative_q)
+
+
+def _levels_in(p, lo, hi):
+    """The levels of the progression p in [lo, hi]."""
+    if p is None:
+        return []
+    i, d = p
+    return [i] if d == 0 and lo <= i <= hi else [n for n in range(lo, hi + 1) if d and (n - i) % d == 0]
+
+
+def test_wall_separates_against_walls_between():
+    # the sign test against the walls _walls_between lists, on the kernel
+    # forms (trivial and character progressions, levels of both signs, one
+    # with a flagged component), for both coroots of each pair and every
+    # integral level in a window; the points are images of the base point,
+    # which lie on no wall, and seeded points, skipped on the walls they meet
+    rng = random.Random(2507200)
+    outcomes = {True: 0, False: 0}
+    for name, param in KERNEL_PRESETS:
+        rd = preset(name, param)
+        group = weyl_elements(rd)
+        for form, progs in _kernel_forms(rd, rng):
+            x0 = dominant_base_point(rd, form)
+            images = [x0] + [
+                slice_act_inverse(ExtendedWeylElement(tuple(rng.randint(-1, 1) for _ in range(rd.rank)), rng.choice(group)), form, x0)
+                for _ in range(2)
+            ]
+            seeded = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rd.rank))
+            for x, y in ((x0, images[1]), (images[1], images[2]), (x0, seeded), (seeded, images[2])):
+                between = set()
+                for cv, first, count in _walls_between(rd, form, progs, x, y):
+                    step = progs[cv][1]
+                    between |= {(cv, first + k * step) for k in range(count)}
+                    between |= {(tuple(-v for v in cv), -(first + k * step)) for k in range(count)}
+                for cv in rd.coroots:
+                    q = form.q(cv)
+                    for n in _levels_in(progs[cv], -6, 6):
+                        if dot(x, cv) + n * q == 0 or dot(y, cv) + n * q == 0:
+                            continue
+                        got = wall_separates(form, AffineCoroot(cv, n), x, y)
+                        assert got == ((cv, n) in between), (name, form, cv, n, x, y)
+                        outcomes[got] += 1
+    assert outcomes[True] >= 800 and outcomes[False] >= 8000, outcomes
 
 
 def _congruence_holds(rows, exact_rows, lam, shift):

@@ -459,8 +459,9 @@ def test_longest_in_component_against_cayley_bfs(monkeypatch):
     ascend = duality._longest_in_component
     met = []
 
-    def checked(rd, lvl, progressions, reflections):
-        longest = ascend(rd, lvl, progressions, reflections)
+    def checked(rd, lvl, x0, simples):
+        longest = ascend(rd, lvl, x0, simples)
+        reflections = [affine_coroot_reflection(rd, ac) for ac in simples]
         assert _cayley_farthest(rd, reflections) == [longest], (rd.name, lvl, reflections)
         met.append(len(reflections))
         return longest

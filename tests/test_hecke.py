@@ -1,17 +1,22 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
+from weylkit import hecke
 from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
+    NotPositiveDefinite,
     affine_coroot_reflection,
     character_from_config,
+    extended_act_character,
     gram_from_matrix,
     gram_from_weights,
     length_zero_group,
 )
+from weylkit.exact import QmodZ
 from weylkit.hecke import (
     ONE,
     V,
@@ -19,6 +24,7 @@ from weylkit.hecke import (
     HeckeElement,
     LaurentPoly,
     _left_descent_word,
+    _mult_by_simple,
     b_element,
     bott_samelson_product,
     check_relations,
@@ -27,8 +33,8 @@ from weylkit.hecke import (
     unit_element,
     zero_element,
 )
-from weylkit.integral import DescentStalled, integral_simple_system
-from weylkit.rootdata import preset
+from weylkit.integral import DescentStalled, integral_length, integral_simple_system, minimal_rep
+from weylkit.rootdata import preset, weyl_elements
 
 
 def sl2_half():
@@ -251,3 +257,116 @@ def test_descent_word_names_a_length_zero_element_outside_the_coxeter_part():
     assert len(omega) == 1
     with pytest.raises(DescentStalled, match=re.escape(str(omega[0]))):
         _left_descent_word(rd, form, chi, omega[0])
+
+
+def test_check_relations_checks_the_g2_braid_of_order_six(monkeypatch):
+    # affine G2 at the trivial character: every pair has a finite order, and
+    # the order-6 braid relation is checked (twelve products), not skipped
+    rd = preset("G2", 2)
+    form = gram_from_weights(rd, rd.roots)
+    chi = CharacterPoint.trivial(2)
+    system = integral_simple_system(rd, form, chi)
+    assert sorted(system.coxeter[i][j] for i in range(3) for j in range(i + 1, 3)) == [2, 3, 6]
+    calls = []
+    original = hecke.t_multiply
+    monkeypatch.setattr(hecke, "t_multiply", lambda *args: calls.append(args) or original(*args))
+    assert check_relations(rd, form, chi) == {"failures": [], "infinite_pairs": [], "ok": True}
+    assert len(calls) == 3 + 2 * (2 + 3 + 6)
+
+
+# ---------------------------------------------------------------------------
+# the wall-test descents against length counts and the t_multiply route
+
+RANK_AT_MOST_TWO = [("SL", 2), ("SL", 3), ("PGL", 2), ("PGL", 3), ("GL", 2), ("Sp", 2), ("Sp", 4), ("PSp", 4),
+                    ("SO_odd", 5), ("Spin_odd", 5), ("SO_even", 4), ("G2", 2)]
+
+
+def _even_form(rd):
+    try:
+        return gram_from_weights(rd, rd.roots)
+    except NotPositiveDefinite:  # GL: the roots do not span
+        return gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+
+
+def _seeded_characters(rng):
+    """(rd, form, chi) on every rank <= 2 preset at c in {0, 1/2, 1/3}, with
+    the finite part zero or seeded in sixths."""
+    for name, n in RANK_AT_MOST_TWO:
+        rd = preset(name, n)
+        form = _even_form(rd)
+        for c in ("0", "1/2", "1/3"):
+            for finite in ((QmodZ(0, 1),) * rd.rank, tuple(QmodZ(rng.randrange(6), 6) for _ in range(rd.rank))):
+                yield rd, form, CharacterPoint(QmodZ.parse(c), finite)
+
+
+def _random_element(rng, rd):
+    return ExtendedWeylElement(tuple(rng.randint(-1, 1) for _ in range(rd.rank)), rng.choice(weyl_elements(rd)))
+
+
+def _seeded_word(rng, rd, form, chi, length):
+    """Simple reflections of the running character and omega tokens: the
+    minimal representative m of a random x at x^{-1} cur, which moves the
+    running character to m^{-1} cur."""
+    word, cur = [], chi
+    for _ in range(length):
+        refl = integral_simple_system(rd, form, cur).simple_reflections(rd)
+        if refl and rng.random() < 0.75:
+            word.append(("r", rng.choice(refl)))
+            continue
+        x = _random_element(rng, rd)
+        cur = extended_act_character(x.inverse(), form, cur)
+        word.append(("omega", minimal_rep(rd, form, cur, x)))
+    return word
+
+
+def _t_multiply_route(rd, form, chi, word):
+    """The word multiplied out with t_multiply: b_r for "r", T_m for "omega"."""
+    elt, cur = unit_element(rd, chi), chi
+    for kind, g in word:
+        if kind == "r":
+            elt = t_multiply(rd, form, elt, b_element(rd, form, cur, g))
+        else:
+            cur = extended_act_character(g.inverse(), form, cur)
+            elt = t_multiply(rd, form, elt, t_element(rd, form, cur, g))
+    return elt
+
+
+def test_bott_samelson_product_against_the_t_multiply_route():
+    rng = random.Random(2507202)
+    tokens = Counter()
+    for rd, form, chi in _seeded_characters(rng):
+        for _ in range(2):
+            word = _seeded_word(rng, rd, form, chi, rng.randint(1, 6))
+            elt, table = bott_samelson_product(rd, form, chi, word)
+            assert elt == _t_multiply_route(rd, form, chi, word) and table == elt.support, (rd.name, chi, word)
+            tokens.update(kind for kind, _ in word)
+    assert tokens["r"] >= 200 and tokens["omega"] >= 150, tokens
+
+
+def test_descents_against_integral_length():
+    # _left_descent_word on products of simple reflections: integral_length(z)
+    # simple letters whose product is z; _mult_by_simple on x z (x a random
+    # ambient element) against the descent read off two length counts
+    rng = random.Random(2507203)
+    descents = Counter()
+    for rd, form, chi in _seeded_characters(rng):
+        system = integral_simple_system(rd, form, chi)
+        refl = system.simple_reflections(rd)
+        for _ in range(3):
+            z = ExtendedWeylElement.unit(rd.rank)
+            for _ in range(rng.randint(0, 8) if refl else 0):
+                z = z * rng.choice(refl)
+            word = _left_descent_word(rd, form, chi, z)
+            assert len(word) == integral_length(rd, form, chi, z) and set(word) <= set(system.simples), (rd.name, chi, z)
+            product = ExtendedWeylElement.unit(rd.rank)
+            for ac in word:
+                product = product * affine_coroot_reflection(rd, ac)
+            assert product == z, (rd.name, chi, z, word)
+            g = _random_element(rng, rd) * z
+            for ac, r in zip(system.simples, refl):
+                descent = integral_length(rd, form, chi, g * r) < integral_length(rd, form, chi, g)
+                expected = {g * r: ONE, g: V_INV - V} if descent else {g * r: ONE}
+                got = _mult_by_simple(rd, form, HeckeElement(extended_act_character(g, form, chi), chi, {g: ONE}), ac)
+                assert got.support == expected, (rd.name, chi, g, ac)
+                descents[descent] += 1
+    assert descents[True] >= 150 and descents[False] >= 150, descents

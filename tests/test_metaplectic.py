@@ -13,7 +13,7 @@ from weylkit.affine import (
     gram_from_matrix,
     gram_from_weights,
 )
-from weylkit.integral import integral_progression
+from weylkit.integral import integral_progression, integral_progressions, weyl_stabilizer
 from weylkit.metaplectic import (
     ValidationFailed,
     bullet_weyl_compare,
@@ -21,7 +21,7 @@ from weylkit.metaplectic import (
     endoscopic_root_datum,
     rescale_factor,
 )
-from weylkit.rootdata import is_isomorphic, langlands_dual, preset, validate_root_datum
+from weylkit.rootdata import group_closure, is_isomorphic, langlands_dual, preset, validate_root_datum, weyl_elements
 
 
 def sp_form(n):
@@ -257,3 +257,51 @@ def test_rescale_factor_against_central_progressions():
             for cv in rd.coroots:
                 p = integral_progression(rd, form, chi, cv)
                 assert p[0] == 0 and rescale_factor(rd, form, c, cv) == (p[1] or 1), (name, c, cv)
+
+
+def _closure_bullet_is_full(rd, stab, directions):
+    """The admitting Weyl parts inside the enumerated group of the integral
+    reflections: the reference for the bullet-is-full flag."""
+    generated = group_closure([rd.reflection(rd.coroots.index(cv)) for cv in directions], rd.rank)
+    return {w for w, coset in stab.items() if coset is not None} <= set(generated)
+
+
+def _closure_h_criterion(endo, chi):
+    """The stabilizer of theta in W(H), in Fractions, against the enumerated
+    group of the reflections it contains: the reference for the H flag."""
+    rd_h = endo.rd_h
+    theta = [chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis]
+    n = rd_h.rank
+    group = weyl_elements(rd_h)
+    stabilizing = {
+        w for w in group
+        if all((sum(theta[j] * group.inverse[w][j][i] for j in range(n)) - theta[i]).denominator == 1 for i in range(n))
+    }
+    reflections = [m for m in map(rd_h.reflection, range(len(rd_h.roots))) if m in stabilizing]
+    return stabilizing == set(group_closure(reflections, n))
+
+
+def test_bullet_criteria_against_group_closure():
+    # both bullet-is-full flags against the enumerated reflection subgroups
+    # they replaced, on every rank <= 2 preset and SL4 and Sp6, at six central
+    # values, with one seeded finite part per denominator 1..12
+    rng = random.Random(2507201)
+    negatives, cases = {"g": 0, "h": 0}, 0
+    for name, n in RANK_AT_MOST_TWO + [("SL", 4), ("Sp", 6)]:
+        rd = preset(name, n)
+        form = _even_form(rd)
+        for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(2, 3)):
+            for d in range(1, 13):
+                chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randrange(d), d) for _ in range(rd.rank)))
+                report = bullet_weyl_compare(rd, form, chi)
+                stab, _ = weyl_stabilizer(rd, form, chi)
+                progs = integral_progressions(rd, form, chi)
+                directions = [cv for cv in rd.coroots if progs[cv] is not None]
+                g_full = _closure_bullet_is_full(rd, stab, directions)
+                h_full = _closure_h_criterion(report["endoscopic"], chi)
+                assert report["g_bullet_is_full"] == g_full, (name, chi)
+                assert report["h_bullet_is_full"] == h_full, (name, chi)
+                negatives["g"] += not g_full
+                negatives["h"] += not h_full
+                cases += 1
+    assert cases == 1008 and 60 <= negatives["g"] < cases and 15 <= negatives["h"] < cases, (cases, negatives)
