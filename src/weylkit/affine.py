@@ -27,11 +27,12 @@ simple system is the set of walls of the alcove of x0.  A simple r is a right
 descent of g iff its wall separates x0 and g^{-1} x0 (wall_separates): x0 is
 on no wall of any level, nor is its image under any extended affine element,
 as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.
-integral_system assembles the simple system, its Coxeter data and the
-stabilizer cosets; the character and level front-ends only supply the form,
-the progressions and the stabilizer congruences.  length_zero_group reads the
-length-zero group Omega off an integral system, for every front; the ambient
-extended affine Weyl group is the integral system of the trivial character.
+One builder, duality.integral_system, assembles an IntegralSystem from the
+simple system, its Coxeter data and the stabilizer cosets here; a character
+is the level c~ S there, so both front-ends reach it.  A system carries the
+geometry it was built with, and length_zero_group and gallery_walk read
+their form, progressions and base point off it; the ambient extended affine
+Weyl group is the integral system of the trivial character.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class OddOnCoroot(ValueError):
     pass
 
 
+class NotIntegral(ValueError):
+    pass
+
+
 class NoDominantCovector(RuntimeError):
     pass
 
@@ -121,9 +126,20 @@ def gram_from_weights(rd: RootDatum, weights: Sequence[Vec]) -> GramForm:
 
 
 def gram_from_matrix(rd: RootDatum, matrix) -> GramForm:
+    check_square(matrix, rd.rank, ValueError)
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if Fraction(x).denominator != 1:
+                raise NotIntegral(f"form entry {x!r} at ({i}, {j}) is not an integer")
     form = GramForm(tuple(tuple(int(x) for x in row) for row in matrix))
     _validate_gram(rd, form)
     return form
+
+
+def check_square(matrix, n: int, error):
+    """Raise error, naming the shape, unless matrix is n x n."""
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise error(f"{len(matrix)} rows of lengths {[len(row) for row in matrix]} are not {n} x {n}, the rank")
 
 
 def _validate_gram(rd: RootDatum, form: GramForm):
@@ -399,17 +415,17 @@ def separating_walls(rd: RootDatum, form, progressions, x, y) -> int:
     return sum(count for _, _, count in _walls_between(rd, form, progressions, x, y))
 
 
-def gallery_walk(rd: RootDatum, form, progressions, p, target):
-    """Walk the slice point p into the alcove of target.  Reflecting in any
-    integral wall between them lowers the number of separating walls (the
-    reflection is an inversion), so the walk ends.  Returns the reflections
-    taken, in order, and the end point."""
-    steps = []
-    wall = next(_walls_between(rd, form, progressions, p, target), None)
+def gallery_walk(rd: RootDatum, system: IntegralSystem, p):
+    """Walk the slice point p into the base alcove of system.  Reflecting in
+    any integral wall between p and the base point lowers the number of
+    separating walls (the reflection is an inversion), so the walk ends.
+    Returns the reflections taken, in order, and the end point."""
+    form, progressions, x0, steps = system.form, dict(system.progressions), system.base_point, []
+    wall = next(_walls_between(rd, form, progressions, p, x0), None)
     while wall is not None:
         steps.append(affine_coroot_reflection(rd, AffineCoroot(wall[0], wall[1])))
         p = slice_act_inverse(steps[-1], form, p)  # a reflection is its own inverse
-        wall = next(_walls_between(rd, form, progressions, p, target), None)
+        wall = next(_walls_between(rd, form, progressions, p, x0), None)
     return tuple(steps), p
 
 
@@ -556,6 +572,7 @@ def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
 
 @dataclass(frozen=True)
 class IntegralSystem:
+    form: object  # the geometry: a GramForm S or a level
     progressions: Tuple[Tuple[Vec, Progression], ...]
     simples: Tuple[AffineCoroot, ...]
     coxeter: Tuple[Tuple[object, ...], ...]
@@ -568,24 +585,7 @@ class IntegralSystem:
         return tuple(affine_coroot_reflection(rd, ac) for ac in self.simples)
 
 
-def integral_system(rd: RootDatum, form, progressions, rows, theta, exact_rows=()) -> IntegralSystem:
-    """The integral Weyl group of the geometry form and the progressions; its
-    stabilizer solves rows lam = w(theta) - theta (mod 1), exact_rows lam = 0."""
-    simples = simple_system_from_progressions(rd, form, progressions)
-    matrix, components = coxeter_system(rd, simples)
-    stab, lattice = stabilizer_cosets(rd, rows, theta, theta, exact_rows)
-    return IntegralSystem(
-        tuple(sorted(progressions.items())),
-        simples,
-        matrix,
-        components,
-        tuple(sorted(stab.items())),
-        lattice,
-        dominant_base_point(rd, form),
-    )
-
-
-def length_zero_group(rd: RootDatum, form, system: IntegralSystem):
+def length_zero_group(rd: RootDatum, system: IntegralSystem):
     """Omega, the length-zero part of the integral group of system: the
     elements t^lam w of its stabilizer (lam in the coset of w) that fix the
     alcove of its base point, as representatives (one per admissible w) and
@@ -602,7 +602,7 @@ def length_zero_group(rd: RootDatum, form, system: IntegralSystem):
     decides the target facet of each facet, and lam solves one exact linear
     system on the coset.
     """
-    facets = {}
+    form, facets = system.form, {}
     for ac in system.simples:
         offset = -ac.n * form.q(ac.coroot)
         sign = 1 if dot(system.base_point, ac.coroot) > offset else -1

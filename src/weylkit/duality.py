@@ -1,5 +1,5 @@
-"""The level front-end of the integral-Weyl-group core, and quantum-Langlands
-level duality: the iota conjugation (verified exactly on generators of both
+"""The front-end of the integral-Weyl-group core, and quantum-Langlands level
+duality: the iota conjugation (verified exactly on generators of both
 integral groups, both ways, by one integer test per generator), alcove
 matching, the finite-longest group, and the parahoric bijection.
 
@@ -7,12 +7,14 @@ Slice picture: a point of the level-one slice is a rational covector x on the
 cocharacter lattice; t^lam w sends x to x o w^{-1} - kappa(lam, -).  The wall
 of the integral reflection t^{n a} s_a is {x : <x, a> = -n kappa(a,a)/2}, and
 the admissible n per direction form an arithmetic progression determined by
-theta.  A level is a geometry form for affine.integral_system like a weight
-form, of any signature; it supplies these progressions and the stabilizer
-congruences kappa(lam, -) = w(theta) - theta (mod 1).  Group elements are
-integer; only slice points, levels and theta are rational.  An "irrational"
-flag on a component forces the level-zero-only progression there, and adds
-exact rows that pin lam's projection onto that component to 0.
+theta.  A level kappa, of any signature, supplies these progressions and the
+stabilizer congruences kappa(lam, -) = w(theta) - theta (mod 1) to
+integral_system, the one builder of integral systems, for both front-ends: a
+level is its own geometry, and a character c is the level c~ S on the
+geometry S (integral.integral_simple_system).  Group elements are integer;
+only slice points, levels and theta are rational.  An "irrational" flag on a
+component forces the level-zero-only progression there, and adds exact rows
+that pin lam's projection onto that component to 0.
 """
 
 from __future__ import annotations
@@ -42,12 +44,15 @@ from weylkit.affine import (
     IntegralSystem,
     Progression,
     affine_coroot_reflection,
+    check_square,
     connected_components,
+    coxeter_system,
+    dominant_base_point,
     gallery_walk,
-    integral_system,
     length_zero_group,
     progression,
     progression_min_at_least,
+    simple_system_from_progressions,
     slice_act,
     slice_act_inverse,
     stabilizer_cosets,
@@ -90,13 +95,15 @@ class Level:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.gram, self.irrational)))
+        object.__setattr__(self, "_numerators", _over_common_denominator(*self.gram))  # (K, e), kappa = K / e
 
     def __hash__(self):  # levels key caches: hash the Fraction gram once
         return self._hash
 
-    @lru_cache(maxsize=None)  # once per level and coroot
+    @lru_cache(maxsize=None)  # once per level and coroot, on integers
     def q(self, coroot: Vec) -> Fraction:
-        return Fraction(dot(mat_vec(self.gram, coroot), coroot), 2)
+        k, e = self._numerators
+        return Fraction(dot(mat_vec(k, coroot), coroot), 2 * e)
 
     def covector(self, v) -> Tuple[Fraction, ...]:
         """kappa(v, -) as a value tuple on the cocharacter basis."""
@@ -113,6 +120,7 @@ def level_from_config(rd: RootDatum, gram, irrational=()) -> Level:
 def validate_level(rd: RootDatum, lvl: Level):
     n = rd.rank
     g = lvl.gram
+    check_square(g, n, Degenerate)
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
         raise Degenerate("level must be symmetric")
     if det(g) == 0:
@@ -177,7 +185,8 @@ def _dual_side(rd: RootDatum, lvl: Level, theta):
 
 def level_progression(rd: RootDatum, lvl: Level, theta, coroot: Vec) -> Progression:
     """{n : <theta, alpha> + n kappa(alpha,alpha)/2 in Z} as a progression."""
-    tval = dot(tuple(Fraction(t) for t in theta), coroot)
+    (tn,), d = _over_common_denominator(theta)
+    tval = Fraction(dot(tn, coroot), d)
     if component_of_coroot(rd, coroot) in lvl.irrational:
         return (0, 0) if tval.denominator == 1 else None
     return progression(lvl.q(coroot), tval)
@@ -212,8 +221,20 @@ def level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> IntegralSystem:
 
 @lru_cache(maxsize=None)
 def _level_integral_weyl(rd: RootDatum, lvl: Level, theta) -> IntegralSystem:
+    return integral_system(rd, lvl, lvl, theta)
+
+
+def integral_system(rd: RootDatum, form, lvl: Level, theta) -> IntegralSystem:
+    """The integral Weyl group at the level and theta, a tuple of Fractions:
+    its progressions and stabilizer cosets, with the walls, base point and
+    Coxeter data of the geometry form, which the system carries."""
+    progressions = level_progressions(rd, lvl, theta)
+    simples = simple_system_from_progressions(rd, form, progressions)
+    matrix, components = coxeter_system(rd, simples)
     rows, exact_rows = _stabilizer_rows(rd, lvl)
-    return integral_system(rd, lvl, level_progressions(rd, lvl, theta), rows, theta, exact_rows)
+    stab, lattice = stabilizer_cosets(rd, rows, theta, theta, exact_rows)
+    progressions, stab = tuple(sorted(progressions.items())), tuple(sorted(stab.items()))
+    return IntegralSystem(form, progressions, simples, matrix, components, stab, lattice, dominant_base_point(rd, form))
 
 
 def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -> bool:
@@ -345,8 +366,8 @@ def _conjugation_test(iota: AffineMap, lvl: Level, lvl_dual: Level):
     denominator d for L and c, kappa = K/e and kappa' = K'/f, both are integer
     identities: L_n a = b L_n and e f (c_n - b c_n) - f L_n K lam + d e K' mu = 0."""
     (*ln, cn), d = _over_common_denominator(*iota.linear, iota.offset)
-    k, e = _over_common_denominator(*lvl.gram)
-    k_dual, f = _over_common_denominator(*lvl_dual.gram)
+    k, e = lvl._numerators
+    k_dual, f = lvl_dual._numerators
     lk = mat_mul(ln, k)
 
     def conjugates(a, lam, b, mu) -> bool:
@@ -392,7 +413,7 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
 
     start = iota(g_sys.base_point)
-    steps, p = gallery_walk(rd_dual, lvl_dual_neg, dict(h_sys.progressions), start, h_sys.base_point)
+    steps, p = gallery_walk(rd_dual, h_sys, start)
     y = ExtendedWeylElement.unit(rd.rank)
     for r in steps:
         y = r * y
@@ -422,8 +443,8 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
 
     # length-zero groups correspond: representatives, paired by Weyl part up
     # to the translation lattices, and the lattices themselves
-    g_omega, g_lattice = length_zero_group(rd, lvl, g_sys)
-    h_omega, h_lattice = length_zero_group(rd_dual, lvl_dual_neg, h_sys)
+    g_omega, g_lattice = length_zero_group(rd, g_sys)
+    h_omega, h_lattice = length_zero_group(rd_dual, h_sys)
     h_by_weyl = {o.w: o for o in h_omega}
     pairs = []
     for o in g_omega:
@@ -472,7 +493,7 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     finite-type components (trivial when every component is affine)."""
     sys = level_integral_weyl(rd, lvl, theta)
     refl = list(sys.simple_reflections(rd))
-    omega, _ = length_zero_group(rd, lvl, sys)
+    omega, _ = length_zero_group(rd, sys)
     comp_of = {i: ci for ci, (idx, _) in enumerate(sys.components) for i in idx}
     # components linked when a length-zero element conjugates a simple
     # reflection of one to a simple reflection of the other
@@ -492,7 +513,7 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
         z = ExtendedWeylElement.unit(rd.rank)
         for ci in orbit:
             idx = sys.components[ci][0]
-            z = z * _longest_in_component(rd, lvl, sys.base_point, [sys.simples[i] for i in idx])
+            z = z * _longest_in_component(rd, sys, [sys.simples[i] for i in idx])
         # z must normalize the simple system
         conj_set = {z * r * z.inverse() for r in refl}
         if conj_set != set(refl):
@@ -507,15 +528,16 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
     return tuple(gens)
 
 
-def _longest_in_component(rd, lvl, x0, simples) -> ExtendedWeylElement:
-    """Longest element of a finite component with simple walls simples: from
-    the unit, ascend g <- g r while the wall of some simple r does not
-    separate x0 and p = g^{-1} x0 (then l(g r) > l(g)), with p <- r p.  The
-    length is the integral system's, which on a parabolic subgroup is its
-    own, and the only element of a finite Coxeter group with no ascent is
-    the longest one."""
+def _longest_in_component(rd, system, simples) -> ExtendedWeylElement:
+    """Longest element of a finite component of system with simple walls
+    simples: from the unit, ascend g <- g r while the wall of some simple r
+    does not separate the base point x0 and p = g^{-1} x0 (then l(g r) >
+    l(g)), with p <- r p.  The length is the integral system's, which on a
+    parabolic subgroup is its own, and the only element of a finite Coxeter
+    group with no ascent is the longest one."""
+    form, x0 = system.form, system.base_point
     g, p = ExtendedWeylElement.unit(rd.rank), x0
-    while (ac := next((s for s in simples if not wall_separates(lvl, s, x0, p)), None)) is not None:
+    while (ac := next((s for s in simples if not wall_separates(form, s, x0, p)), None)) is not None:
         r = affine_coroot_reflection(rd, ac)
-        g, p = g * r, slice_act_inverse(r, lvl, p)  # r is its own inverse
+        g, p = g * r, slice_act_inverse(r, form, p)  # r is its own inverse
     return g

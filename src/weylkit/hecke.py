@@ -22,8 +22,8 @@ from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
     GramForm,
+    IntegralSystem,
     affine_coroot_reflection,
-    dominant_base_point,
     extended_act_character,
     slice_act_inverse,
     wall_separates,
@@ -171,11 +171,11 @@ def zero_element(chi_left: CharacterPoint, chi_right: CharacterPoint) -> HeckeEl
 # multiplication
 
 
-def _mult_by_simple(rd: RootDatum, form: GramForm, elt: HeckeElement, ac: AffineCoroot) -> HeckeElement:
+def _mult_by_simple(rd: RootDatum, system: IntegralSystem, elt: HeckeElement, ac: AffineCoroot) -> HeckeElement:
     """Right multiplication by T_r, r the reflection of a simple wall ac of
-    the right character: l(g r) < l(g) iff ac separates x0 and g^{-1} x0."""
+    system: l(g r) < l(g) iff ac separates x0 and g^{-1} x0."""
     r = affine_coroot_reflection(rd, ac)
-    x0 = dominant_base_point(rd, form)
+    form, x0 = system.form, system.base_point
     out: Dict[ExtendedWeylElement, LaurentPoly] = {}
     vdiff = V_INV - V
     for g, c in elt.support.items():
@@ -191,19 +191,18 @@ def _times_minimal(elt: HeckeElement, m: ExtendedWeylElement, right_char: Charac
     return HeckeElement(elt.left_char, right_char, {g * m: p for g, p in elt.support.items()})
 
 
-def _left_descent_word(rd: RootDatum, form: GramForm, chi: CharacterPoint, z: ExtendedWeylElement) -> List[AffineCoroot]:
-    """Reduced word z = r_1 ... r_k over the simple walls of S_chi, read from
-    the right: z <- z r and p <- r p while the wall of some simple r
+def _left_descent_word(rd: RootDatum, system: IntegralSystem, z: ExtendedWeylElement) -> List[AffineCoroot]:
+    """Reduced word z = r_1 ... r_k over the simple walls of system, read
+    from the right: z <- z r and p <- r p while the wall of some simple r
     separates x0 and p = z^{-1} x0.  The walk must end at e."""
-    system = integral_simple_system(rd, form, chi)
-    x0 = system.base_point
+    form, x0 = system.form, system.base_point
     start, p, word = z, slice_act_inverse(z, form, x0), []
     while (ac := next((s for s in system.simples if wall_separates(form, s, x0, p)), None)) is not None:
         r = affine_coroot_reflection(rd, ac)
         z, p = z * r, slice_act_inverse(r, form, p)  # r is its own inverse
         word.append(ac)
     if not z.is_identity():
-        raise DescentStalled(f"{start} descends to the length-zero {z} != e: not in the Coxeter part at {chi}")
+        raise DescentStalled(f"{start} descends to the length-zero {z} != e: not in the Coxeter part of {system.simples}")
     return word[::-1]
 
 
@@ -212,11 +211,12 @@ def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) 
     out = zero_element(a.left_char, b.right_char)
     if a.right_char != b.left_char:
         return out
+    system = integral_simple_system(rd, form, b.left_char)
     for y, c in b.support.items():
         m = minimal_rep(rd, form, b.right_char, y)
         elt = a.scale(c)
-        for ac in _left_descent_word(rd, form, b.left_char, y * m.inverse()):
-            elt = _mult_by_simple(rd, form, elt, ac)
+        for ac in _left_descent_word(rd, system, y * m.inverse()):
+            elt = _mult_by_simple(rd, system, elt, ac)
         out = out + _times_minimal(elt, m, b.right_char)
     return out
 
@@ -247,7 +247,7 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
             ac = dict(zip(system.simple_reflections(rd), system.simples)).get(g)
             if ac is None:
                 raise CharacterMismatch("reflection is not simple for the running character")
-            elt = _mult_by_simple(rd, form, elt, ac) + elt.scale(V)
+            elt = _mult_by_simple(rd, system, elt, ac) + elt.scale(V)
         elif kind == "omega":
             nxt = extended_act_character(g.inverse(), form, cur)
             if extended_act_character(g, form, nxt) != cur:

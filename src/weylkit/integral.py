@@ -3,40 +3,35 @@ coroots, the Coxeter subgroup, the stabilizer, blocks and their minimal
 representatives at a character point.
 
 A character point chi = (c, chi_f) selects the affine coroots alpha_n with
-chi_f(alpha) + n Q(alpha) c in Z; the admissible levels per finite direction
-form an arithmetic progression, and all hyperplane arithmetic happens on the
-progressions, never on enumerated coroots.  The core (affine.integral_system)
-gets the form S, these progressions and the stabilizer congruences
-c S(lam, -) = w(chi_f) - chi_f (mod 1).  The length-zero group Omega_chi is
-affine.length_zero_group of integral_simple_system(rd, form, chi), exactly,
-with no enumeration; the ambient group is the system of the trivial character.
+chi_f(alpha) + n Q(alpha) c in Z, those of the level c S at theta = chi_f, so
+integral_simple_system wraps the one builder, duality.integral_system, at
+the level c~ S, c~ in (0, 1] the representative of c (at c = 0 the rows S lam
+are integral like 0 lam), and theta = chi_f.  The geometry stays S: the walls
+and base point are the same, and its q(alpha) are ints where a level's are
+Fractions.  Omega_chi is affine.length_zero_group of the system.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
 
-from weylkit.exact import Vec
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
     ExtendedWeylElement,
     GramForm,
     IntegralSystem,
-    Progression,
     act_affine_coroot,
     affine_coroot_reflection,
     element_length,
-    element_order,
     extended_act_character,
     gallery_walk,
-    integral_system,
-    progression,
     progression_contains,
     slice_act_inverse,
     wall_separates,
 )
+from weylkit.duality import Level, integral_system, level_progressions
 from weylkit.rootdata import RootDatum
 
 __all__ = [
@@ -44,15 +39,11 @@ __all__ = [
     "NotInStabilizerOrbit",
     "DescentStalled",
     "IntegralSystem",
-    "integral_progression",
-    "integral_progressions",
-    "weyl_stabilizer",
     "integral_simple_system",
     "integral_length",
     "is_minimal",
     "minimal_rep",
     "omega_compose",
-    "element_order",
     "conjugate_to_simple",
 ]
 
@@ -70,54 +61,29 @@ class DescentStalled(RuntimeError):
     the message: it is not in the Coxeter part it was expected in."""
 
 
-def integral_progression(rd: RootDatum, form: GramForm, chi: CharacterPoint, coroot: Vec) -> Progression:
-    """Exact solution set {n : chi(alpha_n) trivial} as (offset, step) or None."""
-    return progression(form.q(coroot) * chi.central.as_fraction(), chi.value_on(coroot).as_fraction())
+def _character_level(form: GramForm, chi: CharacterPoint):
+    """The level c~ S and theta = chi_f of chi, c~ in (0, 1]."""
+    c = chi.central.as_fraction() or Fraction(1)
+    return Level(tuple(tuple(c * x for x in row) for row in form.matrix)), tuple(f.as_fraction() for f in chi.finite)
 
 
 @lru_cache(maxsize=None)
 def _progressions_cached(rd: RootDatum, form: GramForm, chi: CharacterPoint):
-    return tuple((tuple(cv), integral_progression(rd, form, chi, cv)) for cv in rd.coroots)
-
-
-def integral_progressions(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> Dict[Vec, Progression]:
-    return dict(_progressions_cached(rd, form, chi))
-
-
-def integral_length(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> int:
-    """l_beta(g): positive chi_right-integral affine coroots sent negative."""
-    return element_length(g, rd, form, integral_progressions(rd, form, chi_right))
-
-
-def is_minimal(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> bool:
-    return integral_length(rd, form, chi_right, g) == 0
-
-
-# ---------------------------------------------------------------------------
-# stabilizer and the integral system
-
-
-def _stabilizer_rows(form: GramForm, chi: CharacterPoint):
-    c = chi.central.as_fraction()
-    return [[c * x for x in row] for row in form.matrix]
-
-
-def _finite_values(chi: CharacterPoint) -> Tuple:
-    return tuple(f.as_fraction() for f in chi.finite)
-
-
-def weyl_stabilizer(rd: RootDatum, form: GramForm, chi: CharacterPoint):
-    """Per finite Weyl element w: the coset of translations lam with
-    t^lam w chi = chi, or None; plus the common translation lattice L_chi.
-    Read from the integral system, which solves the same congruences."""
-    system = integral_simple_system(rd, form, chi)
-    return dict(system.stabilizer), system.translation_lattice
+    return tuple(level_progressions(rd, *_character_level(form, chi)).items())
 
 
 @lru_cache(maxsize=None)
 def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> IntegralSystem:
-    progs = integral_progressions(rd, form, chi)
-    return integral_system(rd, form, progs, _stabilizer_rows(form, chi), _finite_values(chi))
+    return integral_system(rd, form, *_character_level(form, chi))
+
+
+def integral_length(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> int:
+    """l_beta(g): positive chi_right-integral affine coroots sent negative."""
+    return element_length(g, rd, form, dict(_progressions_cached(rd, form, chi_right)))
+
+
+def is_minimal(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> bool:
+    return integral_length(rd, form, chi_right, g) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +102,10 @@ def minimal_rep(
     start = x
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
-    progs, x0 = dict(system.progressions), system.base_point
-    steps, _ = gallery_walk(rd, form, progs, slice_act_inverse(x, form, x0), x0)
+    steps, _ = gallery_walk(rd, system, slice_act_inverse(x, form, system.base_point))
     for r in steps:
         x = x * r
-    if element_length(x, rd, form, progs) != 0:
+    if element_length(x, rd, form, dict(system.progressions)) != 0:
         raise NotInStabilizerOrbit(f"walk from {start} ended at {x}, which is not minimal")
     if extended_act_character(x, form, chi_right) != chi_left:
         raise CharacterMismatch(f"walk from {start} changed the left character {chi_left}")
@@ -190,7 +155,7 @@ def conjugate_to_simple(
             break
         # the conjugating ambient simple cannot be integral, else r would
         # not have been simple in the integral system
-        if progression_contains(integral_progression(rd, form, cur_chi, s.coroot), s.n):
+        if progression_contains(dict(_progressions_cached(rd, form, cur_chi))[s.coroot], s.n):
             raise NotInStabilizerOrbit(f"descent from {r} crosses the integral wall {s}; {r} is not simple")
         u = s_refl * u
         cur = act_affine_coroot(s_refl, rd, form, cur)

@@ -31,7 +31,7 @@ from weylkit.exact import (
     vec_scale,
 )
 from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, _shift_numerators, progression_min_at_least
-from weylkit.integral import integral_progressions, weyl_stabilizer
+from weylkit.integral import integral_simple_system
 from weylkit.rootdata import (
     RootDatum,
     langlands_dual,
@@ -145,7 +145,8 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     if len(chi.finite) != n:
         raise NoCommonFrame("character has the wrong rank")
     endo = endoscopic_root_datum(rd, form, chi.central)
-    progs = integral_progressions(rd, form, chi)
+    system = integral_simple_system(rd, form, chi)
+    progs = dict(system.progressions)
     directions = tuple(cv for cv in rd.coroots if progs[cv] is not None)
     simples = tuple(sorted(_indecomposable(cv for cv in directions if rd.is_positive_coroot(cv))))
 
@@ -167,8 +168,7 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     termwise = _termwise_conjugation(rd, mu, families)
 
     # lattice parts agree: stabilizer translations = endoscopic lattice
-    stab, lattice = weyl_stabilizer(rd, form, chi)
-    lat_match = lattice_basis_from_generators(lattice) == lattice_basis_from_generators(endo.cochar_basis)
+    lat_match = lattice_basis_from_generators(system.translation_lattice) == lattice_basis_from_generators(endo.cochar_basis)
 
     # direction matching: chi-integral directions = chi_f-integral directions of H
     h_integral = []
@@ -180,7 +180,7 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
 
     # bullet = full iff the integral reflections generate the admitting Weyl
     # parts, which contain and permute them
-    g_side_full = _reflections_generate(rd, [w for w, coset in stab.items() if coset is not None], directions)
+    g_side_full = _reflections_generate(rd, [w for w, coset in system.stabilizer if coset is not None], directions)
     h_side_full = _h_reflection_criterion(rd, endo, chi)
 
     return {

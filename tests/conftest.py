@@ -4,17 +4,17 @@ import pytest
 
 from weylkit.affine import ExtendedWeylElement, extended_act_character, length_zero_group
 from weylkit.exact import lattice_contains
-from weylkit.integral import integral_length, integral_simple_system, minimal_rep, weyl_stabilizer
+from weylkit.integral import integral_length, integral_simple_system, minimal_rep
 
 
 def _stabilizer_box(rd, form, chi, radius):
     """The elements t^lam w with t^lam w chi = chi and |lam|_inf <= radius:
-    each stabilizer coset of weyl_stabilizer met with the box of lam, sorted
-    by (trans, w)."""
-    stab, _ = weyl_stabilizer(rd, form, chi)
+    each stabilizer coset of the integral system met with the box of lam,
+    sorted by (trans, w)."""
+    stab = integral_simple_system(rd, form, chi).stabilizer
     box = itertools.product(range(-radius, radius + 1), repeat=rd.rank)
     out = [
-        ExtendedWeylElement(lam, w) for lam in box for w, coset in stab.items()
+        ExtendedWeylElement(lam, w) for lam in box for w, coset in stab
         if coset is not None and coset.contains(lam)
     ]
     return sorted(out, key=lambda g: (g.trans, g.w))
@@ -26,7 +26,7 @@ def _omega_against_box(rd, form, chi, radius):
     representative with the same Weyl part, up to the Omega lattice; every
     exact representative and lattice translation fixes chi and has integral
     length 0.  Returns (representatives, lattice, box)."""
-    omega, lattice = length_zero_group(rd, form, integral_simple_system(rd, form, chi))
+    omega, lattice = length_zero_group(rd, integral_simple_system(rd, form, chi))
     box = _stabilizer_box(rd, form, chi, radius)
     for g in box:
         assert extended_act_character(g, form, chi) == chi, (rd.name, chi, g)

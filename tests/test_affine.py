@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from weylkit.affine import (
     ExtendedWeylElement,
     GramForm,
     NoDominantCovector,
+    NotIntegral,
     NotPositiveDefinite,
     OrderTooLarge,
     _walls_between,
@@ -43,8 +45,8 @@ from weylkit.affine import (
     weyl_shift,
 )
 from weylkit import duality
-from weylkit.duality import finite_components, level_from_config, level_progressions
-from weylkit.integral import integral_progressions, integral_simple_system
+from weylkit.duality import finite_components, level_from_config, level_integral_weyl
+from weylkit.integral import integral_simple_system
 from weylkit.rootdata import RootDatum, preset, weyl_elements
 
 
@@ -66,6 +68,23 @@ def test_gram_sl2_standard():
 def test_gram_rejects_empty():
     with pytest.raises(NotPositiveDefinite):
         gram_from_weights(sl2(), [])
+
+
+def test_gram_from_matrix_names_a_bad_entry_or_shape():
+    # an entry that is not an integer is refused by name, not truncated to a
+    # form that validates; a matrix that is not rank x rank is a ValueError
+    # naming its shape, not an IndexError
+    rd = sl2()
+    for bad in (Fraction(9, 2), 4.9, "9/2"):
+        with pytest.raises(NotIntegral, match=re.escape(f"form entry {bad!r} at (0, 0) is not an integer")):
+            gram_from_matrix(rd, [[bad]])
+    assert gram_from_matrix(rd, [[Fraction(4)]]) == gram_from_matrix(rd, [[4.0]]) == GramForm(((4,),))
+    sl3 = preset("SL", 3)
+    for matrix, shape in (([[1]], "1 rows of lengths [1]"), ([[2, -1, 0], [-1, 2]], "2 rows of lengths [3, 2]"),
+                          ([[2, -1], [-1, 2], [0, 0]], "3 rows of lengths [2, 2, 2]")):
+        with pytest.raises(ValueError, match=re.escape(shape + " are not 2 x 2, the rank")) as info:
+            gram_from_matrix(sl3, matrix)
+        assert type(info.value) is ValueError
 
 
 def test_gram_psp6_adjoint():
@@ -154,7 +173,7 @@ def ambient(rd, form):
     """The ambient affine system (the integral system of the trivial
     character) and its length-zero group."""
     system = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank))
-    return system, length_zero_group(rd, form, system)
+    return system, length_zero_group(rd, system)
 
 
 def test_affine_simple_data_sl2(affine_coroot_label):
@@ -354,8 +373,8 @@ def _fraction_gallery_walk(rd, form, progressions, p, target):
     return tuple(steps), p
 
 
-def _kernel_forms(rd, rng):
-    """(form, progressions): S with trivial and character progressions, and
+def _kernel_systems(rd, rng):
+    """Integral systems: on S at the trivial and a seeded character, and at
     levels c S of both signs at a random theta, one with a component flagged
     irrational."""
     try:
@@ -364,11 +383,11 @@ def _kernel_forms(rd, rng):
         form = gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
     c = Fraction(rng.randint(1, 5), rng.choice((2, 3, 4, 6)))
     chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randint(0, 11), 12) for _ in range(rd.rank)))
-    out = [(form, trivial_progressions(rd)), (form, integral_progressions(rd, form, chi))]
+    out = [integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank)), integral_simple_system(rd, form, chi)]
     for sign, irrational in ((1, ()), (-1, ()), (rng.choice((1, -1)), (rng.randrange(len(finite_components(rd))),))):
         c = sign * Fraction(rng.randint(1, 5), rng.randint(1, 6))
         lvl = level_from_config(rd, [[c * v for v in row] for row in form.matrix], irrational)
-        out.append((lvl, level_progressions(rd, lvl, tuple(Fraction(rng.randint(0, 11), 12) for _ in range(rd.rank)))))
+        out.append(level_integral_weyl(rd, lvl, tuple(Fraction(rng.randint(0, 11), 12) for _ in range(rd.rank))))
     return out
 
 
@@ -397,7 +416,8 @@ def test_integer_slice_kernel_against_fraction_formulas():
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
         group = weyl_elements(rd)
-        for form, progs in _kernel_forms(rd, rng):
+        for system in _kernel_systems(rd, rng):
+            form, progs = system.form, dict(system.progressions)
             x0 = dominant_base_point(rd, form)
             negative_q += form.q(rd.coroots[0]) < 0
             for _ in range(3):
@@ -410,7 +430,7 @@ def test_integer_slice_kernel_against_fraction_formulas():
                     expected = _fraction_walls_between(rd, form, progs, a, b)
                     assert list(_walls_between(rd, form, progs, a, b)) == expected, (name, form, a, b)
                     assert separating_walls(rd, form, progs, a, b) == sum(count for _, _, count in expected)
-                assert gallery_walk(rd, form, progs, y, x0) == _fraction_gallery_walk(rd, form, progs, y, x0), (name, y)
+                assert gallery_walk(rd, system, y) == _fraction_gallery_walk(rd, form, progs, y, x0), (name, y)
                 w = rng.choice(group)
                 g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), w)
                 for p in (x, y, lattice_point):
@@ -441,7 +461,8 @@ def test_wall_separates_against_walls_between():
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
         group = weyl_elements(rd)
-        for form, progs in _kernel_forms(rd, rng):
+        for system in _kernel_systems(rd, rng):
+            form, progs = system.form, dict(system.progressions)
             x0 = dominant_base_point(rd, form)
             images = [x0] + [
                 slice_act_inverse(ExtendedWeylElement(tuple(rng.randint(-1, 1) for _ in range(rd.rank)), rng.choice(group)), form, x0)
@@ -482,7 +503,7 @@ def test_stabilizer_cosets_against_per_element_rational_solves():
     empty = found = 0
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
-        form = _kernel_forms(rd, rng)[0][0]
+        form = _kernel_systems(rd, rng)[0].form
         cases = []
         for _ in range(2):
             c = Fraction(rng.randint(1, 5), rng.choice((2, 3, 4, 6)))
@@ -518,7 +539,7 @@ def test_slice_act_inverse_against_the_inverse_element():
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
         group = weyl_elements(rd)
-        for form, _ in _kernel_forms(rd, rng):
+        for form in (system.form for system in _kernel_systems(rd, rng)):
             for _ in range(3):
                 x = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rd.rank))
                 g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), rng.choice(group))
@@ -541,7 +562,8 @@ def test_lengths_simples_and_walks_invert_nothing(monkeypatch):
     rd = dataclasses.replace(preset("SL", 4), name="SL4, no inverses")
     form = gram_from_weights(rd, rd.roots)
     chi = CharacterPoint(QmodZ(1, 2), tuple(QmodZ(k, 6) for k in range(rd.rank)))
-    progs = integral_progressions(rd, form, chi)
+    system = integral_simple_system(rd, form, chi)
+    progs = dict(system.progressions)
     elements = [ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(rd.rank)), w) for w in weyl_elements(rd)[::3]]
     inverted = []
     original = exact.mat_inv
@@ -556,7 +578,7 @@ def test_lengths_simples_and_walks_invert_nothing(monkeypatch):
     simples = [simple_system_from_progressions(rd, form, p) for p in (progs, trivial_progressions(rd))]
     x0 = dominant_base_point(rd, form)
     lengths = [element_length(g, rd, form, progs) for g in elements]
-    walks = [gallery_walk(rd, form, progs, slice_act_inverse(g, form, x0), x0) for g in elements]
+    walks = [gallery_walk(rd, system, slice_act_inverse(g, form, x0)) for g in elements]
     assert inverted == []
     monkeypatch.undo()
     assert lengths == [separating_walls(rd, form, progs, x0, slice_act(g.inverse(), form, x0)) for g in elements]

@@ -1,12 +1,17 @@
-"""The integral-Weyl-group core against its two front-ends and brute force.
+"""The integral-Weyl-group core against its front-ends, the character
+formulas it replaced, and brute force.
 
-The character front-end (form S, character chi) and the level front-end
-(level kappa, theta) compute the same group when kappa = c S and theta =
-chi_f.  The brute-force references below share no code with the core: they
-enumerate affine coroots over a window of levels and act on them through
-the extended matrix.
+One builder, duality.integral_system, serves both front-ends: the level
+front-end (level kappa, theta) and the character front-end (form S,
+character chi), which builds the level c~ S at theta = chi_f with S as the
+geometry.  The character's own formulas, the progressions of chi_f(alpha) +
+n q(alpha) c and the stabilizer rows c S, are kept here as the reference the
+wrapper is checked against, field by field.  The brute-force references below
+share no code with the core: they enumerate affine coroots over a window of
+levels and act on them through the extended matrix.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -14,9 +19,15 @@ from fractions import Fraction
 from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
+    IntegralSystem,
+    coxeter_system,
+    dominant_base_point,
     element_length,
     extended_act_character,
     gram_from_weights,
+    progression,
+    simple_system_from_progressions,
+    stabilizer_cosets,
 )
 from weylkit import duality
 from weylkit.duality import (
@@ -27,7 +38,7 @@ from weylkit.duality import (
     level_progressions,
 )
 from weylkit.exact import QmodZ, identity, mat_inv, solve_integer_affine
-from weylkit.integral import integral_progressions, integral_simple_system, weyl_stabilizer
+from weylkit.integral import integral_simple_system
 from weylkit.rootdata import longest_element, mat_inv_int, preset, weyl_elements
 
 FRONT_END_PRESETS = [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5)]
@@ -36,6 +47,45 @@ FRONT_END_PRESETS = [("SL", 2), ("SL", 3), ("Sp", 4), ("G2", 2), ("PGL", 3), ("S
 def _reflection(rd, coroot, n):
     """t^{n alpha} s_alpha."""
     return ExtendedWeylElement(tuple(n * x for x in coroot), rd.reflection(rd.coroots.index(tuple(coroot))))
+
+
+def _character_progressions(rd, form, chi):
+    """{n : chi_f(alpha) + n q(alpha) c in Z} per coroot alpha."""
+    c = chi.central.as_fraction()
+    return {cv: progression(form.q(cv) * c, chi.value_on(cv).as_fraction()) for cv in rd.coroots}
+
+
+def _character_system(rd, form, chi):
+    """The integral system of chi from its own progressions and the
+    stabilizer rows c S lam = w(chi_f) - chi_f (mod 1), on the geometry S."""
+    progs = _character_progressions(rd, form, chi)
+    c, theta = chi.central.as_fraction(), tuple(f.as_fraction() for f in chi.finite)
+    simples = simple_system_from_progressions(rd, form, progs)
+    matrix, components = coxeter_system(rd, simples)
+    stab, lattice = stabilizer_cosets(rd, [[c * x for x in row] for row in form.matrix], theta, theta)
+    stab = tuple(sorted(stab.items()))
+    return IntegralSystem(form, tuple(sorted(progs.items())), simples, matrix, components, stab, lattice, dominant_base_point(rd, form))
+
+
+def test_character_wrapper_against_the_character_formulas():
+    # every field of integral_simple_system, built at the level c~ S, against
+    # the system of the character's own progressions and rows c S, at c = 0
+    # (where c~ = 1) and five central values, with chi_f zero or seeded in
+    # twelfths
+    rng = random.Random(2507210)
+    cases = 0
+    for name, param in [("SL", 2), ("SL", 3), ("SL", 4), ("Sp", 4), ("PSp", 4), ("G2", 2), ("PGL", 2), ("PGL", 3),
+                        ("SO_odd", 5), ("Spin_odd", 5)]:
+        rd = preset(name, param)
+        form = gram_from_weights(rd, rd.roots)
+        for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(5, 6)):
+            for finite in ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randrange(12), 12) for _ in range(rd.rank))):
+                chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ.from_fraction(x) for x in finite))
+                got, expected = integral_simple_system(rd, form, chi), _character_system(rd, form, chi)
+                for field in dataclasses.fields(IntegralSystem):
+                    assert getattr(got, field.name) == getattr(expected, field.name), (name, chi, field.name)
+                cases += 1
+    assert cases == 120
 
 
 def _same_coset(a, b):
@@ -61,7 +111,7 @@ def test_front_ends_agree():
             lvl = level_from_config(rd, [[c * x for x in row] for row in form.matrix])
             level_sys = level_integral_weyl(rd, lvl, theta)
             char_sys = integral_simple_system(rd, form, chi if c > 0 else extended_act_character(w0, form, chi))
-            assert integral_progressions(rd, form, chi) == level_progressions(rd, lvl, theta)
+            assert _character_progressions(rd, form, chi) == level_progressions(rd, lvl, theta)
 
             level_refl = [_reflection(rd, s.coroot, s.n) for s in level_sys.simples]
             char_refl = [_reflection(rd, s.coroot, s.n) for s in char_sys.simples]
@@ -74,7 +124,7 @@ def test_front_ends_agree():
                 for j in range(k):
                     assert level_sys.coxeter[i][j] == char_sys.coxeter[perm[i]][perm[j]]
 
-            stab, _ = weyl_stabilizer(rd, form, chi)
+            stab = dict(integral_simple_system(rd, form, chi).stabilizer)
             level_stab = dict(level_sys.stabilizer)
             assert set(stab) == set(level_stab)
             assert all(_same_coset(stab[w], level_stab[w]) for w in stab), (name, c, theta)
@@ -195,7 +245,7 @@ def test_character_systems_against_brute_force():
             def integral(cv, n, chi_f=chi_f, c=c):
                 return (_pair(chi_f, cv) + n * form.q(cv) * c).denominator == 1
 
-            _check_case(rd, form, form.matrix, integral, system, integral_progressions(rd, form, chi), rng)
+            _check_case(rd, form, form.matrix, integral, system, _character_progressions(rd, form, chi), rng)
 
 
 def _level_integrality(rd, lvl, theta, factor_of):
@@ -302,7 +352,8 @@ def test_stabilizer_cosets_against_per_element_solves():
         for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(rng.randint(1, 5), 6)):
             theta = tuple(Fraction(rng.randint(0, 11), 12) for _ in range(rd.rank))
             chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ.from_fraction(t) for t in theta))
-            cosets, lattice = weyl_stabilizer(rd, form, chi)
+            system = integral_simple_system(rd, form, chi)
+            cosets, lattice = dict(system.stabilizer), system.translation_lattice
             expected = _solve_per_element(rd, [[c * x for x in row] for row in form.matrix], theta, ())
             assert cosets == expected, (name, c, theta)
             assert lattice == expected[identity(rd.rank)].basis

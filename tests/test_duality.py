@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,8 @@ from weylkit.duality import (
     level_progression,
     level_progressions,
 )
-from weylkit.exact import dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec
+from weylkit.exact import dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec, vec_sub
+from weylkit.hecke import ONE, V, HeckeElement, _mult_by_simple, _times_minimal
 from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
 
 
@@ -53,6 +55,18 @@ def test_level_validation():
     with pytest.raises(Degenerate):
         level_from_config(rd, [[1, 0], [0, 2]])  # not W-invariant for C2
     level_from_config(rd, [[1, 0], [0, 1]])
+
+
+def test_level_validation_names_a_wrong_shape():
+    # a matrix smaller or larger than rank x rank, or ragged, is a Degenerate
+    # level that names its shape, not an IndexError
+    rd = preset("SL", 3)
+    for gram, shape in (([[1]], r"1 rows of lengths \[1\]"), ([[2, -1], [-1, 2], [0, 0]], r"3 rows of lengths \[2, 2, 2\]"),
+                        ([[2, -1], [-1]], r"2 rows of lengths \[2, 1\]")):
+        with pytest.raises(Degenerate, match=shape + " are not 2 x 2"):
+            level_from_config(rd, gram)
+    with pytest.raises(Degenerate, match="1 rows of lengths"):
+        level_from_config(sp4(), [[1]])
 
 
 def test_level_validation_irrational_indices():
@@ -425,7 +439,7 @@ def test_finite_longest_group_joins_components_that_omega_swaps():
     theta = (Fraction(1, 2), Fraction(1, 2))
     system = level_integral_weyl(rd, lvl, theta)
     assert [kind for _, kind in system.components] == ["finite", "finite"]
-    assert len(length_zero_group(rd, lvl, system)[0]) == 2
+    assert len(length_zero_group(rd, system)[0]) == 2
     assert finite_longest_group(rd, lvl, theta) == (ExtendedWeylElement((0, 0), ((-1, 0), (0, -1))),)
     rd = preset("SO_even", 4)
     lvl = level_from_config(rd, killing_level(rd, 1).gram, irrational=[0, 1])
@@ -459,10 +473,10 @@ def test_longest_in_component_against_cayley_bfs(monkeypatch):
     ascend = duality._longest_in_component
     met = []
 
-    def checked(rd, lvl, x0, simples):
-        longest = ascend(rd, lvl, x0, simples)
+    def checked(rd, system, simples):
+        longest = ascend(rd, system, simples)
         reflections = [affine_coroot_reflection(rd, ac) for ac in simples]
-        assert _cayley_farthest(rd, reflections) == [longest], (rd.name, lvl, reflections)
+        assert _cayley_farthest(rd, reflections) == [longest], (rd.name, system.form, reflections)
         met.append(len(reflections))
         return longest
 
@@ -596,8 +610,8 @@ def test_alcove_match_against_composed_maps():
                     r = affine_coroot_reflection(rd_dual, ac)
                     walls[_slice_map(r.trans, r.w, dual_gram)] = ac
                 bij = tuple((ac, walls[conjugate(affine_coroot_reflection(rd, ac))]) for ac in match.g_system.simples)
-                g_omega, g_lattice = length_zero_group(rd, lvl, match.g_system)
-                h_omega, h_lattice = length_zero_group(rd_dual, Level(dual_gram), match.h_system)
+                g_omega, g_lattice = length_zero_group(rd, match.g_system)
+                h_omega, h_lattice = length_zero_group(rd_dual, match.h_system)
                 h_by_linear = {_slice_map(o.trans, o.w, dual_gram).linear: o for o in h_omega}
                 pairs = []
                 for o in g_omega:
@@ -680,3 +694,60 @@ def test_level_integral_weyl_once_per_level_and_theta(monkeypatch):
     match = alcove_match(rd, lvl, (0, 0))
     assert match.g_system is system and built == [langlands_dual(rd)]
     assert alcove_match(rd, lvl, (0, 0)).h_system is match.h_system and len(built) == 1
+
+
+# the levels of the benchmark's level strata: (preset, parameter, levels as
+# (form, scale)), K the sum over the roots of a (x) a and I the identity
+LEVEL_STRATA = (
+    ("SL", 2, (("K", 1), ("K", -1), ("K", Fraction(1, 2)), ("K", Fraction(-1, 2)), ("K", Fraction(1, 3)), ("K", Fraction(-1, 3)),
+               ("I", -1), ("I", Fraction(-1, 2)))),
+    ("SL", 3, (("K", -1), ("K", Fraction(-1, 2)), ("K", Fraction(-1, 3)))),
+    ("Sp", 4, (("K", 1), ("K", -1), ("K", Fraction(1, 2)))),
+    ("G2", 2, (("K", Fraction(1, 3)), ("K", Fraction(-1, 3)))),
+    ("PGL", 3, (("K", Fraction(-1, 3)),)),
+    ("SO_odd", 5, (("K", Fraction(-1, 3)), ("I", Fraction(-1, 2)))),
+)
+
+
+def test_hecke_products_match_through_level_duality():
+    # level duality, decategorified: on every level of the level strata, at
+    # theta = 0 and a seeded theta in sixths, seeded words of length 1-5 in
+    # the simples and length-zero elements of the integral system at kappa
+    # multiply out (b_r = T_r + v by _mult_by_simple, and support shifts for
+    # omega) to the table of the transported word on the dual system at
+    # -kappa^{-1}, after g -> y partner(g) y^{-1}.  A simple goes along
+    # simple_bijection; an omega goes to its conjugate, which omega_pairs
+    # pairs with a dual representative up to the dual translation lattice
+    rng = random.Random(2507211)
+    tokens = Counter()
+    for name, param, levels in LEVEL_STRATA:
+        rd = preset(name, param)
+        rd_dual = langlands_dual(rd)
+        for kind, scale in levels:
+            base = killing_level(rd, 1).gram if kind == "K" else identity(rd.rank)
+            lvl = level_from_config(rd, [[scale * x for x in row] for row in base])
+            for theta in ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randint(0, 5), 6) for _ in range(rd.rank))):
+                match = alcove_match(rd, lvl, theta)
+                partner, y, y_inv = duality._iota_partner(rd, lvl, theta), match.y, match.y.inverse()
+
+                def conjugate(g):
+                    return y * partner(g) * y_inv
+
+                letters = [("r", ac, dual) for ac, dual in match.simple_bijection]
+                for o, dual in (pair for pair in match.omega_pairs if not pair[0].is_identity()):
+                    h = conjugate(o)
+                    assert h.w == dual.w and lattice_contains(match.omega_lattices[1], vec_sub(h.trans, dual.trans)), (name, lvl, o)
+                    letters.append(("omega", o, h))
+                for _ in range(5 if letters else 0):  # no letters: a trivial group
+                    unit = {ExtendedWeylElement.unit(rd.rank): ONE}
+                    g_elt, h_elt = HeckeElement(None, None, unit), HeckeElement(None, None, dict(unit))
+                    for letter, g, h in (rng.choice(letters) for _ in range(rng.randint(1, 5))):
+                        if letter == "r":  # b_r = T_r + v
+                            g_elt = _mult_by_simple(rd, match.g_system, g_elt, g) + g_elt.scale(V)
+                            h_elt = _mult_by_simple(rd_dual, match.h_system, h_elt, h) + h_elt.scale(V)
+                        else:
+                            g_elt, h_elt = _times_minimal(g_elt, g, None), _times_minimal(h_elt, h, None)
+                        tokens[letter] += 1
+                    assert {conjugate(g): c for g, c in g_elt.support.items()} == h_elt.support, (name, lvl, theta)
+                    tokens["support"] += len(h_elt.support)
+    assert tokens["r"] >= 300 and tokens["omega"] >= 40 and tokens["support"] >= 500, tokens

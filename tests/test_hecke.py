@@ -231,7 +231,7 @@ def test_check_relations_reports():
     assert report["ok"]
     assert report["infinite_pairs"] == [(0, 1)]
     rdp, formp, chip = pgl2_trivial()
-    omega, _ = length_zero_group(rdp, formp, integral_simple_system(rdp, formp, chip))
+    omega, _ = length_zero_group(rdp, integral_simple_system(rdp, formp, chip))
     omegas = [g for g in omega if not g.is_identity()]
     report = check_relations(rdp, formp, chip, omegas=omegas)
     assert report["ok"]
@@ -240,7 +240,7 @@ def test_check_relations_reports():
 def test_omega_conjugation_swaps_walls_pgl2():
     rd, form, chi = pgl2_trivial()
     data = integral_simple_system(rd, form, chi)
-    omega = [g for g in length_zero_group(rd, form, data)[0] if not g.is_identity()][0]
+    omega = [g for g in length_zero_group(rd, data)[0] if not g.is_identity()][0]
     s0, s1 = [affine_coroot_reflection(rd, ac) for ac in data.simples]
     t_om = t_element(rd, form, chi, omega)
     t_om_inv = t_element(rd, form, chi, omega.inverse())
@@ -253,10 +253,10 @@ def test_omega_conjugation_swaps_walls_pgl2():
 def test_descent_word_names_a_length_zero_element_outside_the_coxeter_part():
     # the nontrivial PGL2 omega has length 0 but is not the identity
     rd, form, chi = pgl2_trivial()
-    omega = [g for g in length_zero_group(rd, form, integral_simple_system(rd, form, chi))[0] if not g.is_identity()]
+    omega = [g for g in length_zero_group(rd, integral_simple_system(rd, form, chi))[0] if not g.is_identity()]
     assert len(omega) == 1
     with pytest.raises(DescentStalled, match=re.escape(str(omega[0]))):
-        _left_descent_word(rd, form, chi, omega[0])
+        _left_descent_word(rd, integral_simple_system(rd, form, chi), omega[0])
 
 
 def test_check_relations_checks_the_g2_braid_of_order_six(monkeypatch):
@@ -356,7 +356,7 @@ def test_descents_against_integral_length():
             z = ExtendedWeylElement.unit(rd.rank)
             for _ in range(rng.randint(0, 8) if refl else 0):
                 z = z * rng.choice(refl)
-            word = _left_descent_word(rd, form, chi, z)
+            word = _left_descent_word(rd, system, z)
             assert len(word) == integral_length(rd, form, chi, z) and set(word) <= set(system.simples), (rd.name, chi, z)
             product = ExtendedWeylElement.unit(rd.rank)
             for ac in word:
@@ -366,7 +366,7 @@ def test_descents_against_integral_length():
             for ac, r in zip(system.simples, refl):
                 descent = integral_length(rd, form, chi, g * r) < integral_length(rd, form, chi, g)
                 expected = {g * r: ONE, g: V_INV - V} if descent else {g * r: ONE}
-                got = _mult_by_simple(rd, form, HeckeElement(extended_act_character(g, form, chi), chi, {g: ONE}), ac)
+                got = _mult_by_simple(rd, system, HeckeElement(extended_act_character(g, form, chi), chi, {g: ONE}), ac)
                 assert got.support == expected, (rd.name, chi, g, ac)
                 descents[descent] += 1
     assert descents[True] >= 150 and descents[False] >= 150, descents

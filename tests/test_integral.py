@@ -26,12 +26,10 @@ from weylkit.integral import (
     CharacterMismatch,
     conjugate_to_simple,
     integral_length,
-    integral_progression,
     integral_simple_system,
     is_minimal,
     minimal_rep,
     omega_compose,
-    weyl_stabilizer,
 )
 from weylkit.rootdata import preset, weyl_elements
 
@@ -59,15 +57,15 @@ def psp6_setup():
 
 def test_progressions_sl2():
     rd, form, chi = sl2_setup()
-    assert integral_progression(rd, form, chi, (1,)) == (0, 2)
+    assert dict(integral_simple_system(rd, form, chi).progressions)[(1,)] == (0, 2)
     triv = CharacterPoint.trivial(1)
-    assert integral_progression(rd, form, triv, (1,)) == (0, 1)
+    assert dict(integral_simple_system(rd, form, triv).progressions)[(1,)] == (0, 1)
 
 
 def test_progressions_psp6_all_empty():
     rd, form, chi = psp6_setup()
-    for cv in rd.coroots:
-        assert integral_progression(rd, form, chi, cv) is None
+    progressions = integral_simple_system(rd, form, chi).progressions
+    assert len(progressions) == len(rd.coroots) and all(p is None for _, p in progressions)
 
 
 def _unit_weights(rank):
@@ -107,7 +105,7 @@ def test_simple_system_trivial_char_is_affine_system():
         assert sys.base_point == dominant_base_point(rd, form)
         every_lam = CosetZn((0,) * rd.rank, identity(rd.rank))
         full = dataclasses.replace(sys, stabilizer=tuple((w, every_lam) for w in weyl_elements(rd)))
-        assert length_zero_group(rd, form, sys) == length_zero_group(rd, form, full), (name, param, form_kind)
+        assert length_zero_group(rd, sys) == length_zero_group(rd, full), (name, param, form_kind)
 
 
 def test_sl2_halfcentral_system(affine_coroot_label):
@@ -121,9 +119,9 @@ def test_sl2_halfcentral_system(affine_coroot_label):
 
 def test_sl2_stabilizer():
     rd, form, chi = sl2_setup()
-    stab, lattice = weyl_stabilizer(rd, form, chi)
-    assert all(coset is not None for _, coset in stab.items())
-    assert lattice == ((1,),)  # L_chi = Z alpha-check
+    system = integral_simple_system(rd, form, chi)
+    assert all(coset is not None for _, coset in system.stabilizer)
+    assert system.translation_lattice == ((1,),)  # L_chi = Z alpha-check
 
 
 def test_psp6_scenario():

@@ -13,7 +13,7 @@ from weylkit.affine import (
     gram_from_matrix,
     gram_from_weights,
 )
-from weylkit.integral import integral_progression, integral_progressions, weyl_stabilizer
+from weylkit.integral import integral_simple_system
 from weylkit.metaplectic import (
     ValidationFailed,
     bullet_weyl_compare,
@@ -254,8 +254,7 @@ def test_rescale_factor_against_central_progressions():
         for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(-3, 4), Fraction(5, 12)):
             c = QmodZ.from_fraction(c)
             chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
-            for cv in rd.coroots:
-                p = integral_progression(rd, form, chi, cv)
+            for cv, p in integral_simple_system(rd, form, chi).progressions:
                 assert p[0] == 0 and rescale_factor(rd, form, c, cv) == (p[1] or 1), (name, c, cv)
 
 
@@ -294,9 +293,9 @@ def test_bullet_criteria_against_group_closure():
             for d in range(1, 13):
                 chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randrange(d), d) for _ in range(rd.rank)))
                 report = bullet_weyl_compare(rd, form, chi)
-                stab, _ = weyl_stabilizer(rd, form, chi)
-                progs = integral_progressions(rd, form, chi)
-                directions = [cv for cv in rd.coroots if progs[cv] is not None]
+                system = integral_simple_system(rd, form, chi)
+                stab = dict(system.stabilizer)
+                directions = [cv for cv, p in system.progressions if p is not None]
                 g_full = _closure_bullet_is_full(rd, stab, directions)
                 h_full = _closure_h_criterion(report["endoscopic"], chi)
                 assert report["g_bullet_is_full"] == g_full, (name, chi)

@@ -1,8 +1,14 @@
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 import weylkit
 from weylkit.affine import gram_from_weights
@@ -83,3 +89,20 @@ def test_perfbench_contract(monkeypatch):
     assert report["pairs_checked"] >= 1
     plain = dict(report, linear=report["iota"].linear, offset=report["iota"].offset)
     assert checks.iota_problems(lvl.gram, (Fraction(0),), plain) == []
+
+
+@pytest.mark.parametrize("workload", ["blocks", "levels"])
+def test_perfbench_trace_mode_runs(workload, monkeypatch):
+    # one traced pass of the benchmark's worker, as the benchmark starts it:
+    # it exits 0 with no failed call and no problem, and reports every cache
+    # the tracer reads, so a change that drops a name the tracer looks up
+    # fails here
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    cmd = [sys.executable, "-B", str(PERFBENCH / "worker.py"), "--workload", workload, "--seed", "1", "--trace"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout)
+    assert record["scenarios"] and all(not sc["failures"] and not sc["problems"] for sc in record["scenarios"])
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    caches = record["trace"]["caches"]
+    assert all(f"{layer}.{name}" in caches for layer, name in importlib.import_module("trace_layers")._CACHES), caches
