@@ -28,11 +28,12 @@ descent of g iff its wall separates x0 and g^{-1} x0 (wall_separates): x0 is
 on no wall of any level, nor is its image under any extended affine element,
 as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.
 One builder, duality.integral_system, assembles an IntegralSystem from the
-simple system, its Coxeter data and the stabilizer cosets here; a character
-is the level c~ S there, so both front-ends reach it.  A system carries the
-geometry it was built with, and length_zero_group and gallery_walk read
-their form, progressions and base point off it; the ambient extended affine
-Weyl group is the integral system of the trivial character.
+simple system, its Coxeter data (read off Cartan integers, coxeter_system)
+and the stabilizer cosets here; a character is the level c~ S there, so both
+front-ends reach it.  A system carries the geometry it was built with, and
+length_zero_group and gallery_walk read their form, progressions and base
+point off it; the ambient extended affine Weyl group is the integral system
+of the trivial character.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from weylkit.exact import (
     vec_add,
     vec_scale,
 )
-from weylkit.rootdata import RootDatum, mat_inv_int, weyl_elements
+from weylkit.rootdata import RootDatum, cartan_matrix, mat_inv_int, weyl_elements
 
 
 class NotPositiveDefinite(ValueError):
@@ -85,10 +86,6 @@ class NotIntegral(ValueError):
 
 
 class NoDominantCovector(RuntimeError):
-    pass
-
-
-class OrderTooLarge(RuntimeError):
     pass
 
 
@@ -126,20 +123,32 @@ def gram_from_weights(rd: RootDatum, weights: Sequence[Vec]) -> GramForm:
 
 
 def gram_from_matrix(rd: RootDatum, matrix) -> GramForm:
-    check_square(matrix, rd.rank, ValueError)
-    for i, row in enumerate(matrix):
+    entries = read_square(matrix, rd.rank, ValueError)
+    for i, row in enumerate(entries):
         for j, x in enumerate(row):
-            if Fraction(x).denominator != 1:
-                raise NotIntegral(f"form entry {x!r} at ({i}, {j}) is not an integer")
-    form = GramForm(tuple(tuple(int(x) for x in row) for row in matrix))
+            if x.denominator != 1:
+                raise NotIntegral(f"form entry {matrix[i][j]!r} at ({i}, {j}) is not an integer")
+    form = GramForm(tuple(tuple(int(x) for x in row) for row in entries))
     _validate_gram(rd, form)
     return form
 
 
-def check_square(matrix, n: int, error):
-    """Raise error, naming the shape, unless matrix is n x n."""
+def read_square(matrix, n: int, error) -> Tuple[Tuple[Fraction, ...], ...]:
+    """An n x n matrix of int, Fraction, str or float entries as Fractions, a
+    float read through str (0.1 is 1/10); error names any other shape, and a
+    ValueError any other entry, or one like "1/0" or inf, with its (i, j)."""
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise error(f"{len(matrix)} rows of lengths {[len(row) for row in matrix]} are not {n} x {n}, the rank")
+    return tuple(tuple(_read_entry(x, (i, j)) for j, x in enumerate(row)) for i, row in enumerate(matrix))
+
+
+def _read_entry(x, at) -> Fraction:
+    if isinstance(x, (int, Fraction, str, float)) and not isinstance(x, bool):
+        try:
+            return Fraction(str(x) if isinstance(x, float) else x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"entry {x!r} at {at} is not a rational number")
 
 
 def _validate_gram(rd: RootDatum, form: GramForm):
@@ -443,25 +452,6 @@ def element_length(
     return separating_walls(rd, form, progressions, x0, slice_act_inverse(g, form, x0))
 
 
-def element_order(g: ExtendedWeylElement):
-    """Exact order, or the string "infinite" for fixed-point-free elements."""
-    n = len(g.trans)
-    ident = identity(n)
-    k = 1
-    m = g.w
-    while m != ident:
-        m = mat_mul(m, g.w)
-        k += 1
-        if k > 10_000:
-            raise OrderTooLarge(f"Weyl part {g.w} of {g} has order above 10000")
-    acc = tuple(0 for _ in range(n))
-    p = ident
-    for _ in range(k):
-        acc = vec_add(acc, mat_vec(p, g.trans))
-        p = mat_mul(p, g.w)
-    return k if not any(acc) else "infinite"
-
-
 def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec, Progression]) -> Tuple[AffineCoroot, ...]:
     """The walls of the alcove of the base point, as affine coroots positive
     there, sorted by (n, coroot).
@@ -492,19 +482,6 @@ def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec,
     return tuple(sorted(simples, key=lambda a: (a.n, a.coroot)))
 
 
-def coxeter_order(
-    r1: ExtendedWeylElement, r2: ExtendedWeylElement, cap: int = 48
-):
-    """Order of r1 r2 as an affine transformation, or "infinite"."""
-    prod = r1 * r2
-    order = element_order(prod)
-    if order == "infinite":
-        return "infinite"
-    if order > cap:
-        raise OrderTooLarge(f"{r1} and {r2} have Coxeter order {order} above {cap}")
-    return order
-
-
 def connected_components(k: int, linked) -> Tuple[Tuple[int, ...], ...]:
     """Components of the graph on 0..k-1 with an edge wherever linked(i, j)."""
     seen, comps = set(), []
@@ -525,12 +502,13 @@ def connected_components(k: int, linked) -> Tuple[Tuple[int, ...], ...]:
 
 def coxeter_system(rd: RootDatum, simples: Sequence[AffineCoroot]):
     """Coxeter matrix of the simple reflections, and the components of its
-    diagram as (indices, "finite" or "affine").  A component is finite iff
-    its coroots are linearly independent; an affine one has one relation."""
-    reflections = [affine_coroot_reflection(rd, ac) for ac in simples]
-    k = len(reflections)
-    cox = {(i, j): coxeter_order(reflections[i], reflections[j]) for i in range(k) for j in range(i + 1, k)}
-    matrix = tuple(tuple(1 if i == j else cox[min(i, j), max(i, j)] for j in range(k)) for i in range(k))
+    diagram as (indices, "finite" or "affine").  Walls with independent
+    directions a, b meet, so r_i r_j has the order of s_a s_b: 2, 3, 4 or 6 as
+    the Cartan integers give c_ij c_ji = 0, 1, 2 or 3 (Humphreys, Lie Algebras
+    and Representation Theory, 9.4); 4 means parallel walls, and an infinite
+    order.  A component is finite iff its coroots are linearly independent."""
+    k, c = len(simples), cartan_matrix(rd, [ac.coroot for ac in simples])
+    matrix = tuple(tuple(1 if i == j else (2, 3, 4, 6, "infinite")[c[i][j] * c[j][i]] for j in range(k)) for i in range(k))
     components = []
     for idx in connected_components(k, lambda i, j: matrix[i][j] not in (1, 2)):
         finite = mat_rank([simples[i].coroot for i in idx]) == len(idx)

@@ -44,7 +44,6 @@ from weylkit.affine import (
     IntegralSystem,
     Progression,
     affine_coroot_reflection,
-    check_square,
     connected_components,
     coxeter_system,
     dominant_base_point,
@@ -52,6 +51,7 @@ from weylkit.affine import (
     length_zero_group,
     progression,
     progression_min_at_least,
+    read_square,
     simple_system_from_progressions,
     slice_act,
     slice_act_inverse,
@@ -61,6 +61,7 @@ from weylkit.affine import (
 )
 from weylkit.rootdata import (
     RootDatum,
+    cartan_matrix,
     langlands_dual,
     longest_element,
     simple_coordinates,
@@ -111,22 +112,20 @@ class Level:
 
 
 def level_from_config(rd: RootDatum, gram, irrational=()) -> Level:
-    g = tuple(tuple(Fraction(x) for x in row) for row in gram)
-    lvl = Level(g, frozenset(irrational))
+    lvl = Level(read_square(gram, rd.rank, Degenerate), frozenset(irrational))
     validate_level(rd, lvl)
     return lvl
 
 
 def validate_level(rd: RootDatum, lvl: Level):
     n = rd.rank
-    g = lvl.gram
-    check_square(g, n, Degenerate)
+    g = read_square(lvl.gram, n, Degenerate)
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
         raise Degenerate("level must be symmetric")
     if det(g) == 0:
         raise Degenerate("level must be nondegenerate")
     for w in rd.simple_reflections():
-        if mat_mul(mat_mul(transpose(w), g), w) != tuple(tuple(Fraction(x) for x in r) for r in g):
+        if mat_mul(mat_mul(transpose(w), g), w) != g:
             raise Degenerate("level must be Weyl invariant")
     count = len(finite_components(rd))
     for i in lvl.irrational:
@@ -136,8 +135,8 @@ def validate_level(rd: RootDatum, lvl: Level):
 
 def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
     """Connected components of the finite diagram as tuples of simple indices."""
-    s = rd.simple_indices
-    return connected_components(len(s), lambda i, j: dot(rd.coroots[s[i]], rd.roots[s[j]]) != 0)
+    c = cartan_matrix(rd, rd.simple_coroots)
+    return connected_components(len(c), lambda i, j: c[i][j] != 0)
 
 
 def component_of_coroot(rd: RootDatum, coroot: Vec) -> int:

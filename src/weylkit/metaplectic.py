@@ -34,6 +34,7 @@ from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, _shift
 from weylkit.integral import integral_simple_system
 from weylkit.rootdata import (
     RootDatum,
+    cartan_matrix,
     langlands_dual,
     validate_root_datum,
     weyl_elements,
@@ -160,8 +161,7 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
         families.append((cv, progression_min_at_least(p, 0), p[1], nfac))
 
     # mu solved over Q in the span of the simple integral coroots
-    gram = [[dot(rd.roots[rd.coroots.index(a)], b) for b in simples] for a in simples]
-    coeffs = solve_linear(gram, [-i0 for _, i0, _, _ in families]) if simples else ()
+    coeffs = solve_linear(cartan_matrix(rd, simples), [-i0 for _, i0, _, _ in families]) if simples else ()
     if coeffs is None:
         raise NoCommonFrame("could not solve for the conjugating translation")
     mu = tuple(sum((x * cv[i] for x, cv in zip(coeffs, simples)), Fraction(0)) for i in range(n))

@@ -478,9 +478,12 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     )
 
 
-def _cartan_matrix(rd: RootDatum):
-    s = rd.simple_indices
-    return tuple(tuple(dot(rd.coroots[i], rd.roots[j]) for j in s) for i in s)
+def cartan_matrix(rd: RootDatum, coroots) -> Mat:
+    """The Cartan integers c_ij = <a_i, b_j>, a_i the root of the coroot b_i:
+    row i pairs the root of b_i with every given coroot.  On the simple
+    coroots of C2 with a_0 short, c_01 = -1 and c_10 = -2."""
+    roots = [rd.roots[rd.coroots.index(tuple(b))] for b in coroots]
+    return tuple(tuple(dot(a, b) for b in coroots) for a in roots)
 
 
 def _diagram_bijections(c1, c2):
@@ -507,7 +510,7 @@ def is_isomorphic(rd1: RootDatum, rd2: RootDatum) -> bool:
         # reductive fallback: identical data up to simple relabeling
         return sorted(rd1.roots) == sorted(rd2.roots) and sorted(rd1.coroots) == sorted(rd2.coroots)
     m1 = tuple(zip(*rd1.simple_coroots))  # columns are simple coroots
-    c1, c2 = _cartan_matrix(rd1), _cartan_matrix(rd2)
+    c1, c2 = cartan_matrix(rd1, rd1.simple_coroots), cartan_matrix(rd2, rd2.simple_coroots)
     for perm in _diagram_bijections(c1, c2):
         cols2 = tuple(zip(*(rd2.simple_coroots[p] for p in perm)))
         try:

@@ -16,15 +16,12 @@ from weylkit.affine import (
     NoDominantCovector,
     NotIntegral,
     NotPositiveDefinite,
-    OrderTooLarge,
     _walls_between,
     act_affine_coroot,
     affine_coroot_reflection,
     character_from_config,
-    coxeter_order,
     dominant_base_point,
     element_length,
-    element_order,
     extended_act_character,
     extended_act_cochar,
     extended_matrix,
@@ -85,6 +82,27 @@ def test_gram_from_matrix_names_a_bad_entry_or_shape():
         with pytest.raises(ValueError, match=re.escape(shape + " are not 2 x 2, the rank")) as info:
             gram_from_matrix(sl3, matrix)
         assert type(info.value) is ValueError
+
+
+def test_config_matrices_read_entries_as_character_from_config_does():
+    # 0.1 is read through str as 1/10, as character_from_config reads it, not
+    # as the binary float; "1/0", inf, nan, a bool and a non-number are
+    # refused on both constructors by a ValueError naming the entry and (i, j)
+    rd = sl2()
+    assert level_from_config(rd, [[0.1]]).gram == ((Fraction(1, 10),),)
+    assert character_from_config(rd, "0", [0.1]).finite == (QmodZ(1, 10),)
+    with pytest.raises(NotIntegral, match=re.escape("form entry 0.1 at (0, 0) is not an integer")):
+        gram_from_matrix(rd, [[0.1]])
+    for bad in ("1/0", math.inf, -math.inf, math.nan, True, None, [2], "two"):
+        for build in (gram_from_matrix, level_from_config):
+            with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} at (0, 0) is not a rational number")) as info:
+                build(rd, [[bad]])
+            assert type(info.value) is ValueError
+    sp4 = preset("Sp", 4)
+    for build in (gram_from_matrix, level_from_config):
+        with pytest.raises(ValueError, match=re.escape("entry '1/0' at (1, 0) is not a rational number")):
+            build(sp4, [[2, 0], ["1/0", 2]])
+    assert level_from_config(sp4, [["1/2", 0], [0, 0.5]]).gram == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
 
 
 def test_gram_psp6_adjoint():
@@ -194,7 +212,8 @@ def test_affine_simple_data_pgl2():
     nontrivial = [g for g in omega if not g.is_identity()]
     assert len(nontrivial) == 1
     assert element_length(nontrivial[0], rd, form) == 0
-    assert element_order(nontrivial[0]) in (2, "infinite")
+    # it fixes the base alcove, so its order is finite: here g^2 is the unit
+    assert nontrivial[0].w != identity(1) and (nontrivial[0] * nontrivial[0]).is_identity()
 
 
 def test_affine_simple_data_torus():
@@ -276,13 +295,6 @@ def test_faithfulness_short_words():
                 seen[m] = g
 
 
-def test_element_order():
-    rd, form = sl2(), sl2_form()
-    assert element_order(ExtendedWeylElement.unit(1)) == 1
-    assert element_order(ExtendedWeylElement.from_weyl(rd.reflection(0))) == 2
-    assert element_order(ExtendedWeylElement.translation((1,))) == "infinite"
-
-
 def test_character_from_config_bases():
     psp6 = preset("PSp", 6)
     chi = character_from_config(psp6, "1/8", ["1/3", "1/5", "1/4"], basis="simple_roots")
@@ -298,13 +310,6 @@ def test_typed_errors_name_the_datum_and_the_elements():
     bad = RootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0, 1), name="dependent simples")
     with pytest.raises(NoDominantCovector, match="dependent simples"):
         dominant_base_point(bad, GramForm(((2,),)))
-    shear = ExtendedWeylElement((0, 0), ((1, 1), (0, 1)))
-    with pytest.raises(OrderTooLarge, match=r"Weyl part \(\(1, 1\), \(0, 1\)\)"):
-        element_order(shear)
-    s1, s2 = (ExtendedWeylElement.from_weyl(w) for w in preset("SL", 3).simple_reflections())
-    with pytest.raises(OrderTooLarge, match="Coxeter order 3 above 2"):
-        coxeter_order(s1, s2, cap=2)
-    assert coxeter_order(s1, s2) == 3
 
 
 def test_progression_helpers_against_enumeration():
@@ -327,6 +332,53 @@ def test_progression_helpers_against_enumeration():
 
 # ---------------------------------------------------------------------------
 # the integer slice kernel against the Fraction formulas it replaced
+
+def _coxeter_entry_by_powers(r, s):
+    """The least k <= 6 with (r s)^k = e, or "infinite" when (r s)^12 != e:
+    every finite order in a crystallographic group divides 12."""
+    g, p = r * s, ExtendedWeylElement.unit(len(r.trans))
+    for k in range(1, 13):
+        p = p * g
+        if k <= 6 and p.is_identity():
+            return k
+    return "order 12" if p.is_identity() else "infinite"
+
+
+COXETER_PRESETS = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("Sp", 4), ("PSp", 4), ("Sp", 6),
+                   ("G2", 2), ("SO_odd", 5), ("Spin_odd", 5), ("SO_odd", 7), ("SO_even", 6), ("SO_even", 8)]
+
+
+def test_coxeter_entries_against_powers_of_the_simple_reflections():
+    # coxeter_system reads each entry off two Cartan integers; here each is
+    # found by powering r_i r_j, on the systems of both front ends: characters
+    # (c, chi_f) on the Killing form, chi_f zero or seeded in twelfths, and
+    # levels c K, theta zero or seeded in sixths
+    rng = random.Random(2507230)
+    cases, seen = 0, set()
+    for name, param in COXETER_PRESETS:
+        rd = preset(name, param)
+        killing = gram_from_weights(rd, rd.roots)
+        systems = []
+        for c in (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(5, 6)):
+            seeded = [tuple(Fraction(rng.randrange(12), 12) for _ in range(rd.rank)) for _ in range(2)]
+            for finite in [(Fraction(0),) * rd.rank] + seeded:
+                chi = CharacterPoint(QmodZ.from_fraction(Fraction(c)), tuple(map(QmodZ.from_fraction, finite)))
+                systems.append(integral_simple_system(rd, killing, chi))
+        for c in (1, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)):
+            lvl = level_from_config(rd, [[c * x for x in row] for row in killing.matrix])
+            for theta in ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randrange(6), 6) for _ in range(rd.rank))):
+                systems.append(level_integral_weyl(rd, lvl, theta))
+        for system in systems:
+            reflections = system.simple_reflections(rd)
+            for i, j in itertools.combinations(range(len(reflections)), 2):
+                expected = _coxeter_entry_by_powers(reflections[i], reflections[j])
+                assert system.coxeter[i][j] == system.coxeter[j][i] == expected, (name, system.simples, i, j)
+                seen.add(expected)
+            assert all(system.coxeter[i][i] == 1 for i in range(len(reflections)))
+            cases += 1
+    assert cases == 420
+    assert seen == {2, 3, 4, 6, "infinite"}
+
 
 KERNEL_PRESETS = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 3), ("GL", 2), ("Sp", 4), ("Sp", 6), ("PSp", 4),
                   ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 4), ("SO_even", 6), ("SO_even", 8), ("G2", 2)]

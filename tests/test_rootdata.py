@@ -9,6 +9,7 @@ from weylkit.rootdata import (
     InvalidParams,
     RootDatum,
     UnknownPreset,
+    cartan_matrix,
     is_isomorphic,
     langlands_dual,
     longest_element,
@@ -26,6 +27,19 @@ def _simple_coeffs(simples, target):
     if not simples:
         return None
     return solve_linear(tuple(zip(*simples)), target)
+
+
+def test_cartan_matrix_rows_are_the_roots_of_the_given_coroots():
+    # c_ij = <a_i, b_j>.  C2: the short a_0 = e1 - e2 has c_01 = -1, the long
+    # a_1 = 2 e2 has c_10 = -2.  G2: the long a_0 has c_01 = -3.
+    sp4, g2 = preset("Sp", 4), preset("G2", 2)
+    assert sp4.simple_roots == ((1, -1), (0, 2))
+    assert cartan_matrix(sp4, sp4.simple_coroots) == ((2, -1), (-2, 2))
+    assert g2.simple_roots == ((2, -3), (-1, 2)) and g2.simple_coroots == ((1, 0), (0, 1))
+    assert cartan_matrix(g2, g2.simple_coroots) == ((2, -3), (-1, 2))
+    # any coroots, in the order given: a coroot pairs to -2 with its negative
+    assert cartan_matrix(g2, ((0, 1), (0, -1), (1, 0))) == ((2, -2, -1), (-2, 2, 1), (-3, 3, 2))
+    assert cartan_matrix(g2, ()) == ()
 
 
 def test_preset_errors():

@@ -91,6 +91,17 @@ def test_perfbench_contract(monkeypatch):
     assert checks.iota_problems(lvl.gram, (Fraction(0),), plain) == []
 
 
+def test_perfbench_selftest_passes():
+    # the benchmark's own output checks (checks.order and coxeter_problems
+    # power Coxeter entries independently of the package), run as its
+    # docstring says; no bytecode or cache is written under perfbench
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"]
+    done = subprocess.run(cmd, cwd=PERFBENCH.parent, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].startswith("9 passed"), done.stdout
+
+
 @pytest.mark.parametrize("workload", ["blocks", "levels"])
 def test_perfbench_trace_mode_runs(workload, monkeypatch):
     # one traced pass of the benchmark's worker, as the benchmark starts it:
