@@ -23,10 +23,11 @@ the slice hyperplanes {<x, alpha> = -n q(alpha)} with n integral.  The
 length of g counts the integral walls between the base point x0 and
 g^{-1} x0 (separating_walls), and a reflection is simple iff its length is 1
 (Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 1990), so the
-simple system is the set of walls of the alcove of x0.  A simple r is a right
-descent of g iff its wall separates x0 and g^{-1} x0 (wall_separates): x0 is
-on no wall of any level, nor is its image under any extended affine element,
-as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.
+simple system is the set of walls of the alcove of x0, each oriented positive
+at x0.  A simple r is a right descent of g iff g^{-1} x0 is below its wall
+(below_wall): x0 is on no wall of any level, nor is its image under any
+extended affine element, as S(lam, alpha) = <lam, a> q(alpha) for the root a
+of alpha.
 One builder, duality.integral_system, assembles an IntegralSystem from the
 simple system, its Coxeter data (read off Cartan integers, coxeter_system)
 and the stabilizer cosets here; a character is the level c~ S there, so both
@@ -227,8 +228,8 @@ class CharacterPoint:
 
 
 def character_from_config(rd: RootDatum, central: str, finite, basis: str = "cochar") -> CharacterPoint:
-    c = QmodZ.parse(central)
-    vals = [QmodZ.parse(str(x)) for x in finite]
+    c = QmodZ.from_fraction(_read_entry(central, "the central value"))
+    vals = [QmodZ.from_fraction(_read_entry(x, f"finite index {i}")) for i, x in enumerate(finite)]
     if basis == "cochar":
         if len(vals) != rd.rank:
             raise ValueError("finite part length must equal the rank")
@@ -412,11 +413,12 @@ def _walls_between(rd: RootDatum, form, progressions, x, y):
             yield cv, progression_min_at_least(p, lo), count
 
 
-def wall_separates(form, ac: AffineCoroot, x, y) -> bool:
-    """Whether the wall {<v, alpha> = -n q(alpha)} of ac = (alpha, n) lies
-    strictly between the slice points x and y, neither of which is on it."""
-    offset = ac.n * form.q(ac.coroot)
-    return (dot(x, ac.coroot) + offset > 0) != (dot(y, ac.coroot) + offset > 0)
+def below_wall(form, ac: AffineCoroot, p) -> bool:
+    """Whether the slice point p is on the negative side of the wall of
+    ac = (alpha, n): <p, alpha> + n q(alpha) < 0.  Every simple of a system
+    is positive at its base point x0 (simple_system_from_progressions orients
+    it so), so for a simple this says that its wall separates x0 and p."""
+    return dot(p, ac.coroot) + ac.n * form.q(ac.coroot) < 0
 
 
 def separating_walls(rd: RootDatum, form, progressions, x, y) -> int:
@@ -572,19 +574,17 @@ def length_zero_group(rd: RootDatum, system: IntegralSystem):
     integral system of the trivial character, the level side from
     level_integral_weyl.
 
-    The simples are the walls of that alcove as affine coroots, the wall of
-    (alpha, n) being {x : <x, alpha> = -n q(alpha)}; the slice action is
+    The simples are the walls of that alcove as affine coroots, each positive
+    at the base point, so (alpha, n) is the oriented facet
+    f(x) = <x, alpha> + n q(alpha); the slice action is
     x |-> x o w^{-1} - form.covector(lam).  An element fixes the alcove iff it
     sends every oriented facet to an oriented facet.  It sends
     f(x) = <x, c> + b to <x, w c> + b + <form.covector(lam), w c>, so w alone
     decides the target facet of each facet, and lam solves one exact linear
     system on the coset.
     """
-    form, facets = system.form, {}
-    for ac in system.simples:
-        offset = -ac.n * form.q(ac.coroot)
-        sign = 1 if dot(system.base_point, ac.coroot) > offset else -1
-        facets[tuple(sign * x for x in ac.coroot)] = -sign * offset
+    form = system.form
+    facets = {ac.coroot: ac.n * form.q(ac.coroot) for ac in system.simples}
     elements, lattice = [], ()
     for w, coset in system.stabilizer:
         if coset is None:

@@ -44,6 +44,7 @@ from weylkit.affine import (
     IntegralSystem,
     Progression,
     affine_coroot_reflection,
+    below_wall,
     connected_components,
     coxeter_system,
     dominant_base_point,
@@ -56,7 +57,6 @@ from weylkit.affine import (
     slice_act,
     slice_act_inverse,
     stabilizer_cosets,
-    wall_separates,
     weyl_shift,
 )
 from weylkit.rootdata import (
@@ -97,14 +97,16 @@ class Level:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.gram, self.irrational)))
         object.__setattr__(self, "_numerators", _over_common_denominator(*self.gram))  # (K, e), kappa = K / e
+        object.__setattr__(self, "_q", {})  # the memo of q
 
     def __hash__(self):  # levels key caches: hash the Fraction gram once
         return self._hash
 
-    @lru_cache(maxsize=None)  # once per level and coroot, on integers
-    def q(self, coroot: Vec) -> Fraction:
-        k, e = self._numerators
-        return Fraction(dot(mat_vec(k, coroot), coroot), 2 * e)
+    def q(self, coroot: Vec) -> Fraction:  # once per level and coroot, on integers
+        if coroot not in self._q:
+            k, e = self._numerators
+            self._q[coroot] = Fraction(dot(mat_vec(k, coroot), coroot), 2 * e)
+        return self._q[coroot]
 
     def covector(self, v) -> Tuple[Fraction, ...]:
         """kappa(v, -) as a value tuple on the cocharacter basis."""
@@ -529,14 +531,13 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
 
 def _longest_in_component(rd, system, simples) -> ExtendedWeylElement:
     """Longest element of a finite component of system with simple walls
-    simples: from the unit, ascend g <- g r while the wall of some simple r
-    does not separate the base point x0 and p = g^{-1} x0 (then l(g r) >
-    l(g)), with p <- r p.  The length is the integral system's, which on a
-    parabolic subgroup is its own, and the only element of a finite Coxeter
-    group with no ascent is the longest one."""
-    form, x0 = system.form, system.base_point
-    g, p = ExtendedWeylElement.unit(rd.rank), x0
-    while (ac := next((s for s in simples if not wall_separates(form, s, x0, p)), None)) is not None:
+    simples: from the unit, ascend g <- g r while p = g^{-1} x0 is not below
+    the wall of some simple r (then l(g r) > l(g)), with p <- r p.  The
+    length is the integral system's, which on a parabolic subgroup is its
+    own, and the only element of a finite Coxeter group with no ascent is the
+    longest one."""
+    form, g, p = system.form, ExtendedWeylElement.unit(rd.rank), system.base_point
+    while (ac := next((s for s in simples if not below_wall(form, s, p)), None)) is not None:
         r = affine_coroot_reflection(rd, ac)
         g, p = g * r, slice_act_inverse(r, form, p)  # r is its own inverse
     return g

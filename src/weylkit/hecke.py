@@ -8,14 +8,16 @@ lying in a fixed character bimodule {chi} W~ {chi'}.  The normalization is
 so Bott-Samelson coefficients have nonnegative integer coefficients and the
 ungraded statements are recovered at v = 1.  Products with mismatched middle
 characters are zero.  Group-element equality is matrix equality, so the word
-problem is exact.  Descents are wall tests (affine.wall_separates), never
-length counts, and the T_m of a minimal m is clean: it shifts the support.
+problem is exact.  Descents are the sign of one wall at one point
+(affine.below_wall), never length counts, and the T_m of a minimal m is
+clean: it shifts the support.  t_multiply walks each support term y once,
+y = m r_1 ... r_k with m minimal, so T_y = T_m T_{r_1} ... T_{r_k}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylkit.affine import (
     AffineCoroot,
@@ -24,11 +26,11 @@ from weylkit.affine import (
     GramForm,
     IntegralSystem,
     affine_coroot_reflection,
+    below_wall,
     extended_act_character,
     slice_act_inverse,
-    wall_separates,
 )
-from weylkit.integral import CharacterMismatch, DescentStalled, integral_simple_system, is_minimal, minimal_rep
+from weylkit.integral import CharacterMismatch, integral_simple_system, is_minimal
 from weylkit.rootdata import RootDatum
 
 
@@ -173,7 +175,7 @@ def zero_element(chi_left: CharacterPoint, chi_right: CharacterPoint) -> HeckeEl
 
 def _mult_by_simple(rd: RootDatum, system: IntegralSystem, elt: HeckeElement, ac: AffineCoroot) -> HeckeElement:
     """Right multiplication by T_r, r the reflection of a simple wall ac of
-    system: l(g r) < l(g) iff ac separates x0 and g^{-1} x0."""
+    system: l(g r) < l(g) iff g^{-1} x0 is below the wall of ac."""
     r = affine_coroot_reflection(rd, ac)
     form, x0 = system.form, system.base_point
     out: Dict[ExtendedWeylElement, LaurentPoly] = {}
@@ -181,7 +183,7 @@ def _mult_by_simple(rd: RootDatum, system: IntegralSystem, elt: HeckeElement, ac
     for g, c in elt.support.items():
         gr = g * r
         out[gr] = out.get(gr, LaurentPoly.zero()) + c
-        if wall_separates(form, ac, x0, slice_act_inverse(g, form, x0)):
+        if below_wall(form, ac, slice_act_inverse(g, form, x0)):
             out[g] = out.get(g, LaurentPoly.zero()) + c * vdiff
     return HeckeElement(elt.left_char, elt.right_char, out)
 
@@ -191,33 +193,33 @@ def _times_minimal(elt: HeckeElement, m: ExtendedWeylElement, right_char: Charac
     return HeckeElement(elt.left_char, right_char, {g * m: p for g, p in elt.support.items()})
 
 
-def _left_descent_word(rd: RootDatum, system: IntegralSystem, z: ExtendedWeylElement) -> List[AffineCoroot]:
-    """Reduced word z = r_1 ... r_k over the simple walls of system, read
-    from the right: z <- z r and p <- r p while the wall of some simple r
-    separates x0 and p = z^{-1} x0.  The walk must end at e."""
-    form, x0 = system.form, system.base_point
-    start, p, word = z, slice_act_inverse(z, form, x0), []
-    while (ac := next((s for s in system.simples if wall_separates(form, s, x0, p)), None)) is not None:
+def _descend(rd: RootDatum, system: IntegralSystem, y: ExtendedWeylElement) -> Tuple[ExtendedWeylElement, List[AffineCoroot]]:
+    """(m, [r_1, ..., r_k]) with y = m r_1 ... r_k reduced over the simple
+    walls of system and m minimal: y <- y r and p <- r p while p = y^{-1} x0
+    is below the wall of some simple r.  A point below no simple wall is in
+    the alcove of x0, so the walk ends at the length-zero element of y W."""
+    form, word = system.form, []
+    p = slice_act_inverse(y, form, system.base_point)
+    while (ac := next((s for s in system.simples if below_wall(form, s, p)), None)) is not None:
         r = affine_coroot_reflection(rd, ac)
-        z, p = z * r, slice_act_inverse(r, form, p)  # r is its own inverse
+        y, p = y * r, slice_act_inverse(r, form, p)  # r is its own inverse
         word.append(ac)
-    if not z.is_identity():
-        raise DescentStalled(f"{start} descends to the length-zero {z} != e: not in the Coxeter part of {system.simples}")
-    return word[::-1]
+    return y, word[::-1]
 
 
 def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Bilinear product; mismatched middle characters give the zero element."""
+    """Bilinear product; mismatched middle characters give the zero element.
+    A support term y = m r_1 ... r_k of b (_descend) gives T_m T_{r_1} ... T_{r_k}."""
     out = zero_element(a.left_char, b.right_char)
     if a.right_char != b.left_char:
         return out
-    system = integral_simple_system(rd, form, b.left_char)
+    system = integral_simple_system(rd, form, b.right_char)
     for y, c in b.support.items():
-        m = minimal_rep(rd, form, b.right_char, y)
-        elt = a.scale(c)
-        for ac in _left_descent_word(rd, system, y * m.inverse()):
+        m, word = _descend(rd, system, y)
+        elt = _times_minimal(a.scale(c), m, b.right_char)
+        for ac in word:
             elt = _mult_by_simple(rd, system, elt, ac)
-        out = out + _times_minimal(elt, m, b.right_char)
+        out = out + elt
     return out
 
 

@@ -24,12 +24,12 @@ from weylkit.affine import (
     IntegralSystem,
     act_affine_coroot,
     affine_coroot_reflection,
+    below_wall,
     element_length,
     extended_act_character,
     gallery_walk,
     progression_contains,
     slice_act_inverse,
-    wall_separates,
 )
 from weylkit.duality import Level, integral_system, level_progressions
 from weylkit.rootdata import RootDatum
@@ -37,7 +37,6 @@ from weylkit.rootdata import RootDatum
 __all__ = [
     "CharacterMismatch",
     "NotInStabilizerOrbit",
-    "DescentStalled",
     "IntegralSystem",
     "integral_simple_system",
     "integral_length",
@@ -54,11 +53,6 @@ class CharacterMismatch(ValueError):
 
 class NotInStabilizerOrbit(ValueError):
     pass
-
-
-class DescentStalled(RuntimeError):
-    """A descent walk ended at a length-zero element other than e, named in
-    the message: it is not in the Coxeter part it was expected in."""
 
 
 def _character_level(form: GramForm, chi: CharacterPoint):
@@ -136,20 +130,19 @@ def conjugate_to_simple(
 ) -> ExtendedWeylElement:
     """Minimal u with u r u^{-1} simple in the ambient affine system and in
     the integral system of u chi, by a descent on the reflection t of r: an
-    ambient simple s is a left descent of t iff its wall separates x0 and
-    t x0.  When the first such wall (in the ambient order) is t's own, t is
-    simple (Dyer); otherwise s != t, so s t s is a reflection of length
-    l(t) - 2, and s conjugates r, u and chi."""
+    ambient simple s is a left descent of t iff t x0 is below its wall.
+    When the first such wall (in the ambient order) is t's own, t is simple
+    (Dyer); otherwise s != t, so s t s is a reflection of length l(t) - 2,
+    and s conjugates r, u and chi."""
     ambient = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank))
-    x0 = ambient.base_point
     u = ExtendedWeylElement.unit(rd.rank)
     cur = r
     cur_chi = chi
     while True:
         t = affine_coroot_reflection(rd, cur)
-        tx0 = slice_act_inverse(t, form, x0)  # t is its own inverse
+        tx0 = slice_act_inverse(t, form, ambient.base_point)  # t is its own inverse
         # a reflection has length >= 1, so some wall of the alcove of x0 separates
-        s = next(s for s in ambient.simples if wall_separates(form, s, x0, tx0))
+        s = next(s for s in ambient.simples if below_wall(form, s, tx0))
         s_refl = affine_coroot_reflection(rd, s)
         if s_refl == t:
             break

@@ -113,16 +113,12 @@ def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> Endoscopic
                 raise ValidationFailed(f"rescaled root for {cv} is not integral on the lattice")
             new_rt.append(int(val))
         roots_h.append(tuple(new_rt))
-    # simple system of H: indecomposable positives, positives taken from rd
-    pos = set(rd.positive_root_indices())
-    simple_set = _indecomposable(roots_h[i] for i in pos)
-    simple_idx = [i for i in sorted(pos) if roots_h[i] in simple_set]
     ambient_h = mat_mul(rd.ambient_basis, tuple(tuple(Fraction(x) for x in row) for row in bt))
     rd_h = RootDatum(
         n,
         tuple(roots_h),
         tuple(coroots_h),
-        tuple(simple_idx),
+        tuple(sorted(rd.simple_indices)),  # H's roots are positive multiples of G's: same chamber, same walls
         tuple(tuple(Fraction(x) for x in row) for row in ambient_h),
         name=f"H({rd.name},c={c})",
     )
@@ -223,11 +219,11 @@ def _reflections_generate(rd: RootDatum, group, directions) -> bool:
 
 def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterPoint) -> bool:
     """Remark criterion: the stabilizer of chi_f in W(H) is generated by the
-    reflections it contains, whose coroots it permutes."""
-    rd_h = endo.rd_h
-    theta = tuple(chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis)
-    (tn,), d = _over_common_denominator(theta)
-    group = weyl_elements(rd_h)
-    stabilizing = {w for w in group if not any(x % d for x in _shift_numerators(group.inverse[w], tn, tn))}
-    directions = [cv for i, cv in enumerate(rd_h.coroots) if rd_h.reflection(i) in stabilizing]
-    return _reflections_generate(rd_h, stabilizing, directions)
+    reflections it contains, whose coroots it permutes.  H's reflections are
+    G's, so W(H) is W(G) on the lattice of H, with G's positive system, and
+    w stabilizes iff chi_f(w^{-1} b) = chi_f(b) on each basis row b of it."""
+    (fn,), d = _over_common_denominator([f.as_fraction() for f in chi.finite])
+    group = weyl_elements(rd)
+    stabilizing = {w for w in group if not any(x % d for x in mat_vec(endo.cochar_basis, _shift_numerators(group.inverse[w], fn, fn)))}
+    directions = [cv for i, cv in enumerate(rd.coroots) if rd.reflection(i) in stabilizing]
+    return _reflections_generate(rd, stabilizing, directions)

@@ -19,6 +19,7 @@ from weylkit.affine import (
     _walls_between,
     act_affine_coroot,
     affine_coroot_reflection,
+    below_wall,
     character_from_config,
     dominant_base_point,
     element_length,
@@ -38,7 +39,6 @@ from weylkit.affine import (
     slice_act_inverse,
     stabilizer_cosets,
     trivial_progressions,
-    wall_separates,
     weyl_shift,
 )
 from weylkit import duality
@@ -82,6 +82,21 @@ def test_gram_from_matrix_names_a_bad_entry_or_shape():
         with pytest.raises(ValueError, match=re.escape(shape + " are not 2 x 2, the rank")) as info:
             gram_from_matrix(sl3, matrix)
         assert type(info.value) is ValueError
+
+
+def test_character_from_config_reads_every_value_as_an_entry():
+    # the central value and each finite value go through the entry reader:
+    # 0.1 is 1/10 in both places, and "1/0", inf, nan, a bool and a
+    # non-number raise a ValueError naming the value and where it is
+    rd = sl2()
+    chi = character_from_config(rd, 0.1, [0.1])
+    assert chi.central == chi.finite[0] == QmodZ(1, 10)
+    assert character_from_config(rd, Fraction(7, 6), ["1/3"]) == CharacterPoint(QmodZ(1, 6), (QmodZ(1, 3),))
+    for bad in ("1/0", math.inf, -math.inf, math.nan, True, None, "two"):
+        for central, finite, at in ((bad, [0], "the central value"), ("1/2", [bad], "finite index 0")):
+            with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} at {at} is not a rational number")) as info:
+                character_from_config(rd, central, finite)
+            assert type(info.value) is ValueError
 
 
 def test_config_matrices_read_entries_as_character_from_config_does():
@@ -494,48 +509,39 @@ def test_integer_slice_kernel_against_fraction_formulas():
     assert on_wall >= 100 and negative_q >= 16, (on_wall, negative_q)
 
 
-def _levels_in(p, lo, hi):
-    """The levels of the progression p in [lo, hi]."""
-    if p is None:
-        return []
-    i, d = p
-    return [i] if d == 0 and lo <= i <= hi else [n for n in range(lo, hi + 1) if d and (n - i) % d == 0]
-
-
-def test_wall_separates_against_walls_between():
-    # the sign test against the walls _walls_between lists, on the kernel
-    # forms (trivial and character progressions, levels of both signs, one
-    # with a flagged component), for both coroots of each pair and every
-    # integral level in a window; the points are images of the base point,
-    # which lie on no wall, and seeded points, skipped on the walls they meet
+def test_below_wall_against_walls_between():
+    # below_wall on every simple of the kernel systems (trivial and character
+    # progressions, levels of both signs, one with a flagged component) against
+    # the walls _walls_between lists between the base point x0 and p: every
+    # simple is positive at x0, so p is below its wall iff the wall separates
+    # x0 and p; p runs over images of x0, which lie on no wall, and seeded
+    # points, skipped on the wall they meet
     rng = random.Random(2507200)
     outcomes = {True: 0, False: 0}
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
         group = weyl_elements(rd)
         for system in _kernel_systems(rd, rng):
-            form, progs = system.form, dict(system.progressions)
-            x0 = dominant_base_point(rd, form)
-            images = [x0] + [
-                slice_act_inverse(ExtendedWeylElement(tuple(rng.randint(-1, 1) for _ in range(rd.rank)), rng.choice(group)), form, x0)
-                for _ in range(2)
+            form, progs, x0 = system.form, dict(system.progressions), system.base_point
+            assert all(dot(x0, ac.coroot) + ac.n * form.q(ac.coroot) > 0 for ac in system.simples), (name, system.simples)
+            points = [
+                slice_act_inverse(ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(rd.rank)), rng.choice(group)), form, x0)
+                for _ in range(8)
             ]
-            seeded = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rd.rank))
-            for x, y in ((x0, images[1]), (images[1], images[2]), (x0, seeded), (seeded, images[2])):
+            points += [tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rd.rank)) for _ in range(4)]
+            for p in points:
                 between = set()
-                for cv, first, count in _walls_between(rd, form, progs, x, y):
+                for cv, first, count in _walls_between(rd, form, progs, x0, p):
                     step = progs[cv][1]
                     between |= {(cv, first + k * step) for k in range(count)}
                     between |= {(tuple(-v for v in cv), -(first + k * step)) for k in range(count)}
-                for cv in rd.coroots:
-                    q = form.q(cv)
-                    for n in _levels_in(progs[cv], -6, 6):
-                        if dot(x, cv) + n * q == 0 or dot(y, cv) + n * q == 0:
-                            continue
-                        got = wall_separates(form, AffineCoroot(cv, n), x, y)
-                        assert got == ((cv, n) in between), (name, form, cv, n, x, y)
-                        outcomes[got] += 1
-    assert outcomes[True] >= 800 and outcomes[False] >= 8000, outcomes
+                for ac in system.simples:
+                    if dot(p, ac.coroot) + ac.n * form.q(ac.coroot) == 0:
+                        continue
+                    got = below_wall(form, ac, p)
+                    assert got == ((ac.coroot, ac.n) in between), (name, form, ac, p)
+                    outcomes[got] += 1
+    assert outcomes[True] >= 400 and outcomes[False] >= 800, outcomes
 
 
 def _congruence_holds(rows, exact_rows, lam, shift):

@@ -1,8 +1,5 @@
 import random
-import re
 from collections import Counter
-
-import pytest
 
 from weylkit import hecke
 from weylkit.affine import (
@@ -23,7 +20,7 @@ from weylkit.hecke import (
     V_INV,
     HeckeElement,
     LaurentPoly,
-    _left_descent_word,
+    _descend,
     _mult_by_simple,
     b_element,
     bott_samelson_product,
@@ -33,7 +30,7 @@ from weylkit.hecke import (
     unit_element,
     zero_element,
 )
-from weylkit.integral import DescentStalled, integral_length, integral_simple_system, minimal_rep
+from weylkit.integral import integral_length, integral_simple_system, is_minimal, minimal_rep
 from weylkit.rootdata import preset, weyl_elements
 
 
@@ -107,13 +104,15 @@ def test_braid_relation_a2():
     assert lhs == rhs
 
 
-def regular_oracle(rd, form, chi, gens):
+def regular_oracle(rd, form, chi, gens, omegas=(), radius=None):
     """Brute-force Hecke multiplication in the regular representation of the
-    finite subgroup generated by gens, with Cayley-graph lengths."""
+    group generated by gens and the length-zero omegas, with Cayley-graph
+    lengths over gens: a BFS from each omega (at length 0) by right
+    multiplication, up to radius (the whole group when it is finite)."""
     unit = ExtendedWeylElement.unit(rd.rank)
-    dist = {unit: 0}
-    frontier = [unit]
-    while frontier:
+    dist = {om: 0 for om in (unit, *omegas)}
+    frontier = list(dist)
+    while frontier and (radius is None or dist[frontier[0]] < radius):
         new = []
         for g in frontier:
             for r in gens:
@@ -135,7 +134,7 @@ def regular_oracle(rd, form, chi, gens):
         return {w: c for w, c in out.items() if not c.is_zero()}
 
     def word_of(w):
-        # greedy descent through the Cayley graph
+        # greedy descent through the Cayley graph, to the omega of w
         word = []
         cur = w
         while dist[cur]:
@@ -145,11 +144,12 @@ def regular_oracle(rd, form, chi, gens):
                     cur = cur * r
                     break
         word.reverse()
-        return word
+        return cur, word
 
     def product(x, y):
-        coeffs = {x: LaurentPoly.one()}
-        for r in word_of(y):
+        omega, word = word_of(y)
+        coeffs = {x * omega: LaurentPoly.one()}
+        for r in word:
             coeffs = mult_gen(coeffs, r)
         return coeffs
 
@@ -169,6 +169,28 @@ def test_rank2_products_match_regular_representation_oracle():
             mine = t_multiply(rd, form, t_element(rd, form, chi, x), t_element(rd, form, chi, y))
             truth = oracle_product(x, y)
             assert mine.support == truth, (x, y)
+
+
+def test_pgl2_products_match_regular_representation_oracle():
+    # PGL2 at the trivial character: T_x T_y for x, y of length <= 3 in both
+    # cosets of the Coxeter part, so y = omega w with omega != e and w != e
+    # occurs, against the oracle on the Cayley graph of the affine simples
+    rd, form, chi = pgl2_trivial()
+    system = integral_simple_system(rd, form, chi)
+    gens = system.simple_reflections(rd)
+    omega = [g for g in length_zero_group(rd, system)[0] if not g.is_identity()]
+    assert len(omega) == 1
+    dist, oracle_product = regular_oracle(rd, form, chi, gens, omega, radius=7)
+    elements = sorted((g for g in dist if dist[g] <= 3), key=lambda g: (dist[g], g.trans, g.w))
+    assert len(elements) == 14
+    mixed = 0
+    for x in elements:
+        for y in elements:
+            mine = t_multiply(rd, form, t_element(rd, form, chi, x), t_element(rd, form, chi, y))
+            assert mine.support == oracle_product(x, y), (x, y)
+            m, word = _descend(rd, system, y)
+            mixed += not m.is_identity() and bool(word)
+    assert mixed == 14 * 6
 
 
 def test_associativity_randomized(stabilizer_box):
@@ -250,13 +272,16 @@ def test_omega_conjugation_swaps_walls_pgl2():
     assert lhs == t_element(rd, form, chi, s1)
 
 
-def test_descent_word_names_a_length_zero_element_outside_the_coxeter_part():
-    # the nontrivial PGL2 omega has length 0 but is not the identity
+def test_descend_stops_at_a_length_zero_element_outside_the_coxeter_part():
+    # the nontrivial PGL2 omega has length 0 but is not the identity: it
+    # descends to itself with no letter, and omega r to omega and r
     rd, form, chi = pgl2_trivial()
-    omega = [g for g in length_zero_group(rd, integral_simple_system(rd, form, chi))[0] if not g.is_identity()]
+    system = integral_simple_system(rd, form, chi)
+    omega = [g for g in length_zero_group(rd, system)[0] if not g.is_identity()]
     assert len(omega) == 1
-    with pytest.raises(DescentStalled, match=re.escape(str(omega[0]))):
-        _left_descent_word(rd, integral_simple_system(rd, form, chi), omega[0])
+    assert _descend(rd, system, omega[0]) == (omega[0], [])
+    for ac, r in zip(system.simples, system.simple_reflections(rd)):
+        assert _descend(rd, system, omega[0] * r) == (omega[0], [ac])
 
 
 def test_check_relations_checks_the_g2_braid_of_order_six(monkeypatch):
@@ -344,11 +369,13 @@ def test_bott_samelson_product_against_the_t_multiply_route():
 
 
 def test_descents_against_integral_length():
-    # _left_descent_word on products of simple reflections: integral_length(z)
-    # simple letters whose product is z; _mult_by_simple on x z (x a random
-    # ambient element) against the descent read off two length counts
+    # _descend on products z of simple reflections: z = e r_1 ... r_k with
+    # integral_length(z) simple letters; on g = x z (x a random ambient
+    # element): g = m r_1 ... r_k with m minimal, the minimal_rep of g, and k
+    # its integral length; _mult_by_simple on g against the descent read off
+    # two length counts
     rng = random.Random(2507203)
-    descents = Counter()
+    descents, moved = Counter(), 0
     for rd, form, chi in _seeded_characters(rng):
         system = integral_simple_system(rd, form, chi)
         refl = system.simple_reflections(rd)
@@ -356,17 +383,25 @@ def test_descents_against_integral_length():
             z = ExtendedWeylElement.unit(rd.rank)
             for _ in range(rng.randint(0, 8) if refl else 0):
                 z = z * rng.choice(refl)
-            word = _left_descent_word(rd, system, z)
+            m, word = _descend(rd, system, z)
+            assert m.is_identity(), (rd.name, chi, z, m)
             assert len(word) == integral_length(rd, form, chi, z) and set(word) <= set(system.simples), (rd.name, chi, z)
-            product = ExtendedWeylElement.unit(rd.rank)
-            for ac in word:
-                product = product * affine_coroot_reflection(rd, ac)
-            assert product == z, (rd.name, chi, z, word)
+            assert _word_product(rd, m, word) == z, (rd.name, chi, z, word)
             g = _random_element(rng, rd) * z
+            m, word = _descend(rd, system, g)
+            assert is_minimal(rd, form, chi, m) and m == minimal_rep(rd, form, chi, g), (rd.name, chi, g, m)
+            assert len(word) == integral_length(rd, form, chi, g) and _word_product(rd, m, word) == g, (rd.name, chi, g, word)
+            moved += not m.is_identity()
             for ac, r in zip(system.simples, refl):
                 descent = integral_length(rd, form, chi, g * r) < integral_length(rd, form, chi, g)
                 expected = {g * r: ONE, g: V_INV - V} if descent else {g * r: ONE}
                 got = _mult_by_simple(rd, system, HeckeElement(extended_act_character(g, form, chi), chi, {g: ONE}), ac)
                 assert got.support == expected, (rd.name, chi, g, ac)
                 descents[descent] += 1
-    assert descents[True] >= 150 and descents[False] >= 150, descents
+    assert descents[True] >= 150 and descents[False] >= 150 and moved >= 100, (descents, moved)
+
+
+def _word_product(rd, m, word):
+    for ac in word:
+        m = m * affine_coroot_reflection(rd, ac)
+    return m

@@ -57,6 +57,31 @@ def test_no_unused_imports():
     assert _unused_imports(ast.parse(sample)) == ["b (line 3)", "os (line 1)", "r (line 2)"]
 
 
+def _cached_methods(tree):
+    """Functions defined in a class body under lru_cache (bare, called, or as
+    functools.lru_cache)."""
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)) == "lru_cache":
+                        found.append(f"{cls.name}.{node.name} (line {node.lineno})")
+    return found
+
+
+def test_no_lru_cache_on_methods():
+    # an lru_cache on a method is one process-wide, unbounded cache keyed on
+    # self: it keeps every instance alive and finds equal instances by
+    # comparing them field by field; a memo belongs on the instance
+    found = {path.name: _cached_methods(ast.parse(path.read_text())) for path in SOURCES}
+    assert {name: names for name, names in found.items() if names} == {}
+    sample = ("import functools\nclass A:\n    @lru_cache(maxsize=None)\n    def f(self): pass\n    @functools.lru_cache\n"
+              "    def g(self): pass\n    @staticmethod\n    def h(): pass\n@lru_cache\ndef k(): pass\n")
+    assert _cached_methods(ast.parse(sample)) == ["A.f (line 4)", "A.g (line 6)"]
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
