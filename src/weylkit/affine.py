@@ -30,11 +30,11 @@ extended affine element, as S(lam, alpha) = <lam, a> q(alpha) for the root a
 of alpha.
 One builder, duality.integral_system, assembles an IntegralSystem from the
 simple system, its Coxeter data (read off Cartan integers, coxeter_system)
-and the stabilizer cosets here; a character is the level c~ S there, so both
-front-ends reach it.  A system carries the geometry it was built with, and
-length_zero_group and gallery_walk read their form, progressions and base
-point off it; the ambient extended affine Weyl group is the integral system
-of the trivial character.
+and the stabilizer cosets here, one per admissible Weyl part; a character is
+the level c~ S there, so both front-ends reach it.  A system carries the
+geometry it was built with, and length_zero_group and gallery_walk read their
+form, progressions and base point off it; the ambient extended affine Weyl
+group is the integral system of the trivial character.
 """
 
 from __future__ import annotations
@@ -113,7 +113,9 @@ def gram_from_weights(rd: RootDatum, weights: Sequence[Vec]) -> GramForm:
     """S(lam, mu) = sum over the weight multiset of w(lam) w(mu)."""
     n = rd.rank
     s = [[0] * n for _ in range(n)]
-    for w in weights:
+    for k, w in enumerate(weights):
+        if len(w) != n:
+            raise ValueError(f"weight {k} has length {len(w)}, not the rank {n}")
         for i in range(n):
             if w[i]:
                 for j in range(n):
@@ -347,25 +349,15 @@ def progression_min_at_least(p: Progression, lo: int) -> Optional[int]:
 
 
 def progression_contains(p: Progression, n: int) -> bool:
-    if p is None:
-        return False
-    i, d = p
-    if d == 0:
-        return n == i
-    return (n - i) % d == 0
+    return progression_min_at_least(p, n) == n
 
 
 def progression_count_in(p: Progression, a: int, b: int) -> int:
-    """|{n in progression : a <= n <= b}| for finite a <= b."""
-    if p is None or b < a:
+    """|{n in progression : a <= n <= b}|."""
+    first = progression_min_at_least(p, a)
+    if first is None or first > b:
         return 0
-    i, d = p
-    if d == 0:
-        return int(a <= i <= b)
-    first = i - (i - a) // d * d
-    if first > b:
-        return 0
-    return (b - first) // d + 1
+    return (b - first) // p[1] + 1 if p[1] else 1
 
 
 def trivial_progressions(rd: RootDatum) -> Dict[Vec, Progression]:
@@ -534,30 +526,32 @@ def weyl_shift(w_inv: Mat, right, left) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x, d) for x in _shift_numerators(w_inv, rn, ln))
 
 
-def stabilizer_cosets(rd: RootDatum, rows, right, left, exact_rows=()):
-    """Per finite Weyl element w, the coset of lam with
-    rows lam = right o w^{-1} - left (mod 1) and exact_rows lam = 0, or
-    None; plus the translation lattice {rows lam = 0 (mod 1), exact_rows lam
-    = 0}, which every coset shares.  Only the right-hand side depends on w,
-    so one congruence_solver (one Hermite form) serves every w, right and left
-    go over one denominator d once, each shift is its integer numerators
-    over d, and the closure that lists W gives each w^{-1}."""
+def stabilizer_cosets(rd: RootDatum, rows, theta, exact_rows=()):
+    """Per admissible finite Weyl element w, the coset p_w + L of the lam with
+    rows lam = theta o w^{-1} - theta (mod 1) and exact_rows lam = 0 (a w with
+    no such lam is left out), and the lattice L = {rows lam = 0 (mod 1),
+    exact_rows lam = 0}.  Only the right-hand side depends on w, so one
+    congruence_solver (one Hermite form) serves every w, theta goes over one
+    denominator d once, each shift is its integer numerators over d, and the
+    closure that lists W gives each w^{-1}."""
     solve = congruence_solver(list(rows) + list(exact_rows), [1] * len(rows) + [0] * len(exact_rows))
-    (rn, ln), d = _over_common_denominator(right, left)
+    (tn,), d = _over_common_denominator(theta)
     zeros = (0,) * len(exact_rows)
     group = weyl_elements(rd)
-    cosets: Dict[Mat, Optional[CosetZn]] = {w: solve(_shift_numerators(group.inverse[w], rn, ln) + zeros, d) for w in group}
+    cosets = {w: c for w in group if (c := solve(_shift_numerators(group.inverse[w], tn, tn) + zeros, d)) is not None}
     return cosets, solve((0,) * (len(rows) + len(exact_rows))).basis
 
 
 @dataclass(frozen=True)
 class IntegralSystem:
+    """An integral group; its stabilizer lists (w, p_w + L) for the admissible w only, sorted by w."""
+
     form: object  # the geometry: a GramForm S or a level
     progressions: Tuple[Tuple[Vec, Progression], ...]
     simples: Tuple[AffineCoroot, ...]
     coxeter: Tuple[Tuple[object, ...], ...]
     components: Tuple[Tuple[Tuple[int, ...], str], ...]
-    stabilizer: Tuple[Tuple[Mat, Optional[CosetZn]], ...]
+    stabilizer: Tuple[Tuple[Mat, CosetZn], ...]
     translation_lattice: Tuple[Vec, ...]
     base_point: Tuple[Fraction, ...]
 
@@ -581,14 +575,14 @@ def length_zero_group(rd: RootDatum, system: IntegralSystem):
     sends every oriented facet to an oriented facet.  It sends
     f(x) = <x, c> + b to <x, w c> + b + <form.covector(lam), w c>, so w alone
     decides the target facet of each facet, and lam solves one exact linear
-    system on the coset.
+    system on the coset.  Its rows are the facet rows S(c, -) on L, permuted
+    by w, so its solution lattice, Omega's translation lattice
+    {lam in L : S(lam, c) = 0 for every facet c}, is the same for every w.
     """
     form = system.form
     facets = {ac.coroot: ac.n * form.q(ac.coroot) for ac in system.simples}
-    elements, lattice = [], ()
+    elements = []
     for w, coset in system.stabilizer:
-        if coset is None:
-            continue
         rows, rhs = [], []
         for c, b in facets.items():
             wc = tuple(mat_vec(w, c))
@@ -608,7 +602,6 @@ def length_zero_group(rd: RootDatum, system: IntegralSystem):
             for k, e in zip(sol.particular, coset.basis):
                 lam = vec_add(lam, vec_scale(e, k))
             elements.append(ExtendedWeylElement(tuple(lam), w))
-            lattice = lattice_basis_from_generators(
-                [tuple(dot(ks, col) for col in zip(*coset.basis)) for ks in sol.basis]
-            )
+            kernel = sol.basis
+    lattice = lattice_basis_from_generators([tuple(dot(ks, col) for col in zip(*system.translation_lattice)) for ks in kernel])
     return tuple(sorted(elements, key=lambda g: (g.trans, g.w))), lattice

@@ -57,7 +57,6 @@ from weylkit.affine import (
     slice_act,
     slice_act_inverse,
     stabilizer_cosets,
-    weyl_shift,
 )
 from weylkit.rootdata import (
     RootDatum,
@@ -233,22 +232,9 @@ def integral_system(rd: RootDatum, form, lvl: Level, theta) -> IntegralSystem:
     simples = simple_system_from_progressions(rd, form, progressions)
     matrix, components = coxeter_system(rd, simples)
     rows, exact_rows = _stabilizer_rows(rd, lvl)
-    stab, lattice = stabilizer_cosets(rd, rows, theta, theta, exact_rows)
+    stab, lattice = stabilizer_cosets(rd, rows, theta, exact_rows)
     progressions, stab = tuple(sorted(progressions.items())), tuple(sorted(stab.items()))
     return IntegralSystem(form, progressions, simples, matrix, components, stab, lattice, dominant_base_point(rd, form))
-
-
-def level_membership(rd: RootDatum, lvl: Level, theta, g: ExtendedWeylElement) -> bool:
-    """t^lam w integral iff lam satisfies the stabilizer rows of w."""
-    theta = tuple(Fraction(x) for x in theta)
-    rows, exact_rows = _stabilizer_rows(rd, lvl)
-    w_inv = weyl_elements(rd).inverse.get(g.w)
-    if w_inv is None:
-        raise ValueError(f"the Weyl part of {g} is not in the Weyl group")
-    shift = weyl_shift(w_inv, theta, theta)
-    return not any(dot(row, g.trans) for row in exact_rows) and all(
-        (s - dot(row, g.trans)).denominator == 1 for s, row in zip(shift, rows)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +279,14 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     """Build iota and verify that conjugation by it maps the integral group G
     at (kappa, theta) onto G' at (-kappa^{-1}, kappa^{-1} theta).
 
-    Each group is generated by one t^{p_w} w per non-empty stabilizer coset
-    p_w + L and by t^b for a basis b of the lattice L all cosets share.
-    Conjugation is a homomorphism, so checking generators is exact.  Into:
-    each generator of G goes to its partner in G' (_iota_partner).  Onto: the
-    iota' of the dual side is y |-> kappa y - theta = -iota^{-1}(y), and
-    negation conjugates t^mu v to t^{-mu} v, so each generator of G' comes
-    from its iota'-partner with the translation negated.
+    Each group is {t^lam w : w admissible, lam in its coset p_w + L}, which is
+    how membership is tested; it is generated by one t^{p_w} w per admissible
+    w and by t^b for a basis b of L.  Conjugation is a homomorphism, so
+    checking generators is exact.  Into: each generator of G goes to its
+    partner in G' (_iota_partner).  Onto: the iota' of the dual side is
+    y |-> kappa y - theta = -iota^{-1}(y), and negation conjugates t^mu v to
+    t^{-mu} v, so each generator of G' comes from its iota'-partner with the
+    translation negated.
     Each pair is one closed-form test on integer numerators, _conjugation_test:
     for iota(x) = L x + c and linear parts a, b, iota o g o iota^{-1} = h iff
     L a = b L and c - b c + L g(0) = h(0).  pairs_checked counts the generators
@@ -312,14 +299,14 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     iota = iota_map(rd, lvl, theta)
     conjugates = _conjugation_test(iota, lvl, lvl_dual_neg)
     theta_f = tuple(Fraction(x) for x in theta)
-    reps, shifts = _integral_generators(rd, lvl, theta_f)
-    dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
+    cosets, reps, shifts = _integral_generators(rd, lvl, theta_f)
+    dual_cosets, dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
 
     partner = _iota_partner(rd, lvl, theta_f)
     ok, checked = {"pairs": True, "translations": True}, 0
     for key, g in [("pairs", g) for g in reps] + [("translations", g) for g in shifts]:
         h = partner(g)
-        if h is None or not level_membership(rd_dual, lvl_dual_neg, theta_check, h):
+        if h is None or h.w not in dual_cosets or not dual_cosets[h.w].contains(h.trans):
             raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
         ok[key] &= conjugates(h.w, g.trans, g.w, h.trans)
         checked += 1
@@ -328,7 +315,7 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     for h in dual_reps + dual_shifts:
         p = dual_partner(h)
         g = None if p is None else ExtendedWeylElement(tuple(-x for x in p.trans), p.w)
-        if g is None or not conjugates(h.w, g.trans, g.w, h.trans) or not level_membership(rd, lvl, theta_f, g):
+        if g is None or not conjugates(h.w, g.trans, g.w, h.trans) or g.w not in cosets or not cosets[g.w].contains(g.trans):
             raise VerificationFailed(f"dual generator {h} does not come from an integral element")
         checked += 1
 
@@ -379,11 +366,11 @@ def _conjugation_test(iota: AffineMap, lvl: Level, lvl_dual: Level):
 
 
 def _integral_generators(rd: RootDatum, lvl: Level, theta):
-    """t^{p_w} w per non-empty stabilizer coset p_w + L, and t^b per basis vector b of L."""
+    """The cosets {w: p_w + L} of the admissible w, t^{p_w} w per w, and t^b per basis vector b of L."""
     rows, exact_rows = _stabilizer_rows(rd, lvl)
-    cosets, lattice = stabilizer_cosets(rd, rows, theta, theta, exact_rows)
-    reps = [ExtendedWeylElement(c.particular, w) for w, c in cosets.items() if c is not None]
-    return reps, [ExtendedWeylElement.translation(b) for b in lattice]
+    cosets, lattice = stabilizer_cosets(rd, rows, theta, exact_rows)
+    reps = [ExtendedWeylElement(c.particular, w) for w, c in cosets.items()]
+    return cosets, reps, [ExtendedWeylElement.translation(b) for b in lattice]
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,6 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
             elt = _mult_by_simple(rd, system, elt, ac) + elt.scale(V)
         elif kind == "omega":
             nxt = extended_act_character(g.inverse(), form, cur)
-            if extended_act_character(g, form, nxt) != cur:
-                raise CharacterMismatch("omega token does not match the running character")
             if not is_minimal(rd, form, nxt, g):
                 raise CharacterMismatch("omega token is not a minimal element")
             elt = _times_minimal(elt, g, nxt)

@@ -18,7 +18,6 @@ from typing import Tuple
 from weylkit.exact import (
     QmodZ,
     Vec,
-    _over_common_denominator,
     dot,
     identity,
     lattice_basis_from_generators,
@@ -30,14 +29,13 @@ from weylkit.exact import (
     transpose,
     vec_scale,
 )
-from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, _shift_numerators, progression_min_at_least
+from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progression_min_at_least
 from weylkit.integral import integral_simple_system
 from weylkit.rootdata import (
     RootDatum,
     cartan_matrix,
     langlands_dual,
     validate_root_datum,
-    weyl_elements,
 )
 
 
@@ -174,10 +172,12 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
             h_integral.append(tuple(cv))
     dir_match = set(map(tuple, directions)) == set(h_integral)
 
-    # bullet = full iff the integral reflections generate the admitting Weyl
-    # parts, which contain and permute them
-    g_side_full = _reflections_generate(rd, [w for w, coset in system.stabilizer if coset is not None], directions)
-    h_side_full = _h_reflection_criterion(rd, endo, chi)
+    # bullet = full iff the integral reflections generate the admissible Weyl
+    # parts, which contain and permute them; these parts are also the
+    # stabilizer of chi_f in W(H)
+    admissible = {w for w, _ in system.stabilizer}
+    g_side_full = _reflections_generate(rd, admissible, directions)
+    h_side_full = _h_reflection_criterion(rd, admissible)
 
     return {
         "endoscopic": endo,
@@ -217,13 +217,16 @@ def _reflections_generate(rd: RootDatum, group, directions) -> bool:
     return all(w == ident or not all(rd.is_positive_coroot(mat_vec(w, cv)) for cv in positive) for w in group)
 
 
-def _h_reflection_criterion(rd: RootDatum, endo: EndoscopicData, chi: CharacterPoint) -> bool:
+def _h_reflection_criterion(rd: RootDatum, stabilizing) -> bool:
     """Remark criterion: the stabilizer of chi_f in W(H) is generated by the
     reflections it contains, whose coroots it permutes.  H's reflections are
-    G's, so W(H) is W(G) on the lattice of H, with G's positive system, and
-    w stabilizes iff chi_f(w^{-1} b) = chi_f(b) on each basis row b of it."""
-    (fn,), d = _over_common_denominator([f.as_fraction() for f in chi.finite])
-    group = weyl_elements(rd)
-    stabilizing = {w for w in group if not any(x % d for x in mat_vec(endo.cochar_basis, _shift_numerators(group.inverse[w], fn, fn)))}
+    G's, so W(H) is W(G) on the lattice Lambda_H = {lam : c S(lam, -) in Z^n}
+    of H, with G's positive system, and w stabilizes iff v = chi_f o w^{-1} -
+    chi_f is integral on Lambda_H.  That stabilizer is the set of admissible
+    Weyl parts of the chi-stabilizer, those w with c~ S lam = v (mod Z^n) for
+    some lam, i.e. v in Z^n + A Z^n for A = c~ S: A is symmetric, so the dual
+    lattice of Z^n + A Z^n is Z^n cap A^{-1} Z^n = Lambda_H, and a full-rank
+    lattice is the dual of its dual.  At c = 0, c~ = 1 and both sides are Z^n
+    (S is integral).  So stabilizing is the set of admissible w."""
     directions = [cv for i, cv in enumerate(rd.coroots) if rd.reflection(i) in stabilizing]
     return _reflections_generate(rd, stabilizing, directions)

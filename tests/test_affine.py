@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit.exact import QmodZ, dot, identity, mat_inv, mat_vec, solve_integer_affine
+from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, mat_inv, mat_vec, solve_integer_affine
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -60,6 +60,15 @@ def test_gram_sl2_standard():
     form = sl2_form()
     assert form.matrix == ((2,),)
     assert form.q((1,)) == 1
+
+
+def test_gram_from_weights_names_a_weight_of_the_wrong_length():
+    rd = preset("SL", 3)
+    assert gram_from_weights(rd, rd.roots).matrix == ((12, -6), (-6, 12))
+    padded, truncated = [r + (0,) for r in rd.roots], [r[:1] for r in rd.roots]
+    for weights, k, length in ((padded, 0, 3), (truncated, 0, 1), (list(rd.roots) + [(1, 0, 0)], 6, 3)):
+        with pytest.raises(ValueError, match=f"weight {k} has length {length}, not the rank 2"):
+            gram_from_weights(rd, weights)
 
 
 def test_gram_rejects_empty():
@@ -553,10 +562,10 @@ def _congruence_holds(rows, exact_rows, lam, shift):
 
 def test_stabilizer_cosets_against_per_element_rational_solves():
     # numerators over one denominator against, per w, the Fraction Weyl shift
-    # and its own rational solve; the character rows c S at seeded characters
-    # and the level rows at levels of both signs, one with a flagged
-    # component (exact rows); right and left differ in half the cases.  Each
-    # coset is also checked on its congruences in Fractions
+    # and its own rational solve, the w with no solution left out; the
+    # character rows c S at seeded characters and the level rows at levels of
+    # both signs, one with a flagged component (exact rows).  Each coset is
+    # also checked on its congruences in Fractions
     rng = random.Random(2507180)
     empty = found = 0
     for name, param in KERNEL_PRESETS:
@@ -571,23 +580,44 @@ def test_stabilizer_cosets_against_per_element_rational_solves():
             lvl = level_from_config(rd, [[c * v for v in row] for row in form.matrix], irrational)
             cases.append(duality._stabilizer_rows(rd, lvl))
         for rows, exact_rows in cases:
-            right = tuple(Fraction(rng.randint(0, 11), rng.choice((4, 6, 12))) for _ in range(rd.rank))
-            left = right if rng.random() < 0.5 else tuple(Fraction(rng.randint(0, 5), 6) for _ in range(rd.rank))
-            cosets, lattice = stabilizer_cosets(rd, rows, right, left, exact_rows)
+            theta = tuple(Fraction(rng.randint(0, 11), rng.choice((4, 6, 12))) for _ in range(rd.rank))
+            cosets, lattice = stabilizer_cosets(rd, rows, theta, exact_rows)
             moduli = [1] * len(rows) + [0] * len(exact_rows)
-            assert set(cosets) == set(weyl_elements(rd))
+            shifts = {w: _fraction_weyl_shift(w, theta, theta) for w in weyl_elements(rd)}
+            expected = {}
+            for w, shift in shifts.items():
+                coset = solve_integer_affine(list(rows) + list(exact_rows), list(shift) + [0] * len(exact_rows), moduli)
+                if coset is not None:
+                    expected[w] = coset
+            assert cosets == expected, (name, rows, theta)
+            empty += len(shifts) - len(cosets)
             for w, coset in cosets.items():
-                shift = _fraction_weyl_shift(w, right, left)
-                expected = solve_integer_affine(list(rows) + list(exact_rows), list(shift) + [0] * len(exact_rows), moduli)
-                assert coset == expected, (name, rows, right, left, w)
-                if coset is None:
-                    empty += 1
-                    continue
                 found += 1
                 assert coset.basis == lattice
-                assert _congruence_holds(rows, exact_rows, coset.particular, shift), (name, w)
+                assert _congruence_holds(rows, exact_rows, coset.particular, shifts[w]), (name, w)
                 assert all(_congruence_holds(rows, exact_rows, b, [0] * len(rows)) for b in lattice)
     assert empty >= 1000 and found >= 60, (empty, found)
+
+
+def test_length_zero_lattice_is_the_facet_kernel_in_the_translation_lattice():
+    # Omega's translation lattice, computed once for all Weyl parts, against
+    # {lam in L : S(lam, c) = 0 for every facet direction c}, solved here on
+    # the coefficients of lam over the basis of L
+    rng = random.Random(2507251)
+    systems = several = 0
+    for name, param in KERNEL_PRESETS:
+        rd = preset(name, param)
+        for system in _kernel_systems(rd, rng):
+            omega, lattice = length_zero_group(rd, system)
+            basis = system.translation_lattice
+            rows = [[dot(system.form.covector(ac.coroot), b) for b in basis] for ac in system.simples]
+            kernel = solve_integer_affine(rows, [0] * len(rows), [0] * len(rows)).basis if rows else identity(len(basis))
+            expected = lattice_basis_from_generators([tuple(dot(k, col) for col in zip(*basis)) for k in kernel])
+            assert lattice == expected, (name, system.form, system.simples)
+            assert all(not dot(system.form.covector(ac.coroot), lam) for lam in lattice for ac in system.simples)
+            systems += 1
+            several += len(omega) > 1
+    assert systems == 80 and several >= 10, (systems, several)
 
 
 def test_slice_act_inverse_against_the_inverse_element():

@@ -34,7 +34,6 @@ from weylkit.duality import (
     finite_components,
     level_from_config,
     level_integral_weyl,
-    level_membership,
     level_progressions,
 )
 from weylkit.exact import QmodZ, identity, mat_inv, solve_integer_affine
@@ -62,7 +61,7 @@ def _character_system(rd, form, chi):
     c, theta = chi.central.as_fraction(), tuple(f.as_fraction() for f in chi.finite)
     simples = simple_system_from_progressions(rd, form, progs)
     matrix, components = coxeter_system(rd, simples)
-    stab, lattice = stabilizer_cosets(rd, [[c * x for x in row] for row in form.matrix], theta, theta)
+    stab, lattice = stabilizer_cosets(rd, [[c * x for x in row] for row in form.matrix], theta)
     stab = tuple(sorted(stab.items()))
     return IntegralSystem(form, tuple(sorted(progs.items())), simples, matrix, components, stab, lattice, dominant_base_point(rd, form))
 
@@ -89,8 +88,6 @@ def test_character_wrapper_against_the_character_formulas():
 
 
 def _same_coset(a, b):
-    if a is None or b is None:
-        return a is b
     return a.basis == b.basis and a.contains(b.particular)
 
 
@@ -266,7 +263,9 @@ def _check_stabilizer(rd, lvl, theta, system, factor_of):
     is integral, the flagged blocks of kappa counting as zero."""
     n = rd.rank
     flagged = [factor_of(tuple(int(i == j) for j in range(n))) in lvl.irrational for i in range(n)]
-    for w, coset in system.stabilizer:
+    stab = dict(system.stabilizer)
+    for w in weyl_elements(rd):
+        coset = stab.get(w)  # listed iff w is admissible
         winv = mat_inv_int(w)
         shift = [_pair(theta, [winv[j][i] for j in range(n)]) - theta[i] for i in range(n)]
         for lam in itertools.product(range(-1, 2), repeat=n):
@@ -274,7 +273,6 @@ def _check_stabilizer(rd, lvl, theta, system, factor_of):
                 (shift[i] - (0 if flagged[i] else _pair(lvl.gram[i], lam))).denominator == 1 for i in range(n)
             ) and not any(x for x, f in zip(lam, flagged) if f)
             assert (coset is not None and coset.contains(lam)) == expected, (rd.name, w, lam)
-            assert level_membership(rd, lvl, theta, ExtendedWeylElement(lam, w)) == expected
 
 
 def _check_level(rd, lvl, theta, rng, factor_of=lambda cv: 0):
@@ -332,14 +330,16 @@ STABILIZER_PRESETS = FRONT_END_PRESETS + [("PSp", 4), ("Spin_odd", 5), ("SO_even
 
 def _solve_per_element(rd, rows, theta, exact_rows):
     """Cosets of rows lam = theta o w^{-1} - theta (mod 1), exact_rows lam = 0,
-    each w with its own solve_integer_affine."""
+    each w with its own solve_integer_affine; the w with no solution left out."""
     n = rd.rank
     moduli = [1] * len(rows) + [0] * len(exact_rows)
     out = {}
     for w in weyl_elements(rd):
         winv = mat_inv(w)
         shift = [_pair(theta, [winv[j][i] for j in range(n)]) - theta[i] for i in range(n)]
-        out[w] = solve_integer_affine(list(rows) + list(exact_rows), shift + [0] * len(exact_rows), moduli)
+        coset = solve_integer_affine(list(rows) + list(exact_rows), shift + [0] * len(exact_rows), moduli)
+        if coset is not None:
+            out[w] = coset
     return out
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -31,11 +30,10 @@ from weylkit.duality import (
     kappa_parabolic_match,
     level_from_config,
     level_integral_weyl,
-    level_membership,
     level_progression,
     level_progressions,
 )
-from weylkit.exact import dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec, vec_sub
+from weylkit.exact import CosetZn, dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec, vec_sub
 from weylkit.hecke import ONE, V, HeckeElement, _mult_by_simple, _times_minimal
 from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
 
@@ -117,8 +115,8 @@ def test_integral_weyl_full_at_even_level():
     sys = level_integral_weyl(rd, lvl, (Fraction(0),))
     assert len(sys.simples) == 2
     assert sys.coxeter[0][1] == "infinite"
-    for w, coset in sys.stabilizer:
-        assert coset is not None
+    # every w is admissible at theta = 0
+    assert [w for w, _ in sys.stabilizer] == list(weyl_elements(rd))
 
 
 def test_integral_weyl_irrational_is_finite():
@@ -128,11 +126,8 @@ def test_integral_weyl_irrational_is_finite():
     assert len(sys.simples) == 1
     assert sys.components == (((0,), "finite"),)
     # only lam = 0 translations are integral
-    assert level_membership(rd, lvl, (Fraction(0),), ExtendedWeylElement.translation((1,))) is False
-    assert level_membership(rd, lvl, (Fraction(0),), ExtendedWeylElement.translation((0,)))
-    # a Weyl part outside W is named, not looked up into a KeyError
-    with pytest.raises(ValueError, match=re.escape("ExtendedWeylElement(trans=(0,), w=((2,),)) is not in")):
-        level_membership(rd, lvl, (Fraction(0),), ExtendedWeylElement((0,), ((2,),)))
+    units = dict(sys.stabilizer)[((1,),)]
+    assert units.contains((0,)) and not units.contains((1,)) and sys.translation_lattice == ()
 
 
 def test_iota_conjugation_sl2():
@@ -142,6 +137,39 @@ def test_iota_conjugation_sl2():
         report = iota_conjugation(rd, lvl, (Fraction(0),))
         assert report["verified"]
         assert report["pairs_checked"] > 0
+
+
+def test_iota_conjugation_tests_membership_on_the_coset(monkeypatch):
+    # an admissible Weyl part is not enough: at kappa = 2 on SL2 the dual
+    # translation lattice is 2Z, so a partner shifted by 1 is off its coset,
+    # and with the lattice of G doubled some dual generator has no integral
+    # preimage; each is caught by the membership test that names it
+    rd, lvl, theta = sl2(), level_from_config(sl2(), [[2]]), (Fraction(0),)
+    partner_of, generators = duality._iota_partner, duality._integral_generators
+
+    def shifted(*side):
+        partner = partner_of(*side)
+
+        def off_coset(g):
+            h = partner(g)
+            return ExtendedWeylElement((h.trans[0] + 1,), h.w)
+
+        return off_coset
+
+    with monkeypatch.context() as m:
+        m.setattr(duality, "_iota_partner", shifted)
+        with pytest.raises(VerificationFailed, match="is not integral"):
+            iota_conjugation(rd, lvl, theta)
+
+    def doubled(side_rd, *rest):
+        cosets, reps, shifts = generators(side_rd, *rest)
+        if side_rd is rd:
+            cosets = {w: CosetZn(c.particular, tuple(tuple(2 * x for x in b) for b in c.basis)) for w, c in cosets.items()}
+        return cosets, reps, shifts
+
+    monkeypatch.setattr(duality, "_integral_generators", doubled)
+    with pytest.raises(VerificationFailed, match="does not come from an integral element"):
+        iota_conjugation(rd, lvl, theta)
 
 
 def test_iota_conjugation_sp4_half_basic():
@@ -554,7 +582,7 @@ def test_conjugation_test_against_composed_maps():
                         assert expected is None or m is doubled or got == expected, (rd.name, lvl.gram, theta, lam, w)
                         verdicts[got] += 1
 
-                reps, shifts = duality._integral_generators(rd, lvl, theta)
+                _, reps, shifts = duality._integral_generators(rd, lvl, theta)
                 for g in reps + shifts:
                     winv_t = tuple(zip(*mat_inv_int(g.w)))
                     kappa_lam = mat_vec(lvl.gram, g.trans)

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from weylkit import hecke
 from weylkit.affine import (
     CharacterPoint,
@@ -30,7 +32,7 @@ from weylkit.hecke import (
     unit_element,
     zero_element,
 )
-from weylkit.integral import integral_length, integral_simple_system, is_minimal, minimal_rep
+from weylkit.integral import CharacterMismatch, integral_length, integral_simple_system, is_minimal, minimal_rep
 from weylkit.rootdata import preset, weyl_elements
 
 
@@ -245,6 +247,27 @@ def test_bott_samelson_a2_top_multiplicity():
     assert table[sts] == ONE
     for c in table.values():
         assert c.nonnegative()
+
+
+def test_bott_samelson_rejects_a_reflection_not_simple_for_the_running_character():
+    rd, form, chi = sl2_half()
+    s, t = integral_simple_system(rd, form, chi).simple_reflections(rd)
+    with pytest.raises(CharacterMismatch, match="reflection is not simple for the running character"):
+        bott_samelson_product(rd, form, chi, [("r", s), ("r", s * t * s)])  # s t s is integral, of length 3
+
+
+def test_bott_samelson_rejects_an_omega_token_that_is_not_minimal():
+    rd, form, chi = sl2_half()
+    s = integral_simple_system(rd, form, chi).simple_reflections(rd)[0]
+    with pytest.raises(CharacterMismatch, match="omega token is not a minimal element"):
+        bott_samelson_product(rd, form, chi, [("omega", s)])
+
+
+def test_bott_samelson_rejects_an_unknown_token_kind():
+    rd, form, chi = sl2_half()
+    s = integral_simple_system(rd, form, chi).simple_reflections(rd)[0]
+    with pytest.raises(ValueError, match="unknown token kind 'b'"):
+        bott_samelson_product(rd, form, chi, [("r", s), ("b", s)])
 
 
 def test_check_relations_reports():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylkit import metaplectic
-from weylkit.exact import QmodZ, identity, vec_scale
+from weylkit.exact import QmodZ, identity, mat_vec, vec_scale
 from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
@@ -262,7 +262,7 @@ def _closure_bullet_is_full(rd, stab, directions):
     """The admitting Weyl parts inside the enumerated group of the integral
     reflections: the reference for the bullet-is-full flag."""
     generated = group_closure([rd.reflection(rd.coroots.index(cv)) for cv in directions], rd.rank)
-    return {w for w, coset in stab.items() if coset is not None} <= set(generated)
+    return set(stab) <= set(generated)
 
 
 def _closure_h_criterion(endo, chi):
@@ -306,6 +306,46 @@ def test_bullet_criteria_against_group_closure():
     assert cases == 1008 and 60 <= negatives["g"] < cases and 15 <= negatives["h"] < cases, (cases, negatives)
 
 
+CENTRAL_VALUES = (0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4), Fraction(1, 5),
+                  Fraction(1, 6), Fraction(5, 6), Fraction(1, 8), Fraction(1, 12))
+
+
+def _stabilizer_on(rd, basis, chi):
+    """The w in W with chi_f(w^{-1} b) = chi_f(b) (mod 1) on each row b of
+    basis, in Fractions: on H's lattice, the stabilizer of chi_f in W(H)."""
+    group = weyl_elements(rd)
+    return {
+        w for w in group
+        if all((chi.value_on(mat_vec(group.inverse[w], b)) - chi.value_on(b)).is_zero() for b in basis)
+    }
+
+
+def test_h_stabilizer_is_the_admissible_weyl_parts():
+    # the stabilizer of chi_f in W(H), read off H's lattice, against the
+    # admissible Weyl parts of the chi-stabilizer, which the H flag reads: on
+    # 17 presets at eleven central values, chi_f zero, in twelfths, and in
+    # twice the denominator of c.  H's lattice matters: in the cases counted
+    # as finer, fewer w fix chi_f on all of Z^n
+    rng = random.Random(2507252)
+    cases, proper, finer = 0, 0, 0
+    for name, n in [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("Sp", 4), ("Sp", 6), ("PSp", 4),
+                    ("PSp", 6), ("GL", 2), ("G2", 2), ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 6), ("SO_even", 8)]:
+        rd = preset(name, n)
+        form = _even_form(rd)
+        unit = identity(rd.rank)
+        for c in CENTRAL_VALUES:
+            cq = QmodZ.from_fraction(c)
+            basis = endoscopic_lattice(rd, form, cq)
+            for d in (1, 12, 2 * cq.den):
+                chi = CharacterPoint(cq, tuple(QmodZ(rng.randrange(d), d) for _ in range(rd.rank)))
+                admissible = {w for w, _ in integral_simple_system(rd, form, chi).stabilizer}
+                assert admissible == _stabilizer_on(rd, basis, chi), (name, c, chi)
+                cases += 1
+                proper += len(admissible) < len(weyl_elements(rd))
+                finer += admissible != _stabilizer_on(rd, unit, chi)
+    assert cases == 561 and proper >= 300 and finer >= 90, (cases, proper, finer)
+
+
 def test_endoscopic_simples_are_the_indecomposable_positive_roots():
     # H takes G's simple indices: its positive system is G's, and its simple
     # roots are exactly its positive roots that are not a sum of two positive
@@ -315,8 +355,7 @@ def test_endoscopic_simples_are_the_indecomposable_positive_roots():
         rd = preset(name, n)
         form = _even_form(rd)
         pos = set(rd.positive_root_indices())
-        for c in (0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4), Fraction(1, 5),
-                  Fraction(1, 6), Fraction(5, 6), Fraction(1, 8), Fraction(1, 12)):
+        for c in CENTRAL_VALUES:
             rd_h = endoscopic_root_datum(rd, form, QmodZ.from_fraction(c)).rd_h
             assert set(rd_h.positive_root_indices()) == pos, (name, c)
             positives = {rd_h.roots[i] for i in pos}

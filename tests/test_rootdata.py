@@ -264,8 +264,8 @@ def test_stabilizer_cosets_invert_nothing(monkeypatch):
     for module in (exact, rootdata):
         monkeypatch.setattr(module, "mat_inv", counted)
     rootdata.mat_inv_int.cache_clear()
-    cosets, _ = stabilizer_cosets(rd, [[Fraction(1, 2) * x for x in row] for row in form.matrix], theta, theta)
-    assert len(cosets) == 120
+    cosets, _ = stabilizer_cosets(rd, [[Fraction(1, 2) * x for x in row] for row in form.matrix], theta)
+    assert len(cosets) == 2  # all 120 w are solved; the rows are integral, so the w fixing theta mod 1 are kept
     assert inverted == []
 
 
