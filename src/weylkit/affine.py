@@ -21,19 +21,19 @@ or a level kappa of any signature: anything with q and covector) and by its
 progressions, the integral levels n of each coroot direction.  Its walls are
 the slice hyperplanes {<x, alpha> = -n q(alpha)} with n integral.  The
 length of g counts the integral walls between the base point x0 and
-g^{-1} x0 (separating_walls), and a reflection is simple iff its length is 1
-(Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 1990), so the
-simple system is the set of walls of the alcove of x0, each oriented positive
-at x0.  A simple r is a right descent of g iff g^{-1} x0 is below its wall
-(below_wall): x0 is on no wall of any level, nor is its image under any
-extended affine element, as S(lam, alpha) = <lam, a> q(alpha) for the root a
-of alpha.
+g^{-1} x0, and a reflection is simple iff its length is 1 (Dyer, "Reflection
+subgroups of Coxeter systems", J. Algebra 1990), so the simple system is the
+set of walls of the alcove of x0, each oriented positive at x0.  A simple r
+is a right descent of g iff g^{-1} x0 is below its wall (below_wall): x0 is
+on no wall of any level, nor is its image under any extended affine element,
+as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.  Every descent
+is one walk over the simple walls, on integers (descend).
 One builder, duality.integral_system, assembles an IntegralSystem from the
 simple system, its Coxeter data (read off Cartan integers, coxeter_system)
 and the stabilizer cosets here, one per admissible Weyl part; a character is
 the level c~ S there, so both front-ends reach it.  A system carries the
-geometry it was built with, and length_zero_group and gallery_walk read their
-form, progressions and base point off it; the ambient extended affine Weyl
+geometry it was built with, and length_zero_group and descend read their
+form and simple walls off it; the ambient extended affine Weyl
 group is the integral system of the trivial character.
 """
 
@@ -66,6 +66,7 @@ from weylkit.exact import (
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 from weylkit.rootdata import RootDatum, cartan_matrix, mat_inv_int, weyl_elements
 
@@ -360,12 +361,8 @@ def progression_count_in(p: Progression, a: int, b: int) -> int:
     return (b - first) // p[1] + 1 if p[1] else 1
 
 
-def trivial_progressions(rd: RootDatum) -> Dict[Vec, Progression]:
-    return {tuple(cv): (0, 1) for cv in rd.coroots}
-
-
 # ---------------------------------------------------------------------------
-# walls: lengths and simple systems
+# walls: the descent walk and simple systems
 
 
 @lru_cache(maxsize=None)
@@ -413,37 +410,28 @@ def below_wall(form, ac: AffineCoroot, p) -> bool:
     return dot(p, ac.coroot) + ac.n * form.q(ac.coroot) < 0
 
 
-def separating_walls(rd: RootDatum, form, progressions, x, y) -> int:
-    """Number of integral walls strictly between the slice points x and y."""
-    return sum(count for _, _, count in _walls_between(rd, form, progressions, x, y))
-
-
-def gallery_walk(rd: RootDatum, system: IntegralSystem, p):
-    """Walk the slice point p into the base alcove of system.  Reflecting in
-    any integral wall between p and the base point lowers the number of
-    separating walls (the reflection is an inversion), so the walk ends.
-    Returns the reflections taken, in order, and the end point."""
-    form, progressions, x0, steps = system.form, dict(system.progressions), system.base_point, []
-    wall = next(_walls_between(rd, form, progressions, p, x0), None)
-    while wall is not None:
-        steps.append(affine_coroot_reflection(rd, AffineCoroot(wall[0], wall[1])))
-        p = slice_act_inverse(steps[-1], form, p)  # a reflection is its own inverse
-        wall = next(_walls_between(rd, form, progressions, p, x0), None)
-    return tuple(steps), p
-
-
-def element_length(
-    g: ExtendedWeylElement,
-    rd: RootDatum,
-    form,
-    progressions: Optional[Dict[Vec, Progression]] = None,
-) -> int:
-    """Number of positive (integral) affine coroots sent to negative ones: the
-    integral walls between the base point and its image under g^{-1}."""
-    if progressions is None:
-        progressions = trivial_progressions(rd)
-    x0 = dominant_base_point(rd, form)
-    return separating_walls(rd, form, progressions, x0, slice_act_inverse(g, form, x0))
+def descend(rd: RootDatum, system: IntegralSystem, p):
+    """Walk the slice point p over the simple walls of system into the alcove
+    of its base point x0: while p is below the wall of a simple r (the first
+    in system order), p <- r p.  That wall separates p from x0, and r p has
+    one separating wall fewer, so the walk ends, at a point below no
+    simple wall: in the closed alcove of x0.  Returns the simples crossed, in
+    order, and the end point.  p, each n q(alpha) and each S(n alpha, -) go
+    over one denominator d once, so a wall test is one integer dot product
+    and a step p <- (p + S(n alpha, -)) o s_alpha, with x o s_alpha =
+    x - <x, alpha> a for the root a of alpha, stays over d."""
+    form, simples = system.form, system.simples
+    heights = [ac.n * form.q(ac.coroot) for ac in simples]
+    shifts = [form.covector(vec_scale(ac.coroot, ac.n)) for ac in simples]
+    (pn, hn, *sn), d = _over_common_denominator(p, heights, *shifts)
+    walls = [(ac, h, s, rd.roots[rd.coroots.index(ac.coroot)]) for ac, h, s in zip(simples, hn, sn)]
+    crossed = []
+    while (wall := next((w for w in walls if dot(pn, w[0].coroot) + w[1] < 0), None)) is not None:
+        ac, _, shift, root = wall
+        x = vec_add(pn, shift)
+        pn = vec_sub(x, vec_scale(root, dot(x, ac.coroot)))
+        crossed.append(ac)
+    return tuple(crossed), tuple(Fraction(v, d) for v in pn)
 
 
 def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec, Progression]) -> Tuple[AffineCoroot, ...]:

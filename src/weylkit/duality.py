@@ -47,8 +47,8 @@ from weylkit.affine import (
     below_wall,
     connected_components,
     coxeter_system,
+    descend,
     dominant_base_point,
-    gallery_walk,
     length_zero_group,
     progression,
     progression_min_at_least,
@@ -401,10 +401,10 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     h_sys = level_integral_weyl(rd_dual, lvl_dual_neg, theta_check)
 
     start = iota(g_sys.base_point)
-    steps, p = gallery_walk(rd_dual, h_sys, start)
+    steps, p = descend(rd_dual, h_sys, start)
     y = ExtendedWeylElement.unit(rd.rank)
-    for r in steps:
-        y = r * y
+    for ac in steps:
+        y = affine_coroot_reflection(rd_dual, ac) * y
     if slice_act(y, lvl_dual_neg, start) != p:
         raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 

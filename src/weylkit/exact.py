@@ -288,9 +288,14 @@ def lattice_basis_from_generators(gens: Sequence[Vec]) -> Tuple[Vec, ...]:
 
 def lattice_contains(basis: Sequence[Vec], v: Vec) -> bool:
     """Membership of an integer vector in the lattice spanned by basis rows:
-    the Hermite form of a lattice is unique, so v is in it iff adding v
-    leaves that form unchanged."""
-    return lattice_basis_from_generators([*basis, v]) == lattice_basis_from_generators(basis)
+    v is reduced along the pivots of the basis's Hermite form, whose rows
+    vanish left of their pivots, so a remainder left at a pivot stays, and v
+    is in the lattice iff nothing is left."""
+    for row in lattice_basis_from_generators(basis):
+        c = next(i for i, x in enumerate(row) if x)
+        k = v[c] // row[c]
+        v = [a - k * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 # ---------------------------------------------------------------------------

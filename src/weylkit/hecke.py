@@ -10,14 +10,15 @@ ungraded statements are recovered at v = 1.  Products with mismatched middle
 characters are zero.  Group-element equality is matrix equality, so the word
 problem is exact.  Descents are the sign of one wall at one point
 (affine.below_wall), never length counts, and the T_m of a minimal m is
-clean: it shifts the support.  t_multiply walks each support term y once,
-y = m r_1 ... r_k with m minimal, so T_y = T_m T_{r_1} ... T_{r_k}.
+clean: it shifts the support.  t_multiply writes each support term y once as
+y = m r_1 ... r_k with m minimal, by the one walk over the simple walls
+(affine.descend, through integral._descend), so T_y = T_m T_{r_1} ... T_{r_k}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from weylkit.affine import (
     AffineCoroot,
@@ -30,7 +31,7 @@ from weylkit.affine import (
     extended_act_character,
     slice_act_inverse,
 )
-from weylkit.integral import CharacterMismatch, integral_simple_system, is_minimal
+from weylkit.integral import CharacterMismatch, _descend, integral_simple_system, is_minimal
 from weylkit.rootdata import RootDatum
 
 
@@ -193,20 +194,6 @@ def _times_minimal(elt: HeckeElement, m: ExtendedWeylElement, right_char: Charac
     return HeckeElement(elt.left_char, right_char, {g * m: p for g, p in elt.support.items()})
 
 
-def _descend(rd: RootDatum, system: IntegralSystem, y: ExtendedWeylElement) -> Tuple[ExtendedWeylElement, List[AffineCoroot]]:
-    """(m, [r_1, ..., r_k]) with y = m r_1 ... r_k reduced over the simple
-    walls of system and m minimal: y <- y r and p <- r p while p = y^{-1} x0
-    is below the wall of some simple r.  A point below no simple wall is in
-    the alcove of x0, so the walk ends at the length-zero element of y W."""
-    form, word = system.form, []
-    p = slice_act_inverse(y, form, system.base_point)
-    while (ac := next((s for s in system.simples if below_wall(form, s, p)), None)) is not None:
-        r = affine_coroot_reflection(rd, ac)
-        y, p = y * r, slice_act_inverse(r, form, p)  # r is its own inverse
-        word.append(ac)
-    return y, word[::-1]
-
-
 def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear product; mismatched middle characters give the zero element.
     A support term y = m r_1 ... r_k of b (_descend) gives T_m T_{r_1} ... T_{r_k}."""
@@ -225,12 +212,6 @@ def t_multiply(rd: RootDatum, form: GramForm, a: HeckeElement, b: HeckeElement) 
 
 # ---------------------------------------------------------------------------
 # Bott-Samelson words
-
-
-def b_element(rd: RootDatum, form: GramForm, chi: CharacterPoint, r: ExtendedWeylElement) -> HeckeElement:
-    """b_r = T_r + v, the decategorified Bott-Samelson generator."""
-    unit = unit_element(rd, chi)
-    return t_element(rd, form, chi, r) + unit.scale(V)
 
 
 def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, word: Sequence):

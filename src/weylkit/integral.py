@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import List, Tuple
 
 from weylkit.affine import (
     AffineCoroot,
@@ -25,9 +26,8 @@ from weylkit.affine import (
     act_affine_coroot,
     affine_coroot_reflection,
     below_wall,
-    element_length,
+    descend,
     extended_act_character,
-    gallery_walk,
     progression_contains,
     slice_act_inverse,
 )
@@ -39,7 +39,6 @@ __all__ = [
     "NotInStabilizerOrbit",
     "IntegralSystem",
     "integral_simple_system",
-    "integral_length",
     "is_minimal",
     "minimal_rep",
     "omega_compose",
@@ -71,39 +70,47 @@ def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -
     return integral_system(rd, form, *_character_level(form, chi))
 
 
-def integral_length(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> int:
-    """l_beta(g): positive chi_right-integral affine coroots sent negative."""
-    return element_length(g, rd, form, dict(_progressions_cached(rd, form, chi_right)))
-
-
 def is_minimal(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> bool:
-    return integral_length(rd, form, chi_right, g) == 0
+    return _is_minimal_in(integral_simple_system(rd, form, chi_right), g)
+
+
+def _is_minimal_in(system: IntegralSystem, g: ExtendedWeylElement) -> bool:
+    """Whether g is the minimal element of g W: g^{-1} x0 is below no simple
+    wall of system, so no simple is a right descent of g."""
+    p = slice_act_inverse(g, system.form, system.base_point)
+    return not any(below_wall(system.form, ac, p) for ac in system.simples)
 
 
 # ---------------------------------------------------------------------------
 # minimal (length-zero) representatives and block machinery
 
 
+def _descend(rd: RootDatum, system: IntegralSystem, y: ExtendedWeylElement) -> Tuple[ExtendedWeylElement, List[AffineCoroot]]:
+    """(m, [r_1, ..., r_k]) with y = m r_1 ... r_k reduced over the simple
+    walls of system and m minimal: descend walks p = y^{-1} x0, and each
+    simple r it crosses is a descent of y, y <- y r (as p <- r p), so the
+    walk ends at the length-zero element of y W."""
+    crossed, _ = descend(rd, system, slice_act_inverse(y, system.form, system.base_point))
+    for ac in crossed:
+        y = y * affine_coroot_reflection(rd, ac)
+    return y, list(crossed[::-1])
+
+
 def minimal_rep(
     rd: RootDatum, form: GramForm, chi_right: CharacterPoint, x: ExtendedWeylElement
 ) -> ExtendedWeylElement:
-    """Minimal element of the block of x, by a wall walk in the integral
-    system of chi_right: the length of x counts the integral walls between
-    the base point x0 and p = x^{-1} x0, and each reflection r of the gallery
-    walk from p to x0 gives x r and r p, which lowers the number of
-    separating walls (r is an inversion, so l(x r) < l(x)).  The walk ends
-    at the unique length-zero element of x W_chi."""
-    start = x
+    """Minimal element of the block of x: x = m r_1 ... r_k (_descend) in the
+    integral system of chi_right, with m the unique length-zero element of
+    x W_chi.  m is checked to be minimal, read off m itself, and to keep the
+    left character of x."""
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
-    steps, _ = gallery_walk(rd, system, slice_act_inverse(x, form, system.base_point))
-    for r in steps:
-        x = x * r
-    if element_length(x, rd, form, dict(system.progressions)) != 0:
-        raise NotInStabilizerOrbit(f"walk from {start} ended at {x}, which is not minimal")
-    if extended_act_character(x, form, chi_right) != chi_left:
-        raise CharacterMismatch(f"walk from {start} changed the left character {chi_left}")
-    return x
+    m, _ = _descend(rd, system, x)
+    if not _is_minimal_in(system, m):
+        raise NotInStabilizerOrbit(f"walk from {x} ended at {m}, which is not minimal")
+    if extended_act_character(m, form, chi_right) != chi_left:
+        raise CharacterMismatch(f"walk from {x} changed the left character {chi_left}")
+    return m
 
 
 def omega_compose(

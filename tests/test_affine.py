@@ -21,24 +21,21 @@ from weylkit.affine import (
     affine_coroot_reflection,
     below_wall,
     character_from_config,
+    descend,
     dominant_base_point,
-    element_length,
     extended_act_character,
     extended_act_cochar,
     extended_matrix,
-    gallery_walk,
     gram_from_matrix,
     gram_from_weights,
     length_zero_group,
     progression_contains,
     progression_count_in,
     progression_min_at_least,
-    separating_walls,
     simple_system_from_progressions,
     slice_act,
     slice_act_inverse,
     stabilizer_cosets,
-    trivial_progressions,
     weyl_shift,
 )
 from weylkit import duality
@@ -227,7 +224,7 @@ def test_affine_simple_data_sl2(affine_coroot_label):
     assert data.coxeter[0][1] == "infinite"
 
 
-def test_affine_simple_data_pgl2():
+def test_affine_simple_data_pgl2(reference_length):
     rd = preset("PGL", 2)
     form = gram_from_matrix(rd, [[2]])
     data, (omega, _) = ambient(rd, form)
@@ -235,7 +232,7 @@ def test_affine_simple_data_pgl2():
     assert len(omega) == 2
     nontrivial = [g for g in omega if not g.is_identity()]
     assert len(nontrivial) == 1
-    assert element_length(nontrivial[0], rd, form) == 0
+    assert reference_length(rd, data, nontrivial[0]) == 0 and descend_length(rd, data, nontrivial[0]) == 0
     # it fixes the base alcove, so its order is finite: here g^2 is the unit
     assert nontrivial[0].w != identity(1) and (nontrivial[0] * nontrivial[0]).is_identity()
 
@@ -262,17 +259,22 @@ def test_affine_simple_data_sp4(affine_coroot_label):
     assert off == [2, 4, 4]
 
 
-def test_lengths_sl2():
+def descend_length(rd, system, g):
+    """The number of simple walls descend crosses from g^{-1} x0."""
+    return len(descend(rd, system, slice_act_inverse(g, system.form, system.base_point))[0])
+
+
+def test_lengths_sl2(reference_length):
     rd, form = sl2(), sl2_form()
+    data, _ = ambient(rd, form)
     e = ExtendedWeylElement.unit(1)
-    assert element_length(e, rd, form) == 0
     s = ExtendedWeylElement.from_weyl(rd.reflection(0))
-    assert element_length(s, rd, form) == 1
     t = ExtendedWeylElement.translation((1,))
-    assert element_length(t, rd, form) == 2
+    for g, length in ((e, 0), (s, 1), (t, 2)):
+        assert reference_length(rd, data, g) == length and descend_length(rd, data, g) == length
 
 
-def test_length_steps_by_one():
+def test_length_steps_by_one(reference_length):
     rd = preset("Sp", 4)
     form = gram_from_weights(rd, [(1, 0), (-1, 0), (0, 1), (0, -1)])
     data, _ = ambient(rd, form)
@@ -281,12 +283,13 @@ def test_length_steps_by_one():
     ws = weyl_elements(rd)
     for _ in range(25):
         g = ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(2)), rng.choice(ws))
-        lg = element_length(g, rd, form)
+        lg = reference_length(rd, data, g)
+        assert descend_length(rd, data, g) == lg
         for r in refl:
-            assert abs(element_length(g * r, rd, form) - lg) == 1
+            assert abs(reference_length(rd, data, g * r) - lg) == 1
 
 
-def test_length_additive_on_reduced_words():
+def test_length_additive_on_reduced_words(reference_length):
     rd, form = sl2(), sl2_form()
     data, _ = ambient(rd, form)
     refl = [affine_coroot_reflection(rd, ac) for ac in data.simples]
@@ -296,7 +299,7 @@ def test_length_additive_on_reduced_words():
     for i in word:
         g = g * refl[i]
         expected += 1
-        assert element_length(g, rd, form) == expected
+        assert reference_length(rd, data, g) == expected and descend_length(rd, data, g) == expected
 
 
 def test_faithfulness_short_words():
@@ -408,24 +411,6 @@ KERNEL_PRESETS = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 3), ("GL",
                   ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 4), ("SO_even", 6), ("SO_even", 8), ("G2", 2)]
 
 
-def _fraction_walls_between(rd, form, progressions, x, y):
-    out = []
-    for cv in rd.coroots:
-        if cv < tuple(-v for v in cv):
-            continue
-        p = progressions.get(cv)
-        if p is None:
-            continue
-        q = form.q(cv)
-        a, b = sorted((-Fraction(dot(x, cv)) / q, -Fraction(dot(y, cv)) / q))
-        lo, hi = math.floor(a) + 1, math.ceil(b) - 1
-        i, d = p
-        first = (i if i >= lo else None) if d == 0 else i + math.ceil(Fraction(lo - i, d)) * d
-        if first is not None and first <= hi:
-            out.append((cv, first, 1 if d == 0 else (hi - first) // d + 1))
-    return out
-
-
 def _fraction_weyl_shift(w, right, left):
     winv = mat_inv(w)
     n = len(w)
@@ -439,14 +424,13 @@ def _fraction_slice_act(g, form, x):
     return tuple(sum((Fraction(x[j]) * winv[j][i] for j in range(n)), Fraction(0)) - scov[i] for i in range(n))
 
 
-def _fraction_gallery_walk(rd, form, progressions, p, target):
-    steps = []
-    walls = _fraction_walls_between(rd, form, progressions, p, target)
+def _fraction_gallery_walk(walls_between, rd, form, progressions, p, target):
+    """p reflected in the first integral wall between p and target until none is left."""
+    walls = walls_between(rd, form, progressions, p, target)
     while walls:
-        steps.append(affine_coroot_reflection(rd, AffineCoroot(walls[0][0], walls[0][1])))
-        p = _fraction_slice_act(steps[-1], form, p)
-        walls = _fraction_walls_between(rd, form, progressions, p, target)
-    return tuple(steps), p
+        p = _fraction_slice_act(affine_coroot_reflection(rd, AffineCoroot(walls[0][0], walls[0][1])), form, p)
+        walls = walls_between(rd, form, progressions, p, target)
+    return p
 
 
 def _kernel_systems(rd, rng):
@@ -482,11 +466,14 @@ def _onto_wall(rd, form, progressions, x, rng):
     return tuple(y)
 
 
-def test_integer_slice_kernel_against_fraction_formulas():
-    # the walls between two points, the gallery walk, the slice action and the
-    # Weyl shift, each against the Fraction formula it replaced; one point of
-    # most pairs lies exactly on an integral wall, where the open interval of
-    # levels matters
+def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
+    # the walls between two points, the slice action and the Weyl shift, each
+    # against the Fraction formula it replaced, and descend's end point against
+    # a Fraction gallery walk over every integral wall: the closed alcove of x0
+    # meets each orbit once, so the end points agree, and the product of the
+    # crossed reflections sends the start to that point; one point of most
+    # pairs lies exactly on an integral wall, where the open interval of levels
+    # matters and the walks may choose different elements of its stabilizer
     rng = random.Random(2507166)
     on_wall = negative_q = 0
     for name, param in KERNEL_PRESETS:
@@ -503,10 +490,14 @@ def test_integer_slice_kernel_against_fraction_formulas():
                 y = x if y is None else y
                 lattice_point = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
                 for a, b in ((x, y), (y, x), (y, y), (x0, y), (y, x0), (lattice_point, y), (x, x0)):
-                    expected = _fraction_walls_between(rd, form, progs, a, b)
+                    expected = fraction_walls_between(rd, form, progs, a, b)
                     assert list(_walls_between(rd, form, progs, a, b)) == expected, (name, form, a, b)
-                    assert separating_walls(rd, form, progs, a, b) == sum(count for _, _, count in expected)
-                assert gallery_walk(rd, system, y) == _fraction_gallery_walk(rd, form, progs, y, x0), (name, y)
+                steps, end = descend(rd, system, y)
+                assert end == _fraction_gallery_walk(fraction_walls_between, rd, form, progs, y, x0), (name, y)
+                product = ExtendedWeylElement.unit(rd.rank)
+                for ac in steps:
+                    product = affine_coroot_reflection(rd, ac) * product
+                assert _fraction_slice_act(product, form, y) == end and all(type(v) is Fraction for v in end), (name, y, steps)
                 w = rng.choice(group)
                 g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), w)
                 for p in (x, y, lattice_point):
@@ -638,12 +629,13 @@ def test_slice_act_inverse_against_the_inverse_element():
                 assert slice_act_inverse(r, form, x) == slice_act(r, form, x), (name, r, x)
 
 
-def test_lengths_simples_and_walks_invert_nothing(monkeypatch):
+def test_lengths_simples_and_walks_invert_nothing(monkeypatch, fraction_walls_between, reference_length):
     # a fresh SL4 (its own name, so no cache holds its Weyl group or base
-    # point), with the integral-inverse cache emptied: element_length acts by
-    # g^{-1} through w, and reflections are their own inverses, so simple
-    # systems, lengths and gallery walks invert no matrix; the outputs are
-    # those of the definitions through g.inverse() and slice_act
+    # point), with the integral-inverse cache emptied: slice_act_inverse acts
+    # by g^{-1} through w, and reflections are their own inverses, so simple
+    # systems and descent walks invert no matrix; each walk crosses as many
+    # walls as the Fraction length of its element and ends in the alcove of
+    # x0, and each simple reflection has Fraction length 1
     from weylkit import exact, rootdata
 
     rng = random.Random(4)
@@ -663,17 +655,17 @@ def test_lengths_simples_and_walks_invert_nothing(monkeypatch):
     for module in (exact, rootdata):
         monkeypatch.setattr(module, "mat_inv", counted)
     rootdata.mat_inv_int.cache_clear()
-    simples = [simple_system_from_progressions(rd, form, p) for p in (progs, trivial_progressions(rd))]
+    every = {cv: (0, 1) for cv in rd.coroots}  # every level of every direction
+    simples = [simple_system_from_progressions(rd, form, p) for p in (progs, every)]
     x0 = dominant_base_point(rd, form)
-    lengths = [element_length(g, rd, form, progs) for g in elements]
-    walks = [gallery_walk(rd, system, slice_act_inverse(g, form, x0)) for g in elements]
+    walks = [descend(rd, system, slice_act_inverse(g, form, x0)) for g in elements]
     assert inverted == []
     monkeypatch.undo()
-    assert lengths == [separating_walls(rd, form, progs, x0, slice_act(g.inverse(), form, x0)) for g in elements]
+    lengths = [reference_length(rd, system, g) for g in elements]
     assert any(lengths)
     for (steps, end), n in zip(walks, lengths):
-        assert len(steps) <= n and separating_walls(rd, form, progs, end, x0) == 0
-    for system, p in zip(simples, (progs, trivial_progressions(rd))):
-        reflections = [affine_coroot_reflection(rd, ac) for ac in system]
-        assert all(separating_walls(rd, form, p, x0, slice_act(r, form, x0)) == 1 for r in reflections)
+        assert len(steps) == n and fraction_walls_between(rd, form, progs, end, x0) == []
+    for walls, p in zip(simples, (progs, every)):
+        for r in (affine_coroot_reflection(rd, ac) for ac in walls):
+            assert sum(count for _, _, count in fraction_walls_between(rd, form, p, x0, slice_act(r, form, x0))) == 1
     assert len(simples[1]) == 4  # the affine A3 diagram

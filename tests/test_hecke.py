@@ -24,7 +24,6 @@ from weylkit.hecke import (
     LaurentPoly,
     _descend,
     _mult_by_simple,
-    b_element,
     bott_samelson_product,
     check_relations,
     t_element,
@@ -32,7 +31,7 @@ from weylkit.hecke import (
     unit_element,
     zero_element,
 )
-from weylkit.integral import CharacterMismatch, integral_length, integral_simple_system, is_minimal, minimal_rep
+from weylkit.integral import CharacterMismatch, integral_simple_system, is_minimal, minimal_rep
 from weylkit.rootdata import preset, weyl_elements
 
 
@@ -368,11 +367,11 @@ def _seeded_word(rng, rd, form, chi, length):
 
 
 def _t_multiply_route(rd, form, chi, word):
-    """The word multiplied out with t_multiply: b_r for "r", T_m for "omega"."""
+    """The word multiplied out with t_multiply: b_r = T_r + v T_e for "r", T_m for "omega"."""
     elt, cur = unit_element(rd, chi), chi
     for kind, g in word:
         if kind == "r":
-            elt = t_multiply(rd, form, elt, b_element(rd, form, cur, g))
+            elt = t_multiply(rd, form, elt, t_element(rd, form, cur, g) + unit_element(rd, cur).scale(V))
         else:
             cur = extended_act_character(g.inverse(), form, cur)
             elt = t_multiply(rd, form, elt, t_element(rd, form, cur, g))
@@ -391,12 +390,12 @@ def test_bott_samelson_product_against_the_t_multiply_route():
     assert tokens["r"] >= 200 and tokens["omega"] >= 150, tokens
 
 
-def test_descents_against_integral_length():
+def test_descents_against_integral_length(reference_length):
     # _descend on products z of simple reflections: z = e r_1 ... r_k with
-    # integral_length(z) simple letters; on g = x z (x a random ambient
-    # element): g = m r_1 ... r_k with m minimal, the minimal_rep of g, and k
-    # its integral length; _mult_by_simple on g against the descent read off
-    # two length counts
+    # as many simple letters as the reference length of z; on g = x z (x a
+    # random ambient element): g = m r_1 ... r_k with m minimal (reference
+    # length 0), the minimal_rep of g, and k its reference length;
+    # _mult_by_simple on g against the descent read off two reference lengths
     rng = random.Random(2507203)
     descents, moved = Counter(), 0
     for rd, form, chi in _seeded_characters(rng):
@@ -408,15 +407,16 @@ def test_descents_against_integral_length():
                 z = z * rng.choice(refl)
             m, word = _descend(rd, system, z)
             assert m.is_identity(), (rd.name, chi, z, m)
-            assert len(word) == integral_length(rd, form, chi, z) and set(word) <= set(system.simples), (rd.name, chi, z)
+            assert len(word) == reference_length(rd, system, z) and set(word) <= set(system.simples), (rd.name, chi, z)
             assert _word_product(rd, m, word) == z, (rd.name, chi, z, word)
             g = _random_element(rng, rd) * z
             m, word = _descend(rd, system, g)
             assert is_minimal(rd, form, chi, m) and m == minimal_rep(rd, form, chi, g), (rd.name, chi, g, m)
-            assert len(word) == integral_length(rd, form, chi, g) and _word_product(rd, m, word) == g, (rd.name, chi, g, word)
+            assert reference_length(rd, system, m) == 0, (rd.name, chi, g, m)
+            assert len(word) == reference_length(rd, system, g) and _word_product(rd, m, word) == g, (rd.name, chi, g, word)
             moved += not m.is_identity()
             for ac, r in zip(system.simples, refl):
-                descent = integral_length(rd, form, chi, g * r) < integral_length(rd, form, chi, g)
+                descent = reference_length(rd, system, g * r) < reference_length(rd, system, g)
                 expected = {g * r: ONE, g: V_INV - V} if descent else {g * r: ONE}
                 got = _mult_by_simple(rd, system, HeckeElement(extended_act_character(g, form, chi), chi, {g: ONE}), ac)
                 assert got.support == expected, (rd.name, chi, g, ac)

@@ -19,12 +19,10 @@ from weylkit.affine import (
     length_zero_group,
     progression_contains,
     simple_system_from_progressions,
-    trivial_progressions,
 )
 from weylkit.integral import (
     CharacterMismatch,
     conjugate_to_simple,
-    integral_length,
     integral_simple_system,
     is_minimal,
     minimal_rep,
@@ -98,7 +96,7 @@ def test_simple_system_trivial_char_is_affine_system():
     for name, param, form_kind in PRESET_FORMS:
         rd, form = _preset_form(name, param, form_kind)
         sys = integral_simple_system(rd, form, CharacterPoint.trivial(rd.rank))
-        simples = simple_system_from_progressions(rd, form, trivial_progressions(rd))
+        simples = simple_system_from_progressions(rd, form, {cv: (0, 1) for cv in rd.coroots})
         assert sys.simples == simples
         assert sys.coxeter == coxeter_system(rd, simples)[0]
         assert sys.base_point == dominant_base_point(rd, form)
@@ -158,24 +156,25 @@ def test_psp6_scenario():
     assert g * t_e3 != t_e3 * g
 
 
-def test_minimal_rep_sl2():
+def test_minimal_rep_sl2(reference_length):
     rd, form, chi = sl2_setup()
+    system = integral_simple_system(rd, form, chi)
     t = ExtendedWeylElement.translation((1,))
-    assert integral_length(rd, form, chi, t) == 1
+    assert reference_length(rd, system, t) == 1
     m = minimal_rep(rd, form, chi, t)
-    assert integral_length(rd, form, chi, m) == 0
+    assert reference_length(rd, system, m) == 0
     assert m == ExtendedWeylElement((-1,), rd.reflection(0))
     # omega squared is the identity: Omega_chi = Z/2
     sq = omega_compose(rd, form, m, chi, m, chi)
     assert sq.is_identity()
 
 
-def test_minimal_rep_fixed_points_and_one_descent():
+def test_minimal_rep_fixed_points_and_one_descent(reference_length):
     rd, form, chi = sl2_setup()
     sys = integral_simple_system(rd, form, chi)
     for ac in sys.simples:
         r = affine_coroot_reflection(rd, ac)
-        assert integral_length(rd, form, chi, r) == 1
+        assert reference_length(rd, sys, r) == 1
         assert minimal_rep(rd, form, chi, r).is_identity()
     e = ExtendedWeylElement.unit(1)
     assert minimal_rep(rd, form, chi, e) == e
@@ -189,12 +188,12 @@ def test_omega_compose_character_mismatch():
         omega_compose(rd, form, m, chi, m, other)
 
 
-def test_conjugate_to_simple_sl2(affine_coroot_label):
+def test_conjugate_to_simple_sl2(affine_coroot_label, reference_length):
     rd, form, chi = sl2_setup()
     sys = integral_simple_system(rd, form, chi)
     far = [ac for ac in sys.simples if affine_coroot_label(rd, ac) == ((1,), 2)][0]
     u = conjugate_to_simple(rd, form, chi, far)
-    assert integral_length(rd, form, chi, u) == 0
+    assert reference_length(rd, sys, u) == 0
     assert not u.is_identity()
     # ambient-simple already: u = e
     near = [ac for ac in sys.simples if affine_coroot_label(rd, ac) == ((1,), 0)][0]
@@ -242,17 +241,18 @@ def test_stabilizer_ball_and_blocks(omega_against_box):
     assert {minimal_rep(rd, form, chi, g) for g in ball} == set(omega)
 
 
-def test_minimal_length_transport(omega_against_box):
+def test_minimal_length_transport(omega_against_box, reference_length):
     # left multiplication by a minimal element of Omega_chi (integral
     # length 0) leaves the integral length of every element unchanged
     rd, form, chi = sl2_setup()
+    system = integral_simple_system(rd, form, chi)
     omega, lattice, ball = omega_against_box(rd, form, chi, radius=2)
     mins = [m for m in omega if not m.is_identity()] + [ExtendedWeylElement.translation(lam) for lam in lattice]
     assert mins
     for m in mins:
         for z in ball:
-            lhs = integral_length(rd, form, chi, m * z)
-            rhs = integral_length(rd, form, chi, z)
+            lhs = reference_length(rd, system, m * z)
+            rhs = reference_length(rd, system, z)
             assert lhs == rhs
 
 
@@ -312,7 +312,7 @@ def _ambient_height(rd, form, ambient, ac):
 def _height_descent_conjugator(rd, form, r):
     """Conjugate r by the first ambient simple that keeps it positive and
     lowers its height, until it is an ambient simple."""
-    ambient = simple_system_from_progressions(rd, form, trivial_progressions(rd))
+    ambient = simple_system_from_progressions(rd, form, {cv: (0, 1) for cv in rd.coroots})
     u, cur = ExtendedWeylElement.unit(rd.rank), r
     height = _ambient_height(rd, form, ambient, cur)
     while cur not in ambient:
@@ -327,7 +327,7 @@ def _height_descent_conjugator(rd, form, r):
     return u
 
 
-def test_minimal_rep_walk_equals_simple_descent():
+def test_minimal_rep_walk_equals_simple_descent(reference_length):
     rng = random.Random(2507167)
     checked = 0
     for name, param in WALK_PRESETS:
@@ -341,7 +341,7 @@ def test_minimal_rep_walk_equals_simple_descent():
                 x = ExtendedWeylElement(lam, rng.choice(weyl))
                 m = minimal_rep(rd, form, chi, x)
                 assert m == _descent_minimal_rep(rd, form, chi, x), (name, c, chi, x)
-                assert integral_length(rd, form, chi, m) == 0
+                assert reference_length(rd, integral_simple_system(rd, form, chi), m) == 0
                 checked += 1
     assert checked == len(WALK_PRESETS) * len(CENTRAL_VALUES) * 3
 
