@@ -23,7 +23,12 @@ the slice hyperplanes {<x, alpha> = -n q(alpha)} with n integral.  The
 length of g counts the integral walls between the base point x0 and
 g^{-1} x0, and a reflection is simple iff its length is 1 (Dyer, "Reflection
 subgroups of Coxeter systems", J. Algebra 1990), so the simple system is the
-set of walls of the alcove of x0, each oriented positive at x0.  A simple r
+set of walls of the alcove of x0, each oriented positive at x0.  The count
+for a reflection r = s_(alpha, n) needs no slice action: x o s_alpha =
+x - <x, alpha> a for the root a of alpha, and S(alpha, b) = <a, b> q(alpha)
+for every W-invariant form S (s_alpha-invariance gives 2 S(alpha, b) =
+<a, b> S(alpha, alpha)), so <r x, b> = <x, b> - <a, b> (<x, alpha> +
+n q(alpha)) reads off the Cartan integers <a, b> (_reflected_walls).  A simple r
 is a right descent of g iff g^{-1} x0 is below its wall (below_wall): x0 is
 on no wall of any level, nor is its image under any extended affine element,
 as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.  Every descent
@@ -43,7 +48,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import (
@@ -68,7 +72,7 @@ from weylkit.exact import (
     vec_scale,
     vec_sub,
 )
-from weylkit.rootdata import RootDatum, cartan_matrix, mat_inv_int, weyl_elements
+from weylkit.rootdata import RootDatum, _coroot_table, cartan_matrix, mat_inv_int, weyl_elements
 
 
 class NotPositiveDefinite(ValueError):
@@ -305,8 +309,8 @@ class AffineCoroot:
 
 def affine_coroot_reflection(rd: RootDatum, ac: AffineCoroot) -> ExtendedWeylElement:
     """t^{n alpha} s_alpha; negates the coroot and fixes its vanishing wall."""
-    i = rd.coroots.index(tuple(ac.coroot))
-    return ExtendedWeylElement(vec_scale(ac.coroot, ac.n), rd.reflection(i))
+    table = _coroot_table(rd)
+    return ExtendedWeylElement(vec_scale(ac.coroot, ac.n), table.reflections[table.index[tuple(ac.coroot)]])
 
 
 def act_affine_coroot(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, ac: AffineCoroot) -> AffineCoroot:
@@ -366,40 +370,51 @@ def progression_count_in(p: Progression, a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def dominant_base_point(rd: RootDatum, form) -> Tuple[Fraction, ...]:
-    """eps u with <u, a> = 1 on the simple coroots and eps = min |q(a)| / 2<u, a>
-    over the positive coroots: a point of {0 < <x, a> < |q(a)|, a positive},
-    which no wall of any integral level meets."""
-    n = rd.rank
-    if not rd.roots:
-        return tuple(Fraction(0) for _ in range(n))
+def _dominant_covector(rd: RootDatum) -> Vec:
+    """u with <u, a> = 1 on the simple coroots, times its least denominator."""
     u = solve_linear([rd.coroots[i] for i in rd.simple_indices], [Fraction(1)] * len(rd.simple_indices))
     if u is None:
         raise NoDominantCovector(f"no covector is 1 on every simple coroot of {rd.name or rd}")
-    eps = min(abs(Fraction(form.q(cv))) / dot(u, cv) for cv in rd.coroots if dot(u, cv) > 0) / 2
-    return tuple(x * eps for x in u)
+    return _over_common_denominator(u)[0][0]
 
 
-def _walls_between(rd: RootDatum, form, progressions, x, y):
-    """Per coroot pair, (alpha, lowest level, count) of the integral walls
-    strictly between the slice points x and y, where there are any.  With x
-    and y over one denominator d, the levels -<x, alpha>/q(alpha) of the walls
-    through them are integers over e > 0, cut by floor and ceiling division."""
-    (xn, yn), d = _over_common_denominator(x, y)
-    for cv in rd.coroots:
-        if cv < tuple(-v for v in cv):  # one coroot of each pair
-            continue
-        p = progressions.get(cv)
-        if p is None:
-            continue
-        q = form.q(cv)  # an int or a Fraction
-        sign = 1 if q.numerator > 0 else -1
-        s, e = -sign * q.denominator, sign * d * q.numerator
-        a, b = sorted((dot(xn, cv) * s, dot(yn, cv) * s))
-        lo, hi = a // e + 1, -(-b // e) - 1
-        count = progression_count_in(p, lo, hi)
-        if count:
-            yield cv, progression_min_at_least(p, lo), count
+@lru_cache(maxsize=None)
+def dominant_base_point(rd: RootDatum, form) -> Tuple[Fraction, ...]:
+    """eps u with <u, a> = 1 on the simple coroots and eps = min |q(a)| / 2<u, a>
+    over the positive coroots: a point of {0 < <x, a> < |q(a)|, a positive},
+    which no wall of any integral level meets.  u is solved once per datum,
+    as an integer multiple U, and eps u = s U with s the least |q(a)| / 2<U, a>."""
+    if not rd.roots:
+        return tuple(Fraction(0) for _ in range(rd.rank))
+    un = _dominant_covector(rd)
+    scale = min(Fraction(abs(form.q(cv)), 2 * u_a) for cv in rd.coroots if (u_a := dot(un, cv)) > 0)
+    return tuple(x * scale for x in un)
+
+
+def _reflected_walls(rd: RootDatum, form, progressions, x):
+    """The slice point x and each q(b), b in _coroot_table(rd).half, over one
+    denominator D, as the integers D<x, b> and D q(b); and walls(i, n): per
+    b with a progression, (b, lowest level, count) of the integral walls
+    strictly between x and r x, r = s_(alpha, n) for alpha = half[i], with
+    <r x, b> = <x, b> - <a, b> (<x, alpha> + n q(alpha)) (module docstring)
+    and the levels -<x, b>/q(b) cut by integer floor and ceiling division."""
+    table = _coroot_table(rd)
+    (xn, qn), _ = _over_common_denominator(x, [form.q(b) for b in table.half])
+    xb = [dot(xn, b) for b in table.half]
+    directions = [(j, b, p) for j, b in enumerate(table.half) if (p := progressions.get(b)) is not None]
+
+    def walls(i, n):
+        shift, cartan = xb[i] + n * qn[i], table.cartan[i]
+        for j, b, p in directions:
+            if cartan[j]:  # else <r x, b> = <x, b>: no wall between
+                sign, e = (-1, qn[j]) if qn[j] > 0 else (1, -qn[j])
+                lo, hi = sorted((sign * xb[j], sign * (xb[j] - cartan[j] * shift)))
+                lo, hi = lo // e + 1, -(-hi // e) - 1
+                count = progression_count_in(p, lo, hi)
+                if count:
+                    yield b, progression_min_at_least(p, lo), count
+
+    return xb, qn, walls
 
 
 def below_wall(form, ac: AffineCoroot, p) -> bool:
@@ -424,7 +439,7 @@ def descend(rd: RootDatum, system: IntegralSystem, p):
     heights = [ac.n * form.q(ac.coroot) for ac in simples]
     shifts = [form.covector(vec_scale(ac.coroot, ac.n)) for ac in simples]
     (pn, hn, *sn), d = _over_common_denominator(p, heights, *shifts)
-    walls = [(ac, h, s, rd.roots[rd.coroots.index(ac.coroot)]) for ac, h, s in zip(simples, hn, sn)]
+    walls = [(ac, h, s, rd.roots[_coroot_table(rd).index[ac.coroot]]) for ac, h, s in zip(simples, hn, sn)]
     crossed = []
     while (wall := next((w for w in walls if dot(pn, w[0].coroot) + w[1] < 0), None)) is not None:
         ac, _, shift, root = wall
@@ -439,27 +454,25 @@ def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec,
     there, sorted by (n, coroot).
 
     Only the two integral levels of a direction that bracket the base point
-    can bound its alcove; such a wall is a facet iff its reflection r has
+    x0 can bound its alcove; such a wall is a facet iff its reflection r has
     length 1, i.e. it is the only wall between x0 and r x0, counted once.
+    That count reads <r x0, b> = <x0, b> - <a, b> (<x0, alpha> + n q(alpha))
+    off the Cartan integers <a, b>, as the form is W-invariant (s_alpha-
+    invariance gives S(alpha, b) = <a, b> q(alpha)), on integers over one
+    denominator (_reflected_walls), and stops at a second direction with walls.
     """
-    x0 = dominant_base_point(rd, form)
+    xb, qn, walls = _reflected_walls(rd, form, progressions, dominant_base_point(rd, form))
     simples = []
-    for cv in rd.coroots:
-        if cv < tuple(-v for v in cv):
-            continue
+    for i, cv in enumerate(_coroot_table(rd).half):
         p = progressions.get(cv)
         if p is None:
             continue
-        q = form.q(cv)
-        v = math.floor(-Fraction(dot(x0, cv)) / q)
+        v = -xb[i] // qn[i]  # the floor of the level -<x0, alpha>/q(alpha) through x0
         below = progression_min_at_least((-p[0], p[1]), -v)  # -(largest level <= v)
-        for n in (progression_min_at_least(p, v + 1), None if below is None else -below):
-            if n is None:
-                continue
-            r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
-            walls = _walls_between(rd, form, progressions, x0, slice_act_inverse(r, form, x0))  # r = r^{-1}
-            if [count for _, _, count in islice(walls, 2)] == [1]:  # stop at a second wall
-                sign = 1 if dot(x0, cv) + n * q > 0 else -1
+        for n in {progression_min_at_least(p, v + 1), None if below is None else -below} - {None}:
+            crossed = walls(i, n)
+            if next(crossed)[2] == 1 and next(crossed, None) is None:  # r's own wall is always crossed
+                sign = 1 if xb[i] + n * qn[i] > 0 else -1
                 simples.append(AffineCoroot(tuple(sign * c for c in cv), sign * n))
     return tuple(sorted(simples, key=lambda a: (a.n, a.coroot)))
 

@@ -60,6 +60,7 @@ from weylkit.affine import (
 )
 from weylkit.rootdata import (
     RootDatum,
+    _coroot_table,
     cartan_matrix,
     langlands_dual,
     longest_element,
@@ -185,15 +186,18 @@ def _dual_side(rd: RootDatum, lvl: Level, theta):
 
 def level_progression(rd: RootDatum, lvl: Level, theta, coroot: Vec) -> Progression:
     """{n : <theta, alpha> + n kappa(alpha,alpha)/2 in Z} as a progression."""
-    (tn,), d = _over_common_denominator(theta)
-    tval = Fraction(dot(tn, coroot), d)
-    if component_of_coroot(rd, coroot) in lvl.irrational:
-        return (0, 0) if tval.denominator == 1 else None
-    return progression(lvl.q(coroot), tval)
+    return level_progressions(rd, lvl, theta)[tuple(coroot)]
 
 
 def level_progressions(rd: RootDatum, lvl: Level, theta) -> Dict[Vec, Progression]:
-    return {tuple(cv): level_progression(rd, lvl, theta, cv) for cv in rd.coroots}
+    """level_progression of every coroot, theta over one denominator d once."""
+    (tn,), d = _over_common_denominator(theta)
+    components, out = _coroot_components(rd), {}
+    for cv in rd.coroots:
+        tval = Fraction(dot(tn, cv), d)
+        flagged = components[cv] in lvl.irrational
+        out[cv] = ((0, 0) if tval.denominator == 1 else None) if flagged else progression(lvl.q(cv), tval)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -468,7 +472,7 @@ def kappa_parabolic_match(rd: RootDatum, lvl: Level) -> Tuple[Tuple[int, int], .
         cv = rd.coroots[i]
         if lvl.q(cv) > 0:
             img = tuple(-x for x in mat_vec(w0, cv))
-            target = rd.coroots.index(img)
+            target = _coroot_table(rd).index[img]
             out.append((pos, rd.simple_indices.index(target)))
         else:
             out.append((pos, pos))

@@ -18,6 +18,7 @@ from typing import Tuple
 from weylkit.exact import (
     QmodZ,
     Vec,
+    _over_common_denominator,
     dot,
     identity,
     lattice_basis_from_generators,
@@ -33,6 +34,7 @@ from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progre
 from weylkit.integral import integral_simple_system
 from weylkit.rootdata import (
     RootDatum,
+    _coroot_table,
     cartan_matrix,
     langlands_dual,
     validate_root_datum,
@@ -55,10 +57,7 @@ class EndoscopicData:
     rd_h_dual: RootDatum
 
     def rescale_of(self, coroot: Vec) -> int:
-        for cv, n in self.rescale:
-            if cv == tuple(coroot):
-                return n
-        raise KeyError(coroot)
+        return dict(self.rescale)[tuple(coroot)]
 
 
 def endoscopic_lattice(rd: RootDatum, form: GramForm, c: QmodZ) -> Tuple[Vec, ...]:
@@ -90,30 +89,24 @@ def _indecomposable(positives) -> set:
 
 
 def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> EndoscopicData:
-    n = rd.rank
     basis = endoscopic_lattice(rd, form, c)
     bt = transpose(basis)  # columns are the new basis vectors
-    bt_inv = mat_inv(bt)
+    inv_num, e = _over_common_denominator(*mat_inv(bt))  # bt^{-1} = inv_num / e
     rescale = tuple((tuple(cv), rescale_factor(rd, form, c, cv)) for cv in rd.coroots)
     coroots_h, roots_h = [], []
-    for cv, nfac in rescale:
+    for (cv, nfac), a in zip(rescale, rd.roots):
         target = vec_scale(cv, nfac)
-        new_cv = mat_vec(bt_inv, target)
-        if any(Fraction(x).denominator != 1 for x in new_cv):
+        new_cv = mat_vec(inv_num, target)
+        if any(x % e for x in new_cv):
             raise ValidationFailed(f"rescaled coroot {target} is not in the endoscopic lattice")
-        coroots_h.append(tuple(int(x) for x in new_cv))
-        i = rd.coroots.index(tuple(cv))
-        a = rd.roots[i]
-        new_rt = []
-        for brow in basis:
-            val = Fraction(dot(a, brow), nfac)
-            if val.denominator != 1:
-                raise ValidationFailed(f"rescaled root for {cv} is not integral on the lattice")
-            new_rt.append(int(val))
-        roots_h.append(tuple(new_rt))
+        coroots_h.append(tuple(x // e for x in new_cv))
+        new_rt = [dot(a, brow) for brow in basis]
+        if any(x % nfac for x in new_rt):
+            raise ValidationFailed(f"rescaled root for {cv} is not integral on the lattice")
+        roots_h.append(tuple(x // nfac for x in new_rt))
     ambient_h = mat_mul(rd.ambient_basis, tuple(tuple(Fraction(x) for x in row) for row in bt))
     rd_h = RootDatum(
-        n,
+        rd.rank,
         tuple(roots_h),
         tuple(coroots_h),
         tuple(sorted(rd.simple_indices)),  # H's roots are positive multiples of G's: same chamber, same walls
@@ -200,7 +193,7 @@ def _termwise_conjugation(rd: RootDatum, mu, families) -> bool:
     tau_inv = tau.inverse()
     termwise = True
     for cv, i0, step, nfac in families:
-        refl_dir = rd.reflection(rd.coroots.index(cv))
+        refl_dir = rd.reflection(_coroot_table(rd).index[cv])
         for j in (0, 1):
             g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl_dir)
             termwise &= tau * g * tau_inv == ExtendedWeylElement(vec_scale(cv, j * nfac), refl_dir)

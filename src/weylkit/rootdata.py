@@ -10,13 +10,14 @@ e-coordinates).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from weylkit.exact import (
     Mat,
@@ -46,10 +47,6 @@ class InvalidParams(ValueError):
 
 class GroupTooLarge(RuntimeError):
     pass
-
-
-def _group_bound() -> int:
-    return int(os.environ.get("ENGINE_MAX_GROUP_SIZE", "200000"))
 
 
 @dataclass(frozen=True)
@@ -98,11 +95,7 @@ class RootDatum:
 
     def reflection(self, i: int) -> Mat:
         """Matrix of s_{alpha_i} on the cocharacter lattice."""
-        a, cv = self.roots[i], self.coroots[i]
-        n = self.rank
-        return tuple(
-            tuple((1 if r == c else 0) - cv[r] * a[c] for c in range(n)) for r in range(n)
-        )
+        return _coroot_table(self).reflections[i]
 
     def simple_reflections(self) -> Tuple[Mat, ...]:
         return tuple(self.reflection(i) for i in self.simple_indices)
@@ -122,6 +115,25 @@ class RootDatum:
         if any(x.denominator != 1 for x in w):
             raise ValueError(f"{phi_ambient} is not in the character lattice")
         return tuple(int(x) for x in w)
+
+
+class CorootTable(NamedTuple):
+    index: Mapping[Vec, int]  # each coroot's position in rd.coroots
+    half: Tuple[Vec, ...]  # one coroot of each +- pair: the one greater than its negative
+    cartan: Mat  # the Cartan integers <a_i, b_j> among half, a_i the root of b_i
+    reflections: Tuple[Mat, ...]  # s_{alpha_i} = I - b_i a_i^T, aligned with rd.coroots
+
+
+@lru_cache(maxsize=None)
+def _coroot_table(rd: RootDatum) -> CorootTable:
+    """The coroot lookups fixed by the datum, once per datum."""
+    index = MappingProxyType({cv: i for i, cv in enumerate(rd.coroots)})
+    half = tuple(cv for cv in rd.coroots if cv > tuple(-v for v in cv))
+    n = rd.rank
+    reflections = tuple(
+        tuple(tuple(int(r == c) - cv[r] * a[c] for c in range(n)) for r in range(n)) for a, cv in zip(rd.roots, rd.coroots)
+    )
+    return CorootTable(index, half, tuple(tuple(dot(rd.roots[index[a]], b) for b in half) for a in half), reflections)
 
 
 @lru_cache(maxsize=None)
@@ -160,24 +172,18 @@ def _coroot_positivity(rd: RootDatum) -> Dict[Vec, bool]:
 # construction by reflection closure
 
 
-def _closure(simple_roots, simple_coroots, rank, bound=2000):
-    """Orbit closure of the simple pairs under all simple reflections."""
-    pairs = {(tuple(a), tuple(cv)) for a, cv in zip(simple_roots, simple_coroots)}
-    refls = []
-    for a, cv in zip(simple_roots, simple_coroots):
-        m = tuple(tuple((1 if r == c else 0) - cv[r] * a[c] for c in range(rank)) for r in range(rank))
-        mt = transpose(m)
-        refls.append((m, mt))
-    frontier = set(pairs)
+def _closure(simple_roots, simple_coroots, bound=2000):
+    """Orbit closure of the simple pairs under all simple reflections, by
+    rank-one steps: s_i sends a root a to a - <a, b_i> a_i and a coroot b to
+    b - <a_i, b> b_i."""
+    simples = [(tuple(a), tuple(cv)) for a, cv in zip(simple_roots, simple_coroots)]
+    pairs, frontier = set(simples), set(simples)
     while frontier:
         new = set()
         for a, cv in frontier:
-            for m, mt in refls:
-                # roots transform as covectors through the inverse-transpose;
-                # reflections are involutions so m^{-T} = m^T
-                na = mat_vec(mt, a)
-                ncv = mat_vec(m, cv)
-                p = (tuple(na), tuple(ncv))
+            for ai, bi in simples:
+                k, l = dot(a, bi), dot(ai, cv)
+                p = (tuple(x - k * y for x, y in zip(a, ai)), tuple(x - l * y for x, y in zip(cv, bi)))
                 if p not in pairs:
                     pairs.add(p)
                     new.add(p)
@@ -185,13 +191,11 @@ def _closure(simple_roots, simple_coroots, rank, bound=2000):
             raise GroupTooLarge("root system closure exceeded bound")
         frontier = new
     both = sorted(pairs)
-    roots = tuple(p[0] for p in both)
-    coroots = tuple(p[1] for p in both)
-    return roots, coroots
+    return tuple(p[0] for p in both), tuple(p[1] for p in both)
 
 
 def _build(simple_roots, simple_coroots, rank, ambient=None, name=""):
-    roots, coroots = _closure(simple_roots, simple_coroots, rank)
+    roots, coroots = _closure(simple_roots, simple_coroots)
     simple_idx = tuple(roots.index(tuple(a)) for a in simple_roots)
     return RootDatum(rank, roots, coroots, simple_idx, ambient, name)
 
@@ -387,34 +391,48 @@ def validate_root_datum(rd: RootDatum):
 
 
 def group_closure(gens, n: int) -> Dict[Mat, Tuple[int, Mat]]:
-    """Every element of the group generated by the n x n involutions gens
-    (reflections), with its Cayley length and its inverse, by breadth-first
-    search: x = g s gives x^{-1} = s g^{-1}.  GroupTooLarge past the bound."""
-    bound = _group_bound()
+    """Every element of the group generated by the n x n integer reflections
+    gens, with its Cayley length and its inverse, by breadth-first search.
+    Each s is read once as I - c r^T (_reflection_factors), so x = g s takes
+    from each row g_i of g the multiple (g_i . c) r, and x^{-1} = s g^{-1}
+    takes c_i (r^T g^{-1}) from each row i of g^{-1} with c_i != 0.
+    GroupTooLarge past the bound."""
+    bound = int(os.environ.get("ENGINE_MAX_GROUP_SIZE", "200000"))
     unit = identity(n)
-
-    def times(a, b_cols):  # square n x n products, so no shape checks
-        return tuple([tuple([sum(map(mul, row, col)) for col in b_cols]) for row in a])
-
-    gens = [(s, transpose(s)) for s in gens]
-    for s, cols in gens:
-        if times(s, cols) != unit:
-            raise ValueError(f"generator {s} is not an involution")
+    gens = [_reflection_factors(s, n) for s in gens]
     closure = {unit: (0, unit)}
     frontier = [unit]
     while frontier:
         new = []
         for g in frontier:
             length, g_inv = closure[g]
-            for s, cols in gens:
-                x = times(g, cols)
+            for c, r in gens:
+                x = tuple([tuple([a - k * b for a, b in zip(row, r)]) if (k := sum(map(mul, row, c))) else row for row in g])
                 if x not in closure:
-                    closure[x] = (length + 1, times(s, transpose(g_inv)))
+                    v = [sum(map(mul, r, col)) for col in zip(*g_inv)]  # r^T g^{-1}
+                    x_inv = tuple([tuple([a - ci * b for a, b in zip(row, v)]) if ci else row for ci, row in zip(c, g_inv)])
+                    closure[x] = (length + 1, x_inv)
                     new.append(x)
                     if len(closure) > bound:
                         raise GroupTooLarge(f"group exceeds bound {bound}")
         frontier = new
     return closure
+
+
+def _reflection_factors(s, n: int):
+    """(c, r) with s = I - c r^T, r primitive and c . r = 2, which makes s an
+    involution fixing the hyperplane r^T x = 0; ValueError names an s that is
+    not such an n x n integer reflection."""
+    m = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(s)]  # c r^T
+    row = next((row for row in m if any(row)), None)
+    if row is not None and len(m) == len(row) == n:
+        g = math.gcd(*row)
+        r = [x // g for x in row]
+        j = next(j for j, x in enumerate(r) if x)
+        c = [row[j] // r[j] for row in m]
+        if m == [[ci * rj for rj in r] for ci in c] and sum(map(mul, c, r)) == 2:
+            return c, r
+    raise ValueError(f"generator {s} is not a reflection")
 
 
 class WeylGroup(tuple):
@@ -482,7 +500,7 @@ def cartan_matrix(rd: RootDatum, coroots) -> Mat:
     """The Cartan integers c_ij = <a_i, b_j>, a_i the root of the coroot b_i:
     row i pairs the root of b_i with every given coroot.  On the simple
     coroots of C2 with a_0 short, c_01 = -1 and c_10 = -2."""
-    roots = [rd.roots[rd.coroots.index(tuple(b))] for b in coroots]
+    roots = [rd.roots[_coroot_table(rd).index[tuple(b)]] for b in coroots]
     return tuple(tuple(dot(a, b) for b in coroots) for a in roots)
 
 
@@ -524,15 +542,7 @@ def is_isomorphic(rd1: RootDatum, rd2: RootDatum) -> bool:
             continue
         if {tuple(mat_vec(p_int, cv)) for cv in rd1.coroots} != set(rd2.coroots):
             continue
-        p_inv_t = transpose(mat_inv(p_int))
-        imgs = set()
-        ok = True
-        for a in rd1.roots:
-            img = tuple(mat_vec(p_inv_t, a))
-            if any(Fraction(x).denominator != 1 for x in img):
-                ok = False
-                break
-            imgs.add(tuple(int(x) for x in img))
-        if ok and imgs == set(rd2.roots):
+        p_inv_t = transpose(mat_inv_int(p_int))  # |det| = 1: the inverse is integral
+        if {tuple(mat_vec(p_inv_t, a)) for a in rd1.roots} == set(rd2.roots):
             return True
     return False

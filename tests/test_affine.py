@@ -16,7 +16,7 @@ from weylkit.affine import (
     NoDominantCovector,
     NotIntegral,
     NotPositiveDefinite,
-    _walls_between,
+    _reflected_walls,
     act_affine_coroot,
     affine_coroot_reflection,
     below_wall,
@@ -39,9 +39,9 @@ from weylkit.affine import (
     weyl_shift,
 )
 from weylkit import duality
-from weylkit.duality import finite_components, level_from_config, level_integral_weyl
+from weylkit.duality import Level, finite_components, level_from_config, level_integral_weyl
 from weylkit.integral import integral_simple_system
-from weylkit.rootdata import RootDatum, preset, weyl_elements
+from weylkit.rootdata import RootDatum, _coroot_table, preset, weyl_elements
 
 
 def sl2():
@@ -467,18 +467,20 @@ def _onto_wall(rd, form, progressions, x, rng):
 
 
 def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
-    # the walls between two points, the slice action and the Weyl shift, each
-    # against the Fraction formula it replaced, and descend's end point against
+    # the walls between a point a and its image r a in the wall of every
+    # direction at a seeded level (_reflected_walls, read off the Cartan
+    # integers), the slice action and the Weyl shift, each against the
+    # Fraction formula it replaced, and descend's end point against
     # a Fraction gallery walk over every integral wall: the closed alcove of x0
     # meets each orbit once, so the end points agree, and the product of the
     # crossed reflections sends the start to that point; one point of most
     # pairs lies exactly on an integral wall, where the open interval of levels
     # matters and the walks may choose different elements of its stabilizer
     rng = random.Random(2507166)
-    on_wall = negative_q = 0
+    on_wall = negative_q = several = 0
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
-        group = weyl_elements(rd)
+        group, half = weyl_elements(rd), _coroot_table(rd).half
         for system in _kernel_systems(rd, rng):
             form, progs = system.form, dict(system.progressions)
             x0 = dominant_base_point(rd, form)
@@ -489,9 +491,14 @@ def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
                 on_wall += y is not None
                 y = x if y is None else y
                 lattice_point = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
-                for a, b in ((x, y), (y, x), (y, y), (x0, y), (y, x0), (lattice_point, y), (x, x0)):
-                    expected = fraction_walls_between(rd, form, progs, a, b)
-                    assert list(_walls_between(rd, form, progs, a, b)) == expected, (name, form, a, b)
+                for a in (x, y, x0, lattice_point):
+                    walls = _reflected_walls(rd, form, progs, a)[2]
+                    for i, cv in enumerate(half):
+                        n = rng.randint(-3, 3)
+                        r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
+                        expected = fraction_walls_between(rd, form, progs, a, slice_act(r, form, a))
+                        assert list(walls(i, n)) == expected, (name, form, a, cv, n)
+                        several += len(expected) > 1
                 steps, end = descend(rd, system, y)
                 assert end == _fraction_gallery_walk(fraction_walls_between, rd, form, progs, y, x0), (name, y)
                 product = ExtendedWeylElement.unit(rd.rank)
@@ -506,21 +513,22 @@ def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
                 for right, left in ((x, y), (y, lattice_point), (lattice_point, lattice_point)):
                     got = weyl_shift(group.inverse[w], right, left)
                     assert got == _fraction_weyl_shift(w, right, left) and all(type(v) is Fraction for v in got)
-    assert on_wall >= 100 and negative_q >= 16, (on_wall, negative_q)
+    assert on_wall >= 100 and negative_q >= 16 and several >= 1000, (on_wall, negative_q, several)
 
 
-def test_below_wall_against_walls_between():
+def test_below_wall_against_walls_between(fraction_walls_between):
     # below_wall on every simple of the kernel systems (trivial and character
     # progressions, levels of both signs, one with a flagged component) against
-    # the walls _walls_between lists between the base point x0 and p: every
+    # the walls between the base point x0 and p, counted in Fractions: every
     # simple is positive at x0, so p is below its wall iff the wall separates
-    # x0 and p; p runs over images of x0, which lie on no wall, and seeded
-    # points, skipped on the wall they meet
+    # x0 and p; p runs over images of x0, which lie on no wall, its images r x0
+    # in seeded walls, where the integer count (_reflected_walls) must agree,
+    # and seeded points, skipped on the wall they meet
     rng = random.Random(2507200)
     outcomes = {True: 0, False: 0}
     for name, param in KERNEL_PRESETS:
         rd = preset(name, param)
-        group = weyl_elements(rd)
+        group, half = weyl_elements(rd), _coroot_table(rd).half
         for system in _kernel_systems(rd, rng):
             form, progs, x0 = system.form, dict(system.progressions), system.base_point
             assert all(dot(x0, ac.coroot) + ac.n * form.q(ac.coroot) > 0 for ac in system.simples), (name, system.simples)
@@ -529,9 +537,14 @@ def test_below_wall_against_walls_between():
                 for _ in range(8)
             ]
             points += [tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rd.rank)) for _ in range(4)]
+            walls = _reflected_walls(rd, form, progs, x0)[2]
+            for _ in range(4):
+                i, n = rng.randrange(len(half)), rng.randint(-3, 3)
+                points.append(slice_act(affine_coroot_reflection(rd, AffineCoroot(half[i], n)), form, x0))
+                assert list(walls(i, n)) == fraction_walls_between(rd, form, progs, x0, points[-1]), (name, half[i], n)
             for p in points:
                 between = set()
-                for cv, first, count in _walls_between(rd, form, progs, x0, p):
+                for cv, first, count in fraction_walls_between(rd, form, progs, x0, p):
                     step = progs[cv][1]
                     between |= {(cv, first + k * step) for k in range(count)}
                     between |= {(tuple(-v for v in cv), -(first + k * step)) for k in range(count)}
@@ -541,7 +554,7 @@ def test_below_wall_against_walls_between():
                     got = below_wall(form, ac, p)
                     assert got == ((ac.coroot, ac.n) in between), (name, form, ac, p)
                     outcomes[got] += 1
-    assert outcomes[True] >= 400 and outcomes[False] >= 800, outcomes
+    assert outcomes[True] >= 700 and outcomes[False] >= 1200, outcomes
 
 
 def _congruence_holds(rows, exact_rows, lam, shift):
@@ -669,3 +682,94 @@ def test_lengths_simples_and_walks_invert_nothing(monkeypatch, fraction_walls_be
         for r in (affine_coroot_reflection(rd, ac) for ac in walls):
             assert sum(count for _, _, count in fraction_walls_between(rd, form, p, x0, slice_act(r, form, x0))) == 1
     assert len(simples[1]) == 4  # the affine A3 diagram
+
+
+FACET_PRESETS = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("PGL", 4), ("PGL", 5), ("GL", 1), ("GL", 2),
+                 ("GL", 3), ("GL", 4), ("Sp", 2), ("Sp", 4), ("Sp", 6), ("Sp", 8), ("PSp", 2), ("PSp", 4), ("PSp", 6), ("PSp", 8),
+                 ("SO_odd", 3), ("SO_odd", 5), ("SO_odd", 7), ("SO_odd", 9), ("Spin_odd", 3), ("Spin_odd", 5), ("Spin_odd", 7),
+                 ("Spin_odd", 9), ("SO_even", 4), ("SO_even", 6), ("SO_even", 8), ("G2", 2), ("torus", 2)]
+
+
+def _facet_cases(rd, rng):
+    """(geometry form, progressions): characters at c = 0, 1/2, 1/3 on a form
+    S, and levels c S of both signs, with no flag and with one component
+    flagged irrational; each at theta (the finite part) zero and seeded in
+    twelfths."""
+    try:
+        form = gram_from_weights(rd, rd.roots)
+    except NotPositiveDefinite:  # GL and tori: the roots do not span
+        form = gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+    geometries = [(form, Level(tuple(tuple((c or 1) * x for x in row) for row in form.matrix))) for c in (0, Fraction(1, 2), Fraction(1, 3))]
+    components = len(finite_components(rd))
+    for sign in (1, -1):
+        for irrational in [(), (rng.randrange(components),)] if components else [()]:
+            c = sign * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+            lvl = level_from_config(rd, [[c * v for v in row] for row in form.matrix], irrational)
+            geometries.append((lvl, lvl))
+    thetas = ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randrange(12), 12) for _ in range(rd.rank)))
+    return [(geometry, duality.level_progressions(rd, lvl, theta)) for geometry, lvl in geometries for theta in thetas]
+
+
+def test_facet_test_against_fraction_wall_counts(fraction_walls_between):
+    # every candidate wall of the simple system, the two integral levels of a
+    # direction that bracket the base point x0 (found here in Fractions): the
+    # integer count of the walls between x0 and r x0 read off the Cartan
+    # integers against the Fraction count, and the simple system against the
+    # candidates whose Fraction count is 1, each oriented positive at x0; on
+    # every preset of rank <= 4, at characters and levels of both signs, with
+    # and without a component flagged irrational
+    rng = random.Random(2507270)
+    counts = {"candidates": 0, "simple": 0, "several": 0, "flagged": 0}
+    for name, param in FACET_PRESETS:
+        rd = preset(name, param)
+        half = _coroot_table(rd).half
+        for form, progs in _facet_cases(rd, rng):
+            counts["flagged"] += bool(getattr(form, "irrational", ()))
+            x0 = dominant_base_point(rd, form)
+            walls = _reflected_walls(rd, form, progs, x0)[2]
+            expected = []
+            for i, cv in enumerate(half):
+                if progs[cv] is None:
+                    continue
+                (first, step), v = progs[cv], math.floor(-Fraction(dot(x0, cv)) / form.q(cv))
+                below = first + (v - first) // step * step if step else first
+                for n in {below, below + step} if step else {first}:
+                    r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
+                    crossed = fraction_walls_between(rd, form, progs, x0, slice_act(r, form, x0))
+                    assert list(walls(i, n)) == crossed, (name, form, cv, n)
+                    counts["candidates"] += 1
+                    counts["several"] += len(crossed) > 1
+                    if sum(count for _, _, count in crossed) == 1:
+                        sign = 1 if dot(x0, cv) + n * form.q(cv) > 0 else -1
+                        expected.append(AffineCoroot(tuple(sign * x for x in cv), sign * n))
+            got = simple_system_from_progressions(rd, form, progs)
+            assert got == tuple(sorted(expected, key=lambda a: (a.n, a.coroot))), (name, form, progs)
+            counts["simple"] += len(got)
+    assert counts["candidates"] >= 2500 and counts["simple"] >= 900 and counts["several"] >= 1500 and counts["flagged"] >= 100, counts
+
+
+def test_integral_system_builds_no_fraction_reflection(monkeypatch, fraction_walls_between):
+    # a fresh SO9 (its own name, so no cache holds its tables): the builder
+    # reads every wall count off the Cartan integers, so no affine reflection
+    # is formed and no slice point is moved, at a character and at a level
+    from weylkit import affine
+
+    rd = dataclasses.replace(preset("SO_odd", 9), name="SO9, no reflections")
+    form = gram_from_weights(rd, rd.roots)
+    lvl = level_from_config(rd, [[Fraction(-2, 3) * v for v in row] for row in form.matrix])
+    args = [(rd, form, Level(tuple(tuple(Fraction(1, 2) * x for x in row) for row in form.matrix)), (Fraction(1, 4),) * rd.rank),
+            (rd, lvl, lvl, (Fraction(1, 6),) * rd.rank)]
+
+    def forbidden(*_):
+        raise AssertionError("the builder formed a reflection or moved a slice point")
+
+    for module in (affine, duality):
+        for name in ("affine_coroot_reflection", "slice_act", "slice_act_inverse"):
+            monkeypatch.setattr(module, name, forbidden)
+    systems = [duality.integral_system(*a) for a in args]
+    monkeypatch.undo()
+    assert all(system.simples for system in systems)
+    for system in systems:
+        for r in system.simple_reflections(rd):  # each simple reflection has length 1
+            walls = fraction_walls_between(rd, system.form, dict(system.progressions), system.base_point, slice_act(r, system.form, system.base_point))
+            assert sum(count for _, _, count in walls) == 1, (system.form, r)

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -10,6 +12,7 @@ from weylkit.rootdata import (
     RootDatum,
     UnknownPreset,
     cartan_matrix,
+    group_closure,
     is_isomorphic,
     langlands_dual,
     longest_element,
@@ -240,6 +243,63 @@ def test_closure_records_exact_inverses():
         for w in group:
             assert mat_mul(w, group.inverse[w]) == identity(len(w)), (name, n, w)
             assert group.inverse[w] == mat_inv(w), (name, n, w)
+
+
+def _product_closure(gens, n):
+    """The breadth-first search group_closure replaced, by matrix products:
+    x = g s and x^{-1} = s g^{-1}; the reference for its elements, Cayley
+    lengths, inverses and order."""
+    def times(a, b):
+        return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
+
+    closure = {identity(n): (0, identity(n))}
+    frontier = [identity(n)]
+    while frontier:
+        new = []
+        for g in frontier:
+            length, g_inv = closure[g]
+            for s in gens:
+                x = times(g, s)
+                if x not in closure:
+                    closure[x] = (length + 1, times(s, g_inv))
+                    new.append(x)
+        frontier = new
+    return closure
+
+
+CLOSURE_RANK_FIVE = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("SL", 6), ("PGL", 2), ("PGL", 3), ("PGL", 4), ("PGL", 5),
+                     ("PGL", 6), ("GL", 1), ("GL", 3), ("GL", 5), ("Sp", 2), ("Sp", 4), ("Sp", 6), ("Sp", 8), ("Sp", 10),
+                     ("PSp", 2), ("PSp", 4), ("PSp", 6), ("PSp", 8), ("PSp", 10), ("SO_odd", 3), ("SO_odd", 5), ("SO_odd", 7),
+                     ("SO_odd", 9), ("SO_odd", 11), ("Spin_odd", 3), ("Spin_odd", 5), ("Spin_odd", 7), ("Spin_odd", 9),
+                     ("Spin_odd", 11), ("SO_even", 4), ("SO_even", 6), ("SO_even", 8), ("SO_even", 10), ("G2", 2), ("torus", 3)]
+
+
+def test_group_closure_against_product_closure():
+    # the rank-one steps against products: the same elements in the same
+    # breadth-first order, with the same lengths and inverses, on the simple
+    # reflections of every preset of rank <= 5, and on Soergel words, the
+    # simple reflections of the presets of rank <= 4 conjugated by a seeded
+    # diagonal sign matrix (reflections still, as graph_character_table
+    # passes them); a generator that is no reflection is named
+    rng = random.Random(2507272)
+    elements = 0
+    for name, n in CLOSURE_RANK_FIVE:
+        rd = preset(name, n)
+        words = [rd.simple_reflections()]
+        if rd.rank <= 4:
+            d = [rng.choice((1, -1)) for _ in range(rd.rank)]
+            words.append([tuple(tuple(d[i] * m[i][j] * d[j] for j in range(rd.rank)) for i in range(rd.rank)) for m in words[0]])
+        for gens in words:
+            got = group_closure(gens, rd.rank)
+            assert list(got.items()) == list(_product_closure(gens, rd.rank).items()), (name, n, gens)
+            elements += len(got)
+    assert elements == 23464, elements
+    for bad in (((0, -1), (1, 0)), ((1, 1), (0, 1))):  # order 4, and a shear: no involution
+        with pytest.raises(ValueError, match=rf"generator {re.escape(str(bad))} is not a reflection"):
+            group_closure([((-1, 0), (0, 1)), bad], 2)
+    with pytest.raises(ValueError, match=r"generator \(\(-1, 0\), \(0, -1\)\) is not a reflection"):
+        group_closure([((-1, 0), (0, -1))], 2)  # -I: an involution fixing no hyperplane
+    assert group_closure([((-1, 0), (0, 1))], 2) == {identity(2): (0, identity(2)), ((-1, 0), (0, 1)): (1, ((-1, 0), (0, 1)))}
 
 
 def test_stabilizer_cosets_invert_nothing(monkeypatch):
