@@ -225,10 +225,6 @@ class CharacterPoint:
     central: QmodZ
     finite: Tuple[QmodZ, ...]
 
-    def value_on(self, v: Vec) -> QmodZ:
-        d = math.lcm(*(c.den for c in self.finite))
-        return QmodZ(dot([c.num * (d // c.den) for c in self.finite], v), d)
-
     @staticmethod
     def trivial(n: int) -> "CharacterPoint":
         return CharacterPoint(QMODZ_ZERO, (QMODZ_ZERO,) * n)
@@ -274,10 +270,14 @@ def extended_matrix(g: ExtendedWeylElement, form: GramForm) -> Mat:
 
 
 def extended_act_character(g: ExtendedWeylElement, form: GramForm, chi: CharacterPoint) -> CharacterPoint:
-    """Left action (g . chi)(x) = chi(g^{-1} x); the central value is fixed."""
-    c = chi.central.as_fraction()
-    finite = weyl_shift(g.w_inv(), [f.as_fraction() for f in chi.finite], [c * v for v in form.covector(g.trans)])
-    return CharacterPoint(chi.central, tuple(map(QmodZ.from_fraction, finite)))
+    """Left action (g . chi)(x) = chi(g^{-1} x); the central value c is fixed.
+    The finite part is chi_f o w^{-1} - c S(trans, -) mod 1: chi_f and c go
+    over one denominator D, so it is one integer shift over D."""
+    c, finite = chi.central, chi.finite
+    big = math.lcm(c.den, *(f.den for f in finite))
+    fn = [f.num * (big // f.den) for f in finite]
+    ln = [c.num * (big // c.den) * x for x in form.covector(g.trans)]
+    return CharacterPoint(c, tuple([QmodZ(x, big) for x in _shift_numerators(g.w_inv(), fn, ln)]))
 
 
 def slice_act(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
@@ -328,20 +328,6 @@ def act_affine_coroot(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, ac:
 # i + dZ, or (i, 0) for the singleton {i}.
 
 Progression = Optional[Tuple[int, int]]
-
-
-def progression(step, value) -> Progression:
-    """{n : value + n step in Z} for rationals step and value."""
-    step, value = Fraction(step), Fraction(value)
-    den = math.lcm(step.denominator, value.denominator)
-    a = step.numerator * (den // step.denominator)
-    b = -value.numerator * (den // value.denominator)
-    # a n = b (mod den)
-    g = math.gcd(a, den)
-    if b % g:
-        return None
-    d = den // g
-    return (b // g * pow(a // g, -1, d) % d, d)
 
 
 def progression_min_at_least(p: Progression, lo: int) -> Optional[int]:

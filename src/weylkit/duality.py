@@ -19,6 +19,7 @@ that pin lam's projection onto that component to 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +51,6 @@ from weylkit.affine import (
     descend,
     dominant_base_point,
     length_zero_group,
-    progression,
     progression_min_at_least,
     read_square,
     simple_system_from_progressions,
@@ -190,13 +190,30 @@ def level_progression(rd: RootDatum, lvl: Level, theta, coroot: Vec) -> Progress
 
 
 def level_progressions(rd: RootDatum, lvl: Level, theta) -> Dict[Vec, Progression]:
-    """level_progression of every coroot, theta over one denominator d once."""
+    """level_progression of every coroot, once per +- pair, on integers: for
+    kappa = K/e and theta = t/d, the levels of alpha solve a n = b (mod D),
+    D = lcm(2e, d), a = K(alpha, alpha) D/2e, b = -<t, alpha> D/d, and those
+    of -alpha are their negatives: p(-alpha) = ((-i) mod m, m) for p(alpha) =
+    (i, m), and None with it.  Components are read only if some are flagged."""
     (tn,), d = _over_common_denominator(theta)
-    components, out = _coroot_components(rd), {}
-    for cv in rd.coroots:
-        tval = Fraction(dot(tn, cv), d)
-        flagged = components[cv] in lvl.irrational
-        out[cv] = ((0, 0) if tval.denominator == 1 else None) if flagged else progression(lvl.q(cv), tval)
+    k, e = lvl._numerators
+    big = math.lcm(2 * e, d)
+    components = _coroot_components(rd) if lvl.irrational else {}
+    out = dict.fromkeys(rd.coroots)  # keys in rd.coroots order
+    for cv in _coroot_table(rd).half:
+        t = dot(tn, cv)
+        if components.get(cv) in lvl.irrational:
+            p = q = (0, 0) if t % d == 0 else None
+        else:
+            a, b = dot(mat_vec(k, cv), cv) * (big // (2 * e)), -t * (big // d)
+            g = math.gcd(a, big)
+            if b % g:
+                p = q = None
+            else:
+                m = big // g
+                i = b // g * pow(a // g, -1, m) % m
+                p, q = (i, m), (-i % m, m)
+        out[cv], out[tuple(-x for x in cv)] = p, q
     return out
 
 
@@ -206,6 +223,8 @@ def _stabilizer_rows(rd: RootDatum, lvl: Level):
     the exact rows P lam = 0.  P = B (B^T K B)^{-1} B^T K is the
     kappa-orthogonal projector onto the span B of the flagged coroots, and
     kappa_eff = K (1 - P) drops that span."""
+    if not lvl.irrational:
+        return lvl.gram, ()
     basis = []
     for cv in rd.coroots:
         if component_of_coroot(rd, cv) in lvl.irrational and mat_rank(basis + [cv]) == len(basis) + 1:

@@ -29,8 +29,9 @@ from weylkit.exact import (
     solve_linear,
     transpose,
     vec_scale,
+    vec_sub,
 )
-from weylkit.affine import CharacterPoint, ExtendedWeylElement, GramForm, progression_min_at_least
+from weylkit.affine import CharacterPoint, GramForm, progression_min_at_least
 from weylkit.integral import integral_simple_system
 from weylkit.rootdata import (
     RootDatum,
@@ -62,10 +63,8 @@ class EndoscopicData:
 
 def endoscopic_lattice(rd: RootDatum, form: GramForm, c: QmodZ) -> Tuple[Vec, ...]:
     """Basis rows of {lam : c S(lam, mu) in Z for all mu}."""
-    n = rd.rank
-    cf = c.as_fraction()
-    rows = [[cf * form.matrix[i][j] for j in range(n)] for i in range(n)]
-    sol = solve_integer_affine(rows, [Fraction(0)] * n, [Fraction(1)] * n)
+    n = rd.rank  # c S lam in Z^n iff c.num S lam = 0 (mod c.den)
+    sol = solve_integer_affine([[c.num * x for x in row] for row in form.matrix], [0] * n, [c.den] * n)
     if sol is None or any(sol.particular):
         raise ValidationFailed(f"c S(lam, -) integral at c = {c} has no lattice through 0: {sol}")
     basis = sol.basis
@@ -104,13 +103,12 @@ def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> Endoscopic
         if any(x % nfac for x in new_rt):
             raise ValidationFailed(f"rescaled root for {cv} is not integral on the lattice")
         roots_h.append(tuple(x // nfac for x in new_rt))
-    ambient_h = mat_mul(rd.ambient_basis, tuple(tuple(Fraction(x) for x in row) for row in bt))
     rd_h = RootDatum(
         rd.rank,
         tuple(roots_h),
         tuple(coroots_h),
         tuple(sorted(rd.simple_indices)),  # H's roots are positive multiples of G's: same chamber, same walls
-        tuple(tuple(Fraction(x) for x in row) for row in ambient_h),
+        tuple(tuple(Fraction(x) for x in row) for row in mat_mul(rd.ambient_basis, bt)),
         name=f"H({rd.name},c={c})",
     )
     bad = validate_root_datum(rd_h)
@@ -158,12 +156,11 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     lat_match = lattice_basis_from_generators(system.translation_lattice) == lattice_basis_from_generators(endo.cochar_basis)
 
     # direction matching: chi-integral directions = chi_f-integral directions of H
-    h_integral = []
-    for cv, nfac in endo.rescale:
-        val = chi.value_on(vec_scale(cv, nfac))
-        if val.is_zero():
-            h_integral.append(tuple(cv))
-    dir_match = set(map(tuple, directions)) == set(h_integral)
+    # chi_f = f/d: N alpha is chi_f-integral iff N <f, alpha> = 0 (mod d)
+    d = math.lcm(*(x.den for x in chi.finite))
+    fn = [x.num * (d // x.den) for x in chi.finite]
+    h_integral = {cv for cv, nfac in endo.rescale if nfac * dot(fn, cv) % d == 0}
+    dir_match = set(map(tuple, directions)) == h_integral
 
     # bullet = full iff the integral reflections generate the admissible Weyl
     # parts, which contain and permute them; these parts are also the
@@ -187,16 +184,14 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
 def _termwise_conjugation(rd: RootDatum, mu, families) -> bool:
     """tau g_j tau^{-1} = h_j for tau = t^mu and each family (alpha, i0, step,
     N), with g_j = t^{(i0 + j step) alpha} s_alpha and h_j = t^{j N alpha}
-    s_alpha.  The left side is t^{(i0 + j step + <a, mu>) alpha} s_alpha:
+    s_alpha.  The left side is t^mu t^v s t^{-mu} = t^{v + mu - s(mu)} s for
+    v = (i0 + j step) alpha and s = s_alpha, one product with s per family:
     both translations are affine in j, so j in {0, 1} decides every j."""
-    tau = ExtendedWeylElement(mu, identity(rd.rank))
-    tau_inv = tau.inverse()
     termwise = True
     for cv, i0, step, nfac in families:
-        refl_dir = rd.reflection(_coroot_table(rd).index[cv])
+        shift = vec_sub(mu, mat_vec(rd.reflection(_coroot_table(rd).index[cv]), mu))  # mu - s(mu)
         for j in (0, 1):
-            g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl_dir)
-            termwise &= tau * g * tau_inv == ExtendedWeylElement(vec_scale(cv, j * nfac), refl_dir)
+            termwise &= all((i0 + j * step) * x + y == j * nfac * x for x, y in zip(cv, shift))
     return termwise
 
 

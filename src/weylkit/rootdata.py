@@ -26,6 +26,7 @@ from weylkit.exact import (
     _rref,
     det,
     dot,
+    hermite_normal_form,
     identity,
     mat_inv,
     mat_mul,
@@ -355,7 +356,11 @@ def product_datum(factors) -> RootDatum:
 
 
 def validate_root_datum(rd: RootDatum):
-    """Returns a list of violation strings; empty means the datum is valid."""
+    """Returns a list of violation strings; empty means the datum is valid.
+    Each reflection must permute the coroots, v -> v - k cv_i, k = <a_i, v>,
+    and the roots, b -> b - k a_i, k = <b, cv_i>: one pairing per vector; a
+    vector with k = 0 is its own image, already in the set, so it is skipped,
+    and (a, cv) and (-a, -cv) give one reflection, checked once."""
     bad = []
     n = rd.rank
     if len(rd.roots) != len(rd.coroots):
@@ -367,12 +372,15 @@ def validate_root_datum(rd: RootDatum):
             bad.append(f"<coroot,root> != 2 for pair ({cv},{a})")
     if len(set(rd.roots)) != len(rd.roots):
         bad.append("duplicate roots")
-    root_set, coroot_set = set(rd.roots), set(rd.coroots)
-    # s_i(v) = v - <a_i, v> cv_i on coroots and its transpose b - <b, cv_i> a_i on roots
+    root_set, coroot_set, moves = set(rd.roots), set(rd.coroots), {}
     for i, (a_i, cv_i) in enumerate(zip(rd.roots, rd.coroots)):
-        if any(tuple(x - dot(a_i, v) * y for x, y in zip(v, cv_i)) not in coroot_set for v in rd.coroots):
+        pair = max((a_i, cv_i), (tuple(-x for x in a_i), tuple(-x for x in cv_i)))
+        if pair not in moves:
+            moves[pair] = (any((k := dot(a_i, v)) and tuple([x - k * y for x, y in zip(v, cv_i)]) not in coroot_set for v in rd.coroots),
+                           any((k := dot(b, cv_i)) and tuple([x - k * y for x, y in zip(b, a_i)]) not in root_set for b in rd.roots))
+        if moves[pair][0]:
             bad.append(f"reflection {i} does not permute the coroots")
-        if any(tuple(x - dot(b, cv_i) * y for x, y in zip(b, a_i)) not in root_set for b in rd.roots):
+        if moves[pair][1]:
             bad.append(f"dual reflection {i} does not permute the roots")
     # simple roots form a base: every root is a signed nonnegative combination
     for a, c in zip(rd.roots, simple_coordinates(rd)):
@@ -466,19 +474,20 @@ def longest_element(rd: RootDatum) -> Mat:
 
 
 # Weyl parts repeat across the elements the slice action inverts (it takes
-# integer numerators times columns of w^{-1}); each miss reduces [m | I] with
-# exact._rref.  Stabilizer cosets read weyl_elements(rd).inverse instead
+# integer numerators times columns of w^{-1}); each miss takes one integer
+# Hermite form.  Stabilizer cosets read weyl_elements(rd).inverse instead
 MAT_INV_INT_CACHE = 4096
 
 
 @lru_cache(maxsize=MAT_INV_INT_CACHE)
 def mat_inv_int(m: Mat) -> Mat:
-    """Inverse of a hashable integer matrix whose inverse is integral;
-    ValueError if it is singular or its inverse is not integral."""
-    inv = mat_inv(m)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError(f"matrix {m} has no integral inverse")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    """Inverse of a hashable integer matrix whose inverse is integral: the
+    Hermite form u m = h is then I, so u is the inverse; ValueError if m is
+    singular (h has a zero row) or its inverse is not integral."""
+    h, u = hermite_normal_form(m)
+    if h != identity(len(m)):
+        raise ValueError("singular matrix" if not all(map(any, h)) else f"matrix {m} has no integral inverse")
+    return u
 
 
 # ---------------------------------------------------------------------------

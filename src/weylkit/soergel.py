@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
-from weylkit.rootdata import group_closure
+from weylkit.rootdata import _reflection_factors, group_closure
 
 
 class NotAReflection(ValueError):
@@ -159,25 +159,16 @@ def reflection_equation(m: Mat) -> Poly:
 
 def _rank_one_factors(m: Mat):
     """(alpha, c): integer vectors of content one with I - m = g c alpha^T
-    for a rational g > 0.  alpha holds the canonical equation's coefficients
-    and g c_j is the divided difference of x_j."""
-    n = len(m)
-    diff = tuple(tuple(int(i == j) - Fraction(m[i][j]) for j in range(n)) for i in range(n))
-    if mat_rank(diff) != 1:
-        raise NotAReflection("fixed space is not a hyperplane")
-    if mat_mul(m, m) != identity(n):
-        raise NotAReflection("matrix is not an involution")
-    alpha = _content_one(next(r for r in diff if any(r)))
-    k = next(i for i, x in enumerate(alpha) if x)
-    if alpha[k] < 0:
-        alpha = [-x for x in alpha]
-    return alpha, _content_one([r[k] for r in diff])
-
-
-def _content_one(vec):
-    """The integer vector of content one along a nonzero rational vector."""
-    ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
-    return [x // gcd(*ints) for x in ints]
+    for an integer g > 0, alpha's first nonzero entry positive, read off
+    rootdata's factors I - m = c' r^T (r primitive, c' . r = 2).  alpha holds
+    the canonical equation's coefficients and g c_j is the divided
+    difference of x_j.  NotAReflection unless m is an integer reflection."""
+    try:
+        c, r = _reflection_factors(m, len(m))
+    except ValueError:
+        raise NotAReflection(f"{m} is not a reflection: I - m is not c r^T with c . r = 2") from None
+    sign, g = (1 if next(x for x in r if x) > 0 else -1), gcd(*c)
+    return [sign * x for x in r], [sign * x // g for x in c]
 
 
 def _divide_by_linear(f: Poly, alpha: Poly) -> Poly:

@@ -4,9 +4,43 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit.affine import ExtendedWeylElement, extended_act_character, length_zero_group
-from weylkit.exact import dot, lattice_contains
+from weylkit.affine import ExtendedWeylElement, NotPositiveDefinite, extended_act_character, gram_from_weights, length_zero_group
+from weylkit.exact import QmodZ, dot, lattice_contains
 from weylkit.integral import integral_simple_system, minimal_rep
+
+# every preset of rank <= 4, G2, PSp, Spin, SO_even, GL and a torus among them
+RANK_AT_MOST_FOUR = [(name, param) for name, params in (("SL", (2, 3, 4, 5)), ("PGL", (2, 3, 4, 5)), ("GL", (1, 2, 3, 4)),
+                                                        ("Sp", (2, 4, 6, 8)), ("PSp", (2, 4, 6, 8)), ("SO_odd", (3, 5, 7, 9)),
+                                                        ("Spin_odd", (3, 5, 7, 9)), ("SO_even", (4, 6, 8)), ("G2", (2,)),
+                                                        ("torus", (2,))) for param in params]
+
+
+def even_form(rd):
+    """The form of the roots, or of +-e_i where the roots do not span (GL, tori)."""
+    try:
+        return gram_from_weights(rd, rd.roots)
+    except NotPositiveDefinite:
+        return gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+
+
+def progression(step, value):
+    """{n : value + n step in Z} for rationals step and value, in Fractions:
+    None, or (i, d) for i + dZ.  The reference for the integer progressions."""
+    step, value = Fraction(step), Fraction(value)
+    den = math.lcm(step.denominator, value.denominator)
+    a = step.numerator * (den // step.denominator)
+    b = -value.numerator * (den // value.denominator)
+    g = math.gcd(a, den)  # a n = b (mod den)
+    if b % g:
+        return None
+    d = den // g
+    return (b // g * pow(a // g, -1, d) % d, d)
+
+
+def value_on(chi, v):
+    """chi_f(v) in Q/Z for a cocharacter v."""
+    d = math.lcm(*(c.den for c in chi.finite))
+    return QmodZ(dot([c.num * (d // c.den) for c in chi.finite], v), d)
 
 
 def _fraction_walls_between(rd, form, progressions, x, y):

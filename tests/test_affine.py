@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import RANK_AT_MOST_FOUR, even_form, value_on
 from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, mat_inv, mat_vec, solve_integer_affine
 from weylkit.affine import (
     AffineCoroot,
@@ -327,9 +328,9 @@ def test_character_from_config_bases():
     chi = character_from_config(psp6, "1/8", ["1/3", "1/5", "1/4"], basis="simple_roots")
     # chi_f(e1) = theta_1 = 1/3
     e1 = psp6.ambient_to_lattice([1, 0, 0])
-    assert chi.value_on(e1) == QmodZ(1, 3)
+    assert value_on(chi, e1) == QmodZ(1, 3)
     e3 = psp6.ambient_to_lattice([0, 0, 1])
-    assert chi.value_on(e3) == QmodZ(3, 10)
+    assert value_on(chi, e3) == QmodZ(3, 10)
 
 
 def test_typed_errors_name_the_datum_and_the_elements():
@@ -684,21 +685,12 @@ def test_lengths_simples_and_walks_invert_nothing(monkeypatch, fraction_walls_be
     assert len(simples[1]) == 4  # the affine A3 diagram
 
 
-FACET_PRESETS = [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("PGL", 4), ("PGL", 5), ("GL", 1), ("GL", 2),
-                 ("GL", 3), ("GL", 4), ("Sp", 2), ("Sp", 4), ("Sp", 6), ("Sp", 8), ("PSp", 2), ("PSp", 4), ("PSp", 6), ("PSp", 8),
-                 ("SO_odd", 3), ("SO_odd", 5), ("SO_odd", 7), ("SO_odd", 9), ("Spin_odd", 3), ("Spin_odd", 5), ("Spin_odd", 7),
-                 ("Spin_odd", 9), ("SO_even", 4), ("SO_even", 6), ("SO_even", 8), ("G2", 2), ("torus", 2)]
-
-
 def _facet_cases(rd, rng):
     """(geometry form, progressions): characters at c = 0, 1/2, 1/3 on a form
     S, and levels c S of both signs, with no flag and with one component
     flagged irrational; each at theta (the finite part) zero and seeded in
     twelfths."""
-    try:
-        form = gram_from_weights(rd, rd.roots)
-    except NotPositiveDefinite:  # GL and tori: the roots do not span
-        form = gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+    form = even_form(rd)
     geometries = [(form, Level(tuple(tuple((c or 1) * x for x in row) for row in form.matrix))) for c in (0, Fraction(1, 2), Fraction(1, 3))]
     components = len(finite_components(rd))
     for sign in (1, -1):
@@ -720,7 +712,7 @@ def test_facet_test_against_fraction_wall_counts(fraction_walls_between):
     # and without a component flagged irrational
     rng = random.Random(2507270)
     counts = {"candidates": 0, "simple": 0, "several": 0, "flagged": 0}
-    for name, param in FACET_PRESETS:
+    for name, param in RANK_AT_MOST_FOUR:
         rd = preset(name, param)
         half = _coroot_table(rd).half
         for form, progs in _facet_cases(rd, rng):

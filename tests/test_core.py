@@ -25,11 +25,11 @@ from weylkit.affine import (
     dominant_base_point,
     extended_act_character,
     gram_from_weights,
-    progression,
     simple_system_from_progressions,
     slice_act_inverse,
     stabilizer_cosets,
 )
+from conftest import RANK_AT_MOST_FOUR, even_form, progression, value_on
 from weylkit import duality
 from weylkit.duality import (
     finite_components,
@@ -52,7 +52,7 @@ def _reflection(rd, coroot, n):
 def _character_progressions(rd, form, chi):
     """{n : chi_f(alpha) + n q(alpha) c in Z} per coroot alpha."""
     c = chi.central.as_fraction()
-    return {cv: progression(form.q(cv) * c, chi.value_on(cv).as_fraction()) for cv in rd.coroots}
+    return {cv: progression(form.q(cv) * c, value_on(chi, cv).as_fraction()) for cv in rd.coroots}
 
 
 def _character_system(rd, form, chi):
@@ -371,3 +371,74 @@ def test_stabilizer_cosets_against_per_element_solves():
                 expected = _solve_per_element(rd, rows, theta, exact_rows)
                 assert dict(system.stabilizer) == expected, (name, kappa, irrational, theta)
                 assert system.translation_lattice == expected[identity(rd.rank)].basis
+
+
+# ---------------------------------------------------------------------------
+# the integer progressions and character action against Fraction formulas
+
+
+def _fraction_progressions(rd, lvl, theta):
+    """Per coroot, progression(q(alpha), <theta, alpha>) in Fractions, and on
+    a flagged component (0, 0), or None where <theta, alpha> is not integral."""
+    out = {}
+    for cv in rd.coroots:
+        value = sum((Fraction(t) * x for t, x in zip(theta, cv)), Fraction(0))
+        if duality._coroot_components(rd)[cv] in lvl.irrational:
+            out[cv] = (0, 0) if value.denominator == 1 else None
+        else:
+            out[cv] = progression(lvl.q(cv), value)
+    return out
+
+
+def test_level_progressions_against_fraction_progressions():
+    # every preset of rank <= 4 at levels c K of both signs, c = +-p/q, and
+    # SL2 x SL3 with each component flagged irrational, at theta zero and
+    # seeded; the keys keep the order of rd.coroots
+    rng = random.Random(2507310)
+    sl2_sl3 = preset("product", factors=[preset("SL", 2), preset("SL", 3)])
+    cases = [(preset(name, param), ()) for name, param in RANK_AT_MOST_FOUR]
+    cases += [(sl2_sl3, flagged) for flagged in ((0,), (1,), (0, 1))]
+    counts = {"levels": 0, "none": 0, "offset": 0, "flagged": 0}
+    for rd, flagged in cases:
+        form = even_form(rd)
+        for sign in (1, -1):
+            for _ in range(2):
+                c = sign * Fraction(rng.randint(1, 7), rng.randint(1, 6))
+                lvl = level_from_config(rd, [[c * x for x in row] for row in form.matrix], flagged)
+                for theta in [(Fraction(0),) * rd.rank] + [
+                    tuple(Fraction(rng.randint(-11, 11), rng.randint(1, 12)) for _ in range(rd.rank)) for _ in range(3)
+                ]:
+                    got, expected = level_progressions(rd, lvl, theta), _fraction_progressions(rd, lvl, theta)
+                    assert got == expected and list(got) == list(rd.coroots), (rd.name, lvl.gram, flagged, theta)
+                    counts["levels"] += 1
+                    counts["none"] += sum(p is None for p in got.values())
+                    counts["offset"] += sum(p is not None and p[0] != 0 for p in got.values())
+                    counts["flagged"] += sum(p == (0, 0) for p in got.values())
+    assert counts["levels"] == 36 * 16 and counts["none"] >= 1000 and counts["offset"] >= 150 and counts["flagged"] >= 90, counts
+
+
+def _fraction_character_action(g, form, chi):
+    """chi_f o w^{-1} - c S(lam, -) mod 1 for g = t^lam w, in Fractions."""
+    c, w_inv, shift = chi.central.as_fraction(), mat_inv(g.w), form.covector(g.trans)
+    finite = [f.as_fraction() for f in chi.finite]
+    values = [sum((f * w_inv[i][j] for i, f in enumerate(finite)), Fraction(0)) - c * s for j, s in enumerate(shift)]
+    return CharacterPoint(chi.central, tuple(QmodZ.from_fraction(x) for x in values))
+
+
+def test_extended_act_character_against_fraction_formula():
+    # seeded t^lam w at seeded characters on every preset of rank <= 4; in
+    # most cases the term c S(lam, -) is nonzero mod 1
+    rng = random.Random(2507311)
+    cases, translated = 0, 0
+    for name, param in RANK_AT_MOST_FOUR:
+        rd = preset(name, param)
+        form, group = even_form(rd), weyl_elements(rd)
+        for _ in range(12):
+            central = QmodZ.from_fraction(Fraction(rng.randint(0, 11), rng.randint(1, 12)))
+            chi = CharacterPoint(central, tuple(QmodZ(rng.randint(0, 23), rng.randint(1, 24)) for _ in range(rd.rank)))
+            g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), rng.choice(group))
+            expected = _fraction_character_action(g, form, chi)
+            assert extended_act_character(g, form, chi) == expected, (name, chi, g)
+            cases += 1
+            translated += expected != _fraction_character_action(ExtendedWeylElement.from_weyl(g.w), form, chi)
+    assert cases == 33 * 12 and translated >= 150, (cases, translated)

@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
+from conftest import even_form
 from weylkit import hecke
 from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
-    NotPositiveDefinite,
     affine_coroot_reflection,
     character_from_config,
     extended_act_character,
@@ -328,19 +328,12 @@ RANK_AT_MOST_TWO = [("SL", 2), ("SL", 3), ("PGL", 2), ("PGL", 3), ("GL", 2), ("S
                     ("SO_odd", 5), ("Spin_odd", 5), ("SO_even", 4), ("G2", 2)]
 
 
-def _even_form(rd):
-    try:
-        return gram_from_weights(rd, rd.roots)
-    except NotPositiveDefinite:  # GL: the roots do not span
-        return gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
-
-
 def _seeded_characters(rng):
     """(rd, form, chi) on every rank <= 2 preset at c in {0, 1/2, 1/3}, with
     the finite part zero or seeded in sixths."""
     for name, n in RANK_AT_MOST_TWO:
         rd = preset(name, n)
-        form = _even_form(rd)
+        form = even_form(rd)
         for c in ("0", "1/2", "1/3"):
             for finite in ((QmodZ(0, 1),) * rd.rank, tuple(QmodZ(rng.randrange(6), 6) for _ in range(rd.rank))):
                 yield rd, form, CharacterPoint(QmodZ.parse(c), finite)

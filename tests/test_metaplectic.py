@@ -1,14 +1,16 @@
+import ast
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import even_form, value_on
 from weylkit import metaplectic
-from weylkit.exact import QmodZ, identity, mat_vec, vec_scale
+from weylkit.exact import QmodZ, identity, mat_vec, solve_integer_affine, vec_scale
 from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
-    NotPositiveDefinite,
     character_from_config,
     gram_from_matrix,
     gram_from_weights,
@@ -186,13 +188,6 @@ RANK_AT_MOST_TWO = [("SL", 2), ("SL", 3), ("PGL", 2), ("PGL", 3), ("GL", 2), ("S
                     ("SO_odd", 5), ("Spin_odd", 5), ("SO_even", 4), ("G2", 2)]
 
 
-def _even_form(rd):
-    try:
-        return gram_from_weights(rd, rd.roots)
-    except NotPositiveDefinite:  # GL: the roots do not span
-        return gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
-
-
 def _five_point_termwise(rd, mu, families):
     """The window j in {-2, ..., 2} of tau g_j tau^{-1} = h_j: the reference."""
     tau = ExtendedWeylElement(mu, identity(rd.rank))
@@ -221,7 +216,7 @@ def test_termwise_check_against_five_point_window(monkeypatch):
     monkeypatch.setattr(metaplectic, "_termwise_conjugation", recorded)
     for name, n in RANK_AT_MOST_TWO:
         rd = preset(name, n)
-        form = _even_form(rd)
+        form = even_form(rd)
         for c in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
             for _ in range(2):
                 chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randint(0, 11), 12) for _ in range(rd.rank)))
@@ -250,7 +245,7 @@ def test_rescale_factor_against_central_progressions():
     # signs
     for name, n in RANK_AT_MOST_TWO:
         rd = preset(name, n)
-        form = _even_form(rd)
+        form = even_form(rd)
         for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(-3, 4), Fraction(5, 12)):
             c = QmodZ.from_fraction(c)
             chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
@@ -269,7 +264,7 @@ def _closure_h_criterion(endo, chi):
     """The stabilizer of theta in W(H), in Fractions, against the enumerated
     group of the reflections it contains: the reference for the H flag."""
     rd_h = endo.rd_h
-    theta = [chi.value_on(tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis]
+    theta = [value_on(chi, tuple(int(x) for x in row)).as_fraction() for row in endo.cochar_basis]
     n = rd_h.rank
     group = weyl_elements(rd_h)
     stabilizing = {
@@ -288,7 +283,7 @@ def test_bullet_criteria_against_group_closure():
     negatives, cases = {"g": 0, "h": 0}, 0
     for name, n in RANK_AT_MOST_TWO + [("SL", 4), ("Sp", 6)]:
         rd = preset(name, n)
-        form = _even_form(rd)
+        form = even_form(rd)
         for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(2, 3)):
             for d in range(1, 13):
                 chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randrange(d), d) for _ in range(rd.rank)))
@@ -316,7 +311,7 @@ def _stabilizer_on(rd, basis, chi):
     group = weyl_elements(rd)
     return {
         w for w in group
-        if all((chi.value_on(mat_vec(group.inverse[w], b)) - chi.value_on(b)).is_zero() for b in basis)
+        if all((value_on(chi, mat_vec(group.inverse[w], b)) - value_on(chi, b)).is_zero() for b in basis)
     }
 
 
@@ -331,7 +326,7 @@ def test_h_stabilizer_is_the_admissible_weyl_parts():
     for name, n in [("SL", 2), ("SL", 3), ("SL", 4), ("SL", 5), ("PGL", 2), ("PGL", 3), ("Sp", 4), ("Sp", 6), ("PSp", 4),
                     ("PSp", 6), ("GL", 2), ("G2", 2), ("SO_odd", 5), ("SO_odd", 7), ("Spin_odd", 5), ("SO_even", 6), ("SO_even", 8)]:
         rd = preset(name, n)
-        form = _even_form(rd)
+        form = even_form(rd)
         unit = identity(rd.rank)
         for c in CENTRAL_VALUES:
             cq = QmodZ.from_fraction(c)
@@ -353,7 +348,7 @@ def test_endoscopic_simples_are_the_indecomposable_positive_roots():
     cases = 0
     for name, n in RANK_AT_MOST_TWO + [("SL", 4), ("SL", 5), ("Sp", 6), ("SO_odd", 7), ("SO_even", 8)]:
         rd = preset(name, n)
-        form = _even_form(rd)
+        form = even_form(rd)
         pos = set(rd.positive_root_indices())
         for c in CENTRAL_VALUES:
             rd_h = endoscopic_root_datum(rd, form, QmodZ.from_fraction(c)).rd_h
@@ -363,3 +358,29 @@ def test_endoscopic_simples_are_the_indecomposable_positive_roots():
             assert {rd_h.roots[i] for i in rd_h.simple_indices} == positives - sums, (name, c)
             cases += 1
     assert cases == 187
+
+
+def test_endoscopic_datum_rejects_a_wrong_rescale(monkeypatch):
+    # with N = 1 where the true N > 1, the coroot itself is not in the
+    # endoscopic lattice; with 2N, the rescaled coroot is, but the root
+    # divided by 2N is not integral on the lattice.  Each raise names the
+    # target or the coroot
+    true_rescale, cases = metaplectic.rescale_factor, 0
+    for name, n, c in [("SL", 3, "1/4"), ("Sp", 4, "1/5"), ("G2", 2, "1/3"), ("PSp", 4, "1/4"), ("SO_odd", 5, "1/4")]:
+        rd, c = preset(name, n), QmodZ.parse(c)
+        form = even_form(rd)
+        lattice = endoscopic_lattice(rd, form, c)
+        endoscopic_root_datum(rd, form, c)  # the true N pass both checks
+        assert max(true_rescale(rd, form, c, cv) for cv in rd.coroots) > 1
+        for patch, pattern in ((lambda *args: 1, r"rescaled coroot (\(.*\)) is not in the endoscopic lattice"),
+                               (lambda *args: 2 * true_rescale(*args), r"rescaled root for (\(.*\)) is not integral on the lattice")):
+            monkeypatch.setattr(metaplectic, "rescale_factor", patch)
+            with pytest.raises(ValidationFailed, match=pattern) as failure:
+                endoscopic_root_datum(rd, form, c)
+            monkeypatch.undo()
+            named = ast.literal_eval(re.search(pattern, str(failure.value)).group(1))
+            assert named in rd.coroots, (name, c, failure.value)
+            if patch(rd, form, c, named) == 1:  # the target is the coroot: outside the lattice
+                assert solve_integer_affine(list(zip(*lattice)), list(named), [0] * rd.rank) is None, (name, c, named)
+            cases += 1
+    assert cases == 10

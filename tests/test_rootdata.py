@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -430,6 +431,59 @@ def test_validation_against_reflection_matrices():
             assert validate_root_datum(bad) == expected, bad.name
             kinds.update(m for v in expected for m in VIOLATIONS if m in v)
     assert kinds == set(VIOLATIONS), kinds
+
+
+def _pairing_per_entry_violations(rd):
+    """The reflection checks with <a_i, v> paired once per entry of the image
+    and no vector skipped: the loop the one-pairing-per-vector checks replaced."""
+    bad = []
+    root_set, coroot_set = set(rd.roots), set(rd.coroots)
+    for i, (a_i, cv_i) in enumerate(zip(rd.roots, rd.coroots)):
+        if any(tuple(x - dot(a_i, v) * y for x, y in zip(v, cv_i)) not in coroot_set for v in rd.coroots):
+            bad.append(f"reflection {i} does not permute the coroots")
+        if any(tuple(x - dot(b, cv_i) * y for x, y in zip(b, a_i)) not in root_set for b in rd.roots):
+            bad.append(f"dual reflection {i} does not permute the roots")
+    return bad
+
+
+def _one_defect_each(rd):
+    """(defect, datum) for rd of rank 2 with the coroot of a positive
+    non-simple root a moved by (a_1, -a_0), which pairs to 0 with a, or a
+    replaced by the difference of two simple roots, by a vector with a
+    non-integral simple coordinate (where the simple roots leave one), or by
+    a simple root."""
+    s0, s1 = rd.simple_indices[:2]
+    i = next(i for i, c in enumerate(simple_coordinates(rd)) if c is not None and sum(c) > 1)
+    a = rd.roots[i]
+    box = itertools.product(range(-2, 3), repeat=rd.rank)
+    off_lattice = next((v for v in box if any(x.denominator != 1 for x in _simple_coeffs(rd.simple_roots, v))), None)
+    changes = [("permute the coroots", None, (a[1] + rd.coroots[i][0], -a[0] + rd.coroots[i][1])),
+               ("mixed-sign", tuple(x - y for x, y in zip(rd.roots[s0], rd.roots[s1])), None),
+               ("non-integral", off_lattice, None),
+               ("duplicate", rd.roots[s0], None)]
+    for defect, root, coroot in changes:
+        if root is coroot is None:  # no vector off the lattice of the simple roots
+            continue
+        roots, coroots = list(rd.roots), list(rd.coroots)
+        roots[i], coroots[i] = root or roots[i], coroot or coroots[i]
+        yield defect, RootDatum(rd.rank, tuple(roots), tuple(coroots), rd.simple_indices, None, f"{rd.name} {defect}")
+
+
+def test_validation_names_each_defect_as_the_pairing_per_entry_loop():
+    # one defect of each kind on SL3, Sp4 and G2 (G2's simple roots are a
+    # basis of its lattice, so none of its vectors is non-integral): the
+    # violation list against the reflection-matrix reference, and its
+    # permutation entries against the loop that paired every entry
+    kinds, defects = set(), 0
+    for name, n in [("SL", 3), ("Sp", 4), ("G2", 2)]:
+        for defect, bad in _one_defect_each(preset(name, n)):
+            violations = validate_root_datum(bad)
+            assert any(defect in v for v in violations), (bad.name, violations)
+            assert violations == _matrix_validate(bad), bad.name
+            assert [v for v in violations if "permute" in v] == _pairing_per_entry_violations(bad), bad.name
+            kinds.update(m for v in violations for m in VIOLATIONS if m in v)
+            defects += 1
+    assert defects == 11 and kinds >= {"permute the coroots", "permute the roots", "mixed-sign", "non-integral", "duplicate"}, kinds
 
 
 def test_simple_coordinates_against_one_solve_per_root():

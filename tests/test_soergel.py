@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from weylkit.exact import identity, mat_mul
+from conftest import RANK_AT_MOST_FOUR
+from weylkit.exact import identity, mat_mul, rank as mat_rank
 from weylkit.hecke import LaurentPoly, ONE, V
 from weylkit.soergel import (
     Bimodule,
@@ -391,3 +393,48 @@ def test_integral_basis_against_alpha_basis(monkeypatch):
     assert any(type(c) is Fraction for f in soergel.word_bimodule([A2_S]).right_action[0][0] for c in f.coeffs.values())
     reference = [graph_character_table(word) for word in words], [hilbert_end_bs(m, depth) for m, depth in end_cases]
     assert ours == reference
+
+
+def _fraction_rank_one_factors(m):
+    """(alpha, c) from the rank and square of I - m taken in Fractions, each
+    vector scaled to content one, alpha's first nonzero entry positive: the
+    factorization the integer one replaced."""
+    n = len(m)
+    diff = tuple(tuple(int(i == j) - Fraction(m[i][j]) for j in range(n)) for i in range(n))
+    if mat_rank(diff) != 1:
+        raise NotAReflection("fixed space is not a hyperplane")
+    if mat_mul(m, m) != identity(n):
+        raise NotAReflection("matrix is not an involution")
+
+    def content_one(vec):
+        ints = [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
+        return [x // gcd(*ints) for x in ints]
+
+    alpha = content_one(next(r for r in diff if any(r)))
+    k = next(i for i, x in enumerate(alpha) if x)
+    if alpha[k] < 0:
+        alpha = [-x for x in alpha]
+    return alpha, content_one([r[k] for r in diff])
+
+
+def test_rank_one_factors_against_fraction_factorization():
+    # every simple reflection of every preset of rank <= 4 under every
+    # diagonal sign conjugation, and the matrices that are not reflections
+    from itertools import product
+
+    from weylkit.rootdata import preset
+    from weylkit.soergel import _rank_one_factors
+
+    cases = 0
+    for name, param in RANK_AT_MOST_FOUR:
+        for m in preset(name, param).simple_reflections():
+            for d in product((1, -1), repeat=len(m)):
+                conjugate = tuple(tuple(d[i] * x * d[j] for j, x in enumerate(row)) for i, row in enumerate(m))
+                assert _rank_one_factors(conjugate) == _fraction_rank_one_factors(conjugate), conjugate
+                cases += 1
+    assert cases == 760, cases
+    not_reflections = [identity(2), ((-1, 0), (0, -1)), ((1, 1), (0, 1)), ((0, -1), (1, 0)), ((-2,),), identity(3)]
+    for m in not_reflections:
+        for factors in (_rank_one_factors, _fraction_rank_one_factors):
+            with pytest.raises(NotAReflection):
+                factors(m)
