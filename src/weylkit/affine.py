@@ -32,7 +32,9 @@ n q(alpha)) reads off the Cartan integers <a, b> (_reflected_walls).  A simple r
 is a right descent of g iff g^{-1} x0 is below its wall (below_wall): x0 is
 on no wall of any level, nor is its image under any extended affine element,
 as S(lam, alpha) = <lam, a> q(alpha) for the root a of alpha.  Every descent
-is one walk over the simple walls, on integers (descend).
+and ascent is one walk over the simple walls, on integers (descend; _descend
+writes y = m r_1 ... r_k, m minimal); on the negated walls (-alpha, -n) of a
+finite component it ascends to the longest element.
 One builder, duality.integral_system, assembles an IntegralSystem from the
 simple system, its Coxeter data (read off Cartan integers, coxeter_system)
 and the stabilizer cosets here, one per admissible Weyl part; a character is
@@ -48,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylkit.exact import (
     CosetZn,
@@ -280,14 +282,9 @@ def extended_act_character(g: ExtendedWeylElement, form: GramForm, chi: Characte
     return CharacterPoint(c, tuple([QmodZ(x, big) for x in _shift_numerators(g.w_inv(), fn, ln)]))
 
 
-def slice_act(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    """Action on the level-one slice: x |-> x o w^{-1} - S(trans, -)."""
-    return weyl_shift(g.w_inv(), x, form.covector(g.trans))
-
-
 def slice_act_inverse(g: ExtendedWeylElement, form: GramForm, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    """g^{-1} on the slice, x |-> (x + S(trans, -)) o w: nothing is inverted,
-    and the sum is taken on numerators over one denominator d."""
+    """g^{-1} on the slice, x |-> (x + S(trans, -)) o w, the one slice action:
+    nothing is inverted, and the sum is taken on numerators over one d."""
     (xn, sn), d = _over_common_denominator(x, form.covector(g.trans))
     return tuple(Fraction(v, d) for v in _shift_numerators(g.w, vec_add(xn, sn), (0,) * len(x)))
 
@@ -420,7 +417,8 @@ def descend(rd: RootDatum, system: IntegralSystem, p):
     order, and the end point.  p, each n q(alpha) and each S(n alpha, -) go
     over one denominator d once, so a wall test is one integer dot product
     and a step p <- (p + S(n alpha, -)) o s_alpha, with x o s_alpha =
-    x - <x, alpha> a for the root a of alpha, stays over d."""
+    x - <x, alpha> a for the root a of alpha, stays over d.  Of system it
+    reads only form and simples, and _descend also base_point."""
     form, simples = system.form, system.simples
     heights = [ac.n * form.q(ac.coroot) for ac in simples]
     shifts = [form.covector(vec_scale(ac.coroot, ac.n)) for ac in simples]
@@ -433,6 +431,17 @@ def descend(rd: RootDatum, system: IntegralSystem, p):
         pn = vec_sub(x, vec_scale(root, dot(x, ac.coroot)))
         crossed.append(ac)
     return tuple(crossed), tuple(Fraction(v, d) for v in pn)
+
+
+def _descend(rd: RootDatum, system: IntegralSystem, y: ExtendedWeylElement) -> Tuple[ExtendedWeylElement, List[AffineCoroot]]:
+    """(m, [r_1, ..., r_k]) with y = m r_1 ... r_k reduced over the simple
+    walls of system and m minimal: descend walks p = y^{-1} x0, and each
+    simple r it crosses is a descent of y, y <- y r (as p <- r p), so the
+    walk ends at the length-zero element of y W."""
+    crossed, _ = descend(rd, system, slice_act_inverse(y, system.form, system.base_point))
+    for ac in crossed:
+        y = y * affine_coroot_reflection(rd, ac)
+    return y, list(crossed[::-1])
 
 
 def simple_system_from_progressions(rd: RootDatum, form, progressions: Dict[Vec, Progression]) -> Tuple[AffineCoroot, ...]:
@@ -504,13 +513,6 @@ def coxeter_system(rd: RootDatum, simples: Sequence[AffineCoroot]):
 def _shift_numerators(w_inv: Mat, rn, ln) -> Vec:
     """rn o w^{-1} - ln for integer numerator covectors, given w^{-1}."""
     return tuple([dot(rn, col) - b for col, b in zip(zip(*w_inv), ln, strict=True)])
-
-
-def weyl_shift(w_inv: Mat, right, left) -> Tuple[Fraction, ...]:
-    """right o w^{-1} - left for rational covectors, given w^{-1}: integer
-    numerators over one denominator times its columns, one Fraction each."""
-    (rn, ln), d = _over_common_denominator(right, left)
-    return tuple(Fraction(x, d) for x in _shift_numerators(w_inv, rn, ln))
 
 
 def stabilizer_cosets(rd: RootDatum, rows, theta, exact_rows=()):

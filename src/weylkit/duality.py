@@ -20,7 +20,7 @@ that pin lam's projection onto that component to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -44,8 +44,8 @@ from weylkit.affine import (
     ExtendedWeylElement,
     IntegralSystem,
     Progression,
+    _descend,
     affine_coroot_reflection,
-    below_wall,
     connected_components,
     coxeter_system,
     descend,
@@ -54,7 +54,6 @@ from weylkit.affine import (
     progression_min_at_least,
     read_square,
     simple_system_from_progressions,
-    slice_act,
     slice_act_inverse,
     stabilizer_cosets,
 )
@@ -184,13 +183,9 @@ def _dual_side(rd: RootDatum, lvl: Level, theta):
 # the integral Weyl group at a level
 
 
-def level_progression(rd: RootDatum, lvl: Level, theta, coroot: Vec) -> Progression:
-    """{n : <theta, alpha> + n kappa(alpha,alpha)/2 in Z} as a progression."""
-    return level_progressions(rd, lvl, theta)[tuple(coroot)]
-
-
 def level_progressions(rd: RootDatum, lvl: Level, theta) -> Dict[Vec, Progression]:
-    """level_progression of every coroot, once per +- pair, on integers: for
+    """{n : <theta, alpha> + n kappa(alpha,alpha)/2 in Z} as a progression for
+    every coroot alpha, once per +- pair, on integers: for
     kappa = K/e and theta = t/d, the levels of alpha solve a n = b (mod D),
     D = lcm(2e, d), a = K(alpha, alpha) D/2e, b = -<t, alpha> D/d, and those
     of -alpha are their negatives: p(-alpha) = ((-i) mod m, m) for p(alpha) =
@@ -428,10 +423,11 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     y = ExtendedWeylElement.unit(rd.rank)
     for ac in steps:
         y = affine_coroot_reflection(rd_dual, ac) * y
-    if slice_act(y, lvl_dual_neg, start) != p:
+    y_inv = y.inverse()
+    if slice_act_inverse(y_inv, lvl_dual_neg, start) != p:
         raise VerificationFailed(f"walk element {y} does not move iota(base point) to {p}")
 
-    partner, y_inv = _iota_partner(rd, lvl, theta), y.inverse()
+    partner = _iota_partner(rd, lvl, theta)
 
     def conjugate(g):
         h = partner(g)
@@ -541,13 +537,10 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
 
 def _longest_in_component(rd, system, simples) -> ExtendedWeylElement:
     """Longest element of a finite component of system with simple walls
-    simples: from the unit, ascend g <- g r while p = g^{-1} x0 is not below
-    the wall of some simple r (then l(g r) > l(g)), with p <- r p.  The
-    length is the integral system's, which on a parabolic subgroup is its
-    own, and the only element of a finite Coxeter group with no ascent is the
-    longest one."""
-    form, g, p = system.form, ExtendedWeylElement.unit(rd.rank), system.base_point
-    while (ac := next((s for s in simples if not below_wall(form, s, p)), None)) is not None:
-        r = affine_coroot_reflection(rd, ac)
-        g, p = g * r, slice_act_inverse(r, form, p)  # r is its own inverse
-    return g
+    simples: the one walk (_descend) from the unit over the negated walls
+    (-alpha, -n), which g^{-1} x0 is below iff it is above (alpha, n), with
+    the same reflections, so it ascends g <- g r while some simple r is an
+    ascent; the length is the system's, its own on a parabolic subgroup, and
+    only the longest element of a finite Coxeter group has no ascent."""
+    negated = tuple(AffineCoroot(tuple(-x for x in ac.coroot), -ac.n) for ac in simples)
+    return _descend(rd, replace(system, simples=negated), ExtendedWeylElement.unit(rd.rank))[0]

@@ -12,7 +12,7 @@ problem is exact.  Descents are the sign of one wall at one point
 (affine.below_wall), never length counts, and the T_m of a minimal m is
 clean: it shifts the support.  t_multiply writes each support term y once as
 y = m r_1 ... r_k with m minimal, by the one walk over the simple walls
-(affine.descend, through integral._descend), so T_y = T_m T_{r_1} ... T_{r_k}.
+(affine._descend, on affine.descend), so T_y = T_m T_{r_1} ... T_{r_k}.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from weylkit.affine import (
     ExtendedWeylElement,
     GramForm,
     IntegralSystem,
+    _descend,
     affine_coroot_reflection,
     below_wall,
     extended_act_character,
     slice_act_inverse,
 )
-from weylkit.integral import CharacterMismatch, _descend, integral_simple_system, is_minimal
+from weylkit.integral import CharacterMismatch, integral_simple_system, is_minimal
 from weylkit.rootdata import RootDatum
 
 
@@ -233,7 +234,7 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
             elt = _mult_by_simple(rd, system, elt, ac) + elt.scale(V)
         elif kind == "omega":
             nxt = extended_act_character(g.inverse(), form, cur)
-            if not is_minimal(rd, form, nxt, g):
+            if not is_minimal(integral_simple_system(rd, form, nxt), g):
                 raise CharacterMismatch("omega token is not a minimal element")
             elt = _times_minimal(elt, g, nxt)
             cur = nxt

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
 
 from weylkit.affine import (
     AffineCoroot,
@@ -23,10 +22,10 @@ from weylkit.affine import (
     ExtendedWeylElement,
     GramForm,
     IntegralSystem,
+    _descend,
     act_affine_coroot,
     affine_coroot_reflection,
     below_wall,
-    descend,
     extended_act_character,
     progression_contains,
     slice_act_inverse,
@@ -70,11 +69,7 @@ def integral_simple_system(rd: RootDatum, form: GramForm, chi: CharacterPoint) -
     return integral_system(rd, form, *_character_level(form, chi))
 
 
-def is_minimal(rd: RootDatum, form: GramForm, chi_right: CharacterPoint, g: ExtendedWeylElement) -> bool:
-    return _is_minimal_in(integral_simple_system(rd, form, chi_right), g)
-
-
-def _is_minimal_in(system: IntegralSystem, g: ExtendedWeylElement) -> bool:
+def is_minimal(system: IntegralSystem, g: ExtendedWeylElement) -> bool:
     """Whether g is the minimal element of g W: g^{-1} x0 is below no simple
     wall of system, so no simple is a right descent of g."""
     p = slice_act_inverse(g, system.form, system.base_point)
@@ -83,17 +78,6 @@ def _is_minimal_in(system: IntegralSystem, g: ExtendedWeylElement) -> bool:
 
 # ---------------------------------------------------------------------------
 # minimal (length-zero) representatives and block machinery
-
-
-def _descend(rd: RootDatum, system: IntegralSystem, y: ExtendedWeylElement) -> Tuple[ExtendedWeylElement, List[AffineCoroot]]:
-    """(m, [r_1, ..., r_k]) with y = m r_1 ... r_k reduced over the simple
-    walls of system and m minimal: descend walks p = y^{-1} x0, and each
-    simple r it crosses is a descent of y, y <- y r (as p <- r p), so the
-    walk ends at the length-zero element of y W."""
-    crossed, _ = descend(rd, system, slice_act_inverse(y, system.form, system.base_point))
-    for ac in crossed:
-        y = y * affine_coroot_reflection(rd, ac)
-    return y, list(crossed[::-1])
 
 
 def minimal_rep(
@@ -106,7 +90,7 @@ def minimal_rep(
     chi_left = extended_act_character(x, form, chi_right)
     system = integral_simple_system(rd, form, chi_right)
     m, _ = _descend(rd, system, x)
-    if not _is_minimal_in(system, m):
+    if not is_minimal(system, m):
         raise NotInStabilizerOrbit(f"walk from {x} ended at {m}, which is not minimal")
     if extended_act_character(m, form, chi_right) != chi_left:
         raise CharacterMismatch(f"walk from {x} changed the left character {chi_left}")
@@ -124,10 +108,11 @@ def omega_compose(
     """Product of minimal elements; the result is again minimal (l:minmult)."""
     if extended_act_character(b, form, chi_right) != chi_mid:
         raise CharacterMismatch("right character of a must equal left character of b")
-    if not is_minimal(rd, form, chi_mid, a) or not is_minimal(rd, form, chi_right, b):
+    right = integral_simple_system(rd, form, chi_right)
+    if not is_minimal(integral_simple_system(rd, form, chi_mid), a) or not is_minimal(right, b):
         raise NotInStabilizerOrbit("omega_compose expects minimal elements")
     out = a * b
-    if not is_minimal(rd, form, chi_right, out):
+    if not is_minimal(right, out):
         raise NotInStabilizerOrbit(f"product of the minimal elements {a} and {b} is not minimal")
     return out
 
@@ -160,7 +145,7 @@ def conjugate_to_simple(
         u = s_refl * u
         cur = act_affine_coroot(s_refl, rd, form, cur)
         cur_chi = extended_act_character(s_refl, form, cur_chi)
-    if not is_minimal(rd, form, chi, u):
+    if not is_minimal(integral_simple_system(rd, form, chi), u):
         raise NotInStabilizerOrbit(f"conjugator {u} of {r} is not minimal")
     if u * affine_coroot_reflection(rd, r) * u.inverse() != t:
         raise NotInStabilizerOrbit(f"conjugator {u} does not send the reflection of {r} to that of {cur}")

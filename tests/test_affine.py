@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import RANK_AT_MOST_FOUR, even_form, value_on
-from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, mat_inv, mat_vec, solve_integer_affine
+from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, mat_inv, solve_integer_affine
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -34,10 +34,8 @@ from weylkit.affine import (
     progression_count_in,
     progression_min_at_least,
     simple_system_from_progressions,
-    slice_act,
     slice_act_inverse,
     stabilizer_cosets,
-    weyl_shift,
 )
 from weylkit import duality
 from weylkit.duality import Level, finite_components, level_from_config, level_integral_weyl
@@ -205,7 +203,7 @@ def test_affine_coroot_slice_intertwining():
         g = ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(2)), rng.choice(ws))
         ac = AffineCoroot(rng.choice(rd.coroots), rng.randint(-3, 3))
         x = tuple(Fraction(rng.randint(-9, 9), 7) for _ in range(2))
-        lhs = _eval_affine_coroot(form, act_affine_coroot(g, rd, form, ac), slice_act(g, form, x))
+        lhs = _eval_affine_coroot(form, act_affine_coroot(g, rd, form, ac), slice_act_inverse(g.inverse(), form, x))
         assert lhs == _eval_affine_coroot(form, ac, x)
 
 
@@ -470,8 +468,8 @@ def _onto_wall(rd, form, progressions, x, rng):
 def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
     # the walls between a point a and its image r a in the wall of every
     # direction at a seeded level (_reflected_walls, read off the Cartan
-    # integers), the slice action and the Weyl shift, each against the
-    # Fraction formula it replaced, and descend's end point against
+    # integers) and the slice action, each against the Fraction formula it
+    # replaced, and descend's end point against
     # a Fraction gallery walk over every integral wall: the closed alcove of x0
     # meets each orbit once, so the end points agree, and the product of the
     # crossed reflections sends the start to that point; one point of most
@@ -497,7 +495,7 @@ def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
                     for i, cv in enumerate(half):
                         n = rng.randint(-3, 3)
                         r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
-                        expected = fraction_walls_between(rd, form, progs, a, slice_act(r, form, a))
+                        expected = fraction_walls_between(rd, form, progs, a, slice_act_inverse(r.inverse(), form, a))
                         assert list(walls(i, n)) == expected, (name, form, a, cv, n)
                         several += len(expected) > 1
                 steps, end = descend(rd, system, y)
@@ -509,11 +507,8 @@ def test_integer_slice_kernel_against_fraction_formulas(fraction_walls_between):
                 w = rng.choice(group)
                 g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), w)
                 for p in (x, y, lattice_point):
-                    got = slice_act(g, form, p)
+                    got = slice_act_inverse(g.inverse(), form, p)
                     assert got == _fraction_slice_act(g, form, p) and all(type(v) is Fraction for v in got), (name, g, p)
-                for right, left in ((x, y), (y, lattice_point), (lattice_point, lattice_point)):
-                    got = weyl_shift(group.inverse[w], right, left)
-                    assert got == _fraction_weyl_shift(w, right, left) and all(type(v) is Fraction for v in got)
     assert on_wall >= 100 and negative_q >= 16 and several >= 1000, (on_wall, negative_q, several)
 
 
@@ -541,7 +536,7 @@ def test_below_wall_against_walls_between(fraction_walls_between):
             walls = _reflected_walls(rd, form, progs, x0)[2]
             for _ in range(4):
                 i, n = rng.randrange(len(half)), rng.randint(-3, 3)
-                points.append(slice_act(affine_coroot_reflection(rd, AffineCoroot(half[i], n)), form, x0))
+                points.append(slice_act_inverse(affine_coroot_reflection(rd, AffineCoroot(half[i], n)).inverse(), form, x0))
                 assert list(walls(i, n)) == fraction_walls_between(rd, form, progs, x0, points[-1]), (name, half[i], n)
             for p in points:
                 between = set()
@@ -637,10 +632,10 @@ def test_slice_act_inverse_against_the_inverse_element():
                 x = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(rd.rank))
                 g = ExtendedWeylElement(tuple(rng.randint(-3, 3) for _ in range(rd.rank)), rng.choice(group))
                 got = slice_act_inverse(g, form, x)
-                assert got == slice_act(g.inverse(), form, x) and all(type(v) is Fraction for v in got), (name, g, x)
-                assert slice_act_inverse(g, form, slice_act(g, form, x)) == x, (name, g, x)
+                assert got == _fraction_slice_act(g.inverse(), form, x) and all(type(v) is Fraction for v in got), (name, g, x)
+                assert slice_act_inverse(g, form, slice_act_inverse(g.inverse(), form, x)) == x, (name, g, x)
                 r = affine_coroot_reflection(rd, AffineCoroot(rng.choice(rd.coroots), rng.randint(-3, 3)))
-                assert slice_act_inverse(r, form, x) == slice_act(r, form, x), (name, r, x)
+                assert slice_act_inverse(r, form, x) == _fraction_slice_act(r, form, x), (name, r, x)
 
 
 def test_lengths_simples_and_walks_invert_nothing(monkeypatch, fraction_walls_between, reference_length):
@@ -681,7 +676,7 @@ def test_lengths_simples_and_walks_invert_nothing(monkeypatch, fraction_walls_be
         assert len(steps) == n and fraction_walls_between(rd, form, progs, end, x0) == []
     for walls, p in zip(simples, (progs, every)):
         for r in (affine_coroot_reflection(rd, ac) for ac in walls):
-            assert sum(count for _, _, count in fraction_walls_between(rd, form, p, x0, slice_act(r, form, x0))) == 1
+            assert sum(count for _, _, count in fraction_walls_between(rd, form, p, x0, slice_act_inverse(r.inverse(), form, x0))) == 1
     assert len(simples[1]) == 4  # the affine A3 diagram
 
 
@@ -727,7 +722,7 @@ def test_facet_test_against_fraction_wall_counts(fraction_walls_between):
                 below = first + (v - first) // step * step if step else first
                 for n in {below, below + step} if step else {first}:
                     r = affine_coroot_reflection(rd, AffineCoroot(cv, n))
-                    crossed = fraction_walls_between(rd, form, progs, x0, slice_act(r, form, x0))
+                    crossed = fraction_walls_between(rd, form, progs, x0, slice_act_inverse(r.inverse(), form, x0))
                     assert list(walls(i, n)) == crossed, (name, form, cv, n)
                     counts["candidates"] += 1
                     counts["several"] += len(crossed) > 1
@@ -756,12 +751,12 @@ def test_integral_system_builds_no_fraction_reflection(monkeypatch, fraction_wal
         raise AssertionError("the builder formed a reflection or moved a slice point")
 
     for module in (affine, duality):
-        for name in ("affine_coroot_reflection", "slice_act", "slice_act_inverse"):
+        for name in ("affine_coroot_reflection", "slice_act_inverse"):
             monkeypatch.setattr(module, name, forbidden)
     systems = [duality.integral_system(*a) for a in args]
     monkeypatch.undo()
     assert all(system.simples for system in systems)
     for system in systems:
         for r in system.simple_reflections(rd):  # each simple reflection has length 1
-            walls = fraction_walls_between(rd, system.form, dict(system.progressions), system.base_point, slice_act(r, system.form, system.base_point))
+            walls = fraction_walls_between(rd, system.form, dict(system.progressions), system.base_point, slice_act_inverse(r.inverse(), system.form, system.base_point))
             assert sum(count for _, _, count in walls) == 1, (system.form, r)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,15 +13,14 @@ from weylkit.affine import (
     AffineCoroot,
     ExtendedWeylElement,
     NotPositiveDefinite,
+    _descend,
     affine_coroot_reflection,
     gram_from_weights,
     length_zero_group,
 )
 from weylkit.duality import (
     AffineMap,
-    AlcoveMatch,
     Degenerate,
-    IrrationalSquareLength,
     Level,
     VerificationFailed,
     alcove_match,
@@ -30,11 +30,11 @@ from weylkit.duality import (
     kappa_parabolic_match,
     level_from_config,
     level_integral_weyl,
-    level_progression,
     level_progressions,
 )
 from weylkit.exact import CosetZn, dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec, vec_sub
 from weylkit.hecke import ONE, V, HeckeElement, _mult_by_simple, _times_minimal
+from weylkit.integral import is_minimal
 from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
 
 
@@ -95,18 +95,18 @@ def test_dual_level_involution():
 def test_level_progressions_sl2():
     rd = sl2()
     lvl = level_from_config(rd, [[1]])  # kappa(a,a) = 1, q = 1/2
-    assert level_progression(rd, lvl, (Fraction(0),), (1,)) == (0, 2)
+    assert level_progressions(rd, lvl, (Fraction(0),))[(1,)] == (0, 2)
     lvl2 = level_from_config(rd, [[2]])
-    assert level_progression(rd, lvl2, (Fraction(0),), (1,)) == (0, 1)
+    assert level_progressions(rd, lvl2, (Fraction(0),))[(1,)] == (0, 1)
     # theta = 1/3 with q = 1 has no integral level in this direction
-    assert level_progression(rd, lvl2, (Fraction(1, 3),), (1,)) is None
+    assert level_progressions(rd, lvl2, (Fraction(1, 3),))[(1,)] is None
 
 
 def test_level_progression_irrational():
     rd = sl2()
     lvl = level_from_config(rd, [[1]], irrational=[0])
-    assert level_progression(rd, lvl, (Fraction(0),), (1,)) == (0, 0)
-    assert level_progression(rd, lvl, (Fraction(1, 3),), (1,)) is None
+    assert level_progressions(rd, lvl, (Fraction(0),))[(1,)] == (0, 0)
+    assert level_progressions(rd, lvl, (Fraction(1, 3),))[(1,)] is None
 
 
 def test_integral_weyl_full_at_even_level():
@@ -475,6 +475,49 @@ def test_finite_longest_group_joins_components_that_omega_swaps():
     assert gens == (ExtendedWeylElement((0, 0), ((0, 1), (1, 0))), ExtendedWeylElement((0, 0), ((0, -1), (-1, 0))))
 
 
+def test_alcove_match_checks_that_the_walk_element_moves_the_point(monkeypatch):
+    # SL2 at kappa = 2: the walk from iota(x0) crosses a wall, so a walk that
+    # reports its true steps with the start as its end point is caught, and
+    # the error names the walk element
+    rd, lvl, theta = sl2(), level_from_config(sl2(), [[2]]), (Fraction(0),)
+    y = alcove_match(rd, lvl, theta).y
+    assert not y.is_identity()
+    walk = duality.descend
+    monkeypatch.setattr(duality, "descend", lambda rd, system, start: (walk(rd, system, start)[0], start))
+    with pytest.raises(VerificationFailed, match=re.escape(f"walk element {y} does not move")):
+        alcove_match(rd, lvl, theta)
+
+
+def test_finite_longest_group_checks_involutions(monkeypatch):
+    # GL2 at the identity level, its component flagged, theta = 0: the
+    # translation t^(1,1) of Omega's lattice fixes the alcove, so it
+    # normalizes the simple system, but it is no involution
+    rd, theta = preset("GL", 2), (Fraction(0), Fraction(0))
+    lvl = level_from_config(rd, identity(2), irrational=[0])
+    t = ExtendedWeylElement.translation((1, 1))
+    assert length_zero_group(rd, level_integral_weyl(rd, lvl, theta))[1] == ((1, 1),)
+    monkeypatch.setattr(duality, "_longest_in_component", lambda rd, system, simples: t)
+    with pytest.raises(VerificationFailed, match=re.escape(f"finite-longest generator {t} is not an involution")):
+        finite_longest_group(rd, lvl, theta)
+
+
+def test_finite_longest_group_checks_that_generators_commute(monkeypatch):
+    # SO5 flagged irrational at theta = (1/2, 0): two finite A1 components,
+    # s_e2 and s_e1, in two orbits.  Longest elements of distinct components
+    # commute, so only a wrong one reaches the check: s_(e1 - e2) in place of
+    # s_e2 is an involution that swaps the two simples, and it does not
+    # commute with s_e1
+    rd, theta = preset("SO_odd", 5), (Fraction(1, 2), Fraction(0))
+    lvl = level_from_config(rd, killing_level(rd, 1).gram, irrational=[0])
+    s_e1, swap = ExtendedWeylElement((0, 0), ((-1, 0), (0, 1))), ExtendedWeylElement((0, 0), ((0, 1), (1, 0)))
+    assert finite_longest_group(rd, lvl, theta) == (ExtendedWeylElement((0, 0), ((1, 0), (0, -1))), s_e1)
+    longest = duality._longest_in_component
+    monkeypatch.setattr(duality, "_longest_in_component",
+                        lambda rd, system, simples: swap if simples[0].coroot == (0, 2) else longest(rd, system, simples))
+    with pytest.raises(VerificationFailed, match=re.escape(f"finite-longest generators {swap} and {s_e1} do not commute")):
+        finite_longest_group(rd, lvl, theta)
+
+
 def _cayley_farthest(rd, reflections):
     """The farthest elements from the unit in the Cayley graph of the group
     the reflections generate (breadth-first search)."""
@@ -593,7 +636,7 @@ def test_conjugation_test_against_composed_maps():
                     agree(g.trans, g.w, mu, rng.choice([v for v in dual_group if v != winv_t] or [winv_t]))
                     agree(g.trans, g.w, tuple(b - k for b, k in zip(base, kappa_lam)), winv_t)
                 for cv, alpha in zip(rd.coroots, rd.roots):
-                    p = level_progression(rd, lvl, theta, cv)
+                    p = level_progressions(rd, lvl, theta)[cv]
                     if p is None:
                         continue
                     r = affine_coroot_reflection(rd, AffineCoroot(cv, p[0]))
@@ -779,3 +822,33 @@ def test_hecke_products_match_through_level_duality():
                     assert {conjugate(g): c for g, c in g_elt.support.items()} == h_elt.support, (name, lvl, theta)
                     tokens["support"] += len(h_elt.support)
     assert tokens["r"] >= 300 and tokens["omega"] >= 40 and tokens["support"] >= 500, tokens
+
+
+def test_descend_on_level_systems(reference_length):
+    # the one walk on the level systems of the level strata, at theta = 0 and
+    # a seeded theta in sixths: a seeded y = t^lam w is m r_1 ... r_k over the
+    # simples, with m minimal (is_minimal on the system) and k the reference
+    # length of y, counted in Fractions
+    rng = random.Random(2507320)
+    walked = Counter()
+    for name, param, levels in LEVEL_STRATA:
+        rd = preset(name, param)
+        group = weyl_elements(rd)
+        for kind, scale in levels:
+            base = killing_level(rd, 1).gram if kind == "K" else identity(rd.rank)
+            lvl = level_from_config(rd, [[scale * x for x in row] for row in base])
+            for theta in ((Fraction(0),) * rd.rank, tuple(Fraction(rng.randint(0, 5), 6) for _ in range(rd.rank))):
+                system = level_integral_weyl(rd, lvl, theta)
+                for _ in range(4):
+                    y = ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(rd.rank)), rng.choice(group))
+                    m, word = _descend(rd, system, y)
+                    assert is_minimal(system, m) and set(word) <= set(system.simples), (name, lvl, theta, y)
+                    assert len(word) == reference_length(rd, system, y), (name, lvl, theta, y, word)
+                    product = m
+                    for ac in word:
+                        product = product * affine_coroot_reflection(rd, ac)
+                    assert product == y, (name, lvl, theta, y, word)
+                    walked["steps"] += len(word)
+                    walked["moved"] += not m.is_identity()
+                    walked["negative"] += lvl.q(rd.coroots[0]) < 0
+    assert walked["steps"] >= 400 and walked["moved"] >= 60 and walked["negative"] >= 80, walked

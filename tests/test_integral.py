@@ -140,7 +140,7 @@ def test_psp6_scenario():
     omega_amb = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     cols = [rd.ambient_to_lattice([row[j] for row in omega_amb]) for j in range(3)]
     # matrix on the lattice: send basis vector b_j to lattice coords of omega(b_j)
-    from weylkit.exact import mat_inv, mat_mul, mat_vec
+    from weylkit.exact import mat_inv, mat_mul
 
     b = rd.ambient_basis
     omega_lat = tuple(
@@ -206,7 +206,7 @@ def test_conjugate_to_simple_sp4():
     assert len(sys.simples) == 3
     for ac in sys.simples:
         u = conjugate_to_simple(rd, form, chi, ac)
-        assert is_minimal(rd, form, chi, u)
+        assert is_minimal(sys, u)
 
 
 def test_sp4_halfcentral_coxeter():

@@ -23,7 +23,7 @@ from weylkit.metaplectic import (
     endoscopic_root_datum,
     rescale_factor,
 )
-from weylkit.rootdata import group_closure, is_isomorphic, langlands_dual, preset, validate_root_datum, weyl_elements
+from weylkit.rootdata import group_closure, is_isomorphic, preset, validate_root_datum, weyl_elements
 
 
 def sp_form(n):

@@ -9,7 +9,6 @@ from weylkit.exact import identity, mat_mul, rank as mat_rank
 from weylkit.hecke import LaurentPoly, ONE, V
 from weylkit.soergel import (
     Bimodule,
-    GenericPointCollision,
     NotAReflection,
     Poly,
     TruncModule,
@@ -22,7 +21,6 @@ from weylkit.soergel import (
     reflection_action,
     reflection_equation,
     tensor,
-    word_bimodule,
 )
 
 NEG1 = ((-1,),)
