@@ -67,7 +67,6 @@ from weylkit.exact import (
     mat_mul,
     mat_vec,
     rank as mat_rank,
-    solve_integer_affine,
     solve_linear,
     transpose,
     vec_add,
@@ -563,34 +562,33 @@ def length_zero_group(rd: RootDatum, system: IntegralSystem):
     x |-> x o w^{-1} - form.covector(lam).  An element fixes the alcove iff it
     sends every oriented facet to an oriented facet.  It sends
     f(x) = <x, c> + b to <x, w c> + b + <form.covector(lam), w c>, so w alone
-    decides the target facet of each facet, and lam solves one exact linear
-    system on the coset.  Its rows are the facet rows S(c, -) on L, permuted
-    by w, so its solution lattice, Omega's translation lattice
-    {lam in L : S(lam, c) = 0 for every facet c}, is the same for every w.
+    decides the target facet of each facet: w must permute the facet
+    directions.  Then lam = p_w + sum k_i e_i, e the basis L of every coset,
+    solves one equation per target facet t: S(t, e_i) k = n_t q(t) -
+    n_{w^{-1} t} q(w^{-1} t) - S(t, p_w).  Indexed by t, the rows do not
+    depend on w, so one congruence_solver serves every w, and its solution
+    lattice, read once, gives Omega's translation lattice
+    {lam in L : S(lam, t) = 0 for every facet t}.  With no facets the whole
+    coset fixes the alcove.
     """
-    form = system.form
+    form, basis = system.form, system.translation_lattice
     facets = {ac.coroot: ac.n * form.q(ac.coroot) for ac in system.simples}
+    covectors = {t: form.covector(t) for t in facets}
+    if facets:
+        solve = congruence_solver([[dot(s, e) for e in basis] for s in covectors.values()], [0] * len(facets))
+    else:
+        solve = lambda rhs: CosetZn((0,) * len(basis), identity(len(basis)))
     elements = []
     for w, coset in system.stabilizer:
-        rows, rhs = [], []
-        for c, b in facets.items():
-            wc = tuple(mat_vec(w, c))
-            if wc not in facets:
-                break
-            row = form.covector(wc)
-            rows.append([dot(row, e) for e in coset.basis])
-            rhs.append(facets[wc] - b - dot(row, coset.particular))
-        else:
-            if rows:
-                sol = solve_integer_affine(rows, rhs, [0] * len(rows))
-            else:  # no walls: the whole coset fixes the alcove
-                sol = CosetZn((0,) * len(coset.basis), identity(len(coset.basis)))
-            if sol is None:
-                continue
+        source = {tuple(mat_vec(w, c)): c for c in facets}  # w c -> c
+        if source.keys() != facets.keys():
+            continue
+        sol = solve([b - facets[source[t]] - dot(covectors[t], coset.particular) for t, b in facets.items()])
+        if sol is not None:
             lam = coset.particular
-            for k, e in zip(sol.particular, coset.basis):
+            for k, e in zip(sol.particular, basis):
                 lam = vec_add(lam, vec_scale(e, k))
             elements.append(ExtendedWeylElement(tuple(lam), w))
-            kernel = sol.basis
-    lattice = lattice_basis_from_generators([tuple(dot(ks, col) for col in zip(*system.translation_lattice)) for ks in kernel])
+    kernel = solve([0] * len(facets)).basis
+    lattice = lattice_basis_from_generators([tuple(dot(ks, col) for col in zip(*basis)) for ks in kernel])
     return tuple(sorted(elements, key=lambda g: (g.trans, g.w))), lattice

@@ -1,7 +1,8 @@
 """The front-end of the integral-Weyl-group core, and quantum-Langlands level
-duality: the iota conjugation (verified exactly on generators of both
-integral groups, both ways, by one integer test per generator), alcove
-matching, the finite-longest group, and the parahoric bijection.
+duality: the iota conjugation (verified exactly: into, by one integer test
+per generator of the integral group, and onto by counting admissible Weyl
+parts and comparing translation lattices), alcove matching, the
+finite-longest group, and the parahoric bijection.
 
 Slice picture: a point of the level-one slice is a rational covector x on the
 cocharacter lattice; t^lam w sends x to x o w^{-1} - kappa(lam, -).  The wall
@@ -51,7 +52,6 @@ from weylkit.affine import (
     descend,
     dominant_base_point,
     length_zero_group,
-    progression_min_at_least,
     read_square,
     simple_system_from_progressions,
     slice_act_inverse,
@@ -122,16 +122,21 @@ def validate_level(rd: RootDatum, lvl: Level):
     n = rd.rank
     g = read_square(lvl.gram, n, Degenerate)
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
-        raise Degenerate("level must be symmetric")
+        raise Degenerate(f"level {_show(g)} must be symmetric")
     if det(g) == 0:
-        raise Degenerate("level must be nondegenerate")
+        raise Degenerate(f"level {_show(g)} must be nondegenerate")
     for w in rd.simple_reflections():
         if mat_mul(mat_mul(transpose(w), g), w) != g:
-            raise Degenerate("level must be Weyl invariant")
+            raise Degenerate(f"level {_show(g)} must be Weyl invariant")
     count = len(finite_components(rd))
     for i in lvl.irrational:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < count:
             raise ValueError(f"irrational component index {i!r} is not in range({count})")
+
+
+def _show(gram) -> str:
+    """A gram as rows of rationals, [[2, 1/2], [1/2, 2]]."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in gram) + "]"
 
 
 def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
@@ -164,7 +169,7 @@ def _inverse_gram(lvl: Level) -> Tuple[Tuple[Fraction, ...], ...]:
     try:
         return tuple(tuple(Fraction(x) for x in r) for r in mat_inv(lvl.gram))
     except ValueError:
-        raise Degenerate("level must be nondegenerate")
+        raise Degenerate(f"level {_show(lvl.gram)} must be nondegenerate")
 
 
 def dual_level(rd: RootDatum, lvl: Level) -> Tuple[RootDatum, Level]:
@@ -301,24 +306,32 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
     how membership is tested; it is generated by one t^{p_w} w per admissible
     w and by t^b for a basis b of L.  Conjugation is a homomorphism, so
     checking generators is exact.  Into: each generator of G goes to its
-    partner in G' (_iota_partner).  Onto: the iota' of the dual side is
-    y |-> kappa y - theta = -iota^{-1}(y), and negation conjugates t^mu v to
-    t^{-mu} v, so each generator of G' comes from its iota'-partner with the
-    translation negated.
+    partner in G' (_iota_partner), so partner(G) is in G'.  Onto, by
+    counting: the Weyl part of partner(t^lam w) is w^{-T}, injective in w, so
+    equally many admissible w on both sides make w |-> w^{-T} a bijection
+    onto the admissible w', and partner(t^lam) = t^{kappa lam}, so a
+    partner lattice kappa L (L read off the cosets membership tests) equal to
+    L' gives each t^mu w' in G' as partner(t^lam t^{p_w} w), lam in L.
     Each pair is one closed-form test on integer numerators, _conjugation_test:
     for iota(x) = L x + c and linear parts a, b, iota o g o iota^{-1} = h iff
     L a = b L and c - b c + L g(0) = h(0).  pairs_checked counts the generators
-    of both sides.  Reflections: s_(alpha-check, n) goes to s_(alpha, m) with
-    the integer m = <theta, alpha-check> + n q(alpha-check).
+    of G.  Reflections: s_(alpha-check, n) goes to s_(alpha, m) with
+    m = <theta, alpha-check> + n q(alpha-check), tested once per +- pair
+    (s_(-alpha-check, -n) = s_(alpha-check, n), and m changes sign) at two
+    levels n = i, i + d of the progression i + dZ: m and the identity tested
+    are affine in n, so two levels decide the whole progression.
     """
     if lvl.irrational:
-        raise IrrationalSquareLength("iota requires a rational level")
+        raise IrrationalSquareLength(f"iota requires a rational level; components {sorted(lvl.irrational)} are flagged")
     rd_dual, lvl_dual_neg, theta_check = _dual_side(rd, lvl, theta)
     iota = iota_map(rd, lvl, theta)
     conjugates = _conjugation_test(iota, lvl, lvl_dual_neg)
     theta_f = tuple(Fraction(x) for x in theta)
     cosets, reps, shifts = _integral_generators(rd, lvl, theta_f)
-    dual_cosets, dual_reps, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
+    dual_cosets, _, dual_shifts = _integral_generators(rd_dual, lvl_dual_neg, theta_check)
+    if len(dual_cosets) != len(cosets):
+        count = f"{len(dual_cosets)} admissible dual Weyl parts for {len(cosets)}"
+        raise VerificationFailed(f"{count}: some dual generator does not come from an integral element")
 
     partner = _iota_partner(rd, lvl, theta_f)
     ok, checked = {"pairs": True, "translations": True}, 0
@@ -328,27 +341,25 @@ def iota_conjugation(rd: RootDatum, lvl: Level, theta) -> dict:
             raise VerificationFailed(f"dual partner {h} of integral {g} is not integral")
         ok[key] &= conjugates(h.w, g.trans, g.w, h.trans)
         checked += 1
+    images = [partner(ExtendedWeylElement.translation(b)) for b in next(iter(cosets.values())).basis]
+    dual_lattice = lattice_basis_from_generators([h.trans for h in dual_shifts])
+    if None in images or lattice_basis_from_generators([h.trans for h in images]) != dual_lattice:
+        raise VerificationFailed(f"a translation of the dual lattice {dual_lattice} does not come from an integral element")
 
-    dual_partner = _iota_partner(rd_dual, lvl_dual_neg, theta_check)
-    for h in dual_reps + dual_shifts:
-        p = dual_partner(h)
-        g = None if p is None else ExtendedWeylElement(tuple(-x for x in p.trans), p.w)
-        if g is None or not conjugates(h.w, g.trans, g.w, h.trans) or g.w not in cosets or not cosets[g.w].contains(g.trans):
-            raise VerificationFailed(f"dual generator {h} does not come from an integral element")
-        checked += 1
-
-    # reflections: s_(alpha-check, n) goes to s_(alpha, m), m = <theta, alpha-check> + n q(alpha-check)
     ok_refl = True
     progs = level_progressions(rd, lvl, theta)
-    for cv, alpha in zip(rd.coroots, rd.roots):
-        n0 = progression_min_at_least(progs[cv], 0)
-        for n in () if n0 is None else {n0, n0 + progs[cv][1], n0 - progs[cv][1]}:
+    table = _coroot_table(rd)
+    for cv in table.half:
+        if progs[cv] is None:
+            continue
+        i, d = progs[cv]
+        for n in {i, i + d}:
             m = dot(theta_f, cv) + n * lvl.q(cv)
             if m.denominator != 1:
                 ok_refl = False
                 continue
             g = affine_coroot_reflection(rd, AffineCoroot(cv, n))
-            h = affine_coroot_reflection(rd_dual, AffineCoroot(alpha, int(m)))
+            h = affine_coroot_reflection(rd_dual, AffineCoroot(rd.roots[table.index[cv]], int(m)))
             # reflections are involutions: each slice linear part is w^T
             ok_refl &= conjugates(transpose(g.w), g.trans, transpose(h.w), h.trans)
     result = {
@@ -452,6 +463,8 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
     # to the translation lattices, and the lattices themselves
     g_omega, g_lattice = length_zero_group(rd, g_sys)
     h_omega, h_lattice = length_zero_group(rd_dual, h_sys)
+    if len(g_omega) != len(h_omega):
+        raise VerificationFailed(f"length-zero groups have different sizes {len(g_omega)} and {len(h_omega)}")
     h_by_weyl = {o.w: o for o in h_omega}
     pairs = []
     for o in g_omega:
@@ -460,8 +473,6 @@ def alcove_match(rd: RootDatum, lvl: Level, theta) -> AlcoveMatch:
         if dual is None or not lattice_contains(h_lattice, vec_sub(conj.trans, dual.trans)):
             raise VerificationFailed(f"length-zero element {o} has no dual partner")
         pairs.append((o, dual))
-    if len(pairs) != len(h_omega):
-        raise VerificationFailed("length-zero groups have different sizes")
     images = [conjugate(ExtendedWeylElement.translation(lam)) for lam in g_lattice]
     if None in images or lattice_basis_from_generators([im.trans for im in images]) != lattice_basis_from_generators(h_lattice):
         raise VerificationFailed("length-zero translation lattices do not correspond")
@@ -477,10 +488,10 @@ def kappa_parabolic_match(rd: RootDatum, lvl: Level) -> Tuple[Tuple[int, int], .
     """i_kappa on simple indices: Chevalley involution on the kappa-positive
     part composed with the standard duality (identity on indices)."""
     if lvl.irrational:
-        raise IrrationalSquareLength("parahoric matching needs rational square lengths")
+        raise IrrationalSquareLength(f"parahoric matching needs a rational level; components {sorted(lvl.irrational)} are flagged")
     for cv in rd.coroots:
         if lvl.q(cv) == 0:
-            raise IrrationalSquareLength("kappa(alpha, alpha) must be nonzero")
+            raise IrrationalSquareLength(f"kappa(alpha, alpha) is 0 on {cv} at the level {_show(lvl.gram)}")
     w0 = longest_element(rd)
     out = []
     for pos, i in enumerate(rd.simple_indices):
@@ -497,7 +508,12 @@ def kappa_parabolic_match(rd: RootDatum, lvl: Level) -> Tuple[Tuple[int, int], .
 def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeylElement, ...]:
     """Generators of the group of extended-Coxeter automorphisms realized by
     conjugation: one commuting involution per length-zero-stable orbit of
-    finite-type components (trivial when every component is affine)."""
+    finite-type components (trivial when every component is affine).  Each
+    generator z normalizes the simple reflections S: the longest element of
+    a finite component J sends the simple roots of J to minus simple roots
+    of J, so it permutes S_J by conjugation, and it commutes with every
+    simple outside J (across components the Coxeter entry is 2); a product
+    over an orbit permutes S too."""
     sys = level_integral_weyl(rd, lvl, theta)
     refl = list(sys.simple_reflections(rd))
     omega, _ = length_zero_group(rd, sys)
@@ -521,10 +537,8 @@ def finite_longest_group(rd: RootDatum, lvl: Level, theta) -> Tuple[ExtendedWeyl
         for ci in orbit:
             idx = sys.components[ci][0]
             z = z * _longest_in_component(rd, sys, [sys.simples[i] for i in idx])
-        # z must normalize the simple system
-        conj_set = {z * r * z.inverse() for r in refl}
-        if conj_set != set(refl):
-            continue
+        if {z * r * z.inverse() for r in refl} != set(refl):
+            raise VerificationFailed(f"finite-longest generator {z} does not normalize the simple reflections")
         gens.append(z)
     for z in gens:
         if not (z * z).is_identity():

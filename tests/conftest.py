@@ -5,7 +5,18 @@ from fractions import Fraction
 import pytest
 
 from weylkit.affine import ExtendedWeylElement, NotPositiveDefinite, extended_act_character, gram_from_weights, length_zero_group
-from weylkit.exact import QmodZ, dot, lattice_contains
+from weylkit.exact import (
+    CosetZn,
+    QmodZ,
+    dot,
+    identity,
+    lattice_basis_from_generators,
+    lattice_contains,
+    mat_vec,
+    solve_integer_affine,
+    vec_add,
+    vec_scale,
+)
 from weylkit.integral import integral_simple_system, minimal_rep
 
 # every preset of rank <= 4, G2, PSp, Spin, SO_even, GL and a torus among them
@@ -103,6 +114,39 @@ def _omega_against_box(rd, form, chi, radius):
     return omega, lattice, box
 
 
+def _reference_length_zero_group(rd, system):
+    """Omega of system with one exact solve per Weyl element: the equations
+    of w are indexed by the source facet c, the row S(w c, -) on the basis
+    of w's coset, and the translation lattice is the last solve's kernel.
+    The reference for length_zero_group, which shares one solver."""
+    form = system.form
+    facets = {ac.coroot: ac.n * form.q(ac.coroot) for ac in system.simples}
+    elements = []
+    for w, coset in system.stabilizer:
+        rows, rhs = [], []
+        for c, b in facets.items():
+            wc = tuple(mat_vec(w, c))
+            if wc not in facets:
+                break
+            row = form.covector(wc)
+            rows.append([dot(row, e) for e in coset.basis])
+            rhs.append(facets[wc] - b - dot(row, coset.particular))
+        else:
+            if rows:
+                sol = solve_integer_affine(rows, rhs, [0] * len(rows))
+            else:  # no walls: the whole coset fixes the alcove
+                sol = CosetZn((0,) * len(coset.basis), identity(len(coset.basis)))
+            if sol is None:
+                continue
+            lam = coset.particular
+            for k, e in zip(sol.particular, coset.basis):
+                lam = vec_add(lam, vec_scale(e, k))
+            elements.append(ExtendedWeylElement(tuple(lam), w))
+            kernel = sol.basis
+    lattice = lattice_basis_from_generators([tuple(dot(ks, col) for col in zip(*system.translation_lattice)) for ks in kernel])
+    return tuple(sorted(elements, key=lambda g: (g.trans, g.w))), lattice
+
+
 def _affine_coroot_label(rd, ac):
     """(positive direction, m) with the reflection of ac equal to t^{-m dir} s_dir."""
     if rd.is_positive_coroot(ac.coroot):
@@ -113,6 +157,11 @@ def _affine_coroot_label(rd, ac):
 @pytest.fixture
 def affine_coroot_label():
     return _affine_coroot_label
+
+
+@pytest.fixture
+def reference_length_zero_group():
+    return _reference_length_zero_group
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import RANK_AT_MOST_FOUR, even_form, value_on
-from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, mat_inv, solve_integer_affine
+from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, solve_integer_affine, vec_sub
 from weylkit.affine import (
     AffineCoroot,
     CharacterPoint,
@@ -618,6 +618,40 @@ def test_length_zero_lattice_is_the_facet_kernel_in_the_translation_lattice():
             systems += 1
             several += len(omega) > 1
     assert systems == 80 and several >= 10, (systems, several)
+
+
+def test_length_zero_group_against_the_per_element_reference(reference_length_zero_group):
+    # one shared solver against one solve per Weyl element, on every preset
+    # of rank <= 3 (SL4 among them): character systems at c = 0, 1/2, 1/3
+    # with a seeded chi_f, and level systems at +-K and +-K/2 with a seeded
+    # theta.  The same Weyl parts, representatives equal up to Omega's
+    # lattice (the two solvers may pick different ones), and the same
+    # lattice; tori, GL1 and non-integral theta give systems with no simples
+    rng = random.Random(2507166)
+    systems = no_simples = several = 0
+    for name, param in RANK_AT_MOST_FOUR:
+        rd = preset(name, param)
+        if rd.rank > 3:
+            continue
+        form = even_form(rd)
+        built = []
+        for c in (0, Fraction(1, 2), Fraction(1, 3)):
+            finite = tuple(QmodZ.from_fraction(Fraction(rng.randrange(3), 3)) for _ in range(rd.rank))
+            built.append(integral_simple_system(rd, form, CharacterPoint(QmodZ.from_fraction(Fraction(c)), finite)))
+        for scale in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
+            lvl = level_from_config(rd, [[scale * x for x in row] for row in form.matrix])
+            built.append(level_integral_weyl(rd, lvl, tuple(Fraction(rng.randrange(3), 3) for _ in range(rd.rank))))
+        for system in built:
+            omega, lattice = length_zero_group(rd, system)
+            ref_omega, ref_lattice = reference_length_zero_group(rd, system)
+            assert lattice == ref_lattice, (rd.name, system.form, system.simples)
+            assert sorted(g.w for g in omega) == sorted(g.w for g in ref_omega), (rd.name, system.form)
+            ref_by_weyl = {g.w: g for g in ref_omega}
+            assert all(lattice_contains(lattice, vec_sub(g.trans, ref_by_weyl[g.w].trans)) for g in omega), (rd.name, system.form)
+            systems += 1
+            no_simples += not system.simples
+            several += len(omega) > 1
+    assert systems == 7 * 25 and no_simples >= 20 and several >= 80, (systems, no_simples, several)
 
 
 def test_slice_act_inverse_against_the_inverse_element():

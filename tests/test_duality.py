@@ -21,6 +21,7 @@ from weylkit.affine import (
 from weylkit.duality import (
     AffineMap,
     Degenerate,
+    IrrationalSquareLength,
     Level,
     VerificationFailed,
     alcove_match,
@@ -32,7 +33,18 @@ from weylkit.duality import (
     level_integral_weyl,
     level_progressions,
 )
-from weylkit.exact import CosetZn, dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, mat_mul, mat_vec, vec_sub
+from weylkit.exact import (
+    CosetZn,
+    dot,
+    identity,
+    lattice_basis_from_generators,
+    lattice_contains,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    vec_add,
+    vec_sub,
+)
 from weylkit.hecke import ONE, V, HeckeElement, _mult_by_simple, _times_minimal
 from weylkit.integral import is_minimal
 from weylkit.rootdata import langlands_dual, mat_inv_int, preset, weyl_elements
@@ -170,6 +182,82 @@ def test_iota_conjugation_tests_membership_on_the_coset(monkeypatch):
     monkeypatch.setattr(duality, "_integral_generators", doubled)
     with pytest.raises(VerificationFailed, match="does not come from an integral element"):
         iota_conjugation(rd, lvl, theta)
+
+
+def test_iota_conjugation_counts_admissible_weyl_parts(monkeypatch):
+    # SL3 at K: every w is admissible on both sides; with one w' dropped
+    # from the dual cosets, the count of the onto half fails before any
+    # partner is looked up
+    rd = preset("SL", 3)
+    lvl, theta = killing_level(rd, 1), (Fraction(0), Fraction(0))
+    generators = duality._integral_generators
+    assert iota_conjugation(rd, lvl, theta)["verified"]
+
+    def dropped(side_rd, *rest):
+        cosets, reps, shifts = generators(side_rd, *rest)
+        if side_rd is not rd:
+            cosets = dict(list(cosets.items())[:-1])
+        return cosets, reps, shifts
+
+    monkeypatch.setattr(duality, "_integral_generators", dropped)
+    with pytest.raises(VerificationFailed, match="5 admissible dual Weyl parts for 6: .* does not come from an integral"):
+        iota_conjugation(rd, lvl, theta)
+
+
+def test_iota_conjugation_compares_translation_lattices(monkeypatch):
+    # SL2 at kappa = 2: the partners of G's lattice Z span 2Z, the dual
+    # lattice; a dual lattice scaled by 2 passes every membership test of the
+    # into half, and the lattice comparison of the onto half names it
+    rd, lvl, theta = sl2(), level_from_config(sl2(), [[2]]), (Fraction(0),)
+    generators = duality._integral_generators
+
+    def scaled(side_rd, *rest):
+        cosets, reps, shifts = generators(side_rd, *rest)
+        if side_rd is not rd:
+            shifts = [ExtendedWeylElement.translation(tuple(2 * x for x in h.trans)) for h in shifts]
+        return cosets, reps, shifts
+
+    monkeypatch.setattr(duality, "_integral_generators", scaled)
+    with pytest.raises(VerificationFailed, match=re.escape("dual lattice ((4,),) does not come from an integral element")):
+        iota_conjugation(rd, lvl, theta)
+
+
+def test_iota_conjugation_checks_reflections_at_two_levels(monkeypatch):
+    # SL2 at K/3, theta = 0: the integral levels are 3Z, and m = 4n/3.  A
+    # progression with the right first level 0 and the step 4 puts n = 4 in,
+    # where m is not integral, so the second level tested fails reflections
+    rd, theta = sl2(), (Fraction(0),)
+    lvl = killing_level(rd, Fraction(1, 3))
+    progressions = duality.level_progressions
+    assert progressions(rd, lvl, theta) == {(-1,): (0, 3), (1,): (0, 3)}
+    assert iota_conjugation(rd, lvl, theta)["reflections"]
+    monkeypatch.setattr(duality, "level_progressions", lambda *args: {cv: (i, d + 1) for cv, (i, d) in progressions(*args).items()})
+    with pytest.raises(VerificationFailed, match="'reflections': False"):
+        iota_conjugation(rd, lvl, theta)
+
+
+def test_iota_and_parabolic_match_reject_irrational_levels():
+    # both name the flagged components; kappa_parabolic_match also names a
+    # level, built without validation, that vanishes on a coroot
+    rd = preset("SL", 3)
+    lvl = level_from_config(rd, killing_level(rd, 1).gram, irrational=[0])
+    with pytest.raises(IrrationalSquareLength, match=re.escape("components [0] are flagged")):
+        iota_conjugation(rd, lvl, (Fraction(0), Fraction(0)))
+    with pytest.raises(IrrationalSquareLength, match=re.escape("components [0] are flagged")):
+        kappa_parabolic_match(rd, lvl)
+    one = Fraction(1)
+    with pytest.raises(IrrationalSquareLength, match=re.escape("is 0 on (-1, 1) at the level [[1, 1], [1, 1]]")):
+        kappa_parabolic_match(preset("GL", 2), Level(((one, one), (one, one))))
+
+
+def test_level_checks_name_the_gram():
+    # an asymmetric level fails validation, and a singular one built directly
+    # fails where kappa^{-1} is formed; each names the gram
+    with pytest.raises(Degenerate, match=re.escape("level [[1, 1/2], [0, 1]] must be symmetric")):
+        level_from_config(preset("GL", 2), [[1, Fraction(1, 2)], [0, 1]])
+    one = Fraction(1)
+    with pytest.raises(Degenerate, match=re.escape("level [[1, 1], [1, 1]] must be nondegenerate")):
+        dual_level(preset("GL", 2), Level(((one, one), (one, one))))
 
 
 def test_iota_conjugation_sp4_half_basic():
@@ -385,8 +473,8 @@ def test_iota_conjugation_killing_levels(name, param):
         report = iota_conjugation(rd, lvl, theta) if large else _check_iota_box(rd, lvl, theta)
         assert report["verified"] and report["pairs"]
         # at theta = 0 every stabilizer coset is non-empty, and L has full rank,
-        # so each side contributes |W| + rank generators
-        assert report["pairs_checked"] == 2 * (len(weyl_elements(rd)) + rd.rank)
+        # so G contributes |W| + rank generators (the dual side is counted)
+        assert report["pairs_checked"] == len(weyl_elements(rd)) + rd.rank
 
 
 def test_alcove_match_random_levels():
@@ -516,6 +604,44 @@ def test_finite_longest_group_checks_that_generators_commute(monkeypatch):
                         lambda rd, system, simples: swap if simples[0].coroot == (0, 2) else longest(rd, system, simples))
     with pytest.raises(VerificationFailed, match=re.escape(f"finite-longest generators {swap} and {s_e1} do not commute")):
         finite_longest_group(rd, lvl, theta)
+
+
+def test_finite_longest_group_checks_the_normalizer(monkeypatch):
+    # SL3 flagged irrational at theta = 0: one finite A2 component.  Its
+    # simple reflection s in place of its longest element is an involution,
+    # but s conjugates the other simple to a non-simple reflection
+    rd, theta = preset("SL", 3), (Fraction(0), Fraction(0))
+    lvl = level_from_config(rd, killing_level(rd, 1).gram, irrational=[0])
+    assert len(finite_longest_group(rd, lvl, theta)) == 1
+    s = affine_coroot_reflection(rd, level_integral_weyl(rd, lvl, theta).simples[0])
+    monkeypatch.setattr(duality, "_longest_in_component", lambda rd, system, simples: s)
+    with pytest.raises(VerificationFailed, match=re.escape(f"finite-longest generator {s} does not normalize")):
+        finite_longest_group(rd, lvl, theta)
+
+
+def test_alcove_match_checks_the_length_zero_groups(monkeypatch):
+    # PGL3 at K: three length-zero elements on each side.  With one dropped
+    # on the dual side the sizes differ; with one moved off the dual
+    # translation lattice, its partner is not found
+    rd, theta = preset("PGL", 3), (Fraction(0), Fraction(0))
+    lvl = killing_level(rd, 1)
+    omega = length_zero_group
+    h_omega, h_lattice = omega(langlands_dual(rd), alcove_match(rd, lvl, theta).h_system)
+    assert len(h_omega) == 3
+    off = next(v for v in itertools.product(range(3), repeat=2) if not lattice_contains(h_lattice, v))
+
+    def dual_changed(change):
+        return lambda side_rd, system: omega(side_rd, system) if side_rd == rd else change(*omega(side_rd, system))
+
+    for change, message in (
+        (lambda reps, lattice: (reps[1:], lattice), "length-zero groups have different sizes 3 and 2"),
+        (lambda reps, lattice: ((ExtendedWeylElement(vec_add(reps[0].trans, off), reps[0].w),) + reps[1:], lattice),
+         "has no dual partner"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(duality, "length_zero_group", dual_changed(change))
+            with pytest.raises(VerificationFailed, match=message):
+                alcove_match(rd, lvl, theta)
 
 
 def _cayley_farthest(rd, reflections):
