@@ -164,19 +164,24 @@ def _validate_gram(rd: RootDatum, form: GramForm):
     n = rd.rank
     s = form.matrix
     if any(s[i][j] != s[j][i] for i in range(n) for j in range(n)):
-        raise ValueError("form is not symmetric")
+        raise ValueError(f"form {_show(s)} is not symmetric")
     # leading principal minors, exact
     for k in range(1, n + 1):
         minor = tuple(tuple(s[i][j] for j in range(k)) for i in range(k))
         if det(minor) <= 0:
-            raise NotPositiveDefinite(f"leading {k}x{k} minor is not positive")
+            raise NotPositiveDefinite(f"leading {k}x{k} minor of the form {_show(s)} is not positive")
     for w in rd.simple_reflections():
         if mat_mul(mat_mul(transpose(w), s), w) != s:
-            raise NotWInvariant("form is not Weyl invariant")
+            raise NotWInvariant(f"form {_show(s)} is not Weyl invariant")
     for cv in rd.coroots:
         val = form.pair(cv, cv)
         if val <= 0 or val % 2:
-            raise OddOnCoroot(f"S(a,a) = {val} on coroot {cv} is not even positive")
+            raise OddOnCoroot(f"S(a,a) = {val} on coroot {cv} is not even positive for the form {_show(s)}")
+
+
+def _show(gram) -> str:
+    """A gram as rows of rationals, [[2, 1/2], [1/2, 2]]."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in gram) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +241,11 @@ def character_from_config(rd: RootDatum, central: str, finite, basis: str = "coc
     vals = [QmodZ.from_fraction(_read_entry(x, f"finite index {i}")) for i, x in enumerate(finite)]
     if basis == "cochar":
         if len(vals) != rd.rank:
-            raise ValueError("finite part length must equal the rank")
+            raise ValueError(f"finite part of length {len(vals)} must have the rank {rd.rank}")
         return CharacterPoint(c, tuple(vals))
     if basis == "simple_roots":
         if len(vals) != len(rd.simple_indices):
-            raise ValueError("need one value per simple root")
+            raise ValueError(f"{len(vals)} values for {len(rd.simple_indices)} simple roots: need one per simple root")
         acc = [Fraction(0)] * rd.rank
         for theta, a in zip(vals, rd.simple_roots):
             for i in range(rd.rank):

@@ -46,6 +46,7 @@ from weylkit.affine import (
     IntegralSystem,
     Progression,
     _descend,
+    _show,
     affine_coroot_reflection,
     connected_components,
     coxeter_system,
@@ -134,32 +135,22 @@ def validate_level(rd: RootDatum, lvl: Level):
             raise ValueError(f"irrational component index {i!r} is not in range({count})")
 
 
-def _show(gram) -> str:
-    """A gram as rows of rationals, [[2, 1/2], [1/2, 2]]."""
-    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in gram) + "]"
-
-
 def finite_components(rd: RootDatum) -> Tuple[Tuple[int, ...], ...]:
     """Connected components of the finite diagram as tuples of simple indices."""
     c = cartan_matrix(rd, rd.simple_coroots)
     return connected_components(len(c), lambda i, j: c[i][j] != 0)
 
 
-def component_of_coroot(rd: RootDatum, coroot: Vec) -> int:
-    comp = _coroot_components(rd).get(tuple(coroot))
-    if comp is None:
-        raise ValueError(f"{coroot} is not a coroot lying in a single component")
-    return comp
-
-
 @lru_cache(maxsize=None)
 def _coroot_components(rd: RootDatum) -> Dict[Vec, int]:
-    """Each coroot's component: the one holding the support of its root."""
+    """Each coroot's component: the one holding the support of its root.  The
+    support of a root is connected in the Dynkin diagram (Bourbaki, Lie VI
+    1.6), so one component holds it."""
     comps = [set(comp) for comp in finite_components(rd)]
     out = {}
     for cv, coords in zip(rd.coroots, simple_coordinates(rd)):
         support = {i for i, c in enumerate(coords) if c}
-        out[cv] = next((ci for ci, comp in enumerate(comps) if support <= comp), None)
+        out[cv] = next(ci for ci, comp in enumerate(comps) if support <= comp)
     return out
 
 
@@ -225,9 +216,9 @@ def _stabilizer_rows(rd: RootDatum, lvl: Level):
     kappa_eff = K (1 - P) drops that span."""
     if not lvl.irrational:
         return lvl.gram, ()
-    basis = []
+    basis, components = [], _coroot_components(rd)
     for cv in rd.coroots:
-        if component_of_coroot(rd, cv) in lvl.irrational and mat_rank(basis + [cv]) == len(basis) + 1:
+        if components[cv] in lvl.irrational and mat_rank(basis + [cv]) == len(basis) + 1:
             basis.append(cv)
     if not basis:
         return lvl.gram, ()

@@ -2,16 +2,21 @@
 
 Both lattices are identified with Z^n via fixed dual bases, so the pairing is
 the dot product: coroots are column vectors in cocharacter coordinates and
-roots are covectors (value tuples on the cocharacter basis).  Presets built
-from classical ambient coordinates carry the change of basis in
-``ambient_basis`` (columns are the lattice basis written in the ambient
-e-coordinates).
+roots are covectors (value tuples on the cocharacter basis).
+
+``preset`` reads one table of families, ``_FAMILIES``: each row gives the
+least parameter, the step between parameters (the parity) and a builder, and
+every builder reaches ``_build`` by one of two routes.  The Cartan route
+(``_cartan_build``, and PGL as its dual) gives an abstract datum from a
+Cartan matrix.  The classical route (``_classical``) takes the type-A simples
+e_i - e_{i+1} of Z^n and the family's last simple pair, optionally on a
+lattice basis; that datum carries the change of basis in ``ambient_basis``
+(columns are the lattice basis written in the ambient e-coordinates).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -173,10 +178,14 @@ def _coroot_positivity(rd: RootDatum) -> Dict[Vec, bool]:
 # construction by reflection closure
 
 
-def _closure(simple_roots, simple_coroots, bound=2000):
+# a Cartan matrix of infinite type has no finite closure; it stops here
+MAX_ROOTS = 2000
+
+
+def _closure(simple_roots, simple_coroots):
     """Orbit closure of the simple pairs under all simple reflections, by
     rank-one steps: s_i sends a root a to a - <a, b_i> a_i and a coroot b to
-    b - <a_i, b> b_i."""
+    b - <a_i, b> b_i; GroupTooLarge past MAX_ROOTS."""
     simples = [(tuple(a), tuple(cv)) for a, cv in zip(simple_roots, simple_coroots)]
     pairs, frontier = set(simples), set(simples)
     while frontier:
@@ -188,8 +197,8 @@ def _closure(simple_roots, simple_coroots, bound=2000):
                 if p not in pairs:
                     pairs.add(p)
                     new.add(p)
-        if len(pairs) > bound:
-            raise GroupTooLarge("root system closure exceeded bound")
+        if len(pairs) > MAX_ROOTS:
+            raise GroupTooLarge(f"root system closure exceeds {MAX_ROOTS} roots")
         frontier = new
     both = sorted(pairs)
     return tuple(p[0] for p in both), tuple(p[1] for p in both)
@@ -209,130 +218,68 @@ def _cartan_build(cartan, name):
     return _build(simples_rt, simples_cv, n, name=name)
 
 
-def _frac_mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-# classical ambient constructions ------------------------------------------
+def _classical(n, last, name, basis=None):
+    """The datum whose simple pairs are (e_i - e_{i+1}, e_i - e_{i+1}) in Z^n
+    and then last, a (root, coroot) pair given on the last two coordinates
+    (none for GL).  basis(e), given the unit vectors e, lists the columns B of
+    a lattice basis in ambient coordinates; a root a is then read on it as
+    B^T a and a coroot b as B^{-1} b."""
+    e = identity(n)
+    pairs = [(vec_sub(a, b),) * 2 for a, b in zip(e, e[1:])]
+    if last:
+        pairs.append(tuple(((0,) * n + v)[-n:] for v in last))
+    roots, coroots = [a for a, _ in pairs], [b for _, b in pairs]
+    if basis is None:
+        return _build(roots, coroots, n, name=name)
+    cols = basis(e)
+    ambient = transpose(tuple(tuple(map(Fraction, col)) for col in cols))
+    ambient_inv = mat_inv(ambient)
+    roots = [tuple(int(x) for x in mat_vec(cols, a)) for a in roots]
+    coroots = [tuple(int(x) for x in mat_vec(ambient_inv, cv)) for cv in coroots]
+    return _build(roots, coroots, n, ambient, name)
 
 
 def _type_a_cartan(n):
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
 
 
+# family: (least parameter p, step between parameters, builder of p).  Last
+# simple pairs: C (2e_n, e_n), B (e_n, 2e_n), D (e_{n-1} + e_n) for both.
+# PGL is SL's dual: unit vectors as simple roots, Cartan columns as coroots
+_FAMILIES = {
+    "SL": (2, 1, lambda p: _cartan_build(_type_a_cartan(p - 1), f"SL{p}")),
+    "PGL": (2, 1, lambda p: _build(identity(p - 1), _type_a_cartan(p - 1), p - 1, name=f"PGL{p}")),
+    "GL": (1, 1, lambda p: _classical(p, None, f"GL{p}")),
+    "SP": (2, 2, lambda p: _classical(p // 2, ((0, 2), (0, 1)), f"Sp{p}")),
+    # X_* = Z^n + Z (sum e_i)/2, basis (sum e_i / 2, e_2, ..., e_n)
+    "PSP": (2, 2, lambda p: _classical(p // 2, ((0, 2), (0, 1)), f"PSp{p}", lambda e: [(Fraction(1, 2),) * len(e), *e[1:]])),
+    "SO_ODD": (3, 2, lambda p: _classical(p // 2, ((0, 1), (0, 2)), f"SO{p}")),
+    # X_* = the coroot lattice of B_n (even coordinate sum), basis e_i - e_{i+1}, 2e_n
+    "SPIN_ODD": (3, 2, lambda p: _classical(p // 2, ((0, 1), (0, 2)), f"Spin{p}",
+                                            lambda e: [*map(vec_sub, e, e[1:]), vec_scale(e[-1], 2)])),
+    "SO_EVEN": (4, 2, lambda p: _classical(p // 2, ((1, 1), (1, 1)), f"SO{p}")),
+    "G2": (2, 1, lambda p: _cartan_build(((2, -1), (-3, 2)), "G2")),
+}
+
+
 def preset(name: str, n: Optional[int] = None, factors=None) -> RootDatum:
-    """Named root datum in the conventions the source constructions use."""
-    key = name.upper() if name not in ("torus", "product") else name
-    if key == "torus":
-        if n is None or n < 0:
-            raise InvalidParams("torus preset needs a nonnegative rank")
+    """Named root datum in the conventions the source constructions use: a
+    family of _FAMILIES (any case) at the parameter n, a torus of rank n, or
+    the product of factors."""
+    if name == "torus":
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise InvalidParams(f"torus preset needs a nonnegative integer rank, not {n!r}")
         return RootDatum(n, (), (), (), None, f"torus{n}")
-    if key == "product":
+    if name == "product":
         if not factors:
-            raise InvalidParams("product preset needs factors")
+            raise InvalidParams(f"product preset needs factors, not {factors!r}")
         return product_datum(factors)
-    if n is None:
-        raise InvalidParams(f"preset {name} needs a parameter")
-
-    if key == "SL":
-        if n < 2:
-            raise InvalidParams("SL needs n >= 2")
-        return _cartan_build(_type_a_cartan(n - 1), f"SL{n}")
-    if key == "PGL":
-        if n < 2:
-            raise InvalidParams("PGL needs n >= 2")
-        a = _type_a_cartan(n - 1)
-        m = n - 1
-        simples_cv = [tuple(a[i][j] for i in range(m)) for j in range(m)]
-        simples_rt = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-        return _build(simples_rt, simples_cv, m, name=f"PGL{n}")
-    if key == "GL":
-        if n < 1:
-            raise InvalidParams("GL needs n >= 1")
-        if n == 1:
-            return RootDatum(1, (), (), (), None, "GL1")
-        e = lambda i: tuple(int(k == i) for k in range(n))
-        simples = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)]
-        return _build(simples, simples, n, name=f"GL{n}")
-    if key == "SP":
-        if n < 1 or n % 2:
-            raise InvalidParams("Sp needs an even parameter 2n")
-        return _sp(n // 2)
-    if key == "PSP":
-        if n < 1 or n % 2:
-            raise InvalidParams("PSp needs an even parameter 2n")
-        return _psp(n // 2)
-    if key == "SO_ODD":
-        if n < 3 or n % 2 == 0:
-            raise InvalidParams("SO_odd needs an odd parameter 2n+1")
-        return _so_odd((n - 1) // 2)
-    if key == "SPIN_ODD":
-        if n < 3 or n % 2 == 0:
-            raise InvalidParams("Spin_odd needs an odd parameter 2n+1")
-        return _spin_odd((n - 1) // 2)
-    if key == "SO_EVEN":
-        if n < 4 or n % 2:
-            raise InvalidParams("SO_even needs an even parameter 2n >= 4")
-        return _so_even(n // 2)
-    if key == "G2":
-        return _cartan_build([[2, -1], [-3, 2]], "G2")
-    raise UnknownPreset(name)
-
-
-def _amb(n, i):
-    return tuple(int(k == i) for k in range(n))
-
-
-def _sp(n):
-    # roots ±L_i±L_j, ±2L_i; coroots ±e_i±e_j, ±e_i; X_* = Z^n
-    e = lambda i: _amb(n, i)
-    if n == 1:
-        return _build([(2,)], [(1,)], 1, name="Sp2")
-    srt = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [vec_scale(e(n - 1), 2)]
-    scv = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
-    return _build(srt, scv, n, name=f"Sp{2*n}")
-
-
-def _psp(n):
-    # X_* = Z^n + Z*(sum e_i)/2 via the basis (mu, e_2, ..., e_n)
-    half = Fraction(1, 2)
-    cols = [[half] * n] + [[Fraction(int(k == i)) for k in range(n)] for i in range(1, n)]
-    basis = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))  # columns -> matrix
-    dummy = RootDatum(n, (), (), (), _frac_mat(basis), "tmp")
-    e_amb = lambda i: tuple(Fraction(int(k == i)) for k in range(n))
-    srt_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [vec_scale(e_amb(n - 1), 2)]
-    scv_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [e_amb(n - 1)]
-    srt = [dummy.covector_ambient_to_lattice(a) for a in srt_amb]
-    scv = [dummy.ambient_to_lattice(cv) for cv in scv_amb]
-    return _build(srt, scv, n, ambient=_frac_mat(basis), name=f"PSp{2*n}")
-
-
-def _so_odd(n):
-    # roots ±L_i±L_j, ±L_i; coroots ±e_i±e_j, ±2e_i; X_* = Z^n
-    e = lambda i: _amb(n, i)
-    srt = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
-    scv = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [vec_scale(e(n - 1), 2)]
-    return _build(srt, scv, n, name=f"SO{2*n+1}")
-
-
-def _spin_odd(n):
-    # X_* = coroot lattice of B_n (even coordinate sum), basis e_i - e_{i+1}, 2e_n
-    cols = [[Fraction(int(k == i)) - Fraction(int(k == i + 1)) for k in range(n)] for i in range(n - 1)]
-    cols.append([Fraction(2) * Fraction(int(k == n - 1)) for k in range(n)])
-    basis = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    dummy = RootDatum(n, (), (), (), _frac_mat(basis), "tmp")
-    e_amb = lambda i: tuple(Fraction(int(k == i)) for k in range(n))
-    srt_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [e_amb(n - 1)]
-    scv_amb = [vec_sub(e_amb(i), e_amb(i + 1)) for i in range(n - 1)] + [vec_scale(e_amb(n - 1), 2)]
-    srt = [dummy.covector_ambient_to_lattice(a) for a in srt_amb]
-    scv = [dummy.ambient_to_lattice(cv) for cv in scv_amb]
-    return _build(srt, scv, n, ambient=_frac_mat(basis), name=f"Spin{2*n+1}")
-
-
-def _so_even(n):
-    e = lambda i: _amb(n, i)
-    srt = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)] + [tuple(map(sum, zip(e(n - 2), e(n - 1))))]
-    return _build(srt, srt, n, name=f"SO{2*n}")
+    if name.upper() not in _FAMILIES:
+        raise UnknownPreset(name)
+    least, step, build = _FAMILIES[name.upper()]
+    if isinstance(n, bool) or not isinstance(n, int) or n < least or (n - least) % step:
+        raise InvalidParams(f"{name} needs an integer parameter in {least}, {least + step}, {least + 2 * step}, ..., not {n!r}")
+    return build(n)
 
 
 def product_datum(factors) -> RootDatum:
@@ -397,6 +344,8 @@ def validate_root_datum(rd: RootDatum):
 # ---------------------------------------------------------------------------
 # Weyl group enumeration
 
+MAX_GROUP_SIZE = 200_000
+
 
 def group_closure(gens, n: int) -> Dict[Mat, Tuple[int, Mat]]:
     """Every element of the group generated by the n x n integer reflections
@@ -404,8 +353,7 @@ def group_closure(gens, n: int) -> Dict[Mat, Tuple[int, Mat]]:
     Each s is read once as I - c r^T (_reflection_factors), so x = g s takes
     from each row g_i of g the multiple (g_i . c) r, and x^{-1} = s g^{-1}
     takes c_i (r^T g^{-1}) from each row i of g^{-1} with c_i != 0.
-    GroupTooLarge past the bound."""
-    bound = int(os.environ.get("ENGINE_MAX_GROUP_SIZE", "200000"))
+    GroupTooLarge past MAX_GROUP_SIZE."""
     unit = identity(n)
     gens = [_reflection_factors(s, n) for s in gens]
     closure = {unit: (0, unit)}
@@ -421,8 +369,8 @@ def group_closure(gens, n: int) -> Dict[Mat, Tuple[int, Mat]]:
                     x_inv = tuple([tuple([a - ci * b for a, b in zip(row, v)]) if ci else row for ci, row in zip(c, g_inv)])
                     closure[x] = (length + 1, x_inv)
                     new.append(x)
-                    if len(closure) > bound:
-                        raise GroupTooLarge(f"group exceeds bound {bound}")
+                    if len(closure) > MAX_GROUP_SIZE:
+                        raise GroupTooLarge(f"group exceeds the bound MAX_GROUP_SIZE = {MAX_GROUP_SIZE}")
         frontier = new
     return closure
 

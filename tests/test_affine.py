@@ -17,6 +17,8 @@ from weylkit.affine import (
     NoDominantCovector,
     NotIntegral,
     NotPositiveDefinite,
+    NotWInvariant,
+    OddOnCoroot,
     _reflected_walls,
     act_affine_coroot,
     affine_coroot_reflection,
@@ -70,6 +72,21 @@ def test_gram_from_weights_names_a_weight_of_the_wrong_length():
 def test_gram_rejects_empty():
     with pytest.raises(NotPositiveDefinite):
         gram_from_weights(sl2(), [])
+
+
+def test_form_checks_name_the_form():
+    # each check of a form names it: asymmetric, not positive definite, not
+    # Weyl invariant, and odd on a coroot
+    sp4 = preset("Sp", 4)
+    with pytest.raises(ValueError, match=re.escape("form [[2, 1], [0, 2]] is not symmetric")) as info:
+        gram_from_matrix(sp4, [[2, 1], [0, 2]])
+    assert type(info.value) is ValueError
+    with pytest.raises(NotPositiveDefinite, match=re.escape("leading 1x1 minor of the form [[-2]] is not positive")):
+        gram_from_matrix(sl2(), [[-2]])
+    with pytest.raises(NotWInvariant, match=re.escape("form [[2, 0], [0, 4]] is not Weyl invariant")):
+        gram_from_matrix(sp4, [[2, 0], [0, 4]])
+    with pytest.raises(OddOnCoroot, match=re.escape("S(a,a) = 1 on coroot (-1,) is not even positive for the form [[1]]")):
+        gram_from_matrix(sl2(), [[1]])
 
 
 def test_gram_from_matrix_names_a_bad_entry_or_shape():
@@ -329,6 +346,16 @@ def test_character_from_config_bases():
     assert value_on(chi, e1) == QmodZ(1, 3)
     e3 = psp6.ambient_to_lattice([0, 0, 1])
     assert value_on(chi, e3) == QmodZ(3, 10)
+
+
+def test_character_from_config_names_a_wrong_length_or_basis():
+    gl2 = preset("GL", 2)  # rank 2, one simple root
+    with pytest.raises(ValueError, match=re.escape("finite part of length 1 must have the rank 2")):
+        character_from_config(gl2, "0", [0])
+    with pytest.raises(ValueError, match=re.escape("2 values for 1 simple roots: need one per simple root")):
+        character_from_config(gl2, "0", [0, 0], basis="simple_roots")
+    with pytest.raises(ValueError, match=re.escape("unknown character basis 'weights'")):
+        character_from_config(gl2, "0", [0, 0], basis="weights")
 
 
 def test_typed_errors_name_the_datum_and_the_elements():

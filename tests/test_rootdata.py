@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -12,6 +13,7 @@ from weylkit.rootdata import (
     InvalidParams,
     RootDatum,
     UnknownPreset,
+    _FAMILIES,
     cartan_matrix,
     group_closure,
     is_isomorphic,
@@ -47,12 +49,48 @@ def test_cartan_matrix_rows_are_the_roots_of_the_given_coroots():
 
 
 def test_preset_errors():
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(UnknownPreset, match="E8ish"):
         preset("E8ish", 8)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=re.escape("Sp needs an integer parameter in 2, 4, 6, ..., not 3")):
         preset("Sp", 3)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=re.escape("SL needs an integer parameter in 2, 3, 4, ..., not None")):
         preset("SL")
+    for n in (-1, None, 2.5, True):
+        with pytest.raises(InvalidParams, match=re.escape(f"torus preset needs a nonnegative integer rank, not {n!r}")):
+            preset("torus", n)
+    for factors in (None, []):
+        with pytest.raises(InvalidParams, match=re.escape(f"product preset needs factors, not {factors!r}")):
+            preset("product", factors=factors)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_preset_parameter_check_names_the_family_and_the_parameter(family):
+    # one check per family: an int (not a bool), at least the least value and
+    # in its step; every refusal names the family and the parameter received
+    least, step, _ = _FAMILIES[family]
+    for n in [least - step, None, 2.5, True] + [least + 1] * (step == 2):
+        with pytest.raises(InvalidParams, match=re.escape(f"{family} needs an integer parameter in {least}, ") + ".*"
+                           + re.escape(f", not {n!r}")):
+            preset(family, n)
+    for n in (least, least + step):
+        assert validate_root_datum(preset(family, n)) == []
+
+
+# the classical families over their first ranks, and G2; the digest pins each
+# datum field by field, so a change to a builder shows here
+PINNED_PRESETS = ([("SL", n) for n in range(2, 9)] + [("PGL", n) for n in range(2, 8)] + [("GL", n) for n in range(1, 8)]
+                  + [("Sp", n) for n in range(2, 15, 2)] + [("PSp", n) for n in range(2, 15, 2)]
+                  + [("SO_odd", n) for n in range(3, 16, 2)] + [("Spin_odd", n) for n in range(3, 16, 2)]
+                  + [("SO_even", n) for n in range(4, 15, 2)] + [("G2", 2)])
+
+
+def test_presets_are_pinned():
+    digest = hashlib.sha256()
+    for name, n in PINNED_PRESETS:
+        rd = preset(name, n)
+        digest.update(repr((rd.rank, rd.roots, rd.coroots, rd.simple_indices, rd.ambient_basis, rd.name)).encode())
+    assert len(PINNED_PRESETS) == 55
+    assert digest.hexdigest() == "997d3af492569230b54e021972abf227adbc9b8b79589826af96e1a275be8ffe"
 
 
 def test_sl2_and_torus():
@@ -120,11 +158,13 @@ def test_weyl_permutes_coroots():
 
 
 def test_group_bound(monkeypatch):
-    monkeypatch.setenv("ENGINE_MAX_GROUP_SIZE", "5")
+    from weylkit import rootdata
+
+    monkeypatch.setattr(rootdata, "MAX_GROUP_SIZE", 5)
     weyl_elements.cache_clear()
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(GroupTooLarge, match="MAX_GROUP_SIZE = 5"):
         weyl_elements(preset("Sp", 4))
-    monkeypatch.delenv("ENGINE_MAX_GROUP_SIZE")
+    monkeypatch.undo()
     weyl_elements.cache_clear()
 
 

@@ -60,6 +60,24 @@ def test_no_unused_imports():
     assert _unused_imports(ast.parse(sample)) == ["b (line 3)", "os (line 1)", "r (line 2)"]
 
 
+def _environment_reads(tree):
+    """Lines that read os.environ or os.getenv, as an attribute or imported
+    from os by name."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name in names for a in node.names))
+
+
+def test_no_environment_reads():
+    # the package takes its inputs as arguments; a setting read from the
+    # environment is an option no caller passes and no test sweeps
+    found = {path.name: _environment_reads(ast.parse(path.read_text())) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sample = "import os\nx = os.environ.get('A')\nfrom os import getenv, path\ny = os.getenv('B')\nz = os.path.join('c')\n"
+    assert _environment_reads(ast.parse(sample)) == [2, 3, 4]
+
+
 def _cached_methods(tree):
     """Functions defined in a class body under lru_cache (bare, called, or as
     functools.lru_cache)."""
