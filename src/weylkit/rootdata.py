@@ -5,8 +5,9 @@ the dot product: coroots are column vectors in cocharacter coordinates and
 roots are covectors (value tuples on the cocharacter basis).
 
 ``preset`` reads one table of families, ``_FAMILIES``: each row gives the
-least parameter, the step between parameters (the parity) and a builder, and
-every builder reaches ``_build`` by one of two routes.  The Cartan route
+least parameter, the step between parameters (the parity), the largest
+parameter (None for no bound) and a builder, and every builder reaches
+``_build`` by one of two routes.  The Cartan route
 (``_cartan_build``, and PGL as its dual) gives an abstract datum from a
 Cartan matrix.  The classical route (``_classical``) takes the type-A simples
 e_i - e_{i+1} of Z^n and the family's last simple pair, optionally on a
@@ -243,22 +244,23 @@ def _type_a_cartan(n):
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
 
 
-# family: (least parameter p, step between parameters, builder of p).  Last
-# simple pairs: C (2e_n, e_n), B (e_n, 2e_n), D (e_{n-1} + e_n) for both.
+# family: (least parameter p, step between parameters, largest parameter or
+# None for no bound, builder of p).  Last simple pairs: C (2e_n, e_n),
+# B (e_n, 2e_n), D (e_{n-1} + e_n) for both.
 # PGL is SL's dual: unit vectors as simple roots, Cartan columns as coroots
 _FAMILIES = {
-    "SL": (2, 1, lambda p: _cartan_build(_type_a_cartan(p - 1), f"SL{p}")),
-    "PGL": (2, 1, lambda p: _build(identity(p - 1), _type_a_cartan(p - 1), p - 1, name=f"PGL{p}")),
-    "GL": (1, 1, lambda p: _classical(p, None, f"GL{p}")),
-    "SP": (2, 2, lambda p: _classical(p // 2, ((0, 2), (0, 1)), f"Sp{p}")),
+    "SL": (2, 1, None, lambda p: _cartan_build(_type_a_cartan(p - 1), f"SL{p}")),
+    "PGL": (2, 1, None, lambda p: _build(identity(p - 1), _type_a_cartan(p - 1), p - 1, name=f"PGL{p}")),
+    "GL": (1, 1, None, lambda p: _classical(p, None, f"GL{p}")),
+    "SP": (2, 2, None, lambda p: _classical(p // 2, ((0, 2), (0, 1)), f"Sp{p}")),
     # X_* = Z^n + Z (sum e_i)/2, basis (sum e_i / 2, e_2, ..., e_n)
-    "PSP": (2, 2, lambda p: _classical(p // 2, ((0, 2), (0, 1)), f"PSp{p}", lambda e: [(Fraction(1, 2),) * len(e), *e[1:]])),
-    "SO_ODD": (3, 2, lambda p: _classical(p // 2, ((0, 1), (0, 2)), f"SO{p}")),
+    "PSP": (2, 2, None, lambda p: _classical(p // 2, ((0, 2), (0, 1)), f"PSp{p}", lambda e: [(Fraction(1, 2),) * len(e), *e[1:]])),
+    "SO_ODD": (3, 2, None, lambda p: _classical(p // 2, ((0, 1), (0, 2)), f"SO{p}")),
     # X_* = the coroot lattice of B_n (even coordinate sum), basis e_i - e_{i+1}, 2e_n
-    "SPIN_ODD": (3, 2, lambda p: _classical(p // 2, ((0, 1), (0, 2)), f"Spin{p}",
-                                            lambda e: [*map(vec_sub, e, e[1:]), vec_scale(e[-1], 2)])),
-    "SO_EVEN": (4, 2, lambda p: _classical(p // 2, ((1, 1), (1, 1)), f"SO{p}")),
-    "G2": (2, 1, lambda p: _cartan_build(((2, -1), (-3, 2)), "G2")),
+    "SPIN_ODD": (3, 2, None, lambda p: _classical(p // 2, ((0, 1), (0, 2)), f"Spin{p}",
+                                                  lambda e: [*map(vec_sub, e, e[1:]), vec_scale(e[-1], 2)])),
+    "SO_EVEN": (4, 2, None, lambda p: _classical(p // 2, ((1, 1), (1, 1)), f"SO{p}")),
+    "G2": (2, 1, 2, lambda p: _cartan_build(((2, -1), (-3, 2)), "G2")),
 }
 
 
@@ -276,9 +278,10 @@ def preset(name: str, n: Optional[int] = None, factors=None) -> RootDatum:
         return product_datum(factors)
     if name.upper() not in _FAMILIES:
         raise UnknownPreset(name)
-    least, step, build = _FAMILIES[name.upper()]
-    if isinstance(n, bool) or not isinstance(n, int) or n < least or (n - least) % step:
-        raise InvalidParams(f"{name} needs an integer parameter in {least}, {least + step}, {least + 2 * step}, ..., not {n!r}")
+    least, step, largest, build = _FAMILIES[name.upper()]
+    if isinstance(n, bool) or not isinstance(n, int) or n < least or (n - least) % step or (largest is not None and n > largest):
+        values = f"{least}, {least + step}, {least + 2 * step}, ..." if largest is None else ", ".join(map(str, range(least, largest + 1, step)))
+        raise InvalidParams(f"{name} needs an integer parameter in {values}, not {n!r}")
     return build(n)
 
 

@@ -12,8 +12,13 @@ through  v-exponent = (word length) + l(w) - 2 (flag generator degree).
 The degreewise model (TruncModule) keeps each multiplication map by a
 variable as sparse columns with int entries; a Fraction enters only where an
 elimination divides by a pivot other than 1.  The map of a polynomial is
-built by composing these maps, and every kernel, span and quotient is taken
-on sparse rows by exact._rref, the package's one reduced-echelon routine.
+built by composing these maps, and each kernel and span is taken on sparse
+rows by exact._rref, the package's one reduced-echelon routine.  The
+sections of a degree keep the echelon form that elimination gives, {pivot:
+row} with one row per pivot, 1 at its pivot and 0 at the other pivots: the
+kernel basis at its free columns, the top layer as _rref returns it.  So
+quotient_module eliminates nothing, and the generator count is a rank read
+on the pivot coordinates alone.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
-from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_inv, mat_mul, mat_vec, rank as mat_rank, transpose
+from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_mul, mat_vec, rank as mat_rank, transpose
 from weylkit.hecke import LaurentPoly
 from weylkit.rootdata import _reflection_factors, group_closure
 
@@ -220,25 +226,31 @@ class Bimodule:
 
     def right_matrix_of_poly(self, f: Poly):
         """Evaluate f on the commuting right-action matrices."""
-        n_b = self.rank()
-        out = [[Poly.zero(self.n) for _ in range(n_b)] for _ in range(n_b)]
-        powers: Dict[Tuple[int, ...], list] = {}
+        return _right_matrix(self, f, {})
 
-        def mat_of_monomial(e):
-            acc = [[Poly.const(self.n, int(i == j)) for j in range(n_b)] for i in range(n_b)]
-            for j, k in enumerate(e):
-                for _ in range(k):
-                    acc = _poly_mat_mul(self.right_action[j], acc)
-            return acc
 
-        for e, c in f.coeffs.items():
-            if e not in powers:
-                powers[e] = mat_of_monomial(e)
-            me = powers[e]
-            for a in range(n_b):
-                for b in range(n_b):
-                    out[a][b] = out[a][b] + me[a][b].scale(c)
-        return out
+def _right_matrix(bm: Bimodule, f: Poly, powers):
+    """f on bm's right-action matrices; powers is a table {e: matrix of x^e}
+    shared by the calls on one bimodule, x^e built from x^(e - e_j) by one
+    product."""
+    n_b = bm.rank()
+
+    def power(e):
+        if e not in powers:
+            j = next((j for j, k in enumerate(e) if k), None)
+            if j is None:
+                powers[e] = [[Poly.const(bm.n, int(a == b)) for b in range(n_b)] for a in range(n_b)]
+            else:
+                powers[e] = _poly_mat_mul(bm.right_action[j], power(e[:j] + (e[j] - 1,) + e[j + 1 :]))
+        return powers[e]
+
+    out = [[Poly.zero(bm.n) for _ in range(n_b)] for _ in range(n_b)]
+    for e, c in f.coeffs.items():
+        me = power(e)
+        for a in range(n_b):
+            for b in range(n_b):
+                out[a][b] = out[a][b] + me[a][b].scale(c)
+    return out
 
 
 def _poly_mat_mul(a, b):
@@ -289,31 +301,27 @@ def tensor(a: Bimodule, b: Bimodule) -> Bimodule:
     n = a.n
     ra, rb = a.rank(), b.rank()
     degs = tuple(a.basis_degrees[p] + b.basis_degrees[q] for p in range(ra) for q in range(rb))
-    action = []
+    action, coeff_mats, powers, zero = [], {}, {}, Poly.zero(n)
     for j in range(n):
-        big = [[Poly.zero(n) for _ in range(ra * rb)] for _ in range(ra * rb)]
-        coeff_mats = {}
-        for l in range(rb):
-            for q in range(rb):
-                c = b.right_action[j][l][q]
-                if c.is_zero():
-                    continue
-                if c not in coeff_mats:
-                    coeff_mats[c] = a.right_matrix_of_poly(c)
-                ca = coeff_mats[c]
-                for mrow in range(ra):
-                    for p in range(ra):
-                        if ca[mrow][p].is_zero():
-                            continue
-                        big[mrow * rb + l][p * rb + q] = big[mrow * rb + l][p * rb + q] + ca[mrow][p]
-        action.append(tuple(tuple(row) for row in big))
+        for row in b.right_action[j]:
+            for c in row:
+                if c.coeffs and c not in coeff_mats:
+                    coeff_mats[c] = _right_matrix(a, c, powers)
+        # (e_p (x) e_q) . x_j = sum_l (e_p . c_lq) (x) e_l for b's entries c_lq:
+        # entry ((m, l), (p, q)) is entry (m, p) of a's matrix of c_lq
+        action.append(
+            tuple(
+                tuple(coeff_mats[c][mrow][p] if c.coeffs else zero for p in range(ra) for c in row)
+                for mrow in range(ra)
+                for row in b.right_action[j]
+            )
+        )
     return Bimodule(n, degs, tuple(action))
 
 
 def word_bimodule(reflections: Sequence[Mat]) -> Bimodule:
-    n = len(reflections[0])
-    out = free_module(n)
-    for m in reflections:
+    out = bott_samelson_bimodule(reflections[0])
+    for m in reflections[1:]:
         out = tensor(out, bott_samelson_bimodule(m))
     return out
 
@@ -353,37 +361,32 @@ def _compose(outer, inner):
     return tuple(tuple(_apply(outer, col).items()) for col in inner)
 
 
-def _combination(coeffs, maps):
-    """The map sum_t coeffs[t] * maps[t]: its column c is the vector coeffs
-    pushed through the columns c of the maps."""
-    return tuple(tuple(_apply(cols, enumerate(coeffs)).items()) for cols in zip(*maps))
-
-
-def _stacked_rows(maps):
-    """The nonzero rows {column: coefficient} of the maps stacked vertically."""
+def _stacked_rows(blocks):
+    """The nonzero rows {column: coefficient} of the maps sum_t a_t M_t
+    stacked vertically, one map per block of (a_t, M_t) terms."""
     rows = {}
-    for t, cols in enumerate(maps):
-        for c, col in enumerate(cols):
-            for r, x in col:
-                rows.setdefault((t, r), {})[c] = x
-    return list(rows.values())
+    for b, terms in enumerate(blocks):
+        for a, cols in terms:
+            for c, col in enumerate(cols):
+                for r, x in col:
+                    row = rows.setdefault((b, r), {})
+                    row[c] = row.get(c, 0) + a * x
+    return [row for row in ({c: _exact(y) for c, y in row.items() if y} for row in rows.values()) if row]
 
 
 def _kernel_basis(rows, ncols):
-    """Basis of the kernel of the sparse rows as maps on ncols coordinates:
-    one vector per non-pivot column."""
-    pivots, reduced, _ = _rref(rows)
+    """Basis of the kernel of the sparse rows as maps on ncols coordinates,
+    {free column: vector}: each vector is 1 at its own free column and 0 at
+    the other free columns.  The kernel does not depend on the order of the
+    rows; eliminating the sparsest first makes less fill-in."""
+    pivots, reduced, _ = _rref(sorted(rows, key=len))
     pivot_set = set(pivots)
     basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
     for p, row in zip(pivots, reduced):
         for k, y in row.items():
             if k != p:
                 basis[k][p] = -y
-    return list(basis.values())
-
-
-def _row_space_dim(vectors) -> int:
-    return len(_rref(vectors)[0])
+    return basis
 
 
 class TruncModule:
@@ -404,46 +407,40 @@ class TruncModule:
 
     @staticmethod
     def from_bimodule(bm: Bimodule, depth: int) -> "TruncModule":
-        n = bm.n
-        basis_by_deg = []
-        index = []
-        for d in range(depth + 1):
-            layer = []
-            for i, bd in enumerate(bm.basis_degrees):
-                rem = d - bd
-                if rem < 0:
-                    continue
-                for mono in _monomials(n, rem):
-                    layer.append((i, mono))
-            basis_by_deg.append(layer)
-            index.append({key: pos for pos, key in enumerate(layer)})
-        dims = [len(layer) for layer in basis_by_deg]
+        n, rank = bm.n, bm.rank()
+        layers = [[(i, mono) for i, bd in enumerate(bm.basis_degrees) for mono in _monomials(n, d - bd)] for d in range(depth + 1)]
+        index = [{key: pos for pos, key in enumerate(layer)} for layer in layers]
         left = [[None] * depth for _ in range(n)]
         right = [[None] * depth for _ in range(n)]
         for j in range(n):
+            unit = tuple(int(t == j) for t in range(n))
+            # the terms (l, e, coefficient) of e_i . x_j, read once per i
+            terms = [[(l, e, cf) for l in range(rank) for e, cf in bm.right_action[j][l][i].coeffs.items()] for i in range(rank)]
             for d in range(depth):
+                up = index[d + 1]
                 lcols, rcols = [], []
-                for i, mono in basis_by_deg[d]:
-                    up = tuple(k + int(t == j) for t, k in enumerate(mono))
-                    lcols.append(((index[d + 1][(i, up)], 1),))
+                for i, mono in layers[d]:
+                    lcols.append(((up[(i, tuple(map(add, mono, unit)))], 1),))
                     col = {}
-                    for l in range(bm.rank()):
-                        for e, cf in bm.right_action[j][l][i].coeffs.items():
-                            pos = index[d + 1][(l, tuple(a + b for a, b in zip(mono, e)))]
-                            col[pos] = col.get(pos, 0) + cf
+                    for l, e, cf in terms[i]:
+                        pos = up[(l, tuple(map(add, mono, e)))]
+                        col[pos] = col.get(pos, 0) + cf
                     rcols.append(tuple((pos, _exact(c)) for pos, c in col.items() if c))
                 left[j][d] = tuple(lcols)
                 right[j][d] = tuple(rcols)
-        return TruncModule(n, dims, left, right)
+        return TruncModule(n, [len(layer) for layer in layers], left, right)
 
 
 def graph_sections(mod: TruncModule, w: Mat):
-    """Per degree, a basis of the sections supported on Gamma^w = {x = w(y)}:
-    the right action of y_j equals the left action of (w^{-1} x)_j.
+    """Per degree, the sections supported on Gamma^w = {x = w(y)} in echelon
+    form {pivot: row}: each row is 1 at its pivot and 0 at the other pivots
+    of its degree.  On Gamma^w the left action of x_i equals the right action
+    of (w y)_i, so the relations twist by w itself and need no inverse.
 
-    Below the top degree D this is the kernel of right-minus-twisted-left
-    into the next degree.  Degree D has no next degree to test against, so
-    its layer is the left span R_1 * (degree D-1 sections).  That is exact
+    Below the top degree D the sections are the kernel of left-minus-twisted-
+    right into the next degree, one row per free column of the relations.
+    Degree D has no next degree to test against, so its layer is the reduced
+    echelon form of the left span R_1 * (degree D-1 sections).  That is exact
     when the section module is generated as a left R-module in degrees
     < D.  For the support filtration of a Bott-Samelson bimodule of a word
     of length k this holds once D > k: by the standard filtration each
@@ -451,52 +448,41 @@ def graph_sections(mod: TruncModule, w: Mat):
     R-modules on generators of degree #D0 + #U1 <= k, counted over the
     subexpressions of the word (the same count as the Hecke-side formula
     v-exponent = k + l(w) - 2 (generator degree))."""
-    winv = [[_exact(x) for x in row] for row in mat_inv(w)]
     n = mod.n
     depth = len(mod.dims) - 1
     if depth < 1:
         raise ValueError("graph_sections needs a module truncated at degree >= 1")
     out = []
     for d in range(depth):
-        ops = []
-        for j in range(n):
-            twist = [l for l in range(n) if winv[j][l]]
-            ops.append(
-                _combination([1] + [-winv[j][l] for l in twist], [mod.right[j][d]] + [mod.left[l][d] for l in twist])
-            )
-        out.append(_kernel_basis(_stacked_rows(ops), mod.dims[d]))
-    out.append(_rref(_left_span_images(mod, out[-1], depth))[1])
+        blocks = [[(1, mod.left[i][d])] + [(-x, mod.right[l][d]) for l, x in enumerate(w[i]) if x] for i in range(n)]
+        out.append(_kernel_basis(_stacked_rows(blocks), mod.dims[d]))
+    pivots, reduced, _ = _rref(_left_span_images(mod, out[-1].values(), depth))
+    out.append(dict(zip(pivots, reduced)))
     return out
 
 
-def quotient_module(mod: TruncModule, sub_bases) -> TruncModule:
-    """Quotient by a degreewise subspace closed under both actions.
+def quotient_module(mod: TruncModule, sections) -> TruncModule:
+    """Quotient by a degreewise subspace closed under both actions, given in
+    echelon form {pivot: row} per degree as graph_sections returns it; no
+    elimination is needed.
 
-    The quotient keeps the non-pivot positions of the subspace's reduced
-    echelon form; projecting onto them sends a pivot position p to minus
-    the rest of the pivot row of p.  The quotient's maps are the
-    projections composed with the maps restricted to the kept positions."""
+    The quotient keeps the non-pivot positions; projecting onto them sends a
+    pivot position p to minus the rest of the row of p.  The quotient's maps
+    are the projections composed with the maps restricted to the kept
+    positions, and the zero module when the rows cover every position."""
     n = mod.n
     depth = len(mod.dims) - 1
-    kept, projections = [], []
-    for d in range(depth + 1):
-        pivots, reduced, _ = _rref(sub_bases[d] if d < len(sub_bases) else [])
-        rows = dict(zip(pivots, reduced))
-        keep = [c for c in range(mod.dims[d]) if c not in rows]
+    kept = [[c for c in range(dim) if c not in rows] for dim, rows in zip(mod.dims, sections)]
+    if not any(kept):
+        return TruncModule(n, [0] * (depth + 1), [[()] * depth for _ in range(n)], [[()] * depth for _ in range(n)])
+    projections = []
+    for dim, rows, keep in zip(mod.dims, sections, kept):
         new = {c: pos for pos, c in enumerate(keep)}
         projections.append(
-            tuple(
-                tuple((new[k], -y) for k, y in rows[c].items() if k != c) if c in rows else ((new[c], 1),)
-                for c in range(mod.dims[d])
-            )
+            tuple(tuple((new[k], -y) for k, y in rows[c].items() if k != c) if c in rows else ((new[c], 1),) for c in range(dim))
         )
-        kept.append(keep)
-    left = [[None] * depth for _ in range(n)]
-    right = [[None] * depth for _ in range(n)]
-    for j in range(n):
-        for d in range(depth):
-            left[j][d] = _compose(projections[d + 1], [mod.left[j][d][c] for c in kept[d]])
-            right[j][d] = _compose(projections[d + 1], [mod.right[j][d][c] for c in kept[d]])
+    left = [[_compose(projections[d + 1], [mod.left[j][d][c] for c in kept[d]]) for d in range(depth)] for j in range(n)]
+    right = [[_compose(projections[d + 1], [mod.right[j][d][c] for c in kept[d]]) for d in range(depth)] for j in range(n)]
     return TruncModule(n, [len(keep) for keep in kept], left, right)
 
 
@@ -554,12 +540,12 @@ def graph_character_table(reflections: Sequence[Mat], depth: Optional[int] = Non
     out: Dict[Mat, LaurentPoly] = {}
     for g in order:
         secs = graph_sections(mod, g)
-        coeffs: Dict[int, int] = {}
-        for d in range(len(mod.dims) - 1):
-            # generators in degree d: sections not in the left span of degree d-1
-            new = len(secs[d]) - (_row_space_dim(_left_span_images(mod, secs[d - 1], d)) if d else 0)
-            if new:
-                coeffs[k + lengths[g] - 2 * d] = new
+        # generators in degree d: sections not in the left span of degree
+        # d-1, whose rank is read on the pivots of the degree-d sections
+        coeffs = {k + lengths[g]: len(secs[0])}
+        for d in range(1, len(mod.dims) - 1):
+            span = [{p: y for p, y in v.items() if p in secs[d]} for v in _left_span_images(mod, secs[d - 1].values(), d)]
+            coeffs[k + lengths[g] - 2 * d] = len(secs[d]) - len(_rref(span)[0])
         out[g] = LaurentPoly(coeffs)
         mod = quotient_module(mod, secs)
     if any(mod.dims):
@@ -606,8 +592,8 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
     gens = [Poly.linear([v.get(i, 0) for i in range(n)]) for v in invariant_linear] + [alpha * alpha]
     end_dims = []
     for d in range(depth):
-        ops = [op for op in (_left_minus_right(mod, g, d) for g in gens) if op is not None]
-        end_dims.append(len(_kernel_basis(_stacked_rows(ops), mod.dims[d])))
+        blocks = [terms for terms in (_left_minus_right(mod, g, d) for g in gens) if terms is not None]
+        end_dims.append(len(_kernel_basis(_stacked_rows(blocks), mod.dims[d])))
 
     # Gamma^1 and Gamma^r are graphs of linear maps, so each graph quotient
     # (p, q) |-> p +- q alpha of B_r is onto R, and the hyperplane ring
@@ -627,24 +613,27 @@ def _invariant_linear_forms(m: Mat):
     """Basis of covectors fixed by the reflection (the hyperplane equations'
     complement): kernel of (m^T - 1)."""
     rows = [{j: x - int(i == j) for j, x in enumerate(row) if x != int(i == j)} for i, row in enumerate(transpose(m))]
-    return _kernel_basis(rows, len(m))
+    return list(_kernel_basis(rows, len(m)).values())
 
 
 def _left_minus_right(mod: TruncModule, g: Poly, d: int):
-    """Map (left mult by g) - (right mult by g) from degree d, or None when
-    its target lies above the truncation.  Each monomial's map on a side is
-    the composite of that side's maps by its variables."""
+    """The terms (coefficient, map) of (left mult by g) - (right mult by g)
+    from degree d, or None when its target lies above the truncation.  Each
+    monomial's map on a side is the composite of that side's maps by its
+    variables; a constant acts alike on both sides and gives no term."""
     if not g.is_homogeneous():
         raise ValueError(f"left-minus-right needs a homogeneous polynomial, not {g}")
     deg = g.degree()
     if d + deg >= len(mod.dims):
         return None
-    coeffs, maps = [], []
+    terms = []
     for e, cf in g.coeffs.items():
+        steps = [j for j, k in enumerate(e) for _ in range(k)]
+        if not steps:
+            continue
         for sign, side in ((1, mod.left), (-1, mod.right)):
-            composite = tuple(((c, 1),) for c in range(mod.dims[d]))
-            for step, j in enumerate(j for j, k in enumerate(e) for _ in range(k)):
+            composite = side[steps[0]][d]
+            for step, j in enumerate(steps[1:], 1):
                 composite = _compose(side[j][d + step], composite)
-            coeffs.append(sign * _exact(cf))
-            maps.append(composite)
-    return _combination(coeffs, maps)
+            terms.append((sign * _exact(cf), composite))
+    return terms

@@ -55,6 +55,10 @@ def test_preset_errors():
         preset("Sp", 3)
     with pytest.raises(InvalidParams, match=re.escape("SL needs an integer parameter in 2, 3, 4, ..., not None")):
         preset("SL")
+    # G2 has the one parameter 2; a larger one is refused, not read as G2
+    for n in (3, 7):
+        with pytest.raises(InvalidParams, match=re.escape(f"G2 needs an integer parameter in 2, not {n}")):
+            preset("G2", n)
     for n in (-1, None, 2.5, True):
         with pytest.raises(InvalidParams, match=re.escape(f"torus preset needs a nonnegative integer rank, not {n!r}")):
             preset("torus", n)
@@ -65,15 +69,19 @@ def test_preset_errors():
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_preset_parameter_check_names_the_family_and_the_parameter(family):
-    # one check per family: an int (not a bool), at least the least value and
-    # in its step; every refusal names the family and the parameter received
-    least, step, _ = _FAMILIES[family]
-    for n in [least - step, None, 2.5, True] + [least + 1] * (step == 2):
-        with pytest.raises(InvalidParams, match=re.escape(f"{family} needs an integer parameter in {least}, ") + ".*"
+    # one check per family: an int (not a bool), at least the least value, at
+    # most the largest and in its step; every refusal names the family and the
+    # parameter received.  Only G2 has a largest parameter
+    least, step, largest, _ = _FAMILIES[family]
+    assert largest == (2 if family == "G2" else None)
+    above = [largest + 1, largest + 5] if largest is not None else []
+    for n in [least - step, None, 2.5, True] + [least + 1] * (step == 2) + above:
+        with pytest.raises(InvalidParams, match=re.escape(f"{family} needs an integer parameter in {least}") + ".*"
                            + re.escape(f", not {n!r}")):
             preset(family, n)
-    for n in (least, least + step):
-        assert validate_root_datum(preset(family, n)) == []
+    for n in (least, least + step, least + 5 * step):
+        if largest is None or n <= largest:
+            assert validate_root_datum(preset(family, n)) == []
 
 
 # the classical families over their first ranks, and G2; the digest pins each

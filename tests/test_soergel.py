@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,6 +10,7 @@ from weylkit.exact import identity, mat_mul, rank as mat_rank
 from weylkit.hecke import LaurentPoly, ONE, V
 from weylkit.soergel import (
     Bimodule,
+    GenericPointCollision,
     NotAReflection,
     Poly,
     TruncModule,
@@ -148,6 +150,8 @@ def test_graph_character_a2_sts():
 def test_graph_character_matches_hecke_rank2():
     # the cross-module oracle on words of length <= 3 here (length 4 in the
     # acceptance suite): A2, C2 and G2 realizations
+    from itertools import product
+
     from weylkit.affine import CharacterPoint, affine_coroot_reflection, gram_from_weights
     from weylkit.hecke import bott_samelson_product
     from weylkit.integral import integral_simple_system
@@ -162,7 +166,8 @@ def test_graph_character_matches_hecke_rank2():
         refl = [affine_coroot_reflection(rd, ac) for ac in finite]
         # identify the two finite walls with the coordinate realizations
         assert len(refl) == 2
-        for word_idx in ([0], [0, 1], [1, 0, 1], [0, 1, 0]):
+        # every word of length <= 3 in the two letters, non-reduced ones included
+        for word_idx in (list(w) for k in (1, 2, 3) for w in product((0, 1), repeat=k)):
             hecke_word = [("r", refl[i]) for i in word_idx]
             _, table = bott_samelson_product(rd, form, chi, hecke_word)
             soergel_table = graph_character_table([mats[i] for i in word_idx])
@@ -298,8 +303,10 @@ def test_sparse_elimination_against_dense():
         assert all(row[p] == 1 and all(q == p or q not in row for q in pivots) for p, row in zip(pivots, reduced))
         kernel = _kernel_basis(rows, ncols)
         assert len(kernel) == ncols - len(_dense_pivots(rows, ncols))
-        as_dense = tuple(tuple(v.get(c, 0) for c in range(ncols)) for v in kernel)
-        assert len(_dense_pivots(kernel, ncols)) == len(kernel)
+        # echelon on the free columns: 1 at its own, 0 at the others
+        assert all(v[fc] == 1 and all(q == fc or q not in v for q in kernel) for fc, v in kernel.items())
+        as_dense = tuple(tuple(v.get(c, 0) for c in range(ncols)) for v in kernel.values())
+        assert len(_dense_pivots(list(kernel.values()), ncols)) == len(kernel)
         for v in as_dense:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in dense)
 
@@ -436,3 +443,100 @@ def test_rank_one_factors_against_fraction_factorization():
         for factors in (_rank_one_factors, _fraction_rank_one_factors):
             with pytest.raises(NotAReflection):
                 factors(m)
+
+
+def test_input_checks_name_the_fault():
+    from weylkit.soergel import _divide_by_linear
+
+    with pytest.raises(ValueError, match=re.escape("tensor of bimodules over 1 and 2 variables")):
+        tensor(bott_samelson_bimodule(NEG1), bott_samelson_bimodule(SWAP))
+    with pytest.raises(ValueError, match=re.escape("graph_sections needs a module truncated at degree >= 1")):
+        graph_sections(TruncModule.from_bimodule(bott_samelson_bimodule(NEG1), 0), NEG1)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    with pytest.raises(ValueError, match=re.escape("polynomial is not divisible by the linear form")):
+        _divide_by_linear(x * y + y, x)
+
+
+def test_support_filtration_collisions_are_raised(monkeypatch):
+    from weylkit import soergel
+
+    # unchanged, the last quotient is the zero module, built without
+    # composing a map
+    composed, last = [0], []
+    compose, quotient = soergel._compose, soergel.quotient_module
+
+    def counted_compose(outer, inner):
+        composed[0] += 1
+        return compose(outer, inner)
+
+    def recorded_quotient(mod, sections):
+        composed[0] = 0
+        last[:] = [quotient(mod, sections), composed[0]]
+        return last[0]
+
+    monkeypatch.setattr(soergel, "_compose", counted_compose)
+    monkeypatch.setattr(soergel, "quotient_module", recorded_quotient)
+    graph_character_table([A2_S, A2_T])
+    zero, calls = last
+    assert zero.dims == [0] * 5 and calls == 0
+    assert zero.left == zero.right == [[()] * 4, [()] * 4]
+
+    # one section dropped from the last graph filtered, Gamma^e: the last
+    # quotient is not zero
+    sections = soergel.graph_sections
+    seen = []
+
+    def short_sections(mod, w):
+        secs = sections(mod, w)
+        if w == identity(2):
+            secs[0].pop(next(iter(secs[0])))
+        seen.append(w)
+        return secs
+
+    monkeypatch.setattr(soergel, "graph_sections", short_sections)
+    with pytest.raises(GenericPointCollision, match="support filtration did not exhaust the module"):
+        graph_character_table([A2_S, A2_T])
+    assert seen[-1] == identity(2) and len(seen) == 4 and last[0].dims == [1, 0, 0, 0, 0]
+    monkeypatch.setattr(soergel, "graph_sections", sections)
+
+    # fiber ranks off by one at every generic point
+    fiber_rank = soergel._fiber_rank_at
+    monkeypatch.setattr(soergel, "_fiber_rank_at", lambda bm, w, point: fiber_rank(bm, w, point) + 1)
+    with pytest.raises(GenericPointCollision, match="fiber ranks disagree with the filtration"):
+        graph_character_table([A2_S, A2_T])
+
+
+def test_support_filtration_eliminates_each_subspace_once(monkeypatch):
+    # per support element, one elimination per degree for the sections and
+    # one per degree 1..D-1 for the generator count, none in quotient_module:
+    # 52 and 96 calls when the quotient and the count eliminated again
+    from weylkit import soergel
+
+    calls, inside = [0, 0], [False]
+    rref, quotient = soergel._rref, soergel.quotient_module
+
+    def counted_rref(rows):
+        calls[0] += 1
+        calls[1] += inside[0]
+        return rref(rows)
+
+    def flagged_quotient(mod, sections):
+        inside[0] = True
+        try:
+            return quotient(mod, sections)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(soergel, "_rref", counted_rref)
+    monkeypatch.setattr(soergel, "quotient_module", flagged_quotient)
+    for word, most in (([A2_S, A2_T], 32), ([A2_S, A2_T, A2_S], 60)):
+        calls[:] = [0, 0]
+        graph_character_table(word)
+        assert calls[0] <= most and calls[1] == 0, (len(word), calls)
+
+    # a constant acts alike on both sides: left minus right is the zero map
+    mod = TruncModule.from_bimodule(bott_samelson_bimodule(A2_S), 3)
+    for d in range(4):
+        assert soergel._stacked_rows([soergel._left_minus_right(mod, Poly.const(2, 5), d)]) == []
+    # a linear form that is not invariant does not commute with B_s
+    assert soergel._stacked_rows([soergel._left_minus_right(mod, reflection_equation(A2_S), 0)])
