@@ -315,11 +315,12 @@ def affine_coroot_reflection(rd: RootDatum, ac: AffineCoroot) -> ExtendedWeylEle
 
 
 def act_affine_coroot(g: ExtendedWeylElement, rd: RootDatum, form: GramForm, ac: AffineCoroot) -> AffineCoroot:
+    """g (alpha, n) = (w alpha, m) for g = t^lam w, m q(alpha) = n q(alpha) +
+    S(lam, w alpha).  m = n + <lam, b> is an integer, b the root of w alpha,
+    as S(lam, beta) = <lam, b> q(beta) for every coroot beta with root b, and
+    q(w alpha) = q(alpha)."""
     a, v = extended_act_cochar(g, form, ac.pair_form(form))
-    q = form.q(v)
-    if a % q:
-        raise ArithmeticError("affine coroot image has a non-integral level")
-    return AffineCoroot(tuple(v), a // q)
+    return AffineCoroot(tuple(v), a // form.q(v))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class QmodZ:
 
     def __post_init__(self):
         if self.den <= 0:
-            raise ValueError("denominator must be positive")
+            raise ValueError(f"QmodZ({self.num}, {self.den}) needs a positive denominator")
         g = math.gcd(self.num, self.den)
         # num // g and den // g are coprime, so a zero class has den 1
         object.__setattr__(self, "num", (self.num // g) % (self.den // g))
@@ -344,11 +344,11 @@ def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
     rows = len(a)
     n = len(a[0]) if rows else 0
     if len(moduli) != rows:
-        raise DimensionMismatch("rows of a and moduli must agree")
+        raise DimensionMismatch(f"{rows} rows of a and {len(moduli)} moduli must agree")
     scaled = [_over_common_denominator(tuple(map(Fraction, row)), (Fraction(m),)) for row, m in zip(a, moduli)]
     scales, int_mod = [s for _, s in scaled], [m for (_, (m,)), _ in scaled]
     if any(m < 0 for m in int_mod):
-        raise ValueError("moduli must be nonnegative")
+        raise ValueError(f"moduli {list(moduli)} must be nonnegative")
     # B = [A | M] with M = diag of moduli (drop zero-modulus columns)
     mod_cols = [i for i in range(rows) if int_mod[i] != 0]
     big = [list(row) + [int_mod[i] * (i == j) for j in mod_cols] for i, ((row, _), _) in enumerate(scaled)]
@@ -367,7 +367,7 @@ def congruence_solver(a, moduli) -> Callable[..., Optional[CosetZn]]:
 
     def solve(b, den=1) -> Optional[CosetZn]:
         if len(b) != rows:
-            raise DimensionMismatch("rows of a, b, moduli must agree")
+            raise DimensionMismatch(f"{len(b)} right-hand sides for {rows} rows of a and moduli")
         if any(type(x) is not int for x in b):
             (b,), e = _over_common_denominator(b)
             den *= e

@@ -32,6 +32,7 @@ from weylkit.affine import (
     extended_act_character,
     slice_act_inverse,
 )
+from weylkit.duality import VerificationFailed
 from weylkit.integral import CharacterMismatch, integral_simple_system, is_minimal
 from weylkit.rootdata import RootDatum
 
@@ -143,7 +144,7 @@ class HeckeElement:
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if (self.left_char, self.right_char) != (other.left_char, other.right_char):
-            raise CharacterMismatch("cannot add elements with different characters")
+            raise CharacterMismatch(f"cannot add elements of characters {self.left_char, self.right_char} and {other.left_char, other.right_char}")
         out = dict(self.support)
         for g, c in other.support.items():
             out[g] = out.get(g, LaurentPoly.zero()) + c
@@ -151,9 +152,6 @@ class HeckeElement:
 
     def scale(self, p: LaurentPoly) -> "HeckeElement":
         return HeckeElement(self.left_char, self.right_char, {g: c * p for g, c in self.support.items()})
-
-    def specialize_v1(self) -> Dict[ExtendedWeylElement, int]:
-        return {g: c.at_one() for g, c in self.support.items() if c.at_one()}
 
 
 def t_element(
@@ -243,7 +241,7 @@ def bott_samelson_product(rd: RootDatum, form: GramForm, chi: CharacterPoint, wo
     table = {g: c for g, c in elt.support.items()}
     for g, c in table.items():
         if not c.nonnegative():
-            raise RuntimeError(f"Bott-Samelson multiplicity {c} of {g} is negative")
+            raise VerificationFailed(f"Bott-Samelson multiplicity {c} of {g} is negative")
     return elt, table
 
 

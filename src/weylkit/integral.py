@@ -106,11 +106,11 @@ def omega_compose(
     chi_right: CharacterPoint,
 ) -> ExtendedWeylElement:
     """Product of minimal elements; the result is again minimal (l:minmult)."""
-    if extended_act_character(b, form, chi_right) != chi_mid:
-        raise CharacterMismatch("right character of a must equal left character of b")
+    if (left := extended_act_character(b, form, chi_right)) != chi_mid:
+        raise CharacterMismatch(f"left character {left} of {b} is not the middle character {chi_mid}")
     right = integral_simple_system(rd, form, chi_right)
     if not is_minimal(integral_simple_system(rd, form, chi_mid), a) or not is_minimal(right, b):
-        raise NotInStabilizerOrbit("omega_compose expects minimal elements")
+        raise NotInStabilizerOrbit(f"omega_compose expects minimal elements, not {a} and {b}")
     out = a * b
     if not is_minimal(right, out):
         raise NotInStabilizerOrbit(f"product of the minimal elements {a} and {b} is not minimal")

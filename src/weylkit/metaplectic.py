@@ -57,20 +57,13 @@ class EndoscopicData:
     rd_h: RootDatum
     rd_h_dual: RootDatum
 
-    def rescale_of(self, coroot: Vec) -> int:
-        return dict(self.rescale)[tuple(coroot)]
-
 
 def endoscopic_lattice(rd: RootDatum, form: GramForm, c: QmodZ) -> Tuple[Vec, ...]:
-    """Basis rows of {lam : c S(lam, mu) in Z for all mu}."""
-    n = rd.rank  # c S lam in Z^n iff c.num S lam = 0 (mod c.den)
-    sol = solve_integer_affine([[c.num * x for x in row] for row in form.matrix], [0] * n, [c.den] * n)
-    if sol is None or any(sol.particular):
-        raise ValidationFailed(f"c S(lam, -) integral at c = {c} has no lattice through 0: {sol}")
-    basis = sol.basis
-    if len(basis) != n:
-        raise ValidationFailed("endoscopic lattice is not of finite index")
-    return basis
+    """Basis rows of {lam : c S(lam, mu) in Z for all mu}, the lam with
+    c.num S lam = 0 (mod c.den): the right-hand side 0 solves to the
+    particular 0, and the lattice holds c.den Z^n, so the basis has n rows."""
+    n = rd.rank
+    return solve_integer_affine([[c.num * x for x in row] for row in form.matrix], [0] * n, [c.den] * n).basis
 
 
 def rescale_factor(rd: RootDatum, form: GramForm, c: QmodZ, coroot: Vec) -> int:
@@ -113,7 +106,7 @@ def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> Endoscopic
     )
     bad = validate_root_datum(rd_h)
     if bad:
-        raise ValidationFailed("; ".join(bad))
+        raise ValidationFailed(f"{rd_h.name} is not a root datum: " + "; ".join(bad))
     return EndoscopicData(basis, rescale, rd_h, langlands_dual(rd_h))
 
 
@@ -126,10 +119,17 @@ def endoscopic_root_datum(rd: RootDatum, form: GramForm, c: QmodZ) -> Endoscopic
 
 def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> dict:
     """Conjugate the bullet integral group by tau^mu and compare with the
-    endoscopic side; also report whether bullet = full on each side."""
+    endoscopic side; also report whether bullet = full on each side.
+
+    The level step of a simple integral direction alpha is its rescale N:
+    both are the denominator of c~ q(alpha), as c - c~ and q(alpha) are
+    integers.  mu is solved over Q in the span of the simple integral
+    coroots: the integral directions are closed under their own reflections,
+    so their positive indecomposables are a simple system, whose Cartan
+    matrix is invertible."""
     n = rd.rank
     if len(chi.finite) != n:
-        raise NoCommonFrame("character has the wrong rank")
+        raise NoCommonFrame(f"character {chi} has {len(chi.finite)} finite values for the rank {n}")
     endo = endoscopic_root_datum(rd, form, chi.central)
     system = integral_simple_system(rd, form, chi)
     progs = dict(system.progressions)
@@ -137,18 +137,11 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
     simples = tuple(sorted(_indecomposable(cv for cv in directions if rd.is_positive_coroot(cv))))
 
     # per simple integral direction: (alpha, i_alpha the minimal nonnegative
-    # integral level, the level step, the rescale N), the step being N
-    families = []
-    for cv in simples:
-        p, nfac = progs[cv], endo.rescale_of(cv)
-        if p[1] != nfac:
-            raise ValidationFailed(f"level step {p[1]} of {cv} differs from its rescale {nfac}")
-        families.append((cv, progression_min_at_least(p, 0), p[1], nfac))
+    # integral level)
+    families = [(cv, progression_min_at_least(progs[cv], 0)) for cv in simples]
 
     # mu solved over Q in the span of the simple integral coroots
-    coeffs = solve_linear(cartan_matrix(rd, simples), [-i0 for _, i0, _, _ in families]) if simples else ()
-    if coeffs is None:
-        raise NoCommonFrame("could not solve for the conjugating translation")
+    coeffs = solve_linear(cartan_matrix(rd, simples), [-i0 for _, i0 in families])
     mu = tuple(sum((x * cv[i] for x, cv in zip(coeffs, simples)), Fraction(0)) for i in range(n))
     termwise = _termwise_conjugation(rd, mu, families)
 
@@ -182,16 +175,16 @@ def bullet_weyl_compare(rd: RootDatum, form: GramForm, chi: CharacterPoint) -> d
 
 
 def _termwise_conjugation(rd: RootDatum, mu, families) -> bool:
-    """tau g_j tau^{-1} = h_j for tau = t^mu and each family (alpha, i0, step,
-    N), with g_j = t^{(i0 + j step) alpha} s_alpha and h_j = t^{j N alpha}
-    s_alpha.  The left side is t^mu t^v s t^{-mu} = t^{v + mu - s(mu)} s for
-    v = (i0 + j step) alpha and s = s_alpha, one product with s per family:
-    both translations are affine in j, so j in {0, 1} decides every j."""
+    """tau g_j tau^{-1} = h_j for tau = t^mu and each family (alpha, i0),
+    with g_j = t^{(i0 + j N) alpha} s_alpha and h_j = t^{j N alpha} s_alpha,
+    N the step and rescale of alpha.  The left side is t^mu t^v s t^{-mu} =
+    t^{v + mu - s(mu)} s for v = (i0 + j N) alpha and s = s_alpha, so both
+    sides carry t^{j N alpha}, and the identity for every j is
+    mu - s(mu) = -i0 alpha."""
     termwise = True
-    for cv, i0, step, nfac in families:
+    for cv, i0 in families:
         shift = vec_sub(mu, mat_vec(rd.reflection(_coroot_table(rd).index[cv]), mu))  # mu - s(mu)
-        for j in (0, 1):
-            termwise &= all((i0 + j * step) * x + y == j * nfac * x for x, y in zip(cv, shift))
+        termwise &= all(i0 * x + y == 0 for x, y in zip(cv, shift))
     return termwise
 
 

@@ -107,22 +107,6 @@ class RootDatum:
     def simple_reflections(self) -> Tuple[Mat, ...]:
         return tuple(self.reflection(i) for i in self.simple_indices)
 
-    def ambient_to_lattice(self, v_ambient) -> Vec:
-        b_inv = mat_inv(self.ambient_basis)
-        w = mat_vec(b_inv, tuple(Fraction(x) for x in v_ambient))
-        if any(x.denominator != 1 for x in w):
-            raise ValueError(f"{v_ambient} is not in the cocharacter lattice")
-        return tuple(int(x) for x in w)
-
-    def lattice_to_ambient(self, v) -> Tuple[Fraction, ...]:
-        return mat_vec(self.ambient_basis, v)
-
-    def covector_ambient_to_lattice(self, phi_ambient) -> Vec:
-        w = mat_vec(transpose(self.ambient_basis), tuple(Fraction(x) for x in phi_ambient))
-        if any(x.denominator != 1 for x in w):
-            raise ValueError(f"{phi_ambient} is not in the character lattice")
-        return tuple(int(x) for x in w)
-
 
 class CorootTable(NamedTuple):
     index: Mapping[Vec, int]  # each coroot's position in rd.coroots
@@ -199,7 +183,7 @@ def _closure(simple_roots, simple_coroots):
                     pairs.add(p)
                     new.add(p)
         if len(pairs) > MAX_ROOTS:
-            raise GroupTooLarge(f"root system closure exceeds {MAX_ROOTS} roots")
+            raise GroupTooLarge(f"the closure of the simple roots {simple_roots} exceeds {MAX_ROOTS} roots")
         frontier = new
     both = sorted(pairs)
     return tuple(p[0] for p in both), tuple(p[1] for p in both)

@@ -177,38 +177,6 @@ def _rank_one_factors(m: Mat):
     return [sign * x for x in r], [sign * x // g for x in c]
 
 
-def _divide_by_linear(f: Poly, alpha: Poly) -> Poly:
-    """Exact division f / alpha for a linear form alpha; remainder must vanish.
-    Each step cancels the term of rem largest by (e[pivot], e) exactly with
-    t alpha, and every other term of t alpha has a lower pivot exponent and
-    the same degree; so that largest (e[pivot], e) falls strictly, among the
-    finitely many exponents of bounded degree, and the loop ends."""
-    n = f.n
-    pivot = min(i for e in alpha.coeffs for i, k in enumerate(e) if k)
-    c_piv = alpha.coeffs[tuple(int(k == pivot) for k in range(n))]
-    quotient = Poly.zero(n)
-    rem = f
-    while True:
-        terms = [(e, c) for e, c in rem.coeffs.items() if e[pivot] > 0]
-        if not terms:
-            break
-        e, c = max(terms, key=lambda t: (t[0][pivot], t[0]))
-        e_quot = tuple(k - int(i == pivot) for i, k in enumerate(e))
-        t = Poly(n, {e_quot: Fraction(c, c_piv)})
-        quotient = quotient + t
-        rem = rem - t * alpha
-    if not rem.is_zero():
-        raise ValueError("polynomial is not divisible by the linear form")
-    return quotient
-
-
-def demazure(m: Mat, f: Poly, alpha: Optional[Poly] = None) -> Poly:
-    """Divided difference (f - r.f)/alpha_r with the canonical alpha."""
-    if alpha is None:
-        alpha = reflection_equation(m)
-    return _divide_by_linear(f - reflection_action(m, f), alpha)
-
-
 # ---------------------------------------------------------------------------
 # bimodules presented by a free left basis and right-action matrices
 
@@ -223,10 +191,6 @@ class Bimodule:
 
     def rank(self) -> int:
         return len(self.basis_degrees)
-
-    def right_matrix_of_poly(self, f: Poly):
-        """Evaluate f on the commuting right-action matrices."""
-        return _right_matrix(self, f, {})
 
 
 def _right_matrix(bm: Bimodule, f: Poly, powers):
@@ -264,11 +228,6 @@ def _poly_mat_mul(a, b):
                 acc = acc + a[i][k] * b[k][j]
             out[i][j] = acc
     return out
-
-
-def free_module(n: int) -> Bimodule:
-    """R itself: rank one, right action = left action."""
-    return Bimodule(n, (0,), tuple(((Poly.variable(n, j),),) for j in range(n)))
 
 
 def bott_samelson_bimodule(m: Mat) -> Bimodule:

@@ -12,8 +12,10 @@ from weylkit.exact import (
     identity,
     lattice_basis_from_generators,
     lattice_contains,
+    mat_inv,
     mat_vec,
     solve_integer_affine,
+    transpose,
     vec_add,
     vec_scale,
 )
@@ -32,6 +34,24 @@ def even_form(rd):
         return gram_from_weights(rd, rd.roots)
     except NotPositiveDefinite:
         return gram_from_weights(rd, [tuple(s * int(i == j) for j in range(rd.rank)) for i in range(rd.rank) for s in (1, -1)])
+
+
+def ambient_to_lattice(rd, v_ambient):
+    """A cocharacter given in ambient coordinates, in the coordinates of the
+    lattice basis rd.ambient_basis; ValueError outside the lattice."""
+    w = mat_vec(mat_inv(rd.ambient_basis), tuple(Fraction(x) for x in v_ambient))
+    if any(x.denominator != 1 for x in w):
+        raise ValueError(f"{v_ambient} is not in the cocharacter lattice")
+    return tuple(int(x) for x in w)
+
+
+def covector_ambient_to_lattice(rd, phi_ambient):
+    """A character given in ambient coordinates, as values on the lattice
+    basis; ValueError outside the character lattice."""
+    w = mat_vec(transpose(rd.ambient_basis), tuple(Fraction(x) for x in phi_ambient))
+    if any(x.denominator != 1 for x in w):
+        raise ValueError(f"{phi_ambient} is not in the character lattice")
+    return tuple(int(x) for x in w)
 
 
 def progression(step, value):

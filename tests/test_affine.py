@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RANK_AT_MOST_FOUR, even_form, value_on
+from conftest import RANK_AT_MOST_FOUR, ambient_to_lattice, even_form, value_on
 from weylkit.exact import QmodZ, dot, identity, lattice_basis_from_generators, lattice_contains, mat_inv, solve_integer_affine, vec_sub
 from weylkit.affine import (
     AffineCoroot,
@@ -146,7 +146,7 @@ def test_gram_psp6_adjoint():
     psp6 = preset("PSp", 6)
     form = gram_from_weights(psp6, psp6.roots)
     # ambient form is 16*Id: S(e_i, e_j) = 16 delta_ij
-    e = [psp6.ambient_to_lattice([int(k == i) for k in range(3)]) for i in range(3)]
+    e = [ambient_to_lattice(psp6, [int(k == i) for k in range(3)]) for i in range(3)]
     for i in range(3):
         for j in range(3):
             assert form.pair(e[i], e[j]) == (16 if i == j else 0)
@@ -212,16 +212,24 @@ def _eval_affine_coroot(form, ac, x):
 
 
 def test_affine_coroot_slice_intertwining():
-    rd = preset("Sp", 4)
-    form = gram_from_weights(rd, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    # on Sp4 with the form of +-e_i and on the root form of the presets the
+    # block benchmark runs; act_affine_coroot divides the image level by
+    # q(alpha) with no check, so the level must be a multiple of it
     rng = random.Random(3)
-    ws = weyl_elements(rd)
-    for _ in range(40):
-        g = ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(2)), rng.choice(ws))
-        ac = AffineCoroot(rng.choice(rd.coroots), rng.randint(-3, 3))
-        x = tuple(Fraction(rng.randint(-9, 9), 7) for _ in range(2))
-        lhs = _eval_affine_coroot(form, act_affine_coroot(g, rd, form, ac), slice_act_inverse(g.inverse(), form, x))
-        assert lhs == _eval_affine_coroot(form, ac, x)
+    sp4 = preset("Sp", 4)
+    cases = [(sp4, gram_from_weights(sp4, [(1, 0), (-1, 0), (0, 1), (0, -1)]))]
+    cases += [(rd, gram_from_weights(rd, rd.roots)) for rd in (preset(name, n) for name, n in
+              (("SL", 3), ("Sp", 4), ("G2", 2), ("SO_odd", 5), ("PGL", 3), ("SL", 4)))]
+    for rd, form in cases:
+        ws = weyl_elements(rd)
+        for _ in range(40):
+            g = ExtendedWeylElement(tuple(rng.randint(-2, 2) for _ in range(rd.rank)), rng.choice(ws))
+            ac = AffineCoroot(rng.choice(rd.coroots), rng.randint(-3, 3))
+            level, image = extended_act_cochar(g, form, ac.pair_form(form))
+            assert level % form.q(image) == 0, (rd.name, g, ac)
+            x = tuple(Fraction(rng.randint(-9, 9), 7) for _ in range(rd.rank))
+            lhs = _eval_affine_coroot(form, act_affine_coroot(g, rd, form, ac), slice_act_inverse(g.inverse(), form, x))
+            assert lhs == _eval_affine_coroot(form, ac, x), (rd.name, g, ac)
 
 
 def ambient(rd, form):
@@ -342,9 +350,9 @@ def test_character_from_config_bases():
     psp6 = preset("PSp", 6)
     chi = character_from_config(psp6, "1/8", ["1/3", "1/5", "1/4"], basis="simple_roots")
     # chi_f(e1) = theta_1 = 1/3
-    e1 = psp6.ambient_to_lattice([1, 0, 0])
+    e1 = ambient_to_lattice(psp6, [1, 0, 0])
     assert value_on(chi, e1) == QmodZ(1, 3)
-    e3 = psp6.ambient_to_lattice([0, 0, 1])
+    e3 = ambient_to_lattice(psp6, [0, 0, 1])
     assert value_on(chi, e3) == QmodZ(3, 10)
 
 

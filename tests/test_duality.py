@@ -637,9 +637,38 @@ def test_alcove_match_checks_the_length_zero_groups(monkeypatch):
         (lambda reps, lattice: (reps[1:], lattice), "length-zero groups have different sizes 3 and 2"),
         (lambda reps, lattice: ((ExtendedWeylElement(vec_add(reps[0].trans, off), reps[0].w),) + reps[1:], lattice),
          "has no dual partner"),
+        (lambda reps, lattice: (reps, lattice + (off,)), "length-zero translation lattices do not correspond"),
     ):
         with monkeypatch.context() as m:
             m.setattr(duality, "length_zero_group", dual_changed(change))
+            with pytest.raises(VerificationFailed, match=message):
+                alcove_match(rd, lvl, theta)
+
+
+def test_alcove_match_checks_the_simple_systems(monkeypatch):
+    # SL3 at K: an affine A2 on each side.  A partner map that finds no
+    # partner leaves the first simple unmatched; a dual system that lists a
+    # simple twice leaves one dual simple unmatched; a dual Coxeter matrix of
+    # 2s in place of 3s does not match
+    rd, theta = preset("SL", 3), (Fraction(0), Fraction(0))
+    lvl = killing_level(rd, 1)
+    first = alcove_match(rd, lvl, theta).g_system.simples[0]
+    with monkeypatch.context() as m:
+        m.setattr(duality, "_iota_partner", lambda rd, lvl, theta: lambda g: None)
+        with pytest.raises(VerificationFailed, match=re.escape(f"conjugated simple {first} is not a dual simple")):
+            alcove_match(rd, lvl, theta)
+    system = duality.level_integral_weyl
+
+    def dual_changed(change):
+        return lambda side_rd, *args: system(side_rd, *args) if side_rd == rd else change(system(side_rd, *args))
+
+    for change, message in (
+        (lambda sys: dataclasses.replace(sys, simples=sys.simples + sys.simples[:1]), "simple systems do not biject"),
+        (lambda sys: dataclasses.replace(sys, coxeter=tuple(tuple(1 if x == 1 else 2 for x in row) for row in sys.coxeter)),
+         "Coxeter matrices differ after matching"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(duality, "level_integral_weyl", dual_changed(change))
             with pytest.raises(VerificationFailed, match=message):
                 alcove_match(rd, lvl, theta)
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,22 @@ def test_qmodz_normalization():
     assert QmodZ(1, 6).order() == 6
     assert (QmodZ(1, 2) + QmodZ(1, 2)).is_zero()
     assert QmodZ(1, 3).scale(3).is_zero()
+
+
+def test_input_checks_name_the_input():
+    # a class needs a positive denominator; the solver needs one modulus per
+    # row, nonnegative moduli, and one right-hand side per row
+    for den in (0, -3):
+        with pytest.raises(ValueError, match=re.escape(f"QmodZ(1, {den}) needs a positive denominator")):
+            QmodZ(1, den)
+    with pytest.raises(exact.DimensionMismatch, match=re.escape("2 rows of a and 1 moduli must agree")):
+        congruence_solver([[1, 0], [0, 1]], [2])
+    with pytest.raises(ValueError, match=re.escape("moduli [2, -3] must be nonnegative")):
+        congruence_solver([[1, 0], [0, 1]], [2, -3])
+    solve = congruence_solver([[1, 0], [0, 1]], [2, 3])
+    assert solve((1, 2)) == CosetZn((1, 2), ((2, 0), (0, 3)))
+    with pytest.raises(exact.DimensionMismatch, match=re.escape("3 right-hand sides for 2 rows of a and moduli")):
+        solve((1, 2, 0))
 
 
 def test_normal_forms_examples():

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from weylkit.affine import (
     gram_from_weights,
     length_zero_group,
 )
+from weylkit.duality import VerificationFailed
 from weylkit.exact import QmodZ
 from weylkit.hecke import (
     ONE,
@@ -89,6 +91,9 @@ def test_cross_character_product_vanishes():
     prod = t_multiply(rd, form, a, b)
     assert prod.is_zero()
     assert prod.left_char == chi and prod.right_char == other
+    # a sum needs equal characters on both sides; the error names both pairs
+    with pytest.raises(CharacterMismatch, match=re.escape(f"characters {chi, chi} and {other, other}")):
+        a + b
 
 
 def test_braid_relation_a2():
@@ -213,7 +218,7 @@ def test_specialization_v1_group_algebra(omega_against_box):
     for a in mins:
         for b in mins:
             prod = t_multiply(rd, form, t_element(rd, form, chi, a), t_element(rd, form, chi, b))
-            assert prod.specialize_v1() == {a * b: 1}
+            assert {g: c.at_one() for g, c in prod.support.items()} == {a * b: 1}
 
 
 def test_bott_samelson_single_letter():
@@ -266,6 +271,17 @@ def test_bott_samelson_rejects_an_unknown_token_kind():
     s = integral_simple_system(rd, form, chi).simple_reflections(rd)[0]
     with pytest.raises(ValueError, match="unknown token kind 'b'"):
         bott_samelson_product(rd, form, chi, [("r", s), ("b", s)])
+
+
+def test_bott_samelson_negative_multiplicity_is_raised(monkeypatch):
+    # with b_r = T_r - v in place of T_r + v the identity term of one letter
+    # is -v: the typed error names the coefficient and the element
+    rd, form, chi = sl2_half()
+    s = integral_simple_system(rd, form, chi).simple_reflections(rd)[0]
+    monkeypatch.setattr(hecke, "V", -V)
+    unit = ExtendedWeylElement.unit(1)
+    with pytest.raises(VerificationFailed, match=re.escape(f"Bott-Samelson multiplicity -v of {unit} is negative")):
+        bott_samelson_product(rd, form, chi, [("r", s)])
 
 
 def test_check_relations_reports():

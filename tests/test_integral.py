@@ -1,9 +1,11 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import ambient_to_lattice
 from weylkit.exact import CosetZn, QmodZ, identity
 from weylkit.affine import (
     AffineCoroot,
@@ -14,14 +16,17 @@ from weylkit.affine import (
     character_from_config,
     coxeter_system,
     dominant_base_point,
+    extended_act_character,
     gram_from_matrix,
     gram_from_weights,
     length_zero_group,
     progression_contains,
     simple_system_from_progressions,
 )
+from weylkit import integral
 from weylkit.integral import (
     CharacterMismatch,
+    NotInStabilizerOrbit,
     conjugate_to_simple,
     integral_simple_system,
     is_minimal,
@@ -131,14 +136,14 @@ def test_psp6_scenario():
     assert len(admitting) == 1
     w, coset = admitting[0]
     assert w == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
-    e1 = rd.ambient_to_lattice([1, 0, 0])
-    e2 = rd.ambient_to_lattice([0, 1, 0])
-    mu = rd.ambient_to_lattice([Fraction(1, 2)] * 3)
+    e1 = ambient_to_lattice(rd, [1, 0, 0])
+    e2 = ambient_to_lattice(rd, [0, 1, 0])
+    mu = ambient_to_lattice(rd, [Fraction(1, 2)] * 3)
     assert coset.contains(e1) and coset.contains(e2)
     assert not coset.contains(mu)
     # t^mu omega has infinite order regardless of stabilizer membership
     omega_amb = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
-    cols = [rd.ambient_to_lattice([row[j] for row in omega_amb]) for j in range(3)]
+    cols = [ambient_to_lattice(rd, [row[j] for row in omega_amb]) for j in range(3)]
     # matrix on the lattice: send basis vector b_j to lattice coords of omega(b_j)
     from weylkit.exact import mat_inv, mat_mul
 
@@ -151,7 +156,7 @@ def test_psp6_scenario():
     # omega has order 2 and g^2 is a nonzero translation: g has infinite order
     assert g.w != identity(3) and (g * g).w == identity(3) and any((g * g).trans)
     # noncommuting witness involving t^{e3}
-    e3 = rd.ambient_to_lattice([0, 0, 1])
+    e3 = ambient_to_lattice(rd, [0, 0, 1])
     t_e3 = ExtendedWeylElement.translation(e3)
     assert g * t_e3 != t_e3 * g
 
@@ -184,8 +189,66 @@ def test_omega_compose_character_mismatch():
     rd, form, chi = sl2_setup()
     other = character_from_config(rd, "1/2", ["1/3"])
     m = ExtendedWeylElement.unit(1)
-    with pytest.raises(CharacterMismatch):
+    with pytest.raises(CharacterMismatch, match=re.escape(f"left character {other} of {m} is not the middle character {chi}")):
         omega_compose(rd, form, m, chi, m, other)
+
+
+def test_omega_compose_checks_minimality(monkeypatch):
+    # t has length 1, so it is not minimal; and with a product that is one
+    # simple reflection too long, the check on the product fires
+    rd, form, chi = sl2_setup()
+    t = ExtendedWeylElement.translation((1,))
+    m = minimal_rep(rd, form, chi, t)
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"omega_compose expects minimal elements, not {t} and {m}")):
+        omega_compose(rd, form, t, chi, m, chi)
+    s = integral_simple_system(rd, form, chi).simple_reflections(rd)[0]
+    product = ExtendedWeylElement.__mul__
+    monkeypatch.setattr(ExtendedWeylElement, "__mul__", lambda a, b: product(product(a, b), s))
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"product of the minimal elements {m} and {m} is not minimal")):
+        omega_compose(rd, form, m, chi, m, chi)
+
+
+def test_minimal_rep_checks_the_walk(monkeypatch):
+    # a walk that stops at once leaves the non-minimal t; one that jumps to
+    # the unit, which is minimal, changes the left character of s at chi_f = 1/3
+    rd, form, chi = sl2_setup()
+    t = ExtendedWeylElement.translation((1,))
+    monkeypatch.setattr(integral, "_descend", lambda rd, system, y: (y, []))
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"walk from {t} ended at {t}, which is not minimal")):
+        minimal_rep(rd, form, chi, t)
+    rd, form, chi = sl2_setup(chif=("1/3",))
+    s = ExtendedWeylElement.from_weyl(rd.reflection(0))
+    left = extended_act_character(s, form, chi)
+    assert left != chi
+    monkeypatch.setattr(integral, "_descend", lambda rd, system, y: (ExtendedWeylElement.unit(1), []))
+    with pytest.raises(CharacterMismatch, match=re.escape(f"walk from {s} changed the left character {left}")):
+        minimal_rep(rd, form, chi, s)
+
+
+def test_conjugate_to_simple_checks(monkeypatch):
+    # an integral reflection that is not simple, and a negated simple, which
+    # ends at the wall of its simple with the opposite orientation
+    rd, form, chi = sl2_setup()
+    near, far = integral_simple_system(rd, form, chi).simples
+    r = AffineCoroot((1,), 4)
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"descent from {r} crosses the integral wall {near}; {r} is not simple")):
+        conjugate_to_simple(rd, form, chi, r)
+    neg = AffineCoroot((1,), -2)
+    assert affine_coroot_reflection(rd, neg) == affine_coroot_reflection(rd, far)
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"of {neg} is not simple in the new integral system")):
+        conjugate_to_simple(rd, form, chi, neg)
+    # the two checks on the conjugator, by fault injection on the simple far,
+    # whose conjugator u is not the unit
+    u = conjugate_to_simple(rd, form, chi, far)
+    assert not u.is_identity()
+    monkeypatch.setattr(integral, "is_minimal", lambda system, g: False)
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"conjugator {u} of {far} is not minimal")):
+        conjugate_to_simple(rd, form, chi, far)
+    monkeypatch.undo()
+    inverse = ExtendedWeylElement.inverse
+    monkeypatch.setattr(ExtendedWeylElement, "inverse", lambda g: ExtendedWeylElement.translation((1,)) * inverse(g))
+    with pytest.raises(NotInStabilizerOrbit, match=re.escape(f"conjugator {u} does not send the reflection of {far} to that of")):
+        conjugate_to_simple(rd, form, chi, far)
 
 
 def test_conjugate_to_simple_sl2(affine_coroot_label, reference_length):

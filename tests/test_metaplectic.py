@@ -7,7 +7,7 @@ import pytest
 
 from conftest import even_form, value_on
 from weylkit import metaplectic
-from weylkit.exact import QmodZ, identity, mat_vec, solve_integer_affine, vec_scale
+from weylkit.exact import QmodZ, identity, mat_vec, rank as mat_rank, solve_integer_affine, solve_linear, vec_scale
 from weylkit.affine import (
     CharacterPoint,
     ExtendedWeylElement,
@@ -17,13 +17,14 @@ from weylkit.affine import (
 )
 from weylkit.integral import integral_simple_system
 from weylkit.metaplectic import (
+    NoCommonFrame,
     ValidationFailed,
     bullet_weyl_compare,
     endoscopic_lattice,
     endoscopic_root_datum,
     rescale_factor,
 )
-from weylkit.rootdata import group_closure, is_isomorphic, preset, validate_root_datum, weyl_elements
+from weylkit.rootdata import RootDatum, group_closure, is_isomorphic, preset, validate_root_datum, weyl_elements
 
 
 def sp_form(n):
@@ -188,23 +189,25 @@ RANK_AT_MOST_TWO = [("SL", 2), ("SL", 3), ("PGL", 2), ("PGL", 3), ("GL", 2), ("S
                     ("SO_odd", 5), ("Spin_odd", 5), ("SO_even", 4), ("G2", 2)]
 
 
-def _five_point_termwise(rd, mu, families):
-    """The window j in {-2, ..., 2} of tau g_j tau^{-1} = h_j: the reference."""
+def _five_point_termwise(rd, mu, families, rescale):
+    """The window j in {-2, ..., 2} of tau g_j tau^{-1} = h_j, with
+    g_j = t^{(i0 + j N) alpha} s_alpha and h_j = t^{j N alpha} s_alpha for N
+    the rescale of alpha: the reference."""
     tau = ExtendedWeylElement(mu, identity(rd.rank))
     tau_inv = tau.inverse()
     ok = True
-    for cv, i0, step, nfac in families:
-        refl = rd.reflection(rd.coroots.index(cv))
+    for cv, i0 in families:
+        refl, nfac = rd.reflection(rd.coroots.index(cv)), rescale[cv]
         for j in (-2, -1, 0, 1, 2):
-            g = ExtendedWeylElement(vec_scale(cv, i0 + j * step), refl)
+            g = ExtendedWeylElement(vec_scale(cv, i0 + j * nfac), refl)
             ok &= tau * g * tau_inv == ExtendedWeylElement(vec_scale(cv, j * nfac), refl)
     return ok
 
 
 def test_termwise_check_against_five_point_window(monkeypatch):
-    # the two-point test against the old window, on the families and mu of
+    # the one-point test against the old window, on the families and mu of
     # every rank <= 2 preset at c in {1/2, 1/3, 1/4}, and on the same inputs
-    # with mu or a family entry perturbed, where the identity can fail
+    # with mu or a minimal level i0 moved, where the identity can fail
     rng = random.Random(2507183)
     calls = []
     original = metaplectic._termwise_conjugation
@@ -221,29 +224,32 @@ def test_termwise_check_against_five_point_window(monkeypatch):
             for _ in range(2):
                 chi = CharacterPoint(QmodZ.from_fraction(c), tuple(QmodZ(rng.randint(0, 11), 12) for _ in range(rd.rank)))
                 report = bullet_weyl_compare(rd, form, chi)
+                calls[-1] += (dict(report["endoscopic"].rescale),)
                 assert report["termwise_conjugation"] == _five_point_termwise(*calls[-1]), (name, c, chi)
     outcomes = []
-    for rd, mu, families in calls:
+    for rd, mu, families, rescale in calls:
         if not families:
             continue
+        cases = [(rd, mu, families)]
         for _ in range(4):
             moved_mu = tuple(x + Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for x in mu)
-            k, slots = rng.randrange(len(families)), rng.choice(((1,), (2,), (3,), (2, 3)))
-            moved = [list(f) for f in families]
-            shift = rng.choice((-1, 1))
-            for slot in slots:  # step and N moved together keep the identity
-                moved[k][slot] += shift
-            for args in ((rd, moved_mu, families), (rd, mu, [tuple(f) for f in moved])):
-                outcomes.append(original(*args))
-                assert outcomes[-1] == _five_point_termwise(*args), args
-    assert outcomes.count(True) >= 15 and outcomes.count(False) >= 60, (outcomes.count(True), outcomes.count(False))
+            k = rng.randrange(len(families))
+            moved = [(cv, i0 + rng.choice((-1, 1)) * (i == k)) for i, (cv, i0) in enumerate(families)]
+            cases += [(rd, moved_mu, families), (rd, mu, moved)]
+        for args in cases:
+            outcomes.append(original(*args))
+            assert outcomes[-1] == _five_point_termwise(*args, rescale), args
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 90, (outcomes.count(True), outcomes.count(False))
 
 
 def test_rescale_factor_against_central_progressions():
     # the closed form against the denominator read off the progression of
-    # central levels, on every rank <= 2 preset and central values of both
-    # signs
-    for name, n in RANK_AT_MOST_TWO:
+    # central levels, on every rank <= 2 preset and SL4 and central values
+    # of both signs; with a seeded finite part too, as bullet_weyl_compare
+    # takes the level step of every integral direction for its rescale
+    rng = random.Random(2507361)
+    steps = 0
+    for name, n in RANK_AT_MOST_TWO + [("SL", 4)]:
         rd = preset(name, n)
         form = even_form(rd)
         for c in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(-3, 4), Fraction(5, 12)):
@@ -251,6 +257,13 @@ def test_rescale_factor_against_central_progressions():
             chi = CharacterPoint(c, tuple(QmodZ(0, 1) for _ in range(rd.rank)))
             for cv, p in integral_simple_system(rd, form, chi).progressions:
                 assert p[0] == 0 and rescale_factor(rd, form, c, cv) == (p[1] or 1), (name, c, cv)
+            for d in (2, 12):
+                chi = CharacterPoint(c, tuple(QmodZ(rng.randrange(d), d) for _ in range(rd.rank)))
+                for cv, p in integral_simple_system(rd, form, chi).progressions:
+                    if p is not None:
+                        assert p[1] == rescale_factor(rd, form, c, cv), (name, chi, cv)
+                        steps += 1
+    assert steps >= 300, steps
 
 
 def _closure_bullet_is_full(rd, stab, directions):
@@ -291,6 +304,15 @@ def test_bullet_criteria_against_group_closure():
                 system = integral_simple_system(rd, form, chi)
                 stab = dict(system.stabilizer)
                 directions = [cv for cv, p in system.progressions if p is not None]
+                # the positive indecomposable directions are a simple system:
+                # independent, with every positive direction a nonnegative
+                # integer combination of them
+                positive = [cv for cv in directions if rd.is_positive_coroot(cv)]
+                simples = sorted(metaplectic._indecomposable(positive))
+                assert mat_rank(simples) == len(simples), (name, chi)
+                for cv in positive:
+                    coords = solve_linear(tuple(zip(*simples)), cv)
+                    assert all(x.denominator == 1 and x >= 0 for x in coords), (name, chi, cv)
                 g_full = _closure_bullet_is_full(rd, stab, directions)
                 h_full = _closure_h_criterion(report["endoscopic"], chi)
                 assert report["g_bullet_is_full"] == g_full, (name, chi)
@@ -331,6 +353,7 @@ def test_h_stabilizer_is_the_admissible_weyl_parts():
         for c in CENTRAL_VALUES:
             cq = QmodZ.from_fraction(c)
             basis = endoscopic_lattice(rd, form, cq)
+            assert len(basis) == rd.rank, (name, c)
             for d in (1, 12, 2 * cq.den):
                 chi = CharacterPoint(cq, tuple(QmodZ(rng.randrange(d), d) for _ in range(rd.rank)))
                 admissible = {w for w, _ in integral_simple_system(rd, form, chi).stabilizer}
@@ -384,3 +407,17 @@ def test_endoscopic_datum_rejects_a_wrong_rescale(monkeypatch):
                 assert solve_integer_affine(list(zip(*lattice)), list(named), [0] * rd.rank) is None, (name, c, named)
             cases += 1
     assert cases == 10
+
+
+def test_bullet_compare_and_endoscopic_datum_checks(monkeypatch):
+    # a character of the wrong rank is named; an H built on one simple root
+    # too few leaves roots outside the span of its simples, and the
+    # validation of H names H and the root
+    rd, form = sp_form(2)
+    chi = CharacterPoint(QmodZ(1, 2), (QmodZ(0, 1),))
+    with pytest.raises(NoCommonFrame, match=re.escape(f"character {chi} has 1 finite values for the rank 2")):
+        bullet_weyl_compare(rd, form, chi)
+    monkeypatch.setattr(metaplectic, "RootDatum",
+                        lambda rank, roots, coroots, simple, *rest, **named: RootDatum(rank, roots, coroots, simple[:1], *rest, **named))
+    with pytest.raises(ValidationFailed, match=r"H\(Sp4,c=1/2\) is not a root datum: root \(.*\) outside the span of the simple roots"):
+        endoscopic_root_datum(rd, form, QmodZ(1, 2))

@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from conftest import ambient_to_lattice, covector_ambient_to_lattice
 from weylkit.exact import dot, identity, mat_mul, mat_vec, solve_linear, transpose
 from weylkit.rootdata import (
     GroupTooLarge,
@@ -127,16 +128,16 @@ def test_psp6_conventions():
     assert len(psp6.roots) == 18
     assert len(weyl_elements(psp6)) == 48
     # X_* contains mu = (e1+e2+e3)/2 and e_i
-    mu = psp6.ambient_to_lattice([Fraction(1, 2)] * 3)
+    mu = ambient_to_lattice(psp6, [Fraction(1, 2)] * 3)
     assert mu == (1, 0, 0)
-    e1 = psp6.ambient_to_lattice([1, 0, 0])
-    assert psp6.lattice_to_ambient(e1) == (1, 0, 0)
+    e1 = ambient_to_lattice(psp6, [1, 0, 0])
+    assert mat_vec(psp6.ambient_basis, e1) == (1, 0, 0)
     # X* is the root lattice: L_1 alone is NOT a character
-    with pytest.raises(ValueError):
-        psp6.covector_ambient_to_lattice([1, 0, 0])
+    with pytest.raises(ValueError, match=re.escape("[1, 0, 0] is not in the character lattice")):
+        covector_ambient_to_lattice(psp6, [1, 0, 0])
     # but every root is
-    psp6.covector_ambient_to_lattice([1, -1, 0])
-    psp6.covector_ambient_to_lattice([0, 0, 2])
+    covector_ambient_to_lattice(psp6, [1, -1, 0])
+    covector_ambient_to_lattice(psp6, [0, 0, 2])
 
 
 def test_validation_catches_bad_coroot():
@@ -174,6 +175,10 @@ def test_group_bound(monkeypatch):
         weyl_elements(preset("Sp", 4))
     monkeypatch.undo()
     weyl_elements.cache_clear()
+    # an affine Cartan matrix has infinitely many roots: the closure stops
+    # and names the simple roots it started from
+    with pytest.raises(GroupTooLarge, match=re.escape("simple roots [(2, -2), (-2, 2)] exceeds 2000 roots")):
+        rootdata._cartan_build(((2, -2), (-2, 2)), "affine A1")
 
 
 def test_langlands_dual_involution():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -125,6 +126,99 @@ def test_weyl_group_readers():
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
+# entry points no benchmark op calls, each with the reason it stays
+ENTRY_POINTS = {
+    "t_multiply": "block API: the product of the T-basis Hecke algebroid",
+    "t_element": "block API: the basis element T_g of a group element",
+    "zero_element": "block API: the zero element of a character bimodule",
+    "check_relations": "block API: the quadratic, braid and omega relations of a block",
+    "omega_compose": "block API: the product of minimal elements",
+    "conjugate_to_simple": "block API: the minimal conjugator of an integral simple reflection to an ambient simple",
+    "finite_longest_group": "block API: the finite-longest automorphisms of a level's integral group",
+    "dual_level": "block API: the Langlands-dual datum with the inverse level",
+    "is_isomorphic": "block API: root-datum isomorphism over Z",
+    "character_from_config": "config reader of the planned engine CLI",
+    "gram_from_matrix": "config reader of the planned engine CLI",
+}
+
+
+def _names_read(node, strings=False):
+    """The names node reads: "x" for a bare name or an imported name, ".x"
+    for an attribute, and with strings both for every string constant
+    shaped like a name."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            read.add("." + n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name.split(".")[-1])
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            read |= {n.value, "." + n.value}
+    return read
+
+
+def _unreached(modules, read):
+    """module.name of each top-level function and class, and module.Class.name
+    of each method, of the parsed modules {stem: tree} that nothing reaches
+    from the names in read.  A function or class is reached when its name is
+    read bare or as an attribute, a method when its class is reached and its
+    name is read as an attribute (a dunder method with its class), and a
+    reached definition reads the names in its body.  Module-level code runs
+    on import, so what it reads is read; a name read under an alias a
+    module imports it as is read under its own name too."""
+    aliases = {}
+    defs = {}  # qualified name -> (node, class qualified name or None)
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{stem}.{node.name}"] = node, None
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef):
+                        defs[f"{stem}.{node.name}.{sub.name}"] = sub, f"{stem}.{node.name}"
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                read |= _names_read(node)
+        aliases.update({a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names if a.asname})
+    reached, grown = set(), True
+    while grown:
+        grown = False
+        read |= {aliases[name] for name in read if name in aliases}
+        for qualname, (node, cls) in defs.items():
+            name = node.name
+            dunder = name.startswith("__") and name.endswith("__")
+            if qualname in reached or not (cls in reached and ("." + name in read or dunder) if cls else {name, "." + name} & read):
+                continue
+            reached.add(qualname)
+            grown = True
+            if isinstance(node, ast.ClassDef):
+                for part in [n for n in node.body if not isinstance(n, ast.FunctionDef)] + node.bases + node.decorator_list:
+                    read |= _names_read(part)
+            else:
+                read |= _names_read(node)
+    return sorted(set(defs) - reached)
+
+
+def test_every_definition_is_reached():
+    # every function, class and method of the package is reached from what
+    # the benchmark reads (its imports, its calls and the names its tracer
+    # wraps by string) or from an entry point; code only tests call belongs
+    # in the tests
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    read = set(ENTRY_POINTS).union(*(_names_read(ast.parse(path.read_text()), strings=True) for path in PERFBENCH.glob("*.py")))
+    assert _unreached(modules, read) == []
+    defined = {node.name for tree in modules.values() for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ENTRY_POINTS) <= defined and all(ENTRY_POINTS.values())
+    # the scan follows calls, aliases, attributes, module-level code and class
+    # bodies, and sees an unused function, method and class
+    sample = {
+        "m": ast.parse("from x import f as g\nT = [h]\ndef f(): return C().k()\ndef h(): pass\ndef unused(): pass\n"
+                       "class C:\n    def k(self): pass\n    def __eq__(self, o): pass\n    def dead(self): pass\n"
+                       "class D(C):\n    pass\n"),
+    }
+    assert _unreached(sample, {"g"}) == ["m.C.dead", "m.D", "m.unused"]
+    assert _unreached({"m": ast.parse("from x import f as g\ndef f(): pass\n")}, {"g"}) == []
+
 
 def test_perfbench_contract(monkeypatch):
     # perfbench wraps weylkit names from outside; a refactor that drops one
@@ -183,3 +277,23 @@ def test_perfbench_trace_mode_runs(workload, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     caches = record["trace"]["caches"]
     assert all(f"{layer}.{name}" in caches for layer, name in importlib.import_module("trace_layers")._CACHES), caches
+
+
+def _missing_script_targets(scripts):
+    """The "module:function" targets of the [project.scripts] table whose
+    module cannot be found or does not define the function."""
+    missing = []
+    for name, target in scripts.items():
+        module, _, function = target.partition(":")
+        if importlib.util.find_spec(module) is None or not hasattr(importlib.import_module(module), function):
+            missing.append(f"{name} = {target}")
+    return missing
+
+
+def test_every_script_entry_point_exists():
+    # an installed script whose module is missing fails on its first run
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((PERFBENCH.parent / "pyproject.toml").read_text())
+    assert _missing_script_targets(pyproject["project"].get("scripts", {})) == []
+    scripts = {"engine": "weylkit.cli:main", "reader": "weylkit.affine:read_square", "typo": "weylkit.affine:no_such"}
+    assert _missing_script_targets(scripts) == ["engine = weylkit.cli:main", "typo = weylkit.affine:no_such"]
