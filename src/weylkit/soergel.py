@@ -11,14 +11,15 @@ through  v-exponent = (word length) + l(w) - 2 (flag generator degree).
 
 The degreewise model (TruncModule) keeps each multiplication map by a
 variable as sparse columns with int entries; a Fraction enters only where an
-elimination divides by a pivot other than 1.  The map of a polynomial is
-built by composing these maps, and each kernel and span is taken on sparse
-rows by exact._rref, the package's one reduced-echelon routine.  The
-sections of a degree keep the echelon form that elimination gives, {pivot:
-row} with one row per pivot, 1 at its pivot and 0 at the other pivots: the
-kernel basis at its free columns, the top layer as _rref returns it.  So
-quotient_module eliminates nothing, and the generator count is a rank read
-on the pivot coordinates alone.
+elimination divides by a pivot other than 1.  End(B_r) reads a polynomial's
+relation off its right-action matrix in one step, shifted by each basis
+monomial, with no truncated module and no composed map.  Each kernel and
+span is taken on sparse rows by exact._rref, the package's one
+reduced-echelon routine.  The sections of a degree keep the echelon form
+that elimination gives, {pivot: row} with one row per pivot, 1 at its pivot
+and 0 at the other pivots: the kernel basis at its free columns, the top
+layer as _rref returns it.  So quotient_module eliminates nothing, and the
+generator count is a rank read on the pivot coordinates alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
-from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_mul, mat_vec, rank as mat_rank, transpose
+from weylkit.exact import Mat, _exact, _rref, hermite_normal_form, identity, mat_mul, mat_vec, rank as mat_rank
 from weylkit.hecke import LaurentPoly
 from weylkit.rootdata import _reflection_factors, group_closure
 
@@ -112,10 +113,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.coeffs}
-        return len(degs) <= 1
-
     def substitute_linear(self, m: Mat) -> "Poly":
         """f(v) |-> f(M v): substitute x_i by the i-th row of M."""
         rows = [Poly.linear(row) for row in m]
@@ -196,7 +193,7 @@ class Bimodule:
 def _right_matrix(bm: Bimodule, f: Poly, powers):
     """f on bm's right-action matrices; powers is a table {e: matrix of x^e}
     shared by the calls on one bimodule, x^e built from x^(e - e_j) by one
-    product."""
+    product, and x_j's matrix bm's own."""
     n_b = bm.rank()
 
     def power(e):
@@ -205,7 +202,8 @@ def _right_matrix(bm: Bimodule, f: Poly, powers):
             if j is None:
                 powers[e] = [[Poly.const(bm.n, int(a == b)) for b in range(n_b)] for a in range(n_b)]
             else:
-                powers[e] = _poly_mat_mul(bm.right_action[j], power(e[:j] + (e[j] - 1,) + e[j + 1 :]))
+                rest = e[:j] + (e[j] - 1,) + e[j + 1 :]
+                powers[e] = _poly_mat_mul(bm.right_action[j], power(rest)) if any(rest) else bm.right_action[j]
         return powers[e]
 
     out = [[Poly.zero(bm.n) for _ in range(n_b)] for _ in range(n_b)]
@@ -289,16 +287,6 @@ def word_bimodule(reflections: Sequence[Mat]) -> Bimodule:
 # truncated graded modules
 
 
-def _monomials(n: int, d: int):
-    if n == 0:
-        return [()] if d == 0 else []
-    out = []
-    for first in range(d + 1):
-        for rest in _monomials(n - 1, d - first):
-            out.append((first,) + rest)
-    return out
-
-
 # Sparse linear algebra.  A vector is a dict {position: nonzero coefficient};
 # a map is a tuple of its columns, column c being the (target position,
 # nonzero coefficient) pairs of the image of basis vector c.  Coefficients
@@ -367,8 +355,7 @@ class TruncModule:
     @staticmethod
     def from_bimodule(bm: Bimodule, depth: int) -> "TruncModule":
         n, rank = bm.n, bm.rank()
-        layers = [[(i, mono) for i, bd in enumerate(bm.basis_degrees) for mono in _monomials(n, d - bd)] for d in range(depth + 1)]
-        index = [{key: pos for pos, key in enumerate(layer)} for layer in layers]
+        layers, index = _layers(bm, depth)
         left = [[None] * depth for _ in range(n)]
         right = [[None] * depth for _ in range(n)]
         for j in range(n):
@@ -377,17 +364,33 @@ class TruncModule:
             terms = [[(l, e, cf) for l in range(rank) for e, cf in bm.right_action[j][l][i].coeffs.items()] for i in range(rank)]
             for d in range(depth):
                 up = index[d + 1]
-                lcols, rcols = [], []
-                for i, mono in layers[d]:
-                    lcols.append(((up[(i, tuple(map(add, mono, unit)))], 1),))
-                    col = {}
-                    for l, e, cf in terms[i]:
-                        pos = up[(l, tuple(map(add, mono, e)))]
-                        col[pos] = col.get(pos, 0) + cf
-                    rcols.append(tuple((pos, _exact(c)) for pos, c in col.items() if c))
-                left[j][d] = tuple(lcols)
-                right[j][d] = tuple(rcols)
+                left[j][d] = tuple(((up[(i, tuple(map(add, mono, unit)))], 1),) for i, mono in layers[d])
+                right[j][d] = _shifted_columns(terms, layers[d], up)
         return TruncModule(n, [len(layer) for layer in layers], left, right)
+
+
+def _layers(bm: Bimodule, depth: int):
+    """The basis (i, mono) = mono e_i of each degree 0..depth of bm, and per
+    degree the index {(i, mono): position}."""
+    monos = [[()]] + [[] for _ in range(depth)]  # monos[s]: exponents of degree s
+    for _ in range(bm.n):
+        monos = [[(f,) + rest for f in range(s + 1) for rest in monos[s - f]] for s in range(depth + 1)]
+    layers = [[(i, mono) for i, bd in enumerate(bm.basis_degrees) if bd <= d for mono in monos[d - bd]] for d in range(depth + 1)]
+    return layers, [{key: pos for pos, key in enumerate(layer)} for layer in layers]
+
+
+def _shifted_columns(terms, layer, up):
+    """Sparse columns of the map that sends e_i to the sum of cf x^e e_l over
+    terms[i] = [(l, e, cf), ...], on the basis positions (i, mono) of one
+    layer: each term shifted by mono, positions read in the target's index."""
+    cols = []
+    for i, mono in layer:
+        col = {}
+        for l, e, cf in terms[i]:
+            pos = up[(l, tuple(map(add, mono, e)))]
+            col[pos] = col.get(pos, 0) + cf
+        cols.append(tuple((pos, _exact(c)) for pos, c in col.items() if c))
+    return tuple(cols)
 
 
 def graph_sections(mod: TruncModule, w: Mat):
@@ -539,20 +542,28 @@ def _fiber_rank_at(bm: Bimodule, w, point) -> int:
 
 
 def hilbert_end_bs(m: Mat, depth: int) -> dict:
-    """Exact degreewise check of H_End = H_{Gamma^1} + H_{Gamma^r} - H_{hyp}."""
+    """Exact check of H_End = H_{Gamma^1} + H_{Gamma^r} - H_{hyp} in degrees
+    0..depth-1.  End(B_r) is the annihilator of b |-> g b - b g for g in the
+    generators of R^r, the invariant linear forms and alpha^2; each relation
+    is read once per basis element (_commutator_terms) and shifted into each
+    degree, up to depth + 1 so that alpha^2 is tested in the top degree too.
+    R^r passes through the tensor sign of R (x)_{R^r} R, so on a correct
+    model every row is zero and End_d = dim (B_r)_d: the identity is a
+    theorem, and testing alpha^2 at the top changes no report."""
     n = len(m)
     bm = bott_samelson_bimodule(m)
-    mod = TruncModule.from_bimodule(bm, depth)
+    # invariant covectors v: v (I - m) = 0, i.e. v . c = 0; with c_p the first
+    # nonzero entry, c_p x_f - c_f x_p for f != p is an integral basis
+    c = _rank_one_factors(m)[1]
+    p = next(i for i, x in enumerate(c) if x)
     alpha = reflection_equation(m)
-
-    # End(B_r) = annihilator of the defining ideal acting by left-minus-right
-    # on B_r; generators: invariant linear forms and alpha^2
-    invariant_linear = _invariant_linear_forms(m)
-    gens = [Poly.linear([v.get(i, 0) for i in range(n)]) for v in invariant_linear] + [alpha * alpha]
+    gens = [Poly.linear([c[p] * (i == f) - c[f] * (i == p) for i in range(n)]) for f in range(n) if f != p] + [alpha * alpha]
+    layers, index = _layers(bm, depth + 1)
+    relations = [(g.degree(), _commutator_terms(bm, g)) for g in gens]
     end_dims = []
     for d in range(depth):
-        blocks = [terms for terms in (_left_minus_right(mod, g, d) for g in gens) if terms is not None]
-        end_dims.append(len(_kernel_basis(_stacked_rows(blocks), mod.dims[d])))
+        rows = _stacked_rows([(1, _shifted_columns(terms, layers[d], index[d + k]))] for k, terms in relations)
+        end_dims.append(len(layers[d]) - len(_rref(rows)[0]))
 
     # Gamma^1 and Gamma^r are graphs of linear maps, so each graph quotient
     # (p, q) |-> p +- q alpha of B_r is onto R, and the hyperplane ring
@@ -568,31 +579,17 @@ def hilbert_end_bs(m: Mat, depth: int) -> dict:
     }
 
 
-def _invariant_linear_forms(m: Mat):
-    """Basis of covectors fixed by the reflection (the hyperplane equations'
-    complement): kernel of (m^T - 1)."""
-    rows = [{j: x - int(i == j) for j, x in enumerate(row) if x != int(i == j)} for i, row in enumerate(transpose(m))]
-    return list(_kernel_basis(rows, len(m)).values())
-
-
-def _left_minus_right(mod: TruncModule, g: Poly, d: int):
-    """The terms (coefficient, map) of (left mult by g) - (right mult by g)
-    from degree d, or None when its target lies above the truncation.  Each
-    monomial's map on a side is the composite of that side's maps by its
-    variables; a constant acts alike on both sides and gives no term."""
-    if not g.is_homogeneous():
-        raise ValueError(f"left-minus-right needs a homogeneous polynomial, not {g}")
-    deg = g.degree()
-    if d + deg >= len(mod.dims):
-        return None
-    terms = []
-    for e, cf in g.coeffs.items():
-        steps = [j for j, k in enumerate(e) for _ in range(k)]
-        if not steps:
-            continue
-        for sign, side in ((1, mod.left), (-1, mod.right)):
-            composite = side[steps[0]][d]
-            for step, j in enumerate(steps[1:], 1):
-                composite = _compose(side[j][d + step], composite)
-            terms.append((sign * _exact(cf), composite))
-    return terms
+def _commutator_terms(bm: Bimodule, g: Poly):
+    """Per basis element e_i, the terms (l, e, coefficient) of g e_i - e_i g:
+    g's own terms at l = i minus the column i of its right-action matrix,
+    like terms merged.  g is homogeneous, as every generator hilbert_end_bs
+    passes is, so each relation maps one degree into one degree."""
+    right = _right_matrix(bm, g, {})
+    out = []
+    for i in range(bm.rank()):
+        acc = {(i, e): cf for e, cf in g.coeffs.items()}
+        for l, row in enumerate(right):
+            for e, cf in row[i].coeffs.items():
+                acc[(l, e)] = acc.get((l, e), 0) - cf
+        out.append([(l, e, cf) for (l, e), cf in acc.items() if cf])
+    return out

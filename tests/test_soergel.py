@@ -204,30 +204,42 @@ def test_end_bs_identity_battery_rank_le_3():
         assert hilbert_end_bs(m, depth=5)["identity"], m
 
 
-def test_left_minus_right_rejects_inhomogeneous_polynomial():
-    from weylkit.soergel import _left_minus_right
+def test_commutator_terms_vanish_on_invariants():
+    # g e_i - e_i g has no terms for a constant, an invariant linear form and
+    # alpha^2, and has terms, so the relation has rows, for a non-invariant
+    # linear form
+    from weylkit.soergel import _commutator_terms, _layers, _shifted_columns, _stacked_rows
 
-    mod = TruncModule.from_bimodule(bott_samelson_bimodule(SWAP), 4)
-    x = Poly.variable(2, 0)
-    assert _left_minus_right(mod, x * x, 3) is None  # target above the truncation
-    with pytest.raises(ValueError, match="homogeneous"):
-        _left_minus_right(mod, x + x * x, 0)
+    bm = bott_samelson_bimodule(A2_S)
+    alpha = reflection_equation(A2_S)
+    invariant = Poly.variable(2, 0) + reflection_action(A2_S, Poly.variable(2, 0))
+    for g in (Poly.const(2, 5), invariant, alpha * alpha):
+        assert _commutator_terms(bm, g) == [[], []], g
+    terms = _commutator_terms(bm, alpha)
+    assert all(terms)
+    layers, index = _layers(bm, 3)
+    for d in range(3):
+        assert _stacked_rows([[(1, _shifted_columns(terms, layers[d], index[d + 1]))]]), d
 
 
-def test_end_bs_identity_sl4_and_g2_at_benchmark_depths():
-    # every simple reflection of SL4 at depth 4 and of G2 at depth 6: the
-    # identity holds and both graph quotients are all of R, dim R_d = C(n+d-1, d)
+def test_end_bs_identity_on_preset_reflections():
+    # every simple reflection of SL4 at depths 4 and 6, G2 and Sp4 at depths 6
+    # and 8 and SL5 at depth 4: the identity holds, both graph quotients are
+    # all of R, dim R_d = C(n+d-1, d), and dim End_d = C(n+d-1, d) + C(n+d-2, d-1)
     from math import comb
 
     from weylkit.rootdata import preset
 
-    for name, param, depth in (("SL", 4, 4), ("G2", 2, 6)):
+    for name, param, depths in (("SL", 4, (4, 6)), ("G2", 2, (6, 8)), ("Sp", 4, (6, 8)), ("SL", 5, (4,))):
         rd = preset(name, param)
+        n = rd.rank
         for m in rd.simple_reflections():
-            report = hilbert_end_bs(m, depth)
-            r_dims = [comb(rd.rank + d - 1, d) for d in range(depth)]
-            assert report["identity"], (name, m)
-            assert report["gamma1"] == report["gamma_r"] == r_dims, (name, m)
+            for depth in depths:
+                report = hilbert_end_bs(m, depth)
+                r_dims = [comb(n + d - 1, d) for d in range(depth)]
+                assert report["identity"], (name, m, depth)
+                assert report["gamma1"] == report["gamma_r"] == r_dims, (name, m, depth)
+                assert report["end"] == [r + (comb(n + d - 2, d - 1) if d else 0) for d, r in enumerate(r_dims)], (name, m, depth)
 
 
 def _dense_pivots(rows, ncols):
@@ -496,9 +508,72 @@ def test_support_filtration_eliminates_each_subspace_once(monkeypatch):
         graph_character_table(word)
         assert calls[0] <= most and calls[1] == 0, (len(word), calls)
 
-    # a constant acts alike on both sides: left minus right is the zero map
-    mod = TruncModule.from_bimodule(bott_samelson_bimodule(A2_S), 3)
-    for d in range(4):
-        assert soergel._stacked_rows([soergel._left_minus_right(mod, Poly.const(2, 5), d)]) == []
-    # a linear form that is not invariant does not commute with B_s
-    assert soergel._stacked_rows([soergel._left_minus_right(mod, reflection_equation(A2_S), 0)])
+
+def _reference_end_dims(m, depth):
+    """End(B_r) in degrees 0..depth-1 as first computed: the truncated module,
+    each generator's left and right maps composed from the variable maps,
+    and the kernel of the stacked left-minus-right maps.  alpha^2 is left
+    out of the top degree, where its target lies above the truncation."""
+    from weylkit.soergel import _compose, _kernel_basis, _stacked_rows
+
+    n = len(m)
+    mod = TruncModule.from_bimodule(bott_samelson_bimodule(m), depth)
+    fixed = [{j: x - int(i == j) for j, x in enumerate(row) if x != int(i == j)} for i, row in enumerate(zip(*m))]
+    alpha = reflection_equation(m)
+    gens = [Poly.linear([v.get(i, 0) for i in range(n)]) for v in _kernel_basis(fixed, n).values()] + [alpha * alpha]
+    dims = []
+    for d in range(depth):
+        blocks = []
+        for g in (g for g in gens if d + g.degree() <= depth):
+            terms = []
+            for e, cf in g.coeffs.items():
+                steps = [j for j, k in enumerate(e) for _ in range(k)]
+                for sign, side in ((1, mod.left), (-1, mod.right)):
+                    composite = side[steps[0]][d]
+                    for step, j in enumerate(steps[1:], 1):
+                        composite = _compose(side[j][d + step], composite)
+                    terms.append((sign * cf, composite))
+            blocks.append(terms)
+        dims.append(len(_kernel_basis(_stacked_rows(blocks), mod.dims[d])))
+    return dims
+
+
+def test_end_bs_against_composed_reference():
+    # the one-step relations against the truncated module with composed maps,
+    # on the benchmark cases under a seeded sign conjugation and on every
+    # simple reflection of eight presets at depths 3-7
+    from weylkit.rootdata import preset
+
+    rng = random.Random(38)
+    cases = [(_sign_conjugate(rng, preset(name, p).simple_reflections()[i]), depth) for name, p, i, depth in END_BS_CASES]
+    for name, p in (("SL", 2), ("SL", 3), ("SL", 4), ("Sp", 4), ("G2", 2), ("PGL", 3), ("SO_odd", 5), ("GL", 3)):
+        cases += [(m, depth) for m in preset(name, p).simple_reflections() for depth in range(3, 8)]
+    assert len(cases) == 87
+    for m, depth in cases:
+        report = hilbert_end_bs(m, depth)
+        assert report["end"] == _reference_end_dims(m, depth) and report["identity"], (m, depth)
+
+
+def test_end_bs_eliminates_once_per_degree(monkeypatch):
+    # one elimination per degree, no truncated module and no composite; the
+    # composed path built the module, composed alpha^2's maps and made one
+    # more elimination for the invariant linear forms
+    from weylkit import soergel
+    from weylkit.rootdata import preset
+
+    calls = {"_rref": 0, "_compose": 0, "from_bimodule": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(soergel, "_rref", counted("_rref", soergel._rref))
+    monkeypatch.setattr(soergel, "_compose", counted("_compose", soergel._compose))
+    monkeypatch.setattr(soergel.TruncModule, "from_bimodule", staticmethod(counted("from_bimodule", soergel.TruncModule.from_bimodule)))
+    for name, p, i, depth in END_BS_CASES:
+        calls.update(dict.fromkeys(calls, 0))
+        hilbert_end_bs(preset(name, p).simple_reflections()[i], depth)
+        assert calls == {"_rref": depth, "_compose": 0, "from_bimodule": 0}, (name, depth, calls)
